@@ -312,16 +312,18 @@ def _expand_stdin(forms):
 
 
 def _run_once(args, precision):
-    field = field_shorthand(args.field, precision=precision,
+    # enumerate-q2 computes over Q_2 whatever --field says
+    name = "q2" if args.command == "enumerate-q2" else args.field
+    field = field_shorthand(name, precision=precision,
                             degree_cap=args.degree_cap)
     if args.fixture:
         return field, _cmd_example(args.fixture, precision, args.degree_cap)
     if args.command == "depth":
-        return field, _cmd_depth(field, _expand_stdin(args.forms))
+        return field, _cmd_depth(field, args.forms)
     if args.command == "symbol":
-        return field, _cmd_symbol(field, _expand_stdin(args.forms))
+        return field, _cmd_symbol(field, args.forms)
     if args.command == "canonical":
-        return field, _cmd_canonical(field, _expand_stdin(args.forms))
+        return field, _cmd_canonical(field, args.forms)
     if args.command == "equal":
         return field, _cmd_equal(field, args.form1, args.form2)
     if args.command == "enumerate-q2":
@@ -333,6 +335,9 @@ def _run_once(args, precision):
 
 def run(argv):
     args = build_parser().parse_args(argv)
+    if args.command in ("depth", "symbol", "canonical"):
+        # once, before any retry: a second attempt finds stdin drained
+        args.forms = _expand_stdin(args.forms)
     attempts = 0
     precision = args.precision
     indistinguishable = False

@@ -9,8 +9,8 @@ anywhere.
 
 from __future__ import annotations
 
-from ..errors import NotApplicable
-from .common import INF, AtLeast, certified_ge, certified_gt, is_known, lower_bound
+from ..errors import NotApplicable, UnsupportedResidueField
+from .common import INF, AtLeast, lower_bound
 from .dyadic import Dyadic, DyadicField
 from .gf2m import FF, GF2m
 from .laurent import Laurent, LaurentField
@@ -18,8 +18,8 @@ from .ratfunc import RatFunc, RatFuncField
 
 __all__ = [
     "GF2m", "FF", "RatFuncField", "RatFunc", "LaurentField", "Laurent",
-    "DyadicField", "Dyadic", "AtLeast", "INF", "certified_ge", "certified_gt",
-    "is_known", "lower_bound", "valuation", "residue", "section",
+    "DyadicField", "Dyadic", "AtLeast", "INF", "lower_bound", "valuation",
+    "residue", "section",
     "frobenius_coordinates", "hensel_artin_schreier", "make_field",
     "field_shorthand",
 ]
@@ -76,7 +76,11 @@ def field_shorthand(text: str, *, precision: int = 64, degree_cap: int = 512):
             key, _, val = part.partition("=")
             if key.strip() != "m":
                 raise NotApplicable(f"unknown field option {key!r}")
-            m = int(val)
+            try:
+                m = int(val)
+            except ValueError:
+                raise UnsupportedResidueField(
+                    f"field option m={val.strip()!r} is not an integer") from None
     if name == "q2":
         return make_field("dyadic", precision=precision)
     if name in ("f2-laurent", "f2m-laurent"):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -31,22 +30,3 @@ Valuation = "int | float | AtLeast"
 def lower_bound(v) -> "int | float":
     """A certified lower bound for the valuation answer v."""
     return v.bound if isinstance(v, AtLeast) else v
-
-
-def certified_ge(v, threshold) -> bool:
-    return lower_bound(v) >= threshold
-
-
-def certified_gt(v, threshold) -> bool:
-    return lower_bound(v) > threshold
-
-
-def is_known(v) -> bool:
-    """True when v is an exact finite valuation."""
-    return not isinstance(v, AtLeast) and v != INF
-
-
-def as_fraction(v) -> Fraction:
-    if not is_known(v):
-        raise ValueError(f"valuation {v!r} is not exactly known")
-    return Fraction(v)

@@ -16,7 +16,7 @@ computed as c^(2^(m-1)).
 
 from __future__ import annotations
 
-from ..errors import DivisionByZero
+from ..errors import DivisionByZero, UnsupportedResidueField
 
 # Smallest irreducible polynomial of each degree over GF(2), as bit-patterns.
 IRREDUCIBLE = {
@@ -121,7 +121,8 @@ class GF2m:
         if m in cls._cache:
             return cls._cache[m]
         if m not in IRREDUCIBLE:
-            raise ValueError(f"GF(2^m) supported only for 1 <= m <= 16, got m={m}")
+            raise UnsupportedResidueField(
+                f"GF(2^m) supported only for 1 <= m <= 16, got m={m}")
         self = super().__new__(cls)
         self.m = m
         self.modulus = IRREDUCIBLE[m]

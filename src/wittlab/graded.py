@@ -65,11 +65,6 @@ class ShiftedQuadSpace:
         return (f"ShiftedQuadSpace(eps={self.eps}, type {self.type_tag}, "
                 f"degrees={[str(d) for d in self.degrees]})")
 
-    def tau(self):
-        """The multiplier parameter of a type-III space: the image of 2."""
-        assert self.type_tag == "III"
-        return HomogeneousScalar(Fraction(self.v2), self.k.one)
-
     # -- homogeneous vectors --------------------------------------------------
 
     def unit_vector(self, i) -> "GradedVector":
@@ -258,15 +253,6 @@ class UniformizingChoice:
 
     rho: HomogeneousScalar
     pi: dict
-
-    def describe(self, k):
-        return {
-            "rho": {"degree": str(self.rho.degree),
-                    "coeff": k.format_elem(self.rho.coeff)},
-            "pi": {str(key): {"degree": str(h.degree),
-                              "coeff": k.format_elem(h.coeff)}
-                   for key, h in sorted(self.pi.items())},
-        }
 
 
 def default_choice(S: ShiftedQuadSpace) -> UniformizingChoice:

@@ -6,7 +6,10 @@ min(v(l_i) + gamma_i).  A depth certificate witnesses the three
 compatibility conditions at depth eps: (a) and (b) are valuation bounds
 on the splitting basis, (c) is invertibility over the residue field of
 the matrix of leading coefficients, which is exactly nondegeneracy of
-the induced graded form.
+the induced graded form.  A certificate carries the Gram data it was
+certified with (q(e_i), b(e_i, e_j) and their leading coefficients), so
+the induced space, the depth-reduction step and the residue symbol read
+it instead of recomputing it.
 
 Depth reduction follows the constructive proof of the metabolicity
 criterion: decompose the induced space into metabolic planes, lift the
@@ -18,7 +21,7 @@ returned as the irreducibility evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 
 from . import graded, linalg
@@ -80,12 +83,21 @@ class CompatibilityViolation:
 
 @dataclass
 class DepthCertificate:
+    """The form, the norm and the depth it is compatible at, with the Gram
+    data on the norm's splitting basis that certified it: qe[i] = q(e_i),
+    be[i][j] = b(e_i, e_j) and lead[i][j], the residue coefficient of
+    be[i][j] at degree g_i + g_j + eps."""
+
     form: QuadraticForm
     norm: VNorm
     eps: Fraction
+    qe: list = datafield(repr=False, compare=False)
+    be: list = datafield(repr=False, compare=False)
+    lead: list = datafield(repr=False, compare=False)
     checked: tuple = ("a", "b", "c")
 
     def revalidate(self):
+        """Recheck from form, norm and eps alone, ignoring the Gram data."""
         res = check_compatibility(self.form, self.norm, self.eps)
         return isinstance(res, DepthCertificate)
 
@@ -97,13 +109,17 @@ def _gram_on_basis(q: QuadraticForm, norm: VNorm):
     return qe, be
 
 
-def check_compatibility(q: QuadraticForm, norm: VNorm, eps) -> "DepthCertificate | CompatibilityViolation":
+def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
+                        _gram=None) -> "DepthCertificate | CompatibilityViolation":
     """Verify (a), (b) on the splitting basis and (c) as nondegeneracy of
-    the induced graded form; returns a certificate or the first violation."""
+    the induced graded form; returns a certificate or the first violation.
+
+    _gram, a (qe, be) pair already computed on the norm's basis, is used
+    instead of recomputing it."""
     eps = Fraction(eps)
     if q.n != norm.n:
         return CompatibilityViolation("a", "dimension mismatch")
-    qe, be = _gram_on_basis(q, norm)
+    qe, be = _gram if _gram is not None else _gram_on_basis(q, norm)
     g = norm.values
     for i in range(norm.n):
         thr = 2 * g[i]
@@ -132,8 +148,7 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps) -> "DepthCertificate
     except WittlabError:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
-    return DepthCertificate(QuadraticForm(q.field, [list(r) for r in q.U]),
-                            norm, eps)
+    return DepthCertificate(q, norm, eps, qe, be, lead)
 
 
 def require_certificate(q, norm, eps) -> DepthCertificate:
@@ -143,16 +158,19 @@ def require_certificate(q, norm, eps) -> DepthCertificate:
     return res
 
 
+def _require_certified_form(q: QuadraticForm, cert: DepthCertificate):
+    if q is not cert.form and q.U != cert.form.U:
+        raise NotApplicable("the form is not the one the certificate is for")
+
+
 def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
-    """Leading-coefficient graded space of the certified norm."""
+    """Leading-coefficient graded space of the certified norm, read off
+    the certificate's Gram data; q must be the certified form."""
+    _require_certified_form(q, cert)
     F = q.field
-    k = F.residue_field
     g = cert.norm.values
     eps = cert.eps
-    qe, be = _gram_on_basis(q, cert.norm)
-    qv = [qe[i].coeff_at(2 * g[i]) for i in range(cert.norm.n)]
-    bm = [[be[i][j].coeff_at(g[i] + g[j] + eps) for j in range(cert.norm.n)]
-          for i in range(cert.norm.n)]
+    qv = [cert.qe[i].coeff_at(2 * g[i]) for i in range(cert.norm.n)]
     v2 = F.v2
     if eps == 0:
         tag = "I"
@@ -160,7 +178,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
         tag = "III"
     else:
         tag = "II"
-    return ShiftedQuadSpace(k, v2, eps, list(g), qv, bm, tag)
+    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead,
+                            tag)
 
 
 # -- norm algebra ------------------------------------------------------------
@@ -265,9 +284,10 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
     eps = cert.eps
     if F.v2 != INF and eps >= Fraction(F.v2):
         raise NotApplicable("binary splitting requires eps < v(2)")
+    _require_certified_form(q, cert)
     vecs = [cert.norm.column(i) for i in range(cert.norm.n)]
     vals = list(cert.norm.values)
-    G = gram_of(q.polar_matrix(), vecs, F.zero)
+    G = cert.be
     blocks = []
     while vecs:
         m = len(vecs)
@@ -346,27 +366,39 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
         e_vals.append(x.degree)
         fs.append(lift_vec(y))
         f_vals.append(y.degree)
-    Ge = gram_of(q.polar_matrix(), es, F.zero)
-    terms = [gamma]
-    for l, e in enumerate(es):
-        qv = q.evaluate(e).low_bound()
-        if qv != INF:
-            terms.append(Fraction(qv) / 2 - e_vals[l])
-        for m in range(len(es)):
-            if m == l:
-                continue
-            bb = Ge[l][m].low_bound()
-            if bb != INF:
-                terms.append(Fraction(bb) - e_vals[l] - e_vals[m] - gamma)
-    eps_prime = min(terms)
-    if eps_prime <= 0:
-        raise PrecisionExhausted(
-            "metabolic witness slack not certified positive")
+    qe = []
+    eps_prime = None
+
+    def certify_slack(Ge):
+        # eps' from the e block, before any entry of an f column is formed:
+        # f arithmetic may raise (DegreeCapExceeded over GF(2^m)(x)) and must
+        # not pre-empt the PrecisionExhausted here
+        nonlocal eps_prime
+        qe.extend(q.evaluate(e) for e in es)
+        terms = [gamma]
+        for l in range(len(es)):
+            qv = qe[l].low_bound()
+            if qv != INF:
+                terms.append(Fraction(qv) / 2 - e_vals[l])
+            for m in range(len(es)):
+                if m == l:
+                    continue
+                bb = Ge[l][m].low_bound()
+                if bb != INF:
+                    terms.append(Fraction(bb) - e_vals[l] - e_vals[m] - gamma)
+        eps_prime = min(terms)
+        if eps_prime <= 0:
+            raise PrecisionExhausted(
+                "metabolic witness slack not certified positive")
+        qe.extend(q.evaluate(f) for f in fs)
+
     basis_cols = es + fs
+    G = gram_of(q.polar_matrix(), basis_cols, F.zero,
+                head=len(es), on_head=certify_slack)
     values = [v + eps_prime for v in e_vals] + f_vals
     M = [[basis_cols[c][r] for c in range(len(basis_cols))] for r in range(q.n)]
     new_norm = VNorm(F, M, values)
-    res = check_compatibility(q, new_norm, gamma - eps_prime)
+    res = check_compatibility(q, new_norm, gamma - eps_prime, _gram=(qe, G))
     if isinstance(res, CompatibilityViolation):
         raise PrecisionExhausted(
             f"reduced norm failed to re-certify: {res!r}")

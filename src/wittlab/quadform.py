@@ -31,7 +31,7 @@ from .fields.common import INF, lower_bound
 
 
 class QuadraticForm:
-    __slots__ = ("field", "n", "U")
+    __slots__ = ("field", "n", "U", "_polar")
 
     def __init__(self, field, coeffs):
         """coeffs: n x n upper-triangular rows; entries below the diagonal
@@ -41,6 +41,7 @@ class QuadraticForm:
         z = field.zero
         self.U = tuple(tuple(coeffs[i][j] if j >= i else z for j in range(self.n))
                        for i in range(self.n))
+        self._polar = None
 
     def __repr__(self):
         rows = ["[" + ", ".join(self.field.format_elem(c) for c in row) + "]"
@@ -72,9 +73,18 @@ class QuadraticForm:
         return acc
 
     def polar_matrix(self):
-        """B = U + U^T; alternating in characteristic 2."""
-        n = self.n
-        return [[self.U[i][j] + self.U[j][i] for j in range(n)] for i in range(n)]
+        """B = U + U^T as rows of a tuple, built once per form; alternating
+        in characteristic 2, with exact zeros on the diagonal even where
+        U[i][i] is truncated."""
+        if self._polar is None:
+            U, n = self.U, self.n
+            zero = self.field.zero
+            alternating = self.field.char == 2
+            self._polar = tuple(
+                tuple(zero if i == j and alternating else U[i][j] + U[j][i]
+                      for j in range(n))
+                for i in range(n))
+        return self._polar
 
     def polar(self, x, y):
         B = self.polar_matrix()
@@ -138,37 +148,44 @@ class BinaryForm:
     def to_form(self, field) -> QuadraticForm:
         return QuadraticForm.binary(field, self.a, self.b)
 
-    def is_nonsingular_certified(self) -> bool:
-        four_ab = self.a.field.from_int(4) * self.a * self.b \
-            if self.a.field.char == 0 else None
-        if four_ab is None:
-            return True  # 1 - 4ab = 1 in characteristic 2
-        return (self.a.field.one - four_ab).is_certified_nonzero()
 
+def gram_of(B, cols, zero, head=0, on_head=None):
+    """cols^T B cols with zero-skipping (cols given as coordinate lists).
 
-def gram_of(B, cols, zero):
-    """cols^T B cols with zero-skipping (cols given as coordinate lists)."""
+    on_head, if given, is called with the Gram of cols[:head] as soon as
+    that block is formed, before any pairing with a later column; it may
+    raise to abandon the rest.  Every entry is the same sum either way.
+    """
     n = len(B)
     m = len(cols)
     Bc = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        Bi = B[i]
-        for c in range(m):
-            acc = zero
-            for j in range(n):
-                if Bi[j].is_exactly_zero() or cols[c][j].is_exactly_zero():
-                    continue
-                acc = acc + Bi[j] * cols[c][j]
-            Bc[i][c] = acc
     G = [[zero] * m for _ in range(m)]
-    for r in range(m):
-        for c in range(m):
+
+    def form(images, pairs):
+        for i in range(n):
+            Bi = B[i]
+            for c in images:
+                acc = zero
+                for j in range(n):
+                    if Bi[j].is_exactly_zero() or cols[c][j].is_exactly_zero():
+                        continue
+                    acc = acc + Bi[j] * cols[c][j]
+                Bc[i][c] = acc
+        for r, c in pairs:
             acc = zero
             for i in range(n):
                 if cols[r][i].is_exactly_zero() or Bc[i][c].is_exactly_zero():
                     continue
                 acc = acc + cols[r][i] * Bc[i][c]
             G[r][c] = acc
+
+    if on_head is None:
+        head = 0
+    else:
+        form(range(head), [(r, c) for r in range(head) for c in range(head)])
+        on_head([row[:head] for row in G[:head]])
+    form(range(head, m), [(r, c) for r in range(m) for c in range(m)
+                          if r >= head or c >= head])
     return G
 
 
@@ -197,7 +214,7 @@ def symplectic_blocks(q: QuadraticForm):
     n = q.n
     B = q.polar_matrix()
     vecs = [[F.one if i == r else F.zero for i in range(n)] for r in range(n)]
-    G = [row[:] for row in B]
+    G = [list(row) for row in B]
     blocks = []
     columns = []
     while vecs:

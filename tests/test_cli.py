@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +121,51 @@ def test_precision_retry_protocol(monkeypatch):
     assert code == 0
     assert calls == [64, 128, 256]
     assert json.loads(out)["precision"] == 256
+
+
+def test_depth_with_truncated_entries_in_char2():
+    for lit, depth in (("[1/(1+t), t^-3]", "3/2"), ("[1+t+O(t^9), t^-1]", "1/2")):
+        code, out = run_cli(["depth", "--field", "f2-laurent", lit])
+        assert code == 0, out
+        assert json.loads(out)["result"]["results"][0]["depth"] == depth
+
+
+def test_batch_stdin_survives_precision_retry():
+    code, out = run_cli(["depth", "--field", "q2", "--precision", "1", "-"],
+                        stdin="<1/3, 5/7>\n")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["precision"] > 1  # at least one retry happened
+    assert len(payload["result"]["results"]) == 1
+
+
+def test_field_option_out_of_range_is_unsupported():
+    for field in ("f2m-laurent:m=17", "f2mx-laurent:m=0", "f2m-laurent:m=two"):
+        code, out = run_cli(["depth", "--field", field, "[1, t]"])
+        assert code == 4
+        payload = json.loads(out)
+        assert payload["schema"] == "wittlab/1"
+        assert payload["error"] == "unsupported"
+
+
+def test_enumerate_q2_reports_q2(monkeypatch):
+    seen = []
+
+    def fake(field):
+        seen.append(field)
+        return {"count": 0}
+
+    monkeypatch.setattr(cli, "_cmd_enumerate_q2", fake)
+    code, out = run_cli(["enumerate-q2"])  # --field defaults to f2-laurent
+    assert code == 0
+    assert json.loads(out)["field"] == {"kind": "dyadic", "residue": "GF(2)"}
+    assert seen[0].precision == 64
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "wittlab", "depth", "--field",
+                           "q2", "<1>"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["results"][0]["depth"] == "1"

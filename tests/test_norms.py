@@ -5,7 +5,7 @@ import pytest
 
 from wittlab import graded, norms
 from wittlab.errors import NotApplicable
-from wittlab.fields import INF, make_field
+from wittlab.fields import INF, field_shorthand, make_field
 from wittlab.literals import parse_element, parse_form
 from wittlab.norms import (CompatibilityViolation, NotReducible, VNorm,
                            builder_binary, builder_unary, check_compatibility,
@@ -328,3 +328,90 @@ def test_wildness_q2_saturates_at_v2():
         if not q.is_nonsingular():
             continue
         assert wildness_index(q)[0] <= 1
+
+
+# -- certificates carry their Gram data --------------------------------------------
+
+
+SHORTHAND_FORMS = {
+    "f2-laurent": "sum([1+t, t^-1+t], [1, t^-2], [t, t^-3])",
+    "f2m-laurent:m=2": "sum([2, t^-2], [1+t, 3*t^-1], [t, t^-3])",
+    "f2x-laurent": "sum([1, x*t^-2], [x, t^-1], [1+t, (1+x)*t^-3])",
+    "f2mx-laurent:m=2": "sum([1, x*t^-2], [2, t^-1], [x, 3*t^-3])",
+    "q2": "<1, 1, 3, 3>",
+}
+
+
+def scrambled(q, rng):
+    """q in a random unimodular basis, so the Gram data is dense."""
+    F = q.field
+    M = [[F.one if i == j else F.zero for j in range(q.n)] for i in range(q.n)]
+    for i in range(q.n):
+        for j in range(q.n):
+            if i != j and rng.random() < 0.5:
+                for r in range(q.n):
+                    M[r][i] = M[r][i] + M[r][j]
+    return q.change_basis(M)
+
+
+def certificates_along_the_loop(q):
+    """initial_norm, every depth_reduce step of the wildness loop, and a
+    require_certificate at one step above the wildness index."""
+    cert = initial_norm(q)
+    certs = [cert]
+    while cert.eps > 0:
+        step = depth_reduce(q, cert)
+        if isinstance(step, NotReducible):
+            break
+        cert = step
+        certs.append(cert)
+    up = cert.eps + HALF
+    if q.field.v2 == INF or up < q.field.v2:
+        certs.append(require_certificate(q, norm_shift(cert.norm, cert.eps, up), up))
+    return certs
+
+
+def space_from_scratch(q, cert):
+    qe, be = norms._gram_on_basis(q, cert.norm)
+    g, eps = cert.norm.values, cert.eps
+    qvals = tuple(qe[i].coeff_at(2 * g[i]) for i in range(q.n))
+    bmat = tuple(tuple(be[i][j].coeff_at(g[i] + g[j] + eps) for j in range(q.n))
+                 for i in range(q.n))
+    return cert.norm.values, qvals, bmat
+
+
+@pytest.mark.parametrize("shorthand", sorted(SHORTHAND_FORMS))
+def test_induced_space_matches_gram_from_scratch(shorthand):
+    F = field_shorthand(shorthand)
+    q = scrambled(parse_form(SHORTHAND_FORMS[shorthand], F), random.Random(11))
+    certs = certificates_along_the_loop(q)
+    assert len(certs) >= 3  # a reduction step was taken
+    for cert in certs:
+        S = induced_space(q, cert)
+        degrees, qvals, bmat = space_from_scratch(q, cert)
+        assert S.degrees == degrees
+        assert S.qvals == qvals
+        assert S.bmat == bmat
+
+
+def test_revalidate_ignores_the_cached_gram():
+    q = parse_form("sum([1+t, t^-1+t], [1, t^-2])", F2T)
+    _, cert = wildness_index(q)
+    cert.qe = cert.be = cert.lead = None
+    assert cert.revalidate()
+
+
+def test_induced_space_rejects_another_form():
+    q = parse_form("[1, t^-2]", F2T)
+    cert = initial_norm(q)
+    copy = QuadraticForm(F2T, [list(row) for row in q.U])
+    assert induced_space(copy, cert).degrees == induced_space(q, cert).degrees
+    with pytest.raises(NotApplicable):
+        induced_space(parse_form("[1, t^-4]", F2T), cert)
+
+
+def test_wildness_with_truncated_entries_in_char2():
+    # the polar diagonal of a truncated entry is an exact zero, so the
+    # blocks split at the first precision
+    assert wildness_index(parse_form("[1/(1+t), t^-3]", F2T))[0] == Fraction(3, 2)
+    assert wildness_index(parse_form("[1+t+O(t^9), t^-1]", F2T))[0] == HALF

@@ -7,8 +7,8 @@ from wittlab import arason
 from wittlab.errors import RuleNotApplicable, SingularForm
 from wittlab.fields import make_field
 from wittlab.literals import parse_element, parse_form
-from wittlab.quadform import (BinaryForm, QuadraticForm, WittExpr, rewrite,
-                              symplectic_blocks)
+from wittlab.quadform import (BinaryForm, QuadraticForm, WittExpr, gram_of,
+                              rewrite, symplectic_blocks)
 
 F2T = make_field("laurent", m=1)
 Q2 = make_field("dyadic")
@@ -42,6 +42,34 @@ def test_polar_of_sum_identity():
         lhs = q.evaluate([a + b for a, b in zip(x, y)])
         rhs = q.evaluate(x) + q.evaluate(y) + q.polar(x, y)
         assert (lhs + rhs).is_zero_to_precision()
+
+
+def test_polar_matrix_built_once_with_exact_char2_diagonal():
+    q = parse_form("[1/(1+t), t^-3]", F2T)
+    assert q.U[0][0].abs_prec is not None  # a truncated diagonal entry
+    B = q.polar_matrix()
+    assert B is q.polar_matrix()
+    assert all(B[i][i].is_exactly_zero() for i in range(2))
+    assert B[0][1] == B[1][0] == F2T.one
+    qq = parse_form("<1, 3>", Q2)
+    assert qq.polar_matrix()[1][1] == Q2.from_int(6)
+
+
+def test_gram_of_head_block_first():
+    rng = random.Random(4)
+    q = parse_form("sum([1, t^-1], [t, 1+t])", F2T)
+    cols = [[rand_laurent(F2T, rng) for _ in range(4)] for _ in range(3)]
+    B = q.polar_matrix()
+    full = gram_of(B, cols, F2T.zero)
+    seen = []
+    assert gram_of(B, cols, F2T.zero, head=2, on_head=seen.append) == full
+    assert seen == [[row[:2] for row in full[:2]]]
+
+    def stop(head):
+        raise SingularForm("stop")
+
+    with pytest.raises(SingularForm):
+        gram_of(B, cols, F2T.zero, head=2, on_head=stop)
 
 
 def test_is_nonsingular():
