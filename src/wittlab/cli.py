@@ -2,8 +2,10 @@
 canonical decomposition, equality and the Q_2 enumeration, plus built-in
 reproducible example fixtures.
 
-Exit codes: 0 success, 2 literal syntax error, 3 Indistinguishable,
-4 unsupported field/operation, 5 precision exhausted, 1 anything else.
+Exit codes: 0 success, 2 literal syntax error or invalid option value,
+3 Indistinguishable, 4 unsupported field/operation, 5 precision exhausted,
+1 anything else (an unexpected exception prints {"error": "internal"} on
+stdout and its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import arason, norms, quadform
 from .errors import (INDISTINGUISHABLE, FormSyntaxError, PrecisionExhausted,
-                     UnsupportedResidueField, Undecidable, WittlabError)
+                     UnsupportedResidueField, Undecidable, UsageError,
+                     WittlabError)
 from .fields import DyadicField, LaurentField, field_shorthand
 from .fields.gf2m import GF2m
 from .fields.ratfunc import RatFuncField
@@ -335,6 +339,10 @@ def _run_once(args, precision):
 
 def run(argv):
     args = build_parser().parse_args(argv)
+    if args.precision < 1:
+        raise UsageError(f"--precision must be at least 1, got {args.precision}")
+    if args.degree_cap < 0:
+        raise UsageError(f"--degree-cap must be at least 0, got {args.degree_cap}")
     if args.command in ("depth", "symbol", "canonical"):
         # once, before any retry: a second attempt finds stdin drained
         args.forms = _expand_stdin(args.forms)
@@ -381,6 +389,10 @@ def main(argv=None):
         print(json.dumps({"schema": SCHEMA, "error": "syntax", "message": str(e),
                           "line": e.line, "column": e.column}, sort_keys=True))
         return EXIT_SYNTAX
+    except UsageError as e:
+        print(json.dumps({"schema": SCHEMA, "error": "usage", "message": str(e)},
+                         sort_keys=True))
+        return EXIT_SYNTAX
     except (UnsupportedResidueField, Undecidable) as e:
         print(json.dumps({"schema": SCHEMA, "error": "unsupported",
                           "message": str(e)}, sort_keys=True))
@@ -392,6 +404,11 @@ def main(argv=None):
     except WittlabError as e:
         print(json.dumps({"schema": SCHEMA, "error": type(e).__name__,
                           "message": str(e)}, sort_keys=True))
+        return 1
+    except Exception as e:
+        traceback.print_exc()
+        print(json.dumps({"schema": SCHEMA, "error": "internal",
+                          "message": f"{type(e).__name__}: {e}"}, sort_keys=True))
         return 1
 
 

@@ -73,6 +73,10 @@ class FormSyntaxError(WittlabError):
         self.column = column
 
 
+class UsageError(WittlabError):
+    """A command-line option value outside its documented range."""
+
+
 class _Indistinguishable:
     """Singleton result for equality questions that the library refuses to
     coerce to a boolean.  Explicitly not truthy and not falsy."""

@@ -1,14 +1,27 @@
 """Formal Laurent series k((t)) over a characteristic-2 residue field.
 
-An element is stored as (v0, coeffs, abs_prec): the series
-coeffs[0]*t^v0 + coeffs[1]*t^(v0+1) + ..., known modulo t^abs_prec.
+An element is (v0, digits, abs_prec): the series
+c_0*t^v0 + c_1*t^(v0+1) + ..., known modulo t^abs_prec.
 `abs_prec is None` means the element is exact, i.e. it *is* the stored
 Laurent polynomial; sums and products of exact elements stay exact, so
 structural zeros (needed to certify singularity) are never lost.
 Inversion of a non-monomial drops to the field's working precision.
 
-Normalization: coeffs is empty (the zero-to-precision element, or the
-exact zero) or starts and ends with nonzero residue coefficients.
+Storage depends on the residue field, chosen once by `LaurentField`:
+
+* GF(2^m): `digits` is one packed int.  Slot i, of S bits (S = 1 for
+  m = 1, S = 2m - 1 otherwise), holds the bit-pattern of c_i, so
+  digits = sum c_i << (S*i).  A sum is one shift and one xor.  A product
+  is a carryless product of the two ints (xor of shifted copies of one
+  operand, one per set bit of the other); slot products have degree at
+  most 2m - 2 < S, so no slot overflows into the next, and every slot is
+  then reduced modulo the field modulus at once with masked shifts.
+* GF(2^m)(x): `digits` is a tuple of residue elements c_0, c_1, ...
+
+Normalization: the exact zero and the zero-to-precision element have
+empty digits (0 or ()) and v0 = 0; otherwise c_0 and the top coefficient
+are nonzero, and every stored exponent is below abs_prec.  `coeffs` is a
+tuple view of c_0, c_1, ..., built on demand for packed elements.
 Arithmetic never reports more precision than the min/add rules justify.
 """
 
@@ -22,6 +35,58 @@ from .gf2m import GF2m
 from .ratfunc import RatFuncField
 
 
+def _clmul(a: int, b: int) -> int:
+    """Carryless product, one shifted copy of b per set bit of a."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    r = 0
+    while a:
+        low = a & -a
+        r ^= b << (low.bit_length() - 1)
+        a ^= low
+    return r
+
+
+class _Packing:
+    """Slot layout of GF(2^m) coefficients in one int, with the masks that
+    reduce every slot modulo the field modulus at once."""
+
+    __slots__ = ("m", "S", "smask", "shifts", "nbits", "high", "masks")
+
+    def __init__(self, k: GF2m):
+        m = self.m = k.m
+        self.S = 1 if m == 1 else 2 * m - 1
+        self.smask = (1 << self.S) - 1
+        low = k.modulus ^ (1 << m)
+        # g^d = g^(d-m) * (modulus - g^m): bit d goes to d - m + b per set
+        # bit b of the modulus below g^m, a right shift by m - b
+        self.shifts = tuple(m - b for b in range(m) if low >> b & 1)
+        self._grow(64 * self.S)
+
+    def _grow(self, nbits: int):
+        S, m = self.S, self.m
+        n = -(-nbits // S)
+        ones = ((1 << (S * n)) - 1) // self.smask  # bit 0 of every slot
+        self.nbits = S * n
+        self.high = ones * (self.smask ^ ((1 << m) - 1))
+        self.masks = tuple(ones << d for d in range(2 * m - 2, m - 1, -1))
+
+    def reduce(self, r: int) -> int:
+        """Reduce every slot of an unreduced product modulo the modulus."""
+        if self.m == 1:
+            return r
+        if r.bit_length() > self.nbits:
+            self._grow(2 * r.bit_length())
+        if r & self.high:
+            for mask in self.masks:  # from bit 2m-2 down to bit m
+                hi = r & mask
+                if hi:
+                    r ^= hi
+                    for s in self.shifts:
+                        r ^= hi >> s
+        return r
+
+
 class LaurentField:
     """k((t)) with v(t) = 1 and a default working precision in slots."""
 
@@ -29,6 +94,9 @@ class LaurentField:
         self.residue_field = residue
         self.precision = precision
         self.variable = variable
+        # packed digits over GF(2^m), a tuple of residue elements otherwise
+        self._pk = _Packing(residue) if isinstance(residue, GF2m) else None
+        self._nil = () if self._pk is None else 0
 
     def __repr__(self):
         return f"{self.residue_field!r}(({self.variable}))"
@@ -50,7 +118,19 @@ class LaurentField:
     # -- construction ------------------------------------------------------
 
     def make(self, pairs, abs_prec=None) -> "Laurent":
-        """Element from (exponent, residue coefficient) pairs."""
+        """Element from (exponent, residue coefficient) pairs; coefficients
+        at a repeated exponent are added."""
+        pk = self._pk
+        if pk is not None:
+            pairs = [(e, c.bits) for e, c in pairs
+                     if abs_prec is None or e < abs_prec]
+            if not pairs:
+                return Laurent(self, 0, 0, abs_prec)
+            v0 = min(e for e, _ in pairs)
+            digits = 0
+            for e, bits in pairs:
+                digits ^= bits << (pk.S * (e - v0))
+            return _normalized(self, pk.S, v0, digits, abs_prec)
         by_exp = {}
         for e, c in pairs:
             if e in by_exp:
@@ -68,7 +148,7 @@ class LaurentField:
 
     @property
     def zero(self) -> "Laurent":
-        return Laurent(self, 0, (), None)
+        return Laurent(self, 0, self._nil, None)
 
     @property
     def one(self) -> "Laurent":
@@ -91,7 +171,7 @@ class LaurentField:
         return self.make([(int(d), c)])
 
     def zero_to_precision(self, bound: int) -> "Laurent":
-        return Laurent(self, 0, (), bound)
+        return Laurent(self, 0, self._nil, bound)
 
     # -- Hensel ------------------------------------------------------------
 
@@ -141,59 +221,103 @@ class LaurentField:
         return body
 
 
-class Laurent:
-    __slots__ = ("field", "v0", "coeffs", "abs_prec")
+def _normalized(F: LaurentField, S: int, v0: int, digits: int, abs_prec):
+    """Packed element: drop slots at or above abs_prec, then shift out the
+    zero slots at the bottom."""
+    if abs_prec is not None:
+        n = abs_prec - v0
+        digits = digits & ((1 << (S * n)) - 1) if n > 0 else 0
+    if not digits:
+        return Laurent(F, 0, 0, abs_prec)
+    low = ((digits & -digits).bit_length() - 1) // S
+    if low:
+        digits >>= S * low
+        v0 += low
+    return Laurent(F, v0, digits, abs_prec)
 
-    def __init__(self, field: LaurentField, v0: int, coeffs: tuple, abs_prec):
+
+class Laurent:
+    __slots__ = ("field", "v0", "digits", "abs_prec")
+
+    def __init__(self, field: LaurentField, v0: int, digits, abs_prec):
         self.field = field
-        self.v0 = v0 if coeffs else 0
-        self.coeffs = coeffs
+        self.v0 = v0 if digits else 0
+        self.digits = digits
         self.abs_prec = abs_prec
-        if coeffs:
-            assert not coeffs[0].is_zero() and not coeffs[-1].is_zero()
-            assert abs_prec is None or v0 + len(coeffs) <= abs_prec
+        if digits:
+            pk = field._pk
+            if pk is None:
+                assert not digits[0].is_zero() and not digits[-1].is_zero()
+                assert abs_prec is None or v0 + len(digits) <= abs_prec
+            else:
+                assert digits & pk.smask and not digits & pk.high
+                assert abs_prec is None or \
+                    digits.bit_length() <= pk.S * (abs_prec - v0)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The residue coefficients c_0, c_1, ... of t^v0, t^(v0+1), ..."""
+        pk = self.field._pk
+        if pk is None:
+            return self.digits
+        elem = self.field.residue_field.elem
+        d, S, smask = self.digits, pk.S, pk.smask
+        out = []
+        while d:
+            out.append(elem(d & smask))
+            d >>= S
+        return tuple(out)
 
     def __repr__(self):
         return self.field.format_elem(self)
 
     def __eq__(self, other):
         return (isinstance(other, Laurent) and other.field == self.field
-                and other.v0 == self.v0 and other.coeffs == self.coeffs
+                and other.v0 == self.v0 and other.digits == self.digits
                 and other.abs_prec == self.abs_prec)
 
     def __hash__(self):
-        return hash((self.v0, self.coeffs, self.abs_prec))
+        return hash((self.v0, self.digits, self.abs_prec))
 
     # -- queries -------------------------------------------------------------
 
     def is_exactly_zero(self) -> bool:
-        return not self.coeffs and self.abs_prec is None
+        return not self.digits and self.abs_prec is None
 
     def is_certified_nonzero(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.digits)
 
     def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
+        return not self.digits
 
     def valuation(self):
-        if self.coeffs:
+        if self.digits:
             return self.v0
         return INF if self.abs_prec is None else AtLeast(self.abs_prec)
 
     def low_bound(self) -> "int | float":
         """Certified lower bound for the valuation."""
-        if self.coeffs:
+        if self.digits:
             return self.v0
         return INF if self.abs_prec is None else self.abs_prec
+
+    def _coeff(self, i: int):
+        """c_i, the residue coefficient of t^(v0 + i), for i >= 0."""
+        pk = self.field._pk
+        if pk is None:
+            return (self.digits[i] if i < len(self.digits)
+                    else self.field.residue_field.zero)
+        return self.field.residue_field.elem(
+            (self.digits >> (pk.S * i)) & pk.smask)
 
     def residue(self):
         k = self.field.residue_field
         v = self.valuation()
         if isinstance(v, int) and v < 0:
             raise NegativeValuation(f"residue of element with v = {v}")
-        if not self.coeffs or self.v0 > 0:
+        if not self.digits or self.v0 > 0:
             return k.zero
-        return self.coeffs[-self.v0] if -self.v0 < len(self.coeffs) else k.zero
+        return self._coeff(-self.v0)
 
     def coeff_at(self, degree):
         """Residue coefficient of t^degree, requiring certified v(x) >= degree.
@@ -202,24 +326,26 @@ class Laurent:
         certification holds.  Raises PrecisionExhausted when the element is
         zero to a precision below `degree`, ValueError when v(x) < degree.
         """
-        d = Fraction(degree)
-        k = self.field.residue_field
-        if not self.coeffs:
+        d = degree if isinstance(degree, (int, Fraction)) else Fraction(degree)
+        if not self.digits:
             if self.abs_prec is None or self.abs_prec >= d:
-                return k.zero
+                return self.field.residue_field.zero
             raise PrecisionExhausted(
                 f"cannot certify v >= {d}; known only v >= {self.abs_prec}")
         if self.v0 < d:
             raise ValueError(f"coeff_at({d}) on element of valuation {self.v0}")
         if d.denominator != 1 or self.v0 > d:
-            return k.zero
-        return self.coeffs[0]
+            return self.field.residue_field.zero
+        return self._coeff(0)
 
     def truncated(self, abs_prec: int) -> "Laurent":
-        if self.abs_prec is not None:
-            abs_prec = min(abs_prec, self.abs_prec)
-        return self.field.make(
-            ((self.v0 + i, c) for i, c in enumerate(self.coeffs)), abs_prec)
+        if self.abs_prec is not None and abs_prec >= self.abs_prec:
+            return self
+        F = self.field
+        if F._pk is not None:
+            return _normalized(F, F._pk.S, self.v0, self.digits, abs_prec)
+        return F.make(
+            ((self.v0 + i, c) for i, c in enumerate(self.digits)), abs_prec)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -231,10 +357,25 @@ class Laurent:
         return min(self.abs_prec, other.abs_prec)
 
     def __add__(self, other: "Laurent") -> "Laurent":
-        assert other.field == self.field
-        pairs = [(self.v0 + i, c) for i, c in enumerate(self.coeffs)]
-        pairs += [(other.v0 + i, c) for i, c in enumerate(other.coeffs)]
-        return self.field.make(pairs, self._join_prec(other))
+        F = self.field
+        assert other.field is F or other.field == F
+        pk = F._pk
+        if pk is None:
+            pairs = [(self.v0 + i, c) for i, c in enumerate(self.digits)]
+            pairs += [(other.v0 + i, c) for i, c in enumerate(other.digits)]
+            return F.make(pairs, self._join_prec(other))
+        a, b = self.digits, other.digits
+        if not b:
+            v0, digits = self.v0, a
+        elif not a:
+            v0, digits = other.v0, b
+        else:
+            s = other.v0 - self.v0
+            if s >= 0:
+                v0, digits = self.v0, a ^ (b << (pk.S * s))
+            else:
+                v0, digits = other.v0, b ^ (a << (-pk.S * s))
+        return _normalized(F, pk.S, v0, digits, self._join_prec(other))
 
     __sub__ = __add__  # characteristic 2
 
@@ -242,56 +383,85 @@ class Laurent:
         return self
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        assert other.field == self.field
+        F = self.field
+        assert other.field is F or other.field == F
+        a, b = self.digits, other.digits
         # abs precision of the product: min over the O() cross terms
         prec = None
         if self.abs_prec is not None:
-            lb = other.low_bound()
+            lb = other.v0 if b else (INF if other.abs_prec is None
+                                     else other.abs_prec)
             prec = None if lb == INF else self.abs_prec + lb
         if other.abs_prec is not None:
-            lb = self.low_bound()
+            lb = self.v0 if a else (INF if self.abs_prec is None
+                                    else self.abs_prec)
             p2 = None if lb == INF else other.abs_prec + lb
             prec = p2 if prec is None else (prec if p2 is None else min(prec, p2))
-        if not self.coeffs or not other.coeffs:
-            return Laurent(self.field, 0, (), prec)
-        pairs = {}
-        z = self.field.residue_field.zero
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
+        if not a or not b:
+            return Laurent(F, 0, F._nil, prec)
+        v0 = self.v0 + other.v0
+        pk = F._pk
+        if pk is None:
+            pairs = {}
+            z = F.residue_field.zero
+            for i, x in enumerate(a):
+                if x.is_zero():
                     continue
-                e = self.v0 + other.v0 + i + j
-                if prec is not None and e >= prec:
-                    continue
-                pairs[e] = pairs.get(e, z) + a * b
-        return self.field.make(pairs.items(), prec)
+                for j, y in enumerate(b):
+                    if y.is_zero():
+                        continue
+                    e = v0 + i + j
+                    if prec is not None and e >= prec:
+                        continue
+                    pairs[e] = pairs.get(e, z) + x * y
+            return F.make(pairs.items(), prec)
+        if prec is not None:
+            # slot i of either factor reaches only product slots >= i
+            n = prec - v0
+            if n <= 0:
+                return Laurent(F, 0, 0, prec)
+            mask = (1 << (pk.S * n)) - 1
+            digits = _clmul(a & mask, b & mask) & mask
+        else:
+            digits = _clmul(a, b)
+        # c_0 * c'_0 != 0 stays in slot 0, so v0 needs no renormalizing
+        return Laurent(F, v0, pk.reduce(digits), prec)
 
     def inv(self) -> "Laurent":
-        if not self.coeffs:
+        if not self.digits:
             raise DivisionByZero("inverse of (certified) zero Laurent series")
-        lead = self.coeffs[0].inv()
-        if len(self.coeffs) == 1 and self.abs_prec is None:
-            return self.field.make([(-self.v0, lead)])
+        F = self.field
+        pk = F._pk
+        lead = self._coeff(0).inv()
+        monomial = (self.digits < (1 << pk.S) if pk is not None
+                    else len(self.digits) == 1)
+        if monomial and self.abs_prec is None:
+            return F.make([(-self.v0, lead)])
         # relative precision carried by x, capped at the working precision
-        rel = self.field.precision
+        rel = F.precision
         if self.abs_prec is not None:
             rel = min(rel, self.abs_prec - self.v0)
         if rel <= 0:
             raise PrecisionExhausted("inverse would carry no certified digits")
         # x = c t^v (1 + u): invert the unit part by a geometric series
-        u = self.field.make(
-            ((i, lead * c) for i, c in enumerate(self.coeffs) if i > 0), rel)
-        geo = self.field.one.truncated(rel)
-        term = self.field.one.truncated(rel)
+        if pk is not None:
+            scaled = pk.reduce(_clmul(lead.bits, self.digits))
+            u = _normalized(F, pk.S, 0, scaled ^ 1, rel)
+        else:
+            u = F.make(((i, lead * c) for i, c in enumerate(self.digits)
+                        if i > 0), rel)
+        geo = term = F.one.truncated(rel)
         while True:
             term = (term * u).truncated(rel)
-            if not term.coeffs:
+            if not term.digits:
                 break
             geo = geo + term
-        return self.field.make(
-            ((geo.v0 + i - self.v0, lead * c) for i, c in enumerate(geo.coeffs)),
+        if pk is not None:
+            return Laurent(F, geo.v0 - self.v0,
+                           pk.reduce(_clmul(lead.bits, geo.digits)),
+                           rel - self.v0)
+        return F.make(
+            ((geo.v0 + i - self.v0, lead * c) for i, c in enumerate(geo.digits)),
             rel - self.v0)
 
     def __truediv__(self, other: "Laurent") -> "Laurent":

@@ -24,8 +24,10 @@ Form grammar:
               | "sum" , "(" , form , { "," , form } , ")"
               | "scale" , "(" , element , "," , form , ")" ;
 
-A JSON array of arrays of element literals (detected by a leading
-"[[") is accepted as a raw upper-triangular coefficient matrix.
+A JSON array of arrays (detected by a leading "[[") is accepted as a
+raw upper-triangular coefficient matrix: it must be square, its entries
+are element literals or JSON integers (read as integer atoms), and every
+entry below the diagonal must be exactly 0.
 """
 
 from __future__ import annotations
@@ -222,14 +224,42 @@ def parse_form(text: str, field) -> QuadraticForm:
             rows = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormSyntaxError(f"bad JSON matrix: {e.msg}", e.lineno, e.colno)
-        parser = ElementParser(field)
-        coeffs = [[parser.parse(entry) for entry in row] for row in rows]
-        return QuadraticForm(field, coeffs)
+        return QuadraticForm(field, _matrix(rows, ElementParser(field)))
     sc = _Scanner(text)
     form = _form(sc, field)
     if sc.peek()[0] != "eof":
         sc.error(f"unexpected trailing {sc.peek()[1]!r}")
     return form
+
+
+def _matrix(rows, parser):
+    """Entries of a square JSON matrix literal.  Entries are element
+    literals or JSON integers; every entry below the diagonal must be the
+    exact zero, because the form reads only the upper triangle."""
+    n = len(rows)
+    out = []
+    for i, row in enumerate(rows, 1):
+        if not isinstance(row, list) or not row:
+            raise FormSyntaxError(f"matrix row {i} is not a nonempty array")
+        if len(row) != n:
+            raise FormSyntaxError(
+                f"matrix row {i} has {len(row)} entries; a {n}x{n} matrix "
+                f"needs {n}")
+        vals = []
+        for j, entry in enumerate(row, 1):
+            if isinstance(entry, int) and not isinstance(entry, bool):
+                entry = str(entry)
+            if not isinstance(entry, str):
+                raise FormSyntaxError(
+                    f"matrix entry ({i}, {j}) is neither a string nor an integer")
+            val = parser.parse(entry)
+            if j < i and not val.is_exactly_zero():
+                raise FormSyntaxError(
+                    f"matrix entry ({i}, {j}) below the diagonal is not 0; "
+                    f"the matrix is upper-triangular")
+            vals.append(val)
+        out.append(vals)
+    return out
 
 
 def _form(sc, field) -> QuadraticForm:

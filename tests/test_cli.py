@@ -169,3 +169,48 @@ def test_python_dash_m_runs_the_cli():
                            "q2", "<1>"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["results"][0]["depth"] == "1"
+
+
+@pytest.mark.parametrize("text", ['[["1"],["0","1"]]', '[[]]', '[["1","0"]]',
+                                  '[["1","1"],["t","t^-1"]]'])
+def test_malformed_json_matrix_is_a_syntax_error(text):
+    code, out = run_cli(["depth", "--field", "f2-laurent", text])
+    assert code == 2
+    assert json.loads(out)["error"] == "syntax"
+
+
+def test_json_matrix_with_integer_entries():
+    code, out = run_cli(["depth", "--field", "f2-laurent", "[[1,1],[0,1]]"])
+    _, ref = run_cli(["depth", "--field", "f2-laurent", '[["1","1"],["0","1"]]'])
+    assert code == 0
+    got, want = (json.loads(o)["result"]["results"][0] for o in (out, ref))
+    assert got["depth"] == "0" and got["certificate"] == want["certificate"]
+    code, out = run_cli(["depth", "--field", "f2-laurent", "[[1,0],[0,1]]"])
+    assert code == 1 and json.loads(out)["error"] == "SingularForm"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["depth", "--precision", "-3", "[1/(1+t),t^-1]"], "--precision"),
+    (["depth", "--precision", "0", "[1/(1+t),t^-1]"], "--precision"),
+    (["depth", "--degree-cap", "-1", "--field", "f2x-laurent", "[x,t^-1]"],
+     "--degree-cap"),
+])
+def test_out_of_range_options_are_rejected(argv, option):
+    code, out = run_cli(argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["schema"] == "wittlab/1" and payload["error"] == "usage"
+    assert option in payload["message"]
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def boom(field, forms):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(cli, "_cmd_depth", boom)
+    code, out = run_cli(["depth", "--field", "f2-laurent", "[1, t]"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload == {"schema": "wittlab/1", "error": "internal",
+                       "message": "RuntimeError: kaboom"}
+    assert "Traceback" in capsys.readouterr().err

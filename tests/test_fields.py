@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
-                            NegativeValuation, NotApplicable)
+                            NegativeValuation, NotApplicable,
+                            PrecisionExhausted)
 from wittlab.fields import (INF, AtLeast, GF2m, RatFuncField,
                             frobenius_coordinates, hensel_artin_schreier,
                             make_field, residue, section, valuation)
@@ -216,3 +217,195 @@ def test_adaptive_precision_fields():
     assert tiny.at_precision(8).precision == 8
     Q = make_field("dyadic", precision=4)
     assert Q.at_precision(8).precision == 8
+
+
+# -- packed GF(2^m)((t)) against the boxed schoolbook oracle -----------------
+
+
+class Schoolbook:
+    """Boxed reference for GF(2^m)((t)): (v0, coeffs, abs_prec) with a tuple
+    of residue elements, multiplied term by term."""
+
+    def __init__(self, F, v0, coeffs, abs_prec):
+        self.F, self.abs_prec = F, abs_prec
+        self.v0, self.coeffs = (v0, coeffs) if coeffs else (0, ())
+
+    @classmethod
+    def make(cls, F, pairs, abs_prec=None):
+        k = F.residue_field
+        by_exp = {}
+        for e, c in pairs:
+            by_exp[e] = by_exp.get(e, k.zero) + c
+        exps = sorted(e for e, c in by_exp.items()
+                      if not c.is_zero() and (abs_prec is None or e < abs_prec))
+        if not exps:
+            return cls(F, 0, (), abs_prec)
+        return cls(F, exps[0], tuple(by_exp.get(e, k.zero)
+                                     for e in range(exps[0], exps[-1] + 1)),
+                   abs_prec)
+
+    def pairs(self):
+        return [(self.v0 + i, c) for i, c in enumerate(self.coeffs)]
+
+    def low_bound(self):
+        if self.coeffs:
+            return self.v0
+        return INF if self.abs_prec is None else self.abs_prec
+
+    def join(self, other):
+        precs = [p for p in (self.abs_prec, other.abs_prec) if p is not None]
+        return min(precs) if precs else None
+
+    def __add__(self, other):
+        return self.make(self.F, self.pairs() + other.pairs(), self.join(other))
+
+    def __mul__(self, other):
+        precs = [a.abs_prec + b.low_bound() for a, b in ((self, other), (other, self))
+                 if a.abs_prec is not None and b.low_bound() != INF]
+        prec = min(precs) if precs else None
+        terms = [(e + f, c * d) for e, c in self.pairs() for f, d in other.pairs()
+                 if prec is None or e + f < prec]
+        return self.make(self.F, terms, prec)
+
+    def truncated(self, abs_prec):
+        if self.abs_prec is not None:
+            abs_prec = min(abs_prec, self.abs_prec)
+        return self.make(self.F, self.pairs(), abs_prec)
+
+    def inv(self):
+        if not self.coeffs:
+            raise DivisionByZero("zero")
+        lead = self.coeffs[0].inv()
+        if len(self.coeffs) == 1 and self.abs_prec is None:
+            return self.make(self.F, [(-self.v0, lead)])
+        rel = self.F.precision
+        if self.abs_prec is not None:
+            rel = min(rel, self.abs_prec - self.v0)
+        if rel <= 0:
+            raise PrecisionExhausted("no digits")
+        one = self.make(self.F, [(0, self.F.residue_field.one)], rel)
+        u = self.make(self.F, [(i, lead * c) for i, c in enumerate(self.coeffs)
+                               if i > 0], rel)
+        geo = term = one
+        while True:
+            term = (term * u).truncated(rel)
+            if not term.coeffs:
+                break
+            geo = geo + term
+        return self.make(self.F, [(e - self.v0, lead * c) for e, c in geo.pairs()],
+                         rel - self.v0)
+
+    def residue(self):
+        k = self.F.residue_field
+        if self.coeffs and self.v0 < 0:
+            raise NegativeValuation("v < 0")
+        i = -self.v0
+        return self.coeffs[i] if self.coeffs and 0 <= i < len(self.coeffs) else k.zero
+
+    def coeff_at(self, d):
+        k = self.F.residue_field
+        if not self.coeffs:
+            if self.abs_prec is None or self.abs_prec >= d:
+                return k.zero
+            raise PrecisionExhausted("below precision")
+        if self.v0 < d:
+            raise ValueError("v < d")
+        return self.coeffs[0] if self.v0 == d else k.zero
+
+
+PACKED_M = (1, 2, 8, 16)
+
+
+@st.composite
+def laurent_pairs(draw, m):
+    """(pairs, abs_prec) for one element: exact or truncated, possibly the
+    exact zero, zero to precision, or with cancelling repeated exponents."""
+    kind = draw(st.sampled_from(["exact", "truncated", "zero", "O"]))
+    if kind == "zero":
+        return [], None
+    if kind == "O":
+        return [], draw(st.integers(-6, 12))
+    bits = st.integers(0, (1 << m) - 1)
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 10), bits), max_size=8))
+    prec = None if kind == "exact" else draw(st.integers(-4, 14))
+    return pairs, prec
+
+
+def _both(F, drawn):
+    k = F.residue_field
+    pairs = [(e, k.elem(b)) for e, b in drawn[0]]
+    return F.make(pairs, drawn[1]), Schoolbook.make(F, pairs, drawn[1])
+
+
+def _agrees(x, o):
+    assert (x.v0, x.coeffs, x.abs_prec) == (o.v0, o.coeffs, o.abs_prec)
+    # normalization: empty digits at v0 = 0, or nonzero end coefficients
+    # strictly below abs_prec, every slot a reduced field element
+    if x.is_zero_to_precision():
+        assert x.v0 == 0 and x.coeffs == ()
+    else:
+        assert not x.coeffs[0].is_zero() and not x.coeffs[-1].is_zero()
+        assert x.abs_prec is None or x.v0 + len(x.coeffs) <= x.abs_prec
+        assert x.digits.bit_length() <= len(x.coeffs) * x.field._pk.S
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DivisionByZero, PrecisionExhausted, NegativeValuation,
+            ValueError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_laurent_matches_schoolbook(m, data):
+    F = make_field("laurent", m=m, precision=12)
+    (x, ox) = _both(F, data.draw(laurent_pairs(m)))
+    (y, oy) = _both(F, data.draw(laurent_pairs(m)))
+    _agrees(x, ox)
+    _agrees(x + y, ox + oy)
+    _agrees(x * y, ox * oy)
+    _agrees((x * y) * x, (ox * oy) * ox)
+    p = data.draw(st.integers(-6, 14))
+    _agrees(x.truncated(p), ox.truncated(p))
+    inv, oinv = _outcome(x.inv), _outcome(ox.inv)
+    if isinstance(oinv, Schoolbook):
+        _agrees(inv, oinv)
+    else:
+        assert inv is oinv
+    assert _outcome(x.residue) == _outcome(ox.residue)
+    for d in (p, Fraction(p), Fraction(2 * p + 1, 2)):
+        assert _outcome(lambda: x.coeff_at(d)) == _outcome(lambda: ox.coeff_at(d))
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_laurent_make_and_hash(m, data):
+    F = make_field("laurent", m=m, precision=12)
+    k = F.residue_field
+    pairs, prec = data.draw(laurent_pairs(m))
+    pairs = [(e, k.elem(b)) for e, b in pairs]
+    x = F.make(pairs, prec)
+    # a repeated exponent cancels: c + c = 0 in characteristic 2
+    doubled = pairs + [(e, c) for e, c in pairs if e % 2 == 0] * 2
+    y = F.make(list(reversed(doubled)), prec)
+    assert x == y and hash(x) == hash(y)
+    z = x + F.zero
+    assert z == x and hash(z) == hash(x)
+    if prec is None:
+        assert x + x == F.zero
+
+
+def test_packed_laurent_long_products():
+    # exact products longer than the precomputed reduction masks
+    for m in PACKED_M:
+        F = make_field("laurent", m=m, precision=8)
+        k = F.residue_field
+        rng = random.Random(m)
+        pairs = [(e, k.elem(rng.randrange(1, k.order))) for e in range(0, 150, 3)]
+        x, ox = F.make(pairs), Schoolbook.make(F, pairs)
+        _agrees(x * x, ox * ox)
+        _agrees(x * x * x, ox * ox * ox)

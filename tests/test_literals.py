@@ -91,3 +91,25 @@ def test_form_json_matrix():
     assert q.n == 2 and q.U[0][1] == F2T.uniformizer()
     with pytest.raises(FormSyntaxError):
         parse_form('[["1", ]]', F2T)
+
+
+def test_form_json_matrix_integer_entries():
+    q = parse_form("[[1,0],[0,1]]", F2T)
+    assert q.U == parse_form('[["1","0"],["0","1"]]', F2T).U
+    assert parse_form("[[3, -1], [0, 5]]", Q2).U[0][1] == Q2.from_int(-1)
+
+
+@pytest.mark.parametrize("text", [
+    '[["1"],["0","1"]]',          # ragged
+    '[[]]',                       # empty row
+    '[["1","0"]]',                # not square
+    '[["1","0"],["0","1"],["0","0"]]',
+    '[["1","1"],["t","t^-1"]]',   # nonzero entry below the diagonal
+    '[["1","1"],["O(t^3)","t^-1"]]',
+    '[["1",true],["0","1"]]',     # neither a literal nor an integer
+    '[["1",0.5],["0","1"]]',
+    '[[1], 2]',
+])
+def test_form_json_matrix_rejects_malformed(text):
+    with pytest.raises(FormSyntaxError):
+        parse_form(text, F2T)
