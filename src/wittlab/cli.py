@@ -2,7 +2,9 @@
 canonical decomposition, equality and the Q_2 enumeration, plus built-in
 reproducible example fixtures.
 
-Exit codes: 0 success, 2 literal syntax error or invalid option value,
+Exit codes: 0 success, 2 literal syntax error or bad command line (an
+unknown option, a missing argument or an invalid option value prints
+{"error": "usage"}; --help still exits 0),
 3 Indistinguishable, 4 unsupported field/operation, 5 precision exhausted,
 1 anything else (an unexpected exception prints {"error": "internal"} on
 stdout and its traceback on stderr).
@@ -278,8 +280,17 @@ def _cmd_example(name, precision, degree_cap):
 # -- driver ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError for a bad command line instead of exiting, so it
+    ends in schema JSON like every other input; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--field", default="f2-laurent",
                         help="f2-laurent | f2m-laurent:m=K | f2x-laurent | "
                              "f2mx-laurent:m=K | q2")
@@ -287,8 +298,7 @@ def build_parser():
     common.add_argument("--degree-cap", type=int, default=512)
     common.add_argument("--json-out", default=None,
                         help="also write the JSON result to this path")
-    p = argparse.ArgumentParser(prog="wittlab", parents=[common],
-                                description=__doc__)
+    p = _Parser(prog="wittlab", parents=[common], description=__doc__)
     p.add_argument("--fixture", default=None,
                    help="run a named fixture (example:1|2|3) and exit")
     sub = p.add_subparsers(dest="command")

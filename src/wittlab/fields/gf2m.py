@@ -12,6 +12,18 @@ Multiplication is carryless (shift/xor) followed by reduction; inversion
 uses the extended Euclidean algorithm on bit-polynomials.  Every field
 of characteristic 2 here is perfect: sqrt is the inverse of Frobenius,
 computed as c^(2^(m-1)).
+
+This module also holds the one carryless kernel of the package, shared by
+the packed polynomials over GF(2^m): the coefficients of `Laurent` over
+GF(2^m) and the numerators and denominators of `RatFunc`.  `_clmul` is
+the carryless product of two ints.  `_Packing` (one per field, as
+`GF2m.packing`) fixes the slot layout: coefficient i sits in slot i of S
+bits, S = 1 for m = 1 and 2m - 1 otherwise, so the product of two packed
+polynomials is `_clmul` of the two ints with no slot spilling into the
+next (a slot product has degree at most 2m - 2 < S), and
+`_Packing.reduce` then reduces every slot modulo the field modulus at
+once with masked shifts.  Over GF(2) the slots are single bits and the
+reduction is the identity.
 """
 
 from __future__ import annotations
@@ -39,15 +51,57 @@ IRREDUCIBLE = {
 }
 
 
-def clmul(a: int, b: int) -> int:
-    """Carryless product of two bit-polynomials."""
+def _clmul(a: int, b: int) -> int:
+    """Carryless product of two bit-polynomials: one shifted copy of one
+    operand per set bit of the other (the one with fewer set bits)."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
     r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+    while a:
+        low = a & -a
+        r ^= b << (low.bit_length() - 1)
+        a ^= low
     return r
+
+
+class _Packing:
+    """Slot layout of GF(2^m) coefficients in one int, with the masks that
+    reduce every slot modulo the field modulus at once."""
+
+    __slots__ = ("m", "S", "smask", "shifts", "nbits", "high", "masks")
+
+    def __init__(self, k: "GF2m"):
+        m = self.m = k.m
+        self.S = 1 if m == 1 else 2 * m - 1
+        self.smask = (1 << self.S) - 1
+        low = k.modulus ^ (1 << m)
+        # g^d = g^(d-m) * (modulus - g^m): bit d goes to d - m + b per set
+        # bit b of the modulus below g^m, a right shift by m - b
+        self.shifts = tuple(m - b for b in range(m) if low >> b & 1)
+        self._grow(64 * self.S)
+
+    def _grow(self, nbits: int):
+        S, m = self.S, self.m
+        n = -(-nbits // S)
+        ones = ((1 << (S * n)) - 1) // self.smask  # bit 0 of every slot
+        self.nbits = S * n
+        self.high = ones * (self.smask ^ ((1 << m) - 1))
+        self.masks = tuple(ones << d for d in range(2 * m - 2, m - 1, -1))
+
+    def reduce(self, r: int) -> int:
+        """Reduce every slot of an unreduced product modulo the modulus."""
+        if self.m == 1:
+            return r
+        if r.bit_length() > self.nbits:
+            self._grow(2 * r.bit_length())
+        if r & self.high:
+            for mask in self.masks:  # from bit 2m-2 down to bit m
+                hi = r & mask
+                if hi:
+                    r ^= hi
+                    for s in self.shifts:
+                        r ^= hi >> s
+        return r
 
 
 def clmod(a: int, f: int) -> int:
@@ -96,7 +150,7 @@ def is_irreducible(f: int) -> bool:
     def x_pow_2e(e: int) -> int:
         r = clmod(0b10, f)
         for _ in range(e):
-            r = clmod(clmul(r, r), f)
+            r = clmod(_clmul(r, r), f)
         return r
 
     if x_pow_2e(m) != clmod(0b10, f):
@@ -128,10 +182,11 @@ class GF2m:
         self.modulus = IRREDUCIBLE[m]
         assert is_irreducible(self.modulus)
         self.order = 1 << m
+        self.packing = _Packing(self)
         self._table = None
         self._pool = None
         if m <= 8:
-            self._table = [[clmod(clmul(a, b), self.modulus)
+            self._table = [[clmod(_clmul(a, b), self.modulus)
                             for b in range(self.order)]
                            for a in range(self.order)]
             self._pool = [FF(self, bits) for bits in range(self.order)]
@@ -146,7 +201,7 @@ class GF2m:
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
             return self._table[a][b]
-        return clmod(clmul(a, b), self.modulus)
+        return clmod(_clmul(a, b), self.modulus)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -157,7 +212,7 @@ class GF2m:
         while r1:
             q, r = cldivmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ clmul(q, s1)
+            s0, s1 = s1, s0 ^ _clmul(q, s1)
         return clmod(s0, self.modulus)
 
     def pow(self, a: int, e: int) -> int:

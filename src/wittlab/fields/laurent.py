@@ -15,7 +15,8 @@ Storage depends on the residue field, chosen once by `LaurentField`:
   is a carryless product of the two ints (xor of shifted copies of one
   operand, one per set bit of the other); slot products have degree at
   most 2m - 2 < S, so no slot overflows into the next, and every slot is
-  then reduced modulo the field modulus at once with masked shifts.
+  then reduced modulo the field modulus at once with masked shifts.  The
+  kernel (`gf2m._clmul`, `gf2m._Packing`) is the one `RatFunc` uses.
 * GF(2^m)(x): `digits` is a tuple of residue elements c_0, c_1, ...
 
 Normalization: the exact zero and the zero-to-precision element have
@@ -31,60 +32,8 @@ from fractions import Fraction
 
 from ..errors import DivisionByZero, NegativeValuation, PrecisionExhausted
 from .common import INF, AtLeast
-from .gf2m import GF2m
+from .gf2m import GF2m, _clmul
 from .ratfunc import RatFuncField
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carryless product, one shifted copy of b per set bit of a."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    r = 0
-    while a:
-        low = a & -a
-        r ^= b << (low.bit_length() - 1)
-        a ^= low
-    return r
-
-
-class _Packing:
-    """Slot layout of GF(2^m) coefficients in one int, with the masks that
-    reduce every slot modulo the field modulus at once."""
-
-    __slots__ = ("m", "S", "smask", "shifts", "nbits", "high", "masks")
-
-    def __init__(self, k: GF2m):
-        m = self.m = k.m
-        self.S = 1 if m == 1 else 2 * m - 1
-        self.smask = (1 << self.S) - 1
-        low = k.modulus ^ (1 << m)
-        # g^d = g^(d-m) * (modulus - g^m): bit d goes to d - m + b per set
-        # bit b of the modulus below g^m, a right shift by m - b
-        self.shifts = tuple(m - b for b in range(m) if low >> b & 1)
-        self._grow(64 * self.S)
-
-    def _grow(self, nbits: int):
-        S, m = self.S, self.m
-        n = -(-nbits // S)
-        ones = ((1 << (S * n)) - 1) // self.smask  # bit 0 of every slot
-        self.nbits = S * n
-        self.high = ones * (self.smask ^ ((1 << m) - 1))
-        self.masks = tuple(ones << d for d in range(2 * m - 2, m - 1, -1))
-
-    def reduce(self, r: int) -> int:
-        """Reduce every slot of an unreduced product modulo the modulus."""
-        if self.m == 1:
-            return r
-        if r.bit_length() > self.nbits:
-            self._grow(2 * r.bit_length())
-        if r & self.high:
-            for mask in self.masks:  # from bit 2m-2 down to bit m
-                hi = r & mask
-                if hi:
-                    r ^= hi
-                    for s in self.shifts:
-                        r ^= hi >> s
-        return r
 
 
 class LaurentField:
@@ -95,7 +44,7 @@ class LaurentField:
         self.precision = precision
         self.variable = variable
         # packed digits over GF(2^m), a tuple of residue elements otherwise
-        self._pk = _Packing(residue) if isinstance(residue, GF2m) else None
+        self._pk = residue.packing if isinstance(residue, GF2m) else None
         self._nil = () if self._pk is None else 0
 
     def __repr__(self):

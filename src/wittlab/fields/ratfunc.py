@@ -1,10 +1,22 @@
 """The rational function fields GF(2^m)(x), the imperfect residue fields.
 
-Polynomials over GF(2^m) are dense tuples of bit-pattern coefficients,
-lowest degree first, with no trailing zero (the zero polynomial is the
-empty tuple).  A rational function is a normalized pair num/den: gcd 1
-and monic denominator, so representations are canonical and equality is
-structural.
+A polynomial over GF(2^m) is one packed int, in the slot layout that
+`Laurent` over GF(2^m) uses too (`gf2m._Packing`): slot i, of S bits
+(S = 1 for m = 1, S = 2m - 1 otherwise), holds the bit-pattern of the
+coefficient of x^i, so p = sum c_i << (S*i), and the zero polynomial is 0.
+Every slot holds a reduced field element.  A sum is one xor.  A product is
+the carryless product of the two ints (`gf2m._clmul`), whose slot products
+have degree at most 2m - 2 < S and so never overflow into the next slot,
+followed by the reduction of every slot at once (`_Packing.reduce`); a
+scalar multiple is the same product with a one-slot factor.  The degree is
+(bit_length - 1) // S, -1 for the zero polynomial, and the leading
+coefficient is the top slot.
+
+A rational function is a normalized pair num/den of packed polynomials:
+gcd 1 and monic denominator, so representations are canonical and
+equality is structural.  `RatFuncField.make` takes low-first coefficient
+tuples; the arithmetic builds its results from packed ints through
+`RatFuncField._make`.
 
 These fields satisfy [k : k^2] = 2 with 2-basis {1, x}: every c splits
 uniquely as c = c0^2 + x*c1^2 (`frobenius_coordinates`), computed by
@@ -17,74 +29,50 @@ intermediate growth into DegreeCapExceeded instead of a silent hang.
 from __future__ import annotations
 
 from ..errors import DegreeCapExceeded, DivisionByZero
-from .gf2m import GF2m
-
-Poly = tuple[int, ...]  # coefficients are GF(2^m) bit-patterns, low-first
-
-PZERO: Poly = ()
-PONE: Poly = (1,)
-PX: Poly = (0, 1)
+from .gf2m import GF2m, _clmul, _Packing
 
 
-def ptrim(c: list[int]) -> Poly:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _pack(S: int, coeffs) -> int:
+    """The packed polynomial with low-first coefficients `coeffs`."""
+    p = 0
+    for i, c in enumerate(coeffs):
+        p |= c << (S * i)
+    return p
 
 
-def padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    c = list(a)
-    for i, bi in enumerate(b):
-        c[i] ^= bi
-    return ptrim(c)
+def _lead(S: int, p: int) -> int:
+    """Leading coefficient of a nonzero packed polynomial."""
+    return p >> (S * ((p.bit_length() - 1) // S))
 
 
-def pmul(K: GF2m, a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return PZERO
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    c[i + j] ^= K.mul(ai, bj)
-    return ptrim(c)
-
-
-def pscale(K: GF2m, s: int, a: Poly) -> Poly:
-    return ptrim([K.mul(s, ai) for ai in a])
-
-
-def pdivmod(K: GF2m, a: Poly, b: Poly) -> tuple[Poly, Poly]:
+def pdivmod(pk: _Packing, K: GF2m, a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of packed polynomials, b != 0."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = K.inv(b[-1])
-    for i in range(len(r) - len(b), -1, -1):
-        c = K.mul(r[i + len(b) - 1], inv_lead)
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                r[i + j] ^= K.mul(c, bj)
-    return ptrim(q), ptrim(r)
+    S = pk.S
+    stop = S * ((b.bit_length() - 1) // S)  # deg a >= deg b iff a.bit_length() > stop
+    il = 1
+    if b >> stop != 1:
+        il = K.inv(b >> stop)
+        b = pk.reduce(_clmul(il, b))  # monic
+    q = 0
+    while a.bit_length() > stop:
+        s = S * ((a.bit_length() - 1) // S) - stop
+        c = a >> (s + stop)
+        q ^= c << s
+        a ^= (b if c == 1 else pk.reduce(_clmul(c, b))) << s
+    if il != 1:
+        q = pk.reduce(_clmul(il, q))
+    return q, a
 
 
-def pgcd(K: GF2m, a: Poly, b: Poly) -> Poly:
+def pgcd(pk: _Packing, K: GF2m, a: int, b: int) -> int:
+    """Monic gcd of packed polynomials (0 for two zeros)."""
     while b:
-        a, b = b, pdivmod(K, a, b)[1]
-    if a:
-        a = pscale(K, K.inv(a[-1]), a)  # monic
+        a, b = b, pdivmod(pk, K, a, b)[1]
+    if a and _lead(pk.S, a) != 1:
+        a = pk.reduce(_clmul(K.inv(_lead(pk.S, a)), a))
     return a
-
-
-def peval(K: GF2m, a: Poly, at: int) -> int:
-    r = 0
-    for c in reversed(a):
-        r = K.mul(r, at) ^ c
-    return r
 
 
 class RatFuncField:
@@ -98,6 +86,7 @@ class RatFuncField:
             return cls._cache[key]
         self = super().__new__(cls)
         self.base = GF2m(m)
+        self._pk = self.base.packing
         self.variable = variable
         self.degree_cap = degree_cap
         cls._cache[key] = self
@@ -110,74 +99,90 @@ class RatFuncField:
 
     @property
     def zero(self) -> "RatFunc":
-        return RatFunc(self, PZERO, PONE)
+        return RatFunc(self, 0, 1)
 
     @property
     def one(self) -> "RatFunc":
-        return RatFunc(self, PONE, PONE)
+        return RatFunc(self, 1, 1)
 
     @property
     def x(self) -> "RatFunc":
-        return RatFunc(self, PX, PONE)
+        return RatFunc(self, 1 << self._pk.S, 1)
 
     def from_poly(self, coeffs) -> "RatFunc":
-        return self.make(ptrim(list(coeffs)), PONE)
+        return self._make(_pack(self._pk.S, coeffs), 1)
 
     def from_base(self, bits: int) -> "RatFunc":
-        return self.make((bits,) if bits else PZERO, PONE)
+        return self._make(bits, 1)
 
-    def make(self, num: Poly, den: Poly) -> "RatFunc":
-        K = self.base
+    def make(self, num, den) -> "RatFunc":
+        """num/den from low-first coefficient tuples of GF(2^m) bit-patterns."""
+        S = self._pk.S
+        return self._make(_pack(S, num), _pack(S, den))
+
+    def _make(self, num: int, den: int) -> "RatFunc":
+        """num/den from packed polynomials, normalized."""
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            return RatFunc(self, PZERO, PONE)
-        g = pgcd(K, num, den)
-        if len(g) > 1:
-            num = pdivmod(K, num, g)[0]
-            den = pdivmod(K, den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            il = K.inv(lead)
-            num = pscale(K, il, num)
-            den = pscale(K, il, den)
-        if max(len(num), len(den)) - 1 > self.degree_cap:
-            raise DegreeCapExceeded(
-                f"degree {max(len(num), len(den)) - 1} exceeds cap {self.degree_cap}")
+            return RatFunc(self, 0, 1)
+        pk, K = self._pk, self.base
+        S = pk.S
+        if den != 1:
+            g = pgcd(pk, K, num, den)
+            if g >> S:  # degree >= 1
+                num = pdivmod(pk, K, num, g)[0]
+                den = pdivmod(pk, K, den, g)[0]
+            lead = _lead(S, den)
+            if lead != 1:
+                il = K.inv(lead)
+                num = pk.reduce(_clmul(il, num))
+                den = pk.reduce(_clmul(il, den))
+        deg = (max(num.bit_length(), den.bit_length()) - 1) // S
+        if deg > self.degree_cap:
+            raise DegreeCapExceeded(f"degree {deg} exceeds cap {self.degree_cap}")
         return RatFunc(self, num, den)
 
     def frobenius_coordinates(self, c: "RatFunc") -> tuple["RatFunc", "RatFunc"]:
         """c = c0^2 + x*c1^2 with respect to the 2-basis {1, x}."""
-        K = self.base
-        pq = pmul(K, c.num, c.den)  # c = (num*den)/den^2
-        even = [K.sqrt(v) for v in pq[0::2]]
-        odd = [K.sqrt(v) for v in pq[1::2]]
-        c0 = self.make(ptrim(even), c.den)
-        c1 = self.make(ptrim(odd), c.den)
-        return c0, c1
+        pk, K = self._pk, self.base
+        S, smask = pk.S, pk.smask
+        pq = pk.reduce(_clmul(c.num, c.den))  # c = (num*den)/den^2
+        even = odd = shift = 0
+        while pq:
+            lo, hi = pq & smask, (pq >> S) & smask
+            if lo:
+                even |= K.sqrt(lo) << shift
+            if hi:
+                odd |= K.sqrt(hi) << shift
+            pq >>= 2 * S
+            shift += S
+        return self._make(even, c.den), self._make(odd, c.den)
 
     def random(self, rng, degree: int = 2) -> "RatFunc":
         num = [rng.randrange(self.base.order) for _ in range(degree + 1)]
         return self.from_poly(num)
 
     def format_elem(self, c: "RatFunc") -> str:
+        S = self._pk.S
         num = format_poly(self.base, c.num, self.variable)
-        if c.den == PONE:
+        if c.den == 1:
             return num
         den = format_poly(self.base, c.den, self.variable)
-        if len(c.num) > 1:
+        if c.num >> S:
             num = f"({num})"
-        if len(c.den) > 1:
+        if c.den >> S:
             den = f"({den})"
         return f"{num}/{den}"
 
 
-def format_poly(K: GF2m, p: Poly, var: str) -> str:
+def format_poly(K: GF2m, p: int, var: str) -> str:
     if not p:
         return "0"
+    S, smask = K.packing.S, K.packing.smask
     parts = []
-    for e in range(len(p) - 1, -1, -1):
-        c = p[e]
+    for e in range((p.bit_length() - 1) // S, -1, -1):
+        c = (p >> (S * e)) & smask
         if c == 0:
             continue
         if e == 0:
@@ -189,11 +194,12 @@ def format_poly(K: GF2m, p: Poly, var: str) -> str:
 
 
 class RatFunc:
-    """An element of GF(2^m)(x), canonically normalized."""
+    """An element of GF(2^m)(x), canonically normalized; `num` and `den`
+    are packed polynomials."""
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: RatFuncField, num: Poly, den: Poly):
+    def __init__(self, field: RatFuncField, num: int, den: int):
         self.field = field
         self.num = num
         self.den = den
@@ -212,11 +218,13 @@ class RatFunc:
         return not self.num
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        K = self.field.base
-        if self.den == PONE and other.den == PONE:
-            return RatFunc(self.field, padd(self.num, other.num), PONE)
-        num = padd(pmul(K, self.num, other.den), pmul(K, other.num, self.den))
-        return self.field.make(num, pmul(K, self.den, other.den))
+        F = self.field
+        if self.den == 1 and other.den == 1:
+            return RatFunc(F, self.num ^ other.num, 1)
+        # reduction is linear, so the two cross products share one
+        reduce = F._pk.reduce
+        num = reduce(_clmul(self.num, other.den) ^ _clmul(other.num, self.den))
+        return F._make(num, reduce(_clmul(self.den, other.den)))
 
     __sub__ = __add__
 
@@ -224,15 +232,15 @@ class RatFunc:
         return self
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        K = self.field.base
-        if self.den == PONE and other.den == PONE:
-            num = pmul(K, self.num, other.num)
-            if len(num) - 1 > self.field.degree_cap:
-                raise DegreeCapExceeded(
-                    f"degree {len(num) - 1} exceeds cap {self.field.degree_cap}")
-            return RatFunc(self.field, num, PONE)
-        return self.field.make(pmul(K, self.num, other.num),
-                               pmul(K, self.den, other.den))
+        F = self.field
+        reduce = F._pk.reduce
+        num = reduce(_clmul(self.num, other.num))
+        if self.den == 1 and other.den == 1:
+            deg = (num.bit_length() - 1) // F._pk.S
+            if deg > F.degree_cap:
+                raise DegreeCapExceeded(f"degree {deg} exceeds cap {F.degree_cap}")
+            return RatFunc(F, num, 1)
+        return F._make(num, reduce(_clmul(self.den, other.den)))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inv()
@@ -240,7 +248,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if not self.num:
             raise DivisionByZero("inverse of 0 in " + repr(self.field))
-        return self.field.make(self.den, self.num)
+        return self.field._make(self.den, self.num)
 
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:

@@ -561,8 +561,8 @@ def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
         vecs = [[k.one if i == r else k.zero for i in range(n)] for r in range(n)]
         basis = []
         for w in vecs:
-            w2 = [w[r] + b_of(w, partner) * found[r] + b_of(w, found) * partner[r]
-                  for r in range(n)]
+            bp, bf = b_of(w, partner), b_of(w, found)
+            w2 = [w[r] + bp * found[r] + bf * partner[r] for r in range(n)]
             cand = basis + [w2]
             rows = [list(v) for v in cand]
             if len(linalg.rref_exact(rows)[1]) == len(cand):
@@ -702,8 +702,8 @@ def kquad_anisotropic_part(form: KQuadForm) -> KQuadForm:
         n = current.n
         for r in range(n):
             w = [k.one if i == r else k.zero for i in range(n)]
-            w2 = [w[i] + b_of(w, partner) * found[i] + b_of(w, found) * partner[i]
-                  for i in range(n)]
+            bp, bf = b_of(w, partner), b_of(w, found)
+            w2 = [w[i] + bp * found[i] + bf * partner[i] for i in range(n)]
             cand = basis + [w2]
             if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
                 basis.append(w2)
@@ -762,8 +762,8 @@ def kquad_is_hyperbolic_witnessed(form: KQuadForm) -> bool:
         basis = []
         for r in range(n):
             w = [k.one if i == r else k.zero for i in range(n)]
-            w2 = [w[i] + b_of(w, partner) * vec[i] + b_of(w, vec) * partner[i]
-                  for i in range(n)]
+            bp, bv = b_of(w, partner), b_of(w, vec)
+            w2 = [w[i] + bp * vec[i] + bv * partner[i] for i in range(n)]
             cand = basis + [w2]
             if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
                 basis.append(w2)

@@ -214,3 +214,25 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert payload == {"schema": "wittlab/1", "error": "internal",
                        "message": "RuntimeError: kaboom"}
     assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["depth", "--precision", "abc", "[1,t]"], "invalid int value"),
+    (["depth", "--no-such-option", "[1,t]"], "--no-such-option"),
+    (["equal", "[1,t]"], "form2"),
+    (["depth"], "forms"),
+])
+def test_bad_command_line_is_usage_error(argv, needle, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["schema"] == "wittlab/1" and payload["error"] == "usage"
+    assert needle in payload["message"]
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["depth", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

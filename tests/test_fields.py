@@ -10,7 +10,7 @@ from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
                             PrecisionExhausted)
 from wittlab.fields import (INF, AtLeast, GF2m, RatFuncField,
                             frobenius_coordinates, hensel_artin_schreier,
-                            make_field, residue, section, valuation)
+                            make_field, ratfunc, residue, section, valuation)
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
 
@@ -409,3 +409,272 @@ def test_packed_laurent_long_products():
         x, ox = F.make(pairs), Schoolbook.make(F, pairs)
         _agrees(x * x, ox * ox)
         _agrees(x * x * x, ox * ox * ox)
+
+
+# -- packed GF(2^m)(x) against the tuple-polynomial oracle -------------------
+
+
+def _ptrim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for i, bi in enumerate(b):
+        c[i] ^= bi
+    return _ptrim(c)
+
+
+def _pmul(K, a, b):
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    c[i + j] ^= K.mul(ai, bj)
+    return _ptrim(c)
+
+
+def _pscale(K, s, a):
+    return _ptrim([K.mul(s, ai) for ai in a])
+
+
+def _pdivmod(K, a, b):
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = K.inv(b[-1])
+    for i in range(len(r) - len(b), -1, -1):
+        c = K.mul(r[i + len(b) - 1], inv_lead)
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                r[i + j] ^= K.mul(c, bj)
+    return _ptrim(q), _ptrim(r)
+
+
+def _pgcd(K, a, b):
+    while b:
+        a, b = b, _pdivmod(K, a, b)[1]
+    if a:
+        a = _pscale(K, K.inv(a[-1]), a)
+    return a
+
+
+class TupleRatFuncs:
+    """Reference for GF(2^m)(x): an element is a pair (num, den) of
+    low-first coefficient tuples with no trailing zero, normalized to gcd 1
+    and a monic den, multiplied coefficient by coefficient."""
+
+    def __init__(self, R):
+        self.K, self.cap, self.var = R.base, R.degree_cap, R.variable
+        self.name = repr(R)
+
+    def make(self, num, den):
+        K = self.K
+        if not den:
+            raise DivisionByZero("rational function with zero denominator")
+        if not num:
+            return (), (1,)
+        g = _pgcd(K, num, den)
+        if len(g) > 1:
+            num, den = _pdivmod(K, num, g)[0], _pdivmod(K, den, g)[0]
+        if den[-1] != 1:
+            il = K.inv(den[-1])
+            num, den = _pscale(K, il, num), _pscale(K, il, den)
+        if max(len(num), len(den)) - 1 > self.cap:
+            raise DegreeCapExceeded(
+                f"degree {max(len(num), len(den)) - 1} exceeds cap {self.cap}")
+        return num, den
+
+    def add(self, a, b):
+        K = self.K
+        if a[1] == (1,) and b[1] == (1,):
+            return _padd(a[0], b[0]), (1,)
+        return self.make(_padd(_pmul(K, a[0], b[1]), _pmul(K, b[0], a[1])),
+                         _pmul(K, a[1], b[1]))
+
+    def mul(self, a, b):
+        K = self.K
+        if a[1] == (1,) and b[1] == (1,):
+            num = _pmul(K, a[0], b[0])
+            if len(num) - 1 > self.cap:
+                raise DegreeCapExceeded(f"degree {len(num) - 1} exceeds cap {self.cap}")
+            return num, (1,)
+        return self.make(_pmul(K, a[0], b[0]), _pmul(K, a[1], b[1]))
+
+    def inv(self, a):
+        if not a[0]:
+            raise DivisionByZero("inverse of 0 in " + self.name)
+        return self.make(a[1], a[0])
+
+    def frobenius_coordinates(self, c):
+        K = self.K
+        pq = _pmul(K, c[0], c[1])
+        even = _ptrim([K.sqrt(v) for v in pq[0::2]])
+        odd = _ptrim([K.sqrt(v) for v in pq[1::2]])
+        return self.make(even, c[1]), self.make(odd, c[1])
+
+    def random(self, rng, degree=2):
+        num = [rng.randrange(self.K.order) for _ in range(degree + 1)]
+        return self.make(_ptrim(num), (1,))
+
+    def format_poly(self, p):
+        if not p:
+            return "0"
+        parts = []
+        for e in range(len(p) - 1, -1, -1):
+            c = p[e]
+            if c == 0:
+                continue
+            if e == 0:
+                parts.append(str(c))
+            else:
+                head = "" if c == 1 else f"{c}*"
+                parts.append(f"{head}{self.var}" + (f"^{e}" if e > 1 else ""))
+        return " + ".join(parts)
+
+    def format_elem(self, c):
+        num = self.format_poly(c[0])
+        if c[1] == (1,):
+            return num
+        den = self.format_poly(c[1])
+        if len(c[0]) > 1:
+            num = f"({num})"
+        if len(c[1]) > 1:
+            den = f"({den})"
+        return f"{num}/{den}"
+
+
+def _unpack(R, p):
+    S, smask = R._pk.S, R._pk.smask
+    out = []
+    while p:
+        out.append(p & smask)
+        p >>= S
+    return tuple(out)
+
+
+def _ratfunc_agrees(r, o):
+    R = r.field
+    assert (_unpack(R, r.num), _unpack(R, r.den)) == o
+    assert R.format_elem(r) == TupleRatFuncs(R).format_elem(o)
+
+
+def _ratfunc_outcome(fn):
+    try:
+        return fn()
+    except (DivisionByZero, DegreeCapExceeded) as e:
+        return type(e), str(e)
+
+
+def _check_ratfunc(r, o):
+    if isinstance(o, tuple) and isinstance(o[0], type):
+        assert r == o
+    else:
+        _ratfunc_agrees(r, o)
+
+
+def polys(m, max_size=6):
+    return st.lists(st.integers(0, (1 << m) - 1), max_size=max_size).map(
+        lambda c: _ptrim(list(c)))
+
+
+# a variable of its own, so the small cap does not replace the cached
+# RatFuncField(m) that other tests hold
+def _capped(m):
+    return RatFuncField(m, variable="y", degree_cap=8)
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_ratfunc_matches_tuple_oracle(m, data):
+    R = _capped(m)
+    O = TupleRatFuncs(R)
+    pairs = [data.draw(st.tuples(polys(m), polys(m))) for _ in range(2)]
+    r = [_ratfunc_outcome(lambda p=p: R.make(*p)) for p in pairs]
+    o = [_ratfunc_outcome(lambda p=p: O.make(*p)) for p in pairs]
+    for ri, oi in zip(r, o):
+        _check_ratfunc(ri, oi)
+    if not all(isinstance(ri, type(R.one)) for ri in r):
+        return
+    (a, b), (oa, ob) = r, o
+    for fr, fo in ((lambda: a + b, lambda: O.add(oa, ob)),
+                   (lambda: a * b, lambda: O.mul(oa, ob)),
+                   (lambda: (a * b) * a, lambda: O.mul(O.mul(oa, ob), oa)),
+                   (lambda: a - b, lambda: O.add(oa, ob)),
+                   (a.inv, lambda: O.inv(oa)),
+                   (lambda: a / b, lambda: O.mul(oa, O.inv(ob)))):
+        _check_ratfunc(_ratfunc_outcome(fr), _ratfunc_outcome(fo))
+    c0, c1 = R.frobenius_coordinates(a)
+    oc0, oc1 = O.frobenius_coordinates(oa)
+    _ratfunc_agrees(c0, oc0)
+    _ratfunc_agrees(c1, oc1)
+    assert (a == b) == (oa == ob)
+    assert a == R.make(*oa) and hash(a) == hash(R.make(*oa))
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_ratfunc_constructors(m, data):
+    R = _capped(m)
+    O = TupleRatFuncs(R)
+    coeffs = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=12))
+    _check_ratfunc(_ratfunc_outcome(lambda: R.from_poly(coeffs)),
+                   _ratfunc_outcome(lambda: O.make(_ptrim(list(coeffs)), (1,))))
+    bits = data.draw(st.integers(0, (1 << m) - 1))
+    _ratfunc_agrees(R.from_base(bits), O.make((bits,) if bits else (), (1,)))
+    _ratfunc_agrees(R.x, ((0, 1), (1,)))
+    _ratfunc_agrees(R.zero, ((), (1,)))
+    _ratfunc_agrees(R.one, ((1,), (1,)))
+    seed, degree = data.draw(st.integers(0, 1 << 30)), data.draw(st.integers(0, 8))
+    rng, orng = random.Random(seed), random.Random(seed)
+    _check_ratfunc(_ratfunc_outcome(lambda: R.random(rng, degree)),
+                   _ratfunc_outcome(lambda: O.random(orng, degree)))
+    assert rng.getstate() == orng.getstate()
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_pdivmod_and_pgcd_match_tuple_oracle(m, data):
+    R = RatFuncField(m)
+    K, S = R.base, R._pk.S
+    a, b = data.draw(polys(m, 9)), data.draw(polys(m))
+    pa, pb = (R.make(p, (1,)).num for p in (a, b))
+    if b:
+        q, r = ratfunc.pdivmod(R._pk, K, pa, pb)
+        assert (_unpack(R, q), _unpack(R, r)) == _pdivmod(K, a, b)
+    assert _unpack(R, ratfunc.pgcd(R._pk, K, pa, pb)) == _pgcd(K, a, b)
+    assert ratfunc.format_poly(K, pa, "x") == TupleRatFuncs(R).format_poly(a)
+
+
+def test_ratfunc_make_takes_coefficient_tuples():
+    for m in PACKED_M:
+        R = RatFuncField(m)
+        K = R.base
+        g = K.order - 1  # the top bit-pattern, a unit
+        # (x^2 + 1)/(g x + g) = (x + 1)/g in characteristic 2
+        r = R.make((1, 0, 1), (g, g))
+        assert r == R.make([K.inv(g), K.inv(g)], [1]) == (R.x + R.one) / R.from_base(g)
+        assert R.format_elem(R.make((1,), (0, 1))) == "1/(x)"
+        with pytest.raises(DivisionByZero):
+            R.make((1,), ())
+
+
+def test_ratfunc_degree_cap_message():
+    for m in PACKED_M:
+        R = _capped(m)
+        with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds cap 8"):
+            R.x ** 9
+        with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds cap 8"):
+            R.make((0,) * 9 + (1,), (1, 1))
+        x8, y8 = R.x ** 7 * R.x, (R.x + R.one) ** 4 * (R.x + R.one) ** 4
+        assert x8 / y8 == R.make((0,) * 8 + (1,), (1,) + (0,) * 7 + (1,))
