@@ -21,9 +21,10 @@ from .graded import (ShiftedQuadSpace, UniformizingChoice, coset_decomposition,
                      orbit_partition, split_principal_metabolic, validate)
 from .literals import parse_element, parse_form
 from .norms import (DepthCertificate, NotReducible, VNorm, builder_binary,
-                    builder_unary, check_compatibility, depth_reduce,
-                    induced_space, initial_norm, norm_shift, norm_sum,
-                    split_respecting_norm, wildness_index)
+                    builder_unary, check_compatibility, depth_reduce, descend,
+                    extend_certificate, induced_space, initial_norm,
+                    norm_shift, norm_sum, split_respecting_norm,
+                    wildness_index)
 from .quadform import BinaryForm, QuadraticForm, WittExpr, rewrite, symplectic_blocks
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace, TensorElem,
                            WClass, WedgeElem, WqClass, arf_invariant, functor_U,

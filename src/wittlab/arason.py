@@ -11,7 +11,11 @@ uniformizer) is emitted with every symbol.
 Over a complete field with perfect residue field, every Witt class has
 a unique canonical expression once the tame parameters are drawn from
 the fixed transversal {0, the smallest trace-one lift}; equality of
-classes is decided by comparing these expressions.  Over GF(2^m)(x)
+classes is decided by comparing these expressions.  The recursion that
+finds them peels one generator off per depth: the first round takes the
+wildness index, and each later round extends the last round's
+certificate by the new summand (norms.extend_certificate) and descends
+from there, so no round starts again from an initial norm.  Over GF(2^m)(x)
 residue fields equality is a semi-decision with Indistinguishable as a
 first-class answer.
 """
@@ -27,8 +31,8 @@ from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
 from .fields.common import INF
 from .fields.gf2m import GF2m
 from .graded import default_choice, orbit_invariants
-from .norms import (NotReducible, depth_reduce, induced_space, initial_norm,
-                    norm_shift, require_certificate, split_respecting_norm,
+from .norms import (descend, extend_certificate, induced_space, norm_shift,
+                    require_certificate, split_respecting_norm,
                     wildness_index)
 from .quadform import QuadraticForm
 
@@ -142,16 +146,12 @@ def generator_certificate(q: QuadraticForm, eps):
                 continue
             va = am.valuation()
             s = int(va) // 2 if int(va) % 2 == 0 else (int(va) - 1) // 2
-            shift = F.one
-            for _ in range(abs(2 * s)):
-                shift = shift * pi
+            shift = pi ** abs(2 * s)
             if s >= 0:
                 am2, bm2 = am / shift, bm * shift
             else:
                 am2, bm2 = am * shift, bm / shift
-            pin = F.one
-            for _ in range(n2):
-                pin = pin * pi
+            pin = pi ** n2
             if int(am2.valuation()) == 0:
                 terms.append(GeneratorTerm(False, am2, bm2 * pin))
             else:
@@ -210,9 +210,7 @@ def decomposition_form(field, dec: CanonicalDecomposition) -> QuadraticForm:
         if alpha.is_zero():
             continue
         lift = field.section(alpha)
-        coeff = lift * lift
-        for _ in range(2 * j + 1):
-            coeff = coeff / pi
+        coeff = lift * lift / pi ** (2 * j + 1)
         form = form.ortho_sum(QuadraticForm.binary(field, field.one, coeff))
     if not dec.a0.is_zero():
         a0 = field.section(dec.a0)
@@ -238,15 +236,17 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
     wild = {}
     a0 = b0 = k.zero
     unit_bit = pi_bit = 0
-    work = q
     last_eps = None
+    cert = wildness_index(q)[1]
+    # each later round descends from the last certificate joined to the
+    # new summand
     for _ in range(MAX_CANONICAL_ROUNDS):
-        eps, cert = wildness_index(work)
+        eps = cert.eps
         if last_eps is not None and eps >= last_eps:
             raise PrecisionExhausted(
                 "canonical recursion failed to reduce the depth")
         last_eps = eps
-        sym = _symbol_from_cert(work, cert)
+        sym = _symbol_from_cert(cert.form, cert)
         if eps == 0:
             bit0, bit1 = sym.payload[0].arf, sym.payload[1].arf
             one = k.canonical_trace_one()
@@ -254,14 +254,15 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
             b0 = one if bit1 else k.zero
             break
         if sym.kind == "w_pair":
+            # two lines: the binary builder has no norm for <-1, -pi>
             unit_bit = sym.payload[0].bit
             pi_bit = sym.payload[1].bit
-            extra = QuadraticForm(F, [])
             if unit_bit:
-                extra = extra.ortho_sum(QuadraticForm.diagonal(F, [-F.one]))
+                cert = extend_certificate(
+                    cert, QuadraticForm.diagonal(F, [-F.one]))
             if pi_bit:
-                extra = extra.ortho_sum(QuadraticForm.diagonal(F, [-pi]))
-            work = work.ortho_sum(extra)
+                cert = extend_certificate(cert, QuadraticForm.diagonal(F, [-pi]))
+            cert = descend(cert)
             continue
         assert sym.kind == "tensor", \
             "integer-depth symbols vanish over perfect residue fields"
@@ -269,11 +270,8 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
         alpha = coord.sqrt()
         wild[eps] = alpha
         lift = F.section(alpha)
-        coeff = lift * lift
-        for _ in range(int(2 * eps)):
-            coeff = coeff / pi
-        gen = QuadraticForm.binary(F, F.one, coeff)
-        work = work.ortho_sum(-gen)
+        gen = QuadraticForm.binary(F, F.one, lift * lift / pi ** int(2 * eps))
+        cert = descend(extend_certificate(cert, -gen))
     else:
         raise PrecisionExhausted("canonical recursion exceeded the round cap")
     top = max((int(e - HALF) for e in wild), default=-1)

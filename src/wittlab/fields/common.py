@@ -1,4 +1,4 @@
-"""Certified valuations.
+"""Certified valuations, and the one square-and-multiply.
 
 A valuation query on a precision-tracked element has three possible
 answers: an exact integer, `math.inf` for the exact zero, or
@@ -30,3 +30,19 @@ Valuation = "int | float | AtLeast"
 def lower_bound(v) -> "int | float":
     """A certified lower bound for the valuation answer v."""
     return v.bound if isinstance(v, AtLeast) else v
+
+
+def power(base, e: int, one):
+    """base ** e by square-and-multiply (a negative e inverts the base
+    first); the base is not squared after the last bit, so no product
+    exceeds the result's size."""
+    if e < 0:
+        base, e = base.inv(), -e
+    out = one
+    while True:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if not e:
+            return out
+        base = base * base

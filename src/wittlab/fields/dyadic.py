@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ..errors import (DivisionByZero, NegativeValuation, NotApplicable,
                       PrecisionExhausted)
-from .common import INF, AtLeast
+from .common import INF, AtLeast, power
 from .gf2m import GF2m
 
 
@@ -259,14 +259,4 @@ class Dyadic:
         return self * other.inv()
 
     def __pow__(self, e: int):
-        base = self
-        if e < 0:
-            base = base.inv()
-            e = -e
-        out = self.field.one
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.field.one)

@@ -222,8 +222,9 @@ class GF2m:
         while e:
             if e & 1:
                 r = self.mul(r, a)
-            a = self.mul(a, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return r
 
     def sqrt(self, a: int) -> int:

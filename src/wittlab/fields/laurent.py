@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DivisionByZero, NegativeValuation, PrecisionExhausted
-from .common import INF, AtLeast
+from .common import INF, AtLeast, power
 from .gf2m import GF2m, _clmul
 from .ratfunc import RatFuncField
 
@@ -417,14 +417,4 @@ class Laurent:
         return self * other.inv()
 
     def __pow__(self, e: int):
-        base = self
-        if e < 0:
-            base = base.inv()
-            e = -e
-        out = self.field.one
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.field.one)

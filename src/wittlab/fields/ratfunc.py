@@ -29,6 +29,7 @@ intermediate growth into DegreeCapExceeded instead of a silent hang.
 from __future__ import annotations
 
 from ..errors import DegreeCapExceeded, DivisionByZero
+from .common import power
 from .gf2m import GF2m, _clmul, _Packing
 
 
@@ -78,11 +79,11 @@ def pgcd(pk: _Packing, K: GF2m, a: int, b: int) -> int:
 class RatFuncField:
     """GF(2^m)(x) with canonical num/den representation."""
 
-    _cache: dict[tuple[int, str], "RatFuncField"] = {}
+    _cache: dict[tuple[int, str, int], "RatFuncField"] = {}
 
     def __new__(cls, m: int = 1, variable: str = "x", degree_cap: int = 512):
-        key = (m, variable)
-        if key in cls._cache and cls._cache[key].degree_cap == degree_cap:
+        key = (m, variable, degree_cap)
+        if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
         self.base = GF2m(m)
@@ -251,12 +252,4 @@ class RatFunc:
         return self.field._make(self.den, self.num)
 
     def __pow__(self, e: int) -> "RatFunc":
-        if e < 0:
-            return self.inv() ** (-e)
-        r, b = self.field.one, self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, self.field.one)

@@ -36,6 +36,7 @@ import json
 import re
 
 from .errors import FormSyntaxError
+from .fields.common import power
 from .fields.dyadic import DyadicField
 from .fields.gf2m import GF2m
 from .fields.laurent import LaurentField
@@ -140,13 +141,7 @@ class ElementParser:
             except Exception:
                 sc.error("negative power of a non-invertible element")
             e = -e
-        out = F.one
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(base, e, F.one)
 
     def _signed(self, sc) -> int:
         neg = False

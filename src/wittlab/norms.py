@@ -14,9 +14,24 @@ it instead of recomputing it.
 Depth reduction follows the constructive proof of the metabolicity
 criterion: decompose the induced space into metabolic planes, lift the
 witness basis through the section, measure the slack eps' > 0, raise
-the values of the isotropic half by eps'.  The wildness loop repeats
-until the induced space carries a nonzero residue invariant, which is
-returned as the irreducibility evidence.
+the values of the isotropic half by eps'.  The descent repeats it until
+the induced space carries a nonzero residue invariant, which is returned
+as the irreducibility evidence; the wildness index descends from
+initial_norm.
+
+An orthogonal sum of eps-compatible norms is eps-compatible, so
+extend_certificate joins a certificate and the builder norm of a summand
+of dimension one or two, brought to the same depth, into a certificate
+of the orthogonal sum.  Its Gram data is block diagonal and reuses the
+old block, and a single check_compatibility recertifies the whole basis.
+The canonical recursion resumes each round this way.  The basis of such
+a certificate differs from the one wildness_index finds for the same
+form; the depth and the residue symbol do not.
+
+Gram matrices are symmetric.  gram_of forms both triangles, because over
+truncated columns the two sums for one entry can certify different
+precisions; check_compatibility reads the upper triangle, the one that
+(a) certifies, and mirrors its leading coefficients.
 """
 
 from __future__ import annotations
@@ -129,9 +144,11 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
                 return CompatibilityViolation(
                     "b", f"v(q(e_{i})) = {lb} < {thr}")
             raise PrecisionExhausted(f"cannot certify v(q(e_{i})) >= {thr}")
+    # deg[i][j - i] = g_i + g_j + eps on the upper triangle, j >= i
+    deg = [[gi + gj for gj in g[i:]] for i, gi in enumerate(v + eps for v in g)]
     for i in range(norm.n):
         for j in range(i, norm.n):
-            thr = g[i] + g[j] + eps
+            thr = deg[i][j - i]
             lb = be[i][j].low_bound()
             if lb < thr:
                 if be[i][j].is_certified_nonzero():
@@ -140,8 +157,11 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
                 raise PrecisionExhausted(
                     f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
     k = q.field.residue_field
-    lead = [[be[i][j].coeff_at(g[i] + g[j] + eps) for j in range(norm.n)]
-            for i in range(norm.n)]
+    # b is symmetric: read the upper triangle that (a) certified, mirror it
+    lead = [[None] * norm.n for _ in range(norm.n)]
+    for i in range(norm.n):
+        for j in range(i, norm.n):
+            lead[i][j] = lead[j][i] = be[i][j].coeff_at(deg[i][j - i])
     try:
         if norm.n:
             linalg.invert_exact(lead, k.zero, k.one)
@@ -151,8 +171,8 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     return DepthCertificate(q, norm, eps, qe, be, lead)
 
 
-def require_certificate(q, norm, eps) -> DepthCertificate:
-    res = check_compatibility(q, norm, eps)
+def require_certificate(q, norm, eps, _gram=None) -> DepthCertificate:
+    res = check_compatibility(q, norm, eps, _gram=_gram)
     if isinstance(res, CompatibilityViolation):
         raise NotApplicable(repr(res))
     return res
@@ -244,13 +264,22 @@ def builder_unary(field, a):
     return VNorm(field, [[field.one]], [Fraction(va) / 2]), Fraction(field.v2)
 
 
-def initial_norm(q: QuadraticForm) -> DepthCertificate:
-    """Blockwise norms lifted to the maximal block depth.
+def _values_at_depth(built, eps):
+    """The values of a builder norm of depth d <= eps, raised to depth eps.
 
-    Binary blocks are raised to the common depth by lowering only their
-    first value by the full difference, which keeps every value on the
-    half-integer grid.
-    """
+    A binary block is raised by lowering only its first value by the full
+    difference eps - d, which keeps every value on the half-integer grid;
+    lines sit at v(2), the largest depth, already."""
+    norm, d = built
+    vals = list(norm.values)
+    if d < eps:
+        vals[0] -= eps - d
+    return vals
+
+
+def initial_norm(q: QuadraticForm) -> DepthCertificate:
+    """Blockwise norms lifted to the maximal block depth (see
+    _values_at_depth)."""
     if q.n == 0:
         return require_certificate(q, VNorm(q.field, [], []), Fraction(0))
     blocks, M = symplectic_blocks(q)
@@ -262,16 +291,48 @@ def initial_norm(q: QuadraticForm) -> DepthCertificate:
             built.append(builder_binary(q.field, blk[1], blk[2]))
     eps = max(b[1] for b in built)
     values = []
-    for (norm, d) in built:
-        vals = list(norm.values)
-        if d < eps:
-            vals[0] -= eps - d  # binary blocks only; lines sit at v(2) already
-        values.extend(vals)
+    for b in built:
+        values.extend(_values_at_depth(b, eps))
     full = VNorm(q.field, M, values)
     res = check_compatibility(q, full, eps)
     if isinstance(res, CompatibilityViolation):
         raise SingularForm(f"initial norm failed to certify: {res!r}")
     return res
+
+
+def extend_certificate(cert: DepthCertificate,
+                       summand: QuadraticForm) -> DepthCertificate:
+    """A certificate for cert.form + summand (orthogonal sum) at cert.eps.
+
+    The summand is a line <a> (characteristic 0) or a binary [a, b] on its
+    standard basis, with b(e_1, e_2) a unit.  Its builder norm is brought
+    to cert.eps as in initial_norm and joined to cert.norm by norm_sum.
+    The Gram data on the joined basis is block diagonal: the old block is
+    the certificate's own, the summand's block is new, and the cross
+    entries are exact zeros.  One check_compatibility then recertifies
+    (a), (b) and (c) on the full basis.
+    """
+    F = summand.field
+    U = summand.U
+    if summand.n == 1:
+        built = builder_unary(F, U[0][0])
+    elif summand.n == 2:
+        built = builder_binary(F, U[0][0], U[1][1])
+    else:
+        raise NotApplicable("a summand has dimension one or two")
+    eps = cert.eps
+    if built[1] > eps:
+        raise NotApplicable(
+            f"summand depth {built[1]} exceeds the certified depth {eps}")
+    norm = VNorm(F, built[0].basis, _values_at_depth(built, eps))
+    sq, sb = _gram_on_basis(summand, norm)
+    z = F.zero
+    n, m = cert.norm.n, summand.n
+    be = [list(row) + [z] * m for row in cert.be]
+    be += [[z] * n + row for row in sb]
+    return require_certificate(cert.form.ortho_sum(summand),
+                               norm_sum(cert.norm, norm), eps,
+                               _gram=(list(cert.qe) + sq, be))
 
 
 def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
@@ -405,12 +466,18 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     return res
 
 
-def wildness_index(q: QuadraticForm):
-    """(minimal depth, certificate at that depth); loops depth_reduce."""
-    cert = initial_norm(q)
+def descend(cert: DepthCertificate) -> DepthCertificate:
+    """Loop depth_reduce from cert down to the minimal depth of its form."""
     while cert.eps > 0:
-        step = depth_reduce(q, cert)
+        step = depth_reduce(cert.form, cert)
         if isinstance(step, NotReducible):
             break
         cert = step
+    return cert
+
+
+def wildness_index(q: QuadraticForm):
+    """(minimal depth, certificate at that depth); descends from
+    initial_norm."""
+    cert = descend(initial_norm(q))
     return cert.eps, cert

@@ -152,6 +152,11 @@ class BinaryForm:
 def gram_of(B, cols, zero, head=0, on_head=None):
     """cols^T B cols with zero-skipping (cols given as coordinate lists).
 
+    B is symmetric, yet G[c][r] is not mirrored from G[r][c]: over
+    truncated columns the two sums agree to the lower of their
+    precisions, but they can certify different ones, and callers read
+    both triangles.
+
     on_head, if given, is called with the Gram of cols[:head] as soon as
     that block is formed, before any pairing with a later column; it may
     raise to abandon the rest.  Every entry is the same sum either way.
@@ -201,6 +206,20 @@ def _combine(vec, terms):
     return out
 
 
+def _symmetric(keep, entry):
+    """The symmetric matrix [entry(r, c)] over r, c in keep, formed on the
+    upper triangle and mirrored.  The Gram updates below are symmetric
+    expressions in (r, c) over a symmetric Gram, and field sums and
+    products are commutative in value and precision, so the mirror is the
+    entry that the lower triangle would compute."""
+    m = len(keep)
+    G = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            G[a][b] = G[b][a] = entry(keep[a], keep[b])
+    return G
+
+
 def symplectic_blocks(q: QuadraticForm):
     """Decompose q into <a> lines and binary [a,b] blocks.
 
@@ -237,8 +256,8 @@ def symplectic_blocks(q: QuadraticForm):
             keep = [r for r in range(m) if r != idx]
             coef = {r: G[r][idx] / de for r in keep}
             vecs = [_combine(vecs[r], [(-coef[r], e)]) for r in keep]
-            G = [[G[r][c] - coef[r] * G[idx][c] - coef[c] * G[r][idx]
-                  + coef[r] * coef[c] * de for c in keep] for r in keep]
+            G = _symmetric(keep, lambda r, c: G[r][c] - coef[r] * G[idx][c]
+                           - coef[c] * G[r][idx] + coef[r] * coef[c] * de)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
             raise PrecisionExhausted(
@@ -270,8 +289,8 @@ def symplectic_blocks(q: QuadraticForm):
         lam = {r: G[r][j] * ginv for r in keep}
         mu = {r: G[r][i] for r in keep}
         vecs = [_combine(vecs[r], [(-lam[r], e), (-mu[r], f)]) for r in keep]
-        G = [[G[r][c] - lam[c] * G[r][i] - mu[c] * (G[r][j] * ginv)
-              for c in keep] for r in keep]
+        G = _symmetric(keep, lambda r, c: G[r][c] - lam[c] * G[r][i]
+                       - mu[c] * (G[r][j] * ginv))
         if F.char == 2:
             # the complement Gram stays alternating; restore the structural
             # zeros that limited-precision cancellation cannot certify
@@ -388,13 +407,8 @@ def rewrite(expr: WittExpr, rule: str, at, c=None) -> WittExpr:
         k = 0
         if vb != INF and vb < 0:
             k = (-int(vb) + 1) // 2
-        beta = s.b
-        for _ in range(2 * k):
-            beta = beta * pi
-        pi_pow = F.one
-        for _ in range(2 * k + 1):
-            pi_pow = pi_pow * pi
-        return expr.replaced(idxs, [Summand("bin", beta, alpha / pi_pow)])
+        return expr.replaced(idxs, [Summand("bin", s.b * pi ** (2 * k),
+                                            alpha / pi ** (2 * k + 1))])
 
     if rule == "d":
         # [a,b] perp [c,d] is isometric to [a+c, b] perp

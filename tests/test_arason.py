@@ -251,3 +251,91 @@ def test_filtration_ordering_consequences():
             e1, s1 = boundary_symbol(q1)
             e2, s2 = boundary_symbol(q2)
             assert e1 == e2 and s1 == s2
+
+
+# -- the resumed canonical recursion ------------------------------------------------
+
+
+def resumed_rounds(q, monkeypatch):
+    """canonical_decomposition(q) and the certificate of every resumed round
+    (each later round extends the last certificate and descends from it)."""
+    seen = []
+
+    def recording(cert):
+        out = norms.descend(cert)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(arason, "descend", recording)
+    return canonical_decomposition(q), seen
+
+
+def assert_rounds_match_a_fresh_start(rounds):
+    for cert in rounds:
+        assert cert.revalidate()
+        eps, fresh = norms.wildness_index(cert.form)
+        assert cert.eps == eps
+        assert (arason._symbol_from_cert(cert.form, cert)
+                == arason._symbol_from_cert(cert.form, fresh))
+
+
+def random_binary_sum(F, rng, blocks):
+    k = F.residue_field
+    q = QuadraticForm(F, [])
+    for _ in range(blocks):
+        a = F.make([(rng.randrange(-2, 3), k.random(rng)) for _ in range(2)])
+        b = F.make([(rng.randrange(-6, 1), k.random(rng)) for _ in range(2)])
+        q = q.ortho_sum(QuadraticForm.binary(F, a, b))
+    return q
+
+
+@pytest.mark.parametrize("field", [F2T, F4T], ids=["F2((t))", "F4((t))"])
+def test_resumed_rounds_certify_the_fresh_depth_laurent(field, monkeypatch):
+    rng = random.Random(5)
+    resumed = 0
+    for _ in range(12):
+        q = random_binary_sum(field, rng, rng.randrange(1, 4))
+        _dec, rounds = resumed_rounds(q, monkeypatch)
+        assert_rounds_match_a_fresh_start(rounds)
+        resumed += len(rounds)
+    assert resumed >= 12
+
+
+@pytest.mark.parametrize("lit", [
+    "sum([1/(1+t), t^-5/(1+t)], [1, t^-1 + O(t^2)])",
+    "[1 + O(t^3), t^-3 + t^-1 + O(t^1)]",
+])
+@pytest.mark.parametrize("field", [F2T, F4T], ids=["F2((t))", "F4((t))"])
+def test_resumed_rounds_over_truncated_entries(field, lit, monkeypatch):
+    _dec, rounds = resumed_rounds(parse_form(lit, field), monkeypatch)
+    assert len(rounds) == 2
+    assert_rounds_match_a_fresh_start(rounds)
+
+
+def test_resumed_rounds_certify_the_fresh_depth_q2(monkeypatch):
+    rng = random.Random(6)
+    k = Q2.residue_field
+    for _ in range(10):
+        dec = CanonicalDecomposition(
+            (k.one,) if rng.randrange(2) else (),
+            rng.choice((k.zero, k.one)), rng.choice((k.zero, k.one)),
+            rng.randrange(2), rng.randrange(2))
+        other = CanonicalDecomposition((k.one,), k.one, k.zero, 1, 1)
+        q = decomposition_form(Q2, dec).ortho_sum(decomposition_form(Q2, other))
+        _dec, rounds = resumed_rounds(q, monkeypatch)
+        assert_rounds_match_a_fresh_start(rounds)
+
+
+def test_w_pair_round_with_both_bits_resumes(monkeypatch):
+    # <1, 2> has both diagonal bits: the round adds <-1> and <-2> as two
+    # one-dimensional summands to the depth-1 certificate
+    k = Q2.residue_field
+    for lit, wild in (("<1, 2>", ()), ("sum(<1, 2>, [1, 1/2])", (k.one,))):
+        q = parse_form(lit, Q2)
+        eps, sym = boundary_symbol(q)
+        assert eps == 1 and sym.kind == "w_pair"
+        assert (sym.payload[0].bit, sym.payload[1].bit) == (1, 1)
+        dec, rounds = resumed_rounds(q, monkeypatch)
+        assert dec == CanonicalDecomposition(wild, k.zero, k.zero, 1, 1)
+        assert rounds[0].form.n == q.n + 2
+        assert_rounds_match_a_fresh_start(rounds)

@@ -236,3 +236,21 @@ def test_help_still_exits_zero(capsys):
         cli.main(["depth", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_power_literal_under_the_degree_cap():
+    # x^8 squares three times, not four: degree 16 is never formed
+    depths = []
+    for lit in ("[x^8, t^-1]", "[x^7*x, t^-1]"):
+        code, out = run_cli(["depth", "--degree-cap", "8", "--field",
+                             "f2x-laurent", lit])
+        assert code == 0, out
+        depths.append(json.loads(out)["result"]["results"][0]["depth"])
+    assert depths == ["1/2", "1/2"]
+
+
+def test_enumerate_q2_stdout_is_byte_identical_to_the_fixture():
+    fixture = Path(__file__).resolve().parent / "data" / "enumerate-q2.stdout"
+    code, out = run_cli(["enumerate-q2"])
+    assert code == 0
+    assert out.encode() == fixture.read_bytes()

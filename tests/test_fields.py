@@ -11,6 +11,7 @@ from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
 from wittlab.fields import (INF, AtLeast, GF2m, RatFuncField,
                             frobenius_coordinates, hensel_artin_schreier,
                             make_field, ratfunc, residue, section, valuation)
+from wittlab.fields.common import power
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
 
@@ -82,6 +83,44 @@ def test_degree_cap():
     R = RatFuncField(1, degree_cap=8)
     with pytest.raises(DegreeCapExceeded):
         R.x ** 9
+    # the last bit is not followed by a square, so x^8 fits under cap 8
+    assert R.x ** 8 == R.from_poly([0] * 8 + [1])
+
+
+def test_field_cache_keys_on_the_degree_cap():
+    A = RatFuncField(1)
+    B = RatFuncField(1, degree_cap=8)
+    C = RatFuncField(1)
+    assert A is C and A is not B
+    assert A.one == C.one
+    assert A.x + C.x == A.zero
+
+
+class _Counted:
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return _Counted(self.value * other.value, self.log)
+
+
+@pytest.mark.parametrize("e", range(0, 40))
+def test_power_squares_only_between_bits(e):
+    log = []
+    got = power(_Counted(3, log), e, _Counted(1, log))
+    assert got.value == 3 ** e
+    assert len(log) == bin(e).count("1") + max(e.bit_length() - 1, 0)
+
+
+def test_negative_powers_invert_first():
+    for F in (make_field("laurent", m=2), make_field("dyadic"),
+              make_field("laurent-ratfunc", m=1)):
+        pi = F.uniformizer()
+        assert pi ** -3 == pi.inv() * pi.inv() * pi.inv()
+        assert pi ** 0 == F.one
+    R = RatFuncField(2)
+    assert (R.x + R.one) ** -2 * (R.x + R.one) ** 2 == R.one
 
 
 # -- Laurent series ---------------------------------------------------------
@@ -585,8 +624,7 @@ def polys(m, max_size=6):
         lambda c: _ptrim(list(c)))
 
 
-# a variable of its own, so the small cap does not replace the cached
-# RatFuncField(m) that other tests hold
+# a small cap, on a variable of its own
 def _capped(m):
     return RatFuncField(m, variable="y", degree_cap=8)
 

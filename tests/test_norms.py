@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from wittlab import graded, norms
-from wittlab.errors import NotApplicable
+from wittlab.errors import NotApplicable, PrecisionExhausted
 from wittlab.fields import INF, field_shorthand, make_field
 from wittlab.literals import parse_element, parse_form
-from wittlab.norms import (CompatibilityViolation, NotReducible, VNorm,
-                           builder_binary, builder_unary, check_compatibility,
-                           depth_reduce, induced_space, initial_norm,
+from wittlab.norms import (CompatibilityViolation, DepthCertificate,
+                           NotReducible, VNorm, builder_binary, builder_unary,
+                           check_compatibility, descend, depth_reduce,
+                           extend_certificate, induced_space, initial_norm,
                            norm_shift, norm_sum, require_certificate,
                            split_respecting_norm, wildness_index)
 from wittlab.quadform import QuadraticForm
@@ -415,3 +416,61 @@ def test_wildness_with_truncated_entries_in_char2():
     # blocks split at the first precision
     assert wildness_index(parse_form("[1/(1+t), t^-3]", F2T))[0] == Fraction(3, 2)
     assert wildness_index(parse_form("[1+t+O(t^9), t^-1]", F2T))[0] == HALF
+
+
+def test_lead_reads_only_the_certified_upper_triangle():
+    # (a) certifies b(e_0, e_1) on the upper triangle; a lower entry with
+    # too little precision for its lead coefficient is never read
+    q = parse_form("[1, t^-1]", F2T)
+    norm = std_norm(F2T, [0, -HALF])
+    qe, be = norms._gram_on_basis(q, norm)
+    be[1][0] = parse_element("O(t^-1)", F2T)
+    with pytest.raises(PrecisionExhausted):
+        be[1][0].coeff_at(0)
+    cert = check_compatibility(q, norm, HALF, _gram=(qe, be))
+    assert isinstance(cert, DepthCertificate)
+    assert cert.lead[1][0] == cert.lead[0][1] == F2T.residue_field.one
+
+
+# -- extending a certificate by an orthogonal summand -------------------------------
+
+
+@pytest.mark.parametrize("base, summand, field", [
+    ("[1, t^-3]", "[1, t^-1]", F2T),
+    ("sum([1+t, t^-1+t], [1, t^-2])", "[1, t^-1 + O(t^2)]", F2T),
+    ("[1, x*t^-2]", "[x, t^-1]", F2XT),
+    ("<1, 1>", "[1, 1/2]", Q2),
+    ("<1, 2>", "<-1>", Q2),
+    ("<1, 2>", "<-2>", Q2),
+])
+def test_extend_certificate_joins_the_summand_norm(base, summand, field):
+    q, s = parse_form(base, field), parse_form(summand, field)
+    cert = initial_norm(q)
+    ext = extend_certificate(cert, s)
+    assert ext.eps == cert.eps
+    assert ext.form.U == q.ortho_sum(s).U
+    assert ext.norm.values[:q.n] == cert.norm.values
+    assert ext.revalidate()
+    # the block-diagonal Gram is the one a fresh check computes
+    fresh = check_compatibility(ext.form, ext.norm, ext.eps)
+    assert fresh.lead == ext.lead
+    n = ext.norm.n
+    assert all(ext.be[i][j].is_exactly_zero()
+               for i in range(q.n) for j in range(q.n, n))
+
+
+def test_extend_certificate_lowers_a_shallower_summand():
+    # [t, t^-1] has builder depth 0; at depth 3/2 its first value drops by
+    # the full difference, as in initial_norm
+    cert = initial_norm(parse_form("[1, t^-3]", F2T))
+    ext = extend_certificate(cert, parse_form("[t, t^-1]", F2T))
+    assert ext.norm.values[2:] == (HALF - Fraction(3, 2), -HALF)
+    assert descend(ext).eps == wildness_index(ext.form)[0]
+
+
+def test_extend_certificate_rejects_a_deeper_summand():
+    cert = initial_norm(parse_form("[t, t^-1]", F2T))
+    with pytest.raises(NotApplicable):
+        extend_certificate(cert, parse_form("[1, t^-3]", F2T))
+    with pytest.raises(NotApplicable):
+        extend_certificate(cert, parse_form("sum([1, 1], [1, 1])", F2T))

@@ -11,6 +11,7 @@ from wittlab.quadform import (BinaryForm, QuadraticForm, WittExpr, gram_of,
                               rewrite, symplectic_blocks)
 
 F2T = make_field("laurent", m=1)
+F4T = make_field("laurent", m=2)
 Q2 = make_field("dyadic")
 
 
@@ -70,6 +71,46 @@ def test_gram_of_head_block_first():
 
     with pytest.raises(SingularForm):
         gram_of(B, cols, F2T.zero, head=2, on_head=stop)
+
+
+def rand_truncated(F, rng):
+    if F.char == 0:
+        x = F.make(rng.randrange(-40, 40), rng.randrange(-3, 4))
+    else:
+        x = rand_laurent(F, rng)
+    return x.truncated(rng.randrange(-1, 6)) if rng.random() < 0.6 else x
+
+
+@pytest.mark.parametrize("field", [F2T, F4T, Q2], ids=str)
+def test_gram_of_triangles_agree_to_the_lower_precision(field):
+    # G[r][c] and G[c][r] are two sums for one value of the symmetric polar
+    # form: they agree to the lower of their two precisions, but over
+    # truncated columns the precisions themselves can differ, so gram_of
+    # forms the lower triangle on its own instead of mirroring it
+    rng = random.Random(8)
+    differ = 0
+    for _ in range(150):
+        n = rng.randrange(2, 6)
+        q = QuadraticForm(field, [[rand_truncated(field, rng) if j >= i
+                                   else field.zero for j in range(n)]
+                                  for i in range(n)])
+        cols = [[rand_truncated(field, rng) if rng.random() < 0.7
+                 else field.zero for _ in range(n)]
+                for _ in range(rng.randrange(2, 6))]
+        G = gram_of(q.polar_matrix(), cols, field.zero)
+        for r in range(len(cols)):
+            for c in range(r + 1, len(cols)):
+                assert (G[r][c] - G[c][r]).is_zero_to_precision()
+                differ += G[r][c].abs_prec != G[c][r].abs_prec
+    assert differ > 0
+
+
+def test_gram_of_lower_entry_certifies_its_own_precision():
+    D = Q2
+    q = QuadraticForm(D, [[D.from_int(2), D.from_int(-3)], [D.zero, D.one]])
+    cols = [[D.make(-1, 2), D.make(3, -1, 2)], [D.make(-1, 2), D.make(-5, 1)]]
+    G = gram_of(q.polar_matrix(), cols, D.zero)
+    assert (G[0][1].abs_prec, G[1][0].abs_prec) == (5, 4)
 
 
 def test_is_nonsingular():
