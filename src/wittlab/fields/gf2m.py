@@ -29,6 +29,7 @@ reduction is the identity.
 from __future__ import annotations
 
 from ..errors import DivisionByZero, UnsupportedResidueField
+from .common import INF
 
 # Smallest irreducible polynomial of each degree over GF(2), as bit-patterns.
 IRREDUCIBLE = {
@@ -296,6 +297,7 @@ class GF2m:
 
     # -- residue-field protocol -------------------------------------------
 
+    char = 2
     is_perfect = True
 
     def frobenius_coordinates(self, c: "FF") -> tuple["FF", "FF"]:
@@ -334,6 +336,15 @@ class FF:
 
     def is_zero(self) -> bool:
         return self.bits == 0
+
+    # the zero tests of the valued fields, under the trivial valuation
+    is_exactly_zero = is_zero
+
+    def is_certified_nonzero(self) -> bool:
+        return self.bits != 0
+
+    def valuation(self):
+        return 0 if self.bits else INF
 
     def __add__(self, other: "FF") -> "FF":
         return self.field.elem(self.bits ^ other.bits)

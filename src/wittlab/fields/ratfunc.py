@@ -29,7 +29,7 @@ intermediate growth into DegreeCapExceeded instead of a silent hang.
 from __future__ import annotations
 
 from ..errors import DegreeCapExceeded, DivisionByZero
-from .common import power
+from .common import INF, power
 from .gf2m import GF2m, _clmul, _Packing
 
 
@@ -96,6 +96,7 @@ class RatFuncField:
     def __repr__(self):
         return f"{self.base!r}({self.variable})"
 
+    char = 2
     is_perfect = False
 
     @property
@@ -217,6 +218,15 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    # the zero tests of the valued fields, under the trivial valuation
+    is_exactly_zero = is_zero
+
+    def is_certified_nonzero(self) -> bool:
+        return bool(self.num)
+
+    def valuation(self):
+        return 0 if self.num else INF
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         F = self.field

@@ -12,7 +12,11 @@ Types: I (eps = 0, b is the polar of q), II (q totally singular, b
 alternating), III (q(v) = tau^-1 b(v,v) for tau = the image of 2, only
 over Q_2 at eps = v(2)).  Homogeneous isotropic-vector search reduces
 degree-class by degree-class to residue-field problems: semilinear
-kernels for types II/III, genuine quadratic forms over k for type I.
+kernels for types II/III, genuine quadratic forms over k (`QuadraticForm`s)
+for type I.  The descended residue objects are split by the kernel of the
+valued forms, `quadform.split_gram`.  `metabolic_planes` keeps its own
+projection: it splits on a combination vector, and its planes fix the
+printed certificate basis.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from . import linalg, residue_witt
 from .errors import (DegenerateForm, SingularMatrix, Undecidable,
                      WrongCase)
 from .fields.common import INF
-from .residue_witt import (KQuadForm, SeparatedSpace, SymplecticQuadSpace,
+from .quadform import QuadraticForm, split_gram
+from .residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                            kquad_isotropic_vector, sq_normalize)
 
 HALF = Fraction(1, 2)
@@ -308,7 +313,7 @@ class BilinearDiag:
 def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:
     """Per-orbit residue objects for integer eps.
 
-    type I -> KQuadForm, type II -> SymplecticQuadSpace,
+    type I -> QuadraticForm over k, type II -> SymplecticQuadSpace,
     type III -> BilinearDiag.
     """
     if not _is_int(S.eps):
@@ -330,7 +335,7 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
             n = len(idx)
             rows = [[qv[i] if i == j else (bm[i][j] if j > i else k.zero)
                      for j in range(n)] for i in range(n)]
-            out[c] = KQuadForm(k, rows)
+            out[c] = QuadraticForm(k, rows)
         elif S.type_tag == "II":
             out[c] = sq_normalize(qv, bm, k)[0] if idx else \
                 SymplecticQuadSpace(k, ())
@@ -340,20 +345,9 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
 
 
 def _diagonalize_bilinear(gram, k) -> BilinearDiag:
-    G = [list(row) for row in gram]
-    diag = []
-    while G:
-        m = len(G)
-        idx = next((i for i in range(m) if not G[i][i].is_zero()), None)
-        if idx is None:
-            break
-        de = G[idx][idx]
-        diag.append(de)
-        keep = [r for r in range(m) if r != idx]
-        coef = {r: G[r][idx] / de for r in keep}
-        G = [[G[r][c] + coef[c] * G[r][idx] + coef[r] * G[idx][c]
-              + coef[r] * coef[c] * de for c in keep] for r in keep]
-    return BilinearDiag(tuple(diag), len(G))
+    blocks, _ = split_gram(gram, k)
+    diag = tuple(d for kind, _, d in blocks if kind == "line")
+    return BilinearDiag(diag, len(gram) - len(diag))
 
 
 def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> SeparatedSpace:
@@ -436,7 +430,7 @@ def _find_isotropic_rel(S: ShiftedQuadSpace, vecs, qs, G):
             rows = [[qs[idx[i]] if i == j else
                      (G[idx[i]][idx[j]] if j > i else k.zero)
                      for j in range(n)] for i in range(n)]
-            form = KQuadForm(k, rows)
+            form = QuadraticForm(k, rows)
             try:
                 sol = kquad_isotropic_vector(form)
             except DegenerateForm:

@@ -244,12 +244,15 @@ def builder_binary(field, a, b):
             raise NotApplicable(
                 f"depth {eps} >= v(2); no compatible norm from this builder")
         return VNorm(field, e, [Fraction(la) / 2, Fraction(lb) / 2]), eps
-    # v(a) + v(b) > 0 certified from here on
+    if la_bound + lb_bound < 0:
+        raise PrecisionExhausted(
+            "a truncated entry leaves the sign of v(a) + v(b) uncertified")
+    # v(a) + v(b) >= 0 certified from here on: depth 0
     if lb_bound < 0:
-        h = Fraction(lb) / 2
+        h = Fraction(lb_bound) / 2
         return VNorm(field, e, [-h, h]), Fraction(0)
     if la_bound < 0:
-        h = Fraction(la) / 2
+        h = Fraction(la_bound) / 2
         return VNorm(field, e, [h, -h]), Fraction(0)
     return VNorm(field, e, [Fraction(0), Fraction(0)]), Fraction(0)
 

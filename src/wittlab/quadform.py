@@ -1,4 +1,5 @@
-"""Quadratic and bilinear forms over the valued base fields.
+"""Quadratic and bilinear forms over the valued base fields and their
+residue fields.
 
 A form of dimension n is stored as upper-triangular coefficient data
 q(x) = sum_{i<=j} U[i][j] x_i x_j.  This keeps the characteristic-2
@@ -7,10 +8,17 @@ The polar form is alternating in characteristic 2 (exact structural
 zeros on the diagonal), which downstream singularity certification
 relies on.
 
-`symplectic_blocks` implements the ungraded normalisation: split
-one-dimensional lines while the polar form has a certified-nonzero
-diagonal entry (characteristic 0), then split binary blocks on pivot
-pairs of minimal valuation, ties broken lexicographically.
+`split_gram` is the one splitting kernel, a symplectic Gram-Schmidt on
+a symmetric Gram matrix: split one-dimensional lines while the diagonal
+has a certified-nonzero entry (characteristic 0), then split binary
+blocks on pivot pairs of minimal valuation, ties broken
+lexicographically, and hand back what is left when no certified pivot
+remains.  `symplectic_blocks`, the ungraded normalisation, runs it on
+the polar form.  The residue-field routines of `residue_witt` and
+`graded` run it too: residue elements (`GF2m`, `GF(2^m)(x)`) carry the
+same zero tests under the trivial valuation, 0 on every nonzero
+element, so each pivot there is the first nonzero entry, and forms over
+a residue field are `QuadraticForm`s as well.
 
 `WittExpr` is a formal orthogonal sum of binary [a,b] summands (plus
 diagonal <a> summands in characteristic 0) with the rewrite rules of
@@ -220,26 +228,28 @@ def _symmetric(keep, entry):
     return G
 
 
-def symplectic_blocks(q: QuadraticForm):
-    """Decompose q into <a> lines and binary [a,b] blocks.
+def split_gram(G, F):
+    """Symplectic Gram-Schmidt on a symmetric Gram matrix G over F.
 
-    Returns (blocks, M): blocks are ("line", a) or ("pair", a, b) tuples,
-    M the basis-change matrix whose columns list the new basis grouped per
-    block; q.change_basis(M) is the block-diagonal form.  The Gram matrix
-    of the working basis is maintained incrementally, so the whole
-    decomposition costs O(n^3) field operations.
+    While the diagonal has a certified-nonzero entry (characteristic 0),
+    split off the line of the one of minimal valuation; once the diagonal
+    is exactly zero, split off the plane of the certified-nonzero pairing
+    of minimal valuation, ties broken lexicographically.  Under the
+    trivial valuation of a residue field each pivot is the first nonzero
+    entry.  The Gram matrix of the working basis is maintained
+    incrementally, so the whole split costs O(n^3) field operations.
+
+    Returns (blocks, rest).  blocks lists ("line", e, b(e, e)) and
+    ("pair", e, f) with b(e, f) = 1, the vectors in the coordinates of G;
+    rest is the Gram matrix of the complement left when no certified
+    pivot remains, empty when G splits completely.
     """
-    F = q.field
-    n = q.n
-    B = q.polar_matrix()
+    n = len(G)
     vecs = [[F.one if i == r else F.zero for i in range(n)] for r in range(n)]
-    G = [list(row) for row in B]
+    G = [list(row) for row in G]
     blocks = []
-    columns = []
     while vecs:
         m = len(vecs)
-        # characteristic 0: split a line on the certified-nonzero diagonal
-        # entry of minimal valuation
         pick = None
         for idx in range(m):
             d = G[idx][idx]
@@ -251,8 +261,7 @@ def symplectic_blocks(q: QuadraticForm):
             idx = pick[1]
             e = vecs[idx]
             de = G[idx][idx]
-            blocks.append(("line", q.evaluate(e)))
-            columns.append(e)
+            blocks.append(("line", e, de))
             keep = [r for r in range(m) if r != idx]
             coef = {r: G[r][idx] / de for r in keep}
             vecs = [_combine(vecs[r], [(-coef[r], e)]) for r in keep]
@@ -260,9 +269,7 @@ def symplectic_blocks(q: QuadraticForm):
                            - coef[c] * G[r][idx] + coef[r] * coef[c] * de)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
-            raise PrecisionExhausted(
-                "diagonal polar entries indistinguishable from zero")
-        # alternating part: pivot pair of minimal valuation
+            break
         pair = None
         for i in range(m):
             for j in range(i + 1, m):
@@ -272,18 +279,13 @@ def symplectic_blocks(q: QuadraticForm):
                     if pair is None or v < pair[0] or (v == pair[0] and (i, j) < pair[1]):
                         pair = (v, (i, j))
         if pair is None:
-            if all(G[i][j].is_exactly_zero() for i in range(m)
-                   for j in range(i + 1, m)):
-                raise SingularForm("form has a (certified) radical")
-            raise PrecisionExhausted(
-                "pairings indistinguishable from zero while splitting")
+            break
         i, j = pair[1]
         g = G[i][j]
         ginv = g.inv()
         e = vecs[i]
         f = [c * ginv for c in vecs[j]]  # b(e, f) = 1
-        blocks.append(("pair", q.evaluate(e), q.evaluate(f)))
-        columns.extend([e, f])
+        blocks.append(("pair", e, f))
         keep = [r for r in range(m) if r not in (i, j)]
         # with b(e,e) = b(f,f) = 0 and b(e,f) = 1: w' = w - b(w,f)e - b(w,e)f
         lam = {r: G[r][j] * ginv for r in keep}
@@ -296,8 +298,36 @@ def symplectic_blocks(q: QuadraticForm):
             # zeros that limited-precision cancellation cannot certify
             for r in range(len(G)):
                 G[r][r] = F.zero
-    M = [[columns[c][r] for c in range(n)] for r in range(n)]
-    return blocks, M
+    return blocks, G
+
+
+def symplectic_blocks(q: QuadraticForm):
+    """Decompose q into <a> lines and binary [a,b] blocks.
+
+    Returns (blocks, M): blocks are ("line", a) or ("pair", a, b) tuples,
+    M the basis-change matrix whose columns list the new basis grouped per
+    block; q.change_basis(M) is the block-diagonal form.
+    """
+    blocks, rest = split_gram(q.polar_matrix(), q.field)
+    if rest:
+        m = len(rest)
+        if not all(rest[i][i].is_exactly_zero() for i in range(m)):
+            raise PrecisionExhausted(
+                "diagonal polar entries indistinguishable from zero")
+        if all(rest[i][j].is_exactly_zero() for i in range(m)
+               for j in range(i + 1, m)):
+            raise SingularForm("form has a (certified) radical")
+        raise PrecisionExhausted(
+            "pairings indistinguishable from zero while splitting")
+    out, columns = [], []
+    for kind, e, x in blocks:
+        if kind == "line":
+            out.append(("line", q.evaluate(e)))
+            columns.append(e)
+        else:
+            out.append(("pair", q.evaluate(e), q.evaluate(x)))
+            columns.extend([e, x])
+    return out, linalg.transpose(columns)
 
 
 # -- Witt expressions and the relation engine --------------------------------

@@ -10,10 +10,16 @@ additive, so the square-root coordinates form the same group and stay
 in canonical normalized form.  Over a perfect field the wedge group is
 trivial and the tensor group is k itself.
 
+Quadratic forms over k are `QuadraticForm`s (`KQuadForm` names the same
+class).  Residue elements carry the trivial valuation, so
+`k_symplectic_blocks`, `sq_normalize` and `w_class_of_gram` are short
+callers of the one splitting kernel `quadform.split_gram`.
+
 Nonsingular quadratic forms over a finite residue field are classified
 by their Arf invariant (the absolute trace bit); `witt_decompose_small`
 is the independent brute-force oracle, splitting off metabolic planes
-found by exhaustive vector enumeration.
+found by exhaustive vector enumeration.  Its oracles and
+`kquad_is_hyperbolic_witnessed` share one plane split, `_split_plane`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (DegenerateForm, TooLarge, Undecidable,
                      UnsupportedResidueField)
 from .fields.gf2m import GF2m
 from .fields.ratfunc import RatFuncField
+from .quadform import QuadraticForm, gram_of, split_gram
 
 ORACLE_ENUM_CAP = 1 << 21
 
@@ -37,150 +44,89 @@ def _is_finite(k) -> bool:
 # -- quadratic forms over k ----------------------------------------------------
 
 
-class KQuadForm:
-    """Upper-triangular quadratic form over a residue field (char 2)."""
-
-    def __init__(self, k, coeffs):
-        self.k = k
-        self.n = len(coeffs)
-        z = k.zero
-        self.U = tuple(tuple(coeffs[i][j] if j >= i else z for j in range(self.n))
-                       for i in range(self.n))
-
-    def __repr__(self):
-        rows = ["[" + ", ".join(self.k.format_elem(c) for c in row) + "]"
-                for row in self.U]
-        return "KQuadForm[" + "; ".join(rows) + "]"
-
-    @classmethod
-    def binary(cls, k, a, b):
-        return cls(k, [[a, k.one], [k.zero, b]])
-
-    def evaluate(self, x):
-        acc = self.k.zero
-        for i in range(self.n):
-            if x[i].is_zero():
-                continue
-            for j in range(i, self.n):
-                if not self.U[i][j].is_zero() and not x[j].is_zero():
-                    acc = acc + self.U[i][j] * x[i] * x[j]
-        return acc
-
-    def polar_matrix(self):
-        return [[self.U[i][j] + self.U[j][i] for j in range(self.n)]
-                for i in range(self.n)]
+# residue forms are QuadraticForms over k; the name stays for importers
+KQuadForm = QuadraticForm
 
 
-def k_symplectic_blocks(form: KQuadForm):
-    """Binary blocks [a_i, b_i] of a nonsingular form over char-2 k.
+def _pair_columns(blocks):
+    """The basis vectors of the pair blocks of split_gram, in order."""
+    return [v for _, e, f in blocks for v in (e, f)]
 
-    The working Gram matrix is updated incrementally (O(n^3) total)."""
-    k = form.k
-    n = form.n
-    if n % 2:
+
+def k_symplectic_blocks(form: QuadraticForm):
+    """Binary blocks [a_i, b_i] of a nonsingular form over char-2 k, and
+    the basis-change matrix whose columns are the symplectic basis."""
+    if form.n % 2:
         raise DegenerateForm("odd-dimensional forms are singular in char 2")
-    vecs = [[k.one if i == r else k.zero for i in range(n)] for r in range(n)]
-    G = form.polar_matrix()
-    pairs, columns = [], []
-    while vecs:
-        m = len(vecs)
-        pivot = next(((i, j) for i in range(m) for j in range(i + 1, m)
-                      if not G[i][j].is_zero()), None)
-        if pivot is None:
-            raise DegenerateForm("polar form over the residue field is degenerate")
-        i, j = pivot
-        giv = G[i][j].inv()
-        e = vecs[i]
-        f = [c * giv for c in vecs[j]]
-        pairs.append((form.evaluate(e), form.evaluate(f)))
-        columns.extend([e, f])
-        keep = [r for r in range(m) if r not in (i, j)]
-        lam = {r: G[r][j] * giv for r in keep}
-        mu = {r: G[r][i] for r in keep}
-        nxt = []
-        for r in keep:
-            w = list(vecs[r])
-            for coeff, src in ((lam[r], e), (mu[r], f)):
-                if not coeff.is_zero():
-                    for t in range(n):
-                        if not src[t].is_zero():
-                            w[t] = w[t] + coeff * src[t]
-            nxt.append(w)
-        vecs = nxt
-        G = [[G[r][c] + lam[c] * mu[r] + mu[c] * lam[r] for c in keep]
-             for r in keep]
-    M = [[columns[c][r] for c in range(n)] for r in range(n)]
-    return pairs, M
+    blocks, rest = split_gram(form.polar_matrix(), form.field)
+    if rest:
+        raise DegenerateForm("polar form over the residue field is degenerate")
+    pairs = [(form.evaluate(e), form.evaluate(f)) for _, e, f in blocks]
+    return pairs, linalg.transpose(_pair_columns(blocks))
 
 
-def kquad_isotropic_vector(form: KQuadForm):
+def _through(M, block, local, k):
+    """The vector with coordinates `local` on the two basis columns of one
+    block of a k_symplectic_blocks basis matrix M."""
+    v = [k.zero] * len(M)
+    for col, coeff in zip((2 * block, 2 * block + 1), local):
+        for r in range(len(M)):
+            v[r] = v[r] + coeff * M[r][col]
+    return v
+
+
+def kquad_isotropic_vector(form: QuadraticForm):
     """A nonzero isotropic vector of a nonsingular form, or None.
 
     Constructive over finite k: a block with trace(ab) = 0 yields a
     vector through an Artin-Schreier root; two trace-1 blocks combine
     through a square root.  A single trace-1 block is anisotropic.
     """
-    k = form.k
+    k = form.field
     if form.n == 0:
         return None
     if not _is_finite(k):
         return _kquad_isotropic_best_effort(form)
     pairs, M = k_symplectic_blocks(form)
-
-    def through(block_index, local):
-        v = [k.zero] * form.n
-        for col, coeff in zip((2 * block_index, 2 * block_index + 1), local):
-            for r in range(form.n):
-                v[r] = v[r] + coeff * M[r][col]
-        return v
-
     for bi, (a, b) in enumerate(pairs):
         if a.is_zero():
-            return through(bi, (k.one, k.zero))
+            return _through(M, bi, (k.one, k.zero), k)
         if b.is_zero():
-            return through(bi, (k.zero, k.one))
+            return _through(M, bi, (k.zero, k.one), k)
         ab = a * b
         root = k.artin_schreier_root(ab.bits)
         if root is not None:
             u = k.elem(root)
-            return through(bi, (u / a, k.one))
+            return _through(M, bi, (u / a, k.one), k)
     if len(pairs) >= 2:
         # both blocks anisotropic: q(0,1,x2,0) = b1 + a2 x2^2 = 0
         (a1, b1), (a2, b2) = pairs[0], pairs[1]
         x2 = (b1 / a2).sqrt()
-        v1 = through(0, (k.zero, k.one))
-        v2 = through(1, (x2, k.zero))
+        v1 = _through(M, 0, (k.zero, k.one), k)
+        v2 = _through(M, 1, (x2, k.zero), k)
         return [p + q for p, q in zip(v1, v2)]
     return None
 
 
-def _kquad_isotropic_best_effort(form: KQuadForm):
+def _kquad_isotropic_best_effort(form: QuadraticForm):
     """Imperfect residue field: only certain constructive moves are tried;
     None means `no isotropic vector found', not `anisotropic'."""
-    k = form.k
+    k = form.field
     pairs, M = k_symplectic_blocks(form)
-
-    def through(block_index, local):
-        v = [k.zero] * form.n
-        for col, coeff in zip((2 * block_index, 2 * block_index + 1), local):
-            for r in range(form.n):
-                v[r] = v[r] + coeff * M[r][col]
-        return v
-
     for bi, (a, b) in enumerate(pairs):
         if a.is_zero():
-            return through(bi, (k.one, k.zero))
+            return _through(M, bi, (k.one, k.zero), k)
         if b.is_zero():
-            return through(bi, (k.zero, k.one))
+            return _through(M, bi, (k.zero, k.one), k)
         root = _artin_schreier_small(k, a * b)
         if root is not None:
-            return through(bi, (root / a, k.one))
+            return _through(M, bi, (root / a, k.one), k)
     # duplicated blocks cancel: the diagonal of [a,b] perp [a,b] is isotropic
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             if pairs[i] == pairs[j]:
-                vi = through(i, (k.one, k.zero))
-                vj = through(j, (k.one, k.zero))
+                vi = _through(M, i, (k.one, k.zero), k)
+                vj = _through(M, j, (k.one, k.zero), k)
                 return [p + q for p, q in zip(vi, vj)]
     return None
 
@@ -277,32 +223,10 @@ def w_class_of_gram(gram, k) -> WClass:
     """
     if not getattr(k, "is_perfect", False):
         raise UnsupportedResidueField("W(k) classification needs perfect k")
-    n = len(gram)
-    vecs = [[k.one if i == r else k.zero for i in range(n)] for r in range(n)]
-
-    def bval(u, w):
-        acc = k.zero
-        for i in range(n):
-            for j in range(n):
-                acc = acc + gram[i][j] * u[i] * w[j]
-        return acc
-
-    lines = 0
-    while vecs:
-        idx = next((i for i, v in enumerate(vecs) if not bval(v, v).is_zero()), None)
-        if idx is None:
-            # alternating remainder: nondegenerate => metabolic
-            rank = len(linalg.rref_exact(
-                [[bval(u, w) for w in vecs] for u in vecs])[1])
-            if rank != len(vecs):
-                raise DegenerateForm("degenerate bilinear form over k")
-            break
-        e = vecs[idx]
-        de = bval(e, e)
-        lines += 1
-        rest = [v for i, v in enumerate(vecs) if i != idx]
-        vecs = [[v[r] + (bval(v, e) / de) * e[r] for r in range(n)] for v in rest]
-    return WClass(k, lines % 2)
+    blocks, rest = split_gram(gram, k)
+    if rest:
+        raise DegenerateForm("degenerate bilinear form over k")
+    return WClass(k, sum(kind == "line" for kind, _, _ in blocks) % 2)
 
 
 # -- symplectic quadratic spaces ------------------------------------------------
@@ -346,44 +270,27 @@ class SeparatedSpace:
         return len(self.pairs)
 
 
+def _diagonal_q(coeffs, k):
+    """The totally singular form x -> sum c_i x_i^2 on k^n."""
+    def q(x):
+        acc = k.zero
+        for xi, c in zip(x, coeffs):
+            acc = acc + xi * xi * c
+        return acc
+    return q
+
+
 def sq_normalize(qvals, bmat, k):
     """Symplectic normalization of raw totally-singular data (q values on a
     basis, alternating Gram matrix); returns (space, basis columns)."""
-    n = len(qvals)
-    for i in range(n):
-        if not bmat[i][i].is_zero():
-            raise DegenerateForm("bilinear form is not alternating")
-    vecs = [[k.one if i == r else k.zero for i in range(n)] for r in range(n)]
-
-    def bval(u, w):
-        acc = k.zero
-        for i in range(n):
-            for j in range(n):
-                acc = acc + bmat[i][j] * u[i] * w[j]
-        return acc
-
-    def qval(u):
-        acc = k.zero
-        for i in range(n):
-            acc = acc + u[i] * u[i] * qvals[i]
-        return acc
-
-    pairs, columns = [], []
-    while vecs:
-        pivot = next(((i, j) for i in range(len(vecs))
-                      for j in range(i + 1, len(vecs))
-                      if not bval(vecs[i], vecs[j]).is_zero()), None)
-        if pivot is None:
-            raise DegenerateForm("alternating form is degenerate")
-        i, j = pivot
-        g = bval(vecs[i], vecs[j])
-        e, f = vecs[i], [c / g for c in vecs[j]]
-        pairs.append((qval(e), qval(f)))
-        columns.extend([e, f])
-        rest = [w for r, w in enumerate(vecs) if r not in (i, j)]
-        vecs = [[w[r] + bval(w, f) * e[r] + bval(w, e) * f[r] for r in range(n)]
-                for w in rest]
-    return SymplecticQuadSpace(k, tuple(pairs)), columns
+    if not all(bmat[i][i].is_zero() for i in range(len(qvals))):
+        raise DegenerateForm("bilinear form is not alternating")
+    blocks, rest = split_gram(bmat, k)
+    if rest:
+        raise DegenerateForm("alternating form is degenerate")
+    q = _diagonal_q(qvals, k)
+    pairs = tuple((q(e), q(f)) for _, e, f in blocks)
+    return SymplecticQuadSpace(k, pairs), _pair_columns(blocks)
 
 
 def ssq_normalize(qvals, dual_qvals, k):
@@ -519,6 +426,47 @@ def _check_enum_size(k, dim):
         raise TooLarge(f"{k.order}^{dim} vectors exceed the oracle budget")
 
 
+def _first_isotropic(k, n, q):
+    """The first nonzero vector of k^n, in enumeration order, with q = 0,
+    or None."""
+    for vec in product(list(k.elements()), repeat=n):
+        if not all(c.is_zero() for c in vec) and q(list(vec)).is_zero():
+            return list(vec)
+    return None
+
+
+def _split_plane(B, vec, q, k):
+    """Split off the hyperbolic plane through the isotropic vector vec.
+
+    B is the symmetric Gram matrix of b.  The partner of vec is the first
+    unit vector that pairs nonzero with it; the unit vectors projected to
+    the b-orthogonal complement of the plane are taken in order while
+    they stay independent, until n - 2 of them form a basis.  Returns the
+    q values on that basis and its Gram matrix."""
+    n = len(B)
+    bv = [k.zero] * n  # bv[j] = b(vec, e_j)
+    for i in range(n):
+        if not vec[i].is_zero():
+            for j in range(n):
+                bv[j] = bv[j] + B[i][j] * vec[i]
+    j = next((j for j in range(n) if not bv[j].is_zero()), None)
+    if j is None:
+        raise DegenerateForm("isotropic vector in the radical")
+    ginv = bv[j].inv()  # the partner is e_j / b(vec, e_j)
+    basis = []
+    for r in range(n):
+        # e_r + b(e_r, partner) vec + b(e_r, vec) partner, in characteristic 2
+        w = [B[r][j] * ginv * c for c in vec]
+        w[r] = w[r] + k.one
+        w[j] = w[j] + bv[r] * ginv
+        cand = basis + [w]
+        if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
+            basis.append(w)
+        if len(basis) == n - 2:
+            break
+    return [q(v) for v in basis], gram_of(B, basis, k.zero)
+
+
 def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
     """Anisotropic kernel by exhaustive isotropic-vector search and
     splitting; the independent oracle for the wedge invariant."""
@@ -527,52 +475,13 @@ def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
     pairs = list(S.pairs)
     while pairs:
         n = 2 * len(pairs)
-
-        def q_of(vec):
-            acc = k.zero
-            for idx, (a, b) in enumerate(pairs):
-                acc = acc + vec[2 * idx] * vec[2 * idx] * a
-                acc = acc + vec[2 * idx + 1] * vec[2 * idx + 1] * b
-            return acc
-
-        def b_of(u, w):
-            acc = k.zero
-            for idx in range(len(pairs)):
-                acc = acc + u[2 * idx] * w[2 * idx + 1] + u[2 * idx + 1] * w[2 * idx]
-            return acc
-
-        found = None
-        for vec in product(list(k.elements()), repeat=n):
-            if all(c.is_zero() for c in vec):
-                continue
-            if q_of(list(vec)).is_zero():
-                found = list(vec)
-                break
+        q = _diagonal_q([c for pair in pairs for c in pair], k)
+        found = _first_isotropic(k, n, q)
         if found is None:
             return SymplecticQuadSpace(k, tuple(pairs))
-        partner = None
-        for j in range(n):
-            unit = [k.one if i == j else k.zero for i in range(n)]
-            if not b_of(found, unit).is_zero():
-                partner = unit
-                break
-        g = b_of(found, partner)
-        partner = [c / g for c in partner]
-        vecs = [[k.one if i == r else k.zero for i in range(n)] for r in range(n)]
-        basis = []
-        for w in vecs:
-            bp, bf = b_of(w, partner), b_of(w, found)
-            w2 = [w[r] + bp * found[r] + bf * partner[r] for r in range(n)]
-            cand = basis + [w2]
-            rows = [list(v) for v in cand]
-            if len(linalg.rref_exact(rows)[1]) == len(cand):
-                basis.append(w2)
-            if len(basis) == n - 2:
-                break
-        qvals = [q_of(v) for v in basis]
-        bmat = [[b_of(u, w) for w in basis] for u in basis]
-        S2, _ = sq_normalize(qvals, bmat, k)
-        pairs = list(S2.pairs)
+        B = [[k.one if i ^ j == 1 else k.zero for j in range(n)] for i in range(n)]
+        qvals, bmat = _split_plane(B, found, q, k)
+        pairs = list(sq_normalize(qvals, bmat, k)[0].pairs)
     return SymplecticQuadSpace(k, ())
 
 
@@ -585,29 +494,13 @@ def separated_anisotropic_part(S: SeparatedSpace) -> SeparatedSpace:
     changed = True
     while changed and pairs:
         changed = False
-        n = len(pairs)
-        for vec in product(list(k.elements()), repeat=n):
-            if all(c.is_zero() for c in vec):
-                continue
-            qv = k.zero
-            for c, (a, _) in zip(vec, pairs):
-                qv = qv + c * c * a
-            if qv.is_zero():
-                # new basis containing vec diagonalizes; the vec line is
-                # <0 | *> and splits off as a metabolic line
-                pairs = _separated_split(pairs, list(vec), k, primal=True)
-                changed = True
-                break
-        if changed:
-            continue
-        for vec in product(list(k.elements()), repeat=n):
-            if all(c.is_zero() for c in vec):
-                continue
-            qv = k.zero
-            for c, (_, b) in zip(vec, pairs):
-                qv = qv + c * c * b
-            if qv.is_zero():
-                pairs = _separated_split(pairs, list(vec), k, primal=False)
+        for primal in (True, False):
+            # a q-isotropic vec spans a <0 | *> line of a diagonalizing
+            # basis, which splits off as a metabolic line (dually for q')
+            q = _diagonal_q([p[0] if primal else p[1] for p in pairs], k)
+            vec = _first_isotropic(k, len(pairs), q)
+            if vec is not None:
+                pairs = _separated_split(pairs, vec, k, primal)
                 changed = True
                 break
     return SeparatedSpace(k, tuple(pairs))
@@ -618,37 +511,25 @@ def _separated_split(pairs, vec, k, primal: bool):
     coordinates) to a basis and drop its metabolic line."""
     n = len(pairs)
     rows = [vec]
-    chosen = []
     for j in range(n):
         unit = [k.one if i == j else k.zero for i in range(n)]
         cand = rows + [unit]
         if len(linalg.rref_exact([list(r) for r in cand])[1]) == len(cand):
             rows.append(unit)
-            chosen.append(j)
         if len(rows) == n:
             break
-    # basis of V (or V*): vec, then unit vectors `chosen`
+    # basis of V (or V*): vec, then the chosen unit vectors
     M = [list(r) for r in zip(*rows)]  # columns are the new basis
     Minv = linalg.invert_exact(M, k.zero, k.one)
+    q = _diagonal_q([a for a, _ in pairs], k)
+    q_dual = _diagonal_q([b for _, b in pairs], k)
     out = []
     for idx in range(1, n):
         col = [M[r][idx] for r in range(n)]
-        dual_row = Minv[idx]
         if primal:
-            a = k.zero
-            for c, (av, _) in zip(col, pairs):
-                a = a + c * c * av
-            bprime = k.zero
-            for c, (_, bv) in zip(dual_row, pairs):
-                bprime = bprime + c * c * bv
+            out.append((q(col), q_dual(Minv[idx])))
         else:
-            a = k.zero
-            for c, (av, _) in zip(dual_row, pairs):
-                a = a + c * c * av
-            bprime = k.zero
-            for c, (_, bv) in zip(col, pairs):
-                bprime = bprime + c * c * bv
-        out.append((a, bprime))
+            out.append((q(Minv[idx]), q_dual(col)))
     return out
 
 
@@ -658,121 +539,49 @@ def witt_decompose_small(space):
         return sq_anisotropic_part(space)
     if isinstance(space, SeparatedSpace):
         return separated_anisotropic_part(space)
-    if isinstance(space, KQuadForm):
+    if isinstance(space, QuadraticForm):
         return kquad_anisotropic_part(space)
     raise TypeError(f"no oracle for {type(space).__name__}")
 
 
-def kquad_anisotropic_part(form: KQuadForm) -> KQuadForm:
-    """Anisotropic kernel of a nonsingular quadratic form over finite k,
-    by exhaustive isotropic-vector search and splitting."""
-    k = form.k
-    _check_enum_size(k, form.n)
+def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
+    """Split off the hyperbolic plane through find(current) until find
+    returns None; the form that is left."""
     current = form
     while current.n:
-        found = None
-        for vec in product(list(k.elements()), repeat=current.n):
-            if all(c.is_zero() for c in vec):
-                continue
-            if current.evaluate(list(vec)).is_zero():
-                found = list(vec)
-                break
-        if found is None:
-            return current
-        B = current.polar_matrix()
-
-        def b_of(u, w):
-            acc = k.zero
-            for i in range(current.n):
-                for j in range(current.n):
-                    acc = acc + B[i][j] * u[i] * w[j]
-            return acc
-
-        partner = None
-        for j in range(current.n):
-            unit = [k.one if i == j else k.zero for i in range(current.n)]
-            if not b_of(found, unit).is_zero():
-                partner = unit
-                break
-        if partner is None:
-            raise DegenerateForm("isotropic vector in the radical")
-        g = b_of(found, partner)
-        partner = [c / g for c in partner]
-        basis = []
-        n = current.n
-        for r in range(n):
-            w = [k.one if i == r else k.zero for i in range(n)]
-            bp, bf = b_of(w, partner), b_of(w, found)
-            w2 = [w[i] + bp * found[i] + bf * partner[i] for i in range(n)]
-            cand = basis + [w2]
-            if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
-                basis.append(w2)
-            if len(basis) == n - 2:
-                break
-        rows = [[k.zero] * (n - 2) for _ in range(n - 2)]
-        for i in range(n - 2):
-            rows[i][i] = current.evaluate(basis[i])
-            for j in range(i + 1, n - 2):
-                rows[i][j] = b_of(basis[i], basis[j])
-        current = KQuadForm(k, rows)
+        vec = find(current)
+        if vec is None:
+            break
+        qvals, G = _split_plane(current.polar_matrix(), vec,
+                                current.evaluate, current.field)
+        m = len(qvals)
+        current = QuadraticForm(current.field, [
+            [qvals[i] if i == j else G[i][j] for j in range(m)]
+            for i in range(m)])
     return current
 
 
-def kquad_witt_class(form: KQuadForm) -> WqClass:
+def kquad_anisotropic_part(form: QuadraticForm) -> QuadraticForm:
+    """Anisotropic kernel of a nonsingular quadratic form over finite k,
+    by exhaustive isotropic-vector search and splitting."""
+    _check_enum_size(form.field, form.n)
+    return _split_isotropic(
+        form, lambda f: _first_isotropic(f.field, f.n, f.evaluate))
+
+
+def kquad_witt_class(form: QuadraticForm) -> WqClass:
     """Witt class of a nonsingular form over k: Arf bit over finite k,
     partial raw data over GF(2^m)(x)."""
     pairs, _ = k_symplectic_blocks(form)
-    if _is_finite(form.k):
-        return arf_invariant(pairs, form.k)
-    return wq_raw_class(pairs, form.k)
+    if _is_finite(form.field):
+        return arf_invariant(pairs, form.field)
+    return wq_raw_class(pairs, form.field)
 
 
-def kquad_is_hyperbolic_witnessed(form: KQuadForm) -> bool:
+def kquad_is_hyperbolic_witnessed(form: QuadraticForm) -> bool:
     """Constructive hyperbolicity: split isotropic vectors until empty.
 
     Over finite k this decides; over GF(2^m)(x) only successful runs are
     meaningful (False means `no witness found').
     """
-    k = form.k
-    current = form
-    while current.n:
-        vec = kquad_isotropic_vector(current)
-        if vec is None:
-            return False
-        B = current.polar_matrix()
-        n = current.n
-
-        def b_of(u, w):
-            acc = k.zero
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + B[i][j] * u[i] * w[j]
-            return acc
-
-        partner = None
-        for j in range(n):
-            unit = [k.one if i == j else k.zero for i in range(n)]
-            if not b_of(vec, unit).is_zero():
-                partner = unit
-                break
-        if partner is None:
-            raise DegenerateForm("isotropic vector in the radical")
-        g = b_of(vec, partner)
-        partner = [c / g for c in partner]
-        basis = []
-        for r in range(n):
-            w = [k.one if i == r else k.zero for i in range(n)]
-            bp, bv = b_of(w, partner), b_of(w, vec)
-            w2 = [w[i] + bp * vec[i] + bv * partner[i] for i in range(n)]
-            cand = basis + [w2]
-            if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
-                basis.append(w2)
-            if len(basis) == n - 2:
-                break
-        rows = [[k.zero] * (n - 2) for _ in range(n - 2)]
-        for i in range(n - 2):
-            rows[i][i] = current.evaluate(basis[i])
-            for j in range(i + 1, n - 2):
-                rows[i][j] = b_of(basis[i], basis[j])
-        current = KQuadForm(k, rows)
-    return True
+    return _split_isotropic(form, kquad_isotropic_vector).n == 0

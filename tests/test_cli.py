@@ -254,3 +254,18 @@ def test_enumerate_q2_stdout_is_byte_identical_to_the_fixture():
     code, out = run_cli(["enumerate-q2"])
     assert code == 0
     assert out.encode() == fixture.read_bytes()
+
+
+@pytest.mark.parametrize("lit, code, depth", [
+    ("[t^3, O(t^-1)]", 0, "0"), ("[O(t^-1), t^3]", 0, "0"),
+    ("[1, O(t^-1)]", 5, None), ("[O(t^-1), 1]", 5, None),
+    ("[O(t^-1), O(t^-1)]", 5, None),
+])
+def test_truncated_zero_entry_ends_in_schema_json(lit, code, depth):
+    got, out = run_cli(["depth", "--field", "f2-laurent", lit])
+    payload = json.loads(out)
+    assert got == code and payload["schema"] == "wittlab/1"
+    if depth is None:
+        assert payload["error"] == "precision-exhausted"
+    else:
+        assert payload["result"]["results"][0]["depth"] == depth

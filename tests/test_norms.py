@@ -474,3 +474,27 @@ def test_extend_certificate_rejects_a_deeper_summand():
         extend_certificate(cert, parse_form("[1, t^-3]", F2T))
     with pytest.raises(NotApplicable):
         extend_certificate(cert, parse_form("sum([1, 1], [1, 1])", F2T))
+
+
+@pytest.mark.parametrize("a, b, values", [
+    ("t^3", "O(t^-1)", [HALF, -HALF]),
+    ("O(t^-1)", "t^3", [-HALF, HALF]),
+    ("t", "O(t^-1)", [HALF, -HALF]),
+    ("O(t^3)", "t^-3", [3 * HALF, -3 * HALF]),
+    ("O(t^0)", "1", [0, 0]),
+])
+def test_builder_binary_truncated_entry_certified(a, b, values):
+    # v(a) + v(b) >= 0 is certified by the bounds alone: depth 0
+    norm, eps = builder_binary(F2T, parse_element(a, F2T), parse_element(b, F2T))
+    assert eps == 0 and list(norm.values) == values
+    q = QuadraticForm.binary(F2T, parse_element(a, F2T), parse_element(b, F2T))
+    eps, cert = wildness_index(q)
+    assert eps == 0 and list(cert.norm.values) == values
+
+
+@pytest.mark.parametrize("a, b", [("1", "O(t^-1)"), ("O(t^-1)", "1"),
+                                  ("O(t^-1)", "O(t^-1)"), ("O(t^2)", "t^-3")])
+def test_builder_binary_truncated_entry_uncertified(a, b):
+    # v(a) + v(b) may be negative or not: the depth is not determined
+    with pytest.raises(PrecisionExhausted):
+        builder_binary(F2T, parse_element(a, F2T), parse_element(b, F2T))
