@@ -28,15 +28,14 @@ from fractions import Fraction
 from . import graded, norms, residue_witt
 from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
                      UnsupportedResidueField)
-from .fields.common import INF
+from .fields.common import HALF, INF, grid, half
 from .fields.gf2m import GF2m
 from .graded import default_choice, orbit_invariants
-from .norms import (descend, extend_certificate, induced_space, norm_shift,
-                    require_certificate, split_respecting_norm,
-                    wildness_index)
+from .norms import (_require_certified_form, descend, extend_certificate,
+                    induced_space, norm_shift, require_certificate,
+                    split_respecting_norm, wildness_index)
 from .quadform import QuadraticForm
 
-HALF = Fraction(1, 2)
 MAX_CANONICAL_ROUNDS = 10_000
 
 
@@ -58,21 +57,25 @@ class ResidueSymbol:
 
 
 def _symbol_from_cert(q, cert) -> ResidueSymbol:
-    S = induced_space(q, cert)
-    inv = orbit_invariants(S)
+    if cert.evidence is None:
+        inv = orbit_invariants(induced_space(q, cert))
+    else:  # the invariants of the NotReducible step that ended a descent
+        _require_certified_form(q, cert)
+        inv = cert.evidence
     eps = cert.eps
+    zero = half(0)
     if eps == 0:
         kind = "wq_pair"
-        payload = (inv[Fraction(0)], inv[HALF])
-    elif (2 * eps).denominator == 1 and eps.denominator == 2:
+        payload = (inv[zero], inv[HALF])
+    elif eps.denominator == 2:
         kind = "tensor"
-        payload = (inv[(Fraction(0), HALF)],)
-    elif q.field.v2 != INF and eps == Fraction(q.field.v2):
+        payload = (inv[(zero, HALF)],)
+    elif q.field.v2 != INF and eps == q.field.v2:
         kind = "w_pair"
-        payload = (inv[Fraction(0)], inv[HALF])
+        payload = (inv[zero], inv[HALF])
     else:
         kind = "wedge_pair"
-        payload = (inv[Fraction(0)], inv[HALF])
+        payload = (inv[zero], inv[HALF])
     return ResidueSymbol(eps, kind, payload)
 
 
@@ -120,9 +123,9 @@ def _monomials(x):
 
 def generator_certificate(q: QuadraticForm, eps):
     """Express q_W in the depth-eps generators, or report the obstruction."""
-    eps = Fraction(eps)
+    eps = grid(eps)
     F = q.field
-    if F.v2 != INF and eps >= Fraction(F.v2):
+    if F.v2 != INF and eps >= F.v2:
         raise NotApplicable("generators are defined for eps < v(2)")
     w, cert = wildness_index(q)
     if w > eps:

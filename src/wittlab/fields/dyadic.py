@@ -14,11 +14,9 @@ iteration, which converges since 2u + 1 is a unit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import (DivisionByZero, NegativeValuation, NotApplicable,
                       PrecisionExhausted)
-from .common import INF, AtLeast, power
+from .common import INF, AtLeast, half, power
 from .gf2m import GF2m
 
 
@@ -47,7 +45,7 @@ class DyadicField:
         return hash(("Q2", self.precision))
 
     char = 0
-    v2 = Fraction(1)
+    v2 = half(2)
 
     def at_precision(self, precision: int) -> "DyadicField":
         return DyadicField(precision)
@@ -85,12 +83,12 @@ class DyadicField:
         return self.one if not c.is_zero() else self.zero
 
     def lift_homog(self, c, degree) -> "Dyadic":
-        d = Fraction(degree)
+        """s(c) * 2^degree for an integer degree (an int or a Fraction)."""
         if c.is_zero():
             return self.zero
-        if d.denominator != 1:
-            raise ValueError(f"no element of fractional valuation {d}")
-        return Dyadic(self, 1, int(d), None)
+        if degree.denominator != 1:
+            raise ValueError(f"no element of fractional valuation {degree}")
+        return Dyadic(self, 1, degree.numerator, None)
 
     def zero_to_precision(self, bound: int) -> "Dyadic":
         return Dyadic(self, 0, 0, bound)
@@ -181,17 +179,18 @@ class Dyadic:
         return k.one if self.unit and self.e == 0 else k.zero
 
     def coeff_at(self, degree):
-        """Residue of x / 2^degree, requiring certified v(x) >= degree."""
-        d = Fraction(degree)
+        """Residue of x / 2^degree, requiring certified v(x) >= degree
+        (an int or a Fraction)."""
         k = self.field.residue_field
         if self.unit == 0:
-            if self.abs_prec is None or self.abs_prec >= d:
+            if self.abs_prec is None or self.abs_prec >= degree:
                 return k.zero
-            raise PrecisionExhausted(
-                f"cannot certify v >= {d}; known only v >= {self.abs_prec}")
-        if self.e < d:
-            raise ValueError(f"coeff_at({d}) on element of valuation {self.e}")
-        return k.one if self.e == d else k.zero
+            raise PrecisionExhausted(f"cannot certify v >= {degree}; "
+                                     f"known only v >= {self.abs_prec}")
+        if self.e < degree:
+            raise ValueError(
+                f"coeff_at({degree}) on element of valuation {self.e}")
+        return k.one if self.e == degree else k.zero
 
     def truncated(self, abs_prec: int) -> "Dyadic":
         if self.abs_prec is not None:
@@ -208,7 +207,8 @@ class Dyadic:
         return min(self.abs_prec, other.abs_prec)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        assert other.field == self.field
+        F = self.field
+        assert other.field is F or other.field == F
         prec = self._join_prec(other)
         if self.unit == 0:
             return other.field.make(other.unit, other.e, prec)
@@ -229,7 +229,8 @@ class Dyadic:
         return self.field.make(-self.unit, self.e, self.abs_prec)
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
-        assert other.field == self.field
+        F = self.field
+        assert other.field is F or other.field == F
         prec = None
         if self.abs_prec is not None:
             lb = other.low_bound()

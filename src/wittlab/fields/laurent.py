@@ -28,8 +28,6 @@ Arithmetic never reports more precision than the min/add rules justify.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import DivisionByZero, NegativeValuation, PrecisionExhausted
 from .common import INF, AtLeast, power
 from .gf2m import GF2m, _clmul
@@ -111,13 +109,12 @@ class LaurentField:
         return self.make([(0, c)])
 
     def lift_homog(self, c, degree) -> "Laurent":
-        """s(c) * t^degree for an integer degree."""
-        d = Fraction(degree)
-        if d.denominator != 1:
+        """s(c) * t^degree for an integer degree (an int or a Fraction)."""
+        if degree.denominator != 1:
             if c.is_zero():
                 return self.zero
-            raise ValueError(f"no element of fractional valuation {d}")
-        return self.make([(int(d), c)])
+            raise ValueError(f"no element of fractional valuation {degree}")
+        return self.make([(degree.numerator, c)])
 
     def zero_to_precision(self, bound: int) -> "Laurent":
         return Laurent(self, 0, self._nil, bound)
@@ -271,19 +268,20 @@ class Laurent:
     def coeff_at(self, degree):
         """Residue coefficient of t^degree, requiring certified v(x) >= degree.
 
-        Fractional degrees have no slot: the answer is zero provided the
-        certification holds.  Raises PrecisionExhausted when the element is
-        zero to a precision below `degree`, ValueError when v(x) < degree.
+        The degree is an int or a Fraction.  Fractional degrees have no
+        slot: the answer is zero provided the certification holds.  Raises
+        PrecisionExhausted when the element is zero to a precision below
+        `degree`, ValueError when v(x) < degree.
         """
-        d = degree if isinstance(degree, (int, Fraction)) else Fraction(degree)
         if not self.digits:
-            if self.abs_prec is None or self.abs_prec >= d:
+            if self.abs_prec is None or self.abs_prec >= degree:
                 return self.field.residue_field.zero
-            raise PrecisionExhausted(
-                f"cannot certify v >= {d}; known only v >= {self.abs_prec}")
-        if self.v0 < d:
-            raise ValueError(f"coeff_at({d}) on element of valuation {self.v0}")
-        if d.denominator != 1 or self.v0 > d:
+            raise PrecisionExhausted(f"cannot certify v >= {degree}; "
+                                     f"known only v >= {self.abs_prec}")
+        if self.v0 < degree:
+            raise ValueError(
+                f"coeff_at({degree}) on element of valuation {self.v0}")
+        if degree.denominator != 1 or self.v0 > degree:
             return self.field.residue_field.zero
         return self._coeff(0)
 

@@ -6,7 +6,10 @@ homogeneous quantity is stored as its k-coefficient, the T-power being
 implied by the degree slot.  A space holds basis degrees gamma_i (exact
 rationals), the k-coefficients of q(e_i) at degree 2*gamma_i, and the
 k-coefficients of b(e_i, e_j) at degree gamma_i + gamma_j + eps; slots
-whose implied degree is not an integer are forced to zero.
+whose implied degree is not an integer are forced to zero.  The degrees
+and eps are built with `fields.common.grid`: a `Half` on (1/2)Z, whose
+coset in Q/Z is read off its doubled numerator, and a plain `Fraction`
+off it (a degree such as 1/3, which pairs freely with its involute).
 
 Types: I (eps = 0, b is the polar of q), II (q totally singular, b
 alternating), III (q(v) = tau^-1 b(v,v) for tau = the image of 2, only
@@ -27,20 +30,17 @@ from fractions import Fraction
 from . import linalg, residue_witt
 from .errors import (DegenerateForm, SingularMatrix, Undecidable,
                      WrongCase)
-from .fields.common import INF
+from .fields.common import HALF, INF, grid, half
 from .quadform import QuadraticForm, split_gram
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                            kquad_isotropic_vector, sq_normalize)
 
-HALF = Fraction(1, 2)
-
-
 def _is_int(d: Fraction) -> bool:
-    return Fraction(d).denominator == 1
+    return d.denominator == 1
 
 
 def coset(d: Fraction) -> Fraction:
-    return Fraction(d) % 1
+    return d % 1
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class ShiftedQuadSpace:
     def __init__(self, k, v2, eps, degrees, qvals, bmat, type_tag):
         self.k = k
         self.v2 = v2  # Fraction or INF; needed to tell types II and III apart
-        self.eps = Fraction(eps)
-        self.degrees = tuple(Fraction(d) for d in degrees)
+        self.eps = grid(eps)
+        self.degrees = tuple(map(grid, degrees))
         self.qvals = tuple(qvals)
         self.bmat = tuple(tuple(row) for row in bmat)
         self.type_tag = type_tag
@@ -181,7 +181,7 @@ def validate(S: ShiftedQuadSpace):
             if not S.bmat[i][i].is_zero():
                 return f"type II requires alternating b; b(e_{i},e_{i}) != 0"
     elif S.type_tag == "III":
-        if S.v2 == INF or S.eps != Fraction(S.v2):
+        if S.v2 == INF or S.eps != S.v2:
             return "type III requires eps = v(2) < infinity"
         for i in range(n):
             if S.qvals[i] != S.bmat[i][i]:
@@ -212,12 +212,12 @@ class OrbitPartition:
 
 
 def orbit_partition(eps) -> OrbitPartition:
-    eps = Fraction(eps)
-    if eps < 0 or (2 * eps).denominator != 1:
+    eps = grid(eps)
+    if eps < 0 or eps.denominator > 2:
         raise DegenerateForm(f"depth {eps} is not on the half-integer grid")
     if _is_int(eps):
-        return OrbitPartition(eps, ((Fraction(0),), (HALF,)))
-    return OrbitPartition(eps, ((Fraction(0), HALF),))
+        return OrbitPartition(eps, ((half(0),), (HALF,)))
+    return OrbitPartition(eps, ((half(0), HALF),))
 
 
 def _subspace(S: ShiftedQuadSpace, idx) -> ShiftedQuadSpace:
@@ -264,18 +264,18 @@ def default_choice(S: ShiftedQuadSpace) -> UniformizingChoice:
     """Powers of the canonical uniformizer image, unit coefficients."""
     one = S.k.one
     if S.type_tag == "I":
-        rho = HomogeneousScalar(Fraction(0), one)
+        rho = HomogeneousScalar(half(0), one)
     elif S.type_tag == "III":
-        rho = HomogeneousScalar(Fraction(S.v2), one)
+        rho = HomogeneousScalar(S.v2, one)
     elif _is_int(S.eps):
         rho = HomogeneousScalar(S.eps, one)
     else:
         rho = HomogeneousScalar(2 * S.eps, one)
     if _is_int(S.eps):
-        pi = {Fraction(0): HomogeneousScalar(Fraction(0), one),
-              HALF: HomogeneousScalar(Fraction(1), one)}
+        pi = {half(0): HomogeneousScalar(half(0), one),
+              HALF: HomogeneousScalar(half(2), one)}
     else:
-        pi = {Fraction(0): HomogeneousScalar(Fraction(0), one)}
+        pi = {half(0): HomogeneousScalar(half(0), one)}
     return UniformizingChoice(rho, pi)
 
 
@@ -326,7 +326,8 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
     for (c,) in orbit_partition(S.eps).principal:
         idx = cosets.get(c, [])
         h = choice.pi[c]
-        assert coset(h.degree / 2) == c, "pi degree is off the orbit grid"
+        assert coset(half(h.degree.numerator)) == c, \
+            "pi degree is off the orbit grid"
         ip = h.coeff.inv()
         ipr = (h.coeff * choice.rho.coeff).inv()
         qv = [ip * S.qvals[i] for i in idx]
@@ -361,7 +362,7 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
         choice = default_choice(S)
     k = S.k
     (key, h), = choice.pi.items()
-    gamma = coset(h.degree / 2)
+    gamma = coset(half(h.degree.numerator))
     assert gamma == key, "pi keyed inconsistently with its degree"
     cosets = coset_decomposition(S)
     idx_a = cosets.get(gamma, [])
@@ -546,7 +547,7 @@ def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> 
                 out[c] = residue_witt.WClass(S.k, len(obj.diag) % 2)
     else:
         sep = descend_case2(S, choice)
-        out[(Fraction(0), HALF)] = residue_witt.ssq_witt_class(sep)
+        out[(half(0), HALF)] = residue_witt.ssq_witt_class(sep)
     return out
 
 

@@ -2,22 +2,27 @@
 
 A v-norm is stored through a splitting basis (columns of an invertible
 matrix over the base field) and rational values; alpha(sum l_i e_i) =
-min(v(l_i) + gamma_i).  A depth certificate witnesses the three
-compatibility conditions at depth eps: (a) and (b) are valuation bounds
-on the splitting basis, (c) is invertibility over the residue field of
-the matrix of leading coefficients, which is exactly nondegeneracy of
-the induced graded form.  A certificate carries the Gram data it was
-certified with (q(e_i), b(e_i, e_j) and their leading coefficients), so
-the induced space, the depth-reduction step and the residue symbol read
-it instead of recomputing it.
+min(v(l_i) + gamma_i).  The builders and the reduction step make values
+and depths on the grid (1/2)Z, as `Half`s (`fields.common`); norm_shift
+lowers values by half a depth step, which can leave a value on the
+quarter grid, and such a value stays a plain Fraction.
+
+A depth certificate witnesses the three compatibility conditions at
+depth eps: (a) and (b) are valuation bounds on the splitting basis, (c)
+is invertibility over the residue field of the matrix of leading
+coefficients, which is exactly nondegeneracy of the induced graded
+form.  A certificate carries the Gram data it was certified with (q(e_i),
+b(e_i, e_j) and their leading coefficients), so the induced space, the
+depth-reduction step and the residue symbol read it instead of
+recomputing it.
 
 Depth reduction follows the constructive proof of the metabolicity
 criterion: decompose the induced space into metabolic planes, lift the
 witness basis through the section, measure the slack eps' > 0, raise
 the values of the isotropic half by eps'.  The descent repeats it until
 the induced space carries a nonzero residue invariant, which is returned
-as the irreducibility evidence; the wildness index descends from
-initial_norm.
+as the irreducibility evidence and kept on the final certificate for
+the residue symbol; the wildness index descends from initial_norm.
 
 An orthogonal sum of eps-compatible norms is eps-compatible, so
 extend_certificate joins a certificate and the builder norm of a summand
@@ -36,17 +41,15 @@ precisions; check_compatibility reads the upper triangle, the one that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as datafield
+from dataclasses import dataclass, field as datafield, replace
 from fractions import Fraction
 
 from . import graded, linalg
 from .errors import (GridViolation, NotApplicable, PrecisionExhausted,
                      SingularForm, WittlabError)
-from .fields.common import INF, AtLeast
+from .fields.common import INF, AtLeast, grid, half
 from .graded import ShiftedQuadSpace, UniformizingChoice
 from .quadform import QuadraticForm, _combine, gram_of, symplectic_blocks
-
-HALF = Fraction(1, 2)
 
 
 class VNorm:
@@ -55,7 +58,7 @@ class VNorm:
     def __init__(self, field, basis, values):
         self.field = field
         self.basis = tuple(tuple(row) for row in basis)
-        self.values = tuple(Fraction(v) for v in values)
+        self.values = tuple(map(grid, values))
         self.n = len(self.values)
 
     def __repr__(self):
@@ -74,10 +77,10 @@ class VNorm:
         for i in range(self.n):
             v = lam[i][0].valuation()
             if isinstance(v, AtLeast):
-                b = Fraction(v.bound) + self.values[i]
+                b = v.bound + self.values[i]
                 bound = b if bound is None else min(bound, b)
             elif v != INF:
-                c = Fraction(v) + self.values[i]
+                c = v + self.values[i]
                 best = c if best is None else min(best, c)
         if best is None:
             return AtLeast(bound) if bound is not None else INF
@@ -110,6 +113,9 @@ class DepthCertificate:
     be: list = datafield(repr=False, compare=False)
     lead: list = datafield(repr=False, compare=False)
     checked: tuple = ("a", "b", "c")
+    # orbit -> residue invariant of the induced space, kept by descend
+    # from the NotReducible step that stopped it
+    evidence: dict = datafield(default=None, repr=False, compare=False)
 
     def revalidate(self):
         """Recheck from form, norm and eps alone, ignoring the Gram data."""
@@ -131,7 +137,7 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
 
     _gram, a (qe, be) pair already computed on the norm's basis, is used
     instead of recomputing it."""
-    eps = Fraction(eps)
+    eps = grid(eps)
     if q.n != norm.n:
         return CompatibilityViolation("a", "dimension mismatch")
     qe, be = _gram if _gram is not None else _gram_on_basis(q, norm)
@@ -194,7 +200,7 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
     v2 = F.v2
     if eps == 0:
         tag = "I"
-    elif v2 != INF and eps == Fraction(v2):
+    elif v2 != INF and eps == v2:
         tag = "III"
     else:
         tag = "II"
@@ -239,22 +245,23 @@ def builder_binary(field, a, b):
     la_bound, lb_bound = a.low_bound(), b.low_bound()
     if la is not None and lb is not None and la != INF and lb != INF \
             and la + lb <= 0:
-        eps = -Fraction(la + lb) / 2
-        if field.v2 != INF and eps >= Fraction(field.v2):
+        eps = half(-(la + lb))
+        if field.v2 != INF and eps >= field.v2:
             raise NotApplicable(
                 f"depth {eps} >= v(2); no compatible norm from this builder")
-        return VNorm(field, e, [Fraction(la) / 2, Fraction(lb) / 2]), eps
+        return VNorm(field, e, [half(la), half(lb)]), eps
     if la_bound + lb_bound < 0:
         raise PrecisionExhausted(
             "a truncated entry leaves the sign of v(a) + v(b) uncertified")
     # v(a) + v(b) >= 0 certified from here on: depth 0
+    zero = half(0)
     if lb_bound < 0:
-        h = Fraction(lb_bound) / 2
-        return VNorm(field, e, [-h, h]), Fraction(0)
+        h = half(lb_bound)
+        return VNorm(field, e, [-h, h]), zero
     if la_bound < 0:
-        h = Fraction(la_bound) / 2
-        return VNorm(field, e, [h, -h]), Fraction(0)
-    return VNorm(field, e, [Fraction(0), Fraction(0)]), Fraction(0)
+        h = half(la_bound)
+        return VNorm(field, e, [h, -h]), zero
+    return VNorm(field, e, [zero, zero]), zero
 
 
 def builder_unary(field, a):
@@ -264,7 +271,7 @@ def builder_unary(field, a):
     va = a.valuation()
     if isinstance(va, AtLeast) or va == INF:
         raise NotApplicable("cannot build a norm on a (near) zero form")
-    return VNorm(field, [[field.one]], [Fraction(va) / 2]), Fraction(field.v2)
+    return VNorm(field, [[field.one]], [half(va)]), field.v2
 
 
 def _values_at_depth(built, eps):
@@ -284,7 +291,7 @@ def initial_norm(q: QuadraticForm) -> DepthCertificate:
     """Blockwise norms lifted to the maximal block depth (see
     _values_at_depth)."""
     if q.n == 0:
-        return require_certificate(q, VNorm(q.field, [], []), Fraction(0))
+        return require_certificate(q, VNorm(q.field, [], []), half(0))
     blocks, M = symplectic_blocks(q)
     built = []
     for blk in blocks:
@@ -346,7 +353,7 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
     """
     F = q.field
     eps = cert.eps
-    if F.v2 != INF and eps >= Fraction(F.v2):
+    if F.v2 != INF and eps >= F.v2:
         raise NotApplicable("binary splitting requires eps < v(2)")
     _require_certified_form(q, cert)
     vecs = [cert.norm.column(i) for i in range(cert.norm.n)]
@@ -373,7 +380,7 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
         giv = gij.inv()
         e = vecs[i]
         f = [c * giv for c in vecs[j]]  # b(e, f) = 1
-        ge, gf = vals[i], vals[j] - Fraction(gij.valuation())
+        ge, gf = vals[i], vals[j] - gij.valuation()
         blocks.append(((q.evaluate(e), q.evaluate(f)), (ge, gf), (e, f)))
         keep = [r for r in range(m) if r not in (i, j)]
         # orthogonal projection away from span(e, f): the determinant
@@ -443,13 +450,13 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
         for l in range(len(es)):
             qv = qe[l].low_bound()
             if qv != INF:
-                terms.append(Fraction(qv) / 2 - e_vals[l])
+                terms.append(half(qv) - e_vals[l])
             for m in range(len(es)):
                 if m == l:
                     continue
                 bb = Ge[l][m].low_bound()
                 if bb != INF:
-                    terms.append(Fraction(bb) - e_vals[l] - e_vals[m] - gamma)
+                    terms.append(bb - e_vals[l] - e_vals[m] - gamma)
         eps_prime = min(terms)
         if eps_prime <= 0:
             raise PrecisionExhausted(
@@ -470,11 +477,14 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
 
 
 def descend(cert: DepthCertificate) -> DepthCertificate:
-    """Loop depth_reduce from cert down to the minimal depth of its form."""
+    """Loop depth_reduce from cert down to the minimal depth of its form.
+
+    A descent that stops at a NotReducible step returns the certificate
+    with that step's evidence, which the residue symbol then reads."""
     while cert.eps > 0:
         step = depth_reduce(cert.form, cert)
         if isinstance(step, NotReducible):
-            break
+            return replace(cert, evidence=step.evidence)
         cert = step
     return cert
 
