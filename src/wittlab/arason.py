@@ -29,7 +29,6 @@ from . import graded, norms, residue_witt
 from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
                      UnsupportedResidueField)
 from .fields.common import HALF, INF, grid, half
-from .fields.gf2m import GF2m
 from .graded import default_choice, orbit_invariants
 from .norms import (_require_certified_form, descend, extend_certificate,
                     induced_space, norm_shift, require_certificate,
@@ -198,10 +197,6 @@ class CanonicalDecomposition:
         }
 
 
-def _canonical_supported(field):
-    return isinstance(field.residue_field, GF2m)
-
-
 def decomposition_form(field, dec: CanonicalDecomposition) -> QuadraticForm:
     """The explicit representative built from the parameters.
 
@@ -231,7 +226,7 @@ def decomposition_form(field, dec: CanonicalDecomposition) -> QuadraticForm:
 def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
     """Unique parameters of the Witt class over a perfect residue field."""
     F = q.field
-    if not _canonical_supported(F):
+    if not F.residue_field.is_perfect:
         raise UnsupportedResidueField(
             "canonical decomposition needs a perfect residue field")
     k = F.residue_field
@@ -285,10 +280,6 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
 # -- equality ------------------------------------------------------------------
 
 
-def _difference(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    return q1.ortho_sum(-q2)
-
-
 def class_is_zero_tame_oracle(q: QuadraticForm):
     """Independent zero test: wildness 0 and vanishing tame symbol.
 
@@ -301,7 +292,7 @@ def class_is_zero_tame_oracle(q: QuadraticForm):
         return False
     S = induced_space(q, cert)
     descended = graded.descend_case1(S, default_choice(S))
-    if isinstance(q.field.residue_field, GF2m):
+    if q.field.residue_field.is_perfect:
         return all(obj.n == 0 or
                    residue_witt.kquad_witt_class(obj).is_zero()
                    for obj in descended.values())
@@ -315,10 +306,9 @@ def witt_equal(q1: QuadraticForm, q2: QuadraticForm):
     """True, False, or INDISTINGUISHABLE (imperfect residue at depth 0)."""
     if q1.field != q2.field:
         raise NotApplicable("forms over different fields")
-    if _canonical_supported(q1.field):
+    if q1.field.residue_field.is_perfect:
         return canonical_decomposition(q1) == canonical_decomposition(q2)
-    res = class_is_zero_tame_oracle(_difference(q1, q2))
-    return res
+    return class_is_zero_tame_oracle(q1.ortho_sum(-q2))
 
 
 # -- the thirty-two classes over Q_2 ----------------------------------------------

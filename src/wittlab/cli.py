@@ -58,32 +58,25 @@ def _pinned(field):
     return pinned
 
 
-def _fmt(field, x) -> str:
-    return field.format_elem(x)
-
-
-def _kfmt(k, c) -> str:
-    return k.format_elem(c)
-
-
 def _invariant_payload(inv, k):
     from .residue_witt import TensorElem, WClass, WedgeElem, WqClass
     if isinstance(inv, WqClass):
         if inv.decides():
             return {"group": "Wq", "arf": inv.arf}
         return {"group": "Wq(partial)",
-                "raw": [[_kfmt(k, a), _kfmt(k, b)] for a, b in inv.raw],
-                "arf_representative": _kfmt(k, inv.arf_representative)}
+                "raw": [[k.format_elem(a), k.format_elem(b)] for a, b in inv.raw],
+                "arf_representative": k.format_elem(inv.arf_representative)}
     if isinstance(inv, WedgeElem):
         coord = inv.coordinate()
         return {"group": "wedge",
-                "coordinate_on_1^x": "0" if inv.is_zero() else _kfmt(k, coord)}
+                "coordinate_on_1^x": "0" if inv.is_zero() else k.format_elem(coord)}
     if isinstance(inv, TensorElem):
-        if getattr(k, "is_perfect", False):
-            return {"group": "tensor", "coordinate_on_1@1": _kfmt(k, inv.coords[0])}
+        if k.is_perfect:
+            return {"group": "tensor",
+                    "coordinate_on_1@1": k.format_elem(inv.coords[0])}
         names = ("1@1", "1@x", "x@1", "x@x")
         return {"group": "tensor",
-                "coordinates": {n: _kfmt(k, c * c)
+                "coordinates": {n: k.format_elem(c * c)
                                 for n, c in zip(names, inv.coords)}}
     if isinstance(inv, WClass):
         return {"group": "W", "dim_mod_2": inv.bit}
@@ -104,7 +97,7 @@ def _certificate_payload(cert, field):
     return {
         "depth": str(cert.eps),
         "values": [str(v) for v in cert.norm.values],
-        "basis_columns": [[_fmt(field, cert.norm.basis[r][c])
+        "basis_columns": [[field.format_elem(cert.norm.basis[r][c])
                            for r in range(cert.norm.n)]
                           for c in range(cert.norm.n)],
         "conditions_checked": list(cert.checked),
@@ -207,7 +200,8 @@ def _fixture_example_1(precision, degree_cap):
     entries.append(_assert_entry(
         "[1+t, t^-1+t]_W = [1, t^-1]_W + [t, t^-1]_W",
         [[False, "1", "1"], [True, "1", "t"]],
-        [[t.scaled, _fmt(F2t, t.alpha), _fmt(F2t, t.beta)] for t in expr.terms]))
+        [[t.scaled, F2t.format_elem(t.alpha), F2t.format_elem(t.beta)]
+         for t in expr.terms]))
     return entries
 
 
@@ -391,30 +385,28 @@ def run(argv):
     return 0
 
 
+# (error types, "error" value, exit code), matched in order; any other
+# WittlabError reports its class name and exits 1
+ERRORS = (
+    ((FormSyntaxError,), "syntax", EXIT_SYNTAX),
+    ((UsageError,), "usage", EXIT_SYNTAX),
+    ((UnsupportedResidueField, Undecidable), "unsupported", EXIT_UNSUPPORTED),
+    ((PrecisionExhausted,), "precision-exhausted", EXIT_PRECISION),
+)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         return run(argv)
-    except FormSyntaxError as e:
-        print(json.dumps({"schema": SCHEMA, "error": "syntax", "message": str(e),
-                          "line": e.line, "column": e.column}, sort_keys=True))
-        return EXIT_SYNTAX
-    except UsageError as e:
-        print(json.dumps({"schema": SCHEMA, "error": "usage", "message": str(e)},
-                         sort_keys=True))
-        return EXIT_SYNTAX
-    except (UnsupportedResidueField, Undecidable) as e:
-        print(json.dumps({"schema": SCHEMA, "error": "unsupported",
-                          "message": str(e)}, sort_keys=True))
-        return EXIT_UNSUPPORTED
-    except PrecisionExhausted as e:
-        print(json.dumps({"schema": SCHEMA, "error": "precision-exhausted",
-                          "message": str(e)}, sort_keys=True))
-        return EXIT_PRECISION
     except WittlabError as e:
-        print(json.dumps({"schema": SCHEMA, "error": type(e).__name__,
-                          "message": str(e)}, sort_keys=True))
-        return 1
+        error, code = next(((error, code) for types, error, code in ERRORS
+                            if isinstance(e, types)), (type(e).__name__, 1))
+        out = {"schema": SCHEMA, "error": error, "message": str(e)}
+        if isinstance(e, FormSyntaxError):
+            out.update(line=e.line, column=e.column)
+        print(json.dumps(out, sort_keys=True))
+        return code
     except Exception as e:
         traceback.print_exc()
         print(json.dumps({"schema": SCHEMA, "error": "internal",

@@ -19,7 +19,10 @@ kernels for types II/III, genuine quadratic forms over k (`QuadraticForm`s)
 for type I.  The descended residue objects are split by the kernel of the
 valued forms, `quadform.split_gram`.  `metabolic_planes` keeps its own
 projection: it splits on a combination vector, and its planes fix the
-printed certificate basis.
+printed certificate basis.  It chooses the kept basis first
+(`linalg.independent_rows`; graded vectors of different degree classes
+have disjoint supports, so one echelon serves all classes) and forms
+the projected Gram on the kept rows only.
 """
 
 from __future__ import annotations
@@ -123,12 +126,8 @@ class GradedVector:
 
     def combine(self, scalars, others):
         """self + sum scalars[r] * others[r] (k-scalars, implicit shifts)."""
-        coords = list(self.coords)
-        for s, o in zip(scalars, others):
-            if s.is_zero():
-                continue
-            for i, c in enumerate(o.coords):
-                coords[i] = coords[i] + s * c
+        coords = linalg.combine(self.coords, [(s, o.coords)
+                                              for s, o in zip(scalars, others)])
         return GradedVector(self.space, self.degree, tuple(coords))
 
     def rescaled(self, s):
@@ -208,7 +207,6 @@ class OrbitPartition:
 
     eps: Fraction
     principal: tuple  # tuples of coset representatives in {0, 1/2}
-    metabolic_note: str = "classes off the half-grid pair freely with their involutes"
 
 
 def orbit_partition(eps) -> OrbitPartition:
@@ -286,7 +284,7 @@ def random_choice(S: ShiftedQuadSpace, rng) -> UniformizingChoice:
 
     def unit():
         while True:
-            if getattr(k, "is_perfect", False):
+            if k.is_perfect:
                 c = k.random(rng)
             else:
                 c = k.random(rng, 1)
@@ -333,10 +331,7 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
         qv = [ip * S.qvals[i] for i in idx]
         bm = [[ipr * S.bmat[i][j] for j in idx] for i in idx]
         if S.type_tag == "I":
-            n = len(idx)
-            rows = [[qv[i] if i == j else (bm[i][j] if j > i else k.zero)
-                     for j in range(n)] for i in range(n)]
-            out[c] = QuadraticForm(k, rows)
+            out[c] = QuadraticForm.from_gram(k, qv, bm)
         elif S.type_tag == "II":
             out[c] = sq_normalize(qv, bm, k)[0] if idx else \
                 SymplecticQuadSpace(k, ())
@@ -415,7 +410,7 @@ def _find_isotropic_rel(S: ShiftedQuadSpace, vecs, qs, G):
                 out[r] = k.one
                 return out
         if S.type_tag in ("II", "III"):
-            if getattr(k, "is_perfect", False):
+            if k.is_perfect:
                 rows = [[qs[r].sqrt() for r in idx]]
             else:
                 splits = [k.frobenius_coordinates(qs[r]) for r in idx]
@@ -427,11 +422,8 @@ def _find_isotropic_rel(S: ShiftedQuadSpace, vecs, qs, G):
                     out[r] = a
                 return out
         else:
-            n = len(idx)
-            rows = [[qs[idx[i]] if i == j else
-                     (G[idx[i]][idx[j]] if j > i else k.zero)
-                     for j in range(n)] for i in range(n)]
-            form = QuadraticForm(k, rows)
+            form = QuadraticForm.from_gram(k, [qs[r] for r in idx],
+                                           [[G[r][c] for c in idx] for r in idx])
             try:
                 sol = kquad_isotropic_vector(form)
             except DegenerateForm:
@@ -442,7 +434,7 @@ def _find_isotropic_rel(S: ShiftedQuadSpace, vecs, qs, G):
                 for r, a in zip(idx, sol):
                     out[r] = a
                 return out
-            if not getattr(k, "is_perfect", False):
+            if not k.is_perfect:
                 undecided = True
     if undecided:
         raise Undecidable(
@@ -484,17 +476,16 @@ def metabolic_planes(S: ShiftedQuadSpace):
         for c in range(m):
             lams.append((bx[c] * gyy + by[c]) * den)
             mus.append((by[c] * bxx + bx[c]) * den)
-        projected = []
-        for c in range(m):
-            w2 = vecs[c].combine([lams[c], mus[c]], [x, y])
-            projected.append(w2)
-        # project the Gram: w_c' is orthogonal to x and y, so
-        # b(w_r', w_c') = b(w_r, w_c) + lam_c b(w_r,x) + mu_c b(w_r,y)
-        G2 = [[G[r][c] + lams[c] * bx[r] + mus[c] * by[r] for c in range(m)]
-              for r in range(m)]
-        keep = _select_independent(projected, k, m - 2)
+        projected = [vecs[c].combine([lams[c], mus[c]], [x, y])
+                     for c in range(m)]
+        keep = linalg.independent_rows([w.coords for w in projected], m - 2)
+        assert len(keep) == m - 2, "projection lost rank"
         vecs = [projected[r] for r in keep]
-        G = [[G2[r][c] for c in keep] for r in keep]
+        # project the Gram on the kept rows: w_c' is orthogonal to x and y,
+        # so b(w_r', w_c') = b(w_r, w_c) + lam_c b(w_r,x) + mu_c b(w_r,y),
+        # and residue arithmetic is exact, so the mirror is that entry too
+        G = linalg.symmetric(keep, lambda r, c: G[r][c] + lams[c] * bx[r]
+                             + mus[c] * by[r])
     return planes
 
 
@@ -504,32 +495,6 @@ def sum_k(k, items):
         if not it.is_zero():
             acc = acc + it
     return acc
-
-
-def _select_independent(cands, k, want):
-    """Greedy graded-independent subset (indices): per degree class the
-    coordinate rows must grow the k-rank; reduction is incremental."""
-    chosen = []
-    reduced_by_class: dict = {}
-    for ci, v in enumerate(cands):
-        if len(chosen) == want:
-            break
-        if v.is_zero():
-            continue
-        c = coset(v.degree)
-        reduced = reduced_by_class.setdefault(c, [])
-        row = list(v.coords)
-        for (lead, base) in reduced:
-            if not row[lead].is_zero():
-                f = row[lead] * base[lead].inv()
-                row = [row[t] + f * base[t] for t in range(len(row))]
-        lead = next((t for t, val in enumerate(row) if not val.is_zero()), None)
-        if lead is None:
-            continue
-        reduced.append((lead, row))
-        chosen.append(ci)
-    assert len(chosen) == want, "projection lost rank"
-    return chosen
 
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:
@@ -568,8 +533,7 @@ def is_metabolic(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Meta
     except Undecidable:
         exact_classes = False
     planes = metabolic_planes(S)
-    if exact_classes and not (S.type_tag == "I" and
-                              not getattr(S.k, "is_perfect", False)):
+    if exact_classes and not (S.type_tag == "I" and not S.k.is_perfect):
         classes_zero = all(inv.is_zero() for inv in evidence.values())
         assert classes_zero == (planes is not None), \
             "descent invariants disagree with the witness search"

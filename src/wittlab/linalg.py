@@ -10,6 +10,11 @@ Two regimes:
   division-free elimination so that exact zeros stay exact: a singular
   matrix of exact entries is *certified* singular instead of drowning in
   lost precision.
+
+The steps the splitting routines share live here once: the pivot rule
+`min_valuation` (the first nonzero entry under the trivial valuation of
+a residue field), basis completion `independent_rows`, the join
+`block_diag`, `combine` and the mirrored update `symmetric`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,52 @@ def transpose(A):
 
 def identity(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def block_diag(A, B, zero):
+    """The block-diagonal matrix diag(A, B), as lists of rows."""
+    n, m = len(A), len(B)
+    return [list(row) + [zero] * m for row in A] + \
+        [[zero] * n + list(row) for row in B]
+
+
+def combine(vec, terms):
+    """vec + sum coeff*other over (coeff, other) terms, skipping zero
+    coefficients and zero entries."""
+    out = list(vec)
+    for coeff, other in terms:
+        if coeff.is_exactly_zero():
+            continue
+        for r in range(len(out)):
+            if not other[r].is_exactly_zero():
+                out[r] = out[r] + coeff * other[r]
+    return out
+
+
+def symmetric(keep, entry):
+    """The symmetric matrix [entry(r, c)] over r, c in keep, formed on the
+    upper triangle and mirrored.  Callers pass an entry that is a
+    symmetric expression in (r, c) over a symmetric Gram; field sums and
+    products are commutative in value and precision, so the mirror is the
+    entry that the lower triangle would compute."""
+    m = len(keep)
+    G = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            G[a][b] = G[b][a] = entry(keep[a], keep[b])
+    return G
+
+
+def min_valuation(cands):
+    """The key of the certified-nonzero entry of minimal valuation among
+    (key, entry) pairs, ties to the smaller key; None if there is none."""
+    best = None
+    for key, x in cands:
+        if x.is_certified_nonzero():
+            v = x.valuation()
+            if best is None or v < best[0] or (v == best[0] and key < best[1]):
+                best = (v, key)
+    return None if best is None else best[1]
 
 
 # -- exact residue-field elimination ---------------------------------------
@@ -66,6 +117,27 @@ def rref_exact(A):
     return R, pivots
 
 
+def independent_rows(rows, want):
+    """Indices of the first rows, in order, that stay linearly independent
+    over an exact field, at most `want` of them.  One incremental echelon
+    pass: each row is reduced by the rows kept before it."""
+    chosen, echelon = [], []  # echelon: (lead column, its inverse, row)
+    for idx, row in enumerate(rows):
+        if len(chosen) == want:
+            break
+        row = list(row)
+        for lead, inv, base in echelon:
+            if not row[lead].is_zero():
+                f = row[lead] * inv
+                row = [x if b.is_zero() else x - f * b for x, b in zip(row, base)]
+        lead = next((t for t, x in enumerate(row) if not x.is_zero()), None)
+        if lead is None:
+            continue
+        echelon.append((lead, row[lead].inv(), row))
+        chosen.append(idx)
+    return chosen
+
+
 def kernel_exact(A, zero, one):
     """Basis of the right kernel of A over an exact field."""
     if not A:
@@ -85,7 +157,7 @@ def kernel_exact(A, zero, one):
 
 def invert_exact(A, zero, one):
     n = len(A)
-    aug = [A[i][:] + identity(n, zero, one)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(A, identity(n, zero, one))]
     R, pivots = rref_exact(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix over the residue field is singular")
@@ -93,19 +165,6 @@ def invert_exact(A, zero, one):
 
 
 # -- valued-field elimination -----------------------------------------------
-
-
-def _pick_pivot(R, rows_left, cols_left):
-    """Certified-nonzero entry of minimal valuation; None if all zero."""
-    best = None
-    for i in rows_left:
-        for j in cols_left:
-            x = R[i][j]
-            if x.is_certified_nonzero():
-                v = x.valuation()
-                if best is None or v < best[0] or (v == best[0] and (i, j) < best[1]):
-                    best = (v, (i, j))
-    return best[1] if best else None
 
 
 def is_invertible_certified(A) -> bool:
@@ -122,7 +181,8 @@ def is_invertible_certified(A) -> bool:
     rows_left = list(range(n))
     cols_left = list(range(n))
     while rows_left:
-        piv = _pick_pivot(R, rows_left, cols_left)
+        piv = min_valuation(((i, j), R[i][j])
+                            for i in rows_left for j in cols_left)
         if piv is None:
             if all(R[i][j].is_exactly_zero() for i in rows_left for j in cols_left):
                 return False
@@ -152,7 +212,8 @@ def solve_valued(A, B):
     cols_left = list(range(n))
     order = []
     while rows_left:
-        piv = _pick_pivot(R, rows_left, cols_left)
+        piv = min_valuation(((i, j), R[i][j])
+                            for i in rows_left for j in cols_left)
         if piv is None:
             if all(R[i][j].is_exactly_zero() for i in rows_left for j in cols_left):
                 raise SingularMatrix("valued matrix is singular")

@@ -49,7 +49,7 @@ from .errors import (GridViolation, NotApplicable, PrecisionExhausted,
                      SingularForm, WittlabError)
 from .fields.common import INF, AtLeast, grid, half
 from .graded import ShiftedQuadSpace, UniformizingChoice
-from .quadform import QuadraticForm, _combine, gram_of, symplectic_blocks
+from .quadform import QuadraticForm, gram_of, symplectic_blocks
 
 
 class VNorm:
@@ -213,14 +213,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
 
 def norm_sum(n1: VNorm, n2: VNorm) -> VNorm:
     assert n1.field == n2.field
-    z = n1.field.zero
-    n, m = n1.n, n2.n
-    rows = []
-    for i in range(n):
-        rows.append(list(n1.basis[i]) + [z] * m)
-    for i in range(m):
-        rows.append([z] * n + list(n2.basis[i]))
-    return VNorm(n1.field, rows, n1.values + n2.values)
+    return VNorm(n1.field, linalg.block_diag(n1.basis, n2.basis, n1.field.zero),
+                 n1.values + n2.values)
 
 
 def norm_shift(norm: VNorm, old_depth, new_depth) -> VNorm:
@@ -336,13 +330,10 @@ def extend_certificate(cert: DepthCertificate,
             f"summand depth {built[1]} exceeds the certified depth {eps}")
     norm = VNorm(F, built[0].basis, _values_at_depth(built, eps))
     sq, sb = _gram_on_basis(summand, norm)
-    z = F.zero
-    n, m = cert.norm.n, summand.n
-    be = [list(row) + [z] * m for row in cert.be]
-    be += [[z] * n + row for row in sb]
     return require_certificate(cert.form.ortho_sum(summand),
                                norm_sum(cert.norm, norm), eps,
-                               _gram=(list(cert.qe) + sq, be))
+                               _gram=(list(cert.qe) + sq,
+                                      linalg.block_diag(cert.be, sb, F.zero)))
 
 
 def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
@@ -390,7 +381,8 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
         d0i = d0.inv()
         lam = {r: (G[r][i] * gff - gef * (G[r][j] * giv)) * d0i for r in keep}
         mu = {r: (gee * (G[r][j] * giv) - G[r][i] * gef) * d0i for r in keep}
-        vecs = [_combine(vecs[r], [(-lam[r], e), (-mu[r], f)]) for r in keep]
+        vecs = [linalg.combine(vecs[r], [(-lam[r], e), (-mu[r], f)])
+                for r in keep]
         vals = [vals[r] for r in keep]
         # b(u', w') = b(u, w') since u' is already orthogonal to e and f
         G = [[G[r][c] - lam[c] * G[r][i] - mu[c] * (G[r][j] * giv)
@@ -467,8 +459,7 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     G = gram_of(q.polar_matrix(), basis_cols, F.zero,
                 head=len(es), on_head=certify_slack)
     values = [v + eps_prime for v in e_vals] + f_vals
-    M = [[basis_cols[c][r] for c in range(len(basis_cols))] for r in range(q.n)]
-    new_norm = VNorm(F, M, values)
+    new_norm = VNorm(F, linalg.transpose(basis_cols), values)
     res = check_compatibility(q, new_norm, gamma - eps_prime, _gram=(qe, G))
     if isinstance(res, CompatibilityViolation):
         raise PrecisionExhausted(

@@ -11,14 +11,15 @@ relies on.
 `split_gram` is the one splitting kernel, a symplectic Gram-Schmidt on
 a symmetric Gram matrix: split one-dimensional lines while the diagonal
 has a certified-nonzero entry (characteristic 0), then split binary
-blocks on pivot pairs of minimal valuation, ties broken
-lexicographically, and hand back what is left when no certified pivot
-remains.  `symplectic_blocks`, the ungraded normalisation, runs it on
-the polar form.  The residue-field routines of `residue_witt` and
-`graded` run it too: residue elements (`GF2m`, `GF(2^m)(x)`) carry the
-same zero tests under the trivial valuation, 0 on every nonzero
-element, so each pivot there is the first nonzero entry, and forms over
-a residue field are `QuadraticForm`s as well.
+blocks on pivot pairs, both picked by `linalg.min_valuation`, and hand
+back what is left when no certified pivot remains.  `symplectic_blocks`,
+the ungraded normalisation, runs it on the polar form.  The
+residue-field routines of `residue_witt` and `graded` run it too:
+residue elements (`GF2m`, `GF(2^m)(x)`) carry the same zero tests under
+the trivial valuation, 0 on every nonzero element, so each pivot there
+is the first nonzero entry, and forms over a residue field are
+`QuadraticForm`s as well; `QuadraticForm.from_gram` builds one from q
+values and a polar Gram.
 
 `WittExpr` is a formal orthogonal sum of binary [a,b] summands (plus
 diagonal <a> summands in characteristic 0) with the rewrite rules of
@@ -60,6 +61,14 @@ class QuadraticForm:
     def binary(cls, field, a, b):
         """[a, b]: a x1^2 + x1 x2 + b x2^2."""
         return cls(field, [[a, field.one], [field.zero, b]])
+
+    @classmethod
+    def from_gram(cls, field, qvals, G):
+        """The form with q(e_i) = qvals[i] and polar form G, read from the
+        upper triangle of G."""
+        n = len(qvals)
+        return cls(field, [[qvals[i] if i == j else G[i][j] for j in range(n)]
+                           for i in range(n)])
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -114,14 +123,8 @@ class QuadraticForm:
 
     def ortho_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         assert other.field == self.field
-        z = self.field.zero
-        n, m = self.n, other.n
-        rows = []
-        for i in range(n):
-            rows.append(list(self.U[i]) + [z] * m)
-        for i in range(m):
-            rows.append([z] * n + list(other.U[i]))
-        return QuadraticForm(self.field, rows)
+        return QuadraticForm(self.field,
+                             linalg.block_diag(self.U, other.U, self.field.zero))
 
     def scale(self, c) -> "QuadraticForm":
         if not c.is_certified_nonzero():
@@ -136,14 +139,9 @@ class QuadraticForm:
         G = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M),
                                           [list(r) for r in self.U], self.field.zero),
                            M, self.field.zero)
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = G[i][i]
-            for j in range(i + 1, n):
-                rows[i][j] = G[i][j] + G[j][i]
-            for j in range(i):
-                rows[i][j] = self.field.zero
-        return QuadraticForm(self.field, rows)
+        # q(Mx) has the diagonal of G = M^T U M and the polar part G + G^T
+        return QuadraticForm(self.field, [[G[i][j] + G[j][i] if j > i else G[i][j]
+                                           for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -202,32 +200,6 @@ def gram_of(B, cols, zero, head=0, on_head=None):
     return G
 
 
-def _combine(vec, terms):
-    """vec + sum coeff*other, skipping zero coefficients."""
-    out = list(vec)
-    for coeff, other in terms:
-        if coeff.is_exactly_zero():
-            continue
-        for r in range(len(out)):
-            if not other[r].is_exactly_zero():
-                out[r] = out[r] + coeff * other[r]
-    return out
-
-
-def _symmetric(keep, entry):
-    """The symmetric matrix [entry(r, c)] over r, c in keep, formed on the
-    upper triangle and mirrored.  The Gram updates below are symmetric
-    expressions in (r, c) over a symmetric Gram, and field sums and
-    products are commutative in value and precision, so the mirror is the
-    entry that the lower triangle would compute."""
-    m = len(keep)
-    G = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            G[a][b] = G[b][a] = entry(keep[a], keep[b])
-    return G
-
-
 def split_gram(G, F):
     """Symplectic Gram-Schmidt on a symmetric Gram matrix G over F.
 
@@ -245,42 +217,30 @@ def split_gram(G, F):
     pivot remains, empty when G splits completely.
     """
     n = len(G)
-    vecs = [[F.one if i == r else F.zero for i in range(n)] for r in range(n)]
+    vecs = linalg.identity(n, F.zero, F.one)
     G = [list(row) for row in G]
     blocks = []
     while vecs:
         m = len(vecs)
-        pick = None
-        for idx in range(m):
-            d = G[idx][idx]
-            if d.is_certified_nonzero():
-                v = d.valuation()
-                if pick is None or v < pick[0] or (v == pick[0] and idx < pick[1]):
-                    pick = (v, idx)
-        if pick is not None:
-            idx = pick[1]
+        idx = linalg.min_valuation((r, G[r][r]) for r in range(m))
+        if idx is not None:
             e = vecs[idx]
             de = G[idx][idx]
             blocks.append(("line", e, de))
             keep = [r for r in range(m) if r != idx]
             coef = {r: G[r][idx] / de for r in keep}
-            vecs = [_combine(vecs[r], [(-coef[r], e)]) for r in keep]
-            G = _symmetric(keep, lambda r, c: G[r][c] - coef[r] * G[idx][c]
-                           - coef[c] * G[r][idx] + coef[r] * coef[c] * de)
+            vecs = [linalg.combine(vecs[r], [(-coef[r], e)]) for r in keep]
+            G = linalg.symmetric(
+                keep, lambda r, c: G[r][c] - coef[r] * G[idx][c]
+                - coef[c] * G[r][idx] + coef[r] * coef[c] * de)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
             break
-        pair = None
-        for i in range(m):
-            for j in range(i + 1, m):
-                g = G[i][j]
-                if g.is_certified_nonzero():
-                    v = g.valuation()
-                    if pair is None or v < pair[0] or (v == pair[0] and (i, j) < pair[1]):
-                        pair = (v, (i, j))
+        pair = linalg.min_valuation(((i, j), G[i][j])
+                                    for i in range(m) for j in range(i + 1, m))
         if pair is None:
             break
-        i, j = pair[1]
+        i, j = pair
         g = G[i][j]
         ginv = g.inv()
         e = vecs[i]
@@ -290,9 +250,10 @@ def split_gram(G, F):
         # with b(e,e) = b(f,f) = 0 and b(e,f) = 1: w' = w - b(w,f)e - b(w,e)f
         lam = {r: G[r][j] * ginv for r in keep}
         mu = {r: G[r][i] for r in keep}
-        vecs = [_combine(vecs[r], [(-lam[r], e), (-mu[r], f)]) for r in keep]
-        G = _symmetric(keep, lambda r, c: G[r][c] - lam[c] * G[r][i]
-                       - mu[c] * (G[r][j] * ginv))
+        vecs = [linalg.combine(vecs[r], [(-lam[r], e), (-mu[r], f)])
+                for r in keep]
+        G = linalg.symmetric(keep, lambda r, c: G[r][c] - lam[c] * G[r][i]
+                             - mu[c] * (G[r][j] * ginv))
         if F.char == 2:
             # the complement Gram stays alternating; restore the structural
             # zeros that limited-precision cancellation cannot certify

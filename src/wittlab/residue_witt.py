@@ -19,7 +19,9 @@ Nonsingular quadratic forms over a finite residue field are classified
 by their Arf invariant (the absolute trace bit); `witt_decompose_small`
 is the independent brute-force oracle, splitting off metabolic planes
 found by exhaustive vector enumeration.  Its oracles and
-`kquad_is_hyperbolic_witnessed` share one plane split, `_split_plane`.
+`kquad_is_hyperbolic_witnessed` share one plane split, `_split_plane`,
+and complete bases with `linalg.independent_rows`.  `k.is_perfect`
+tells the finite residue fields GF(2^m) from GF(2^m)(x).
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ from itertools import product
 from . import linalg
 from .errors import (DegenerateForm, TooLarge, Undecidable,
                      UnsupportedResidueField)
-from .fields.gf2m import GF2m
 from .fields.ratfunc import RatFuncField
 from .quadform import QuadraticForm, gram_of, split_gram
 
 ORACLE_ENUM_CAP = 1 << 21
+# the degree bound of the Artin-Schreier search over GF(2^m)(x)
+AS_DEGREE_BOUND = 2
 
 
 def _is_finite(k) -> bool:
-    return isinstance(k, GF2m)
+    return k.is_perfect  # the perfect residue fields are the finite GF(2^m)
 
 
 # -- quadratic forms over k ----------------------------------------------------
@@ -65,78 +68,60 @@ def k_symplectic_blocks(form: QuadraticForm):
     return pairs, linalg.transpose(_pair_columns(blocks))
 
 
-def _through(M, block, local, k):
-    """The vector with coordinates `local` on the two basis columns of one
-    block of a k_symplectic_blocks basis matrix M."""
-    v = [k.zero] * len(M)
-    for col, coeff in zip((2 * block, 2 * block + 1), local):
-        for r in range(len(M)):
-            v[r] = v[r] + coeff * M[r][col]
-    return v
+def _through(M, terms, k):
+    """The vector sum coeff * (column col of M) over (col, coeff) terms, M
+    the basis matrix of k_symplectic_blocks."""
+    return linalg.combine([k.zero] * len(M),
+                          [(coeff, [row[col] for row in M]) for col, coeff in terms])
 
 
 def kquad_isotropic_vector(form: QuadraticForm):
     """A nonzero isotropic vector of a nonsingular form, or None.
 
-    Constructive over finite k: a block with trace(ab) = 0 yields a
-    vector through an Artin-Schreier root; two trace-1 blocks combine
-    through a square root.  A single trace-1 block is anisotropic.
+    A block [a, b] with a zero entry or an Artin-Schreier root u^2 + u =
+    ab yields one.  Over finite k that decides: two trace-1 blocks combine
+    through a square root, a single one is anisotropic.  Over GF(2^m)(x)
+    the root search is bounded and only equal blocks combine (the
+    diagonal of [a,b] perp [a,b]), so None means `none found'.
     """
     k = form.field
     if form.n == 0:
         return None
-    if not _is_finite(k):
-        return _kquad_isotropic_best_effort(form)
     pairs, M = k_symplectic_blocks(form)
     for bi, (a, b) in enumerate(pairs):
+        e, f = 2 * bi, 2 * bi + 1
         if a.is_zero():
-            return _through(M, bi, (k.one, k.zero), k)
+            return _through(M, [(e, k.one)], k)
         if b.is_zero():
-            return _through(M, bi, (k.zero, k.one), k)
-        ab = a * b
-        root = k.artin_schreier_root(ab.bits)
+            return _through(M, [(f, k.one)], k)
+        if k.is_perfect:
+            root = k.artin_schreier_root((a * b).bits)
+            root = None if root is None else k.elem(root)
+        else:
+            root = _artin_schreier_small(k, a * b)
         if root is not None:
-            u = k.elem(root)
-            return _through(M, bi, (u / a, k.one), k)
-    if len(pairs) >= 2:
+            return _through(M, [(e, root / a), (f, k.one)], k)
+    if k.is_perfect:
+        if len(pairs) < 2:
+            return None
         # both blocks anisotropic: q(0,1,x2,0) = b1 + a2 x2^2 = 0
-        (a1, b1), (a2, b2) = pairs[0], pairs[1]
-        x2 = (b1 / a2).sqrt()
-        v1 = _through(M, 0, (k.zero, k.one), k)
-        v2 = _through(M, 1, (x2, k.zero), k)
-        return [p + q for p, q in zip(v1, v2)]
-    return None
-
-
-def _kquad_isotropic_best_effort(form: QuadraticForm):
-    """Imperfect residue field: only certain constructive moves are tried;
-    None means `no isotropic vector found', not `anisotropic'."""
-    k = form.field
-    pairs, M = k_symplectic_blocks(form)
-    for bi, (a, b) in enumerate(pairs):
-        if a.is_zero():
-            return _through(M, bi, (k.one, k.zero), k)
-        if b.is_zero():
-            return _through(M, bi, (k.zero, k.one), k)
-        root = _artin_schreier_small(k, a * b)
-        if root is not None:
-            return _through(M, bi, (root / a, k.one), k)
+        (_, b1), (a2, _) = pairs[0], pairs[1]
+        return _through(M, [(1, k.one), (2, (b1 / a2).sqrt())], k)
     # duplicated blocks cancel: the diagonal of [a,b] perp [a,b] is isotropic
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             if pairs[i] == pairs[j]:
-                vi = _through(M, i, (k.one, k.zero), k)
-                vj = _through(M, j, (k.one, k.zero), k)
-                return [p + q for p, q in zip(vi, vj)]
+                return _through(M, [(2 * i, k.one), (2 * j, k.one)], k)
     return None
 
 
-def _artin_schreier_small(k: RatFuncField, c, degree_bound: int = 2):
-    """Bounded search for u with u^2 + u = c over GF(2^m)(x)."""
+def _artin_schreier_small(k: RatFuncField, c):
+    """Bounded search for u with u^2 + u = c over GF(2^m)(x): the
+    polynomials of degree at most AS_DEGREE_BOUND."""
     base = k.base
-    if base.order ** (degree_bound + 1) > 1 << 12:
+    if base.order ** (AS_DEGREE_BOUND + 1) > 1 << 12:
         return None
-    for coeffs in product(range(base.order), repeat=degree_bound + 1):
+    for coeffs in product(range(base.order), repeat=AS_DEGREE_BOUND + 1):
         u = k.from_poly(coeffs)
         if u * u + u == c:
             return u
@@ -145,7 +130,7 @@ def _artin_schreier_small(k: RatFuncField, c, degree_bound: int = 2):
 
 def arf_invariant(pairs, k) -> "WqClass":
     """Sum of trace bits of a_i b_i; classifies W_q over finite k."""
-    if not _is_finite(k):
+    if not k.is_perfect:
         raise UnsupportedResidueField(
             "Arf classification needs a finite residue field; "
             "use wq_raw_class for the partial invariant")
@@ -182,6 +167,10 @@ class WqClass:
         return self.arf == 0
 
     def __add__(self, other: "WqClass") -> "WqClass":
+        if self.arf == 0:  # a decided zero, such as an empty orbit
+            return other
+        if other.arf == 0:
+            return self
         if self.decides() and other.decides():
             return WqClass(self.k, arf=self.arf ^ other.arf)
         rep = None
@@ -207,7 +196,7 @@ class WClass:
 
 def w_class(entries, k) -> WClass:
     """Witt class of a diagonal bilinear form <c_1, ..., c_n>, perfect k."""
-    if not getattr(k, "is_perfect", False):
+    if not k.is_perfect:
         raise UnsupportedResidueField("W(k) classification needs perfect k")
     for c in entries:
         if c.is_zero():
@@ -221,7 +210,7 @@ def w_class_of_gram(gram, k) -> WClass:
     Diagonalizable lines count mod 2; the residual alternating part is
     metabolic and contributes nothing.
     """
-    if not getattr(k, "is_perfect", False):
+    if not k.is_perfect:
         raise UnsupportedResidueField("W(k) classification needs perfect k")
     blocks, rest = split_gram(gram, k)
     if rest:
@@ -358,7 +347,7 @@ class TensorElem:
                                         zip(self.coords, other.coords)))
 
     def __repr__(self):
-        if getattr(self.k, "is_perfect", False):
+        if self.k.is_perfect:
             return f"({self.k.format_elem(self.coords[0])})*(1@1)"
         names = ("1@1", "1@x", "x@1", "x@x")
         parts = [f"({self.k.format_elem(c * c)})*({n})"
@@ -367,23 +356,23 @@ class TensorElem:
 
     def to_wedge(self) -> WedgeElem:
         """The quotient map tensor -> wedge."""
-        if getattr(self.k, "is_perfect", False):
+        if self.k.is_perfect:
             return WedgeElem(self.k, None)
         return WedgeElem(self.k, self.coords[1] + self.coords[2])
 
 
 def wedge_zero(k) -> WedgeElem:
-    return WedgeElem(k, None if getattr(k, "is_perfect", False) else k.zero)
+    return WedgeElem(k, None if k.is_perfect else k.zero)
 
 
 def tensor_zero(k) -> TensorElem:
-    if getattr(k, "is_perfect", False):
+    if k.is_perfect:
         return TensorElem(k, (k.zero,))
     return TensorElem(k, (k.zero,) * 4)
 
 
 def wedge_of(a, b, k) -> WedgeElem:
-    if getattr(k, "is_perfect", False):
+    if k.is_perfect:
         return WedgeElem(k, None)
     a0, a1 = k.frobenius_coordinates(a)
     b0, b1 = k.frobenius_coordinates(b)
@@ -391,7 +380,7 @@ def wedge_of(a, b, k) -> WedgeElem:
 
 
 def tensor_of(a, b, k) -> TensorElem:
-    if getattr(k, "is_perfect", False):
+    if k.is_perfect:
         return TensorElem(k, (a * b,))
     a0, a1 = k.frobenius_coordinates(a)
     b0, b1 = k.frobenius_coordinates(b)
@@ -420,7 +409,7 @@ def ssq_witt_class(S: SeparatedSpace) -> TensorElem:
 def _check_enum_size(k, dim):
     if dim > 12:
         raise TooLarge(f"oracle limited to dim <= 12, got {dim}")
-    if not _is_finite(k):
+    if not k.is_perfect:
         raise UnsupportedResidueField("enumeration oracle needs a finite field")
     if k.order ** dim > ORACLE_ENUM_CAP:
         raise TooLarge(f"{k.order}^{dim} vectors exceed the oracle budget")
@@ -453,17 +442,14 @@ def _split_plane(B, vec, q, k):
     if j is None:
         raise DegenerateForm("isotropic vector in the radical")
     ginv = bv[j].inv()  # the partner is e_j / b(vec, e_j)
-    basis = []
+    projected = []
     for r in range(n):
         # e_r + b(e_r, partner) vec + b(e_r, vec) partner, in characteristic 2
         w = [B[r][j] * ginv * c for c in vec]
         w[r] = w[r] + k.one
         w[j] = w[j] + bv[r] * ginv
-        cand = basis + [w]
-        if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
-            basis.append(w)
-        if len(basis) == n - 2:
-            break
+        projected.append(w)
+    basis = [projected[r] for r in linalg.independent_rows(projected, n - 2)]
     return [q(v) for v in basis], gram_of(B, basis, k.zero)
 
 
@@ -510,14 +496,8 @@ def _separated_split(pairs, vec, k, primal: bool):
     """Complete vec (isotropic for q if primal, else for q' in dual
     coordinates) to a basis and drop its metabolic line."""
     n = len(pairs)
-    rows = [vec]
-    for j in range(n):
-        unit = [k.one if i == j else k.zero for i in range(n)]
-        cand = rows + [unit]
-        if len(linalg.rref_exact([list(r) for r in cand])[1]) == len(cand):
-            rows.append(unit)
-        if len(rows) == n:
-            break
+    rows = [vec] + linalg.identity(n, k.zero, k.one)
+    rows = [rows[r] for r in linalg.independent_rows(rows, n)]
     # basis of V (or V*): vec, then the chosen unit vectors
     M = [list(r) for r in zip(*rows)]  # columns are the new basis
     Minv = linalg.invert_exact(M, k.zero, k.one)
@@ -554,10 +534,7 @@ def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
             break
         qvals, G = _split_plane(current.polar_matrix(), vec,
                                 current.evaluate, current.field)
-        m = len(qvals)
-        current = QuadraticForm(current.field, [
-            [qvals[i] if i == j else G[i][j] for j in range(m)]
-            for i in range(m)])
+        current = QuadraticForm.from_gram(current.field, qvals, G)
     return current
 
 
@@ -573,7 +550,7 @@ def kquad_witt_class(form: QuadraticForm) -> WqClass:
     """Witt class of a nonsingular form over k: Arf bit over finite k,
     partial raw data over GF(2^m)(x)."""
     pairs, _ = k_symplectic_blocks(form)
-    if _is_finite(form.field):
+    if form.field.is_perfect:
         return arf_invariant(pairs, form.field)
     return wq_raw_class(pairs, form.field)
 

@@ -269,3 +269,11 @@ def test_truncated_zero_entry_ends_in_schema_json(lit, code, depth):
         assert payload["error"] == "precision-exhausted"
     else:
         assert payload["result"]["results"][0]["depth"] == depth
+
+
+@pytest.mark.parametrize("name", ["1", "2", "3"])
+def test_example_stdout_is_byte_identical_to_the_fixture(name):
+    fixture = Path(__file__).resolve().parent / "data" / f"example-{name}.stdout"
+    code, out = run_cli(["example", name])
+    assert code == 0
+    assert out.encode() == fixture.read_bytes()

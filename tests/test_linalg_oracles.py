@@ -1,0 +1,460 @@
+"""The linear-algebra steps as they were written before they got one home
+in `linalg`, kept as test oracles.
+
+* `select_independent` is the per-degree-class greedy selection that
+  `graded.metabolic_planes` ran; `complete_by_rref` is the basis
+  completion of `residue_witt._split_plane` and `_separated_split`, a
+  full `rref_exact` per candidate.  Both are compared with
+  `linalg.independent_rows`.
+* `metabolic_planes` is the parent routine: it projects all m vectors,
+  forms the whole m x m Gram update and then keeps m - 2 rows.  It is
+  compared with `graded.metabolic_planes`, which keeps first and forms
+  the symmetric update on the kept rows, on the induced spaces met along
+  the wildness loop over F2((t)), F4((t)), F2(x)((t)) and Q_2.
+* `pick_pivot`, `pick_line` and `pick_pair` are the pick loops of
+  `linalg` and `quadform.split_gram`, compared with
+  `linalg.min_valuation` on truncated entries with ties.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from wittlab import graded, linalg, norms
+from wittlab.errors import DegenerateForm, Undecidable, WittlabError
+from wittlab.fields import GF2m, RatFuncField, field_shorthand
+from wittlab.graded import GradedVector, coset
+from wittlab.literals import parse_element, parse_form
+from wittlab.quadform import QuadraticForm
+from wittlab.residue_witt import kquad_isotropic_vector
+
+RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1)}
+VALUED = ("f2-laurent", "f2m-laurent:m=2", "f2x-laurent", "q2")
+HALF = Fraction(1, 2)
+
+
+# -- the oracles ------------------------------------------------------------------
+
+
+def select_independent(cands, k, want):
+    """Greedy graded-independent subset (indices): per degree class the
+    coordinate rows must grow the k-rank; reduction is incremental."""
+    chosen = []
+    reduced_by_class: dict = {}
+    for ci, v in enumerate(cands):
+        if len(chosen) == want:
+            break
+        if v.is_zero():
+            continue
+        c = coset(v.degree)
+        reduced = reduced_by_class.setdefault(c, [])
+        row = list(v.coords)
+        for (lead, base) in reduced:
+            if not row[lead].is_zero():
+                f = row[lead] * base[lead].inv()
+                row = [row[t] + f * base[t] for t in range(len(row))]
+        lead = next((t for t, val in enumerate(row) if not val.is_zero()), None)
+        if lead is None:
+            continue
+        reduced.append((lead, row))
+        chosen.append(ci)
+    assert len(chosen) == want, "projection lost rank"
+    return chosen
+
+
+def complete_by_rref(rows, want):
+    """Take the rows in order while a full row reduction of the kept rows
+    plus the candidate shows full rank, until want are kept."""
+    basis, chosen = [], []
+    for idx, row in enumerate(rows):
+        cand = basis + [list(row)]
+        if len(linalg.rref_exact([list(v) for v in cand])[1]) == len(cand):
+            basis.append(list(row))
+            chosen.append(idx)
+        if len(chosen) == want:
+            break
+    return chosen
+
+
+def _combine(v, scalars, others):
+    coords = list(v.coords)
+    for s, o in zip(scalars, others):
+        if s.is_zero():
+            continue
+        for i, c in enumerate(o.coords):
+            coords[i] = coords[i] + s * c
+    return GradedVector(v.space, v.degree, tuple(coords))
+
+
+def _sum_k(k, items):
+    acc = k.zero
+    for it in items:
+        if not it.is_zero():
+            acc = acc + it
+    return acc
+
+
+def _find_isotropic_rel(S, vecs, qs, G):
+    k = S.k
+    classes: dict = {}
+    for r, v in enumerate(vecs):
+        classes.setdefault(coset(v.degree), []).append(r)
+    undecided = False
+    for c in sorted(classes):
+        idx = classes[c]
+        for r in idx:
+            if qs[r].is_zero():
+                out = [k.zero] * len(vecs)
+                out[r] = k.one
+                return out
+        if S.type_tag in ("II", "III"):
+            if k.is_perfect:
+                rows = [[qs[r].sqrt() for r in idx]]
+            else:
+                splits = [k.frobenius_coordinates(qs[r]) for r in idx]
+                rows = [[s[0] for s in splits], [s[1] for s in splits]]
+            kernel = linalg.kernel_exact(rows, k.zero, k.one)
+            if kernel:
+                out = [k.zero] * len(vecs)
+                for r, a in zip(idx, kernel[0]):
+                    out[r] = a
+                return out
+        else:
+            n = len(idx)
+            rows = [[qs[idx[i]] if i == j else
+                     (G[idx[i]][idx[j]] if j > i else k.zero)
+                     for j in range(n)] for i in range(n)]
+            try:
+                sol = kquad_isotropic_vector(QuadraticForm(k, rows))
+            except DegenerateForm:
+                sol = None
+                undecided = True
+            if sol is not None:
+                out = [k.zero] * len(vecs)
+                for r, a in zip(idx, sol):
+                    out[r] = a
+                return out
+            if not k.is_perfect:
+                undecided = True
+    if undecided:
+        raise Undecidable(
+            "isotropy of a depth-0 space over an imperfect residue field")
+    return None
+
+
+def metabolic_planes(S, selections):
+    """The parent routine; each selection step also appends the pair
+    (select_independent, linalg.independent_rows) to `selections`."""
+    k = S.k
+    vecs = [S.unit_vector(i) for i in range(S.n)]
+    G = [list(row) for row in S.bmat]
+    planes = []
+    while vecs:
+        m = len(vecs)
+        qs = [S.qval(w) for w in vecs]
+        sol = _find_isotropic_rel(S, vecs, qs, G)
+        if sol is None:
+            return None
+        base = next(r for r in range(m) if not sol[r].is_zero())
+        x = _combine(GradedVector(S, vecs[base].degree,
+                                  tuple(sol[base] * c for c in vecs[base].coords)),
+                     [sol[r] for r in range(m) if r != base],
+                     [vecs[r] for r in range(m) if r != base])
+        bx = [_sum_k(k, (sol[r] * G[r][c] for r in range(m))) for c in range(m)]
+        yi = next((c for c in range(m) if not bx[c].is_zero()), None)
+        assert yi is not None, "restriction of b must stay nondegenerate"
+        sc = bx[yi].inv()
+        y = GradedVector(S, vecs[yi].degree, tuple(sc * c for c in vecs[yi].coords))
+        planes.append((x, y))
+        gyy = G[yi][yi] * sc * sc
+        by = [G[c][yi] * sc for c in range(m)]
+        bxx = _sum_k(k, (sol[r] * bx[r] for r in range(m)))
+        den = (bxx * gyy + k.one).inv()
+        lams = [(bx[c] * gyy + by[c]) * den for c in range(m)]
+        mus = [(by[c] * bxx + bx[c]) * den for c in range(m)]
+        projected = [_combine(vecs[c], [lams[c], mus[c]], [x, y]) for c in range(m)]
+        G2 = [[G[r][c] + lams[c] * bx[r] + mus[c] * by[r] for c in range(m)]
+              for r in range(m)]
+        keep = select_independent(projected, k, m - 2)
+        selections.append((keep, linalg.independent_rows(
+            [w.coords for w in projected], m - 2)))
+        vecs = [projected[r] for r in keep]
+        G = [[G2[r][c] for c in keep] for r in keep]
+    return planes
+
+
+def pick_pivot(R, rows_left, cols_left):
+    best = None
+    for i in rows_left:
+        for j in cols_left:
+            x = R[i][j]
+            if x.is_certified_nonzero():
+                v = x.valuation()
+                if best is None or v < best[0] or (v == best[0] and (i, j) < best[1]):
+                    best = (v, (i, j))
+    return best[1] if best else None
+
+
+def pick_line(G):
+    pick = None
+    for idx in range(len(G)):
+        d = G[idx][idx]
+        if d.is_certified_nonzero():
+            v = d.valuation()
+            if pick is None or v < pick[0] or (v == pick[0] and idx < pick[1]):
+                pick = (v, idx)
+    return None if pick is None else pick[1]
+
+
+def pick_pair(G):
+    pair = None
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            g = G[i][j]
+            if g.is_certified_nonzero():
+                v = g.valuation()
+                if pair is None or v < pair[0] or (v == pair[0] and (i, j) < pair[1]):
+                    pair = (v, (i, j))
+    return None if pair is None else pair[1]
+
+
+# -- random draws -----------------------------------------------------------------
+
+
+def _elem(k, rng):
+    if rng.random() < 0.3:
+        return k.zero
+    if k.is_perfect:
+        return k.random(rng)
+    num = k.random(rng, rng.randrange(2))
+    den = k.random(rng, 1)
+    return num if den.is_zero() else num / den
+
+
+def _rows(k, rng):
+    """Rows with zero rows, repeated rows and sums of earlier rows."""
+    n, cols = rng.randrange(1, 7), rng.randrange(1, 6)
+    rows = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append([k.zero] * cols)
+        elif rows and roll < 0.35:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) > 1 and roll < 0.5:
+            a, b = rng.sample(rows, 2)
+            c = _elem(k, rng)
+            rows.append([p + c * q for p, q in zip(a, b)])
+        else:
+            rows.append([_elem(k, rng) for _ in range(cols)])
+    return rows
+
+
+def _coeff(F, rng):
+    k = F.residue_field
+    if F.char == 0:
+        return f"{rng.choice((1, 1, 3, 5, 7))}*2^{rng.randrange(-1, 3)}"
+    unit = rng.choice(("1", "x", "(1+x)", "(x/(1+x))")) if not k.is_perfect \
+        else str(rng.randrange(1, k.order))
+    terms = [f"{unit}*t^{e}" for e in rng.sample(range(-3, 3), rng.choice((1, 1, 2)))]
+    return "+".join(terms)
+
+
+def _form(F, rng):
+    """A scrambled orthogonal sum of binary (and, over Q_2, diagonal)
+    summands."""
+    parts = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        if F.char == 0 and rng.random() < 0.4:
+            parts.append(f"<{_coeff(F, rng)}, {_coeff(F, rng)}>")
+        else:
+            parts.append(f"[{_coeff(F, rng)}, {_coeff(F, rng)}]")
+    q = parse_form(f"sum({', '.join(parts)})", F)
+    n = q.n
+    M = linalg.identity(n, F.zero, F.one)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        for r in range(n):
+            M[r][i] = M[r][i] + M[r][j]
+    return q.change_basis(M)
+
+
+def _induced_spaces(q):
+    """The induced space of every certificate of the wildness loop."""
+    try:
+        cert = norms.initial_norm(q)
+        while True:
+            yield norms.induced_space(q, cert)
+            if cert.eps <= 0:
+                return
+            step = norms.depth_reduce(q, cert)
+            if isinstance(step, norms.NotReducible):
+                return
+            cert = step
+    except WittlabError:
+        return
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AssertionError, WittlabError) as e:
+        return type(e), str(e)
+
+
+def _planes(planes):
+    if not isinstance(planes, list):
+        return planes
+    return [tuple((v.degree, v.coords) for v in plane) for plane in planes]
+
+
+# -- comparisons ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", RESIDUE)
+def test_independent_rows_matches_rref_completion(name):
+    k = RESIDUE[name]
+    rng = random.Random(f"independent_rows {name}")
+    above_rank = 0
+    for _ in range(150):
+        rows = _rows(k, rng)
+        rank = len(linalg.rref_exact(rows)[1])
+        for want in range(1, len(rows) + 2):
+            above_rank += want > rank
+            assert linalg.independent_rows(rows, want) == \
+                complete_by_rref(rows, want)
+    assert above_rank
+
+
+def _graded_rows(k, rng):
+    """Random homogeneous vectors, some zero and some repeated, over a
+    space whose basis degrees fall in both classes of (1/2)Z/Z."""
+    degrees = [rng.choice((0, 1, -1, HALF, 3 * HALF))
+               for _ in range(rng.randrange(1, 7))]
+    S = graded.ShiftedQuadSpace(k, 1, 0, degrees, [], [], "I")
+    vecs = []
+    for _ in range(rng.randrange(1, 8)):
+        if vecs and rng.random() < 0.2:
+            v = rng.choice(vecs)
+            vecs.append(GradedVector(S, v.degree, v.coords))
+            continue
+        d = rng.choice((0, HALF))
+        vecs.append(GradedVector(S, d, tuple(
+            _elem(k, rng) if (d - g) % 1 == 0 else k.zero for g in degrees)))
+    return vecs
+
+
+@pytest.mark.parametrize("name", RESIDUE)
+def test_independent_rows_matches_select_independent(name):
+    k = RESIDUE[name]
+    rng = random.Random(f"select_independent {name}")
+    compared = 0
+    for _ in range(150):
+        vecs = _graded_rows(k, rng)
+        rows = [v.coords for v in vecs]
+        rank = len(linalg.rref_exact([list(r) for r in rows])[1])
+        for want in range(rank + 1):
+            assert linalg.independent_rows(rows, want) == \
+                select_independent(vecs, k, want)
+            compared += 1
+    assert compared > 300
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+def test_metabolic_planes_matches_parent_along_the_wildness_loop(shorthand):
+    F = field_shorthand(shorthand, precision=32)
+    rng = random.Random(f"metabolic_planes {shorthand}")
+    types, selections, spaces = set(), [], 0
+    for _ in range(25):
+        for S in _induced_spaces(_form(F, rng)):
+            spaces += 1
+            types.add(S.type_tag)
+            want = _outcome(metabolic_planes, S, selections)
+            got = _outcome(graded.metabolic_planes, S)
+            assert _planes(got) == _planes(want), S
+    assert spaces >= 25
+    for keep, chosen in selections:
+        assert chosen == keep
+    assert selections
+    expected = {"I", "II", "III"} if shorthand == "q2" else {"I", "II"}
+    assert types == expected
+
+
+def _random_space(k, rng):
+    """A random valid space of type I (eps = 0) or II (eps = 1 or 1/2),
+    its basis degrees in both classes of (1/2)Z/Z and its Gram dense
+    wherever the degree grid allows."""
+    eps = rng.choice((0, 1, HALF))
+    # class [0] pairs with [-eps] and [1/2] with [-1/2 - eps]: an
+    # alternating b needs even classes at integer eps, equal ones else
+    a, c = rng.choice(((2, 0), (0, 2), (2, 2), (4, 2), (2, 4)) if eps != HALF
+                      else ((1, 1), (2, 2), (3, 3)))
+    degrees = [rng.choice((0, 1, -1)) for _ in range(a)] + \
+        [rng.choice((HALF, -HALF)) for _ in range(c)]
+    rng.shuffle(degrees)
+    n = len(degrees)
+    bmat = [[k.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (degrees[i] + degrees[j] + eps) % 1 == 0:
+                bmat[i][j] = bmat[j][i] = _elem(k, rng)
+    qvals = [_elem(k, rng) for _ in range(n)]
+    S = graded.ShiftedQuadSpace(k, 1, eps, degrees, qvals, bmat,
+                                "I" if eps == 0 else "II")
+    return S if graded.validate(S) is None else None
+
+
+@pytest.mark.parametrize("name", RESIDUE)
+def test_metabolic_planes_matches_parent_on_random_spaces(name):
+    k = RESIDUE[name]
+    rng = random.Random(f"metabolic_planes random {name}")
+    selections, split = [], 0
+    for _ in range(400):
+        S = _random_space(k, rng)
+        if S is None:
+            continue
+        want = _outcome(metabolic_planes, S, selections)
+        got = _outcome(graded.metabolic_planes, S)
+        assert _planes(got) == _planes(want), S
+        split += isinstance(want, list) and len(want) > 1
+    assert split > 15
+    for keep, chosen in selections:
+        assert chosen == keep
+
+
+def _entries(shorthand):
+    F = field_shorthand(shorthand, precision=16)
+    if F.char == 0:
+        texts = ("0", "1", "3", "2", "6", "4", "1 + O(2^3)", "2 + O(2^4)",
+                 "O(2^2)", "O(2^5)", "12", "5 + O(2^2)")
+    else:
+        texts = ("0", "1", "1+t", "t", "t+t^2", "t^-1", "t^-1+1", "t^2",
+                 "1 + O(t^2)", "t + O(t^3)", "O(t^1)", "O(t^-1)", "t^-1 + O(t)")
+    return [parse_element(t, F) for t in texts]
+
+
+@pytest.mark.parametrize("shorthand", ("f2-laurent", "q2"))
+def test_min_valuation_matches_the_pick_loops(shorthand):
+    pool = _entries(shorthand)
+    rng = random.Random(f"min_valuation {shorthand}")
+    picked = 0
+    for _ in range(400):
+        n = rng.randrange(1, 6)
+        G = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = rng.choice(pool)
+        rows = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+        cols = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+        want = pick_pivot(G, rows, cols)
+        picked += want is not None
+        assert linalg.min_valuation(((i, j), G[i][j])
+                                    for i in rows for j in cols) == want
+        shuffled = [((i, j), G[i][j]) for i in rows for j in cols]
+        rng.shuffle(shuffled)
+        assert linalg.min_valuation(shuffled) == want
+        assert linalg.min_valuation((r, G[r][r]) for r in range(n)) == pick_line(G)
+        assert linalg.min_valuation(((i, j), G[i][j]) for i in range(n)
+                                    for j in range(i + 1, n)) == pick_pair(G)
+    assert picked > 300

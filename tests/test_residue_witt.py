@@ -288,3 +288,22 @@ def test_k_symplectic_blocks_roundtrip():
         assert len(pairs) == 2
         cls = kquad_witt_class(form)
         assert cls.arf == arf_invariant(pairs, K4).arf
+
+
+def test_wq_class_sum_keeps_the_arf_representative():
+    # an empty orbit is the decided zero WqClass(k, arf=0); adding it must
+    # not drop the other side's partial data
+    from wittlab.arason import boundary_symbol
+    from wittlab.fields import field_shorthand
+    from wittlab.literals import parse_form
+    from wittlab.residue_witt import WqClass
+    F = field_shorthand("f2x-laurent")
+    k = F.residue_field
+    _, s1 = boundary_symbol(parse_form("[1, x]", F))
+    _, s2 = boundary_symbol(parse_form("[t, x*t^-1]", F))
+    total = s1 + s2
+    assert [p.arf_representative for p in total.payload] == [k.x, k.x]
+    assert [p.raw for p in total.payload] == [((k.one, k.x),)] * 2
+    assert total.payload == (s1.payload[0], s2.payload[1])
+    zero, one = WqClass(K2, arf=0), WqClass(K2, arf=1)
+    assert zero + one == one + zero == one and one + one == zero
