@@ -18,6 +18,13 @@ Storage depends on the residue field, chosen once by `LaurentField`:
   then reduced modulo the field modulus at once with masked shifts.  The
   kernel (`gf2m._clmul`, `gf2m._Packing`) is the one `RatFunc` uses.
 * GF(2^m)(x): `digits` is a tuple of residue elements c_0, c_1, ...
+  The kernels work on one slot list.  A sum overlays the two shifted
+  operands and adds only where both slots are nonzero.  A product
+  convolves into min(len(a) + len(b) - 1, prec - v0) slots, stopping at
+  the precision cut-off, and seeds each slot with its first product
+  instead of adding it to zero.  One helper (`_trimmed`) drops the zero
+  slots at both ends; every residue add and product is exact, so this
+  is canonical without any sorting.
 
 Normalization: the exact zero and the zero-to-precision element have
 empty digits (0 or ()) and v0 = 0; otherwise c_0 and the top coefficient
@@ -44,6 +51,7 @@ class LaurentField:
         # packed digits over GF(2^m), a tuple of residue elements otherwise
         self._pk = residue.packing if isinstance(residue, GF2m) else None
         self._nil = () if self._pk is None else 0
+        self.one = self.make([(0, residue.one)])  # elements are immutable
 
     def __repr__(self):
         return f"{self.residue_field!r}(({self.variable}))"
@@ -96,10 +104,6 @@ class LaurentField:
     @property
     def zero(self) -> "Laurent":
         return Laurent(self, 0, self._nil, None)
-
-    @property
-    def one(self) -> "Laurent":
-        return self.make([(0, self.residue_field.one)])
 
     def uniformizer(self) -> "Laurent":
         return self.make([(1, self.residue_field.one)])
@@ -180,6 +184,69 @@ def _normalized(F: LaurentField, S: int, v0: int, digits: int, abs_prec):
         digits >>= S * low
         v0 += low
     return Laurent(F, v0, digits, abs_prec)
+
+
+def _trimmed(F: LaurentField, v0: int, c, abs_prec):
+    """Tuple element from the slot list c, c[i] the coefficient of
+    t^(v0 + i): drop the slots at or above abs_prec, then the zero slots
+    at both ends."""
+    hi = len(c) if abs_prec is None else min(len(c), abs_prec - v0)
+    while hi > 0 and c[hi - 1].is_zero():
+        hi -= 1
+    lo = 0
+    while lo < hi and c[lo].is_zero():
+        lo += 1
+    if lo >= hi:
+        return Laurent(F, 0, (), abs_prec)
+    return Laurent(F, v0 + lo, tuple(c[lo:hi]), abs_prec)
+
+
+def _add_slots(x: Laurent, y: Laurent) -> Laurent:
+    """x + y over a tuple layout: the operands overlaid on one slot list,
+    added only where both slots are nonzero."""
+    prec = x._join_prec(y)
+    if x.v0 > y.v0:
+        x, y = y, x
+    a, b = x.digits, y.digits
+    if not a or not b:
+        return _trimmed(x.field, x.v0 if a else y.v0, a or b, prec)
+    # b starts s slots above a; a slot of both lies below both precisions
+    s = y.v0 - x.v0
+    if s >= len(a):
+        c = list(a)
+        c += [x.field.residue_field.zero] * (s - len(a))
+        c += b
+    else:
+        c = list(a[:s])
+        for p, q in zip(a[s:], b):
+            c.append(q if p.is_zero() else p if q.is_zero() else p + q)
+        c += a[s + len(b):]  # the longer tail; the other slice is empty
+        c += b[len(a) - s:]
+    return _trimmed(x.field, x.v0, c, prec)
+
+
+def _mul_slots(F: LaurentField, v0: int, a, b, prec) -> Laurent:
+    """a * b over a tuple layout, both nonzero, product valuation v0: the
+    convolution up to the precision cut-off, in the order i, then j, of
+    the slot products a_i * b_j."""
+    n = len(a) + len(b) - 1
+    if prec is not None:
+        n = min(n, prec - v0)
+        if n <= 0:
+            return Laurent(F, 0, (), prec)
+    z = F.residue_field.zero
+    nb = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    c = [z] * n
+    for i, x in enumerate(a[:n]):
+        if x.is_zero():
+            continue
+        for j, y in nb:
+            k = i + j
+            if k >= n:
+                break
+            acc = c[k]
+            c[k] = x * y if acc is z else acc + x * y
+    return _trimmed(F, v0, c, prec)
 
 
 class Laurent:
@@ -291,8 +358,7 @@ class Laurent:
         F = self.field
         if F._pk is not None:
             return _normalized(F, F._pk.S, self.v0, self.digits, abs_prec)
-        return F.make(
-            ((self.v0 + i, c) for i, c in enumerate(self.digits)), abs_prec)
+        return _trimmed(F, self.v0, self.digits, abs_prec)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -308,9 +374,7 @@ class Laurent:
         assert other.field is F or other.field == F
         pk = F._pk
         if pk is None:
-            pairs = [(self.v0 + i, c) for i, c in enumerate(self.digits)]
-            pairs += [(other.v0 + i, c) for i, c in enumerate(other.digits)]
-            return F.make(pairs, self._join_prec(other))
+            return _add_slots(self, other)
         a, b = self.digits, other.digits
         if not b:
             v0, digits = self.v0, a
@@ -349,19 +413,7 @@ class Laurent:
         v0 = self.v0 + other.v0
         pk = F._pk
         if pk is None:
-            pairs = {}
-            z = F.residue_field.zero
-            for i, x in enumerate(a):
-                if x.is_zero():
-                    continue
-                for j, y in enumerate(b):
-                    if y.is_zero():
-                        continue
-                    e = v0 + i + j
-                    if prec is not None and e >= prec:
-                        continue
-                    pairs[e] = pairs.get(e, z) + x * y
-            return F.make(pairs.items(), prec)
+            return _mul_slots(F, v0, a, b, prec)
         if prec is not None:
             # slot i of either factor reaches only product slots >= i
             n = prec - v0
@@ -395,8 +447,7 @@ class Laurent:
             scaled = pk.reduce(_clmul(lead.bits, self.digits))
             u = _normalized(F, pk.S, 0, scaled ^ 1, rel)
         else:
-            u = F.make(((i, lead * c) for i, c in enumerate(self.digits)
-                        if i > 0), rel)
+            u = _trimmed(F, 1, [lead * c for c in self.digits[1:]], rel)
         geo = term = F.one.truncated(rel)
         while True:
             term = (term * u).truncated(rel)
@@ -407,12 +458,12 @@ class Laurent:
             return Laurent(F, geo.v0 - self.v0,
                            pk.reduce(_clmul(lead.bits, geo.digits)),
                            rel - self.v0)
-        return F.make(
-            ((geo.v0 + i - self.v0, lead * c) for i, c in enumerate(geo.digits)),
-            rel - self.v0)
+        return _trimmed(F, geo.v0 - self.v0, [lead * c for c in geo.digits],
+                        rel - self.v0)
 
     def __truediv__(self, other: "Laurent") -> "Laurent":
         return self * other.inv()
 
     def __pow__(self, e: int):
         return power(self, e, self.field.one)
+

@@ -90,6 +90,9 @@ class RatFuncField:
         self._pk = self.base.packing
         self.variable = variable
         self.degree_cap = degree_cap
+        # one shared zero and one: elements are immutable
+        self.zero = RatFunc(self, 0, 1)
+        self.one = RatFunc(self, 1, 1)
         cls._cache[key] = self
         return self
 
@@ -98,14 +101,6 @@ class RatFuncField:
 
     char = 2
     is_perfect = False
-
-    @property
-    def zero(self) -> "RatFunc":
-        return RatFunc(self, 0, 1)
-
-    @property
-    def one(self) -> "RatFunc":
-        return RatFunc(self, 1, 1)
 
     @property
     def x(self) -> "RatFunc":
@@ -127,7 +122,7 @@ class RatFuncField:
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            return RatFunc(self, 0, 1)
+            return self.zero
         pk, K = self._pk, self.base
         S = pk.S
         if den != 1:

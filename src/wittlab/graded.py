@@ -457,11 +457,12 @@ def metabolic_planes(S: ShiftedQuadSpace):
         sol = _find_isotropic_rel(S, vecs, qs, G)
         if sol is None:
             return None
-        base = next(r for r in range(m) if not sol[r].is_zero())
+        # the relation is sparse: most of its coefficients are zero
+        supp = [r for r in range(m) if not sol[r].is_zero()]
+        base = supp[0]
         x = vecs[base].rescaled(sol[base]).combine(
-            [sol[r] for r in range(m) if r != base],
-            [vecs[r] for r in range(m) if r != base])
-        bx = [sum_k(k, (sol[r] * G[r][c] for r in range(m))) for c in range(m)]
+            [sol[r] for r in supp[1:]], [vecs[r] for r in supp[1:]])
+        bx = [sum_k(k, (sol[r] * G[r][c] for r in supp)) for c in range(m)]
         yi = next((c for c in range(m) if not bx[c].is_zero()), None)
         assert yi is not None, "restriction of b must stay nondegenerate"
         sc = bx[yi].inv()
@@ -470,7 +471,7 @@ def metabolic_planes(S: ShiftedQuadSpace):
         # Gram data of the plane: b(x,y) = 1, b(x,x) = 0 (q(x) = 0)
         gyy = G[yi][yi] * sc * sc
         by = [G[c][yi] * sc for c in range(m)]
-        bxx = sum_k(k, (sol[r] * bx[r] for r in range(m)))
+        bxx = sum_k(k, (sol[r] * bx[r] for r in supp))
         den = (bxx * gyy + k.one).inv()
         lams, mus = [], []
         for c in range(m):

@@ -162,16 +162,16 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
                         "a", f"v(b(e_{i},e_{j})) = {lb} < {thr}")
                 raise PrecisionExhausted(
                     f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
-    k = q.field.residue_field
     # b is symmetric: read the upper triangle that (a) certified, mirror it
     lead = [[None] * norm.n for _ in range(norm.n)]
     for i in range(norm.n):
         for j in range(i, norm.n):
             lead[i][j] = lead[j][i] = be[i][j].coeff_at(deg[i][j - i])
     try:
-        if norm.n:
-            linalg.invert_exact(lead, k.zero, k.one)
+        degenerate = len(linalg.independent_rows(lead, norm.n)) < norm.n
     except WittlabError:
+        degenerate = True
+    if degenerate:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
     return DepthCertificate(q, norm, eps, qe, be, lead)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
                             NegativeValuation, NotApplicable,
                             PrecisionExhausted)
-from wittlab.fields import (INF, AtLeast, GF2m, RatFuncField,
+from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
                             frobenius_coordinates, hensel_artin_schreier,
                             make_field, ratfunc, residue, section, valuation)
 from wittlab.fields.common import power
@@ -371,9 +371,11 @@ def laurent_pairs(draw, m):
 
 
 def _both(F, drawn):
-    k = F.residue_field
-    pairs = [(e, k.elem(b)) for e, b in drawn[0]]
-    return F.make(pairs, drawn[1]), Schoolbook.make(F, pairs, drawn[1])
+    """The element and its oracle; packed draws hold bit-patterns."""
+    pairs, prec = drawn
+    if F._pk is not None:
+        pairs = [(e, F.residue_field.elem(b)) for e, b in pairs]
+    return F.make(pairs, prec), Schoolbook.make(F, pairs, prec)
 
 
 def _agrees(x, o):
@@ -385,7 +387,14 @@ def _agrees(x, o):
     else:
         assert not x.coeffs[0].is_zero() and not x.coeffs[-1].is_zero()
         assert x.abs_prec is None or x.v0 + len(x.coeffs) <= x.abs_prec
-        assert x.digits.bit_length() <= len(x.coeffs) * x.field._pk.S
+        if x.field._pk is None:
+            assert type(x.digits) is tuple
+        else:
+            assert x.digits.bit_length() <= len(x.coeffs) * x.field._pk.S
+    if x.field._pk is None:
+        # the public constructor builds the same element, with the same hash
+        y = x.field.make(o.pairs(), o.abs_prec)
+        assert x == y and hash(x) == hash(y)
 
 
 def _outcome(fn):
@@ -396,27 +405,36 @@ def _outcome(fn):
         return type(e)
 
 
-@pytest.mark.parametrize("m", PACKED_M)
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_packed_laurent_matches_schoolbook(m, data):
-    F = make_field("laurent", m=m, precision=12)
-    (x, ox) = _both(F, data.draw(laurent_pairs(m)))
-    (y, oy) = _both(F, data.draw(laurent_pairs(m)))
+def _agrees_or_raised(r, o):
+    """An element that agrees with the oracle's, or the oracle's error."""
+    if isinstance(o, Schoolbook):
+        _agrees(r, o)
+    else:
+        assert r is o
+
+
+def _ops_agree(data, F, x_drawn, y_drawn):
+    """Every operation on two drawn elements agrees with the oracle."""
+    (x, ox), (y, oy) = _both(F, x_drawn), _both(F, y_drawn)
     _agrees(x, ox)
     _agrees(x + y, ox + oy)
     _agrees(x * y, ox * oy)
     _agrees((x * y) * x, (ox * oy) * ox)
     p = data.draw(st.integers(-6, 14))
     _agrees(x.truncated(p), ox.truncated(p))
-    inv, oinv = _outcome(x.inv), _outcome(ox.inv)
-    if isinstance(oinv, Schoolbook):
-        _agrees(inv, oinv)
-    else:
-        assert inv is oinv
+    _agrees_or_raised(_outcome(x.inv), _outcome(ox.inv))
     assert _outcome(x.residue) == _outcome(ox.residue)
     for d in (p, Fraction(p), Fraction(2 * p + 1, 2)):
         assert _outcome(lambda: x.coeff_at(d)) == _outcome(lambda: ox.coeff_at(d))
+    return (x, ox), (y, oy)
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_laurent_matches_schoolbook(m, data):
+    F = make_field("laurent", m=m, precision=12)
+    _ops_agree(data, F, data.draw(laurent_pairs(m)), data.draw(laurent_pairs(m)))
 
 
 @pytest.mark.parametrize("m", PACKED_M)
@@ -716,3 +734,114 @@ def test_ratfunc_degree_cap_message():
             R.make((0,) * 9 + (1,), (1, 1))
         x8, y8 = R.x ** 7 * R.x, (R.x + R.one) ** 4 * (R.x + R.one) ** 4
         assert x8 / y8 == R.make((0,) * 8 + (1,), (1,) + (0,) * 7 + (1,))
+
+
+# -- tuple-layout GF(2^m)(x)((t)) against the schoolbook oracle ---------------
+
+
+TUPLE_M = (1, 2)
+
+
+@st.composite
+def ratfunc_coeffs(draw, R):
+    """A residue element of R: zero, or num/den with a denominator that
+    need not be monic or coprime to the numerator."""
+    m = R.base.m
+    if draw(st.integers(0, 4)) == 0:
+        return R.zero
+    num = draw(polys(m, 4).filter(bool))
+    den = draw(polys(m, 4).filter(bool))
+    return R.make(num, den)
+
+
+@st.composite
+def ratfunc_laurent_pairs(draw, R):
+    """(pairs, abs_prec) as `laurent_pairs` draws them, over R: exponents
+    with gaps (interior zero slots), zero coefficients, repeated exponents,
+    exponents at and above abs_prec."""
+    kind = draw(st.sampled_from(["exact", "truncated", "zero", "O"]))
+    if kind == "zero":
+        return [], None
+    if kind == "O":
+        return [], draw(st.integers(-6, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 10), ratfunc_coeffs(R)),
+                          max_size=8))
+    prec = None if kind == "exact" else draw(st.integers(-4, 14))
+    return pairs, prec
+
+
+def _capped_outcome(fn):
+    try:
+        return fn()
+    except (DivisionByZero, PrecisionExhausted, NegativeValuation,
+            ValueError, DegreeCapExceeded) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("m", TUPLE_M)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tuple_laurent_matches_schoolbook(m, data):
+    F = make_field("laurent-ratfunc", m=m, precision=12)
+    R = F.residue_field
+    x_drawn = data.draw(ratfunc_laurent_pairs(R))
+    (x, ox), (y, oy) = _ops_agree(data, F, x_drawn,
+                                  data.draw(ratfunc_laurent_pairs(R)))
+    _agrees(y + x, oy + ox)
+    _agrees((x + y) * y, (ox + oy) * oy)
+    # == and hash: a repeated exponent cancels, and zero adds nothing
+    pairs, prec = x_drawn
+    doubled = pairs + [(e, c) for e, c in pairs if e % 2 == 0] * 2
+    x2 = F.make(list(reversed(doubled)), prec)
+    assert x == x2 and hash(x) == hash(x2)
+    assert x + F.zero == x and hash(x + F.zero) == hash(x)
+    if prec is None:
+        assert x + x == F.zero
+    assert (x == y) == ((ox.v0, ox.coeffs, ox.abs_prec)
+                        == (oy.v0, oy.coeffs, oy.abs_prec))
+
+
+@pytest.mark.parametrize("m", TUPLE_M)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tuple_laurent_degree_cap_matches_schoolbook(m, data):
+    # a cap of 8 on num/den degrees: sums and products of these
+    # coefficients cross it some of the time
+    F = LaurentField(_capped(m), precision=6)
+    R = F.residue_field
+    (x, ox) = _both(F, data.draw(ratfunc_laurent_pairs(R)))
+    (y, oy) = _both(F, data.draw(ratfunc_laurent_pairs(R)))
+    for fr, fo in ((lambda: x + y, lambda: ox + oy),
+                   (lambda: x * y, lambda: ox * oy),
+                   (lambda: (x * y) * x, lambda: (ox * oy) * ox),
+                   (x.inv, ox.inv)):
+        _agrees_or_raised(_capped_outcome(fr), _capped_outcome(fo))
+
+
+def test_tuple_laurent_degree_cap_examples():
+    R = _capped(1)
+    F = LaurentField(R, precision=6)
+    one, t, x = F.one, F.uniformizer(), F.section(R.x)
+    x5 = F.section(R.x ** 5)
+    b = one + x ** 4 * t
+    # x^5 * x^4 = x^9 crosses the cap of 8 in slot 2 ...
+    with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds cap 8"):
+        (one + x5 * t) * b
+    # ... unless that slot lies at or above the precision cut-off
+    assert (one + x5 * t).truncated(2) * b == \
+        F.make([(0, R.one), (1, R.x ** 5 + R.x ** 4)], 2)
+    # 1/x^5 + 1/(x^4 + 1) has a denominator of degree 9
+    a = F.section(R.make((1,), (0, 0, 0, 0, 0, 1)))
+    c = F.section(R.make((1,), (1, 0, 0, 0, 1)))
+    with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds cap 8"):
+        a + c
+    # with a zero slot between them nothing is added
+    assert a + c * t == F.make([(0, a.coeffs[0]), (1, c.coeffs[0])])
+
+
+def test_tuple_laurent_shares_zero_and_one():
+    R = RatFuncField(2)
+    F = make_field("laurent-ratfunc", m=2)
+    assert R.zero is R.zero and R.one is R.one and F.one is F.one
+    assert (R.x / (R.x + R.one) + R.x / (R.x + R.one)) is R.zero
+    assert F.one == F.make([(0, R.one)]) and F.one.digits == (R.one,)

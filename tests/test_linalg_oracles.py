@@ -14,6 +14,9 @@ in `linalg`, kept as test oracles.
 * `pick_pivot`, `pick_line` and `pick_pair` are the pick loops of
   `linalg` and `quadform.split_gram`, compared with
   `linalg.min_valuation` on truncated entries with ties.
+* `degenerate_by_inverse` is condition (c) of `norms.check_compatibility`
+  as it was decided before, by inverting the leading-coefficient matrix;
+  it is compared with the rank test on `independent_rows` that replaced it.
 """
 
 import random
@@ -217,6 +220,15 @@ def pick_pair(G):
                 if pair is None or v < pair[0] or (v == pair[0] and (i, j) < pair[1]):
                     pair = (v, (i, j))
     return None if pair is None else pair[1]
+
+
+def degenerate_by_inverse(lead, k):
+    try:
+        if lead:
+            linalg.invert_exact(lead, k.zero, k.one)
+    except WittlabError:
+        return True
+    return False
 
 
 # -- random draws -----------------------------------------------------------------
@@ -458,3 +470,41 @@ def test_min_valuation_matches_the_pick_loops(shorthand):
         assert linalg.min_valuation(((i, j), G[i][j]) for i in range(n)
                                     for j in range(i + 1, n)) == pick_pair(G)
     assert picked > 300
+
+
+def _square(k, rng):
+    """An n x n matrix, symmetric half of the time, singular often: zero
+    rows, repeated rows and sums of earlier rows."""
+    n = rng.randrange(1, 6)
+    rows = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append([k.zero] * n)
+        elif rows and roll < 0.25:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) > 1 and roll < 0.4:
+            a, b = rng.sample(rows, 2)
+            c = _elem(k, rng)
+            rows.append([p + c * q for p, q in zip(a, b)])
+        else:
+            rows.append([_elem(k, rng) for _ in range(n)])
+    if rng.random() < 0.5:
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return rows
+
+
+@pytest.mark.parametrize("name", RESIDUE)
+def test_rank_test_matches_invert_exact(name):
+    k = RESIDUE[name]
+    rng = random.Random(f"rank test {name}")
+    seen = set()
+    for _ in range(300):
+        lead = _square(k, rng)
+        n = len(lead)
+        degenerate = len(linalg.independent_rows(lead, n)) < n
+        assert degenerate == degenerate_by_inverse(lead, k)
+        seen.add(degenerate)
+    assert seen == {True, False}
