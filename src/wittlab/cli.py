@@ -6,14 +6,20 @@ Exit codes: 0 success, 2 literal syntax error or bad command line (an
 unknown option, a missing argument or an invalid option value prints
 {"error": "usage"}; --help still exits 0),
 3 Indistinguishable, 4 unsupported field/operation, 5 precision exhausted,
+141 stdout closed by its reader before the answer was written (nothing
+more is printed; a process ended by SIGPIPE reports the same status),
 1 anything else (an unexpected exception prints {"error": "internal"} on
 stdout and its traceback on stderr).
+
+The options --field, --precision, --degree-cap and --json-out may stand
+before or after the command; given in both places, the later one wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -33,6 +39,7 @@ EXIT_SYNTAX = 2
 EXIT_INDISTINGUISHABLE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_PRECISION = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _field_payload(field):
@@ -283,14 +290,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# the options a command line may give before or after the command, and
+# their defaults; the parsers leave an option that is not given unset, so
+# that a subparser never overwrites one given before the command
+DEFAULTS = {"field": "f2-laurent", "precision": 64, "degree_cap": 512,
+            "json_out": None}
+
+
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--field", default="f2-laurent",
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--field",
                         help="f2-laurent | f2m-laurent:m=K | f2x-laurent | "
                              "f2mx-laurent:m=K | q2")
-    common.add_argument("--precision", type=int, default=64)
-    common.add_argument("--degree-cap", type=int, default=512)
-    common.add_argument("--json-out", default=None,
+    common.add_argument("--precision", type=int)
+    common.add_argument("--degree-cap", type=int)
+    common.add_argument("--json-out",
                         help="also write the JSON result to this path")
     p = _Parser(prog="wittlab", parents=[common], description=__doc__)
     p.add_argument("--fixture", default=None,
@@ -342,7 +356,7 @@ def _run_once(args, precision):
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(**DEFAULTS))
     if args.precision < 1:
         raise UsageError(f"--precision must be at least 1, got {args.precision}")
     if args.degree_cap < 0:
@@ -398,7 +412,23 @@ ERRORS = (
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
+        code = _answer(argv)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send whatever is still buffered to devnull,
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _answer(argv):
+    try:
         return run(argv)
+    except BrokenPipeError:
+        raise
     except WittlabError as e:
         error, code = next(((error, code) for types, error, code in ERRORS
                             if isinstance(e, types)), (type(e).__name__, 1))

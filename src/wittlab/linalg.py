@@ -23,14 +23,22 @@ from .errors import PrecisionExhausted, SingularMatrix
 
 
 def mat_mul(A, B, zero):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[zero for _ in range(m)] for _ in range(n)]
+    """A B, skipping every product with an exact-zero operand: such a
+    product is an exact zero, and adding one changes neither the value
+    nor the precision of a sum."""
+    n, m = len(A), len(B[0])
+    out = [[zero] * m for _ in range(n)]
     for i in range(n):
+        Ai = [(s, a) for s, a in enumerate(A[i]) if not a.is_exactly_zero()]
         for j in range(m):
-            acc = zero
-            for s in range(k):
-                acc = acc + A[i][s] * B[s][j]
-            out[i][j] = acc
+            acc = None
+            for s, a in Ai:
+                b = B[s][j]
+                if b.is_exactly_zero():
+                    continue
+                acc = a * b if acc is None else acc + a * b
+            if acc is not None:
+                out[i][j] = acc
     return out
 
 

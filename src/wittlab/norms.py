@@ -33,10 +33,20 @@ The canonical recursion resumes each round this way.  The basis of such
 a certificate differs from the one wildness_index finds for the same
 form; the depth and the residue symbol do not.
 
-Gram matrices are symmetric.  gram_of forms both triangles, because over
-truncated columns the two sums for one entry can certify different
-precisions; check_compatibility reads the upper triangle, the one that
-(a) certifies, and mirrors its leading coefficients.
+Gram matrices are symmetric.  initial_norm and the summand block of
+extend_certificate form theirs with gram_of on the ambient basis columns.
+gram_of forms both triangles, because over truncated columns the two sums
+for one entry can certify different precisions; check_compatibility reads
+the upper triangle, the one that (a) certifies, and mirrors its leading
+coefficients.  depth_reduce reads the new Gram off the certificate
+instead: each new basis vector is sum h_i e_i with every h_i = s(c) t^d
+an exact monomial, so its Gram is H^T be H and its q values are
+sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij.  It takes that congruence only
+when every entry of qe and be is exact, where values are canonical and
+the bytes are those gram_of would give; otherwise, or when the
+congruence trips the degree cap over GF(2^m)(x), it re-forms the Gram
+with gram_of from the ambient columns.  The ambient columns are lifted
+either way, since the new norm's basis is made of them.
 """
 
 from __future__ import annotations
@@ -45,8 +55,8 @@ from dataclasses import dataclass, field as datafield, replace
 from fractions import Fraction
 
 from . import graded, linalg
-from .errors import (GridViolation, NotApplicable, PrecisionExhausted,
-                     SingularForm, WittlabError)
+from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
+                     PrecisionExhausted, SingularForm, WittlabError)
 from .fields.common import INF, AtLeast, grid, half
 from .graded import ShiftedQuadSpace, UniformizingChoice
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
@@ -401,6 +411,82 @@ class NotReducible:
         return f"NotReducible(depth={self.depth})"
 
 
+def _is_exact(cert: DepthCertificate) -> bool:
+    """Whether every entry of the certificate's Gram data is exact."""
+    return all(x.abs_prec is None for x in cert.qe) and \
+        all(x.abs_prec is None for row in cert.be for x in row)
+
+
+def _sum(terms, zero):
+    """The sum of the terms, seeded with the first; zero if there are none."""
+    acc = None
+    for x in terms:
+        acc = x if acc is None else acc + x
+    return zero if acc is None else acc
+
+
+def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
+    """(eps', q values, Gram) of the vectors sum_i h_i e_i on the
+    certificate's basis, each given as its sparse column of (i, h_i)
+    pairs: the Gram is H^T be H, formed on the upper triangle and
+    mirrored, and q(sum h_i e_i) = sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij.
+
+    slack is called with the Gram and the q values of H[:head] before any
+    entry of a later column is formed, as gram_of's on_head is.  Exact
+    entries are canonical, so on exact Gram data this gives the bytes
+    that re-forming the Gram from the ambient columns gives."""
+    be, qv = cert.be, cert.qe
+    zero = cert.form.field.zero
+    m = len(H)
+    G = [[None] * m for _ in range(m)]
+
+    def fill(cs):
+        for c in cs:
+            bh = {}  # (be h_c)_i on the rows the columns up to c reach
+            for r in range(c + 1):
+                terms = []
+                for i, hi in H[r]:
+                    if i not in bh:
+                        bi = be[i]
+                        bh[i] = _sum((bi[j] * hj for j, hj in H[c]
+                                      if not bi[j].is_exactly_zero()), None)
+                    if bh[i] is not None:
+                        terms.append(hi * bh[i])
+                G[r][c] = G[c][r] = _sum(terms, zero)
+
+    def qval(h):
+        terms = []
+        for a, (i, hi) in enumerate(h):
+            if not qv[i].is_exactly_zero():
+                terms.append(hi * hi * qv[i])
+            for j, hj in h[a + 1:]:
+                if not be[i][j].is_exactly_zero():
+                    terms.append(hi * hj * be[i][j])
+        return _sum(terms, zero)
+
+    fill(range(head))
+    qe = [qval(h) for h in H[:head]]
+    eps_prime = slack([row[:head] for row in G[:head]], qe)
+    fill(range(head, m))
+    qe.extend(qval(h) for h in H[head:])
+    return eps_prime, qe, G
+
+
+def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
+    """(eps', q values, Gram) of the ambient columns, re-formed from the
+    polar matrix with gram_of and q.evaluate; slack as above."""
+    qe, eps = [], []
+
+    def on_head(Ge):
+        qe.extend(q.evaluate(c) for c in cols[:head])
+        eps.append(slack(Ge, qe))
+        qe.extend(q.evaluate(c) for c in cols[head:])
+
+    G = gram_of(q.polar_matrix(), cols, q.field.zero,
+                head=head, on_head=on_head)
+    return eps[0], qe, G
+
+
 def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     """One constructive reduction step, or NotReducible with evidence."""
     gamma = cert.eps
@@ -411,39 +497,39 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     if planes is None:
         return NotReducible(gamma, graded.orbit_invariants(S))
     F = q.field
+    zero = F.zero
     cols = [cert.norm.column(i) for i in range(cert.norm.n)]
 
-    def lift_vec(gv):
-        amb = [F.zero] * q.n
-        for i, c in enumerate(gv.coords):
-            if c.is_zero():
-                continue
-            h = F.lift_homog(c, gv.degree - S.degrees[i])
-            for r in range(q.n):
-                amb[r] = amb[r] + h * cols[i][r]
-        return amb
+    def sparse(gv):
+        # the plane vector as sum h_i e_i, h_i = s(c) t^d an exact monomial
+        return [(i, F.lift_homog(c, gv.degree - S.degrees[i]))
+                for i, c in enumerate(gv.coords) if not c.is_zero()]
 
-    es, fs, e_vals, f_vals = [], [], [], []
-    for (x, y) in planes:
-        es.append(lift_vec(x))
-        e_vals.append(x.degree)
-        fs.append(lift_vec(y))
-        f_vals.append(y.degree)
-    qe = []
-    eps_prime = None
+    def lift_vec(h):
+        amb = [None] * q.n
+        for i, hi in h:
+            for r, x in enumerate(cols[i]):
+                if not x.is_exactly_zero():
+                    t = hi * x
+                    amb[r] = t if amb[r] is None else amb[r] + t
+        return [zero if a is None else a for a in amb]
 
-    def certify_slack(Ge):
+    H = [sparse(v) for plane in planes for v in plane]  # x_1, y_1, x_2, ...
+    lifted = [lift_vec(h) for h in H]
+    head = len(planes)
+    e_vals = [x.degree for x, _ in planes]
+    f_vals = [y.degree for _, y in planes]
+
+    def certify_slack(Ge, qe):
         # eps' from the e block, before any entry of an f column is formed:
         # f arithmetic may raise (DegreeCapExceeded over GF(2^m)(x)) and must
         # not pre-empt the PrecisionExhausted here
-        nonlocal eps_prime
-        qe.extend(q.evaluate(e) for e in es)
         terms = [gamma]
-        for l in range(len(es)):
+        for l in range(head):
             qv = qe[l].low_bound()
             if qv != INF:
                 terms.append(half(qv) - e_vals[l])
-            for m in range(len(es)):
+            for m in range(head):
                 if m == l:
                     continue
                 bb = Ge[l][m].low_bound()
@@ -453,11 +539,19 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
         if eps_prime <= 0:
             raise PrecisionExhausted(
                 "metabolic witness slack not certified positive")
-        qe.extend(q.evaluate(f) for f in fs)
+        return eps_prime
 
-    basis_cols = es + fs
-    G = gram_of(q.polar_matrix(), basis_cols, F.zero,
-                head=len(es), on_head=certify_slack)
+    basis_cols = lifted[0::2] + lifted[1::2]
+    gram = None
+    if _is_exact(cert):
+        try:
+            gram = _gram_by_congruence(cert, H[0::2] + H[1::2], head,
+                                       certify_slack)
+        except DegreeCapExceeded:
+            pass  # the ambient sums may stay under the cap
+    if gram is None:
+        gram = _gram_by_reforming(q, basis_cols, head, certify_slack)
+    eps_prime, qe, G = gram
     values = [v + eps_prime for v in e_vals] + f_vals
     new_norm = VNorm(F, linalg.transpose(basis_cols), values)
     res = check_compatibility(q, new_norm, gamma - eps_prime, _gram=(qe, G))

@@ -230,9 +230,20 @@ def split_gram(G, F):
             keep = [r for r in range(m) if r != idx]
             coef = {r: G[r][idx] / de for r in keep}
             vecs = [linalg.combine(vecs[r], [(-coef[r], e)]) for r in keep]
-            G = linalg.symmetric(
-                keep, lambda r, c: G[r][c] - coef[r] * G[idx][c]
-                - coef[c] * G[r][idx] + coef[r] * coef[c] * de)
+            # a term with an exact-zero coefficient is an exact zero: skip it
+            live = {r for r in keep if not coef[r].is_exactly_zero()}
+
+            def line_update(r, c):
+                acc = G[r][c]
+                if r in live:
+                    acc = acc - coef[r] * G[idx][c]
+                if c in live:
+                    acc = acc - coef[c] * G[r][idx]
+                    if r in live:
+                        acc = acc + coef[r] * coef[c] * de
+                return acc
+
+            G = linalg.symmetric(keep, line_update)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
             break
@@ -252,8 +263,18 @@ def split_gram(G, F):
         mu = {r: G[r][i] for r in keep}
         vecs = [linalg.combine(vecs[r], [(-lam[r], e), (-mu[r], f)])
                 for r in keep]
-        G = linalg.symmetric(keep, lambda r, c: G[r][c] - lam[c] * G[r][i]
-                             - mu[c] * (G[r][j] * ginv))
+        live_lam = {r for r in keep if not lam[r].is_exactly_zero()}
+        live_mu = {r for r in keep if not mu[r].is_exactly_zero()}
+
+        def pair_update(r, c):
+            acc = G[r][c]
+            if c in live_lam:
+                acc = acc - lam[c] * G[r][i]
+            if c in live_mu:
+                acc = acc - mu[c] * (G[r][j] * ginv)
+            return acc
+
+        G = linalg.symmetric(keep, pair_update)
         if F.char == 2:
             # the complement Gram stays alternating; restore the structural
             # zeros that limited-precision cancellation cannot certify

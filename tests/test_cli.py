@@ -277,3 +277,58 @@ def test_example_stdout_is_byte_identical_to_the_fixture(name):
     code, out = run_cli(["example", name])
     assert code == 0
     assert out.encode() == fixture.read_bytes()
+
+
+@pytest.mark.parametrize("options, command, code, kind", [
+    (["--field", "q2"], ["canonical", "<1,1>"], 0, "dyadic"),
+    (["--field", "q2", "--precision", "1"], ["depth", "<1/3, 5/7>"], 0, "dyadic"),
+    (["--field", "f2x-laurent", "--degree-cap", "8"], ["depth", "[x^8, t^-1]"],
+     0, "laurent"),
+    # the cap applies wherever it is given: degree 4 is over a cap of 3
+    (["--field", "f2x-laurent", "--degree-cap", "3"], ["depth", "[x^8, t^-1]"],
+     1, None),
+    (["--precision", "16"], ["equal", "[1,t^-2]", "[1,t^-1]"], 0, "laurent"),
+])
+def test_options_before_and_after_the_command_agree(options, command, code,
+                                                    kind):
+    before = run_cli(options + command)
+    after = run_cli(command[:1] + options + command[1:])
+    assert before == after
+    assert before[0] == code
+    payload = json.loads(before[1])
+    if kind is None:
+        assert payload["error"] == "DegreeCapExceeded"
+    else:
+        assert payload["field"]["kind"] == kind
+
+
+def test_json_out_before_the_command(tmp_path):
+    path = tmp_path / "out.json"
+    code, out = run_cli(["--json-out", str(path), "depth", "--field", "q2", "<1>"])
+    assert code == 0
+    assert json.loads(path.read_text()) == json.loads(out)
+
+
+def test_an_option_after_the_command_wins():
+    _, out = run_cli(["--precision", "16", "depth", "--precision", "32", "[1, t]"])
+    assert json.loads(out)["precision"] == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", "--field", "f2-laurent", "[1+t+O(t^5), t^-1]"],
+    ["depth", "--field", "f2-laurent", "[1,,t]"],
+    ["enumerate-q2"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wittlab", *argv],
+                              env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert proc.stderr == ""

@@ -17,19 +17,30 @@ in `linalg`, kept as test oracles.
 * `degenerate_by_inverse` is condition (c) of `norms.check_compatibility`
   as it was decided before, by inverting the leading-coefficient matrix;
   it is compared with the rank test on `independent_rows` that replaced it.
+* `depth_reduce` is the reduction step that lifts every plane vector to
+  ambient coordinates and re-forms the Gram with `quadform.gram_of` and
+  the q values with `QuadraticForm.evaluate`.  It is compared with
+  `norms.depth_reduce`, which reads them off the certificate's exact Gram
+  data by congruence, along the wildness loop over F2((t)), F4((t)),
+  F2(x)((t)) and Q_2, values and precisions both.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittlab import graded, linalg, norms
-from wittlab.errors import DegenerateForm, Undecidable, WittlabError
+from wittlab.errors import (DegenerateForm, DegreeCapExceeded,
+                            PrecisionExhausted, Undecidable, WittlabError)
 from wittlab.fields import GF2m, RatFuncField, field_shorthand
+from wittlab.fields.common import INF, half
 from wittlab.graded import GradedVector, coset
 from wittlab.literals import parse_element, parse_form
-from wittlab.quadform import QuadraticForm
+from wittlab.quadform import QuadraticForm, gram_of
 from wittlab.residue_witt import kquad_isotropic_vector
 
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1)}
@@ -229,6 +240,68 @@ def degenerate_by_inverse(lead, k):
     except WittlabError:
         return True
     return False
+
+
+def depth_reduce(q, cert):
+    """The parent reduction step: ambient columns, gram_of, evaluate."""
+    gamma = cert.eps
+    S = norms.induced_space(q, cert)
+    planes = graded.metabolic_planes(S)
+    if planes is None:
+        return norms.NotReducible(gamma, graded.orbit_invariants(S))
+    F = q.field
+    cols = [cert.norm.column(i) for i in range(cert.norm.n)]
+
+    def lift_vec(gv):
+        amb = [F.zero] * q.n
+        for i, c in enumerate(gv.coords):
+            if c.is_zero():
+                continue
+            h = F.lift_homog(c, gv.degree - S.degrees[i])
+            for r in range(q.n):
+                amb[r] = amb[r] + h * cols[i][r]
+        return amb
+
+    es, fs, e_vals, f_vals = [], [], [], []
+    for (x, y) in planes:
+        es.append(lift_vec(x))
+        e_vals.append(x.degree)
+        fs.append(lift_vec(y))
+        f_vals.append(y.degree)
+    qe = []
+    eps_prime = None
+
+    def certify_slack(Ge):
+        nonlocal eps_prime
+        qe.extend(q.evaluate(e) for e in es)
+        terms = [gamma]
+        for l in range(len(es)):
+            qv = qe[l].low_bound()
+            if qv != INF:
+                terms.append(half(qv) - e_vals[l])
+            for m in range(len(es)):
+                if m == l:
+                    continue
+                bb = Ge[l][m].low_bound()
+                if bb != INF:
+                    terms.append(bb - e_vals[l] - e_vals[m] - gamma)
+        eps_prime = min(terms)
+        if eps_prime <= 0:
+            raise PrecisionExhausted(
+                "metabolic witness slack not certified positive")
+        qe.extend(q.evaluate(f) for f in fs)
+
+    basis_cols = es + fs
+    G = gram_of(q.polar_matrix(), basis_cols, F.zero,
+                head=len(es), on_head=certify_slack)
+    values = [v + eps_prime for v in e_vals] + f_vals
+    new_norm = norms.VNorm(F, linalg.transpose(basis_cols), values)
+    res = norms.check_compatibility(q, new_norm, gamma - eps_prime,
+                                    _gram=(qe, G))
+    if isinstance(res, norms.CompatibilityViolation):
+        raise PrecisionExhausted(
+            f"reduced norm failed to re-certify: {res!r}")
+    return res
 
 
 # -- random draws -----------------------------------------------------------------
@@ -508,3 +581,151 @@ def test_rank_test_matches_invert_exact(name):
         assert degenerate == degenerate_by_inverse(lead, k)
         seen.add(degenerate)
     assert seen == {True, False}
+
+
+def _loop_form(F, rng):
+    """A sum of binary (and, over Q_2, diagonal) summands: scrambled half
+    of the time, else as written, with O() terms in a third of the
+    coefficients half of that time."""
+    if rng.random() < 0.5:
+        return _form(F, rng)
+    truncate = rng.random() < 0.5
+    u = "2" if F.char == 0 else "t"
+
+    def coeff():
+        text = _coeff(F, rng)
+        if truncate and rng.random() < 1 / 3:
+            return f"{text} + O({u}^{rng.randrange(2, 8)})"
+        return text
+
+    parts = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        a, b = coeff(), coeff()
+        parts.append(f"<{a}, {b}>" if F.char == 0 and rng.random() < 0.4
+                     else f"[{a}, {b}]")
+    return parse_form(f"sum({', '.join(parts)})", F)
+
+
+def _certificate_bytes(res):
+    """Everything a reduction step returns, with each element's value and
+    precision spelled out, so that an abs_prec mismatch fails the test."""
+    if not isinstance(res, norms.DepthCertificate):
+        return res if isinstance(res, tuple) else ("not reducible", res.depth)
+
+    def spell(x):
+        return (x.field.format_elem(x), x.abs_prec)
+
+    return (res.eps, res.norm.values,
+            [[spell(x) for x in row] for row in res.norm.basis],
+            [spell(x) for x in res.qe],
+            [[spell(x) for x in row] for row in res.be],
+            res.lead)
+
+
+def _compare_reductions(q):
+    """Walk the wildness loop of q, comparing each step with the parent
+    step; returns how many steps read exact Gram data."""
+    try:
+        cert = norms.initial_norm(q)
+    except WittlabError:
+        return 0
+    exact = 0
+    while cert.eps > 0:
+        exact += norms._is_exact(cert)
+        want = _outcome(depth_reduce, q, cert)
+        got = _outcome(norms.depth_reduce, q, cert)
+        assert _certificate_bytes(got) == _certificate_bytes(want), q
+        if not isinstance(got, norms.DepthCertificate):
+            break
+        cert = got
+    return exact
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_congruence_matches_parent_depth_reduce(shorthand, seed):
+    F = field_shorthand(shorthand, precision=32)
+    _compare_reductions(_loop_form(F, random.Random(seed)))
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+def test_congruence_and_fallback_both_run_along_the_loop(shorthand, monkeypatch):
+    F = field_shorthand(shorthand, precision=32)
+    rng = random.Random(f"congruence {shorthand}")
+    taken = {"congruence": 0, "reform": 0}
+    for path, name in (("congruence", "_gram_by_congruence"),
+                       ("reform", "_gram_by_reforming")):
+        def spy(*args, _real=getattr(norms, name), _path=path):
+            taken[_path] += 1
+            return _real(*args)
+        monkeypatch.setattr(norms, name, spy)
+    exact = sum(_compare_reductions(_loop_form(F, rng)) for _ in range(120))
+    # a step that finds no metabolic plane forms no Gram at all
+    assert exact >= taken["congruence"] >= 10
+    assert taken["reform"] >= 1
+
+
+def _reducible_certificate(shorthand):
+    """The first exact certificate of positive depth that reduces."""
+    F = field_shorthand(shorthand, precision=32)
+    rng = random.Random(f"reducible {shorthand}")
+    while True:
+        q = _form(F, rng)
+        try:
+            cert = norms.initial_norm(q)
+        except WittlabError:
+            continue
+        if cert.eps > 0 and norms._is_exact(cert) and \
+                isinstance(_outcome(depth_reduce, q, cert), norms.DepthCertificate):
+            return q, cert
+
+
+def _truncated(x):
+    """x with the same digits, known only modulo a high power of t or 2."""
+    lb = x.low_bound()
+    return x.truncated(40 if lb == INF else lb + 40)
+
+
+@pytest.mark.parametrize("entry", ("qe", "be"))
+@pytest.mark.parametrize("shorthand", VALUED)
+def test_one_truncated_entry_takes_the_gram_of_path(shorthand, entry,
+                                                    monkeypatch):
+    q, cert = _reducible_certificate(shorthand)
+    if entry == "qe":
+        truncated = replace(cert, qe=[_truncated(cert.qe[0])] + cert.qe[1:])
+    else:
+        be = [list(row) for row in cert.be]
+        be[0][1] = be[1][0] = _truncated(be[0][1])
+        truncated = replace(cert, be=be)
+    assert not norms._is_exact(truncated)
+
+    def refuse(*args):
+        raise AssertionError("congruence on a truncated certificate")
+
+    monkeypatch.setattr(norms, "_gram_by_congruence", refuse)
+    assert _certificate_bytes(norms.depth_reduce(q, truncated)) == \
+        _certificate_bytes(depth_reduce(q, truncated))
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+def test_degree_cap_in_the_congruence_falls_back_to_gram_of(shorthand,
+                                                            monkeypatch):
+    q, cert = _reducible_certificate(shorthand)
+    real = norms._gram_by_congruence
+    reformed = []
+
+    def capped(cert, H, head, slack):
+        # the e block and its slack pass, then an f entry trips the cap
+        real(cert, H[:head], head, slack)
+        raise DegreeCapExceeded("forced")
+
+    def spy(*args, _real=norms._gram_by_reforming):
+        reformed.append(True)
+        return _real(*args)
+
+    monkeypatch.setattr(norms, "_gram_by_congruence", capped)
+    monkeypatch.setattr(norms, "_gram_by_reforming", spy)
+    assert _certificate_bytes(norms.depth_reduce(q, cert)) == \
+        _certificate_bytes(depth_reduce(q, cert))
+    assert reformed == [True]
