@@ -18,6 +18,7 @@ before or after the command; given in both places, the later one wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -297,7 +298,10 @@ DEFAULTS = {"field": "f2-laurent", "precision": 64, "degree_cap": 512,
             "json_out": None}
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, and every call parses into a fresh namespace."""
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--field",
                         help="f2-laurent | f2m-laurent:m=K | f2x-laurent | "

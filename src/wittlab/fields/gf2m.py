@@ -9,9 +9,10 @@ roots, sections and all derived canonical choices are reproducible
 across runs.  Irreducibility is re-verified at field construction.
 
 Multiplication is carryless (shift/xor) followed by reduction; inversion
-uses the extended Euclidean algorithm on bit-polynomials.  Every field
-of characteristic 2 here is perfect: sqrt is the inverse of Frobenius,
-computed as c^(2^(m-1)).
+uses the extended Euclidean algorithm on bit-polynomials.  Fields with
+m <= 8 read both from tables built once, next to an interned element
+pool.  Every field of characteristic 2 here is perfect: sqrt is the
+inverse of Frobenius, computed as c^(2^(m-1)).
 
 This module also holds the one carryless kernel of the package, shared by
 the packed polynomials over GF(2^m): the coefficients of `Laurent` over
@@ -165,9 +166,10 @@ def is_irreducible(f: int) -> bool:
 class GF2m:
     """The field GF(2^m) with the fixed modulus for its degree.
 
-    Small fields (m <= 8) get an interned element pool and a full
-    multiplication table; the filtration algorithms spend most of their
-    time here, so element arithmetic must not allocate.
+    Small fields (m <= 8) get an interned element pool, a full
+    multiplication table and an inverse table; the filtration algorithms
+    spend most of their time here, so element arithmetic must not
+    allocate.
     """
 
     _cache: dict[int, "GF2m"] = {}
@@ -185,11 +187,13 @@ class GF2m:
         self.order = 1 << m
         self.packing = _Packing(self)
         self._table = None
+        self._inv = None
         self._pool = None
         if m <= 8:
             self._table = [[clmod(_clmul(a, b), self.modulus)
                             for b in range(self.order)]
                            for a in range(self.order)]
+            self._inv = [0] + [self._euclid_inv(a) for a in range(1, self.order)]
             self._pool = [FF(self, bits) for bits in range(self.order)]
         cls._cache[m] = self
         return self
@@ -207,7 +211,12 @@ class GF2m:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0 in " + repr(self))
-        # extended Euclid on bit-polynomials
+        if self._inv is not None:
+            return self._inv[a]
+        return self._euclid_inv(a)
+
+    def _euclid_inv(self, a: int) -> int:
+        """The inverse of a nonzero a by extended Euclid on bit-polynomials."""
         r0, r1 = self.modulus, a
         s0, s1 = 0, 1
         while r1:
@@ -364,7 +373,10 @@ class FF:
         return self * other.inv()
 
     def inv(self) -> "FF":
-        return self.field.elem(self.field.inv(self.bits))
+        f = self.field
+        if f._inv is not None and self.bits:
+            return f._pool[f._inv[self.bits]]
+        return f.elem(f.inv(self.bits))
 
     def __pow__(self, e: int) -> "FF":
         return self.field.elem(self.field.pow(self.bits, e))

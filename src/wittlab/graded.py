@@ -19,10 +19,12 @@ kernels for types II/III, genuine quadratic forms over k (`QuadraticForm`s)
 for type I.  The descended residue objects are split by the kernel of the
 valued forms, `quadform.split_gram`.  `metabolic_planes` keeps its own
 projection: it splits on a combination vector, and its planes fix the
-printed certificate basis.  It chooses the kept basis first
-(`linalg.independent_rows`; graded vectors of different degree classes
-have disjoint supports, so one echelon serves all classes) and forms
-the projected Gram on the kept rows only.
+printed certificate basis.  The isotropic relation names the two rows
+each projection makes dependent, so no elimination chooses the kept
+basis; the Gram rows and q values of the kept rows are updated in
+place.  Over GF(2^m) its vectors and Gram rows are ints in the slot
+layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
+(`_Coords`); the planes leave it as `GradedVector`s.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ from . import linalg, residue_witt
 from .errors import (DegenerateForm, SingularMatrix, Undecidable,
                      WrongCase)
 from .fields.common import HALF, INF, grid, half
+from .fields.gf2m import GF2m, _clmul
 from .quadform import QuadraticForm, split_gram
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                            kquad_isotropic_vector, sq_normalize)
+
+OFF_GRID = "coordinate in a slot off the degree grid"
+
 
 def _is_int(d: Fraction) -> bool:
     return d.denominator == 1
@@ -118,21 +124,20 @@ class GradedVector:
     def __post_init__(self):
         for i, c in enumerate(self.coords):
             if not c.is_zero():
-                assert _is_int(self.degree - self.space.degrees[i]), \
-                    "coordinate in a slot off the degree grid"
+                assert _is_int(self.degree - self.space.degrees[i]), OFF_GRID
+
+    @classmethod
+    def on_grid(cls, space, degree, coords):
+        """The vector with coordinates the caller has already checked
+        against the degree grid, built without checking them again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "space", space)
+        object.__setattr__(v, "degree", degree)
+        object.__setattr__(v, "coords", coords)
+        return v
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
-
-    def combine(self, scalars, others):
-        """self + sum scalars[r] * others[r] (k-scalars, implicit shifts)."""
-        coords = linalg.combine(self.coords, [(s, o.coords)
-                                              for s, o in zip(scalars, others)])
-        return GradedVector(self.space, self.degree, tuple(coords))
-
-    def rescaled(self, s):
-        return GradedVector(self.space, self.degree,
-                            tuple(s * c for c in self.coords))
 
 
 # -- validation ---------------------------------------------------------------
@@ -390,112 +395,230 @@ class MetabolicityReport:
     evidence: dict = field(default_factory=dict)  # orbit -> invariant
 
 
-def _find_isotropic_rel(S: ShiftedQuadSpace, vecs, qs, G):
-    """Isotropic k-combination of the current vecs, as a coefficient list,
-    using the precomputed q values and Gram matrix of the vecs.
+def _find_isotropic_rel(S: ShiftedQuadSpace, cls, qs, entry):
+    """Isotropic k-combination of the current rows, as the (row, nonzero
+    coefficient) pairs in row order; cls[r] is the degree class of row r,
+    qs[r] its q value and entry(r, c) an entry of their Gram matrix.
 
     None certifies anisotropy except for type I over an imperfect residue
     field, where Undecidable is raised.
     """
     k = S.k
     classes: dict = {}
-    for r, v in enumerate(vecs):
-        classes.setdefault(coset(v.degree), []).append(r)
+    for r, c in enumerate(cls):
+        classes.setdefault(c, []).append(r)
     undecided = False
     for c in sorted(classes):
         idx = classes[c]
         for r in idx:
             if qs[r].is_zero():
-                out = [k.zero] * len(vecs)
-                out[r] = k.one
-                return out
+                return [(r, k.one)]
         if S.type_tag in ("II", "III"):
             if k.is_perfect:
-                rows = [[qs[r].sqrt() for r in idx]]
+                # the kernel of one row (s_r) = (sqrt q_r), no s_r zero:
+                # its first basis vector is (s_1 / s_0, 1, 0, ...)
+                sol = None if len(idx) < 2 else \
+                    [qs[idx[0]].sqrt().inv() * qs[idx[1]].sqrt(), k.one]
             else:
                 splits = [k.frobenius_coordinates(qs[r]) for r in idx]
                 rows = [[s[0] for s in splits], [s[1] for s in splits]]
-            kernel = linalg.kernel_exact(rows, k.zero, k.one)
-            if kernel:
-                out = [k.zero] * len(vecs)
-                for r, a in zip(idx, kernel[0]):
-                    out[r] = a
-                return out
+                sol = (linalg.kernel_exact(rows, k.zero, k.one) or [None])[0]
         else:
-            form = QuadraticForm.from_gram(k, [qs[r] for r in idx],
-                                           [[G[r][c] for c in idx] for r in idx])
+            form = QuadraticForm(k, [[qs[r] if r == s else entry(r, s)
+                                      if s > r else k.zero for s in idx]
+                                     for r in idx])
             try:
                 sol = kquad_isotropic_vector(form)
             except DegenerateForm:
                 sol = None  # class form degenerate: no conclusion here
                 undecided = True
-            if sol is not None:
-                out = [k.zero] * len(vecs)
-                for r, a in zip(idx, sol):
-                    out[r] = a
-                return out
-            if not k.is_perfect:
+            if sol is None and not k.is_perfect:
                 undecided = True
+        if sol is not None:
+            return [(r, a) for r, a in zip(idx, sol) if not a.is_zero()]
     if undecided:
         raise Undecidable(
             "isotropy of a depth-0 space over an imperfect residue field")
     return None
 
 
+class _Slots:
+    """Vectors over GF(2^m) packed into one int each, in the slot layout
+    of `GF2m.packing`: coordinate i sits in bits S*i to S*i + S - 1.
+    Adding is xor, a scalar multiple one carryless product and one slot
+    reduction; over GF(2) a vector is a plain bitmask."""
+
+    def __init__(self, k):
+        self.elem = k.elem
+        self.S = k.packing.S
+        self.smask = k.packing.smask
+        self.reduce = k.packing.reduce
+
+    def units(self, n):
+        return [1 << (self.S * i) for i in range(n)]
+
+    def pack(self, coords):
+        S, v = self.S, 0
+        for i, c in enumerate(coords):
+            if c.bits:
+                v |= c.bits << (S * i)
+        return v
+
+    def unpack(self, v, n):
+        out = [self.elem(0)] * n
+        while v:
+            i = self.first(v)
+            out[i] = self.entry(v, i)
+            v &= ~(self.smask << (self.S * i))
+        return tuple(out)
+
+    def entry(self, v, i):
+        """Coordinate i of v, None when it is zero."""
+        bits = v >> (self.S * i) & self.smask
+        return self.elem(bits) if bits else None
+
+    def scale(self, a, v):
+        return v if a.bits == 1 else self.reduce(_clmul(a.bits, v))
+
+    def axpy(self, v, a, u):
+        """v + a u."""
+        return v ^ (u if a.bits == 1 else self.reduce(_clmul(a.bits, u)))
+
+    def first(self, v):
+        """The first nonzero coordinate, None for the zero vector."""
+        return ((v & -v).bit_length() - 1) // self.S if v else None
+
+    def drop(self, v, i):
+        """v without coordinate i; the ones above it move down."""
+        lo = self.S * i
+        return v >> (lo + self.S) << lo | v & ((1 << lo) - 1)
+
+    def mask(self, slots):
+        return sum(self.smask << (self.S * i) for i in slots)
+
+    def vanishes_on(self, v, mask):
+        return not v & mask
+
+
+class _Coords:
+    """The `_Slots` operations on coordinate tuples, for GF(2^m)(x)."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def units(self, n):
+        k = self.k
+        return [tuple(row) for row in linalg.identity(n, k.zero, k.one)]
+
+    def pack(self, coords):
+        return tuple(coords)
+
+    def unpack(self, v, n):
+        return v
+
+    def entry(self, v, i):
+        return None if v[i].is_zero() else v[i]
+
+    def scale(self, a, v):
+        return tuple(c if c.is_zero() else a * c for c in v)
+
+    def axpy(self, v, a, u):
+        return tuple(x if y.is_zero() else x + a * y for x, y in zip(v, u))
+
+    def first(self, v):
+        return next((i for i, c in enumerate(v) if not c.is_zero()), None)
+
+    def drop(self, v, i):
+        return v[:i] + v[i + 1:]
+
+    def mask(self, slots):
+        return slots
+
+    def vanishes_on(self, v, mask):
+        return all(v[i].is_zero() for i in mask)
+
+
 def metabolic_planes(S: ShiftedQuadSpace):
     """Decomposition into pairwise-orthogonal metabolic planes, or None
     when an anisotropic kernel remains.
 
-    The working basis and its Gram matrix are maintained incrementally."""
+    Each round splits off the plane (x, y) of an isotropic relation sol
+    among the current rows w_c, projects the other rows to its orthogonal
+    complement, w_c' = w_c + lam_c x + mu_c y, and updates their Gram
+    matrix and q values in place.  The m projected rows satisfy exactly
+    two relations, sol and the unit vector at yi (w_yi' = 0), so the rows
+    yi and max(supp(sol) minus yi) go and the other m - 2 stay: the rows a
+    greedy echelon pass would keep.  Over GF(2^m) vectors and Gram rows
+    are packed ints (`_Slots`), over GF(2^m)(x) coordinate tuples."""
     k = S.k
-    vecs = [S.unit_vector(i) for i in range(S.n)]
-    G = [list(row) for row in S.bmat]
+    vec = (_Slots if isinstance(k, GF2m) else _Coords)(k)
+    n = S.n
+    vecs = vec.units(n)
+    G = [vec.pack(row) for row in S.bmat]
+    qs = list(S.qvals)
+    degs = list(S.degrees)
+    # degree classes by their rank in Q/Z, and the coordinates that a
+    # vector of each class must leave zero
+    cosets = [coset(d) for d in degs]
+    order = sorted(set(cosets))
+    cls = [order.index(c) for c in cosets]
+    off_grid = [vec.mask([i for i in range(n) if cls[i] != c])
+                for c in range(len(order))]
+    polar = S.type_tag == "I"
     planes = []
     while vecs:
-        m = len(vecs)
-        qs = [S.qval(w) for w in vecs]
-        sol = _find_isotropic_rel(S, vecs, qs, G)
+        sol = _find_isotropic_rel(S, cls, qs,
+                                  lambda r, c: vec.entry(G[r], c) or k.zero)
         if sol is None:
             return None
-        # the relation is sparse: most of its coefficients are zero
-        supp = [r for r in range(m) if not sol[r].is_zero()]
-        base = supp[0]
-        x = vecs[base].rescaled(sol[base]).combine(
-            [sol[r] for r in supp[1:]], [vecs[r] for r in supp[1:]])
-        bx = [sum_k(k, (sol[r] * G[r][c] for r in supp)) for c in range(m)]
-        yi = next((c for c in range(m) if not bx[c].is_zero()), None)
+        (base, a), *rest = sol
+        x, bx = vec.scale(a, vecs[base]), vec.scale(a, G[base])
+        for r, a in rest:
+            x, bx = vec.axpy(x, a, vecs[r]), vec.axpy(bx, a, G[r])
+        yi = vec.first(bx)
         assert yi is not None, "restriction of b must stay nondegenerate"
-        sc = bx[yi].inv()
-        y = vecs[yi].rescaled(sc)
-        planes.append((x, y))
-        # Gram data of the plane: b(x,y) = 1, b(x,x) = 0 (q(x) = 0)
-        gyy = G[yi][yi] * sc * sc
-        by = [G[c][yi] * sc for c in range(m)]
-        bxx = sum_k(k, (sol[r] * bx[r] for r in supp))
-        den = (bxx * gyy + k.one).inv()
-        lams, mus = [], []
-        for c in range(m):
-            lams.append((bx[c] * gyy + by[c]) * den)
-            mus.append((by[c] * bxx + bx[c]) * den)
-        projected = [vecs[c].combine([lams[c], mus[c]], [x, y])
-                     for c in range(m)]
-        keep = linalg.independent_rows([w.coords for w in projected], m - 2)
-        assert len(keep) == m - 2, "projection lost rank"
-        vecs = [projected[r] for r in keep]
-        # project the Gram on the kept rows: w_c' is orthogonal to x and y,
-        # so b(w_r', w_c') = b(w_r, w_c) + lam_c b(w_r,x) + mu_c b(w_r,y),
-        # and residue arithmetic is exact, so the mirror is that entry too
-        G = linalg.symmetric(keep, lambda r, c: G[r][c] + lams[c] * bx[r]
-                             + mus[c] * by[r])
-    return planes
-
-
-def sum_k(k, items):
-    acc = k.zero
-    for it in items:
-        if not it.is_zero():
-            acc = acc + it
-    return acc
+        sc = vec.entry(bx, yi).inv()
+        y = vec.scale(sc, vecs[yi])
+        assert vec.vanishes_on(x, off_grid[cls[base]]) and \
+            vec.vanishes_on(y, off_grid[cls[yi]]), OFF_GRID
+        planes.append(((degs[base], x), (degs[yi], y)))
+        # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
+        # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
+        # lam_c = b(w_c, y) + mu_c b(y, y)
+        by = vec.scale(sc, G[yi])
+        gyy = vec.entry(G[yi], yi)
+        lam = by if gyy is None else vec.axpy(by, gyy * sc * sc, bx)
+        qy = qs[yi] * sc * sc
+        drop = max(r for r, _ in sol if r != yi)
+        keep = [c for c in range(len(vecs)) if c != yi and c != drop]
+        hi, lo = max(yi, drop), min(yi, drop)
+        vecs2, G2, qs2 = [], [], []
+        for c in keep:
+            w, row, qc = vecs[c], G[c], qs[c]
+            lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
+            if lc is not None:
+                w = vec.axpy(w, lc, x)
+            if mc is not None:
+                w = vec.axpy(w, mc, y)
+                # q(w_c') = q(w_c) + mu_c^2 q(y), and for type I also
+                # lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
+                if not qy.is_zero():
+                    qc = qc + mc * mc * qy
+                if polar and bc is not None:
+                    qc = qc + mc * bc
+                # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b(w_c, y) mu_d
+                row = vec.axpy(row, mc, lam)
+            if bc is not None:
+                row = vec.axpy(row, bc, bx)
+            assert vec.vanishes_on(w, off_grid[cls[c]]), OFF_GRID
+            vecs2.append(w)
+            G2.append(vec.drop(vec.drop(row, hi), lo))
+            qs2.append(qc)
+        vecs, G, qs = vecs2, G2, qs2
+        degs = [degs[c] for c in keep]
+        cls = [cls[c] for c in keep]
+    return [tuple(GradedVector.on_grid(S, d, vec.unpack(v, n))
+                  for d, v in plane) for plane in planes]
 
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:

@@ -332,3 +332,24 @@ def test_closed_stdout_ends_quietly(argv):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--precision", "16", "depth", "--field", "q2", "<1, 3, 5>"],
+    ["depth", "--field", "q2", "--precision", "16", "<1, 3, 5>"],
+    ["--field", "f2m-laurent:m=2", "canonical", "sum([1, t^-1], [2, t^-3])"],
+    ["canonical", "--field", "f2m-laurent:m=2", "sum([1, t^-1], [2, t^-3])"],
+])
+def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(argv, capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    fresh = subprocess.run([sys.executable, "-m", "wittlab", *argv], env=env,
+                           capture_output=True, text=True)
+    assert cli.build_parser() is cli.build_parser()  # one parser per process
+    for bad in (["--precision", "0", "depth", "[1, t]"],
+                ["depth", "--precision", "0", "[1, t]"],
+                ["depth", "--no-such-option", "[1, t]"]):
+        code, out = run_cli(bad)
+        assert code == 2 and json.loads(out)["error"] == "usage"
+    assert run_cli(argv) == (fresh.returncode, fresh.stdout)
+    assert fresh.returncode == 0

@@ -12,6 +12,7 @@ from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
                             frobenius_coordinates, hensel_artin_schreier,
                             make_field, ratfunc, residue, section, valuation)
 from wittlab.fields.common import power
+from wittlab.graded import _Slots
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
 
@@ -845,3 +846,58 @@ def test_tuple_laurent_shares_zero_and_one():
     assert R.zero is R.zero and R.one is R.one and F.one is F.one
     assert (R.x / (R.x + R.one) + R.x / (R.x + R.one)) is R.zero
     assert F.one == F.make([(0, R.one)]) and F.one.digits == (R.one,)
+
+
+# -- inverse tables and packed slot vectors --------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gf2m_inverse_table_matches_euclid(m):
+    K = GF2m(m)
+    assert K._inv is not None
+    for a in range(1, K.order):
+        assert K.inv(a) == K._euclid_inv(a)
+        assert K.mul(a, K.inv(a)) == 1
+        assert K.elem(a).inv() is K.elem(K._euclid_inv(a))
+    with pytest.raises(DivisionByZero):
+        K.zero.inv()
+
+
+def test_gf2m_without_tables_inverts_by_euclid():
+    K = GF2m(9)
+    assert K._inv is None
+    for a in (1, 2, 3, 257, K.order - 1):
+        assert K.mul(a, K.inv(a)) == 1
+    with pytest.raises(DivisionByZero):
+        K.zero.inv()
+
+
+SLOT_M = (1, 2, 3, 8, 9, 16)
+
+
+@pytest.mark.parametrize("m", SLOT_M)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_slot_vectors_match_ff_arithmetic(m, data):
+    K = GF2m(m)
+    vec = _Slots(K)
+    n = data.draw(st.integers(1, 18))
+    bits = st.one_of(st.just(0), st.just(1), st.integers(0, K.order - 1))
+    coords = st.lists(bits.map(K.elem), min_size=n, max_size=n)
+    u, w = data.draw(coords), data.draw(coords)
+    a = K.elem(data.draw(st.integers(0, K.order - 1)))
+    pu, pw = vec.pack(u), vec.pack(w)
+    assert vec.unpack(pu, n) == tuple(u)
+    assert [vec.entry(pu, i) for i in range(n)] == \
+        [None if x.is_zero() else x for x in u]
+    assert vec.unpack(pu ^ pw, n) == tuple(x + y for x, y in zip(u, w))
+    assert vec.unpack(vec.scale(a, pu), n) == tuple(a * x for x in u)
+    assert vec.unpack(vec.axpy(pw, a, pu), n) == \
+        tuple(y + a * x for x, y in zip(u, w))
+    assert vec.first(pu) == next((i for i, x in enumerate(u)
+                                  if not x.is_zero()), None)
+    i = data.draw(st.integers(0, n - 1))
+    assert vec.unpack(vec.drop(pu, i), n - 1) == tuple(u[:i] + u[i + 1:])
+    slots = data.draw(st.sets(st.integers(0, n - 1)))
+    assert vec.vanishes_on(pu, vec.mask(slots)) == \
+        all(u[s].is_zero() for s in slots)

@@ -7,10 +7,15 @@ in `linalg`, kept as test oracles.
   full `rref_exact` per candidate.  Both are compared with
   `linalg.independent_rows`.
 * `metabolic_planes` is the parent routine: it projects all m vectors,
-  forms the whole m x m Gram update and then keeps m - 2 rows.  It is
-  compared with `graded.metabolic_planes`, which keeps first and forms
-  the symmetric update on the kept rows, on the induced spaces met along
-  the wildness loop over F2((t)), F4((t)), F2(x)((t)) and Q_2.
+  forms the whole m x m Gram update, re-evaluates q on every projected
+  vector and then keeps the m - 2 rows a greedy echelon pass selects.
+  It is compared with `graded.metabolic_planes`, which drops the two
+  rows its isotropic relation names, updates the Gram rows and q values
+  of the kept rows in place and packs vectors over GF(2^m) into ints,
+  on the induced spaces met along the wildness loop over F2((t)),
+  F4((t)), F2(x)((t)) and Q_2, and on random spaces over every residue
+  field of `RESIDUE`: GF(8) packs at slot width 2m - 1 = 5 and GF(2^9)
+  lies above the m <= 8 multiplication and inverse tables.
 * `pick_pivot`, `pick_line` and `pick_pair` are the pick loops of
   `linalg` and `quadform.split_gram`, compared with
   `linalg.min_valuation` on truncated entries with ties.
@@ -43,7 +48,8 @@ from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import QuadraticForm, gram_of
 from wittlab.residue_witt import kquad_isotropic_vector
 
-RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1)}
+RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
+           "GF(8)": GF2m(3), "GF(2^9)": GF2m(9)}
 VALUED = ("f2-laurent", "f2m-laurent:m=2", "f2x-laurent", "q2")
 HALF = Fraction(1, 2)
 
@@ -504,6 +510,43 @@ def test_metabolic_planes_matches_parent_on_random_spaces(name):
         assert _planes(got) == _planes(want), S
         split += isinstance(want, list) and len(want) > 1
     assert split > 15
+    for keep, chosen in selections:
+        assert chosen == keep
+
+
+def _random_type_III_space(k, rng):
+    """A random valid type-III space: eps = v(2) = 1, so each class of
+    (1/2)Z/Z pairs with itself, q(e_i) = b(e_i, e_i), and b is dense
+    wherever the degree grid allows, off the diagonal too."""
+    degrees = [rng.choice((0, 1, -1, HALF, -HALF))
+               for _ in range(rng.randrange(2, 9))]
+    n = len(degrees)
+    bmat = [[k.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (degrees[i] + degrees[j]) % 1 == 0:
+                bmat[i][j] = bmat[j][i] = _elem(k, rng)
+    S = graded.ShiftedQuadSpace(k, 1, 1, degrees,
+                                [bmat[i][i] for i in range(n)], bmat, "III")
+    return S if graded.validate(S) is None else None
+
+
+@pytest.mark.parametrize("name", RESIDUE)
+def test_metabolic_planes_matches_parent_on_random_type_III_spaces(name):
+    """b(y, y) = q(y) need not vanish here, so the projection's
+    b(y, y) b(w_c, x) term and the q update by q(y) both count."""
+    k = RESIDUE[name]
+    rng = random.Random(f"metabolic_planes type III {name}")
+    selections, split = [], 0
+    for _ in range(400):
+        S = _random_type_III_space(k, rng)
+        if S is None:
+            continue
+        want = _outcome(metabolic_planes, S, selections)
+        got = _outcome(graded.metabolic_planes, S)
+        assert _planes(got) == _planes(want), S
+        split += isinstance(want, list) and len(want) > 1
+    assert split > 5
     for keep, chosen in selections:
         assert chosen == keep
 
