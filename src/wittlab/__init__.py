@@ -29,6 +29,6 @@ from .quadform import BinaryForm, QuadraticForm, WittExpr, rewrite, symplectic_b
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace, TensorElem,
                            WClass, WedgeElem, WqClass, arf_invariant, functor_U,
                            sq_normalize, sq_witt_class, ssq_normalize,
-                           ssq_witt_class, w_class, witt_decompose_small)
+                           ssq_witt_class, w_class)
 
 __version__ = "0.1.0"

@@ -44,6 +44,11 @@ def lower_bound(v) -> "int | float":
     return v.bound if isinstance(v, AtLeast) else v
 
 
+def is_exact(*rows) -> bool:
+    """Whether every element of the rows has abs_prec None (is exact)."""
+    return {x.abs_prec for row in rows for x in row} <= {None}
+
+
 def _comparison(op, fallback):
     """The Half method for op: on n2 against a Half or an int, as Fraction
     compares against an infinite float or a nan, else Fraction's own."""

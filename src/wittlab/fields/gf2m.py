@@ -348,6 +348,7 @@ class FF:
 
     # the zero tests of the valued fields, under the trivial valuation
     is_exactly_zero = is_zero
+    abs_prec = None  # exact, as the valued fields mark it
 
     def is_certified_nonzero(self) -> bool:
         return self.bits != 0

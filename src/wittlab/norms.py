@@ -33,20 +33,21 @@ The canonical recursion resumes each round this way.  The basis of such
 a certificate differs from the one wildness_index finds for the same
 form; the depth and the residue symbol do not.
 
-Gram matrices are symmetric.  initial_norm and the summand block of
-extend_certificate form theirs with gram_of on the ambient basis columns.
-gram_of forms both triangles, because over truncated columns the two sums
-for one entry can certify different precisions; check_compatibility reads
-the upper triangle, the one that (a) certifies, and mirrors its leading
-coefficients.  depth_reduce reads the new Gram off the certificate
-instead: each new basis vector is sum h_i e_i with every h_i = s(c) t^d
-an exact monomial, so its Gram is H^T be H and its q values are
-sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij.  It takes that congruence only
-when every entry of qe and be is exact, where values are canonical and
-the bytes are those gram_of would give; otherwise, or when the
-congruence trips the degree cap over GF(2^m)(x), it re-forms the Gram
-with gram_of from the ambient columns.  The ambient columns are lifted
-either way, since the new norm's basis is made of them.
+Gram matrices are symmetric.  initial_norm takes its q values from the
+split's evaluations, and on an exact form and split basis its Gram too:
+b(e, e) on a line, 1 for b(e, f) on a pair, exact zeros across blocks;
+otherwise, as for extend_certificate's summand, gram_of forms the Gram
+on the basis columns.  Over truncated data gram_of forms both triangles,
+whose sums can certify different precisions; check_compatibility reads
+the upper one, which (a) certifies, and mirrors its leading
+coefficients.  depth_reduce forms the new Gram and q values with gram_of
+and evaluate.  Each new basis vector is sum h_i e_i, every h_i = s(c) t^d
+an exact monomial, so on exact qe and be it works on the certificate's
+basis, over be and the monomial columns H (exact values are canonical,
+so the bytes are those of the ambient columns); otherwise, or when that
+trips the degree cap over GF(2^m)(x), it lifts the ambient columns and
+re-forms the Gram from the polar matrix.  A reduced norm, and norm_sum
+and norm_shift of one, lifts its ambient basis on the first read.
 """
 
 from __future__ import annotations
@@ -57,25 +58,34 @@ from fractions import Fraction
 from . import graded, linalg
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
                      PrecisionExhausted, SingularForm, WittlabError)
-from .fields.common import INF, AtLeast, grid, half
+from .fields.common import INF, AtLeast, grid, half, is_exact
 from .graded import ShiftedQuadSpace, UniformizingChoice
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
 
 
 class VNorm:
-    """Splitting basis (matrix columns) plus values."""
+    """Splitting basis (matrix columns) plus values.  Given lift instead
+    of a basis, it calls lift() for the basis on the first read."""
 
-    def __init__(self, field, basis, values):
+    def __init__(self, field, basis, values, lift=None):
         self.field = field
-        self.basis = tuple(tuple(row) for row in basis)
+        self._basis = None if lift else tuple(tuple(row) for row in basis)
+        self._lift = lift
         self.values = tuple(map(grid, values))
         self.n = len(self.values)
 
     def __repr__(self):
         return f"VNorm(values={[str(v) for v in self.values]})"
 
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = tuple(tuple(row) for row in self._lift())
+            self._lift = None
+        return self._basis
+
     def column(self, i):
-        return [self.basis[r][i] for r in range(self.n)]
+        return [row[i] for row in self.basis]
 
     def value(self, x):
         """alpha(x) by expansion in the splitting basis."""
@@ -223,8 +233,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
 
 def norm_sum(n1: VNorm, n2: VNorm) -> VNorm:
     assert n1.field == n2.field
-    return VNorm(n1.field, linalg.block_diag(n1.basis, n2.basis, n1.field.zero),
-                 n1.values + n2.values)
+    return VNorm(n1.field, None, n1.values + n2.values, lift=lambda:
+                 linalg.block_diag(n1.basis, n2.basis, n1.field.zero))
 
 
 def norm_shift(norm: VNorm, old_depth, new_depth) -> VNorm:
@@ -237,7 +247,8 @@ def norm_shift(norm: VNorm, old_depth, new_depth) -> VNorm:
         raise GridViolation(
             f"depth step {new_depth - old_depth} is off the half-integer grid")
     shift = (new_depth - old_depth) / 2
-    return VNorm(norm.field, norm.basis, [v - shift for v in norm.values])
+    return VNorm(norm.field, None, [v - shift for v in norm.values],
+                 lift=lambda: norm.basis)
 
 
 def builder_binary(field, a, b):
@@ -293,22 +304,27 @@ def _values_at_depth(built, eps):
 
 def initial_norm(q: QuadraticForm) -> DepthCertificate:
     """Blockwise norms lifted to the maximal block depth (see
-    _values_at_depth)."""
+    _values_at_depth), certified on the split's Gram data."""
     if q.n == 0:
         return require_certificate(q, VNorm(q.field, [], []), half(0))
+    F = q.field
     blocks, M = symplectic_blocks(q)
-    built = []
+    built, qe, split = [], [], []  # split: the Gram the split formed
     for blk in blocks:
         if blk[0] == "line":
-            built.append(builder_unary(q.field, blk[1]))
+            built.append(builder_unary(F, blk[1]))
+            qe.append(blk[1])
+            split = linalg.block_diag(split, [[blk[2]]], F.zero)
         else:
-            built.append(builder_binary(q.field, blk[1], blk[2]))
+            built.append(builder_binary(F, blk[1], blk[2]))
+            qe.extend(blk[1:])
+            split = linalg.block_diag(
+                split, [[F.zero, F.one], [F.one, F.zero]], F.zero)
     eps = max(b[1] for b in built)
-    values = []
-    for b in built:
-        values.extend(_values_at_depth(b, eps))
-    full = VNorm(q.field, M, values)
-    res = check_compatibility(q, full, eps)
+    values = [v for b in built for v in _values_at_depth(b, eps)]
+    be = split if is_exact(*q.U, *M) else \
+        gram_of(q.polar_matrix(), linalg.transpose(M), F.zero)
+    res = check_compatibility(q, VNorm(F, M, values), eps, _gram=(qe, be))
     if isinstance(res, CompatibilityViolation):
         raise SingularForm(f"initial norm failed to certify: {res!r}")
     return res
@@ -413,68 +429,13 @@ class NotReducible:
 
 def _is_exact(cert: DepthCertificate) -> bool:
     """Whether every entry of the certificate's Gram data is exact."""
-    return all(x.abs_prec is None for x in cert.qe) and \
-        all(x.abs_prec is None for row in cert.be for x in row)
+    return is_exact(cert.qe, *cert.be)
 
 
-def _sum(terms, zero):
-    """The sum of the terms, seeded with the first; zero if there are none."""
-    acc = None
-    for x in terms:
-        acc = x if acc is None else acc + x
-    return zero if acc is None else acc
-
-
-def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
-    """(eps', q values, Gram) of the vectors sum_i h_i e_i on the
-    certificate's basis, each given as its sparse column of (i, h_i)
-    pairs: the Gram is H^T be H, formed on the upper triangle and
-    mirrored, and q(sum h_i e_i) = sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij.
-
-    slack is called with the Gram and the q values of H[:head] before any
-    entry of a later column is formed, as gram_of's on_head is.  Exact
-    entries are canonical, so on exact Gram data this gives the bytes
-    that re-forming the Gram from the ambient columns gives."""
-    be, qv = cert.be, cert.qe
-    zero = cert.form.field.zero
-    m = len(H)
-    G = [[None] * m for _ in range(m)]
-
-    def fill(cs):
-        for c in cs:
-            bh = {}  # (be h_c)_i on the rows the columns up to c reach
-            for r in range(c + 1):
-                terms = []
-                for i, hi in H[r]:
-                    if i not in bh:
-                        bi = be[i]
-                        bh[i] = _sum((bi[j] * hj for j, hj in H[c]
-                                      if not bi[j].is_exactly_zero()), None)
-                    if bh[i] is not None:
-                        terms.append(hi * bh[i])
-                G[r][c] = G[c][r] = _sum(terms, zero)
-
-    def qval(h):
-        terms = []
-        for a, (i, hi) in enumerate(h):
-            if not qv[i].is_exactly_zero():
-                terms.append(hi * hi * qv[i])
-            for j, hj in h[a + 1:]:
-                if not be[i][j].is_exactly_zero():
-                    terms.append(hi * hj * be[i][j])
-        return _sum(terms, zero)
-
-    fill(range(head))
-    qe = [qval(h) for h in H[:head]]
-    eps_prime = slack([row[:head] for row in G[:head]], qe)
-    fill(range(head, m))
-    qe.extend(qval(h) for h in H[head:])
-    return eps_prime, qe, G
-
-
-def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
-    """(eps', q values, Gram) of the ambient columns, re-formed from the
-    polar matrix with gram_of and q.evaluate; slack as above."""
+def _gram_and_slack(q: QuadraticForm, B, cols, head, slack):
+    """(eps', q values, Gram) of the columns by gram_of and q.evaluate, B
+    the polar matrix of q; slack gets the Gram and q values of cols[:head]
+    before any entry of a later column is formed."""
     qe, eps = [], []
 
     def on_head(Ge):
@@ -482,9 +443,39 @@ def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
         eps.append(slack(Ge, qe))
         qe.extend(q.evaluate(c) for c in cols[head:])
 
-    G = gram_of(q.polar_matrix(), cols, q.field.zero,
-                head=head, on_head=on_head)
+    G = gram_of(B, cols, q.field.zero, head=head, on_head=on_head)
     return eps[0], qe, G
+
+
+def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
+    """The same for the vectors sum_i h_i e_i on the certificate's basis,
+    H their sparse columns of (i, h_i) pairs: the Gram H^T be H, and q of
+    the form from_gram(qe, be).  Exact entries are canonical, so on exact
+    Gram data the bytes are those the ambient columns give."""
+    F = cert.form.field
+    zero = F.zero
+    cols = [[h.get(i, zero) for i in range(cert.norm.n)]
+            for h in map(dict, H)]
+    return _gram_and_slack(QuadraticForm.from_gram(F, cert.qe, cert.be),
+                           cert.be, cols, head, slack)
+
+
+def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
+    """The same for the ambient columns, re-formed from q."""
+    return _gram_and_slack(q, q.polar_matrix(), cols, head, slack)
+
+
+def _lift(basis, H, zero):
+    """The ambient columns sum_i h_i e_i, each h a sparse list of (i, h_i)
+    pairs and e_i the columns of basis."""
+    cols = [[None] * len(basis) for _ in H]
+    for col, h in zip(cols, H):
+        for r, row in enumerate(basis):
+            for i, hi in h:
+                if not row[i].is_exactly_zero():
+                    t = hi * row[i]
+                    col[r] = t if col[r] is None else col[r] + t
+    return [[zero if x is None else x for x in col] for col in cols]
 
 
 def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
@@ -497,25 +488,15 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     if planes is None:
         return NotReducible(gamma, graded.orbit_invariants(S))
     F = q.field
-    zero = F.zero
-    cols = [cert.norm.column(i) for i in range(cert.norm.n)]
+    parent = cert.norm
 
     def sparse(gv):
         # the plane vector as sum h_i e_i, h_i = s(c) t^d an exact monomial
         return [(i, F.lift_homog(c, gv.degree - S.degrees[i]))
                 for i, c in enumerate(gv.coords) if not c.is_zero()]
 
-    def lift_vec(h):
-        amb = [None] * q.n
-        for i, hi in h:
-            for r, x in enumerate(cols[i]):
-                if not x.is_exactly_zero():
-                    t = hi * x
-                    amb[r] = t if amb[r] is None else amb[r] + t
-        return [zero if a is None else a for a in amb]
-
-    H = [sparse(v) for plane in planes for v in plane]  # x_1, y_1, x_2, ...
-    lifted = [lift_vec(h) for h in H]
+    # x_1, ..., x_k, y_1, ..., y_k
+    H = [sparse(x) for x, _ in planes] + [sparse(y) for _, y in planes]
     head = len(planes)
     e_vals = [x.degree for x, _ in planes]
     f_vals = [y.degree for _, y in planes]
@@ -541,19 +522,19 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
                 "metabolic witness slack not certified positive")
         return eps_prime
 
-    basis_cols = lifted[0::2] + lifted[1::2]
-    gram = None
+    gram = lifted = None
     if _is_exact(cert):
         try:
-            gram = _gram_by_congruence(cert, H[0::2] + H[1::2], head,
-                                       certify_slack)
+            gram = _gram_by_congruence(cert, H, head, certify_slack)
         except DegreeCapExceeded:
             pass  # the ambient sums may stay under the cap
     if gram is None:
-        gram = _gram_by_reforming(q, basis_cols, head, certify_slack)
+        lifted = _lift(parent.basis, H, F.zero)
+        gram = _gram_by_reforming(q, lifted, head, certify_slack)
     eps_prime, qe, G = gram
     values = [v + eps_prime for v in e_vals] + f_vals
-    new_norm = VNorm(F, linalg.transpose(basis_cols), values)
+    new_norm = VNorm(F, None, values, lift=lambda: linalg.transpose(
+        _lift(parent.basis, H, F.zero) if lifted is None else lifted))
     res = check_compatibility(q, new_norm, gamma - eps_prime, _gram=(qe, G))
     if isinstance(res, CompatibilityViolation):
         raise PrecisionExhausted(

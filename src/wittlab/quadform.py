@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (PrecisionExhausted, RuleNotApplicable, SingularForm,
                      SingularMatrix)
-from .fields.common import INF, lower_bound
+from .fields.common import INF, is_exact, lower_bound
 
 
 class QuadraticForm:
@@ -48,8 +48,8 @@ class QuadraticForm:
         self.field = field
         self.n = len(coeffs)
         z = field.zero
-        self.U = tuple(tuple(coeffs[i][j] if j >= i else z for j in range(self.n))
-                       for i in range(self.n))
+        self.U = tuple((z,) * i + tuple(row[i:])
+                       for i, row in enumerate(coeffs))
         self._polar = None
 
     def __repr__(self):
@@ -66,9 +66,8 @@ class QuadraticForm:
     def from_gram(cls, field, qvals, G):
         """The form with q(e_i) = qvals[i] and polar form G, read from the
         upper triangle of G."""
-        n = len(qvals)
-        return cls(field, [[qvals[i] if i == j else G[i][j] for j in range(n)]
-                           for i in range(n)])
+        return cls(field, [(*G[i][:i], q, *G[i][i + 1:])
+                           for i, q in enumerate(qvals)])
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -78,16 +77,21 @@ class QuadraticForm:
                            for i in range(n)])
 
     def evaluate(self, x):
+        """q(x) over the nonzero terms in index order, the sum seeded with
+        its first term."""
         assert len(x) == self.n
-        acc = self.field.zero
-        for i in range(self.n):
-            if x[i].is_exactly_zero():
-                continue
-            for j in range(i, self.n):
-                if self.U[i][j].is_exactly_zero() or x[j].is_exactly_zero():
-                    continue
-                acc = acc + self.U[i][j] * x[i] * x[j]
-        return acc
+        U = self.U
+        nz = [i for i, c in enumerate(x) if not c.is_exactly_zero()]
+        acc = None
+        for a, i in enumerate(nz):
+            Ui, xi = U[i], x[i]
+            for j in nz[a:]:
+                if not Ui[j].is_exactly_zero():
+                    # grouped so that monomial coordinates multiply first;
+                    # value and precision do not depend on the grouping
+                    t = Ui[j] * (xi * x[j])
+                    acc = t if acc is None else acc + t
+        return self.field.zero if acc is None else acc
 
     def polar_matrix(self):
         """B = U + U^T as rows of a tuple, built once per form; alternating
@@ -156,47 +160,53 @@ class BinaryForm:
 
 
 def gram_of(B, cols, zero, head=0, on_head=None):
-    """cols^T B cols with zero-skipping (cols given as coordinate lists).
-
-    B is symmetric, yet G[c][r] is not mirrored from G[r][c]: over
-    truncated columns the two sums agree to the lower of their
-    precisions, but they can certify different ones, and callers read
-    both triangles.
+    """cols^T B cols (cols given as coordinate lists) over nonzero entries:
+    B col only on the rows some column reaches, each sum in index order and
+    seeded with its first term.  B is symmetric; on exact input G[c][r] is
+    copied from G[r][c], r < c, while truncated input gets both triangles,
+    whose sums can certify different precisions.
 
     on_head, if given, is called with the Gram of cols[:head] as soon as
     that block is formed, before any pairing with a later column; it may
     raise to abandon the rest.  Every entry is the same sum either way.
     """
-    n = len(B)
     m = len(cols)
-    Bc = [[zero] * m for _ in range(n)]
+    supp = [[i for i, x in enumerate(col) if not x.is_exactly_zero()]
+            for col in cols]
+    nzB = {i: {j for j, b in enumerate(B[i]) if not b.is_exactly_zero()}
+           for i in set().union(*supp)}
+    images = [{} for _ in cols]  # images[c][i]: (B col_c)_i, None if zero
     G = [[zero] * m for _ in range(m)]
+    mirror = is_exact(*B, *cols)
 
-    def form(images, pairs):
-        for i in range(n):
-            Bi = B[i]
-            for c in images:
-                acc = zero
-                for j in range(n):
-                    if Bi[j].is_exactly_zero() or cols[c][j].is_exactly_zero():
-                        continue
-                    acc = acc + Bi[j] * cols[c][j]
-                Bc[i][c] = acc
+    def form(pairs):
         for r, c in pairs:
-            acc = zero
-            for i in range(n):
-                if cols[r][i].is_exactly_zero() or Bc[i][c].is_exactly_zero():
-                    continue
-                acc = acc + cols[r][i] * Bc[i][c]
-            G[r][c] = acc
+            img, col = images[c], cols[c]
+            acc = None
+            for i in supp[r]:
+                if i not in img:
+                    Bi, b = B[i], None
+                    for j in supp[c]:
+                        if j in nzB[i]:
+                            t = Bi[j] * col[j]
+                            b = t if b is None else b + t
+                    img[i] = None if b is None or b.is_exactly_zero() else b
+                if img[i] is not None:
+                    t = cols[r][i] * img[i]
+                    acc = t if acc is None else acc + t
+            if acc is not None:
+                G[r][c] = acc
+                if mirror:
+                    G[c][r] = acc
 
     if on_head is None:
         head = 0
     else:
-        form(range(head), [(r, c) for r in range(head) for c in range(head)])
+        form((r, c) for r in range(head)
+             for c in range(r if mirror else 0, head))
         on_head([row[:head] for row in G[:head]])
-    form(range(head, m), [(r, c) for r in range(m) for c in range(m)
-                          if r >= head or c >= head])
+    form((r, c) for r in range(m) for c in range(r if mirror else 0, m)
+         if r >= head or c >= head)
     return G
 
 
@@ -286,9 +296,10 @@ def split_gram(G, F):
 def symplectic_blocks(q: QuadraticForm):
     """Decompose q into <a> lines and binary [a,b] blocks.
 
-    Returns (blocks, M): blocks are ("line", a) or ("pair", a, b) tuples,
-    M the basis-change matrix whose columns list the new basis grouped per
-    block; q.change_basis(M) is the block-diagonal form.
+    Returns (blocks, M): blocks are ("line", a, b(e, e)) or ("pair", a, b)
+    tuples, a and b the q values of the basis vectors, M the basis-change
+    matrix whose columns list the new basis grouped per block;
+    q.change_basis(M) is the block-diagonal form.
     """
     blocks, rest = split_gram(q.polar_matrix(), q.field)
     if rest:
@@ -304,7 +315,7 @@ def symplectic_blocks(q: QuadraticForm):
     out, columns = [], []
     for kind, e, x in blocks:
         if kind == "line":
-            out.append(("line", q.evaluate(e)))
+            out.append(("line", q.evaluate(e), x))
             columns.append(e)
         else:
             out.append(("pair", q.evaluate(e), q.evaluate(x)))

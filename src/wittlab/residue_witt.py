@@ -10,18 +10,18 @@ additive, so the square-root coordinates form the same group and stay
 in canonical normalized form.  Over a perfect field the wedge group is
 trivial and the tensor group is k itself.
 
-Quadratic forms over k are `QuadraticForm`s (`KQuadForm` names the same
-class).  Residue elements carry the trivial valuation, so
+Quadratic forms over k are `QuadraticForm`s.  Residue elements carry
+the trivial valuation, so
 `k_symplectic_blocks`, `sq_normalize` and `w_class_of_gram` are short
 callers of the one splitting kernel `quadform.split_gram`.
 
 Nonsingular quadratic forms over a finite residue field are classified
-by their Arf invariant (the absolute trace bit); `witt_decompose_small`
-is the independent brute-force oracle, splitting off metabolic planes
-found by exhaustive vector enumeration.  Its oracles and
-`kquad_is_hyperbolic_witnessed` share one plane split, `_split_plane`,
-and complete bases with `linalg.independent_rows`.  `k.is_perfect`
-tells the finite residue fields GF(2^m) from GF(2^m)(x).
+by their Arf invariant (the absolute trace bit).
+`kquad_is_hyperbolic_witnessed` splits off hyperbolic planes through
+isotropic vectors with `_split_plane`, which completes bases with
+`linalg.independent_rows`; the brute-force enumeration oracles of the
+test suite split with it too.  `k.is_perfect` tells the finite residue
+fields GF(2^m) from GF(2^m)(x).
 """
 
 from __future__ import annotations
@@ -30,25 +30,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .errors import (DegenerateForm, TooLarge, Undecidable,
-                     UnsupportedResidueField)
+from .errors import DegenerateForm, Undecidable, UnsupportedResidueField
 from .fields.ratfunc import RatFuncField
 from .quadform import QuadraticForm, gram_of, split_gram
 
-ORACLE_ENUM_CAP = 1 << 21
 # the degree bound of the Artin-Schreier search over GF(2^m)(x)
 AS_DEGREE_BOUND = 2
 
 
-def _is_finite(k) -> bool:
-    return k.is_perfect  # the perfect residue fields are the finite GF(2^m)
-
-
 # -- quadratic forms over k ----------------------------------------------------
-
-
-# residue forms are QuadraticForms over k; the name stays for importers
-KQuadForm = QuadraticForm
 
 
 def _pair_columns(blocks):
@@ -403,25 +393,7 @@ def ssq_witt_class(S: SeparatedSpace) -> TensorElem:
     return acc
 
 
-# -- brute-force oracles ----------------------------------------------------------
-
-
-def _check_enum_size(k, dim):
-    if dim > 12:
-        raise TooLarge(f"oracle limited to dim <= 12, got {dim}")
-    if not k.is_perfect:
-        raise UnsupportedResidueField("enumeration oracle needs a finite field")
-    if k.order ** dim > ORACLE_ENUM_CAP:
-        raise TooLarge(f"{k.order}^{dim} vectors exceed the oracle budget")
-
-
-def _first_isotropic(k, n, q):
-    """The first nonzero vector of k^n, in enumeration order, with q = 0,
-    or None."""
-    for vec in product(list(k.elements()), repeat=n):
-        if not all(c.is_zero() for c in vec) and q(list(vec)).is_zero():
-            return list(vec)
-    return None
+# -- hyperbolic planes ------------------------------------------------------------
 
 
 def _split_plane(B, vec, q, k):
@@ -453,77 +425,6 @@ def _split_plane(B, vec, q, k):
     return [q(v) for v in basis], gram_of(B, basis, k.zero)
 
 
-def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
-    """Anisotropic kernel by exhaustive isotropic-vector search and
-    splitting; the independent oracle for the wedge invariant."""
-    k = S.k
-    _check_enum_size(k, S.dim())
-    pairs = list(S.pairs)
-    while pairs:
-        n = 2 * len(pairs)
-        q = _diagonal_q([c for pair in pairs for c in pair], k)
-        found = _first_isotropic(k, n, q)
-        if found is None:
-            return SymplecticQuadSpace(k, tuple(pairs))
-        B = [[k.one if i ^ j == 1 else k.zero for j in range(n)] for i in range(n)]
-        qvals, bmat = _split_plane(B, found, q, k)
-        pairs = list(sq_normalize(qvals, bmat, k)[0].pairs)
-    return SymplecticQuadSpace(k, ())
-
-
-def separated_anisotropic_part(S: SeparatedSpace) -> SeparatedSpace:
-    """Anisotropic kernel of a separated space by exhaustive search for
-    isotropic vectors of q (on V) and of q' (on the dual)."""
-    k = S.k
-    _check_enum_size(k, max(1, S.dim()))
-    pairs = list(S.pairs)
-    changed = True
-    while changed and pairs:
-        changed = False
-        for primal in (True, False):
-            # a q-isotropic vec spans a <0 | *> line of a diagonalizing
-            # basis, which splits off as a metabolic line (dually for q')
-            q = _diagonal_q([p[0] if primal else p[1] for p in pairs], k)
-            vec = _first_isotropic(k, len(pairs), q)
-            if vec is not None:
-                pairs = _separated_split(pairs, vec, k, primal)
-                changed = True
-                break
-    return SeparatedSpace(k, tuple(pairs))
-
-
-def _separated_split(pairs, vec, k, primal: bool):
-    """Complete vec (isotropic for q if primal, else for q' in dual
-    coordinates) to a basis and drop its metabolic line."""
-    n = len(pairs)
-    rows = [vec] + linalg.identity(n, k.zero, k.one)
-    rows = [rows[r] for r in linalg.independent_rows(rows, n)]
-    # basis of V (or V*): vec, then the chosen unit vectors
-    M = [list(r) for r in zip(*rows)]  # columns are the new basis
-    Minv = linalg.invert_exact(M, k.zero, k.one)
-    q = _diagonal_q([a for a, _ in pairs], k)
-    q_dual = _diagonal_q([b for _, b in pairs], k)
-    out = []
-    for idx in range(1, n):
-        col = [M[r][idx] for r in range(n)]
-        if primal:
-            out.append((q(col), q_dual(Minv[idx])))
-        else:
-            out.append((q(Minv[idx]), q_dual(col)))
-    return out
-
-
-def witt_decompose_small(space):
-    """Brute-force anisotropic part of a small space over a finite field."""
-    if isinstance(space, SymplecticQuadSpace):
-        return sq_anisotropic_part(space)
-    if isinstance(space, SeparatedSpace):
-        return separated_anisotropic_part(space)
-    if isinstance(space, QuadraticForm):
-        return kquad_anisotropic_part(space)
-    raise TypeError(f"no oracle for {type(space).__name__}")
-
-
 def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
     """Split off the hyperbolic plane through find(current) until find
     returns None; the form that is left."""
@@ -536,14 +437,6 @@ def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
                                 current.evaluate, current.field)
         current = QuadraticForm.from_gram(current.field, qvals, G)
     return current
-
-
-def kquad_anisotropic_part(form: QuadraticForm) -> QuadraticForm:
-    """Anisotropic kernel of a nonsingular quadratic form over finite k,
-    by exhaustive isotropic-vector search and splitting."""
-    _check_enum_size(form.field, form.n)
-    return _split_isotropic(
-        form, lambda f: _first_isotropic(f.field, f.n, f.evaluate))
 
 
 def kquad_witt_class(form: QuadraticForm) -> WqClass:

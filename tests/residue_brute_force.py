@@ -1,0 +1,120 @@
+"""The brute-force residue-field oracles: anisotropic parts found by
+exhaustive isotropic-vector enumeration over a finite field.
+
+They split with `residue_witt._split_plane`, the plane split that
+`kquad_is_hyperbolic_witnessed` uses, and serve as independent checks of
+the Arf invariant, the wedge and tensor invariants and the hyperbolicity
+witness.  No library answer or CLI path calls them.
+"""
+
+from itertools import product
+
+from wittlab import linalg
+from wittlab.errors import TooLarge, UnsupportedResidueField
+from wittlab.quadform import QuadraticForm
+from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
+                                  _diagonal_q, _split_isotropic, _split_plane,
+                                  sq_normalize)
+
+ORACLE_ENUM_CAP = 1 << 21
+
+
+def _is_finite(k) -> bool:
+    return k.is_perfect  # the perfect residue fields are the finite GF(2^m)
+
+
+def _check_enum_size(k, dim):
+    if dim > 12:
+        raise TooLarge(f"oracle limited to dim <= 12, got {dim}")
+    if not k.is_perfect:
+        raise UnsupportedResidueField("enumeration oracle needs a finite field")
+    if k.order ** dim > ORACLE_ENUM_CAP:
+        raise TooLarge(f"{k.order}^{dim} vectors exceed the oracle budget")
+
+
+def _first_isotropic(k, n, q):
+    """The first nonzero vector of k^n, in enumeration order, with q = 0,
+    or None."""
+    for vec in product(list(k.elements()), repeat=n):
+        if not all(c.is_zero() for c in vec) and q(list(vec)).is_zero():
+            return list(vec)
+    return None
+
+
+def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
+    """Anisotropic kernel by exhaustive isotropic-vector search and
+    splitting; the independent oracle for the wedge invariant."""
+    k = S.k
+    _check_enum_size(k, S.dim())
+    pairs = list(S.pairs)
+    while pairs:
+        n = 2 * len(pairs)
+        q = _diagonal_q([c for pair in pairs for c in pair], k)
+        found = _first_isotropic(k, n, q)
+        if found is None:
+            return SymplecticQuadSpace(k, tuple(pairs))
+        B = [[k.one if i ^ j == 1 else k.zero for j in range(n)] for i in range(n)]
+        qvals, bmat = _split_plane(B, found, q, k)
+        pairs = list(sq_normalize(qvals, bmat, k)[0].pairs)
+    return SymplecticQuadSpace(k, ())
+
+
+def separated_anisotropic_part(S: SeparatedSpace) -> SeparatedSpace:
+    """Anisotropic kernel of a separated space by exhaustive search for
+    isotropic vectors of q (on V) and of q' (on the dual)."""
+    k = S.k
+    _check_enum_size(k, max(1, S.dim()))
+    pairs = list(S.pairs)
+    changed = True
+    while changed and pairs:
+        changed = False
+        for primal in (True, False):
+            # a q-isotropic vec spans a <0 | *> line of a diagonalizing
+            # basis, which splits off as a metabolic line (dually for q')
+            q = _diagonal_q([p[0] if primal else p[1] for p in pairs], k)
+            vec = _first_isotropic(k, len(pairs), q)
+            if vec is not None:
+                pairs = _separated_split(pairs, vec, k, primal)
+                changed = True
+                break
+    return SeparatedSpace(k, tuple(pairs))
+
+
+def _separated_split(pairs, vec, k, primal: bool):
+    """Complete vec (isotropic for q if primal, else for q' in dual
+    coordinates) to a basis and drop its metabolic line."""
+    n = len(pairs)
+    rows = [vec] + linalg.identity(n, k.zero, k.one)
+    rows = [rows[r] for r in linalg.independent_rows(rows, n)]
+    # basis of V (or V*): vec, then the chosen unit vectors
+    M = [list(r) for r in zip(*rows)]  # columns are the new basis
+    Minv = linalg.invert_exact(M, k.zero, k.one)
+    q = _diagonal_q([a for a, _ in pairs], k)
+    q_dual = _diagonal_q([b for _, b in pairs], k)
+    out = []
+    for idx in range(1, n):
+        col = [M[r][idx] for r in range(n)]
+        if primal:
+            out.append((q(col), q_dual(Minv[idx])))
+        else:
+            out.append((q(Minv[idx]), q_dual(col)))
+    return out
+
+
+def witt_decompose_small(space):
+    """Brute-force anisotropic part of a small space over a finite field."""
+    if isinstance(space, SymplecticQuadSpace):
+        return sq_anisotropic_part(space)
+    if isinstance(space, SeparatedSpace):
+        return separated_anisotropic_part(space)
+    if isinstance(space, QuadraticForm):
+        return kquad_anisotropic_part(space)
+    raise TypeError(f"no oracle for {type(space).__name__}")
+
+
+def kquad_anisotropic_part(form: QuadraticForm) -> QuadraticForm:
+    """Anisotropic kernel of a nonsingular quadratic form over finite k,
+    by exhaustive isotropic-vector search and splitting."""
+    _check_enum_size(form.field, form.n)
+    return _split_isotropic(
+        form, lambda f: _first_isotropic(f.field, f.n, f.evaluate))

@@ -18,8 +18,9 @@ from wittlab.norms import (NotReducible, depth_reduce, initial_norm,
                            wildness_index)
 from wittlab.quadform import QuadraticForm, WittExpr, rewrite
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
-                                  sq_witt_class, ssq_witt_class,
-                                  witt_decompose_small)
+                                  sq_witt_class, ssq_witt_class)
+
+from residue_brute_force import witt_decompose_small
 
 HALF = Fraction(1, 2)
 F2T = make_field("laurent", m=1)

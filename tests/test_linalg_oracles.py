@@ -3,8 +3,8 @@ in `linalg`, kept as test oracles.
 
 * `select_independent` is the per-degree-class greedy selection that
   `graded.metabolic_planes` ran; `complete_by_rref` is the basis
-  completion of `residue_witt._split_plane` and `_separated_split`, a
-  full `rref_exact` per candidate.  Both are compared with
+  completion of `residue_witt._split_plane` and of `_separated_split`
+  (now in `residue_brute_force`), a full `rref_exact` per candidate.  Both are compared with
   `linalg.independent_rows`.
 * `metabolic_planes` is the parent routine: it projects all m vectors,
   forms the whole m x m Gram update, re-evaluates q on every projected
@@ -25,9 +25,18 @@ in `linalg`, kept as test oracles.
 * `depth_reduce` is the reduction step that lifts every plane vector to
   ambient coordinates and re-forms the Gram with `quadform.gram_of` and
   the q values with `QuadraticForm.evaluate`.  It is compared with
-  `norms.depth_reduce`, which reads them off the certificate's exact Gram
-  data by congruence, along the wildness loop over F2((t)), F4((t)),
-  F2(x)((t)) and Q_2, values and precisions both.
+  `norms.depth_reduce`, which on exact Gram data forms them over the
+  certificate's basis instead, along the wildness loop over F2((t)),
+  F4((t)), F2(x)((t)) and Q_2, values and precisions both.
+* `gram_of_parent` and `evaluate_parent` are the dense loops of
+  `quadform.gram_of` and `QuadraticForm.evaluate`: every sum seeded with
+  zero, both triangles formed, B col on every row.  They are compared
+  with the sparse kernel on plain, scrambled and truncated data over the
+  valued and the residue fields.  `initial_norm_parent` certifies the
+  initial norm with the Gram and q values re-formed on the columns of M;
+  it is compared with `norms.initial_norm`, which reads them off the
+  split.  A last test checks that reduced norms lift their basis only
+  when it is read.
 """
 
 import random
@@ -40,12 +49,13 @@ from hypothesis import strategies as st
 
 from wittlab import graded, linalg, norms
 from wittlab.errors import (DegenerateForm, DegreeCapExceeded,
-                            PrecisionExhausted, Undecidable, WittlabError)
+                            PrecisionExhausted, SingularForm, Undecidable,
+                            WittlabError)
 from wittlab.fields import GF2m, RatFuncField, field_shorthand
 from wittlab.fields.common import INF, half
 from wittlab.graded import GradedVector, coset
 from wittlab.literals import parse_element, parse_form
-from wittlab.quadform import QuadraticForm, gram_of
+from wittlab.quadform import QuadraticForm, gram_of, symplectic_blocks
 from wittlab.residue_witt import kquad_isotropic_vector
 
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
@@ -307,6 +317,76 @@ def depth_reduce(q, cert):
     if isinstance(res, norms.CompatibilityViolation):
         raise PrecisionExhausted(
             f"reduced norm failed to re-certify: {res!r}")
+    return res
+
+
+def gram_of_parent(B, cols, zero, head=0, on_head=None):
+    """The parent gram_of: B col on every row, both triangles, every sum
+    seeded with zero and every zero test repeated per term."""
+    n = len(B)
+    m = len(cols)
+    Bc = [[zero] * m for _ in range(n)]
+    G = [[zero] * m for _ in range(m)]
+
+    def form(images, pairs):
+        for i in range(n):
+            Bi = B[i]
+            for c in images:
+                acc = zero
+                for j in range(n):
+                    if Bi[j].is_exactly_zero() or cols[c][j].is_exactly_zero():
+                        continue
+                    acc = acc + Bi[j] * cols[c][j]
+                Bc[i][c] = acc
+        for r, c in pairs:
+            acc = zero
+            for i in range(n):
+                if cols[r][i].is_exactly_zero() or Bc[i][c].is_exactly_zero():
+                    continue
+                acc = acc + cols[r][i] * Bc[i][c]
+            G[r][c] = acc
+
+    if on_head is None:
+        head = 0
+    else:
+        form(range(head), [(r, c) for r in range(head) for c in range(head)])
+        on_head([row[:head] for row in G[:head]])
+    form(range(head, m), [(r, c) for r in range(m) for c in range(m)
+                          if r >= head or c >= head])
+    return G
+
+
+def evaluate_parent(q, x):
+    """The parent QuadraticForm.evaluate: the sum seeded with zero."""
+    assert len(x) == q.n
+    acc = q.field.zero
+    for i in range(q.n):
+        if x[i].is_exactly_zero():
+            continue
+        for j in range(i, q.n):
+            if q.U[i][j].is_exactly_zero() or x[j].is_exactly_zero():
+                continue
+            acc = acc + q.U[i][j] * x[i] * x[j]
+    return acc
+
+
+def initial_norm_parent(q):
+    """The parent initial_norm: the blockwise norm on the split basis M,
+    its Gram data re-formed on the columns of M with gram_of_parent and
+    evaluate_parent."""
+    F = q.field
+    blocks, M = symplectic_blocks(q)
+    built = [norms.builder_unary(F, b[1]) if b[0] == "line"
+             else norms.builder_binary(F, b[1], b[2]) for b in blocks]
+    eps = max(b[1] for b in built)
+    values = [v for b in built for v in norms._values_at_depth(b, eps)]
+    full = norms.VNorm(F, M, values)
+    cols = [full.column(i) for i in range(q.n)]
+    res = norms.check_compatibility(
+        q, full, eps, _gram=([evaluate_parent(q, c) for c in cols],
+                             gram_of_parent(q.polar_matrix(), cols, F.zero)))
+    if isinstance(res, norms.CompatibilityViolation):
+        raise SingularForm(f"initial norm failed to certify: {res!r}")
     return res
 
 
@@ -772,3 +852,180 @@ def test_degree_cap_in_the_congruence_falls_back_to_gram_of(shorthand,
     assert _certificate_bytes(norms.depth_reduce(q, cert)) == \
         _certificate_bytes(depth_reduce(q, cert))
     assert reformed == [True]
+
+
+# -- the Gram kernel against its parent -------------------------------------------
+
+
+GRAM_FIELDS = {**{name: field_shorthand(name, precision=16)
+                  for name in VALUED}, **RESIDUE}
+
+
+def _spelled(res):
+    """A matrix, row or element with each entry's value and precision
+    spelled out, or the outcome of a raised error as it is."""
+    if isinstance(res, tuple):
+        return res
+    if isinstance(res, list):
+        return [_spelled(x) for x in res]
+    return (res.field.format_elem(res), res.abs_prec)
+
+
+def _gram_elem(F, rng, truncate):
+    """A random element of F: zero often; over a valued field a sum of
+    monomials, with an O() term in some entries of truncated data."""
+    if F in RESIDUE.values():
+        return _elem(F, rng)
+    u = "2" if F.char == 0 else "t"
+    if rng.random() < 0.3:
+        if truncate and rng.random() < 0.3:
+            return parse_element(f"O({u}^{rng.randrange(-1, 6)})", F)
+        return F.zero
+    text = _coeff(F, rng)
+    if truncate and rng.random() < 0.4:
+        text = f"{text} + O({u}^{rng.randrange(-1, 8)})"
+    return parse_element(text, F)
+
+
+def _gram_data(F, rng):
+    """A symmetric B and columns cols over F: plain data is block-shaped
+    and sparse (unit-like columns), scrambled data is dense, truncated
+    data is dense with O() terms."""
+    kind = rng.choice(("plain", "scrambled", "truncated"))
+    n, m = rng.randrange(1, 7), rng.randrange(0, 7)
+
+    def elem(keep=True):
+        return _gram_elem(F, rng, kind == "truncated") if keep else F.zero
+
+    plain = kind == "plain"
+    B = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            B[i][j] = B[j][i] = elem(not plain or j == i ^ 1 or
+                                     (i == j and rng.random() < 0.3))
+    cols = []
+    for _ in range(m):
+        support = set(rng.sample(range(n), min(n, rng.choice((1, 1, 2)))))
+        cols.append([elem(not plain or i in support) for i in range(n)])
+    return B, cols, rng.randrange(0, m + 1)
+
+
+@pytest.mark.parametrize("name", GRAM_FIELDS)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_of_matches_parent(name, seed):
+    F = GRAM_FIELDS[name]
+    rng = random.Random(seed)
+    B, cols, head = _gram_data(F, rng)
+    abandon = rng.random() < 0.2
+    assert _spelled(_outcome(gram_of, B, cols, F.zero)) == \
+        _spelled(_outcome(gram_of_parent, B, cols, F.zero))
+    heads = {}
+
+    def on_head(key):
+        def record(Ge):
+            heads[key] = _spelled(Ge)
+            if abandon:
+                raise PrecisionExhausted("abandoned after the head block")
+        return record
+
+    got = _outcome(gram_of, B, cols, F.zero, head, on_head("got"))
+    want = _outcome(gram_of_parent, B, cols, F.zero, head, on_head("want"))
+    assert _spelled(got) == _spelled(want)
+    assert heads["got"] == heads["want"]
+
+
+@pytest.mark.parametrize("name", GRAM_FIELDS)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_parent(name, seed):
+    F = GRAM_FIELDS[name]
+    rng = random.Random(seed)
+    B, cols, _ = _gram_data(F, rng)
+    q = QuadraticForm(F, B)  # the upper triangle of B as coefficients
+    for x in cols:
+        assert _spelled(q.evaluate(x)) == _spelled(evaluate_parent(q, x))
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_initial_norm_matches_parent(shorthand, seed):
+    F = field_shorthand(shorthand, precision=32)
+    q = _loop_form(F, random.Random(seed))
+    assert _certificate_bytes(_outcome(norms.initial_norm, q)) == \
+        _certificate_bytes(_outcome(initial_norm_parent, q))
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+def test_initial_norm_takes_both_gram_sources(shorthand, monkeypatch):
+    """Exact forms with an exact split read the Gram off the split; the
+    rest form it with gram_of (over Q_2 the scrambled forms, whose split
+    divides by non-units)."""
+    F = field_shorthand(shorthand, precision=32)
+    rng = random.Random(f"initial_norm sources {shorthand}")
+    calls = []
+
+    def spy(*args, _real=norms.gram_of):
+        calls.append(True)
+        return _real(*args)
+
+    monkeypatch.setattr(norms, "gram_of", spy)
+    taken = {"split": 0, "gram_of": 0}
+    for _ in range(80):
+        q = _loop_form(F, rng)
+        calls.clear()
+        got = _outcome(norms.initial_norm, q)
+        if isinstance(got, norms.DepthCertificate):
+            taken["gram_of" if calls else "split"] += 1
+        assert _certificate_bytes(got) == \
+            _certificate_bytes(_outcome(initial_norm_parent, q))
+    assert taken["split"] >= 5 and taken["gram_of"] >= 5, taken
+
+
+def _eager_descent(q, cert):
+    """The parent descent: every step lifts its basis columns."""
+    steps = 0
+    while cert.eps > 0:
+        step = depth_reduce(q, cert)
+        if isinstance(step, norms.NotReducible):
+            break
+        cert, steps = step, steps + 1
+    return cert, steps
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+def test_reduced_norms_lift_their_basis_when_read(shorthand, monkeypatch):
+    F = field_shorthand(shorthand, precision=32)
+    rng = random.Random(f"lazy basis {shorthand}")
+    lifts = []
+
+    def spy(*args, _real=norms._lift):
+        lifts.append(True)
+        return _real(*args)
+
+    monkeypatch.setattr(norms, "_lift", spy)
+    for _ in range(300):
+        q = _loop_form(F, rng)
+        try:
+            start = norms.initial_norm(q)
+            lifts.clear()
+            lazy = norms.descend(start)
+        except WittlabError:
+            continue
+        eager, steps = _eager_descent(q, start)
+        if steps >= 2 and not lifts:
+            break
+    else:
+        pytest.fail("no exact descent of two steps")
+    shifted = norms.norm_shift(lazy.norm, lazy.eps, lazy.eps + 1)
+    summed = norms.norm_sum(lazy.norm, start.norm)
+    assert not lifts
+    assert _certificate_bytes(lazy) == _certificate_bytes(eager)
+    assert len(lifts) == steps  # one lift per step, read down the chain
+    assert _spelled([list(r) for r in shifted.basis]) == \
+        _spelled([list(r) for r in eager.norm.basis])
+    assert shifted.values == tuple(v - HALF for v in eager.norm.values)
+    assert _spelled([list(r) for r in summed.basis]) == _spelled(
+        linalg.block_diag(eager.norm.basis, start.norm.basis, F.zero))
+    assert len(lifts) == steps

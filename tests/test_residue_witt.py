@@ -4,15 +4,16 @@ import pytest
 
 from wittlab.errors import DegenerateForm, TooLarge, UnsupportedResidueField
 from wittlab.fields import GF2m, RatFuncField
-from wittlab.residue_witt import (KQuadForm, SeparatedSpace,
-                                  SymplecticQuadSpace, arf_invariant,
-                                  functor_U, k_symplectic_blocks,
-                                  kquad_anisotropic_part,
-                                  kquad_isotropic_vector, kquad_witt_class,
-                                  sq_normalize, sq_witt_class, ssq_normalize,
+from wittlab.quadform import QuadraticForm
+from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
+                                  arf_invariant, functor_U,
+                                  k_symplectic_blocks, kquad_isotropic_vector,
+                                  kquad_witt_class, sq_normalize,
+                                  sq_witt_class, ssq_normalize,
                                   ssq_witt_class, tensor_of, w_class,
-                                  w_class_of_gram, wedge_of,
-                                  witt_decompose_small, wq_raw_class)
+                                  w_class_of_gram, wedge_of, wq_raw_class)
+
+from residue_brute_force import kquad_anisotropic_part, witt_decompose_small
 
 K2 = GF2m(1)
 K4 = GF2m(2)
@@ -180,7 +181,7 @@ def test_arf_matches_enumeration_oracle():
                 rows[2 * i][2 * i] = a
                 rows[2 * i + 1][2 * i + 1] = b
                 rows[2 * i][2 * i + 1] = k.one
-            form = KQuadForm(k, rows)
+            form = QuadraticForm(k, rows)
             hyper = kquad_anisotropic_part(form).n == 0
             assert hyper == (arf_invariant(pairs, k).arf == 0)
 
@@ -208,7 +209,7 @@ def test_witt_decompose_small():
     # every GF(4) element is a square: wedge trivial, Lagrangian exists
     s = sq(K4, (K4.one, K4.elem(2)))
     assert witt_decompose_small(s).dim() == 0
-    aniso = KQuadForm.binary(K2, K2.one, K2.one)
+    aniso = QuadraticForm.binary(K2, K2.one, K2.one)
     part = witt_decompose_small(aniso)
     assert part.n == 2
     with pytest.raises(TooLarge):
@@ -239,7 +240,7 @@ def test_kquad_isotropic_vector_constructive():
                 rows[i][i] = k.random(rng)
                 rows[i + 1][i + 1] = k.random(rng)
                 rows[i][i + 1] = k.one
-            form = KQuadForm(k, rows)
+            form = QuadraticForm(k, rows)
             vec = kquad_isotropic_vector(form)
             if vec is None:
                 assert kquad_anisotropic_part(form).n == form.n
@@ -279,7 +280,7 @@ def test_k_symplectic_blocks_roundtrip():
         n = 4
         rows = [[K4.random(rng) if j >= i else K4.zero for j in range(n)]
                 for i in range(n)]
-        form = KQuadForm(K4, rows)
+        form = QuadraticForm(K4, rows)
         B = form.polar_matrix()
         try:
             pairs, M = k_symplectic_blocks(form)
