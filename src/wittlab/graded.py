@@ -17,14 +17,14 @@ over Q_2 at eps = v(2)).  Homogeneous isotropic-vector search reduces
 degree-class by degree-class to residue-field problems: semilinear
 kernels for types II/III, genuine quadratic forms over k (`QuadraticForm`s)
 for type I.  The descended residue objects are split by the kernel of the
-valued forms, `quadform.split_gram`.  `metabolic_planes` keeps its own
-projection: it splits on a combination vector, and its planes fix the
-printed certificate basis.  The isotropic relation names the two rows
+valued forms, `quadform.split_gram`.  `_split_plane`, the round of
+`metabolic_planes`, is the one plane split; the hyperbolicity witness of
+`residue_witt` runs it too.  The isotropic relation names the two rows
 each projection makes dependent, so no elimination chooses the kept
 basis; the Gram rows and q values of the kept rows are updated in
 place.  Over GF(2^m) its vectors and Gram rows are ints in the slot
 layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
-(`_Coords`); the planes leave it as `GradedVector`s.
+(`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s.
 """
 
 from __future__ import annotations
@@ -538,20 +538,72 @@ class _Coords:
         return all(v[i].is_zero() for i in mask)
 
 
+def _vectors(k):
+    """The vector layout of `metabolic_planes` and `_split_plane` over k:
+    packed ints over GF(2^m), coordinate tuples over GF(2^m)(x)."""
+    return (_Slots if isinstance(k, GF2m) else _Coords)(k)
+
+
+def _split_plane(vec, vecs, G, qs, sol, polar):
+    """Split off the plane (x, y) of the isotropic relation sol, (row,
+    nonzero coefficient) pairs in row order, among the rows vecs with Gram
+    rows G and q values qs in the layout vec; polar says b is the polar
+    form of q (type I).  y is the first row pairing nonzero with x, scaled
+    to b(x, y) = 1; each other row goes to the complement of the plane,
+    w_c' = w_c + lam_c x + mu_c y.  The projected rows satisfy exactly two
+    relations, sol and the unit vector at yi (w_yi' = 0), so the rows yi
+    and max(supp(sol) minus yi) go: the rows a greedy echelon pass drops.
+    Returns (x, yi, y, keep) and the kept rows' vectors, Gram rows and q
+    values; raises DegenerateForm when x lies in the radical of b."""
+    (base, a), *rest = sol
+    x, bx = vec.scale(a, vecs[base]), vec.scale(a, G[base])
+    for r, a in rest:
+        x, bx = vec.axpy(x, a, vecs[r]), vec.axpy(bx, a, G[r])
+    yi = vec.first(bx)
+    if yi is None:
+        raise DegenerateForm("isotropic vector in the radical")
+    sc = vec.entry(bx, yi).inv()
+    y = vec.scale(sc, vecs[yi])
+    # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
+    # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
+    # lam_c = b(w_c, y) + mu_c b(y, y)
+    by = vec.scale(sc, G[yi])
+    gyy = vec.entry(G[yi], yi)
+    lam = by if gyy is None else vec.axpy(by, gyy * sc * sc, bx)
+    qy = qs[yi] * sc * sc
+    drop = max(r for r, _ in sol if r != yi)
+    keep = [c for c in range(len(vecs)) if c != yi and c != drop]
+    hi, lo = max(yi, drop), min(yi, drop)
+    vecs2, G2, qs2 = [], [], []
+    for c in keep:
+        w, row, qc = vecs[c], G[c], qs[c]
+        lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
+        if lc is not None:
+            w = vec.axpy(w, lc, x)
+        if mc is not None:
+            w = vec.axpy(w, mc, y)
+            # q(w_c') = q(w_c) + mu_c^2 q(y), and for type I also
+            # lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
+            if not qy.is_zero():
+                qc = qc + mc * mc * qy
+            if polar and bc is not None:
+                qc = qc + mc * bc
+            # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b(w_c, y) mu_d
+            row = vec.axpy(row, mc, lam)
+        if bc is not None:
+            row = vec.axpy(row, bc, bx)
+        vecs2.append(w)
+        G2.append(vec.drop(vec.drop(row, hi), lo))
+        qs2.append(qc)
+    return (x, yi, y, keep), vecs2, G2, qs2
+
+
 def metabolic_planes(S: ShiftedQuadSpace):
     """Decomposition into pairwise-orthogonal metabolic planes, or None
-    when an anisotropic kernel remains.
-
-    Each round splits off the plane (x, y) of an isotropic relation sol
-    among the current rows w_c, projects the other rows to its orthogonal
-    complement, w_c' = w_c + lam_c x + mu_c y, and updates their Gram
-    matrix and q values in place.  The m projected rows satisfy exactly
-    two relations, sol and the unit vector at yi (w_yi' = 0), so the rows
-    yi and max(supp(sol) minus yi) go and the other m - 2 stay: the rows a
-    greedy echelon pass would keep.  Over GF(2^m) vectors and Gram rows
-    are packed ints (`_Slots`), over GF(2^m)(x) coordinate tuples."""
+    when an anisotropic kernel remains; each round splits off the plane
+    of an isotropic relation among the current rows with `_split_plane`."""
     k = S.k
-    vec = (_Slots if isinstance(k, GF2m) else _Coords)(k)
+    vec = _vectors(k)
     n = S.n
     vecs = vec.units(n)
     G = [vec.pack(row) for row in S.bmat]
@@ -571,52 +623,15 @@ def metabolic_planes(S: ShiftedQuadSpace):
                                   lambda r, c: vec.entry(G[r], c) or k.zero)
         if sol is None:
             return None
-        (base, a), *rest = sol
-        x, bx = vec.scale(a, vecs[base]), vec.scale(a, G[base])
-        for r, a in rest:
-            x, bx = vec.axpy(x, a, vecs[r]), vec.axpy(bx, a, G[r])
-        yi = vec.first(bx)
-        assert yi is not None, "restriction of b must stay nondegenerate"
-        sc = vec.entry(bx, yi).inv()
-        y = vec.scale(sc, vecs[yi])
+        (x, yi, y, keep), vecs, G, qs = _split_plane(vec, vecs, G, qs, sol, polar)
+        base = sol[0][0]
         assert vec.vanishes_on(x, off_grid[cls[base]]) and \
             vec.vanishes_on(y, off_grid[cls[yi]]), OFF_GRID
         planes.append(((degs[base], x), (degs[yi], y)))
-        # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
-        # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
-        # lam_c = b(w_c, y) + mu_c b(y, y)
-        by = vec.scale(sc, G[yi])
-        gyy = vec.entry(G[yi], yi)
-        lam = by if gyy is None else vec.axpy(by, gyy * sc * sc, bx)
-        qy = qs[yi] * sc * sc
-        drop = max(r for r, _ in sol if r != yi)
-        keep = [c for c in range(len(vecs)) if c != yi and c != drop]
-        hi, lo = max(yi, drop), min(yi, drop)
-        vecs2, G2, qs2 = [], [], []
-        for c in keep:
-            w, row, qc = vecs[c], G[c], qs[c]
-            lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
-            if lc is not None:
-                w = vec.axpy(w, lc, x)
-            if mc is not None:
-                w = vec.axpy(w, mc, y)
-                # q(w_c') = q(w_c) + mu_c^2 q(y), and for type I also
-                # lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
-                if not qy.is_zero():
-                    qc = qc + mc * mc * qy
-                if polar and bc is not None:
-                    qc = qc + mc * bc
-                # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b(w_c, y) mu_d
-                row = vec.axpy(row, mc, lam)
-            if bc is not None:
-                row = vec.axpy(row, bc, bx)
-            assert vec.vanishes_on(w, off_grid[cls[c]]), OFF_GRID
-            vecs2.append(w)
-            G2.append(vec.drop(vec.drop(row, hi), lo))
-            qs2.append(qc)
-        vecs, G, qs = vecs2, G2, qs2
         degs = [degs[c] for c in keep]
         cls = [cls[c] for c in keep]
+        assert all(vec.vanishes_on(w, off_grid[c]) for w, c in zip(vecs, cls)), \
+            OFF_GRID
     return [tuple(GradedVector.on_grid(S, d, vec.unpack(v, n))
                   for d, v in plane) for plane in planes]
 

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 from . import graded, linalg
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
-                     PrecisionExhausted, SingularForm, WittlabError)
+                     PrecisionExhausted, SingularForm)
 from .fields.common import INF, AtLeast, grid, half, is_exact
 from .graded import ShiftedQuadSpace, UniformizingChoice
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
@@ -187,11 +187,7 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     for i in range(norm.n):
         for j in range(i, norm.n):
             lead[i][j] = lead[j][i] = be[i][j].coeff_at(deg[i][j - i])
-    try:
-        degenerate = len(linalg.independent_rows(lead, norm.n)) < norm.n
-    except WittlabError:
-        degenerate = True
-    if degenerate:
+    if len(linalg.independent_rows(lead, norm.n)) < norm.n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
     return DepthCertificate(q, norm, eps, qe, be, lead)

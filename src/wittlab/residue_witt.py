@@ -18,10 +18,10 @@ callers of the one splitting kernel `quadform.split_gram`.
 Nonsingular quadratic forms over a finite residue field are classified
 by their Arf invariant (the absolute trace bit).
 `kquad_is_hyperbolic_witnessed` splits off hyperbolic planes through
-isotropic vectors with `_split_plane`, which completes bases with
-`linalg.independent_rows`; the brute-force enumeration oracles of the
-test suite split with it too.  `k.is_perfect` tells the finite residue
-fields GF(2^m) from GF(2^m)(x).
+isotropic vectors with `graded._split_plane`, the round of
+`graded.metabolic_planes`, on Gram rows and q values packed once; the
+brute-force enumeration oracles of the test suite split with it too.
+`k.is_perfect` tells the finite residue fields GF(2^m) from GF(2^m)(x).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import product
 from . import linalg
 from .errors import DegenerateForm, Undecidable, UnsupportedResidueField
 from .fields.ratfunc import RatFuncField
-from .quadform import QuadraticForm, gram_of, split_gram
+from .quadform import QuadraticForm, split_gram
 
 # the degree bound of the Artin-Schreier search over GF(2^m)(x)
 AS_DEGREE_BOUND = 2
@@ -396,46 +396,25 @@ def ssq_witt_class(S: SeparatedSpace) -> TensorElem:
 # -- hyperbolic planes ------------------------------------------------------------
 
 
-def _split_plane(B, vec, q, k):
-    """Split off the hyperbolic plane through the isotropic vector vec.
-
-    B is the symmetric Gram matrix of b.  The partner of vec is the first
-    unit vector that pairs nonzero with it; the unit vectors projected to
-    the b-orthogonal complement of the plane are taken in order while
-    they stay independent, until n - 2 of them form a basis.  Returns the
-    q values on that basis and its Gram matrix."""
-    n = len(B)
-    bv = [k.zero] * n  # bv[j] = b(vec, e_j)
-    for i in range(n):
-        if not vec[i].is_zero():
-            for j in range(n):
-                bv[j] = bv[j] + B[i][j] * vec[i]
-    j = next((j for j in range(n) if not bv[j].is_zero()), None)
-    if j is None:
-        raise DegenerateForm("isotropic vector in the radical")
-    ginv = bv[j].inv()  # the partner is e_j / b(vec, e_j)
-    projected = []
-    for r in range(n):
-        # e_r + b(e_r, partner) vec + b(e_r, vec) partner, in characteristic 2
-        w = [B[r][j] * ginv * c for c in vec]
-        w[r] = w[r] + k.one
-        w[j] = w[j] + bv[r] * ginv
-        projected.append(w)
-    basis = [projected[r] for r in linalg.independent_rows(projected, n - 2)]
-    return [q(v) for v in basis], gram_of(B, basis, k.zero)
-
-
 def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
-    """Split off the hyperbolic plane through find(current) until find
-    returns None; the form that is left."""
+    """Split off the hyperbolic plane through find(current) with the
+    round of `graded.metabolic_planes` until find returns None; the form
+    that is left."""
+    from . import graded  # graded imports this module
+    k = form.field
+    vec = graded._vectors(k)
+    G = [vec.pack(row) for row in form.polar_matrix()]
+    qs = [form.U[i][i] for i in range(form.n)]
     current = form
     while current.n:
-        vec = find(current)
-        if vec is None:
+        found = find(current)
+        if found is None:
             break
-        qvals, G = _split_plane(current.polar_matrix(), vec,
-                                current.evaluate, current.field)
-        current = QuadraticForm.from_gram(current.field, qvals, G)
+        sol = [(r, a) for r, a in enumerate(found) if not a.is_zero()]
+        _, _, G, qs = graded._split_plane(vec, vec.units(current.n), G, qs,
+                                          sol, polar=True)
+        current = QuadraticForm.from_gram(
+            k, qs, [vec.unpack(row, len(qs)) for row in G])
     return current
 
 

@@ -1,19 +1,20 @@
 """The brute-force residue-field oracles: anisotropic parts found by
 exhaustive isotropic-vector enumeration over a finite field.
 
-They split with `residue_witt._split_plane`, the plane split that
-`kquad_is_hyperbolic_witnessed` uses, and serve as independent checks of
-the Arf invariant, the wedge and tensor invariants and the hyperbolicity
-witness.  No library answer or CLI path calls them.
+They split with `graded._split_plane`, the round of
+`graded.metabolic_planes` that `kquad_is_hyperbolic_witnessed` runs too,
+and serve as independent checks of the Arf invariant, the wedge and
+tensor invariants and the hyperbolicity witness.  No library answer or
+CLI path calls them.
 """
 
 from itertools import product
 
-from wittlab import linalg
+from wittlab import graded, linalg
 from wittlab.errors import TooLarge, UnsupportedResidueField
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
-                                  _diagonal_q, _split_isotropic, _split_plane,
+                                  _diagonal_q, _split_isotropic,
                                   sq_normalize)
 
 ORACLE_ENUM_CAP = 1 << 21
@@ -53,8 +54,14 @@ def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
         found = _first_isotropic(k, n, q)
         if found is None:
             return SymplecticQuadSpace(k, tuple(pairs))
-        B = [[k.one if i ^ j == 1 else k.zero for j in range(n)] for i in range(n)]
-        qvals, bmat = _split_plane(B, found, q, k)
+        vec = graded._vectors(k)
+        B = [vec.pack([k.one if i ^ j == 1 else k.zero for j in range(n)])
+             for i in range(n)]
+        sol = [(r, a) for r, a in enumerate(found) if not a.is_zero()]
+        _, _, G, qvals = graded._split_plane(
+            vec, vec.units(n), B, [c for pair in pairs for c in pair], sol,
+            polar=False)
+        bmat = [vec.unpack(row, n - 2) for row in G]
         pairs = list(sq_normalize(qvals, bmat, k)[0].pairs)
     return SymplecticQuadSpace(k, ())
 

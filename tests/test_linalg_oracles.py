@@ -3,9 +3,10 @@ in `linalg`, kept as test oracles.
 
 * `select_independent` is the per-degree-class greedy selection that
   `graded.metabolic_planes` ran; `complete_by_rref` is the basis
-  completion of `residue_witt._split_plane` and of `_separated_split`
-  (now in `residue_brute_force`), a full `rref_exact` per candidate.  Both are compared with
-  `linalg.independent_rows`.
+  completion that the plane split of `residue_witt` ran before it became
+  the round of `graded.metabolic_planes`, and that `_separated_split`
+  (in `residue_brute_force`) runs, a full `rref_exact` per candidate.
+  Both are compared with `linalg.independent_rows`.
 * `metabolic_planes` is the parent routine: it projects all m vectors,
   forms the whole m x m Gram update, re-evaluates q on every projected
   vector and then keeps the m - 2 rows a greedy echelon pass selects.

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from wittlab import graded, norms
-from wittlab.errors import NotApplicable, PrecisionExhausted
+from wittlab.errors import DegreeCapExceeded, NotApplicable, PrecisionExhausted
 from wittlab.fields import INF, field_shorthand, make_field
+from wittlab.fields.common import AtLeast
 from wittlab.literals import parse_element, parse_form
 from wittlab.norms import (CompatibilityViolation, DepthCertificate,
                            NotReducible, VNorm, builder_binary, builder_unary,
@@ -51,6 +52,22 @@ def test_norm_value_scaling_axiom():
         assert alpha.value([lam * c for c in x]) == Fraction(lam.valuation()) + ax
 
 
+def test_norm_value_on_a_truncated_non_diagonal_basis():
+    # columns e_0 and (t + O(t^4)) e_0 + e_1: solving for the coordinates
+    # eliminates the second column's entry from the first row
+    basis = [[F2T.one, parse_element("t + O(t^4)", F2T)], [F2T.zero, F2T.one]]
+    alpha = VNorm(F2T, basis, [0, HALF])
+    value = lambda *x: alpha.value([parse_element(c, F2T) for c in x])
+    # the first coordinate is O(t^4): its bound 4 lies above the value 1/2
+    assert value("t", "1") == HALF
+    assert value("1 + O(t^3)", "O(t^3)") == 0
+    # every coordinate truncated: only a lower bound is certified
+    assert value("O(t^2)", "O(t^2)") == AtLeast(2)
+    # the first coordinate O(t) may hide a term below v = 3 + 1/2
+    with pytest.raises(PrecisionExhausted):
+        value("O(t)", "t^3")
+
+
 # -- compatibility -------------------------------------------------------------
 
 
@@ -71,6 +88,67 @@ def test_check_compatibility_hyperbolic_tame():
     q = parse_form("[0, 0]", F2T)
     cert = check_compatibility(q, std_norm(F2T, [0, 0]), 0)
     assert not isinstance(cert, CompatibilityViolation)
+
+
+@pytest.mark.parametrize("field, U, values, eps, condition", [
+    # v(q(e_1)) = -1 < 2 * 0
+    (F2T, [["1", "1"], [None, "t^-1"]], [0, 0], 0, "b"),
+    # v(q(e_0)) = 0 < 2 * 1
+    (Q2, [["1"]], [1], 1, "b"),
+    # q(e_i) = t is deep enough, b(e_0, e_1) = 1 is not: 0 < 1/2 + 1/2
+    (F2T, [["t", "1"], [None, "t"]], [HALF, HALF], 0, "a"),
+    # b(e_0, e_0) = 2 passes, b(e_0, e_1) = 1 fails: 0 < 0 + 0 + 1/2
+    (Q2, [["1", "1"], [None, "1"]], [0, 0], HALF, "a"),
+])
+def test_check_compatibility_names_the_violated_condition(field, U, values,
+                                                          eps, condition):
+    q = QuadraticForm(field, [[field.zero if c is None else parse_element(c, field)
+                               for c in row] for row in U])
+    res = check_compatibility(q, std_norm(field, values), eps)
+    assert isinstance(res, CompatibilityViolation)
+    assert res.condition == condition
+    with pytest.raises(NotApplicable):
+        require_certificate(q, std_norm(field, values), eps)
+
+
+@pytest.mark.parametrize("field, U, values, eps", [
+    # q(e_0) = O(t^0) cannot certify v(q(e_0)) >= 2 * 1/2
+    (F2T, [["O(t^0)", "1"], [None, "t^-1"]], [HALF, -HALF], HALF),
+    (Q2, [["O(2^0)"]], [HALF], 1),
+    # q(e_i) = t passes, b(e_0, e_1) = O(t^0) cannot certify v >= 1
+    (F2T, [["t", "O(t^0)"], [None, "t"]], [HALF, HALF], 0),
+    (Q2, [["1", "O(2^0)"], [None, "1"]], [0, 0], HALF),
+])
+def test_check_compatibility_truncated_entry_below_the_threshold(field, U,
+                                                                 values, eps):
+    q = QuadraticForm(field, [[field.zero if c is None else parse_element(c, field)
+                               for c in row] for row in U])
+    with pytest.raises(PrecisionExhausted):
+        check_compatibility(q, std_norm(field, values), eps)
+
+
+def test_check_compatibility_dimension_mismatch():
+    q = parse_form("[1, t^-1]", F2T)
+    res = check_compatibility(q, std_norm(F2T, [0]), 0)
+    assert isinstance(res, CompatibilityViolation)
+    assert (res.condition, res.detail) == ("a", "dimension mismatch")
+    with pytest.raises(NotApplicable, match="dimension mismatch"):
+        require_certificate(q, std_norm(F2T, [0]), 0)
+
+
+def test_rank_test_errors_reach_the_caller(monkeypatch):
+    # condition (c) over GF(2^m)(x) can trip the degree cap; that is not
+    # a degenerate form, so neither check_compatibility nor initial_norm
+    # may turn it into a violation
+    def capped(rows, want):
+        raise DegreeCapExceeded("rank test")
+
+    monkeypatch.setattr(norms.linalg, "independent_rows", capped)
+    q = parse_form("[1, x*t^-2]", F2XT)
+    with pytest.raises(DegreeCapExceeded):
+        check_compatibility(q, std_norm(F2XT, [0, -1]), 1)
+    with pytest.raises(DegreeCapExceeded):
+        initial_norm(q)
 
 
 def test_certificates_revalidate():
