@@ -176,15 +176,21 @@ class Dyadic:
         v = self.valuation()
         if isinstance(v, int) and v < 0:
             raise NegativeValuation(f"residue of element with v = {v}")
-        return k.one if self.unit and self.e == 0 else k.zero
+        if self.unit == 0:
+            return self.coeff_at(0)
+        return k.one if self.e == 0 else k.zero
 
     def coeff_at(self, degree):
         """Residue of x / 2^degree, requiring certified v(x) >= degree
         (an int or a Fraction)."""
         k = self.field.residue_field
         if self.unit == 0:
-            if self.abs_prec is None or self.abs_prec >= degree:
+            if self.abs_prec is None or self.abs_prec > degree:
                 return k.zero
+            if self.abs_prec == degree:
+                raise PrecisionExhausted(
+                    f"cannot read the coefficient at {degree}; "
+                    f"known only v >= {self.abs_prec}")
             raise PrecisionExhausted(f"cannot certify v >= {degree}; "
                                      f"known only v >= {self.abs_prec}")
         if self.e < degree:

@@ -328,7 +328,9 @@ class Laurent:
         v = self.valuation()
         if isinstance(v, int) and v < 0:
             raise NegativeValuation(f"residue of element with v = {v}")
-        if not self.digits or self.v0 > 0:
+        if not self.digits:
+            return self.coeff_at(0)
+        if self.v0 > 0:
             return k.zero
         return self._coeff(-self.v0)
 
@@ -337,12 +339,16 @@ class Laurent:
 
         The degree is an int or a Fraction.  Fractional degrees have no
         slot: the answer is zero provided the certification holds.  Raises
-        PrecisionExhausted when the element is zero to a precision below
-        `degree`, ValueError when v(x) < degree.
+        PrecisionExhausted when the element is zero to a precision at or
+        below `degree`, ValueError when v(x) < degree.
         """
         if not self.digits:
-            if self.abs_prec is None or self.abs_prec >= degree:
+            if self.abs_prec is None or self.abs_prec > degree:
                 return self.field.residue_field.zero
+            if self.abs_prec == degree:
+                raise PrecisionExhausted(
+                    f"cannot read the coefficient at {degree}; "
+                    f"known only v >= {self.abs_prec}")
             raise PrecisionExhausted(f"cannot certify v >= {degree}; "
                                      f"known only v >= {self.abs_prec}")
         if self.v0 < degree:

@@ -303,7 +303,7 @@ def test_resumed_rounds_certify_the_fresh_depth_laurent(field, monkeypatch):
 
 @pytest.mark.parametrize("lit", [
     "sum([1/(1+t), t^-5/(1+t)], [1, t^-1 + O(t^2)])",
-    "[1 + O(t^3), t^-3 + t^-1 + O(t^1)]",
+    "[1 + O(t^4), t^-3 + t^-1 + O(t^1)]",
 ])
 @pytest.mark.parametrize("field", [F2T, F4T], ids=["F2((t))", "F4((t))"])
 def test_resumed_rounds_over_truncated_entries(field, lit, monkeypatch):

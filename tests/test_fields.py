@@ -339,15 +339,18 @@ class Schoolbook:
         k = self.F.residue_field
         if self.coeffs and self.v0 < 0:
             raise NegativeValuation("v < 0")
+        if not self.coeffs:
+            return self.coeff_at(0)
         i = -self.v0
-        return self.coeffs[i] if self.coeffs and 0 <= i < len(self.coeffs) else k.zero
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else k.zero
 
     def coeff_at(self, d):
+        # O(t^p) knows its coefficients below degree p only
         k = self.F.residue_field
         if not self.coeffs:
-            if self.abs_prec is None or self.abs_prec >= d:
+            if self.abs_prec is None or self.abs_prec > d:
                 return k.zero
-            raise PrecisionExhausted("below precision")
+            raise PrecisionExhausted("at or below precision")
         if self.v0 < d:
             raise ValueError("v < d")
         return self.coeffs[0] if self.v0 == d else k.zero
