@@ -1,10 +1,30 @@
-"""Certified valuations, the half-integer grid, and the one
-square-and-multiply.
+"""Certified valuations, the precision rules, the half-integer grid, and
+the one square-and-multiply.
 
 A valuation query on a precision-tracked element has three possible
 answers: an exact integer, `math.inf` for the exact zero, or
 `AtLeast(bound)` when every known coefficient vanishes and the element
 is indistinguishable from zero at the current precision.
+
+The precision rules.  `Laurent` and `Dyadic` elements are known modulo
+t^abs_prec or 2^abs_prec; `abs_prec is None` marks an exact element.
+Their base `Certified` holds every rule that does not depend on layout:
+* a sum is known to the smaller abs_prec of its operands (`_join_prec`);
+* a product to the smaller, over both factors, of the factor's abs_prec
+  plus the other factor's certified low bound (`_mul_prec`); a product of
+  exact elements is exact, so structural zeros are never lost;
+* the inverse of x of valuation v carries the working precision of
+  relative digits, capped at abs_prec - v, and raises PrecisionExhausted
+  when none is left (`_inv_prec`); an exact monomial inverts exactly;
+* O(t^k) knows its coefficients below degree k only: `coeff_at(d)` is 0
+  when k > d and raises PrecisionExhausted when k <= d; `residue()` is
+  `coeff_at(0)`, and NegativeValuation when v(x) < 0.
+Each subclass keeps its valuation, zero tests and leading coefficient,
+`+`, `*`, the step of `inv` and `truncated`.  The residue-field elements
+`FF` and `RatFunc` are exact: their base `Exact` sets abs_prec = None, so
+one exactness test (`is_exact`) serves every field, and negates as the
+identity (characteristic 2).  Both bases share `Element`: x / y is
+x * y.inv(), and x ** e is `power`.
 
 Depths, norm values and graded degrees are exact rationals, and nearly
 all of them lie on the grid (1/2)Z.  Such a value is built as a `Half`:
@@ -22,6 +42,8 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+from ..errors import NegativeValuation, PrecisionExhausted
 
 
 @dataclass(frozen=True)
@@ -206,3 +228,97 @@ def power(base, e: int, one):
         if not e:
             return out
         base = base * base
+
+
+class Element:
+    """Printing, division and powers, for every field element class."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return self.field.format_elem(self)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __pow__(self, e: int):
+        return power(self, e, self.field.one)
+
+
+class Exact(Element):
+    """An element of a residue field: exact, of characteristic 2."""
+
+    __slots__ = ()
+
+    abs_prec = None  # exact, as the valued fields mark it
+
+    def __neg__(self):
+        return self
+
+
+class Certified(Element):
+    """A precision-tracked element of k((t)) or Q_2; a subclass provides
+    `valuation`, `low_bound` and `_lead`, the leading residue coefficient
+    of a nonzero element."""
+
+    __slots__ = ()
+
+    def _join_prec(self, other):
+        if self.abs_prec is None:
+            return other.abs_prec
+        if other.abs_prec is None:
+            return self.abs_prec
+        return min(self.abs_prec, other.abs_prec)
+
+    def _mul_prec(self, other):
+        """abs_prec of self * other: the minimum over the O() cross terms."""
+        prec = None
+        if self.abs_prec is not None:
+            lb = other.low_bound()
+            prec = None if lb == INF else self.abs_prec + lb
+        if other.abs_prec is not None:
+            lb = self.low_bound()
+            p2 = None if lb == INF else other.abs_prec + lb
+            prec = p2 if prec is None else (prec if p2 is None else min(prec, p2))
+        return prec
+
+    def _inv_prec(self, v: int) -> int:
+        """Relative precision of the inverse of a nonzero element of
+        valuation v, capped at the working precision."""
+        rel = self.field.precision
+        if self.abs_prec is not None:
+            rel = min(rel, self.abs_prec - v)
+        if rel <= 0:
+            raise PrecisionExhausted("inverse would carry no certified digits")
+        return rel
+
+    def residue(self):
+        v = self.valuation()
+        if type(v) is int and v < 0:
+            raise NegativeValuation(f"residue of element with v = {v}")
+        return self.coeff_at(0)
+
+    def coeff_at(self, degree):
+        """Residue coefficient at `degree`, requiring certified v(x) >= degree.
+
+        The degree is an int or a Fraction.  Fractional degrees have no
+        coefficient: the answer is zero provided the certification holds.
+        Raises PrecisionExhausted when the element is zero to a precision
+        at or below `degree`, ValueError when v(x) < degree.
+        """
+        v = self.valuation()
+        if type(v) is int:
+            if v < degree:
+                raise ValueError(
+                    f"coeff_at({degree}) on element of valuation {v}")
+            if v > degree:
+                return self.field.residue_field.zero
+            return self._lead()
+        if self.abs_prec is None or self.abs_prec > degree:
+            return self.field.residue_field.zero
+        if self.abs_prec == degree:
+            raise PrecisionExhausted(
+                f"cannot read the coefficient at {degree}; "
+                f"known only v >= {self.abs_prec}")
+        raise PrecisionExhausted(f"cannot certify v >= {degree}; "
+                                 f"known only v >= {self.abs_prec}")

@@ -1,23 +1,25 @@
 """The field Q_2 of 2-adic numbers with v(2) = 1 and residue field F_2.
 
 An element is (unit, e, abs_prec): the value unit * 2^e with unit odd,
-known modulo 2^abs_prec.  `abs_prec is None` marks an exact element
-(an integer or 2-power multiple thereof, closed under +, -, *); the
-unit of an exact element is an arbitrary odd Python integer, possibly
-negative.  At finite precision the unit is normalized into
-[1, 2^(abs_prec - e)) and odd.
+known modulo 2^abs_prec, or the unit 0 for zero.  The unit of an exact
+element is an arbitrary odd Python integer, possibly negative.  At finite
+precision the unit is normalized into [1, 2^(abs_prec - e)) and odd.
+The leading residue coefficient of a nonzero element is 1.
 
-Inversion is exact for +-2^k and otherwise yields the working relative
-precision; Hensel roots of u^2 + u + c (v(c) > 0) come from Newton
-iteration, which converges since 2u + 1 is a unit.
+A sum shifts both units to the smaller exponent, a product multiplies
+the units, and an inverse is the inverse of the unit modulo 2^rel;
+`fields.common` gives the precisions.  Hensel roots of u^2 + u + c
+(v(c) > 0) come from Newton iteration, which converges since 2u + 1 is
+a unit.
 """
 
 from __future__ import annotations
 
-from ..errors import (DivisionByZero, NegativeValuation, NotApplicable,
-                      PrecisionExhausted)
-from .common import INF, AtLeast, half, power
+from ..errors import DivisionByZero, NotApplicable
+from .common import INF, AtLeast, Certified, half
 from .gf2m import GF2m
+
+_ONE = GF2m(1).one
 
 
 def _v2_int(n: int) -> int:
@@ -127,7 +129,7 @@ class DyadicField:
         return f"{body} + O(2^{x.abs_prec})"
 
 
-class Dyadic:
+class Dyadic(Certified):
     __slots__ = ("field", "unit", "e", "abs_prec")
 
     def __init__(self, field: DyadicField, unit: int, e: int, abs_prec):
@@ -138,9 +140,6 @@ class Dyadic:
         if unit:
             assert unit % 2 == 1
             assert abs_prec is None or e < abs_prec
-
-    def __repr__(self):
-        return self.field.format_elem(self)
 
     def __eq__(self, other):
         return (isinstance(other, Dyadic) and other.field == self.field
@@ -171,32 +170,8 @@ class Dyadic:
             return self.e
         return INF if self.abs_prec is None else self.abs_prec
 
-    def residue(self):
-        k = self.field.residue_field
-        v = self.valuation()
-        if isinstance(v, int) and v < 0:
-            raise NegativeValuation(f"residue of element with v = {v}")
-        if self.unit == 0:
-            return self.coeff_at(0)
-        return k.one if self.e == 0 else k.zero
-
-    def coeff_at(self, degree):
-        """Residue of x / 2^degree, requiring certified v(x) >= degree
-        (an int or a Fraction)."""
-        k = self.field.residue_field
-        if self.unit == 0:
-            if self.abs_prec is None or self.abs_prec > degree:
-                return k.zero
-            if self.abs_prec == degree:
-                raise PrecisionExhausted(
-                    f"cannot read the coefficient at {degree}; "
-                    f"known only v >= {self.abs_prec}")
-            raise PrecisionExhausted(f"cannot certify v >= {degree}; "
-                                     f"known only v >= {self.abs_prec}")
-        if self.e < degree:
-            raise ValueError(
-                f"coeff_at({degree}) on element of valuation {self.e}")
-        return k.one if self.e == degree else k.zero
+    def _lead(self):
+        return _ONE
 
     def truncated(self, abs_prec: int) -> "Dyadic":
         if self.abs_prec is not None:
@@ -204,13 +179,6 @@ class Dyadic:
         return self.field.make(self.unit, self.e, abs_prec)
 
     # -- arithmetic ----------------------------------------------------------------
-
-    def _join_prec(self, other):
-        if self.abs_prec is None:
-            return other.abs_prec
-        if other.abs_prec is None:
-            return self.abs_prec
-        return min(self.abs_prec, other.abs_prec)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         F = self.field
@@ -237,14 +205,8 @@ class Dyadic:
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         F = self.field
         assert other.field is F or other.field == F
-        prec = None
-        if self.abs_prec is not None:
-            lb = other.low_bound()
-            prec = None if lb == INF else self.abs_prec + lb
-        if other.abs_prec is not None:
-            lb = self.low_bound()
-            p2 = None if lb == INF else other.abs_prec + lb
-            prec = p2 if prec is None else (prec if p2 is None else min(prec, p2))
+        prec = (None if self.abs_prec is None and other.abs_prec is None
+                else self._mul_prec(other))
         if self.unit == 0 or other.unit == 0:
             return Dyadic(self.field, 0, 0, prec)
         return self.field.make(self.unit * other.unit, self.e + other.e, prec)
@@ -254,16 +216,6 @@ class Dyadic:
             raise DivisionByZero("inverse of (certified) zero 2-adic")
         if self.abs_prec is None and self.unit in (1, -1):
             return Dyadic(self.field, self.unit, -self.e, None)
-        rel = self.field.precision
-        if self.abs_prec is not None:
-            rel = min(rel, self.abs_prec - self.e)
-        if rel <= 0:
-            raise PrecisionExhausted("inverse would carry no certified digits")
+        rel = self._inv_prec(self.e)
         iu = pow(self.unit, -1, 1 << rel)
         return self.field.make(iu, -self.e, rel - self.e)
-
-    def __truediv__(self, other: "Dyadic") -> "Dyadic":
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        return power(self, e, self.field.one)

@@ -12,7 +12,7 @@ Multiplication is carryless (shift/xor) followed by reduction; inversion
 uses the extended Euclidean algorithm on bit-polynomials.  Fields with
 m <= 8 read both from tables built once, next to an interned element
 pool.  Every field of characteristic 2 here is perfect: sqrt is the
-inverse of Frobenius, computed as c^(2^(m-1)).
+inverse of Frobenius, c^(2^(m-1)), computed by m - 1 squarings.
 
 This module also holds the one carryless kernel of the package, shared by
 the packed polynomials over GF(2^m): the coefficients of `Laurent` over
@@ -30,7 +30,7 @@ reduction is the identity.
 from __future__ import annotations
 
 from ..errors import DivisionByZero, UnsupportedResidueField
-from .common import INF
+from .common import INF, Exact
 
 # Smallest irreducible polynomial of each degree over GF(2), as bit-patterns.
 IRREDUCIBLE = {
@@ -225,21 +225,12 @@ class GF2m:
             s0, s1 = s1, s0 ^ _clmul(q, s1)
         return clmod(s0, self.modulus)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return r
-
     def sqrt(self, a: int) -> int:
-        """Inverse Frobenius: the unique b with b^2 = a."""
-        return self.pow(a, 1 << (self.m - 1))
+        """Inverse Frobenius: the unique b with b^2 = a, which is
+        a^(2^(m-1)), so a squared m - 1 times."""
+        for _ in range(self.m - 1):
+            a = self.mul(a, a)
+        return a
 
     def trace(self, a: int) -> int:
         """Absolute trace to GF(2), as 0 or 1."""
@@ -324,7 +315,7 @@ class GF2m:
         return str(c.bits)
 
 
-class FF:
+class FF(Exact):
     """An element of GF(2^m), wrapping its bit-pattern."""
 
     __slots__ = ("field", "bits")
@@ -348,7 +339,6 @@ class FF:
 
     # the zero tests of the valued fields, under the trivial valuation
     is_exactly_zero = is_zero
-    abs_prec = None  # exact, as the valued fields mark it
 
     def is_certified_nonzero(self) -> bool:
         return self.bits != 0
@@ -361,26 +351,17 @@ class FF:
 
     __sub__ = __add__
 
-    def __neg__(self):
-        return self
-
     def __mul__(self, other: "FF") -> "FF":
         f = self.field
         if f._table is not None:
             return f._pool[f._table[self.bits][other.bits]]
         return FF(f, f.mul(self.bits, other.bits))
 
-    def __truediv__(self, other: "FF") -> "FF":
-        return self * other.inv()
-
     def inv(self) -> "FF":
         f = self.field
         if f._inv is not None and self.bits:
             return f._pool[f._inv[self.bits]]
         return f.elem(f.inv(self.bits))
-
-    def __pow__(self, e: int) -> "FF":
-        return self.field.elem(self.field.pow(self.bits, e))
 
     def sqrt(self) -> "FF":
         return self.field.elem(self.field.sqrt(self.bits))

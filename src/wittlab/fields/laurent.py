@@ -1,11 +1,9 @@
 """Formal Laurent series k((t)) over a characteristic-2 residue field.
 
 An element is (v0, digits, abs_prec): the series
-c_0*t^v0 + c_1*t^(v0+1) + ..., known modulo t^abs_prec.
-`abs_prec is None` means the element is exact, i.e. it *is* the stored
-Laurent polynomial; sums and products of exact elements stay exact, so
-structural zeros (needed to certify singularity) are never lost.
-Inversion of a non-monomial drops to the field's working precision.
+c_0*t^v0 + c_1*t^(v0+1) + ..., known modulo t^abs_prec; `fields.common`
+states the precision rules.  The inverse of c_0 t^v0 (1 + u) is
+c_0^-1 t^-v0 times the geometric series in u.
 
 Storage depends on the residue field, chosen once by `LaurentField`:
 
@@ -30,13 +28,12 @@ Normalization: the exact zero and the zero-to-precision element have
 empty digits (0 or ()) and v0 = 0; otherwise c_0 and the top coefficient
 are nonzero, and every stored exponent is below abs_prec.  `coeffs` is a
 tuple view of c_0, c_1, ..., built on demand for packed elements.
-Arithmetic never reports more precision than the min/add rules justify.
 """
 
 from __future__ import annotations
 
-from ..errors import DivisionByZero, NegativeValuation, PrecisionExhausted
-from .common import INF, AtLeast, power
+from ..errors import DivisionByZero
+from .common import INF, AtLeast, Certified
 from .gf2m import GF2m, _clmul
 from .ratfunc import RatFuncField
 
@@ -249,7 +246,7 @@ def _mul_slots(F: LaurentField, v0: int, a, b, prec) -> Laurent:
     return _trimmed(F, v0, c, prec)
 
 
-class Laurent:
+class Laurent(Certified):
     __slots__ = ("field", "v0", "digits", "abs_prec")
 
     def __init__(self, field: LaurentField, v0: int, digits, abs_prec):
@@ -281,9 +278,6 @@ class Laurent:
             d >>= S
         return tuple(out)
 
-    def __repr__(self):
-        return self.field.format_elem(self)
-
     def __eq__(self, other):
         return (isinstance(other, Laurent) and other.field == self.field
                 and other.v0 == self.v0 and other.digits == self.digits
@@ -314,49 +308,12 @@ class Laurent:
             return self.v0
         return INF if self.abs_prec is None else self.abs_prec
 
-    def _coeff(self, i: int):
-        """c_i, the residue coefficient of t^(v0 + i), for i >= 0."""
+    def _lead(self):
+        """c_0, the residue coefficient of t^v0, of a nonzero element."""
         pk = self.field._pk
         if pk is None:
-            return (self.digits[i] if i < len(self.digits)
-                    else self.field.residue_field.zero)
-        return self.field.residue_field.elem(
-            (self.digits >> (pk.S * i)) & pk.smask)
-
-    def residue(self):
-        k = self.field.residue_field
-        v = self.valuation()
-        if isinstance(v, int) and v < 0:
-            raise NegativeValuation(f"residue of element with v = {v}")
-        if not self.digits:
-            return self.coeff_at(0)
-        if self.v0 > 0:
-            return k.zero
-        return self._coeff(-self.v0)
-
-    def coeff_at(self, degree):
-        """Residue coefficient of t^degree, requiring certified v(x) >= degree.
-
-        The degree is an int or a Fraction.  Fractional degrees have no
-        slot: the answer is zero provided the certification holds.  Raises
-        PrecisionExhausted when the element is zero to a precision at or
-        below `degree`, ValueError when v(x) < degree.
-        """
-        if not self.digits:
-            if self.abs_prec is None or self.abs_prec > degree:
-                return self.field.residue_field.zero
-            if self.abs_prec == degree:
-                raise PrecisionExhausted(
-                    f"cannot read the coefficient at {degree}; "
-                    f"known only v >= {self.abs_prec}")
-            raise PrecisionExhausted(f"cannot certify v >= {degree}; "
-                                     f"known only v >= {self.abs_prec}")
-        if self.v0 < degree:
-            raise ValueError(
-                f"coeff_at({degree}) on element of valuation {self.v0}")
-        if degree.denominator != 1 or self.v0 > degree:
-            return self.field.residue_field.zero
-        return self._coeff(0)
+            return self.digits[0]
+        return self.field.residue_field.elem(self.digits & pk.smask)
 
     def truncated(self, abs_prec: int) -> "Laurent":
         if self.abs_prec is not None and abs_prec >= self.abs_prec:
@@ -367,13 +324,6 @@ class Laurent:
         return _trimmed(F, self.v0, self.digits, abs_prec)
 
     # -- arithmetic ------------------------------------------------------------
-
-    def _join_prec(self, other):
-        if self.abs_prec is None:
-            return other.abs_prec
-        if other.abs_prec is None:
-            return self.abs_prec
-        return min(self.abs_prec, other.abs_prec)
 
     def __add__(self, other: "Laurent") -> "Laurent":
         F = self.field
@@ -403,17 +353,8 @@ class Laurent:
         F = self.field
         assert other.field is F or other.field == F
         a, b = self.digits, other.digits
-        # abs precision of the product: min over the O() cross terms
-        prec = None
-        if self.abs_prec is not None:
-            lb = other.v0 if b else (INF if other.abs_prec is None
-                                     else other.abs_prec)
-            prec = None if lb == INF else self.abs_prec + lb
-        if other.abs_prec is not None:
-            lb = self.v0 if a else (INF if self.abs_prec is None
-                                    else self.abs_prec)
-            p2 = None if lb == INF else other.abs_prec + lb
-            prec = p2 if prec is None else (prec if p2 is None else min(prec, p2))
+        prec = (None if self.abs_prec is None and other.abs_prec is None
+                else self._mul_prec(other))
         if not a or not b:
             return Laurent(F, 0, F._nil, prec)
         v0 = self.v0 + other.v0
@@ -437,17 +378,12 @@ class Laurent:
             raise DivisionByZero("inverse of (certified) zero Laurent series")
         F = self.field
         pk = F._pk
-        lead = self._coeff(0).inv()
+        lead = self._lead().inv()
         monomial = (self.digits < (1 << pk.S) if pk is not None
                     else len(self.digits) == 1)
         if monomial and self.abs_prec is None:
             return F.make([(-self.v0, lead)])
-        # relative precision carried by x, capped at the working precision
-        rel = F.precision
-        if self.abs_prec is not None:
-            rel = min(rel, self.abs_prec - self.v0)
-        if rel <= 0:
-            raise PrecisionExhausted("inverse would carry no certified digits")
+        rel = self._inv_prec(self.v0)
         # x = c t^v (1 + u): invert the unit part by a geometric series
         if pk is not None:
             scaled = pk.reduce(_clmul(lead.bits, self.digits))
@@ -466,10 +402,4 @@ class Laurent:
                            rel - self.v0)
         return _trimmed(F, geo.v0 - self.v0, [lead * c for c in geo.digits],
                         rel - self.v0)
-
-    def __truediv__(self, other: "Laurent") -> "Laurent":
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        return power(self, e, self.field.one)
 

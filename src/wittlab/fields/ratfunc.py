@@ -29,7 +29,7 @@ intermediate growth into DegreeCapExceeded instead of a silent hang.
 from __future__ import annotations
 
 from ..errors import DegreeCapExceeded, DivisionByZero
-from .common import INF, power
+from .common import INF, Exact
 from .gf2m import GF2m, _clmul, _Packing
 
 
@@ -190,7 +190,7 @@ def format_poly(K: GF2m, p: int, var: str) -> str:
     return " + ".join(parts)
 
 
-class RatFunc:
+class RatFunc(Exact):
     """An element of GF(2^m)(x), canonically normalized; `num` and `den`
     are packed polynomials."""
 
@@ -200,9 +200,6 @@ class RatFunc:
         self.field = field
         self.num = num
         self.den = den
-
-    def __repr__(self):
-        return self.field.format_elem(self)
 
     def __eq__(self, other):
         return (isinstance(other, RatFunc) and other.field is self.field
@@ -216,7 +213,6 @@ class RatFunc:
 
     # the zero tests of the valued fields, under the trivial valuation
     is_exactly_zero = is_zero
-    abs_prec = None  # exact, as the valued fields mark it
 
     def is_certified_nonzero(self) -> bool:
         return bool(self.num)
@@ -235,9 +231,6 @@ class RatFunc:
 
     __sub__ = __add__
 
-    def __neg__(self):
-        return self
-
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         F = self.field
         reduce = F._pk.reduce
@@ -249,13 +242,7 @@ class RatFunc:
             return RatFunc(F, num, 1)
         return F._make(num, reduce(_clmul(self.den, other.den)))
 
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return self * other.inv()
-
     def inv(self) -> "RatFunc":
         if not self.num:
             raise DivisionByZero("inverse of 0 in " + repr(self.field))
         return self.field._make(self.den, self.num)
-
-    def __pow__(self, e: int) -> "RatFunc":
-        return power(self, e, self.field.one)
