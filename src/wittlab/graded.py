@@ -329,8 +329,8 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
     for (c,) in orbit_partition(S.eps).principal:
         idx = cosets.get(c, [])
         h = choice.pi[c]
-        assert coset(half(h.degree.numerator)) == c, \
-            "pi degree is off the orbit grid"
+        if coset(half(h.degree.numerator)) != c:
+            raise WrongCase(f"pi degree {h.degree} is off the orbit grid of {c}")
         ip = h.coeff.inv()
         ipr = (h.coeff * choice.rho.coeff).inv()
         qv = [ip * S.qvals[i] for i in idx]
@@ -363,7 +363,8 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
     k = S.k
     (key, h), = choice.pi.items()
     gamma = coset(half(h.degree.numerator))
-    assert gamma == key, "pi keyed inconsistently with its degree"
+    if gamma != key:
+        raise WrongCase(f"pi keyed by {key} has degree {h.degree}, of coset {gamma}")
     cosets = coset_decomposition(S)
     idx_a = cosets.get(gamma, [])
     idx_b = cosets.get(coset(-gamma - S.eps), [])

@@ -472,6 +472,179 @@ def test_packed_laurent_long_products():
         _agrees(x * x * x, ox * ox * ox)
 
 
+# -- Q_2 against the Fraction schoolbook ----------------------------------------
+
+
+def _v2(r: Fraction) -> int:
+    """2-adic valuation of a nonzero rational."""
+    v, n, d = 0, r.numerator, r.denominator
+    while n % 2 == 0:
+        n, v = n // 2, v + 1
+    while d % 2 == 0:
+        d, v = d // 2, v - 1
+    return v
+
+
+class DyadicSchoolbook:
+    """Reference for Q_2: a rational value known modulo 2^abs_prec, kept
+    as its representative in [0, 2^abs_prec) when abs_prec is finite."""
+
+    def __init__(self, F, value, abs_prec=None):
+        self.F, self.abs_prec = F, abs_prec
+        value = Fraction(value)
+        self.value = value if abs_prec is None else value % Fraction(2) ** abs_prec
+
+    def valuation(self):
+        if self.value:
+            return _v2(self.value)
+        return INF if self.abs_prec is None else AtLeast(self.abs_prec)
+
+    def low_bound(self):
+        v = self.valuation()
+        return v.bound if isinstance(v, AtLeast) else v
+
+    def _prec(self, *pairs):
+        precs = [a.abs_prec + b.low_bound() for a, b in pairs
+                 if a.abs_prec is not None and b.low_bound() != INF]
+        return min(precs) if precs else None
+
+    def __add__(self, other):
+        precs = [p for p in (self.abs_prec, other.abs_prec) if p is not None]
+        return DyadicSchoolbook(self.F, self.value + other.value,
+                                min(precs) if precs else None)
+
+    def __neg__(self):
+        return DyadicSchoolbook(self.F, -self.value, self.abs_prec)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return DyadicSchoolbook(self.F, self.value * other.value,
+                                self._prec((self, other), (other, self)))
+
+    def truncated(self, abs_prec):
+        if self.abs_prec is not None:
+            abs_prec = min(abs_prec, self.abs_prec)
+        return DyadicSchoolbook(self.F, self.value, abs_prec)
+
+    def inv(self):
+        if not self.value:
+            raise DivisionByZero("zero")
+        v = _v2(self.value)
+        if self.abs_prec is None and abs(self.value) == Fraction(2) ** v:
+            return DyadicSchoolbook(self.F, 1 / self.value)
+        rel = self.F.precision
+        if self.abs_prec is not None:
+            rel = min(rel, self.abs_prec - v)
+        if rel <= 0:
+            raise PrecisionExhausted("no digits")
+        # the j in [0, 2^rel) with value * j 2^-v = 1 modulo 2^rel
+        unit = self.value / Fraction(2) ** v
+        j = next(j for j in range(1 << rel)
+                 if ((unit * j - 1) / (1 << rel)).denominator == 1)
+        return DyadicSchoolbook(self.F, Fraction(j, 1) / Fraction(2) ** v,
+                                rel - v)
+
+    def coeff_at(self, d):
+        # O(2^p) knows its digits below 2^p only
+        k = self.F.residue_field
+        if not self.value:
+            if self.abs_prec is None or self.abs_prec > d:
+                return k.zero
+            raise PrecisionExhausted("at or below precision")
+        v = _v2(self.value)
+        if v < d:
+            raise ValueError("v < d")
+        return k.one if v == d else k.zero
+
+    def residue(self):
+        if self.value and _v2(self.value) < 0:
+            raise NegativeValuation("v < 0")
+        return self.coeff_at(0)
+
+
+@st.composite
+def dyadic_drawn(draw):
+    """(n, e, abs_prec) for the element n 2^e: exact or truncated, possibly
+    the exact zero or zero to precision."""
+    kind = draw(st.sampled_from(["exact", "truncated", "zero", "O"]))
+    if kind == "zero":
+        return 0, 0, None
+    if kind == "O":
+        return 0, 0, draw(st.integers(-6, 10))
+    n, e = draw(st.integers(-40, 40)), draw(st.integers(-4, 4))
+    return n, e, None if kind == "exact" else draw(st.integers(-4, 10))
+
+
+def _dyadic_both(F, drawn):
+    n, e, prec = drawn
+    return F.make(n, e, prec), DyadicSchoolbook(F, n * Fraction(2) ** e, prec)
+
+
+def _dyadic_agrees(x, o):
+    assert x.abs_prec == o.abs_prec
+    assert Fraction(x.unit) * Fraction(2) ** x.e == o.value
+    assert x.valuation() == o.valuation() and x.low_bound() == o.low_bound()
+    if x.abs_prec is not None and x.unit:
+        assert 1 <= x.unit < 1 << (x.abs_prec - x.e)
+
+
+def _dyadic_agrees_or_raised(r, o):
+    if isinstance(o, DyadicSchoolbook):
+        _dyadic_agrees(r, o)
+    else:
+        assert r is o
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_dyadic_matches_fraction_schoolbook(data):
+    F = make_field("dyadic", precision=6)
+    (x, ox), (y, oy) = (_dyadic_both(F, data.draw(dyadic_drawn()))
+                        for _ in range(2))
+    _dyadic_agrees(x, ox)
+    _dyadic_agrees(x + y, ox + oy)
+    _dyadic_agrees(x - y, ox - oy)
+    _dyadic_agrees(-x, -ox)
+    _dyadic_agrees(x * y, ox * oy)
+    _dyadic_agrees((x * y) * x, (ox * oy) * ox)
+    p = data.draw(st.integers(-6, 12))
+    _dyadic_agrees(x.truncated(p), ox.truncated(p))
+    _dyadic_agrees_or_raised(_outcome(x.inv), _outcome(ox.inv))
+    assert _outcome(x.residue) == _outcome(ox.residue)
+    for d in (p, Fraction(p), Fraction(2 * p + 1, 2)):
+        assert _outcome(lambda: x.coeff_at(d)) == _outcome(lambda: ox.coeff_at(d))
+
+
+def test_dyadic_zero_to_precision_coefficients():
+    # O(2^3) knows its digits at 2^0, 2^1, 2^2 and nothing at 2^3
+    F = make_field("dyadic")
+    z = F.zero_to_precision(3)
+    assert z.coeff_at(2) == F.residue_field.zero
+    for d in (3, 4):
+        with pytest.raises(PrecisionExhausted):
+            z.coeff_at(d)
+    assert z.residue() == F.residue_field.zero
+    for p in (0, -1):
+        with pytest.raises(PrecisionExhausted):
+            F.zero_to_precision(p).residue()
+
+
+def test_ff_powers_and_square_roots():
+    # x ** e through the one square-and-multiply; sqrt by m - 1 squarings
+    for m in (1, 3, 9):
+        K = GF2m(m)
+        rng = random.Random(m)
+        for _ in range(20):
+            c = K.elem(rng.randrange(1, K.order))
+            assert c ** 5 == c * c * c * c * c
+            assert c ** -3 * (c * c * c) == K.one and c ** 0 == K.one
+            assert c.sqrt() * c.sqrt() == c
+    with pytest.raises(DivisionByZero):
+        GF2m(3).zero ** -1
+
+
 # -- packed GF(2^m)(x) against the tuple-polynomial oracle -------------------
 
 

@@ -189,6 +189,25 @@ def test_descend_wrong_case():
         descend_case2(S2)
 
 
+def test_descend_case1_off_grid_pi():
+    S = induced("<1>", Q2)
+    choice = default_choice(S)
+    one = S.k.one
+    off = UniformizingChoice(choice.rho, {**choice.pi,
+                                          HALF: HomogeneousScalar(2, one)})
+    with pytest.raises(WrongCase, match="off the orbit grid"):
+        descend_case1(S, off)
+
+
+def test_descend_case2_off_grid_pi():
+    S = induced("[1, t^-1]", F2T)
+    choice = default_choice(S)
+    off = UniformizingChoice(choice.rho,
+                             {Fraction(0): HomogeneousScalar(1, S.k.one)})
+    with pytest.raises(WrongCase, match="of coset 1/2"):
+        descend_case2(S, off)
+
+
 def test_descent_additive():
     q1 = parse_form("[1, t^-1]", F2T)
     q2 = parse_form("[t, t^-2]", F2T)
