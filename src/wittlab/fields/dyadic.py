@@ -19,8 +19,6 @@ from ..errors import DivisionByZero, NotApplicable
 from .common import INF, AtLeast, Certified, half
 from .gf2m import GF2m
 
-_ONE = GF2m(1).one
-
 
 def _v2_int(n: int) -> int:
     v = 0
@@ -171,7 +169,7 @@ class Dyadic(Certified):
         return INF if self.abs_prec is None else self.abs_prec
 
     def _lead(self):
-        return _ONE
+        return self.field.residue_field.one
 
     def truncated(self, abs_prec: int) -> "Dyadic":
         if self.abs_prec is not None:

@@ -195,6 +195,8 @@ class GF2m:
                            for a in range(self.order)]
             self._inv = [0] + [self._euclid_inv(a) for a in range(1, self.order)]
             self._pool = [FF(self, bits) for bits in range(self.order)]
+        # one shared zero and one: elements are immutable
+        self.zero, self.one = self.elem(0), self.elem(1)
         cls._cache[m] = self
         return self
 
@@ -278,14 +280,6 @@ class GF2m:
         if self._pool is not None:
             return self._pool[bits]
         return FF(self, bits)
-
-    @property
-    def zero(self) -> "FF":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "FF":
-        return self.elem(1)
 
     def elements(self):
         """Iterate over all field elements (small m only)."""

@@ -402,4 +402,3 @@ class Laurent(Certified):
                            rel - self.v0)
         return _trimmed(F, geo.v0 - self.v0, [lead * c for c in geo.digits],
                         rel - self.v0)
-
