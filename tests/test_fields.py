@@ -503,11 +503,6 @@ class DyadicSchoolbook:
         v = self.valuation()
         return v.bound if isinstance(v, AtLeast) else v
 
-    def _prec(self, *pairs):
-        precs = [a.abs_prec + b.low_bound() for a, b in pairs
-                 if a.abs_prec is not None and b.low_bound() != INF]
-        return min(precs) if precs else None
-
     def __add__(self, other):
         precs = [p for p in (self.abs_prec, other.abs_prec) if p is not None]
         return DyadicSchoolbook(self.F, self.value + other.value,
@@ -520,8 +515,10 @@ class DyadicSchoolbook:
         return self + -other
 
     def __mul__(self, other):
+        precs = [a.abs_prec + b.low_bound() for a, b in ((self, other), (other, self))
+                 if a.abs_prec is not None and b.low_bound() != INF]
         return DyadicSchoolbook(self.F, self.value * other.value,
-                                self._prec((self, other), (other, self)))
+                                min(precs) if precs else None)
 
     def truncated(self, abs_prec):
         if self.abs_prec is not None:
