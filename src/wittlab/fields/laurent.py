@@ -386,19 +386,26 @@ class Laurent(Certified):
         rel = self._inv_prec(self.v0)
         # x = c t^v (1 + u): invert the unit part by a geometric series
         if pk is not None:
-            scaled = pk.reduce(_clmul(lead.bits, self.digits))
-            u = _normalized(F, pk.S, 0, scaled ^ 1, rel)
-        else:
-            u = _trimmed(F, 1, [lead * c for c in self.digits[1:]], rel)
+            # on packed ints from slot 0, each term cut at rel once, as its
+            # factors are; reduce works slot by slot, so it commutes with
+            # the cut
+            cut = (1 << (pk.S * rel)) - 1
+            u = (pk.reduce(_clmul(lead.bits, self.digits)) ^ 1) & cut
+            geo = term = 1
+            while term:
+                term = pk.reduce(_clmul(term, u)) & cut
+                geo ^= term
+            return Laurent(F, -self.v0, pk.reduce(_clmul(lead.bits, geo)),
+                           rel - self.v0)
+        u = _trimmed(F, 1, [lead * c for c in self.digits[1:]], rel)
         geo = term = F.one.truncated(rel)
         while True:
+            # the slots at and above rel are formed before the cut: over
+            # GF(2^m)(x) they can trip the degree cap, and that error is
+            # part of the answer
             term = (term * u).truncated(rel)
             if not term.digits:
                 break
             geo = geo + term
-        if pk is not None:
-            return Laurent(F, geo.v0 - self.v0,
-                           pk.reduce(_clmul(lead.bits, geo.digits)),
-                           rel - self.v0)
         return _trimmed(F, geo.v0 - self.v0, [lead * c for c in geo.digits],
                         rel - self.v0)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, residue_witt
-from .errors import (DegenerateForm, SingularMatrix, Undecidable,
-                     WrongCase)
+from .errors import (DegenerateForm, GridViolation, NotApplicable,
+                     SingularMatrix, Undecidable, WrongCase)
 from .fields.common import HALF, INF, grid, half
 from .fields.gf2m import GF2m, _clmul
 from .quadform import QuadraticForm, split_gram
@@ -60,8 +60,10 @@ class HomogeneousScalar:
     coeff: object
 
     def __post_init__(self):
-        assert _is_int(self.degree), "graded field is supported in integer degrees"
-        assert not self.coeff.is_zero()
+        if not _is_int(self.degree):
+            raise GridViolation("graded field is supported in integer degrees")
+        if self.coeff.is_zero():
+            raise NotApplicable("a homogeneous scalar needs a nonzero coefficient")
 
 
 class ShiftedQuadSpace:

@@ -22,7 +22,15 @@ witness basis through the section, measure the slack eps' > 0, raise
 the values of the isotropic half by eps'.  The descent repeats it until
 the induced space carries a nonzero residue invariant, which is returned
 as the irreducibility evidence and kept on the final certificate for
-the residue symbol; the wildness index descends from initial_norm.
+the residue symbol.  The wildness index descends from initial_norm once
+per form: the form keeps every part of the final certificate but the
+form itself (QuadraticForm._wild), and each later call, so the symbol
+and the canonical decomposition of the same form, wraps those parts in
+a new certificate.  The certificates of one form share those parts, so
+no code changes them in place.  The parts leave the form out because a
+certificate refers to its form: kept whole, it would tie the two in a
+reference cycle that only the cyclic collector frees.  A descent that
+raises keeps nothing, so the next call raises again.
 
 An orthogonal sum of eps-compatible norms is eps-compatible, so
 extend_certificate joins a certificate and the builder norm of a summand
@@ -280,8 +288,10 @@ def builder_unary(field, a):
     if field.char != 0:
         raise NotApplicable("one-dimensional forms are singular in char 2")
     va = a.valuation()
-    if isinstance(va, AtLeast) or va == INF:
-        raise NotApplicable("cannot build a norm on a (near) zero form")
+    if isinstance(va, AtLeast):
+        raise PrecisionExhausted("a line entry is zero only to precision")
+    if va == INF:
+        raise NotApplicable("cannot build a norm on a zero form")
     return VNorm(field, [[field.one]], [half(va)]), field.v2
 
 
@@ -553,6 +563,11 @@ def descend(cert: DepthCertificate) -> DepthCertificate:
 
 def wildness_index(q: QuadraticForm):
     """(minimal depth, certificate at that depth); descends from
-    initial_norm."""
-    cert = descend(initial_norm(q))
+    initial_norm on the first call for q, and later calls wrap the kept
+    parts in a new certificate."""
+    if q._wild is None:
+        parts = vars(descend(initial_norm(q))).copy()
+        del parts["form"]  # kept, it would tie q and its parts in a cycle
+        q._wild = parts
+    cert = DepthCertificate(q, **q._wild)
     return cert.eps, cert

@@ -40,7 +40,10 @@ from .fields.common import INF, is_exact, lower_bound
 
 
 class QuadraticForm:
-    __slots__ = ("field", "n", "U", "_polar")
+    # Built once per form, on first use: _polar, the polar matrix, and
+    # _wild, the fields of the certificate norms.wildness_index found, as
+    # a dict, all but the form (the norms module docstring says why)
+    __slots__ = ("field", "n", "U", "_polar", "_wild")
 
     def __init__(self, field, coeffs):
         """coeffs: n x n upper-triangular rows; entries below the diagonal
@@ -50,7 +53,7 @@ class QuadraticForm:
         z = field.zero
         self.U = tuple((z,) * i + tuple(row[i:])
                        for i, row in enumerate(coeffs))
-        self._polar = None
+        self._polar = self._wild = None
 
     def __repr__(self):
         rows = ["[" + ", ".join(self.field.format_elem(c) for c in row) + "]"

@@ -223,9 +223,6 @@ class SymplecticQuadSpace:
                               for a, b in self.pairs)
         return inner or "0"
 
-    def perp(self, other: "SymplecticQuadSpace") -> "SymplecticQuadSpace":
-        return SymplecticQuadSpace(self.k, self.pairs + other.pairs)
-
     def dim(self) -> int:
         return 2 * len(self.pairs)
 
@@ -241,9 +238,6 @@ class SeparatedSpace:
         inner = " perp ".join(f"<{self.k.format_elem(a)} | {self.k.format_elem(b)}>"
                               for a, b in self.pairs)
         return inner or "0"
-
-    def perp(self, other: "SeparatedSpace") -> "SeparatedSpace":
-        return SeparatedSpace(self.k, self.pairs + other.pairs)
 
     def dim(self) -> int:
         return len(self.pairs)

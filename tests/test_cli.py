@@ -271,6 +271,23 @@ def test_truncated_zero_entry_ends_in_schema_json(lit, code, depth):
         assert payload["result"]["results"][0]["depth"] == depth
 
 
+def test_a_line_zero_to_precision_certifies_through_the_retry():
+    # the split leaves a line entry O(2^k) at precision 8; one doubling
+    # certifies, with the answer the CLI gives at precision 16
+    form = ('[["181125/8","907629/4","576399/4","551791/4"],'
+            '[0,"4550213/8","2912603/4","2773559/4"],'
+            '[0,0,"2124109/8","1857633/4"],[0,0,0,"1716669/8"]]')
+    code, out = run_cli(["canonical", "--field", "q2", "--precision", "8", form])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["precision"] == 16
+    assert payload["result"]["results"][0]["canonical"] == {
+        "n": 0, "wild": ["1"], "alpha0": "0", "beta0": "0",
+        "unit_bit": 1, "pi_bit": 1}
+    assert (code, out) == run_cli(
+        ["canonical", "--field", "q2", "--precision", "16", form])
+
+
 @pytest.mark.parametrize("name", ["1", "2", "3"])
 def test_example_stdout_is_byte_identical_to_the_fixture(name):
     fixture = Path(__file__).resolve().parent / "data" / f"example-{name}.stdout"

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wittlab import graded, norms
-from wittlab.errors import Undecidable, WrongCase
+from wittlab.errors import (GridViolation, NotApplicable, Undecidable,
+                            WrongCase)
 from wittlab.fields import make_field
 from wittlab.graded import (HomogeneousScalar, ShiftedQuadSpace,
                             UniformizingChoice, coset_decomposition,
@@ -206,6 +207,16 @@ def test_descend_case2_off_grid_pi():
                              {Fraction(0): HomogeneousScalar(1, S.k.one)})
     with pytest.raises(WrongCase, match="of coset 1/2"):
         descend_case2(S, off)
+
+
+def test_homogeneous_scalar_rejects_a_fractional_degree():
+    with pytest.raises(GridViolation, match="integer degrees"):
+        HomogeneousScalar(HALF, F2T.residue_field.one)
+
+
+def test_homogeneous_scalar_rejects_a_zero_coefficient():
+    with pytest.raises(NotApplicable, match="nonzero coefficient"):
+        HomogeneousScalar(Fraction(1), F2T.residue_field.zero)
 
 
 def test_descent_additive():
