@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import graded, norms, residue_witt
 from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
-                     UnsupportedResidueField)
+                     UnsupportedResidueField, WittlabError)
 from .fields.common import HALF, INF, grid, half
 from .graded import default_choice, orbit_invariants
 from .norms import (_require_certified_form, descend, extend_certificate,
@@ -50,7 +50,9 @@ class ResidueSymbol:
         return all(p.is_zero() for p in self.payload)
 
     def __add__(self, other: "ResidueSymbol") -> "ResidueSymbol":
-        assert (self.eps, self.kind) == (other.eps, other.kind)
+        if (self.eps, self.kind) != (other.eps, other.kind):
+            raise NotApplicable("a sum of residue symbols needs one depth "
+                                "and one kind")
         return ResidueSymbol(self.eps, self.kind,
                              tuple(a + b for a, b in zip(self.payload, other.payload)))
 
@@ -338,8 +340,9 @@ def enumerate_wq_Q2(precision: int = 64):
             ub, pb)
         decomps.append(dec)
         forms.append(decomposition_form(F, dec))
-    for dec, form in zip(decomps, forms):
-        assert canonical_decomposition(form) == dec, "round trip failed"
+    for i, (dec, form) in enumerate(zip(decomps, forms)):
+        if canonical_decomposition(form) != dec:
+            raise WittlabError(f"round trip failed at representative {i}")
     table = [[None] * 32 for _ in range(32)]
     index = {dec: i for i, dec in enumerate(decomps)}
     for i in range(32):

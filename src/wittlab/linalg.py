@@ -14,7 +14,7 @@ Two regimes:
 The steps the splitting routines share live here once: the pivot rule
 `min_valuation` (the first nonzero entry under the trivial valuation of
 a residue field), basis completion `independent_rows`, the join
-`block_diag`, `combine` and the mirrored update `symmetric`.
+`block_diag` and the linear combination `combine`.
 """
 
 from __future__ import annotations
@@ -68,20 +68,6 @@ def combine(vec, terms):
             if not other[r].is_exactly_zero():
                 out[r] = out[r] + coeff * other[r]
     return out
-
-
-def symmetric(keep, entry):
-    """The symmetric matrix [entry(r, c)] over r, c in keep, formed on the
-    upper triangle and mirrored.  Callers pass an entry that is a
-    symmetric expression in (r, c) over a symmetric Gram; field sums and
-    products are commutative in value and precision, so the mirror is the
-    entry that the lower triangle would compute."""
-    m = len(keep)
-    G = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            G[a][b] = G[b][a] = entry(keep[a], keep[b])
-    return G
 
 
 def min_valuation(cands):

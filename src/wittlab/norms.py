@@ -44,18 +44,19 @@ form; the depth and the residue symbol do not.
 Gram matrices are symmetric.  initial_norm takes its q values from the
 split's evaluations, and on an exact form and split basis its Gram too:
 b(e, e) on a line, 1 for b(e, f) on a pair, exact zeros across blocks;
-otherwise, as for extend_certificate's summand, gram_of forms the Gram
-on the basis columns.  Over truncated data gram_of forms both triangles,
-whose sums can certify different precisions; check_compatibility reads
-the upper one, which (a) certifies, and mirrors its leading
-coefficients.  depth_reduce forms the new Gram and q values with gram_of
-and evaluate.  Each new basis vector is sum h_i e_i, every h_i = s(c) t^d
-an exact monomial, so on exact qe and be it works on the certificate's
-basis, over be and the monomial columns H (exact values are canonical,
-so the bytes are those of the ambient columns); otherwise, or when that
-trips the degree cap over GF(2^m)(x), it lifts the ambient columns and
-re-forms the Gram from the polar matrix.  A reduced norm, and norm_sum
-and norm_shift of one, lifts its ambient basis on the first read.
+otherwise gram_of forms the Gram on the basis columns.  Over truncated
+data gram_of forms both triangles, whose sums can certify different
+precisions; check_compatibility reads the upper one, which (a)
+certifies, on its entries that are not exact zeros (an exact zero passes
+(a) and leads with zero), and mirrors the leading coefficients.
+depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
+exact monomial, as a sparse column of (i, h_i) pairs; on exact qe and be
+it forms H^T be H with gram_of and the q values over the same pairs
+(exact values are canonical, so the bytes are those of the ambient
+columns); otherwise, or when that trips the degree cap over GF(2^m)(x),
+it lifts the ambient columns and re-forms the Gram from the polar
+matrix.  A reduced norm, and norm_sum and norm_shift of one, lifts its
+ambient basis on the first read.
 """
 
 from __future__ import annotations
@@ -178,24 +179,26 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
                 return CompatibilityViolation(
                     "b", f"v(q(e_{i})) = {lb} < {thr}")
             raise PrecisionExhausted(f"cannot certify v(q(e_{i})) >= {thr}")
-    # deg[i][j - i] = g_i + g_j + eps on the upper triangle, j >= i
-    deg = [[gi + gj for gj in g[i:]] for i, gi in enumerate(v + eps for v in g)]
-    for i in range(norm.n):
-        for j in range(i, norm.n):
-            thr = deg[i][j - i]
-            lb = be[i][j].low_bound()
-            if lb < thr:
-                if be[i][j].is_certified_nonzero():
-                    return CompatibilityViolation(
-                        "a", f"v(b(e_{i},e_{j})) = {lb} < {thr}")
-                raise PrecisionExhausted(
-                    f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
+    # (a) and the leading coefficients skip the exact zeros, which pass
+    # (a) and lead with zero; thr = g_i + g_j + eps on the upper triangle
+    n = norm.n
+    nz = [(i, j, be[i][j], gi + g[j])
+          for i, gi in enumerate(v + eps for v in g) for j in range(i, n)
+          if not be[i][j].is_exactly_zero()]
+    for i, j, b, thr in nz:
+        lb = b.low_bound()
+        if lb < thr:
+            if b.is_certified_nonzero():
+                return CompatibilityViolation(
+                    "a", f"v(b(e_{i},e_{j})) = {lb} < {thr}")
+            raise PrecisionExhausted(
+                f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
     # b is symmetric: read the upper triangle that (a) certified, mirror it
-    lead = [[None] * norm.n for _ in range(norm.n)]
-    for i in range(norm.n):
-        for j in range(i, norm.n):
-            lead[i][j] = lead[j][i] = be[i][j].coeff_at(deg[i][j - i])
-    if len(linalg.independent_rows(lead, norm.n)) < norm.n:
+    zero = q.field.residue_field.zero
+    lead = [[zero] * n for _ in range(n)]
+    for i, j, b, thr in nz:
+        lead[i][j] = lead[j][i] = b.coeff_at(thr)
+    if len(linalg.independent_rows(lead, n)) < n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
     return DepthCertificate(q, norm, eps, qe, be, lead)
@@ -236,7 +239,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
 
 
 def norm_sum(n1: VNorm, n2: VNorm) -> VNorm:
-    assert n1.field == n2.field
+    if n1.field != n2.field:
+        raise NotApplicable("norm_sum needs two norms over one field")
     return VNorm(n1.field, None, n1.values + n2.values, lift=lambda:
                  linalg.block_diag(n1.basis, n2.basis, n1.field.zero))
 
@@ -438,37 +442,47 @@ def _is_exact(cert: DepthCertificate) -> bool:
     return is_exact(cert.qe, *cert.be)
 
 
-def _gram_and_slack(q: QuadraticForm, B, cols, head, slack):
-    """(eps', q values, Gram) of the columns by gram_of and q.evaluate, B
-    the polar matrix of q; slack gets the Gram and q values of cols[:head]
-    before any entry of a later column is formed."""
+def _gram_and_slack(B, cols, zero, qval, head, slack):
+    """(eps', q values, Gram) of the columns by gram_of over B and qval;
+    slack gets the Gram and q values of cols[:head] before any entry of a
+    later column is formed."""
     qe, eps = [], []
 
     def on_head(Ge):
-        qe.extend(q.evaluate(c) for c in cols[:head])
+        qe.extend(map(qval, cols[:head]))
         eps.append(slack(Ge, qe))
-        qe.extend(q.evaluate(c) for c in cols[head:])
+        qe.extend(map(qval, cols[head:]))
 
-    G = gram_of(B, cols, q.field.zero, head=head, on_head=on_head)
+    G = gram_of(B, cols, zero, head=head, on_head=on_head)
     return eps[0], qe, G
 
 
 def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
     """The same for the vectors sum_i h_i e_i on the certificate's basis,
-    H their sparse columns of (i, h_i) pairs: the Gram H^T be H, and q of
-    the form from_gram(qe, be).  Exact entries are canonical, so on exact
-    Gram data the bytes are those the ambient columns give."""
-    F = cert.form.field
-    zero = F.zero
-    cols = [[h.get(i, zero) for i in range(cert.norm.n)]
-            for h in map(dict, H)]
-    return _gram_and_slack(QuadraticForm.from_gram(F, cert.qe, cert.be),
-                           cert.be, cols, head, slack)
+    H their sparse columns of (i, h_i) pairs: the Gram H^T be H, and the q
+    values sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij, term by term as
+    QuadraticForm.evaluate forms them.  Exact entries are canonical, so on
+    exact Gram data the bytes are those the ambient columns give."""
+    qe, be = cert.qe, cert.be
+    zero = cert.form.field.zero
+
+    def qval(h):
+        acc = None
+        for a, (i, hi) in enumerate(h):
+            for j, hj in h[a:]:
+                u = qe[i] if j == i else be[i][j]
+                if not u.is_exactly_zero():
+                    t = u * (hi * hj)
+                    acc = t if acc is None else acc + t
+        return zero if acc is None else acc
+
+    return _gram_and_slack(be, H, zero, qval, head, slack)
 
 
 def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
     """The same for the ambient columns, re-formed from q."""
-    return _gram_and_slack(q, q.polar_matrix(), cols, head, slack)
+    return _gram_and_slack(q.polar_matrix(), cols, q.field.zero, q.evaluate,
+                           head, slack)
 
 
 def _lift(basis, H, zero):

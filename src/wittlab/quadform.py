@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import (PrecisionExhausted, RuleNotApplicable, SingularForm,
-                     SingularMatrix)
+from .errors import (NotApplicable, PrecisionExhausted, RuleNotApplicable,
+                     SingularForm, SingularMatrix)
 from .fields.common import INF, is_exact, lower_bound
 
 
@@ -82,7 +82,8 @@ class QuadraticForm:
     def evaluate(self, x):
         """q(x) over the nonzero terms in index order, the sum seeded with
         its first term."""
-        assert len(x) == self.n
+        if len(x) != self.n:
+            raise NotApplicable(f"length {len(x)} vector, dimension {self.n}")
         U = self.U
         nz = [i for i, c in enumerate(x) if not c.is_exactly_zero()]
         acc = None
@@ -129,7 +130,8 @@ class QuadraticForm:
         return QuadraticForm(self.field, [[-c for c in row] for row in self.U])
 
     def ortho_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        assert other.field == self.field
+        if other.field != self.field:
+            raise NotApplicable("an orthogonal sum needs one field")
         return QuadraticForm(self.field,
                              linalg.block_diag(self.U, other.U, self.field.zero))
 
@@ -163,39 +165,41 @@ class BinaryForm:
 
 
 def gram_of(B, cols, zero, head=0, on_head=None):
-    """cols^T B cols (cols given as coordinate lists) over nonzero entries:
-    B col only on the rows some column reaches, each sum in index order and
-    seeded with its first term.  B is symmetric; on exact input G[c][r] is
-    copied from G[r][c], r < c, while truncated input gets both triangles,
-    whose sums can certify different precisions.
+    """cols^T B cols over nonzero entries, each column given as its sparse
+    (i, x_i) pairs in index order or as a coordinate list, read through
+    its support.  B col is formed on the rows some column reaches, when
+    first needed, over the entries of B that are not exact zeros; each
+    sum runs in index order, seeded with its first term.  B is symmetric;
+    on exact input G[c][r] is copied from G[r][c], r < c, while truncated
+    input gets both triangles, whose sums can certify different
+    precisions.
 
     on_head, if given, is called with the Gram of cols[:head] as soon as
     that block is formed, before any pairing with a later column; it may
     raise to abandon the rest.  Every entry is the same sum either way.
     """
-    m = len(cols)
-    supp = [[i for i, x in enumerate(col) if not x.is_exactly_zero()]
+    cols = [col if col and type(col[0]) is tuple else
+            [(i, x) for i, x in enumerate(col) if not x.is_exactly_zero()]
             for col in cols]
-    nzB = {i: {j for j, b in enumerate(B[i]) if not b.is_exactly_zero()}
-           for i in set().union(*supp)}
+    m = len(cols)
     images = [{} for _ in cols]  # images[c][i]: (B col_c)_i, None if zero
     G = [[zero] * m for _ in range(m)]
-    mirror = is_exact(*B, *cols)
+    mirror = is_exact(*B, *([x for _, x in col] for col in cols))
 
     def form(pairs):
         for r, c in pairs:
-            img, col = images[c], cols[c]
+            img = images[c]
             acc = None
-            for i in supp[r]:
+            for i, x in cols[r]:
                 if i not in img:
                     Bi, b = B[i], None
-                    for j in supp[c]:
-                        if j in nzB[i]:
-                            t = Bi[j] * col[j]
+                    for j, y in cols[c]:
+                        if not Bi[j].is_exactly_zero():
+                            t = Bi[j] * y
                             b = t if b is None else b + t
                     img[i] = None if b is None or b.is_exactly_zero() else b
                 if img[i] is not None:
-                    t = cols[r][i] * img[i]
+                    t = x * img[i]
                     acc = t if acc is None else acc + t
             if acc is not None:
                 G[r][c] = acc
@@ -213,6 +217,20 @@ def gram_of(B, cols, zero, head=0, on_head=None):
     return G
 
 
+def _updated(G, keep, rows, cols, entry):
+    """G on the indices keep (ascending), read off its upper triangle and
+    mirrored, with entry(r, c), r <= c, wherever r is in rows or c in
+    cols; field sums and products commute in value and precision, so the
+    mirror is what the lower triangle would compute."""
+    out = [[G[r][c] if r <= c else G[c][r] for c in keep] for r in keep]
+    at = [b for b, c in enumerate(keep) if c in cols]
+    for a, r in enumerate(keep):
+        for b in (range(a, len(keep)) if r in rows else
+                  [b for b in at if b >= a]):
+            out[a][b] = out[b][a] = entry(r, keep[b])
+    return out
+
+
 def split_gram(G, F):
     """Symplectic Gram-Schmidt on a symmetric Gram matrix G over F.
 
@@ -222,7 +240,9 @@ def split_gram(G, F):
     of minimal valuation, ties broken lexicographically.  Under the
     trivial valuation of a residue field each pivot is the first nonzero
     entry.  The Gram matrix of the working basis is maintained
-    incrementally, so the whole split costs O(n^3) field operations.
+    incrementally, on the rows and columns whose line or pair coefficient
+    is not an exact zero, so the whole split costs O(n^3) field
+    operations.
 
     Returns (blocks, rest).  blocks lists ("line", e, b(e, e)) and
     ("pair", e, f) with b(e, f) = 1, the vectors in the coordinates of G;
@@ -241,22 +261,24 @@ def split_gram(G, F):
             de = G[idx][idx]
             blocks.append(("line", e, de))
             keep = [r for r in range(m) if r != idx]
-            coef = {r: G[r][idx] / de for r in keep}
-            vecs = [linalg.combine(vecs[r], [(-coef[r], e)]) for r in keep]
-            # a term with an exact-zero coefficient is an exact zero: skip it
-            live = {r for r in keep if not coef[r].is_exactly_zero()}
+            if keep:  # only then, as inv can raise PrecisionExhausted
+                dinv = de.inv()
+            coef = {r: G[r][idx] * dinv for r in keep
+                    if not G[r][idx].is_exactly_zero()}
+            vecs = [linalg.combine(vecs[r], [(-coef[r], e)]) if r in coef
+                    else vecs[r] for r in keep]
 
             def line_update(r, c):
                 acc = G[r][c]
-                if r in live:
+                if r in coef:
                     acc = acc - coef[r] * G[idx][c]
-                if c in live:
+                if c in coef:
                     acc = acc - coef[c] * G[r][idx]
-                    if r in live:
+                    if r in coef:
                         acc = acc + coef[r] * coef[c] * de
                 return acc
 
-            G = linalg.symmetric(keep, line_update)
+            G = _updated(G, keep, coef, coef, line_update)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
             break
@@ -287,7 +309,7 @@ def split_gram(G, F):
                 acc = acc - mu[c] * (G[r][j] * ginv)
             return acc
 
-        G = linalg.symmetric(keep, pair_update)
+        G = _updated(G, keep, (), live_lam | live_mu, pair_update)
         if F.char == 2:
             # the complement Gram stays alternating; restore the structural
             # zeros that limited-precision cancellation cannot certify
@@ -365,7 +387,8 @@ class WittExpr:
         return cls(field, [Summand("diag", e) for e in entries])
 
     def __add__(self, other: "WittExpr") -> "WittExpr":
-        assert other.field == self.field
+        if other.field != self.field:
+            raise NotApplicable("a sum of Witt expressions needs one field")
         return WittExpr(self.field, self.summands + other.summands)
 
     def to_form(self) -> QuadraticForm:

@@ -38,8 +38,21 @@ in `linalg`, kept as test oracles.
   it is compared with `norms.initial_norm`, which reads them off the
   split.  A last test checks that reduced norms lift their basis only
   when it is read.
+* `gram_of_dense`, `compatibility_dense` and `split_gram_dense` are the
+  certificate kernels as they ran before they touched only entries that
+  are not exact zeros: `gram_of` on coordinate columns, scanning the
+  nonzero set of every row of B it reaches; (a) and the leading
+  coefficients of `check_compatibility` on every upper-triangle entry;
+  the `split_gram` update of every kept entry, a line pivot divided into
+  each row by `/`.  They are compared with the sparse kernels over
+  F2((t)), F4((t)), F2(x)((t)) (also under a degree cap of 6) and Q_2,
+  and `split_gram` over the residue fields too, on block-diagonal and
+  scrambled Grams, exact and truncated, truncated zeros included: every
+  entry's value and precision, the first violation and its detail, and
+  the class and message of a raised error.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -53,10 +66,11 @@ from wittlab.errors import (DegenerateForm, DegreeCapExceeded,
                             PrecisionExhausted, SingularForm, Undecidable,
                             WittlabError)
 from wittlab.fields import GF2m, RatFuncField, field_shorthand
-from wittlab.fields.common import INF, half
+from wittlab.fields.common import INF, grid, half
 from wittlab.graded import GradedVector, coset
 from wittlab.literals import parse_element, parse_form
-from wittlab.quadform import QuadraticForm, gram_of, symplectic_blocks
+from wittlab.quadform import (QuadraticForm, gram_of, split_gram,
+                              symplectic_blocks)
 from wittlab.residue_witt import kquad_isotropic_vector
 
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
@@ -1030,3 +1044,336 @@ def test_reduced_norms_lift_their_basis_when_read(shorthand, monkeypatch):
     assert _spelled([list(r) for r in summed.basis]) == _spelled(
         linalg.block_diag(eager.norm.basis, start.norm.basis, F.zero))
     assert len(lifts) == steps
+
+
+# -- the certificate kernels against their dense parents --------------------------
+
+
+def gram_of_dense(B, cols, zero, head=0, on_head=None):
+    """The dense gram_of: coordinate columns, the support of each and the
+    nonzero set of every row of B that a column reaches, scanned per call."""
+    m = len(cols)
+    supp = [[i for i, x in enumerate(col) if not x.is_exactly_zero()]
+            for col in cols]
+    nzB = {i: {j for j, b in enumerate(B[i]) if not b.is_exactly_zero()}
+           for i in set().union(*supp)}
+    images = [{} for _ in cols]
+    G = [[zero] * m for _ in range(m)]
+    mirror = all(x.abs_prec is None for row in [*B, *cols] for x in row)
+
+    def form(pairs):
+        for r, c in pairs:
+            img, col = images[c], cols[c]
+            acc = None
+            for i in supp[r]:
+                if i not in img:
+                    Bi, b = B[i], None
+                    for j in supp[c]:
+                        if j in nzB[i]:
+                            t = Bi[j] * col[j]
+                            b = t if b is None else b + t
+                    img[i] = None if b is None or b.is_exactly_zero() else b
+                if img[i] is not None:
+                    t = cols[r][i] * img[i]
+                    acc = t if acc is None else acc + t
+            if acc is not None:
+                G[r][c] = acc
+                if mirror:
+                    G[c][r] = acc
+
+    if on_head is None:
+        head = 0
+    else:
+        form((r, c) for r in range(head)
+             for c in range(r if mirror else 0, head))
+        on_head([row[:head] for row in G[:head]])
+    form((r, c) for r in range(m) for c in range(r if mirror else 0, m)
+         if r >= head or c >= head)
+    return G
+
+
+def compatibility_dense(q, norm, eps, gram):
+    """check_compatibility with (a) and the leading coefficients run on
+    every upper-triangle entry of be, exact zeros included."""
+    eps = grid(eps)
+    qe, be = gram
+    g = norm.values
+    for i in range(norm.n):
+        thr = 2 * g[i]
+        lb = qe[i].low_bound()
+        if lb < thr:
+            if qe[i].is_certified_nonzero():
+                return norms.CompatibilityViolation(
+                    "b", f"v(q(e_{i})) = {lb} < {thr}")
+            raise PrecisionExhausted(f"cannot certify v(q(e_{i})) >= {thr}")
+    deg = [[gi + gj for gj in g[i:]] for i, gi in enumerate(v + eps for v in g)]
+    for i in range(norm.n):
+        for j in range(i, norm.n):
+            thr = deg[i][j - i]
+            lb = be[i][j].low_bound()
+            if lb < thr:
+                if be[i][j].is_certified_nonzero():
+                    return norms.CompatibilityViolation(
+                        "a", f"v(b(e_{i},e_{j})) = {lb} < {thr}")
+                raise PrecisionExhausted(
+                    f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
+    lead = [[None] * norm.n for _ in range(norm.n)]
+    for i in range(norm.n):
+        for j in range(i, norm.n):
+            lead[i][j] = lead[j][i] = be[i][j].coeff_at(deg[i][j - i])
+    if len(linalg.independent_rows(lead, norm.n)) < norm.n:
+        return norms.CompatibilityViolation(
+            "c", "induced graded bilinear form is degenerate")
+    return norms.DepthCertificate(q, norm, eps, qe, be, lead)
+
+
+def _symmetric(keep, entry):
+    m = len(keep)
+    G = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            G[a][b] = G[b][a] = entry(keep[a], keep[b])
+    return G
+
+
+def split_gram_dense(G, F):
+    """split_gram with every entry of the kept block passed through the
+    update, and a line pivot divided into each remaining row by `/`."""
+    n = len(G)
+    vecs = linalg.identity(n, F.zero, F.one)
+    G = [list(row) for row in G]
+    blocks = []
+    while vecs:
+        m = len(vecs)
+        idx = linalg.min_valuation((r, G[r][r]) for r in range(m))
+        if idx is not None:
+            e = vecs[idx]
+            de = G[idx][idx]
+            blocks.append(("line", e, de))
+            keep = [r for r in range(m) if r != idx]
+            coef = {r: G[r][idx] / de for r in keep}
+            vecs = [linalg.combine(vecs[r], [(-coef[r], e)]) for r in keep]
+            live = {r for r in keep if not coef[r].is_exactly_zero()}
+
+            def line_update(r, c):
+                acc = G[r][c]
+                if r in live:
+                    acc = acc - coef[r] * G[idx][c]
+                if c in live:
+                    acc = acc - coef[c] * G[r][idx]
+                    if r in live:
+                        acc = acc + coef[r] * coef[c] * de
+                return acc
+
+            G = _symmetric(keep, line_update)
+            continue
+        if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
+            break
+        pair = linalg.min_valuation(((i, j), G[i][j])
+                                    for i in range(m) for j in range(i + 1, m))
+        if pair is None:
+            break
+        i, j = pair
+        g = G[i][j]
+        ginv = g.inv()
+        e = vecs[i]
+        f = [c * ginv for c in vecs[j]]
+        blocks.append(("pair", e, f))
+        keep = [r for r in range(m) if r not in (i, j)]
+        lam = {r: G[r][j] * ginv for r in keep}
+        mu = {r: G[r][i] for r in keep}
+        vecs = [linalg.combine(vecs[r], [(-lam[r], e), (-mu[r], f)])
+                for r in keep]
+        live_lam = {r for r in keep if not lam[r].is_exactly_zero()}
+        live_mu = {r for r in keep if not mu[r].is_exactly_zero()}
+
+        def pair_update(r, c):
+            acc = G[r][c]
+            if c in live_lam:
+                acc = acc - lam[c] * G[r][i]
+            if c in live_mu:
+                acc = acc - mu[c] * (G[r][j] * ginv)
+            return acc
+
+        G = _symmetric(keep, pair_update)
+        if F.char == 2:
+            for r in range(len(G)):
+                G[r][r] = F.zero
+    return blocks, G
+
+
+KERNEL_FIELDS = {**{name: field_shorthand(name, precision=16)
+                    for name in VALUED},
+                 "f2x-laurent cap 6": field_shorthand(
+                     "f2x-laurent", precision=16, degree_cap=6)}
+
+
+def _kernel_elem(F, rng, truncate, low=-3, high=3, zero=0.5):
+    """Zero with probability `zero` (a truncated zero O(u^k) in some
+    entries of truncated data), else a monomial sum of valuation in
+    [low, high], with an O() tail in over half the entries of truncated
+    data.  Over the capped field the units reach degree 3 in x, so that a
+    product of a few entries passes the cap."""
+    if F in RESIDUE.values():
+        return _elem(F, rng)
+    u = "2" if F.char == 0 else "t"
+    if rng.random() < zero:
+        if truncate and rng.random() < 0.4:
+            return parse_element(f"O({u}^{rng.randrange(low, high + 2)})", F)
+        return F.zero
+    k = F.residue_field
+    if F.char == 0:
+        units = ("1", "3", "5", "7")
+    elif k.is_perfect:
+        units = [str(c) for c in range(1, k.order)]
+    elif k.degree_cap == 6:
+        units = ("1", "x", "(x^3+x+1)", "(x^2/(x^3+1))")
+    else:
+        units = ("1", "x", "(1+x)", "(x/(1+x))")
+    exps = sorted(rng.sample(range(low, high + 2), rng.choice((1, 1, 2))))
+    text = "+".join(f"{rng.choice(units)}*{u}^{e}" for e in exps)
+    if truncate and rng.random() < 0.6:
+        text = f"{text} + O({u}^{exps[-1] + rng.randrange(1, 4)})"
+    return parse_element(text, F)
+
+
+def _kernel_gram(F, rng, elem, n=None):
+    """A symmetric n x n Gram, mirrored objects, from elem(i, j): block
+    diagonal (blocks of one or two) or scrambled (every entry drawn); in
+    characteristic 2 the diagonal is an exact zero, as on a polar form,
+    most of the time."""
+    n = n or rng.randrange(1, 7)
+    block = [0] * n
+    if rng.random() < 0.5:
+        block = []
+        while len(block) < n:
+            block += [len(block)] * rng.choice((1, 2))
+    alternating = F.char == 2 and rng.random() < 0.8
+    G = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and alternating) or block[i] != block[j]:
+                continue
+            G[i][j] = G[j][i] = elem(i, j)
+    return G
+
+
+def _kernel_outcome(fn, *args):
+    res = _outcome(fn, *args)
+    if isinstance(res, tuple) and isinstance(res[0], type):
+        return res
+    if isinstance(res, norms.CompatibilityViolation):
+        return ("violation", res.condition, res.detail)
+    if isinstance(res, norms.DepthCertificate):
+        return ("certificate", res.eps, res.lead)
+    blocks, rest = res
+    return ([(kind, _spelled(list(e)), _spelled(x if kind == "pair" else [x]))
+             for kind, e, x in blocks], _spelled(rest))
+
+
+def _low_precision(F, rng):
+    """An entry of a low-precision column: a monomial sum of valuation -1
+    or 0, cut one or two digits above its valuation half of the time.
+    Against an exact B whose entries collide in valuation, such columns
+    give the two triangles different precisions often."""
+    x = _kernel_elem(F, rng, False, -1, 0, zero=0.2)
+    if not x.is_exactly_zero() and rng.random() < 0.5:
+        x = x.truncated(x.low_bound() + rng.randrange(1, 3))
+    return x
+
+
+@pytest.mark.parametrize("name", KERNEL_FIELDS)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_of_on_sparse_columns_matches_dense(name, seed):
+    """gram_of on the sparse (i, x_i) columns and on coordinate lists
+    against the dense parent: entries, precisions, the head block and the
+    error a product raises over the capped field.  Data is exact,
+    truncated (truncated zeros included), or an exact B against
+    low-precision columns."""
+    F = KERNEL_FIELDS[name]
+    rng = random.Random(seed)
+    kind = rng.choice(("exact", "truncated", "low-precision columns"))
+    truncate = kind == "truncated"
+    if kind == "low-precision columns":
+        B = _kernel_gram(F, rng, lambda i, j: _kernel_elem(
+            F, rng, False, -1, 0, zero=0.3))
+    else:
+        B = _kernel_gram(F, rng, lambda i, j: _kernel_elem(F, rng, truncate))
+
+    def entry():
+        if kind == "low-precision columns":
+            return _low_precision(F, rng)
+        return _kernel_elem(F, rng, truncate, zero=0.2)
+
+    n, m = len(B), rng.randrange(0, 6)
+    dense = []
+    for _ in range(m):
+        support = rng.sample(range(n), rng.randrange(1, n + 1))
+        dense.append([entry() if i in support else F.zero for i in range(n)])
+    sparse = [[(i, x) for i, x in enumerate(col) if not x.is_exactly_zero()]
+              for col in dense]
+    want = _spelled(_outcome(gram_of_dense, B, dense, F.zero))
+    assert _spelled(_outcome(gram_of, B, sparse, F.zero)) == want
+    assert _spelled(_outcome(gram_of, B, dense, F.zero)) == want
+    head, abandon, heads = rng.randrange(0, m + 1), rng.random() < 0.2, {}
+
+    def on_head(key):
+        def record(Ge):
+            heads[key] = _spelled(Ge)
+            if abandon:
+                raise PrecisionExhausted("abandoned after the head block")
+        return record
+
+    got = _outcome(gram_of, B, sparse, F.zero, head, on_head("got"))
+    want = _outcome(gram_of_dense, B, dense, F.zero, head, on_head("want"))
+    assert _spelled(got) == _spelled(want)
+    assert heads.get("got") == heads.get("want")
+
+
+@pytest.mark.parametrize("name", KERNEL_FIELDS)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_check_compatibility_matches_dense_loop(name, seed):
+    """(a) and the leading coefficients on the nonzero entries only
+    against the loop over every entry: the certificate's leading
+    coefficients, the first violation and its detail, or the error.  Each
+    entry of be sits near its threshold g_i + g_j + eps, some of them
+    truncated zeros at or below it."""
+    F = KERNEL_FIELDS[name]
+    rng = random.Random(seed)
+    truncate = rng.random() < 0.5
+    n = rng.randrange(1, 7)
+    step = rng.choice((1, 2))  # 2: integral values and thresholds
+    values = [half(step * rng.randrange(-2, 3)) for _ in range(n)]
+    eps = half(step * rng.randrange(2))
+
+    def near(i, j):
+        thr = values[i] + values[j] + eps
+        lo = math.ceil(thr) - (rng.random() < 0.2)
+        return _kernel_elem(F, rng, truncate, lo, lo)
+
+    be = _kernel_gram(F, rng, near, n)
+    qe = [F.zero if rng.random() < 0.7 else _kernel_elem(
+        F, rng, truncate, math.ceil(2 * v), math.ceil(2 * v) + 1)
+        for v in values]
+    q = QuadraticForm.from_gram(F, qe, be)
+    norm = norms.VNorm(F, linalg.identity(n, F.zero, F.one), values)
+    want = _kernel_outcome(compatibility_dense, q, norm, eps, (qe, be))
+    assert _kernel_outcome(norms.check_compatibility, q, norm, eps,
+                           (qe, be)) == want
+
+
+@pytest.mark.parametrize("name", {**KERNEL_FIELDS, **RESIDUE})
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_split_gram_matches_dense_update(name, seed):
+    """split_gram updating only the live rows and columns, with one pivot
+    inverse per line step, against the update of every entry: the blocks'
+    vectors and values, the rest, or the error, entry by entry."""
+    F = {**KERNEL_FIELDS, **RESIDUE}[name]
+    rng = random.Random(seed)
+    truncate = rng.random() < 0.5
+    G = _kernel_gram(F, rng, lambda i, j: _kernel_elem(F, rng, truncate))
+    assert _kernel_outcome(split_gram, G, F) == \
+        _kernel_outcome(split_gram_dense, G, F)
