@@ -13,9 +13,7 @@ from .arason import (CanonicalDecomposition, GeneratorExpression, NotInSubgroup,
                      decomposition_form, enumerate_wq_Q2, generator_certificate,
                      witt_equal)
 from .errors import INDISTINGUISHABLE, WittlabError
-from .fields import (field_shorthand, frobenius_coordinates,
-                     hensel_artin_schreier, make_field, residue, section,
-                     valuation)
+from .fields import field_shorthand, make_field
 from .graded import (ShiftedQuadSpace, UniformizingChoice, coset_decomposition,
                      default_choice, descend_case1, descend_case2, is_metabolic,
                      orbit_partition, split_principal_metabolic, validate)
@@ -25,7 +23,7 @@ from .norms import (DepthCertificate, NotReducible, VNorm, builder_binary,
                     extend_certificate, induced_space, initial_norm,
                     norm_shift, norm_sum, split_respecting_norm,
                     wildness_index)
-from .quadform import BinaryForm, QuadraticForm, WittExpr, rewrite, symplectic_blocks
+from .quadform import QuadraticForm, WittExpr, rewrite, symplectic_blocks
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace, TensorElem,
                            WClass, WedgeElem, WqClass, arf_invariant, functor_U,
                            sq_normalize, sq_witt_class, ssq_normalize,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import graded, norms, residue_witt
+from . import graded, residue_witt
 from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
                      UnsupportedResidueField, WittlabError)
 from .fields.common import HALF, INF, grid, half

@@ -32,7 +32,7 @@ from .errors import (INDISTINGUISHABLE, FormSyntaxError, PrecisionExhausted,
 from .fields import DyadicField, LaurentField, field_shorthand
 from .fields.gf2m import GF2m
 from .fields.ratfunc import RatFuncField
-from .literals import parse_element, parse_form
+from .literals import parse_form
 
 SCHEMA = "wittlab/1"
 

@@ -43,10 +43,6 @@ class UnsupportedResidueField(WittlabError):
     pass
 
 
-class TooLarge(WittlabError):
-    pass
-
-
 class WrongCase(WittlabError):
     pass
 

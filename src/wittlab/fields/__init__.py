@@ -18,36 +18,9 @@ from .ratfunc import RatFunc, RatFuncField
 
 __all__ = [
     "GF2m", "FF", "RatFuncField", "RatFunc", "LaurentField", "Laurent",
-    "DyadicField", "Dyadic", "AtLeast", "INF", "lower_bound", "valuation",
-    "residue", "section",
-    "frobenius_coordinates", "hensel_artin_schreier", "make_field",
+    "DyadicField", "Dyadic", "AtLeast", "INF", "lower_bound", "make_field",
     "field_shorthand",
 ]
-
-
-def valuation(x):
-    """v(x): an integer, INF for the exact zero, or AtLeast(bound)."""
-    return x.valuation()
-
-
-def residue(x):
-    """Image of x in the residue field; requires certified v(x) >= 0."""
-    return x.residue()
-
-
-def section(field, c):
-    """The fixed set-theoretic section s of the residue map; s(0) = 0."""
-    return field.section(c)
-
-
-def frobenius_coordinates(c):
-    """(c0, c1) with c = c0^2 + x*c1^2; c1 = 0 over perfect fields."""
-    return c.field.frobenius_coordinates(c)
-
-
-def hensel_artin_schreier(c):
-    """Root u of u^2 + u + c = 0 with v(u) > 0, to working precision."""
-    return c.field.artin_schreier_lift(c)
 
 
 def make_field(kind: str, *, m: int = 1, precision: int = 64,

@@ -58,8 +58,6 @@ class AtLeast:
 
 INF = math.inf
 
-Valuation = "int | float | AtLeast"
-
 
 def lower_bound(v) -> "int | float":
     """A certified lower bound for the valuation answer v."""

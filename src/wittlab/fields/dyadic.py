@@ -47,9 +47,6 @@ class DyadicField:
     char = 0
     v2 = half(2)
 
-    def at_precision(self, precision: int) -> "DyadicField":
-        return DyadicField(precision)
-
     # -- construction -------------------------------------------------------
 
     def make(self, unit: int, e: int, abs_prec=None) -> "Dyadic":
@@ -99,7 +96,7 @@ class DyadicField:
         """Newton iteration for the v > 0 root of u^2 + u + c = 0."""
         if c.low_bound() < 1:
             raise NotApplicable(
-                f"hensel_artin_schreier needs v(c) > 0, got v = {c.valuation()}")
+                f"artin_schreier_lift needs v(c) > 0, got v = {c.valuation()}")
         if c.is_exactly_zero():
             return self.zero
         if c.is_zero_to_precision():
@@ -180,7 +177,8 @@ class Dyadic(Certified):
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         F = self.field
-        assert other.field is F or other.field == F
+        if other.field is not F and other.field != F:
+            raise NotApplicable("a sum needs one field")
         prec = self._join_prec(other)
         if self.unit == 0:
             return other.field.make(other.unit, other.e, prec)
@@ -202,7 +200,8 @@ class Dyadic(Certified):
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         F = self.field
-        assert other.field is F or other.field == F
+        if other.field is not F and other.field != F:
+            raise NotApplicable("a product needs one field")
         prec = (None if self.abs_prec is None and other.abs_prec is None
                 else self._mul_prec(other))
         if self.unit == 0 or other.unit == 0:

@@ -281,11 +281,6 @@ class GF2m:
             return self._pool[bits]
         return FF(self, bits)
 
-    def elements(self):
-        """Iterate over all field elements (small m only)."""
-        for bits in range(self.order):
-            yield self.elem(bits)
-
     def random(self, rng) -> "FF":
         return self.elem(rng.randrange(self.order))
 

@@ -32,10 +32,9 @@ tuple view of c_0, c_1, ..., built on demand for packed elements.
 
 from __future__ import annotations
 
-from ..errors import DivisionByZero
+from ..errors import DivisionByZero, NotApplicable
 from .common import INF, AtLeast, Certified
 from .gf2m import GF2m, _clmul
-from .ratfunc import RatFuncField
 
 
 class LaurentField:
@@ -63,9 +62,6 @@ class LaurentField:
 
     char = 2
     v2 = INF  # v(2) = infinity in characteristic 2
-
-    def at_precision(self, precision: int) -> "LaurentField":
-        return LaurentField(self.residue_field, precision, self.variable)
 
     # -- construction ------------------------------------------------------
 
@@ -124,11 +120,10 @@ class LaurentField:
 
     def artin_schreier_lift(self, c: "Laurent") -> "Laurent":
         """The root of u^2 + u + c = 0 with v(u) > 0: u = sum c^(2^i)."""
-        from ..errors import NotApplicable
         v = c.valuation()
         if not (isinstance(v, AtLeast) and v.bound > 0 or v == INF
                 or (isinstance(v, int) and v > 0)):
-            raise NotApplicable(f"hensel_artin_schreier needs v(c) > 0, got v = {v}")
+            raise NotApplicable(f"artin_schreier_lift needs v(c) > 0, got v = {v}")
         bound = c.abs_prec
         if bound is None:
             bound = (v if isinstance(v, int) else 1) + self.precision
@@ -327,7 +322,8 @@ class Laurent(Certified):
 
     def __add__(self, other: "Laurent") -> "Laurent":
         F = self.field
-        assert other.field is F or other.field == F
+        if other.field is not F and other.field != F:
+            raise NotApplicable("a sum needs one field")
         pk = F._pk
         if pk is None:
             return _add_slots(self, other)
@@ -351,7 +347,8 @@ class Laurent(Certified):
 
     def __mul__(self, other: "Laurent") -> "Laurent":
         F = self.field
-        assert other.field is F or other.field == F
+        if other.field is not F and other.field != F:
+            raise NotApplicable("a product needs one field")
         a, b = self.digits, other.digits
         prec = (None if self.abs_prec is None and other.abs_prec is None
                 else self._mul_prec(other))

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import linalg, residue_witt
 from .errors import (DegenerateForm, GridViolation, NotApplicable,
-                     SingularMatrix, Undecidable, WrongCase)
+                     SingularMatrix, Undecidable, WittlabError, WrongCase)
 from .fields.common import HALF, INF, grid, half
 from .fields.gf2m import GF2m, _clmul
 from .quadform import QuadraticForm, split_gram
@@ -81,39 +81,6 @@ class ShiftedQuadSpace:
         return (f"ShiftedQuadSpace(eps={self.eps}, type {self.type_tag}, "
                 f"degrees={[str(d) for d in self.degrees]})")
 
-    # -- homogeneous vectors --------------------------------------------------
-
-    def unit_vector(self, i) -> "GradedVector":
-        coords = [self.k.zero] * self.n
-        coords[i] = self.k.one
-        return GradedVector(self, self.degrees[i], tuple(coords))
-
-    def qval(self, v: "GradedVector"):
-        """k-coefficient of q(v) at degree 2*deg(v)."""
-        acc = self.k.zero
-        for i, c in enumerate(v.coords):
-            if not c.is_zero() and not self.qvals[i].is_zero():
-                acc = acc + c * c * self.qvals[i]
-        if self.type_tag == "I":
-            for i in range(self.n):
-                if v.coords[i].is_zero():
-                    continue
-                for j in range(i + 1, self.n):
-                    if not v.coords[j].is_zero() and not self.bmat[i][j].is_zero():
-                        acc = acc + v.coords[i] * v.coords[j] * self.bmat[i][j]
-        return acc
-
-    def bval(self, u: "GradedVector", w: "GradedVector"):
-        """k-coefficient of b(u, w) at degree deg(u) + deg(w) + eps."""
-        acc = self.k.zero
-        for i, ci in enumerate(u.coords):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(w.coords):
-                if not cj.is_zero():
-                    acc = acc + ci * cj * self.bmat[i][j]
-        return acc
-
 
 @dataclass(frozen=True)
 class GradedVector:
@@ -125,8 +92,8 @@ class GradedVector:
 
     def __post_init__(self):
         for i, c in enumerate(self.coords):
-            if not c.is_zero():
-                assert _is_int(self.degree - self.space.degrees[i]), OFF_GRID
+            if not c.is_zero() and not _is_int(self.degree - self.space.degrees[i]):
+                raise GridViolation(OFF_GRID)
 
     @classmethod
     def on_grid(cls, space, degree, coords):
@@ -284,28 +251,6 @@ def default_choice(S: ShiftedQuadSpace) -> UniformizingChoice:
     return UniformizingChoice(rho, pi)
 
 
-def random_choice(S: ShiftedQuadSpace, rng) -> UniformizingChoice:
-    """A random valid choice: unit coefficients are randomized and the pi
-    degrees move by even steps (rho is pinned for types I and III)."""
-    k = S.k
-
-    def unit():
-        while True:
-            if k.is_perfect:
-                c = k.random(rng)
-            else:
-                c = k.random(rng, 1)
-            if not c.is_zero():
-                return c
-
-    base = default_choice(S)
-    rho = base.rho if S.type_tag in ("I", "III") else \
-        HomogeneousScalar(base.rho.degree, unit())
-    pi = {key: HomogeneousScalar(h.degree + 2 * rng.randrange(-2, 3), unit())
-          for key, h in base.pi.items()}
-    return UniformizingChoice(rho, pi)
-
-
 @dataclass(frozen=True)
 class BilinearDiag:
     """Descent of a type-III space: diagonal entries plus the rank of the
@@ -370,7 +315,9 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
     cosets = coset_decomposition(S)
     idx_a = cosets.get(gamma, [])
     idx_b = cosets.get(coset(-gamma - S.eps), [])
-    assert len(idx_a) == len(idx_b), "nondegeneracy pairs the two cosets"
+    if len(idx_a) != len(idx_b):
+        raise DegenerateForm(
+            f"cosets of {len(idx_a)} and {len(idx_b)} basis vectors do not pair")
     if not idx_a:
         return SeparatedSpace(k, ())
     ip = h.coeff.inv()
@@ -677,6 +624,6 @@ def is_metabolic(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Meta
     planes = metabolic_planes(S)
     if exact_classes and not (S.type_tag == "I" and not S.k.is_perfect):
         classes_zero = all(inv.is_zero() for inv in evidence.values())
-        assert classes_zero == (planes is not None), \
-            "descent invariants disagree with the witness search"
+        if classes_zero != (planes is not None):
+            raise WittlabError("descent invariants disagree with the witness search")
     return MetabolicityReport(planes is not None, planes, evidence)

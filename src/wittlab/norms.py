@@ -68,7 +68,7 @@ from . import graded, linalg
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
                      PrecisionExhausted, SingularForm)
 from .fields.common import INF, AtLeast, grid, half, is_exact
-from .graded import ShiftedQuadSpace, UniformizingChoice
+from .graded import ShiftedQuadSpace
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
 
 
@@ -141,10 +141,10 @@ class DepthCertificate:
     qe: list = datafield(repr=False, compare=False)
     be: list = datafield(repr=False, compare=False)
     lead: list = datafield(repr=False, compare=False)
-    checked: tuple = ("a", "b", "c")
     # orbit -> residue invariant of the induced space, kept by descend
     # from the NotReducible step that stopped it
     evidence: dict = datafield(default=None, repr=False, compare=False)
+    checked = ("a", "b", "c")
 
     def revalidate(self):
         """Recheck from form, norm and eps alone, ignoring the Gram data."""
@@ -375,8 +375,8 @@ def extend_certificate(cert: DepthCertificate,
 def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
     """Binary orthogonal blocks whose restricted norms stay eps-compatible.
 
-    Returns a list of (BinaryForm coefficients (a, b), block values,
-    block basis columns in ambient coordinates).
+    Returns a list of ((a, b), block values, block basis columns in
+    ambient coordinates), each block the binary form [a, b].
     """
     F = q.field
     eps = cert.eps

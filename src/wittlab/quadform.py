@@ -111,21 +111,6 @@ class QuadraticForm:
                 for i in range(n))
         return self._polar
 
-    def polar(self, x, y):
-        B = self.polar_matrix()
-        acc = self.field.zero
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = acc + B[i][j] * x[i] * y[j]
-        return acc
-
-    def is_nonsingular(self) -> bool:
-        if self.n == 0:
-            return True
-        if self.field.char == 2 and self.n % 2 == 1:
-            return False  # alternating odd rank
-        return linalg.is_invertible_certified(self.polar_matrix())
-
     def __neg__(self):
         return QuadraticForm(self.field, [[-c for c in row] for row in self.U])
 
@@ -151,17 +136,6 @@ class QuadraticForm:
         # q(Mx) has the diagonal of G = M^T U M and the polar part G + G^T
         return QuadraticForm(self.field, [[G[i][j] + G[j][i] if j > i else G[i][j]
                                            for j in range(n)] for i in range(n)])
-
-
-@dataclass(frozen=True)
-class BinaryForm:
-    """[a, b] with q(x1, x2) = a x1^2 + x1 x2 + b x2^2."""
-
-    a: object
-    b: object
-
-    def to_form(self, field) -> QuadraticForm:
-        return QuadraticForm.binary(field, self.a, self.b)
 
 
 def gram_of(B, cols, zero, head=0, on_head=None):
@@ -217,16 +191,18 @@ def gram_of(B, cols, zero, head=0, on_head=None):
     return G
 
 
-def _updated(G, keep, rows, cols, entry):
+def _updated(G, keep, live, entry):
     """G on the indices keep (ascending), read off its upper triangle and
-    mirrored, with entry(r, c), r <= c, wherever r is in rows or c in
-    cols; field sums and products commute in value and precision, so the
-    mirror is what the lower triangle would compute."""
+    mirrored, with entry(r, c), r <= c, wherever r and c are both in live;
+    field sums and products commute in value and precision, so the mirror
+    is what the lower triangle would compute.  Elsewhere every term of the
+    update is a product with an exact zero, which adds an exact zero and
+    leaves the entry's value and precision as they are."""
     out = [[G[r][c] if r <= c else G[c][r] for c in keep] for r in keep]
-    at = [b for b, c in enumerate(keep) if c in cols]
-    for a, r in enumerate(keep):
-        for b in (range(a, len(keep)) if r in rows else
-                  [b for b in at if b >= a]):
+    at = [b for b, c in enumerate(keep) if c in live]
+    for i, a in enumerate(at):
+        r = keep[a]
+        for b in at[i:]:
             out[a][b] = out[b][a] = entry(r, keep[b])
     return out
 
@@ -240,9 +216,10 @@ def split_gram(G, F):
     of minimal valuation, ties broken lexicographically.  Under the
     trivial valuation of a residue field each pivot is the first nonzero
     entry.  The Gram matrix of the working basis is maintained
-    incrementally, on the rows and columns whose line or pair coefficient
-    is not an exact zero, so the whole split costs O(n^3) field
-    operations.
+    incrementally, on the entries whose row and column both have a line
+    or pair coefficient that is not an exact zero, and a pair step forms
+    only the terms whose two coefficients are not exact zeros, so the
+    whole split costs O(n^3) field operations.
 
     Returns (blocks, rest).  blocks lists ("line", e, b(e, e)) and
     ("pair", e, f) with b(e, f) = 1, the vectors in the coordinates of G;
@@ -269,16 +246,10 @@ def split_gram(G, F):
                     else vecs[r] for r in keep]
 
             def line_update(r, c):
-                acc = G[r][c]
-                if r in coef:
-                    acc = acc - coef[r] * G[idx][c]
-                if c in coef:
-                    acc = acc - coef[c] * G[r][idx]
-                    if r in coef:
-                        acc = acc + coef[r] * coef[c] * de
-                return acc
+                return (G[r][c] - coef[r] * G[idx][c] - coef[c] * G[r][idx]
+                        + coef[r] * coef[c] * de)
 
-            G = _updated(G, keep, coef, coef, line_update)
+            G = _updated(G, keep, coef, line_update)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
             break
@@ -303,13 +274,13 @@ def split_gram(G, F):
 
         def pair_update(r, c):
             acc = G[r][c]
-            if c in live_lam:
-                acc = acc - lam[c] * G[r][i]
-            if c in live_mu:
-                acc = acc - mu[c] * (G[r][j] * ginv)
+            if c in live_lam and r in live_mu:
+                acc = acc - lam[c] * mu[r]
+            if c in live_mu and r in live_lam:
+                acc = acc - mu[c] * lam[r]
             return acc
 
-        G = _updated(G, keep, (), live_lam | live_mu, pair_update)
+        G = _updated(G, keep, live_lam | live_mu, pair_update)
         if F.char == 2:
             # the complement Gram stays alternating; restore the structural
             # zeros that limited-precision cancellation cannot certify
@@ -390,15 +361,6 @@ class WittExpr:
         if other.field != self.field:
             raise NotApplicable("a sum of Witt expressions needs one field")
         return WittExpr(self.field, self.summands + other.summands)
-
-    def to_form(self) -> QuadraticForm:
-        form = QuadraticForm(self.field, [])
-        for s in self.summands:
-            if s.kind == "bin":
-                form = form.ortho_sum(QuadraticForm.binary(self.field, s.a, s.b))
-            else:
-                form = form.ortho_sum(QuadraticForm.diagonal(self.field, [s.a]))
-        return form
 
     def replaced(self, at, new_summands) -> "WittExpr":
         at = sorted(at, reverse=True)

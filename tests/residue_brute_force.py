@@ -11,13 +11,17 @@ CLI path calls them.
 from itertools import product
 
 from wittlab import graded, linalg
-from wittlab.errors import TooLarge, UnsupportedResidueField
+from wittlab.errors import UnsupportedResidueField, WittlabError
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                                   _diagonal_q, _split_isotropic,
                                   sq_normalize)
 
 ORACLE_ENUM_CAP = 1 << 21
+
+
+class TooLarge(WittlabError):
+    """The enumeration would exceed the oracle's budget."""
 
 
 def _is_finite(k) -> bool:
@@ -36,7 +40,7 @@ def _check_enum_size(k, dim):
 def _first_isotropic(k, n, q):
     """The first nonzero vector of k^n, in enumeration order, with q = 0,
     or None."""
-    for vec in product(list(k.elements()), repeat=n):
+    for vec in product(list(map(k.elem, range(k.order))), repeat=n):
         if not all(c.is_zero() for c in vec) and q(list(vec)).is_zero():
             return list(vec)
     return None

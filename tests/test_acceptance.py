@@ -20,6 +20,7 @@ from wittlab.quadform import QuadraticForm, WittExpr, rewrite
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                                   sq_witt_class, ssq_witt_class)
 
+from form_helpers import expr_form, random_choice
 from residue_brute_force import witt_decompose_small
 
 HALF = Fraction(1, 2)
@@ -140,7 +141,7 @@ def _rand_q2(rng, lo=-2, hi=3):
 
 
 def _expr_equal(e1, e2):
-    return class_is_zero_tame_oracle(e1.to_form().ortho_sum(-e2.to_form()))
+    return class_is_zero_tame_oracle(expr_form(e1).ortho_sum(-expr_form(e2)))
 
 
 def test_criterion_5_relation_engine_soundness():
@@ -254,7 +255,7 @@ def test_criterion_6_depth_reduction_soundness():
                     # descended invariants to vanish for that choice
                     S = norms.induced_space(q, cert)
                     for _ in range(5):
-                        ch = graded.random_choice(S, rng)
+                        ch = random_choice(S, rng)
                         invs = graded.orbit_invariants(S, ch)
                         assert any(not inv.is_zero() for inv in invs.values())
                     stuck += 1

@@ -16,6 +16,8 @@ from wittlab.literals import parse_form
 from wittlab.residue_witt import (SymplecticQuadSpace, sq_witt_class,
                                   ssq_witt_class)
 
+from form_helpers import bval, qval
+
 HALF = Fraction(1, 2)
 F2T = make_field("laurent", m=1)
 F2XT = make_field("laurent-ratfunc", m=1)
@@ -298,12 +300,12 @@ def test_metabolic_planes_are_orthogonal_lagrangian_data():
     report = is_metabolic(S)
     assert report.metabolic
     for (x, y) in report.planes:
-        assert S.qval(x).is_zero()
-        assert S.bval(x, x).is_zero()
-        assert S.bval(x, y) == F2T.residue_field.one
+        assert qval(S, x).is_zero()
+        assert bval(S, x, x).is_zero()
+        assert bval(S, x, y) == F2T.residue_field.one
     for i, (x1, y1) in enumerate(report.planes):
         for (x2, y2) in report.planes[i + 1:]:
-            assert S.bval(x1, x2).is_zero()
-            assert S.bval(x1, y2).is_zero()
-            assert S.bval(y1, x2).is_zero()
-            assert S.bval(y1, y2).is_zero()
+            assert bval(S, x1, x2).is_zero()
+            assert bval(S, x1, y2).is_zero()
+            assert bval(S, y1, x2).is_zero()
+            assert bval(S, y1, y2).is_zero()

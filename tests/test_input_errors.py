@@ -1,11 +1,15 @@
 """Checks of caller input and answer guards raise wittlab errors, so they
 hold under `python -O` as well, which drops `assert` statements."""
 
+from fractions import Fraction
+
 import pytest
 
-from wittlab import arason, norms
-from wittlab.errors import NotApplicable, WittlabError
+from wittlab import arason, graded, norms
+from wittlab.errors import (DegenerateForm, GridViolation, NotApplicable,
+                            WittlabError)
 from wittlab.fields import make_field
+from wittlab.graded import GradedVector, ShiftedQuadSpace
 from wittlab.literals import parse_form
 from wittlab.quadform import WittExpr
 
@@ -59,3 +63,45 @@ def test_enumerate_wq_q2_reports_a_failed_round_trip(monkeypatch):
     monkeypatch.setattr(arason, "canonical_decomposition", wrong_once)
     with pytest.raises(WittlabError, match="representative 4"):
         arason.enumerate_wq_Q2()
+
+
+@pytest.mark.parametrize("op", ("+", "*"))
+def test_laurent_arithmetic_over_two_fields_is_not_applicable(op):
+    a, b = F2T.one + F2T.uniformizer(), F4T.make([(0, F4T.residue_field.elem(3))])
+    with pytest.raises(NotApplicable, match="one field"):
+        a + b if op == "+" else a * b
+
+
+@pytest.mark.parametrize("op", ("+", "*"))
+def test_dyadic_arithmetic_at_two_precisions_is_not_applicable(op):
+    a = make_field("dyadic", precision=64).from_int(3)
+    b = make_field("dyadic", precision=8).from_int(5)
+    with pytest.raises(NotApplicable, match="one field"):
+        a + b if op == "+" else a * b
+
+
+def test_graded_vector_off_the_degree_grid():
+    k = F2T.residue_field
+    S = ShiftedQuadSpace(k, F2T.v2, 1, [0, Fraction(1, 2)], [k.one, k.one],
+                         [[k.zero, k.one], [k.one, k.zero]], "II")
+    with pytest.raises(GridViolation, match="off the degree grid"):
+        GradedVector(S, Fraction(0), (k.one, k.one))
+
+
+def test_descend_case2_with_unpaired_cosets_is_degenerate():
+    k = F2T.residue_field
+    half = Fraction(1, 2)
+    z, o = k.zero, k.one
+    S = ShiftedQuadSpace(k, F2T.v2, half, [0, 0, -half], [o, o, o],
+                         [[z, z, o], [z, z, z], [o, z, z]], "II")
+    with pytest.raises(DegenerateForm, match="do not pair"):
+        graded.descend_case2(S)
+
+
+def test_is_metabolic_reports_a_witness_that_disagrees(monkeypatch):
+    q = parse_form("sum([1, t^-2], [1, t^-2])", F2T)
+    S = norms.induced_space(q, norms.initial_norm(q))
+    assert graded.is_metabolic(S).metabolic
+    monkeypatch.setattr(graded, "metabolic_planes", lambda S: None)
+    with pytest.raises(WittlabError, match="disagree"):
+        graded.is_metabolic(S)

@@ -73,6 +73,8 @@ from wittlab.quadform import (QuadraticForm, gram_of, split_gram,
                               symplectic_blocks)
 from wittlab.residue_witt import kquad_isotropic_vector
 
+from form_helpers import qval, unit_vector
+
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
            "GF(8)": GF2m(3), "GF(2^9)": GF2m(9)}
 VALUED = ("f2-laurent", "f2m-laurent:m=2", "f2x-laurent", "q2")
@@ -192,12 +194,12 @@ def metabolic_planes(S, selections):
     """The parent routine; each selection step also appends the pair
     (select_independent, linalg.independent_rows) to `selections`."""
     k = S.k
-    vecs = [S.unit_vector(i) for i in range(S.n)]
+    vecs = [unit_vector(S, i) for i in range(S.n)]
     G = [list(row) for row in S.bmat]
     planes = []
     while vecs:
         m = len(vecs)
-        qs = [S.qval(w) for w in vecs]
+        qs = [qval(S, w) for w in vecs]
         sol = _find_isotropic_rel(S, vecs, qs, G)
         if sol is None:
             return None

@@ -267,7 +267,7 @@ def kquad_anisotropic_part(form: KQuadForm) -> KQuadForm:
     current = form
     while current.n:
         found = None
-        for vec in product(list(k.elements()), repeat=current.n):
+        for vec in product(list(map(k.elem, range(k.order))), repeat=current.n):
             if all(c.is_zero() for c in vec):
                 continue
             if current.evaluate(list(vec)).is_zero():

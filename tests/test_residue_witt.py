@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittlab.errors import DegenerateForm, TooLarge, UnsupportedResidueField
+from wittlab.errors import DegenerateForm, UnsupportedResidueField
 from wittlab.fields import GF2m, RatFuncField
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
@@ -13,7 +13,8 @@ from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                                   ssq_witt_class, tensor_of, w_class,
                                   w_class_of_gram, wedge_of, wq_raw_class)
 
-from residue_brute_force import kquad_anisotropic_part, witt_decompose_small
+from residue_brute_force import (TooLarge, kquad_anisotropic_part,
+                                 witt_decompose_small)
 
 K2 = GF2m(1)
 K4 = GF2m(2)
