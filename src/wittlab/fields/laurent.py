@@ -17,12 +17,19 @@ Storage depends on the residue field, chosen once by `LaurentField`:
   kernel (`gf2m._clmul`, `gf2m._Packing`) is the one `RatFunc` uses.
 * GF(2^m)(x): `digits` is a tuple of residue elements c_0, c_1, ...
   The kernels work on one slot list.  A sum overlays the two shifted
-  operands and adds only where both slots are nonzero.  A product
-  convolves into min(len(a) + len(b) - 1, prec - v0) slots, stopping at
-  the precision cut-off, and seeds each slot with its first product
-  instead of adding it to zero.  One helper (`_trimmed`) drops the zero
-  slots at both ends; every residue add and product is exact, so this
-  is canonical without any sorting.
+  operands and adds only where both slots are nonzero.  A product fills
+  min(len(a) + len(b) - 1, prec - v0) slots, stopping at the precision
+  cut-off: a monomial factor (one slot) makes it one scalar multiple of
+  the other factor's slots, a product of two monomials is one slot, and
+  otherwise it convolves, seeding each slot with its first product
+  instead of adding it to zero.  The residue products are the same, in
+  the same order, on every path, so the degree cap of GF(2^m)(x) trips
+  at the same slot; a residue factor 1 costs no product at all
+  (`RatFunc.__mul__`).  The inverse cuts every term of its geometric
+  series at the relative precision before forming it, so no slot that
+  the answer does not hold can trip the cap.  One helper (`_trimmed`)
+  drops the zero slots at both ends; every residue add and product is
+  exact, so this is canonical without any sorting.
 
 Normalization: the exact zero and the zero-to-precision element have
 empty digits (0 or ()) and v0 = 0; otherwise c_0 and the top coefficient
@@ -220,13 +227,22 @@ def _add_slots(x: Laurent, y: Laurent) -> Laurent:
 def _mul_slots(F: LaurentField, v0: int, a, b, prec) -> Laurent:
     """a * b over a tuple layout, both nonzero, product valuation v0: the
     convolution up to the precision cut-off, in the order i, then j, of
-    the slot products a_i * b_j."""
+    the slot products a_i * b_j.  A monomial factor makes it one scalar
+    multiple of the other factor's slots, in the same order."""
     n = len(a) + len(b) - 1
     if prec is not None:
         n = min(n, prec - v0)
         if n <= 0:
             return Laurent(F, 0, (), prec)
+    if n == 1:  # a_0 * b_0 != 0, alone below the cut-off
+        return Laurent(F, v0, (a[0] * b[0],), prec)
     z = F.residue_field.zero
+    if len(a) == 1:
+        a, b = b, a  # residue products commute
+    if len(b) == 1:
+        y = b[0]
+        return _trimmed(F, v0, [z if x.is_zero() else x * y for x in a[:n]],
+                        prec)
     nb = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
     c = [z] * n
     for i, x in enumerate(a[:n]):
@@ -394,13 +410,12 @@ class Laurent(Certified):
                 geo ^= term
             return Laurent(F, -self.v0, pk.reduce(_clmul(lead.bits, geo)),
                            rel - self.v0)
-        u = _trimmed(F, 1, [lead * c for c in self.digits[1:]], rel)
+        # every slot at or above rel is cut before it is formed: over
+        # GF(2^m)(x) it could only trip the degree cap
+        u = _trimmed(F, 1, [lead * c for c in self.digits[1:rel]], rel)
         geo = term = F.one.truncated(rel)
-        while True:
-            # the slots at and above rel are formed before the cut: over
-            # GF(2^m)(x) they can trip the degree cap, and that error is
-            # part of the answer
-            term = (term * u).truncated(rel)
+        while u.digits:
+            term = _mul_slots(F, term.v0 + u.v0, term.digits, u.digits, rel)
             if not term.digits:
                 break
             geo = geo + term

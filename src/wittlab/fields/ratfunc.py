@@ -8,7 +8,9 @@ Every slot holds a reduced field element.  A sum is one xor.  A product is
 the carryless product of the two ints (`gf2m._clmul`), whose slot products
 have degree at most 2m - 2 < S and so never overflow into the next slot,
 followed by the reduction of every slot at once (`_Packing.reduce`); a
-scalar multiple is the same product with a one-slot factor.  The degree is
+scalar multiple is the same product with a one-slot factor.  A product
+with the factor 1 is the other factor, with no work: every element is
+built within the degree cap, so it cannot trip the cap.  The degree is
 (bit_length - 1) // S, -1 for the zero polynomial, and the leading
 coefficient is the top slot.
 
@@ -232,6 +234,11 @@ class RatFunc(Exact):
     __sub__ = __add__
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        # every element is within the degree cap, so a factor 1 is free
+        if self.num == 1 and self.den == 1:
+            return other
+        if other.num == 1 and other.den == 1:
+            return self
         F = self.field
         reduce = F._pk.reduce
         num = reduce(_clmul(self.num, other.num))

@@ -451,10 +451,12 @@ class _Slots:
 
 
 class _Coords:
-    """The `_Slots` operations on coordinate tuples, for GF(2^m)(x)."""
+    """The `_Slots` operations on coordinate tuples, for GF(2^m)(x); a
+    scalar 1 forms no products."""
 
     def __init__(self, k):
         self.k = k
+        self.one = k.one
 
     def units(self, n):
         k = self.k
@@ -470,9 +472,13 @@ class _Coords:
         return None if v[i].is_zero() else v[i]
 
     def scale(self, a, v):
+        if a == self.one:
+            return v
         return tuple(c if c.is_zero() else a * c for c in v)
 
     def axpy(self, v, a, u):
+        if a == self.one:
+            return tuple(x if y.is_zero() else x + y for x, y in zip(v, u))
         return tuple(x if y.is_zero() else x + a * y for x, y in zip(v, u))
 
     def first(self, v):

@@ -185,13 +185,16 @@ def is_invertible_certified(A) -> bool:
                 "indistinguishable from zero at this precision")
         pi, pj = piv
         p = R[pi][pj]
+        # a term f * 0 subtracts an exact zero: skip it
+        live = [not c.is_exactly_zero() for c in R[pi]]
         for i in rows_left:
             if i == pi:
                 continue
             f = R[i][pj]
             if f.is_exactly_zero():
                 continue
-            R[i] = [p * R[i][j] - f * R[pi][j] for j in range(n)]
+            R[i] = [p * x - f * R[pi][j] if live[j] else p * x
+                    for j, x in enumerate(R[i])]
         rows_left.remove(pi)
         cols_left.remove(pj)
     return True

@@ -100,13 +100,15 @@ class QuadraticForm:
     def polar_matrix(self):
         """B = U + U^T as rows of a tuple, built once per form; alternating
         in characteristic 2, with exact zeros on the diagonal even where
-        U[i][i] is truncated."""
+        U[i][i] is truncated.  Off the diagonal one of U[i][j], U[j][i] is
+        the exact zero below the diagonal, so B[i][j] is the other."""
         if self._polar is None:
             U, n = self.U, self.n
             zero = self.field.zero
             alternating = self.field.char == 2
             self._polar = tuple(
-                tuple(zero if i == j and alternating else U[i][j] + U[j][i]
+                tuple(U[i][j] if i < j else U[j][i] if i > j
+                      else zero if alternating else U[i][i] + U[i][i]
                       for j in range(n))
                 for i in range(n))
         return self._polar
@@ -218,8 +220,9 @@ def split_gram(G, F):
     entry.  The Gram matrix of the working basis is maintained
     incrementally, on the entries whose row and column both have a line
     or pair coefficient that is not an exact zero, and a pair step forms
-    only the terms whose two coefficients are not exact zeros, so the
-    whole split costs O(n^3) field operations.
+    only the terms whose two coefficients are not exact zeros and scales
+    by b(e, f)^-1 only the entries that are not exact zeros, so the whole
+    split costs O(n^3) field operations.
 
     Returns (blocks, rest).  blocks lists ("line", e, b(e, e)) and
     ("pair", e, f) with b(e, f) = 1, the vectors in the coordinates of G;
@@ -261,11 +264,13 @@ def split_gram(G, F):
         g = G[i][j]
         ginv = g.inv()
         e = vecs[i]
-        f = [c * ginv for c in vecs[j]]  # b(e, f) = 1
+        # b(e, f) = 1; an exact zero times ginv is that exact zero
+        f = [c if c.is_exactly_zero() else c * ginv for c in vecs[j]]
         blocks.append(("pair", e, f))
         keep = [r for r in range(m) if r not in (i, j)]
         # with b(e,e) = b(f,f) = 0 and b(e,f) = 1: w' = w - b(w,f)e - b(w,e)f
-        lam = {r: G[r][j] * ginv for r in keep}
+        lam = {r: G[r][j] if G[r][j].is_exactly_zero() else G[r][j] * ginv
+               for r in keep}
         mu = {r: G[r][i] for r in keep}
         vecs = [linalg.combine(vecs[r], [(-lam[r], e), (-mu[r], f)])
                 for r in keep]

@@ -11,7 +11,7 @@ from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
 from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
                             make_field, ratfunc)
 from wittlab.fields.common import power
-from wittlab.graded import _Slots
+from wittlab.graded import _Coords, _Slots
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
 
@@ -316,11 +316,15 @@ class Schoolbook:
         if rel <= 0:
             raise PrecisionExhausted("no digits")
         one = self.make(self.F, [(0, self.F.residue_field.one)], rel)
+        # no slot at or above rel is formed: over GF(2^m)(x) it could
+        # trip the degree cap, and the answer does not reach it
         u = self.make(self.F, [(i, lead * c) for i, c in enumerate(self.coeffs)
-                               if i > 0], rel)
+                               if 0 < i < rel], rel)
         geo = term = one
         while True:
-            term = (term * u).truncated(rel)
+            term = self.make(self.F, [(e + f, c * d) for e, c in term.pairs()
+                                      for f, d in u.pairs() if e + f < rel],
+                             rel)
             if not term.coeffs:
                 break
             geo = geo + term
@@ -354,14 +358,16 @@ PACKED_M = (1, 2, 8, 16)
 @st.composite
 def laurent_pairs(draw, m):
     """(pairs, abs_prec) for one element: exact or truncated, possibly the
-    exact zero, zero to precision, or with cancelling repeated exponents."""
+    exact zero, zero to precision, or with cancelling repeated exponents;
+    often a monomial, and often with the coefficient 1."""
     kind = draw(st.sampled_from(["exact", "truncated", "zero", "O"]))
     if kind == "zero":
         return [], None
     if kind == "O":
         return [], draw(st.integers(-6, 12))
-    bits = st.integers(0, (1 << m) - 1)
-    pairs = draw(st.lists(st.tuples(st.integers(-6, 10), bits), max_size=8))
+    bits = st.one_of(st.just(1), st.integers(0, (1 << m) - 1))
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 10), bits),
+                          max_size=draw(st.sampled_from([1, 8]))))
     prec = None if kind == "exact" else draw(st.integers(-4, 14))
     return pairs, prec
 
@@ -891,6 +897,19 @@ def test_ratfunc_make_takes_coefficient_tuples():
             R.make((1,), ())
 
 
+def test_ratfunc_product_by_one_is_the_other_factor():
+    for m in PACKED_M:
+        R = _capped(m)
+        # a denominator other than 1, and the cap of 8 reached exactly
+        for r in (R.make((1, 1), (0, 1, 1)),
+                  R.make((0,) * 8 + (1,), (1, 1)),
+                  R.x ** 8):
+            for one in (R.one, R.make((1,), (1,)), R.x / R.x):
+                assert one * r == r and r * one == r
+        with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds cap 8"):
+            R.x ** 8 * R.x
+
+
 def test_ratfunc_degree_cap_message():
     for m in PACKED_M:
         R = _capped(m)
@@ -910,11 +929,18 @@ TUPLE_M = (1, 2)
 
 @st.composite
 def ratfunc_coeffs(draw, R):
-    """A residue element of R: zero, or num/den with a denominator that
-    need not be monic or coprime to the numerator."""
+    """A residue element of R: zero, one, a monomial c x^k, or num/den
+    with a denominator that need not be monic or coprime to the
+    numerator."""
     m = R.base.m
-    if draw(st.integers(0, 4)) == 0:
+    pick = draw(st.integers(0, 5))
+    if pick == 0:
         return R.zero
+    if pick == 1:
+        return R.one
+    if pick == 2:
+        c = draw(st.integers(1, (1 << m) - 1))
+        return R.make((0,) * draw(st.integers(0, 6)) + (c,), (1,))
     num = draw(polys(m, 4).filter(bool))
     den = draw(polys(m, 4).filter(bool))
     return R.make(num, den)
@@ -924,14 +950,14 @@ def ratfunc_coeffs(draw, R):
 def ratfunc_laurent_pairs(draw, R):
     """(pairs, abs_prec) as `laurent_pairs` draws them, over R: exponents
     with gaps (interior zero slots), zero coefficients, repeated exponents,
-    exponents at and above abs_prec."""
+    exponents at and above abs_prec; often a monomial."""
     kind = draw(st.sampled_from(["exact", "truncated", "zero", "O"]))
     if kind == "zero":
         return [], None
     if kind == "O":
         return [], draw(st.integers(-6, 12))
     pairs = draw(st.lists(st.tuples(st.integers(-6, 10), ratfunc_coeffs(R)),
-                          max_size=8))
+                          max_size=draw(st.sampled_from([1, 8]))))
     prec = None if kind == "exact" else draw(st.integers(-4, 14))
     return pairs, prec
 
@@ -1003,6 +1029,33 @@ def test_tuple_laurent_degree_cap_examples():
         a + c
     # with a zero slot between them nothing is added
     assert a + c * t == F.make([(0, a.coeffs[0]), (1, c.coeffs[0])])
+    # a monomial factor multiplies every slot of the other: x^5 * x^4 in
+    # slot 1, on either side, and for a monomial of each
+    x4 = F.section(R.x ** 4)
+    for p, q in ((x5, b), (b, x5), (x5 * t, x4 * t ** 2), (x4, x5)):
+        with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds cap 8"):
+            p * q
+    # ... unless that slot lies at or above the precision cut-off
+    c = one + x * t + x4 * t ** 2
+    for p, q in ((x5.truncated(2), c), (c, x5.truncated(2))):
+        assert p * q == F.make([(0, R.x ** 5), (1, R.x ** 6)], 2)
+    assert x5 * (one + x * t ** 3) * F.one == \
+        F.make([(0, R.x ** 5), (3, R.x ** 6)])
+
+
+def test_tuple_laurent_inverse_cuts_before_the_degree_cap():
+    # 1/(y^3 + y^-2 t^3) = y^-3 (1 + y^-5 t^3 + y^-10 t^6 + ...): the t^6
+    # term would cross the cap of 8, but lies at the precision cut-off
+    R = _capped(1)
+    F = LaurentField(R, precision=6)
+    y = R.x
+    x = F.make([(0, y ** 3), (3, y.inv() ** 2)])
+    assert x.inv() == F.make([(0, (y ** 3).inv()), (3, (y ** 8).inv())], 6)
+    assert F.format_elem(x.inv()) == "(1/(y^3)) + (1/(y^8))*t^3 + O(t^6)"
+    # at precision 7 the t^6 term is below the cut-off, and trips the cap
+    F7 = LaurentField(R, precision=7)
+    with pytest.raises(DegreeCapExceeded, match="degree 10 exceeds cap 8"):
+        F7.make([(0, y ** 3), (3, y.inv() ** 2)]).inv()
 
 
 def test_tuple_laurent_shares_zero_and_one():
@@ -1038,6 +1091,20 @@ def test_gf2m_without_tables_inverts_by_euclid():
 
 
 SLOT_M = (1, 2, 3, 8, 9, 16)
+
+
+@pytest.mark.parametrize("m", TUPLE_M)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_coordinate_vectors_scale_by_one_as_the_tuple_formula(m, data):
+    R = RatFuncField(m)
+    vec = _Coords(R)
+    n = data.draw(st.integers(1, 6))
+    coords = st.lists(ratfunc_coeffs(R), min_size=n, max_size=n).map(tuple)
+    u, w = data.draw(coords), data.draw(coords)
+    for a in (R.one, R.make((1,), (1,)), data.draw(ratfunc_coeffs(R))):
+        assert vec.scale(a, u) == tuple(a * x for x in u)
+        assert vec.axpy(w, a, u) == tuple(y + a * x for x, y in zip(u, w))
 
 
 @pytest.mark.parametrize("m", SLOT_M)
