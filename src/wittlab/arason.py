@@ -35,9 +35,6 @@ from .norms import (_require_certified_form, descend, extend_certificate,
                     split_respecting_norm, wildness_index)
 from .quadform import QuadraticForm
 
-MAX_CANONICAL_ROUNDS = 10_000
-
-
 @dataclass(frozen=True)
 class ResidueSymbol:
     """The value of the boundary map at the given depth."""
@@ -239,8 +236,9 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
     last_eps = None
     cert = wildness_index(q)[1]
     # each later round descends from the last certificate joined to the
-    # new summand
-    for _ in range(MAX_CANONICAL_ROUNDS):
+    # new summand; the depths strictly decrease on the half-integer grid
+    # at 0 or above, so the loop ends
+    while True:
         eps = cert.eps
         if last_eps is not None and eps >= last_eps:
             raise PrecisionExhausted(
@@ -272,8 +270,6 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
         lift = F.section(alpha)
         gen = QuadraticForm.binary(F, F.one, lift * lift / pi ** int(2 * eps))
         cert = descend(extend_certificate(cert, -gen))
-    else:
-        raise PrecisionExhausted("canonical recursion exceeded the round cap")
     top = max((int(e - HALF) for e in wild), default=-1)
     alphas = [wild.get(j + HALF, k.zero) for j in range(top + 1)]
     return CanonicalDecomposition(tuple(alphas), a0, b0, unit_bit, pi_bit)

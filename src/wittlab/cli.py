@@ -75,9 +75,8 @@ def _invariant_payload(inv, k):
                 "raw": [[k.format_elem(a), k.format_elem(b)] for a, b in inv.raw],
                 "arf_representative": k.format_elem(inv.arf_representative)}
     if isinstance(inv, WedgeElem):
-        coord = inv.coordinate()
         return {"group": "wedge",
-                "coordinate_on_1^x": "0" if inv.is_zero() else k.format_elem(coord)}
+                "coordinate_on_1^x": k.format_elem(inv.coordinate())}
     if isinstance(inv, TensorElem):
         if k.is_perfect:
             return {"group": "tensor",
@@ -121,33 +120,30 @@ def _equal_payload(res):
 # -- command implementations ----------------------------------------------------
 
 
-def _cmd_depth(field, forms):
-    out = []
-    for text in forms:
-        q = parse_form(text, field)
-        eps, cert = norms.wildness_index(q)
-        out.append({"form": text, "depth": str(eps),
-                    "certificate": _certificate_payload(cert, field)})
-    return {"results": out}
+def _depth_answer(q, field):
+    eps, cert = norms.wildness_index(q)
+    return {"depth": str(eps),
+            "certificate": _certificate_payload(cert, field)}
 
 
-def _cmd_symbol(field, forms):
-    out = []
-    for text in forms:
-        q = parse_form(text, field)
-        eps, sym = arason.boundary_symbol(q)
-        out.append({"form": text, "symbol": _symbol_payload(sym, field)})
-    return {"results": out}
+def _symbol_answer(q, field):
+    _, sym = arason.boundary_symbol(q)
+    return {"symbol": _symbol_payload(sym, field)}
 
 
-def _cmd_canonical(field, forms):
-    k = field.residue_field
-    out = []
-    for text in forms:
-        q = parse_form(text, field)
-        dec = arason.canonical_decomposition(q)
-        out.append({"form": text, "canonical": dec.describe(k)})
-    return {"results": out}
+def _canonical_answer(q, field):
+    dec = arason.canonical_decomposition(q)
+    return {"canonical": dec.describe(field.residue_field)}
+
+
+# the commands that answer each of their form literals on its own
+PER_FORM = {"depth": _depth_answer, "symbol": _symbol_answer,
+            "canonical": _canonical_answer}
+
+
+def _cmd_forms(answer, field, forms):
+    return {"results": [{"form": text, **answer(parse_form(text, field), field)}
+                        for text in forms]}
 
 
 def _cmd_equal(field, text1, text2):
@@ -314,7 +310,7 @@ def build_parser():
     p.add_argument("--fixture", default=None,
                    help="run a named fixture (example:1|2|3) and exit")
     sub = p.add_subparsers(dest="command")
-    for name in ("depth", "symbol", "canonical"):
+    for name in PER_FORM:
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("forms", nargs="+",
                         help="form literal(s); '-' reads one per stdin line")
@@ -344,12 +340,8 @@ def _run_once(args, precision):
                             degree_cap=args.degree_cap)
     if args.fixture:
         return field, _cmd_example(args.fixture, precision, args.degree_cap)
-    if args.command == "depth":
-        return field, _cmd_depth(field, args.forms)
-    if args.command == "symbol":
-        return field, _cmd_symbol(field, args.forms)
-    if args.command == "canonical":
-        return field, _cmd_canonical(field, args.forms)
+    if args.command in PER_FORM:
+        return field, _cmd_forms(PER_FORM[args.command], field, args.forms)
     if args.command == "equal":
         return field, _cmd_equal(field, args.form1, args.form2)
     if args.command == "enumerate-q2":
@@ -365,7 +357,7 @@ def run(argv):
         raise UsageError(f"--precision must be at least 1, got {args.precision}")
     if args.degree_cap < 0:
         raise UsageError(f"--degree-cap must be at least 0, got {args.degree_cap}")
-    if args.command in ("depth", "symbol", "canonical"):
+    if args.command in PER_FORM:
         # once, before any retry: a second attempt finds stdin drained
         args.forms = _expand_stdin(args.forms)
     attempts = 0

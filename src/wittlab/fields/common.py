@@ -8,7 +8,10 @@ is indistinguishable from zero at the current precision.
 
 The precision rules.  `Laurent` and `Dyadic` elements are known modulo
 t^abs_prec or 2^abs_prec; `abs_prec is None` marks an exact element.
-Their base `Certified` holds every rule that does not depend on layout:
+Their base `Certified` holds the element protocol, one for both: an
+element is (v0, digits, abs_prec), digits empty for a zero, with
+equality, hash, the zero tests, `valuation` and `low_bound` written once.
+It holds every precision rule that does not depend on layout:
 * a sum is known to the smaller abs_prec of its operands (`_join_prec`);
 * a product to the smaller, over both factors, of the factor's abs_prec
   plus the other factor's certified low bound (`_mul_prec`); a product of
@@ -19,11 +22,12 @@ Their base `Certified` holds every rule that does not depend on layout:
 * O(t^k) knows its coefficients below degree k only: `coeff_at(d)` is 0
   when k > d and raises PrecisionExhausted when k <= d; `residue()` is
   `coeff_at(0)`, and NegativeValuation when v(x) < 0.
-Each subclass keeps its valuation, zero tests and leading coefficient,
-`+`, `*`, the step of `inv` and `truncated`.  The residue-field elements
-`FF` and `RatFunc` are exact: their base `Exact` sets abs_prec = None, so
-one exactness test (`is_exact`) serves every field, and negates as the
-identity (characteristic 2).  Both bases share `Element`: x / y is
+Each subclass keeps its constructor, leading coefficient, `+` and `*`
+(their field checks inline, on the hottest path), the step of `inv` and
+`truncated`.  The residue-field elements `FF` and `RatFunc` are exact:
+their base `Exact` sets abs_prec = None, so one exactness test
+(`is_exact`) serves every field, and negates as the identity
+(characteristic 2).  Both bases share `Element`: x / y is
 x * y.inv(), and x ** e is `power`.
 
 Depths, norm values and graded degrees are exact rationals, and nearly
@@ -255,11 +259,40 @@ class Exact(Element):
 
 
 class Certified(Element):
-    """A precision-tracked element of k((t)) or Q_2; a subclass provides
-    `valuation`, `low_bound` and `_lead`, the leading residue coefficient
-    of a nonzero element."""
+    """A precision-tracked element of k((t)) or Q_2: (v0, digits, abs_prec),
+    the value digits * (uniformizer)^v0 known modulo (uniformizer)^abs_prec,
+    with digits empty (0 or ()) and v0 = 0 for a zero.  A subclass provides
+    `_lead`, the leading residue coefficient of a nonzero element."""
 
-    __slots__ = ()
+    __slots__ = ("field", "v0", "digits", "abs_prec")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.field == self.field
+                and other.v0 == self.v0 and other.digits == self.digits
+                and other.abs_prec == self.abs_prec)
+
+    def __hash__(self):
+        return hash((self.v0, self.digits, self.abs_prec))
+
+    def is_exactly_zero(self) -> bool:
+        return not self.digits and self.abs_prec is None
+
+    def is_certified_nonzero(self) -> bool:
+        return bool(self.digits)
+
+    def is_zero_to_precision(self) -> bool:
+        return not self.digits
+
+    def valuation(self):
+        if self.digits:
+            return self.v0
+        return INF if self.abs_prec is None else AtLeast(self.abs_prec)
+
+    def low_bound(self) -> "int | float":
+        """Certified lower bound for the valuation."""
+        if self.digits:
+            return self.v0
+        return INF if self.abs_prec is None else self.abs_prec
 
     def _join_prec(self, other):
         if self.abs_prec is None:

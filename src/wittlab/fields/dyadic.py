@@ -1,13 +1,15 @@
 """The field Q_2 of 2-adic numbers with v(2) = 1 and residue field F_2.
 
-An element is (unit, e, abs_prec): the value unit * 2^e with unit odd,
-known modulo 2^abs_prec, or the unit 0 for zero.  The unit of an exact
-element is an arbitrary odd Python integer, possibly negative.  At finite
-precision the unit is normalized into [1, 2^(abs_prec - e)) and odd.
+An element is (v0, digits, abs_prec), as every `Certified` element: the
+value digits * 2^v0 with digits odd, known modulo 2^abs_prec, or the
+digits 0 for zero.  The odd unit `digits` is the 2-adic digit string of
+the unit part.  An exact element may carry any odd Python int, possibly
+negative, whose two's complement is its infinite 2-adic expansion.  At
+finite precision the digits are normalized into [1, 2^(abs_prec - v0)).
 The leading residue coefficient of a nonzero element is 1.
 
-A sum shifts both units to the smaller exponent, a product multiplies
-the units, and an inverse is the inverse of the unit modulo 2^rel;
+A sum shifts both digit strings to the smaller exponent, a product
+multiplies them, and an inverse is the inverse of the unit modulo 2^rel;
 `fields.common` gives the precisions.  Hensel roots of u^2 + u + c
 (v(c) > 0) come from Newton iteration, which converges since 2u + 1 is
 a unit.
@@ -16,16 +18,8 @@ a unit.
 from __future__ import annotations
 
 from ..errors import DivisionByZero, NotApplicable
-from .common import INF, AtLeast, Certified, half
+from .common import INF, Certified, half
 from .gf2m import GF2m
-
-
-def _v2_int(n: int) -> int:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
 
 
 class DyadicField:
@@ -52,7 +46,7 @@ class DyadicField:
     def make(self, unit: int, e: int, abs_prec=None) -> "Dyadic":
         if unit == 0:
             return Dyadic(self, 0, 0, abs_prec)
-        v = _v2_int(unit)
+        v = (unit & -unit).bit_length() - 1
         unit >>= v
         e += v
         if abs_prec is not None:
@@ -101,7 +95,7 @@ class DyadicField:
             return self.zero
         if c.is_zero_to_precision():
             return self.zero_to_precision(c.abs_prec)
-        bound = c.e + self.precision
+        bound = c.v0 + self.precision
         if c.abs_prec is not None:
             bound = min(bound, c.abs_prec)
         u = self.make(0, 0, bound)
@@ -114,56 +108,27 @@ class DyadicField:
             u = (u - fu / deriv).truncated(bound)
 
     def format_elem(self, x: "Dyadic") -> str:
-        if x.unit == 0:
+        if x.digits == 0:
             return "0" if x.abs_prec is None else f"O(2^{x.abs_prec})"
-        if x.abs_prec is None and x.e >= 0:
-            return str(x.unit << x.e)
+        if x.abs_prec is None and x.v0 >= 0:
+            return str(x.digits << x.v0)
         if x.abs_prec is None:
-            return f"{x.unit}/{1 << -x.e}"
-        body = f"{x.unit}*2^{x.e}" if x.e else str(x.unit)
+            return f"{x.digits}/{1 << -x.v0}"
+        body = f"{x.digits}*2^{x.v0}" if x.v0 else str(x.digits)
         return f"{body} + O(2^{x.abs_prec})"
 
 
 class Dyadic(Certified):
-    __slots__ = ("field", "unit", "e", "abs_prec")
+    __slots__ = ()
 
-    def __init__(self, field: DyadicField, unit: int, e: int, abs_prec):
+    def __init__(self, field: DyadicField, digits: int, v0: int, abs_prec):
         self.field = field
-        self.unit = unit
-        self.e = e if unit else 0
+        self.v0 = v0 if digits else 0
+        self.digits = digits
         self.abs_prec = abs_prec
-        if unit:
-            assert unit % 2 == 1
-            assert abs_prec is None or e < abs_prec
-
-    def __eq__(self, other):
-        return (isinstance(other, Dyadic) and other.field == self.field
-                and other.unit == self.unit and other.e == self.e
-                and other.abs_prec == self.abs_prec)
-
-    def __hash__(self):
-        return hash((self.unit, self.e, self.abs_prec))
-
-    # -- queries ----------------------------------------------------------------
-
-    def is_exactly_zero(self) -> bool:
-        return self.unit == 0 and self.abs_prec is None
-
-    def is_certified_nonzero(self) -> bool:
-        return self.unit != 0
-
-    def is_zero_to_precision(self) -> bool:
-        return self.unit == 0
-
-    def valuation(self):
-        if self.unit:
-            return self.e
-        return INF if self.abs_prec is None else AtLeast(self.abs_prec)
-
-    def low_bound(self):
-        if self.unit:
-            return self.e
-        return INF if self.abs_prec is None else self.abs_prec
+        if digits:
+            assert digits % 2 == 1
+            assert abs_prec is None or v0 < abs_prec
 
     def _lead(self):
         return self.field.residue_field.one
@@ -171,7 +136,7 @@ class Dyadic(Certified):
     def truncated(self, abs_prec: int) -> "Dyadic":
         if self.abs_prec is not None:
             abs_prec = min(abs_prec, self.abs_prec)
-        return self.field.make(self.unit, self.e, abs_prec)
+        return self.field.make(self.digits, self.v0, abs_prec)
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -180,23 +145,24 @@ class Dyadic(Certified):
         if other.field is not F and other.field != F:
             raise NotApplicable("a sum needs one field")
         prec = self._join_prec(other)
-        if self.unit == 0:
-            return other.field.make(other.unit, other.e, prec)
-        if other.unit == 0:
-            return self.field.make(self.unit, self.e, prec)
-        e = min(self.e, other.e)
-        total = (self.unit << (self.e - e)) + (other.unit << (other.e - e))
-        return self.field.make(total, e, prec)
+        if self.digits == 0:
+            return other.field.make(other.digits, other.v0, prec)
+        if other.digits == 0:
+            return self.field.make(self.digits, self.v0, prec)
+        v0 = min(self.v0, other.v0)
+        total = ((self.digits << (self.v0 - v0))
+                 + (other.digits << (other.v0 - v0)))
+        return self.field.make(total, v0, prec)
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
         return self + (-other)
 
     def __neg__(self):
-        if self.unit == 0:
+        if self.digits == 0:
             return self
         if self.abs_prec is None:
-            return Dyadic(self.field, -self.unit, self.e, None)
-        return self.field.make(-self.unit, self.e, self.abs_prec)
+            return Dyadic(self.field, -self.digits, self.v0, None)
+        return self.field.make(-self.digits, self.v0, self.abs_prec)
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         F = self.field
@@ -204,15 +170,16 @@ class Dyadic(Certified):
             raise NotApplicable("a product needs one field")
         prec = (None if self.abs_prec is None and other.abs_prec is None
                 else self._mul_prec(other))
-        if self.unit == 0 or other.unit == 0:
+        if self.digits == 0 or other.digits == 0:
             return Dyadic(self.field, 0, 0, prec)
-        return self.field.make(self.unit * other.unit, self.e + other.e, prec)
+        return self.field.make(self.digits * other.digits, self.v0 + other.v0,
+                               prec)
 
     def inv(self) -> "Dyadic":
-        if self.unit == 0:
+        if self.digits == 0:
             raise DivisionByZero("inverse of (certified) zero 2-adic")
-        if self.abs_prec is None and self.unit in (1, -1):
-            return Dyadic(self.field, self.unit, -self.e, None)
-        rel = self._inv_prec(self.e)
-        iu = pow(self.unit, -1, 1 << rel)
-        return self.field.make(iu, -self.e, rel - self.e)
+        if self.abs_prec is None and self.digits in (1, -1):
+            return Dyadic(self.field, self.digits, -self.v0, None)
+        rel = self._inv_prec(self.v0)
+        iu = pow(self.digits, -1, 1 << rel)
+        return self.field.make(iu, -self.v0, rel - self.v0)

@@ -258,7 +258,7 @@ def _mul_slots(F: LaurentField, v0: int, a, b, prec) -> Laurent:
 
 
 class Laurent(Certified):
-    __slots__ = ("field", "v0", "digits", "abs_prec")
+    __slots__ = ()
 
     def __init__(self, field: LaurentField, v0: int, digits, abs_prec):
         self.field = field
@@ -289,35 +289,7 @@ class Laurent(Certified):
             d >>= S
         return tuple(out)
 
-    def __eq__(self, other):
-        return (isinstance(other, Laurent) and other.field == self.field
-                and other.v0 == self.v0 and other.digits == self.digits
-                and other.abs_prec == self.abs_prec)
-
-    def __hash__(self):
-        return hash((self.v0, self.digits, self.abs_prec))
-
     # -- queries -------------------------------------------------------------
-
-    def is_exactly_zero(self) -> bool:
-        return not self.digits and self.abs_prec is None
-
-    def is_certified_nonzero(self) -> bool:
-        return bool(self.digits)
-
-    def is_zero_to_precision(self) -> bool:
-        return not self.digits
-
-    def valuation(self):
-        if self.digits:
-            return self.v0
-        return INF if self.abs_prec is None else AtLeast(self.abs_prec)
-
-    def low_bound(self) -> "int | float":
-        """Certified lower bound for the valuation."""
-        if self.digits:
-            return self.v0
-        return INF if self.abs_prec is None else self.abs_prec
 
     def _lead(self):
         """c_0, the residue coefficient of t^v0, of a nonzero element."""

@@ -24,6 +24,11 @@ Form grammar:
               | "sum" , "(" , form , { "," , form } , ")"
               | "scale" , "(" , element , "," , form , ")" ;
 
+The elements of a form are parsed in place, on the form's own tokens:
+the element grammar cannot consume ",", "]", ">" or an unmatched ")",
+so it stops at the token that ends each element, and a syntax error
+carries the line and column of the offending token.
+
 A JSON array of arrays (detected by a leading "[[") is accepted as a
 raw upper-triangular coefficient matrix: it must be square, its entries
 are element literals or JSON integers (read as integer atoms), and every
@@ -35,7 +40,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import FormSyntaxError
+from .errors import DivisionByZero, FormSyntaxError
 from .fields.common import power
 from .fields.dyadic import DyadicField
 from .fields.gf2m import GF2m
@@ -43,38 +48,31 @@ from .fields.laurent import LaurentField
 from .fields.ratfunc import RatFuncField
 from .quadform import QuadraticForm
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(.))")
+# one token per match; the empty match at the end of the text is "eof"
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\S)|\Z")
+_KINDS = ("eof", "int", "name", "op")
 
 
 class _Scanner:
+    """The tokens of a text as (kind, lexeme, line, column), 1-based, the
+    last one "eof" at the end of the text."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                col += 1
-                i += 1
-                continue
-            m = _TOKEN.match(text, i)
-            lexeme = m.group(1) or m.group(2) or m.group(3)
-            kind = "int" if m.group(1) else ("name" if m.group(2) else "op")
-            self.tokens.append((kind, lexeme, line, col))
-            col += m.end() - i - (len(m.group(0)) - len(lexeme))
-            i = m.end()
+        line, start, last = 1, 0, 0  # start: the offset where the line begins
+        for m in _TOKEN.finditer(text):
+            i = m.start()
+            breaks = text.count("\n", last, i)
+            if breaks:
+                line += breaks
+                start = text.rindex("\n", last, i) + 1
+            self.tokens.append((_KINDS[m.lastindex or 0], m.group(), line,
+                                i - start + 1))
+            last = m.end()
         self.pos = 0
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("eof", "", 1, len(self.text) + 1)
+        return self.tokens[min(self.pos, len(self.tokens) - 1)]
 
     def next(self):
         tok = self.peek()
@@ -127,21 +125,14 @@ class ElementParser:
 
     def _power(self, sc):
         base = self._atom(sc)
-        if sc.peek()[1] == "^":
-            sc.next()
-            e = self._signed(sc)
-            return self._pow(base, e, sc)
-        return base
-
-    def _pow(self, base, e, sc):
-        F = self.field
-        if e < 0:
-            try:
-                base = base.inv()
-            except Exception:
-                sc.error("negative power of a non-invertible element")
-            e = -e
-        return power(base, e, F.one)
+        if sc.peek()[1] != "^":
+            return base
+        sc.next()
+        e = self._signed(sc)
+        try:
+            return power(base, e, self.field.one)
+        except DivisionByZero:
+            sc.error("negative power of a non-invertible element")
 
     def _signed(self, sc) -> int:
         neg = False
@@ -221,7 +212,7 @@ def parse_form(text: str, field) -> QuadraticForm:
             raise FormSyntaxError(f"bad JSON matrix: {e.msg}", e.lineno, e.colno)
         return QuadraticForm(field, _matrix(rows, ElementParser(field)))
     sc = _Scanner(text)
-    form = _form(sc, field)
+    form = _form(sc, ElementParser(field))
     if sc.peek()[0] != "eof":
         sc.error(f"unexpected trailing {sc.peek()[1]!r}")
     return form
@@ -257,71 +248,40 @@ def _matrix(rows, parser):
     return out
 
 
-def _form(sc, field) -> QuadraticForm:
-    parser = ElementParser(field)
+def _form(sc, parser) -> QuadraticForm:
+    field = parser.field
     kind, lex, line, col = sc.peek()
     if lex == "[":
         sc.next()
-        a = _subelement(sc, parser, ",")
+        a = parser._element(sc)
         sc.expect(",")
-        b = _subelement(sc, parser, "]")
+        b = parser._element(sc)
         sc.expect("]")
         return QuadraticForm.binary(field, a, b)
     if lex == "<":
         sc.next()
-        entries = [_subelement(sc, parser, ",>")]
+        entries = [parser._element(sc)]
         while sc.peek()[1] == ",":
             sc.next()
-            entries.append(_subelement(sc, parser, ",>"))
+            entries.append(parser._element(sc))
         sc.expect(">")
         return QuadraticForm.diagonal(field, entries)
     if lex == "sum":
         sc.next()
         sc.expect("(")
-        form = _form(sc, field)
+        form = _form(sc, parser)
         while sc.peek()[1] == ",":
             sc.next()
-            form = form.ortho_sum(_form(sc, field))
+            form = form.ortho_sum(_form(sc, parser))
         sc.expect(")")
         return form
     if lex == "scale":
         sc.next()
         sc.expect("(")
-        c = _subelement(sc, parser, ",")
+        c = parser._element(sc)
         sc.expect(",")
-        form = _form(sc, field)
+        form = _form(sc, parser)
         sc.expect(")")
         return form.scale(c)
     raise FormSyntaxError(f"expected a form literal, found {lex or 'end of input'!r}",
                           line, col)
-
-
-def _subelement(sc, parser, stop_chars):
-    """Parse an element sub-expression up to an unparenthesized stop char."""
-    depth = 0
-    start = sc.pos
-    while True:
-        kind, lex, line, col = sc.peek()
-        if kind == "eof":
-            break
-        if lex in "([":
-            depth += 1
-        elif lex in ")]":
-            if depth == 0:
-                break
-            depth -= 1
-        elif depth == 0 and (lex in stop_chars or lex == ">"):
-            break
-        sc.pos += 1
-    if sc.pos == start:
-        kind, lex, line, col = sc.peek()
-        raise FormSyntaxError(f"expected an element, found {lex or 'end of input'!r}",
-                              line, col)
-    sub = _Scanner("")
-    sub.tokens = sc.tokens[start:sc.pos]
-    sub.pos = 0
-    val = parser._element(sub)
-    if sub.peek()[0] != "eof":
-        _, lex, line, col = sub.peek()
-        raise FormSyntaxError(f"unexpected {lex!r} in element", line, col)
-    return val

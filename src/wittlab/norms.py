@@ -365,11 +365,13 @@ def extend_certificate(cert: DepthCertificate,
         raise NotApplicable(
             f"summand depth {built[1]} exceeds the certified depth {eps}")
     norm = VNorm(F, built[0].basis, _values_at_depth(built, eps))
-    sq, sb = _gram_on_basis(summand, norm)
-    return require_certificate(cert.form.ortho_sum(summand),
-                               norm_sum(cert.norm, norm), eps,
-                               _gram=(list(cert.qe) + sq,
-                                      linalg.block_diag(cert.be, sb, F.zero)))
+    # on the builder's standard basis the q values are U's diagonal and
+    # the Gram is the polar matrix
+    sq = [U[i][i] for i in range(summand.n)]
+    return require_certificate(
+        cert.form.ortho_sum(summand), norm_sum(cert.norm, norm), eps,
+        _gram=(list(cert.qe) + sq,
+               linalg.block_diag(cert.be, summand.polar_matrix(), F.zero)))
 
 
 def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):

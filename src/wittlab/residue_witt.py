@@ -284,25 +284,19 @@ def functor_U(S: SeparatedSpace) -> SymplecticQuadSpace:
 @dataclass(frozen=True)
 class WedgeElem:
     """Element of k wedge_{k^2} k, stored as the square root of its
-    coordinate on the basis 1 wedge x (zero over perfect k)."""
+    coordinate on the basis 1 wedge x (k.zero over perfect k)."""
 
     k: object
-    sqrt_coord: object = None
+    sqrt_coord: object
 
     def is_zero(self) -> bool:
-        return self.sqrt_coord is None or self.sqrt_coord.is_zero()
+        return self.sqrt_coord.is_zero()
 
     def __add__(self, other: "WedgeElem") -> "WedgeElem":
-        if self.sqrt_coord is None:
-            return other
-        if other.sqrt_coord is None:
-            return self
         return WedgeElem(self.k, self.sqrt_coord + other.sqrt_coord)
 
     def coordinate(self):
         """The honest k^2 coordinate on 1 wedge x."""
-        if self.sqrt_coord is None:
-            return None
         return self.sqrt_coord * self.sqrt_coord
 
     def __repr__(self):
@@ -341,12 +335,12 @@ class TensorElem:
     def to_wedge(self) -> WedgeElem:
         """The quotient map tensor -> wedge."""
         if self.k.is_perfect:
-            return WedgeElem(self.k, None)
+            return wedge_zero(self.k)
         return WedgeElem(self.k, self.coords[1] + self.coords[2])
 
 
 def wedge_zero(k) -> WedgeElem:
-    return WedgeElem(k, None if k.is_perfect else k.zero)
+    return WedgeElem(k, k.zero)
 
 
 def tensor_zero(k) -> TensorElem:
@@ -357,7 +351,7 @@ def tensor_zero(k) -> TensorElem:
 
 def wedge_of(a, b, k) -> WedgeElem:
     if k.is_perfect:
-        return WedgeElem(k, None)
+        return wedge_zero(k)
     a0, a1 = k.frobenius_coordinates(a)
     b0, b1 = k.frobenius_coordinates(b)
     return WedgeElem(k, a0 * b1 + a1 * b0)

@@ -50,6 +50,19 @@ def test_syntax_error_exit_code_and_position():
     assert payload["column"] == 4
 
 
+def test_degree_cap_inside_a_negative_power_is_not_a_syntax_error():
+    # the cap trips while the literal inverts its base; written as a
+    # power or as a quotient, the value ends in the same DegreeCapExceeded
+    outs = []
+    for lit in ("[(x^2 + x*t)^-1, 1]", "[1/(x^2 + x*t), 1]"):
+        code, out = run_cli(["depth", "--degree-cap", "2", "--field",
+                             "f2x-laurent", lit])
+        assert code == 1
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+    assert outs[0]["error"] == "DegreeCapExceeded"
+
+
 def test_unsupported_exit_code():
     code, out = run_cli(["canonical", "--field", "f2x-laurent", "[1, x*t^-2]"])
     assert code == 4
@@ -207,7 +220,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def boom(field, forms):
         raise RuntimeError("kaboom")
 
-    monkeypatch.setattr(cli, "_cmd_depth", boom)
+    monkeypatch.setitem(cli.PER_FORM, "depth", boom)
     code, out = run_cli(["depth", "--field", "f2-laurent", "[1, t]"])
     assert code == 1
     payload = json.loads(out)

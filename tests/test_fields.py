@@ -222,7 +222,7 @@ def test_dyadic_basics():
     Q = make_field("dyadic")
     assert Q.from_int(12).valuation() == 2
     half = Q.one / Q.from_int(2)
-    assert half.abs_prec is None and half.e == -1
+    assert half.abs_prec is None and half.v0 == -1
     m1 = Q.one - Q.from_int(4) * half
     assert m1 == Q.from_int(-1)
     assert m1.inv() == Q.from_int(-1)
@@ -236,7 +236,7 @@ def test_hensel_dyadic():
     Q = make_field("dyadic")
     c = Q.from_int(2)
     u = Q.artin_schreier_lift(c)
-    assert u.e == 1 and u.unit % 2 == 1  # u = 2 mod 4
+    assert u.v0 == 1 and u.digits % 2 == 1  # u = 2 mod 4
     assert (u * u + u + c).is_zero_to_precision()
     with pytest.raises(NotApplicable):
         Q.artin_schreier_lift(Q.one)
@@ -562,14 +562,32 @@ class DyadicSchoolbook:
 @st.composite
 def dyadic_drawn(draw):
     """(n, e, abs_prec) for the element n 2^e: exact or truncated, possibly
-    the exact zero or zero to precision."""
+    the exact zero or zero to precision.  n may be negative, and in one
+    draw of two it carries up to 2^24, a high 2-adic valuation."""
     kind = draw(st.sampled_from(["exact", "truncated", "zero", "O"]))
     if kind == "zero":
         return 0, 0, None
     if kind == "O":
         return 0, 0, draw(st.integers(-6, 10))
-    n, e = draw(st.integers(-40, 40)), draw(st.integers(-4, 4))
+    n = draw(st.integers(-40, 40)) << draw(
+        st.one_of(st.just(0), st.integers(1, 24)))
+    e = draw(st.integers(-4, 4))
     return n, e, None if kind == "exact" else draw(st.integers(-4, 10))
+
+
+@st.composite
+def dyadic_pair_drawn(draw):
+    """Two drawn elements; in one draw of two the first is truncated at p
+    and the second is -x + s 2^(p - 1), so that x + y cancels every digit
+    below the cut but perhaps the last one."""
+    x = draw(dyadic_drawn())
+    if draw(st.booleans()):
+        return x, draw(dyadic_drawn())
+    n, e, _ = x
+    p = e + draw(st.integers(1, 8))
+    s = draw(st.integers(-2, 2))
+    y = (-2 * n + (s << (p - e)), e - 1, p + draw(st.integers(0, 3)))
+    return (n, e, p), y
 
 
 def _dyadic_both(F, drawn):
@@ -579,10 +597,10 @@ def _dyadic_both(F, drawn):
 
 def _dyadic_agrees(x, o):
     assert x.abs_prec == o.abs_prec
-    assert Fraction(x.unit) * Fraction(2) ** x.e == o.value
+    assert Fraction(x.digits) * Fraction(2) ** x.v0 == o.value
     assert x.valuation() == o.valuation() and x.low_bound() == o.low_bound()
-    if x.abs_prec is not None and x.unit:
-        assert 1 <= x.unit < 1 << (x.abs_prec - x.e)
+    if x.abs_prec is not None and x.digits:
+        assert 1 <= x.digits < 1 << (x.abs_prec - x.v0)
 
 
 def _dyadic_agrees_or_raised(r, o):
@@ -596,8 +614,8 @@ def _dyadic_agrees_or_raised(r, o):
 @settings(max_examples=300, deadline=None)
 def test_dyadic_matches_fraction_schoolbook(data):
     F = make_field("dyadic", precision=6)
-    (x, ox), (y, oy) = (_dyadic_both(F, data.draw(dyadic_drawn()))
-                        for _ in range(2))
+    (x, ox), (y, oy) = (_dyadic_both(F, drawn)
+                        for drawn in data.draw(dyadic_pair_drawn()))
     _dyadic_agrees(x, ox)
     _dyadic_agrees(x + y, ox + oy)
     _dyadic_agrees(x - y, ox - oy)
@@ -610,6 +628,22 @@ def test_dyadic_matches_fraction_schoolbook(data):
     assert _outcome(x.residue) == _outcome(ox.residue)
     for d in (p, Fraction(p), Fraction(2 * p + 1, 2)):
         assert _outcome(lambda: x.coeff_at(d)) == _outcome(lambda: ox.coeff_at(d))
+
+
+def test_certified_equality_needs_one_type():
+    # a Laurent series over GF(2) and a 2-adic number may store the same
+    # (v0, digits, abs_prec); they are still different elements
+    L, Q = make_field("laurent", m=1), make_field("dyadic")
+    for v0, digits, prec in ((0, 1, None), (2, 5, 7), (-1, 3, 4), (0, 0, 3)):
+        x = L.make([(v0 + i, L.residue_field.elem(1))
+                    for i in range(digits.bit_length()) if digits >> i & 1],
+                   prec)
+        y = Q.make(digits, v0, prec)
+        assert (x.v0, x.digits, x.abs_prec) == (y.v0, y.digits, y.abs_prec)
+        assert x != y and y != x
+        for z in (x, y):
+            w = z + z.field.zero
+            assert w == z and w is not z and hash(w) == hash(z)
 
 
 def test_dyadic_zero_to_precision_coefficients():
@@ -1001,8 +1035,18 @@ def test_tuple_laurent_degree_cap_matches_schoolbook(m, data):
     # coefficients cross it some of the time
     F = LaurentField(_capped(m), precision=6)
     R = F.residue_field
-    (x, ox) = _both(F, data.draw(ratfunc_laurent_pairs(R)))
-    (y, oy) = _both(F, data.draw(ratfunc_laurent_pairs(R)))
+    # make adds the coefficients at a repeated exponent, so building an
+    # operand can cross the cap too: the oracle must raise with it
+    built = []
+    for _ in range(2):
+        pairs, prec = data.draw(ratfunc_laurent_pairs(R))
+        x, ox = (_capped_outcome(lambda: F.make(pairs, prec)),
+                 _capped_outcome(lambda: Schoolbook.make(F, pairs, prec)))
+        _agrees_or_raised(x, ox)
+        if not isinstance(ox, Schoolbook):
+            return
+        built.append((x, ox))
+    (x, ox), (y, oy) = built
     for fr, fo in ((lambda: x + y, lambda: ox + oy),
                    (lambda: x * y, lambda: ox * oy),
                    (lambda: (x * y) * x, lambda: (ox * oy) * ox),

@@ -1,6 +1,10 @@
-import pytest
+import re
 
-from wittlab.errors import FormSyntaxError
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wittlab.errors import FormSyntaxError, WittlabError
 from wittlab.fields import make_field
 from wittlab.literals import parse_element, parse_form
 
@@ -71,6 +75,93 @@ def test_syntax_error_positions():
     with pytest.raises(FormSyntaxError) as exc:
         parse_element("1 + * t", F2T)
     assert exc.value.column == 5
+
+
+@pytest.mark.parametrize("field, text, message, line, column", [
+    (F2T, "[1 +, t]", "unexpected ','", 1, 5),
+    (F2T, "sum([1,t],\n [t, 1 *])", "unexpected ']'", 2, 9),
+    (Q2, "<1, 1 ^>", "expected an integer exponent, found '>'", 1, 8),
+    (F2T, "[O(t)^-1, 1]", "negative power of a non-invertible element", 1, 9),
+    (F2T, "[1,,t]", "unexpected ','", 1, 4),
+])
+def test_error_points_at_the_offending_token(field, text, message, line,
+                                             column):
+    # an element of a form is parsed where it stands, so an error at its
+    # end points at the token that ends it
+    with pytest.raises(FormSyntaxError) as exc:
+        parse_form(text, field)
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# field, its atoms; the tokens a mutation inserts or substitutes
+LITERAL_FIELDS = {
+    "f2-laurent": (F2T, ("0", "1", "t", "O(t^3)", "O(t^-1)")),
+    "f2x-laurent": (F2XT, ("1", "t", "x", "O(t^2)")),
+    "q2": (Q2, ("1", "3", "-2", "O(2^4)")),
+}
+MUTANTS = (",", "[", "]", "<", ">", "(", ")", "^", "-", "+", "*", "/", "1",
+           "t", "x", "O", "sum", "scale", "2")
+_LEXEME = re.compile(r"\d+|[A-Za-z_]\w*|\S")
+
+
+def element_text(atoms, depth=2):
+    leaf = st.sampled_from(atoms)
+    if not depth:
+        return leaf
+    sub = element_text(atoms, depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(lambda a: f"({a})"),
+        st.tuples(sub, st.integers(-2, 3)).map(lambda p: f"({p[0]})^{p[1]}"),
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(" ".join))
+
+
+def form_text(atoms, depth=1):
+    el = element_text(atoms)
+    forms = [st.tuples(el, el).map(lambda p: f"[{p[0]}, {p[1]}]"),
+             st.lists(el, min_size=1, max_size=3).map(
+                 lambda xs: "<" + ", ".join(xs) + ">")]
+    if depth:
+        sub = form_text(atoms, depth - 1)
+        forms += [st.lists(sub, min_size=1, max_size=2).map(
+                      lambda fs: "sum(" + ", ".join(fs) + ")"),
+                  st.tuples(el, sub).map(lambda p: f"scale({p[0]}, {p[1]})")]
+    return st.one_of(forms)
+
+
+@st.composite
+def literal_text(draw, atoms):
+    """A well-formed form literal, or one with one token deleted, replaced
+    or inserted; its tokens are joined by blanks and line breaks."""
+    tokens = _LEXEME.findall(draw(form_text(atoms)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(["delete", "replace", "insert"]))
+        new = [] if how == "delete" else [draw(st.sampled_from(MUTANTS))]
+        tokens[i:i + (how != "insert")] = new
+    seps = draw(st.lists(st.sampled_from([" ", "", "\n", " \n  "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return "".join(s + tok for s, tok in zip(seps, tokens))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_error_position_moves_with_the_text(data):
+    # a line break in front of a malformed literal moves its error one
+    # line down and keeps the column; a JSON matrix reports the row and
+    # entry of an error instead, so it is left out
+    field, atoms = LITERAL_FIELDS[data.draw(st.sampled_from(sorted(LITERAL_FIELDS)))]
+    text = data.draw(literal_text(atoms))
+    assume(not re.match(r"\s*\[\s*\[", text))
+    try:
+        parse_form(text, field)
+    except FormSyntaxError as e:
+        with pytest.raises(FormSyntaxError) as moved:
+            parse_form("\n" + text, field)
+        assert (moved.value.line, moved.value.column) == (e.line + 1, e.column)
+    except WittlabError:
+        pass
 
 
 def test_form_literals():
