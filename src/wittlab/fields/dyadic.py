@@ -168,10 +168,13 @@ class Dyadic(Certified):
         F = self.field
         if other.field is not F and other.field != F:
             raise NotApplicable("a product needs one field")
-        prec = (None if self.abs_prec is None and other.abs_prec is None
-                else self._mul_prec(other))
+        exact = self.abs_prec is None and other.abs_prec is None
+        prec = None if exact else self._mul_prec(other)
         if self.digits == 0 or other.digits == 0:
             return Dyadic(self.field, 0, 0, prec)
+        if exact:  # a product of odd units is odd: already normalized
+            return Dyadic(F, self.digits * other.digits, self.v0 + other.v0,
+                          None)
         return self.field.make(self.digits * other.digits, self.v0 + other.v0,
                                prec)
 

@@ -32,7 +32,9 @@ carries the line and column of the offending token.
 A JSON array of arrays (detected by a leading "[[") is accepted as a
 raw upper-triangular coefficient matrix: it must be square, its entries
 are element literals or JSON integers (read as integer atoms), and every
-entry below the diagonal must be exactly 0.
+entry below the diagonal must be exactly 0.  A shape error points at its
+row or entry, and an element error inside an entry at its column in the
+text (at the entry's opening quote when the string has escapes).
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ class ElementParser:
             neg = True
         kind, lex, line, col = sc.next()
         if kind != "int":
-            raise FormSyntaxError(f"expected an integer exponent, found {lex!r}",
-                                  line, col)
+            raise FormSyntaxError(
+                f"expected an integer exponent, found {lex or 'end of input'!r}",
+                line, col)
         return -int(lex) if neg else int(lex)
 
     def _atom(self, sc):
@@ -210,7 +213,7 @@ def parse_form(text: str, field) -> QuadraticForm:
             rows = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormSyntaxError(f"bad JSON matrix: {e.msg}", e.lineno, e.colno)
-        return QuadraticForm(field, _matrix(rows, ElementParser(field)))
+        return QuadraticForm(field, _matrix(text, rows, ElementParser(field)))
     sc = _Scanner(text)
     form = _form(sc, ElementParser(field))
     if sc.peek()[0] != "eof":
@@ -218,31 +221,65 @@ def parse_form(text: str, field) -> QuadraticForm:
     return form
 
 
-def _matrix(rows, parser):
-    """Entries of a square JSON matrix literal.  Entries are element
-    literals or JSON integers; every entry below the diagonal must be the
-    exact zero, because the form reads only the upper triangle."""
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_JSON = json.JSONDecoder()
+
+
+def _items(text, pos):
+    """The offsets of the items of the JSON array that starts at pos of
+    the valid JSON text."""
+    out = []
+    pos = _JSON_SPACE.match(text, pos + 1).end()
+    while text[pos] != "]":
+        out.append(pos)
+        pos = _JSON_SPACE.match(text, _JSON.raw_decode(text, pos)[1]).end()
+        if text[pos] == ",":
+            pos = _JSON_SPACE.match(text, pos + 1).end()
+    return out
+
+
+def _position(text, pos):
+    """The 1-based (line, column) of the offset pos of text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _matrix(text, rows, parser):
+    """Entries of a square JSON matrix literal, rows its value in text.
+    Entries are element literals or JSON integers; every entry below the
+    diagonal must be the exact zero, because the form reads only the
+    upper triangle."""
     n = len(rows)
     out = []
-    for i, row in enumerate(rows, 1):
+    for i, (row, at) in enumerate(zip(rows, _items(text, text.index("["))), 1):
         if not isinstance(row, list) or not row:
-            raise FormSyntaxError(f"matrix row {i} is not a nonempty array")
+            raise FormSyntaxError(f"matrix row {i} is not a nonempty array",
+                                  *_position(text, at))
         if len(row) != n:
             raise FormSyntaxError(
                 f"matrix row {i} has {len(row)} entries; a {n}x{n} matrix "
-                f"needs {n}")
+                f"needs {n}", *_position(text, at))
         vals = []
-        for j, entry in enumerate(row, 1):
+        for j, (entry, at) in enumerate(zip(row, _items(text, at)), 1):
             if isinstance(entry, int) and not isinstance(entry, bool):
                 entry = str(entry)
             if not isinstance(entry, str):
                 raise FormSyntaxError(
-                    f"matrix entry ({i}, {j}) is neither a string nor an integer")
-            val = parser.parse(entry)
+                    f"matrix entry ({i}, {j}) is neither a string nor an "
+                    f"integer", *_position(text, at))
+            try:
+                val = parser.parse(entry)
+            except FormSyntaxError as e:
+                # the entry's column in the text, where its source is the
+                # literal itself: no quotes around an integer, no escapes
+                quoted = text[at] == '"'
+                end = _JSON.raw_decode(text, at)[1] - quoted
+                if text[at + quoted:end] == entry:
+                    at += quoted + e.column - 1
+                raise FormSyntaxError(e.message, *_position(text, at)) from None
             if j < i and not val.is_exactly_zero():
                 raise FormSyntaxError(
                     f"matrix entry ({i}, {j}) below the diagonal is not 0; "
-                    f"the matrix is upper-triangular")
+                    f"the matrix is upper-triangular", *_position(text, at))
             vals.append(val)
         out.append(vals)
     return out

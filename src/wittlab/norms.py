@@ -11,8 +11,16 @@ A depth certificate witnesses the three compatibility conditions at
 depth eps: (a) and (b) are valuation bounds on the splitting basis, (c)
 is invertibility over the residue field of the matrix of leading
 coefficients, which is exactly nondegeneracy of the induced graded
-form.  A certificate carries the Gram data it was certified with (q(e_i),
-b(e_i, e_j) and their leading coefficients), so the induced space, the
+form.  One pass over the nonzero upper triangle of the Gram checks (a),
+its bounds compared as ints in units of the common denominator of the
+values and eps, and collects the entries that lead at their threshold.
+(c) is then a rank test by elimination on the rows of the mirrored
+leading coefficients in the layout of `graded._vectors`: packed ints
+over GF(2^m), coordinate tuples over GF(2^m)(x), where it forms the
+products of `linalg.independent_rows` in its order, so a degree cap
+trips where it did.  A certificate carries the Gram data it was
+certified with (q(e_i), b(e_i, e_j), their leading coefficients and
+those packed rows), so the induced space, its metabolic planes, the
 depth-reduction step and the residue symbol read it instead of
 recomputing it.
 
@@ -50,19 +58,24 @@ precisions; check_compatibility reads the upper one, which (a)
 certifies, on its entries that are not exact zeros (an exact zero passes
 (a) and leads with zero), and mirrors the leading coefficients.
 depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
-exact monomial, as a sparse column of (i, h_i) pairs; on exact qe and be
+exact monomial, as a sparse column of (i, h_i) pairs read off the
+nonzero coordinates (`GradedVector.terms`) of the plane vectors of
+graded.metabolic_planes; on exact qe and be
 it forms H^T be H with gram_of and the q values over the same pairs
 (exact values are canonical, so the bytes are those of the ambient
 columns); otherwise, or when that trips the degree cap over GF(2^m)(x),
 it lifts the ambient columns and re-forms the Gram from the polar
 matrix.  A reduced norm, and norm_sum and norm_shift of one, lifts its
-ambient basis on the first read.
+ambient basis on the first read, from the bases of the norms it came
+from; a long descent chains many such norms, and the first read walks
+the chain in a loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as datafield, replace
 from fractions import Fraction
+from math import lcm
 
 from . import graded, linalg
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
@@ -73,8 +86,9 @@ from .quadform import QuadraticForm, gram_of, symplectic_blocks
 
 
 class VNorm:
-    """Splitting basis (matrix columns) plus values.  Given lift instead
-    of a basis, it calls lift() for the basis on the first read."""
+    """Splitting basis (matrix columns) plus values.  Given lift, a pair
+    (parents, step), instead of a basis, its basis is step applied to the
+    bases of the parent norms, formed on the first read."""
 
     def __init__(self, field, basis, values, lift=None):
         self.field = field
@@ -88,9 +102,24 @@ class VNorm:
 
     @property
     def basis(self):
-        if self._basis is None:
-            self._basis = tuple(tuple(row) for row in self._lift())
-            self._lift = None
+        if self._basis is not None:
+            return self._basis
+        # a descent of many depth steps chains as many lazy norms, so the
+        # chain is walked with a stack, not by recursion: down to the
+        # formed bases, then each step forward
+        stack = [self]
+        while stack:
+            norm = stack[-1]
+            if norm._basis is None:
+                parents, step = norm._lift
+                todo = [p for p in parents if p._basis is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                norm._basis = tuple(tuple(row) for row in
+                                    step(*(p._basis for p in parents)))
+                norm._lift = None
+            stack.pop()
         return self._basis
 
     def column(self, i):
@@ -141,6 +170,9 @@ class DepthCertificate:
     qe: list = datafield(repr=False, compare=False)
     be: list = datafield(repr=False, compare=False)
     lead: list = datafield(repr=False, compare=False)
+    # the rows of lead packed for the rank test of (c), which the induced
+    # space reuses
+    rows: list = datafield(default=None, repr=False, compare=False)
     # orbit -> residue invariant of the induced space, kept by descend
     # from the NotReducible step that stopped it
     evidence: dict = datafield(default=None, repr=False, compare=False)
@@ -171,37 +203,51 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
         return CompatibilityViolation("a", "dimension mismatch")
     qe, be = _gram if _gram is not None else _gram_on_basis(q, norm)
     g = norm.values
-    for i in range(norm.n):
-        thr = 2 * g[i]
+    n = norm.n
+    # the bounds in units of 1/D, D the common denominator of the values
+    # and eps (1, 2 or 4), so that each comparison is one of ints
+    D = lcm(eps.denominator, *(v.denominator for v in g))
+    e = D * eps.numerator // eps.denominator
+    gD = [D * v.numerator // v.denominator for v in g]
+    for i in range(n):
         lb = qe[i].low_bound()
-        if lb < thr:
+        if lb * D < 2 * gD[i]:
             if qe[i].is_certified_nonzero():
                 return CompatibilityViolation(
-                    "b", f"v(q(e_{i})) = {lb} < {thr}")
-            raise PrecisionExhausted(f"cannot certify v(q(e_{i})) >= {thr}")
-    # (a) and the leading coefficients skip the exact zeros, which pass
-    # (a) and lead with zero; thr = g_i + g_j + eps on the upper triangle
-    n = norm.n
-    nz = [(i, j, be[i][j], gi + g[j])
-          for i, gi in enumerate(v + eps for v in g) for j in range(i, n)
-          if not be[i][j].is_exactly_zero()]
-    for i, j, b, thr in nz:
-        lb = b.low_bound()
-        if lb < thr:
-            if b.is_certified_nonzero():
-                return CompatibilityViolation(
-                    "a", f"v(b(e_{i},e_{j})) = {lb} < {thr}")
+                    "b", f"v(q(e_{i})) = {lb} < {2 * g[i]}")
             raise PrecisionExhausted(
-                f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
+                f"cannot certify v(q(e_{i})) >= {2 * g[i]}")
+    # one pass over the upper triangle, thr = g_i + g_j + eps: (a), and
+    # the entries that lead at thr.  An exact zero passes (a) and leads
+    # with zero, and so does an entry certified above thr
+    at = []
+    for i in range(n):
+        row, ti = be[i], gD[i] + e
+        for j in range(i, n):
+            b = row[j]
+            if b.is_exactly_zero():
+                continue
+            lb = b.low_bound()
+            if lb * D < ti + gD[j]:
+                thr = g[i] + eps + g[j]
+                if b.is_certified_nonzero():
+                    return CompatibilityViolation(
+                        "a", f"v(b(e_{i},e_{j})) = {lb} < {thr}")
+                raise PrecisionExhausted(
+                    f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
+            if lb * D == ti + gD[j]:
+                at.append((i, j, b, lb))
     # b is symmetric: read the upper triangle that (a) certified, mirror it
-    zero = q.field.residue_field.zero
-    lead = [[zero] * n for _ in range(n)]
-    for i, j, b, thr in nz:
-        lead[i][j] = lead[j][i] = b.coeff_at(thr)
-    if len(linalg.independent_rows(lead, n)) < n:
+    k = q.field.residue_field
+    lead = [[k.zero] * n for _ in range(n)]
+    for i, j, b, deg in at:
+        lead[i][j] = lead[j][i] = b.coeff_at(deg)
+    vec = graded._vectors(k)
+    rows = [vec.pack(row) for row in lead]
+    if vec.rank(rows) < n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
-    return DepthCertificate(q, norm, eps, qe, be, lead)
+    return DepthCertificate(q, norm, eps, qe, be, lead, rows)
 
 
 def require_certificate(q, norm, eps, _gram=None) -> DepthCertificate:
@@ -231,8 +277,10 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
         tag = "III"
     else:
         tag = "II"
-    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead,
-                            tag)
+    S = ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead, tag)
+    if cert.rows is not None:
+        S.rows = cert.rows
+    return S
 
 
 # -- norm algebra ------------------------------------------------------------
@@ -241,8 +289,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
 def norm_sum(n1: VNorm, n2: VNorm) -> VNorm:
     if n1.field != n2.field:
         raise NotApplicable("norm_sum needs two norms over one field")
-    return VNorm(n1.field, None, n1.values + n2.values, lift=lambda:
-                 linalg.block_diag(n1.basis, n2.basis, n1.field.zero))
+    return VNorm(n1.field, None, n1.values + n2.values, lift=(
+        (n1, n2), lambda b1, b2: linalg.block_diag(b1, b2, n1.field.zero)))
 
 
 def norm_shift(norm: VNorm, old_depth, new_depth) -> VNorm:
@@ -256,7 +304,7 @@ def norm_shift(norm: VNorm, old_depth, new_depth) -> VNorm:
             f"depth step {new_depth - old_depth} is off the half-integer grid")
     shift = (new_depth - old_depth) / 2
     return VNorm(norm.field, None, [v - shift for v in norm.values],
-                 lift=lambda: norm.basis)
+                 lift=((norm,), lambda basis: basis))
 
 
 def builder_binary(field, a, b):
@@ -515,7 +563,7 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     def sparse(gv):
         # the plane vector as sum h_i e_i, h_i = s(c) t^d an exact monomial
         return [(i, F.lift_homog(c, gv.degree - S.degrees[i]))
-                for i, c in enumerate(gv.coords) if not c.is_zero()]
+                for i, c in gv.terms]
 
     # x_1, ..., x_k, y_1, ..., y_k
     H = [sparse(x) for x, _ in planes] + [sparse(y) for _, y in planes]
@@ -555,8 +603,8 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
         gram = _gram_by_reforming(q, lifted, head, certify_slack)
     eps_prime, qe, G = gram
     values = [v + eps_prime for v in e_vals] + f_vals
-    new_norm = VNorm(F, None, values, lift=lambda: linalg.transpose(
-        _lift(parent.basis, H, F.zero) if lifted is None else lifted))
+    new_norm = VNorm(F, None, values, lift=((parent,), lambda basis:
+        linalg.transpose(_lift(basis, H, F.zero) if lifted is None else lifted)))
     res = check_compatibility(q, new_norm, gamma - eps_prime, _gram=(qe, G))
     if isinstance(res, CompatibilityViolation):
         raise PrecisionExhausted(

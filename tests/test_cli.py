@@ -32,6 +32,17 @@ def test_depth_command():
     assert payload["pinned"]["uniformizer"] == "t"
 
 
+def test_a_long_descent_prints_its_certificate():
+    # 614 depth steps chain as many lazily lifted norms; printing the
+    # basis of the last one must not recurse through all of them
+    code, out = run_cli(["depth", "--field", "f2-laurent",
+                         "[(1+t^-1)^7000, 1]"])
+    assert code == 0
+    result = json.loads(out)["result"]["results"][0]
+    assert result["depth"] == "875/2"
+    assert result["certificate"]["depth"] == "875/2"
+
+
 def test_equal_command_and_exit_codes():
     code, out = run_cli(["equal", "--field", "f2-laurent",
                          "[1,t^-2]", "[1,t^-1]"])

@@ -142,10 +142,10 @@ def test_rank_test_errors_reach_the_caller(monkeypatch):
     # condition (c) over GF(2^m)(x) can trip the degree cap; that is not
     # a degenerate form, so neither check_compatibility nor initial_norm
     # may turn it into a violation
-    def capped(rows, want):
+    def capped(self, rows):
         raise DegreeCapExceeded("rank test")
 
-    monkeypatch.setattr(norms.linalg, "independent_rows", capped)
+    monkeypatch.setattr(norms.graded._Coords, "rank", capped)
     q = parse_form("[1, x*t^-2]", F2XT)
     with pytest.raises(DegreeCapExceeded):
         check_compatibility(q, std_norm(F2XT, [0, -1]), 1)
