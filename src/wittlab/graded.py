@@ -24,15 +24,9 @@ each projection makes dependent, so no elimination chooses the kept
 basis; the Gram rows and q values of the kept rows are updated in
 place.  Over GF(2^m) its vectors and Gram rows are ints in the slot
 layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
-(`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s
-that carry their nonzero coordinates (`terms`) and form the full
-coordinate tuple only when it is read.  A space packs its Gram rows once
-(`ShiftedQuadSpace.rows`), and the induced space of a certificate takes
-the rows the rank test of condition (c) packed (`_Slots.rank`,
-`_Coords.rank`).  `_split_plane` finds the plane and leaves the
-projection of the kept rows to the layout: `_Coords.project` goes row by
-row, `_Slots.project` on the slot bits forms the updates of each
-distinct coefficient triple once.  The Arf bit of `residue_witt` runs
+(`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s.
+The rank test of condition (c) in `norms.check_compatibility` runs on
+the same layouts (`rank`), and the Arf bit of `residue_witt` runs
 `_split_plane` too, from a first row that need not be isotropic.
 """
 
@@ -40,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from . import linalg, residue_witt
 from .errors import (DegenerateForm, GridViolation, NotApplicable,
@@ -91,13 +85,6 @@ class ShiftedQuadSpace:
         return (f"ShiftedQuadSpace(eps={self.eps}, type {self.type_tag}, "
                 f"degrees={[str(d) for d in self.degrees]})")
 
-    @cached_property
-    def rows(self):
-        """The rows of bmat in the layout of `_vectors(k)`; a certificate
-        that packed them for its rank test hands them over."""
-        vec = _vectors(self.k)
-        return [vec.pack(row) for row in self.bmat]
-
 
 @dataclass(frozen=True)
 class GradedVector:
@@ -113,31 +100,14 @@ class GradedVector:
                 raise GridViolation(OFF_GRID)
 
     @classmethod
-    def on_grid(cls, space, degree, terms):
-        """The vector with the nonzero coordinates terms, (i, c_i) pairs in
-        index order that the caller has already checked against the
-        degree grid, built without checking them again; its coords are
-        formed on the first read."""
+    def on_grid(cls, space, degree, coords):
+        """The vector with coordinates the caller has already checked
+        against the degree grid, built without checking them again."""
         v = object.__new__(cls)
         object.__setattr__(v, "space", space)
         object.__setattr__(v, "degree", degree)
-        v.__dict__["terms"] = terms
+        object.__setattr__(v, "coords", coords)
         return v
-
-    def __getattr__(self, name):
-        # reached only for the coords an on_grid vector has not formed yet
-        if name != "coords" or "terms" not in self.__dict__:
-            raise AttributeError(name)
-        coords = [self.space.k.zero] * self.space.n
-        for i, c in self.terms:
-            coords[i] = c
-        object.__setattr__(self, "coords", tuple(coords))
-        return self.coords
-
-    @cached_property
-    def terms(self):
-        """The nonzero coordinates, as (i, c_i) pairs in index order."""
-        return [(i, c) for i, c in enumerate(self.coords) if not c.is_zero()]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -457,18 +427,11 @@ class _Slots:
 
     def unpack(self, v, n):
         out = [self.elem(0)] * n
-        for i, c in self.terms(v):
-            out[i] = c
-        return tuple(out)
-
-    def terms(self, v):
-        """The nonzero coordinates of v, as (i, c_i) pairs in index order."""
-        S, smask, elem, out = self.S, self.smask, self.elem, []
         while v:
-            i = ((v & -v).bit_length() - 1) // S
-            out.append((i, elem(v >> (S * i) & smask)))
-            v &= ~(smask << (S * i))
-        return out
+            i = self.first(v)
+            out[i] = self.entry(v, i)
+            v &= ~(self.smask << (self.S * i))
+        return tuple(out)
 
     def entry(self, v, i):
         """Coordinate i of v, None when it is zero."""
@@ -496,52 +459,6 @@ class _Slots:
 
     def vanishes_on(self, v, mask):
         return not v & mask
-
-    def project(self, vecs, G, qs, keep, gone, plane):
-        """The kept rows of `_split_plane` projected to the complement of
-        its plane, as `_Coords.project` does, on the slot bits: the
-        updates of a row depend only on its (lam_c, mu_c, b_c), so each
-        such triple forms them once (sums over GF(2^m) are exact), and the
-        two coordinates gone (hi > lo) are cut from a Gram row at once."""
-        x, y, lam, bx, by, qx, qy, polar = plane
-        S, smask, elem, reduce = self.S, self.smask, self.elem, self.reduce
-        hi, lo = S * gone[0], S * gone[1]
-        low, mid = (1 << lo) - 1, (1 << (hi - lo - S)) - 1
-
-        def times(c, v):
-            return v if c == 1 else reduce(_clmul(c, v))
-
-        deltas = {}
-        vecs2, G2, qs2 = [], [], []
-        for c in keep:
-            sh = S * c
-            key = (lam >> sh & smask, bx >> sh & smask, by >> sh & smask)
-            d = deltas.get(key)
-            if d is None:
-                lc, mc, bc = key
-                dw = dr = 0
-                dq = []
-                if lc:
-                    dw = times(lc, x)
-                    if qx is not None:
-                        dq.append(elem(lc) * elem(lc) * qx)
-                if mc:
-                    dw ^= times(mc, y)
-                    if qy is not None:
-                        dq.append(elem(mc) * elem(mc) * qy)
-                    if polar and bc:
-                        dq.append(elem(mc) * elem(bc))
-                    dr = times(mc, lam)
-                if bc:
-                    dr ^= times(bc, bx)
-                d = deltas[key] = (dw, dr, sum(dq[1:], dq[0]) if dq else None)
-            dw, dr, dq = d
-            row = G[c] ^ dr
-            vecs2.append(vecs[c] ^ dw)
-            G2.append(row & low | (row >> (lo + S) & mid) << lo
-                      | row >> (hi + S) << (hi - S))
-            qs2.append(qs[c] if dq is None else qs[c] + dq)
-        return vecs2, G2, qs2
 
     def rank(self, rows):
         """The rank of the rows: one incremental echelon pass in row
@@ -578,9 +495,6 @@ class _Coords:
     def unpack(self, v, n):
         return v
 
-    def terms(self, v):
-        return [(i, c) for i, c in enumerate(v) if not c.is_zero()]
-
     def entry(self, v, i):
         return None if v[i].is_zero() else v[i]
 
@@ -606,49 +520,10 @@ class _Coords:
     def vanishes_on(self, v, mask):
         return all(v[i].is_zero() for i in mask)
 
-    def project(self, vecs, G, qs, keep, gone, plane):
-        """The kept rows of `_split_plane` projected to the complement of
-        its plane: vectors, Gram rows without the coordinates gone (hi,
-        lo), q values; each row's products in the order of its terms, so
-        that a degree cap trips where it would row by row."""
-        x, y, lam, bx, by, qx, qy, polar = plane
-        entry, axpy, cut = self.entry, self.axpy, self.drop
-        vecs2, G2, qs2 = [], [], []
-        for c in keep:
-            w, row, qc = vecs[c], G[c], qs[c]
-            lc, mc, bc = entry(lam, c), entry(bx, c), entry(by, c)
-            if lc is not None:
-                w = axpy(w, lc, x)
-                if qx is not None:
-                    qc = qc + lc * lc * qx
-            if mc is not None:
-                w = axpy(w, mc, y)
-                if qy is not None:
-                    qc = qc + mc * mc * qy
-                if polar and bc is not None:
-                    qc = qc + mc * bc
-                row = axpy(row, mc, lam)
-            if bc is not None:
-                row = axpy(row, bc, bx)
-            vecs2.append(w)
-            G2.append(cut(cut(row, gone[0]), gone[1]))
-            qs2.append(qc)
-        return vecs2, G2, qs2
-
     def rank(self, rows):
-        """The rank of the rows: one incremental echelon pass in row
-        order, each row reduced by the rows kept before it with the
-        products of `linalg.independent_rows`, in its order, so that a
-        degree cap trips where it trips there."""
-        echelon = []  # (lead coordinate, its inverse, kept row)
-        for v in rows:
-            for lead, inv, base in echelon:
-                if not v[lead].is_zero():
-                    v = self.axpy(v, v[lead] * inv, base)
-            lead = self.first(v)
-            if lead is not None:
-                echelon.append((lead, v[lead].inv(), v))
-        return len(echelon)
+        """The rank of the rows by `linalg.independent_rows`, whose
+        products a degree cap trips on."""
+        return len(linalg.independent_rows(rows, len(rows)))
 
 
 @cache
@@ -697,12 +572,29 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     drop = max(r for r, _ in sol if r != yi)
     keep = [c for c in range(len(vecs)) if c != yi and c != drop]
     hi, lo = max(yi, drop), min(yi, drop)
-    # w_c' = w_c + lam_c x + mu_c y, mu_c = b(w_c, x), and with b_c =
-    # b(w_c, y): q(w_c') = q(w_c) + lam_c^2 q(x) + mu_c^2 q(y), for type I
-    # also lam_c b(w_c,x) + mu_c b_c + lam_c mu_c = mu_c b_c, and
-    # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b_c mu_d
-    vecs2, G2, qs2 = vec.project(vecs, G, qs, keep, (hi, lo),
-                                 (x, y, lam, bx, by, qx, qy, polar))
+    vecs2, G2, qs2 = [], [], []
+    for c in keep:
+        w, row, qc = vecs[c], G[c], qs[c]
+        lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
+        # q(w_c') = q(w_c) + lam_c^2 q(x) + mu_c^2 q(y), and for type I
+        # also lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
+        if lc is not None:
+            w = vec.axpy(w, lc, x)
+            if qx is not None:
+                qc = qc + lc * lc * qx
+        if mc is not None:
+            w = vec.axpy(w, mc, y)
+            if qy is not None:
+                qc = qc + mc * mc * qy
+            if polar and bc is not None:
+                qc = qc + mc * bc
+            # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b(w_c, y) mu_d
+            row = vec.axpy(row, mc, lam)
+        if bc is not None:
+            row = vec.axpy(row, bc, bx)
+        vecs2.append(w)
+        G2.append(vec.drop(vec.drop(row, hi), lo))
+        qs2.append(qc)
     return (x, yi, y, keep), vecs2, G2, qs2
 
 
@@ -714,7 +606,7 @@ def metabolic_planes(S: ShiftedQuadSpace):
     vec = _vectors(k)
     n = S.n
     vecs = vec.units(n)
-    G = S.rows
+    G = [vec.pack(row) for row in S.bmat]
     qs = list(S.qvals)
     degs = list(S.degrees)
     # degree classes by their rank in Q/Z, and the coordinates that a
@@ -726,12 +618,9 @@ def metabolic_planes(S: ShiftedQuadSpace):
                 for c in range(len(order))]
     polar = S.type_tag == "I"
     planes = []
-
-    def entry(r, c):  # of the current Gram rows G
-        return vec.entry(G[r], c) or k.zero
-
     while vecs:
-        sol = _find_isotropic_rel(S, cls, qs, entry)
+        sol = _find_isotropic_rel(S, cls, qs,
+                                  lambda r, c: vec.entry(G[r], c) or k.zero)
         if sol is None:
             return None
         (x, yi, y, keep), vecs, G, qs = _split_plane(vec, vecs, G, qs, sol, polar)
@@ -743,8 +632,8 @@ def metabolic_planes(S: ShiftedQuadSpace):
         cls = [cls[c] for c in keep]
         assert all(vec.vanishes_on(w, off_grid[c]) for w, c in zip(vecs, cls)), \
             OFF_GRID
-    return [tuple(GradedVector.on_grid(S, d, vec.terms(v)) for d, v in plane)
-            for plane in planes]
+    return [tuple(GradedVector.on_grid(S, d, vec.unpack(v, n))
+                  for d, v in plane) for plane in planes]
 
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:

@@ -13,11 +13,10 @@ Two regimes:
 
 The steps the splitting routines share live here once: the pivot rule
 `min_valuation` (the first nonzero entry under the trivial valuation of
-a residue field), the join `block_diag` and the linear combination
-`combine`.  `independent_rows` is the incremental echelon pass on
-element rows; the rank test of condition (c) now runs on packed rows
-(`graded._vectors(k).rank`), and over GF(2^m)(x) forms its products in
-the same order, which the tests check against this pass.
+a residue field), the echelon pass `independent_rows` (the rank test
+of condition (c) over GF(2^m)(x); over GF(2^m) it runs on packed rows,
+`graded._Slots.rank`), the join `block_diag` and the linear combination
+`combine`.
 """
 
 from __future__ import annotations

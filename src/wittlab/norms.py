@@ -14,15 +14,13 @@ coefficients, which is exactly nondegeneracy of the induced graded
 form.  One pass over the nonzero upper triangle of the Gram checks (a),
 its bounds compared as ints in units of the common denominator of the
 values and eps, and collects the entries that lead at their threshold.
-(c) is then a rank test by elimination on the rows of the mirrored
-leading coefficients in the layout of `graded._vectors`: packed ints
-over GF(2^m), coordinate tuples over GF(2^m)(x), where it forms the
-products of `linalg.independent_rows` in its order, so a degree cap
-trips where it did.  A certificate carries the Gram data it was
-certified with (q(e_i), b(e_i, e_j), their leading coefficients and
-those packed rows), so the induced space, its metabolic planes, the
-depth-reduction step and the residue symbol read it instead of
-recomputing it.
+(c) is then the rank of the rows of the mirrored leading coefficients
+in the layout of `graded._vectors`: elimination on packed ints over
+GF(2^m), `linalg.independent_rows` on coordinate tuples over
+GF(2^m)(x), where a degree cap can trip.  A certificate carries the
+Gram data it was certified with (q(e_i), b(e_i, e_j) and their leading
+coefficients), so the induced space, the depth-reduction step and the
+residue symbol read it instead of recomputing it.
 
 Depth reduction follows the constructive proof of the metabolicity
 criterion: decompose the induced space into metabolic planes, lift the
@@ -58,9 +56,7 @@ precisions; check_compatibility reads the upper one, which (a)
 certifies, on its entries that are not exact zeros (an exact zero passes
 (a) and leads with zero), and mirrors the leading coefficients.
 depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
-exact monomial, as a sparse column of (i, h_i) pairs read off the
-nonzero coordinates (`GradedVector.terms`) of the plane vectors of
-graded.metabolic_planes; on exact qe and be
+exact monomial, as a sparse column of (i, h_i) pairs; on exact qe and be
 it forms H^T be H with gram_of and the q values over the same pairs
 (exact values are canonical, so the bytes are those of the ambient
 columns); otherwise, or when that trips the degree cap over GF(2^m)(x),
@@ -170,9 +166,6 @@ class DepthCertificate:
     qe: list = datafield(repr=False, compare=False)
     be: list = datafield(repr=False, compare=False)
     lead: list = datafield(repr=False, compare=False)
-    # the rows of lead packed for the rank test of (c), which the induced
-    # space reuses
-    rows: list = datafield(default=None, repr=False, compare=False)
     # orbit -> residue invariant of the induced space, kept by descend
     # from the NotReducible step that stopped it
     evidence: dict = datafield(default=None, repr=False, compare=False)
@@ -243,11 +236,10 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     for i, j, b, deg in at:
         lead[i][j] = lead[j][i] = b.coeff_at(deg)
     vec = graded._vectors(k)
-    rows = [vec.pack(row) for row in lead]
-    if vec.rank(rows) < n:
+    if vec.rank([vec.pack(row) for row in lead]) < n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
-    return DepthCertificate(q, norm, eps, qe, be, lead, rows)
+    return DepthCertificate(q, norm, eps, qe, be, lead)
 
 
 def require_certificate(q, norm, eps, _gram=None) -> DepthCertificate:
@@ -277,10 +269,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
         tag = "III"
     else:
         tag = "II"
-    S = ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead, tag)
-    if cert.rows is not None:
-        S.rows = cert.rows
-    return S
+    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead,
+                            tag)
 
 
 # -- norm algebra ------------------------------------------------------------
@@ -563,7 +553,7 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     def sparse(gv):
         # the plane vector as sum h_i e_i, h_i = s(c) t^d an exact monomial
         return [(i, F.lift_homog(c, gv.degree - S.degrees[i]))
-                for i, c in gv.terms]
+                for i, c in enumerate(gv.coords) if not c.is_zero()]
 
     # x_1, ..., x_k, y_1, ..., y_k
     H = [sparse(x) for x, _ in planes] + [sparse(y) for _, y in planes]

@@ -17,11 +17,9 @@ the ungraded normalisation, runs it on the polar form.  The
 residue-field routines of `residue_witt` and `graded` run it too:
 residue elements (`GF2m`, `GF(2^m)(x)`) carry the same zero tests under
 the trivial valuation, 0 on every nonzero element, so each pivot there
-is the first nonzero entry, which `split_gram` takes without scanning
-the rest; forms over a residue field are `QuadraticForm`s as well;
-`QuadraticForm.from_gram` builds one from q values and a polar Gram.
-`split_gram` mirrors its symmetric working copy once and then slices
-the rows it keeps at each step.
+is the first nonzero entry, and forms over a residue field are
+`QuadraticForm`s as well; `QuadraticForm.from_gram` builds one from q
+values and a polar Gram.
 
 `WittExpr` is a formal orthogonal sum of binary [a,b] summands (plus
 diagonal <a> summands in characteristic 0) with the rewrite rules of
@@ -195,22 +193,14 @@ def gram_of(B, cols, zero, head=0, on_head=None):
     return G
 
 
-def _updated(G, gone, live, entry):
-    """The symmetric G without the rows and columns gone (ascending), with
-    entry(r, c), r <= c, wherever r and c are both in live, mirrored;
+def _updated(G, keep, live, entry):
+    """G on the indices keep (ascending), read off its upper triangle and
+    mirrored, with entry(r, c), r <= c, wherever r and c are both in live;
     field sums and products commute in value and precision, so the mirror
     is what the lower triangle would compute.  Elsewhere every term of the
     update is a product with an exact zero, which adds an exact zero and
-    leaves the entry's value and precision as they are, so the rows are
-    sliced, not rebuilt entry by entry."""
-    keep = [r for r in range(len(G)) if r not in gone]
-    if len(gone) == 1:
-        (i,) = gone
-        out = [row[:i] + row[i + 1:] for row in map(G.__getitem__, keep)]
-    else:
-        i, j = gone
-        out = [row[:i] + row[i + 1:j] + row[j + 1:]
-               for row in map(G.__getitem__, keep)]
+    leaves the entry's value and precision as they are."""
+    out = [[G[r][c] if r <= c else G[c][r] for c in keep] for r in keep]
     at = [b for b, c in enumerate(keep) if c in live]
     for i, a in enumerate(at):
         r = keep[a]
@@ -219,30 +209,22 @@ def _updated(G, gone, live, entry):
     return out
 
 
-def _first_nonzero(cands):
-    """The key of the first nonzero entry among (key, entry) pairs, None
-    if there is none: the pivot `linalg.min_valuation` picks under the
-    trivial valuation of a residue field."""
-    return next((key for key, x in cands if not x.is_zero()), None)
-
-
 def split_gram(G, F):
     """Symplectic Gram-Schmidt on a symmetric Gram matrix G over F; every
     caller passes one (a polar matrix, the mirrored leading coefficients
-    of a certificate, or a Gram of them).
+    of a certificate, or a Gram of them), and the working copy is read
+    off its upper triangle at every step.
 
     While the diagonal has a certified-nonzero entry (characteristic 0),
     split off the line of the one of minimal valuation; once the diagonal
     is exactly zero, split off the plane of the certified-nonzero pairing
     of minimal valuation, ties broken lexicographically.  Under the
     trivial valuation of a residue field each pivot is the first nonzero
-    entry, found without scanning the rest.  The working copy of G is
-    mirrored from its upper triangle once and kept symmetric: each step
-    slices the rows of the kept basis vectors and updates, in both
-    triangles, only the entries whose row and column both have a line or
-    pair coefficient that is not an exact zero.  A pair step forms only
-    the terms whose two coefficients are not exact zeros and scales by
-    b(e, f)^-1 only the entries that are not exact zeros, so the whole
+    entry.  The Gram matrix of the working basis is maintained
+    incrementally, on the entries whose row and column both have a line
+    or pair coefficient that is not an exact zero, and a pair step forms
+    only the terms whose two coefficients are not exact zeros and scales
+    by b(e, f)^-1 only the entries that are not exact zeros, so the whole
     split costs O(n^3) field operations.
 
     Returns (blocks, rest).  blocks lists ("line", e, b(e, e)) and
@@ -252,14 +234,11 @@ def split_gram(G, F):
     """
     n = len(G)
     vecs = linalg.identity(n, F.zero, F.one)
-    G = [[G[r][c] if r <= c else G[c][r] for c in range(n)] for r in range(n)]
-    # residue fields, and only they, tell perfect from imperfect
-    pivot = _first_nonzero if hasattr(F, "is_perfect") else \
-        linalg.min_valuation
+    G = [list(row) for row in G]
     blocks = []
     while vecs:
         m = len(vecs)
-        idx = pivot((r, G[r][r]) for r in range(m))
+        idx = linalg.min_valuation((r, G[r][r]) for r in range(m))
         if idx is not None:
             e = vecs[idx]
             de = G[idx][idx]
@@ -276,12 +255,12 @@ def split_gram(G, F):
                 return (G[r][c] - coef[r] * G[idx][c] - coef[c] * G[r][idx]
                         + coef[r] * coef[c] * de)
 
-            G = _updated(G, (idx,), coef, line_update)
+            G = _updated(G, keep, coef, line_update)
             continue
         if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
             break
-        pair = pivot(((i, j), G[i][j])
-                     for i in range(m) for j in range(i + 1, m))
+        pair = linalg.min_valuation(((i, j), G[i][j])
+                                    for i in range(m) for j in range(i + 1, m))
         if pair is None:
             break
         i, j = pair
@@ -309,7 +288,7 @@ def split_gram(G, F):
                 acc = acc - mu[c] * lam[r]
             return acc
 
-        G = _updated(G, (i, j), live_lam | live_mu, pair_update)
+        G = _updated(G, keep, live_lam | live_mu, pair_update)
         if F.char == 2:
             # the complement Gram stays alternating; restore the structural
             # zeros that limited-precision cancellation cannot certify

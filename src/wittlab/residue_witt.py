@@ -19,9 +19,9 @@ Nonsingular quadratic forms over a finite residue field are classified
 by their Arf invariant (the absolute trace bit).  `kquad_witt_class`
 reads it without a symplectic basis: on the polar rows packed once, it
 splits off the plane of the first row x, isotropic or not, with
-`graded._split_plane` and adds up the trace bits of q(x) q(y),
-b(x, y) = 1.  Over GF(2^m)(x) it keeps `k_symplectic_blocks`, whose
-raw pairs it reports.
+`graded._split_plane`, and `arf_invariant` adds up the trace bits of
+q(x) q(y), b(x, y) = 1.  Over GF(2^m)(x) it keeps `k_symplectic_blocks`,
+whose raw pairs it reports.
 `kquad_is_hyperbolic_witnessed` splits off hyperbolic planes through
 isotropic vectors with `graded._split_plane`, the round of
 `graded.metabolic_planes`, on Gram rows and q values packed once; the
@@ -411,10 +411,11 @@ def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
     return current
 
 
-def _arf_bit(form: QuadraticForm) -> int:
-    """The Arf bit of a nonsingular form over finite k, on packed polar
-    rows: split off the plane of the first row x with `graded._split_plane`
-    until none is left, and add up the trace bits of q(x) q(y), b(x, y) = 1."""
+def _arf_pairs(form: QuadraticForm) -> list:
+    """(q(x), q(y)) for planes (x, y), b(x, y) = 1, that split a
+    nonsingular form over finite k, on packed polar rows: x is the first
+    row, isotropic or not, and `graded._split_plane` splits it off until
+    no row is left."""
     from . import graded  # graded imports this module
     k = form.field
     if form.n % 2:
@@ -422,25 +423,24 @@ def _arf_bit(form: QuadraticForm) -> int:
     vec = graded._vectors(k)
     G = [vec.pack(row) for row in form.polar_matrix()]
     qs = [form.U[i][i] for i in range(form.n)]
-    bit = 0
+    pairs = []
     while G:
         yi = vec.first(G[0])
         if yi is None:
             raise DegenerateForm(
                 "polar form over the residue field is degenerate")
-        if not (qs[0].is_zero() or qs[yi].is_zero()):
-            sc = vec.entry(G[0], yi).inv()
-            bit ^= (qs[0] * qs[yi] * sc * sc).trace()
+        sc = vec.entry(G[0], yi).inv()
+        pairs.append((qs[0], qs[yi] * sc * sc))
         _, _, G, qs = graded._split_plane(vec, vec.units(len(G)), G, qs,
                                           [(0, k.one)], polar=True)
-    return bit
+    return pairs
 
 
 def kquad_witt_class(form: QuadraticForm) -> WqClass:
     """Witt class of a nonsingular form over k: Arf bit over finite k,
     partial raw data over GF(2^m)(x), read off `k_symplectic_blocks`."""
     if form.field.is_perfect:
-        return WqClass(form.field, arf=_arf_bit(form))
+        return arf_invariant(_arf_pairs(form), form.field)
     return wq_raw_class(k_symplectic_blocks(form)[0], form.field)
 
 

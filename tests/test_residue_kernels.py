@@ -2,21 +2,16 @@
 it replaced.
 
 * The rank test of condition (c) in `norms.check_compatibility` is the
-  `rank` of the row layout `graded._vectors(k)`: packed ints over GF(2^m),
-  coordinate tuples over GF(2^m)(x).  It is compared with
-  `linalg.independent_rows`; over GF(2)(x) under a degree cap of 6 too,
-  where both must raise `DegreeCapExceeded` on the same rows.
+  `rank` of the row layout `graded._vectors(k)`: elimination on packed
+  ints over GF(2^m), `linalg.independent_rows` itself on coordinate
+  tuples over GF(2^m)(x).  It is compared with `independent_rows` on the
+  element rows; over GF(2)(x) under a degree cap of 6 too, where both
+  must raise `DegreeCapExceeded` alike.
 * The Arf bit of `residue_witt.kquad_witt_class` over a finite field
   splits off the plane of the first row with `graded._split_plane`,
   whether that row is isotropic or not.  It is compared with
   `arf_invariant` of `k_symplectic_blocks`, odd and degenerate forms
   included (the same error, the same message).
-* `split_gram_parent` is `quadform.split_gram` as it was before it
-  mirrored its working copy once: it rebuilds the kept block from the
-  upper triangle at every step and picks every pivot with
-  `linalg.min_valuation`, where the residue fields now take the first
-  nonzero entry.  Blocks and rest must be identical, value and precision,
-  over the residue fields and over F2((t)) and Q_2, exact and truncated.
 * Type-III spaces whose b is not diagonal, so that b(y, y) = q(y) and
   b(w_c, x) are both nonzero in some projection: the planes of
   `graded.metabolic_planes` must be isotropic, hyperbolic and pairwise
@@ -32,10 +27,9 @@ from hypothesis import strategies as st
 
 from wittlab import graded, linalg
 from wittlab.errors import DegreeCapExceeded, WittlabError
-from wittlab.fields import GF2m, RatFuncField, field_shorthand
+from wittlab.fields import GF2m, RatFuncField
 from wittlab.fields.common import HALF
-from wittlab.literals import parse_element
-from wittlab.quadform import QuadraticForm, split_gram
+from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (arf_invariant, k_symplectic_blocks,
                                   kquad_witt_class)
 
@@ -135,118 +129,6 @@ def test_the_arf_draws_reach_every_case(name):
         assert got == _outcome(_arf_by_blocks, form)
         seen.add(got if isinstance(got, int) else got[0])
     assert len(seen) == 3, seen
-
-
-# -- split_gram --------------------------------------------------------------------
-
-
-def _updated_parent(G, keep, live, entry):
-    out = [[G[r][c] if r <= c else G[c][r] for c in keep] for r in keep]
-    at = [b for b, c in enumerate(keep) if c in live]
-    for i, a in enumerate(at):
-        r = keep[a]
-        for b in at[i:]:
-            out[a][b] = out[b][a] = entry(r, keep[b])
-    return out
-
-
-def split_gram_parent(G, F):
-    n = len(G)
-    vecs = linalg.identity(n, F.zero, F.one)
-    G = [list(row) for row in G]
-    blocks = []
-    while vecs:
-        m = len(vecs)
-        idx = linalg.min_valuation((r, G[r][r]) for r in range(m))
-        if idx is not None:
-            e = vecs[idx]
-            de = G[idx][idx]
-            blocks.append(("line", e, de))
-            keep = [r for r in range(m) if r != idx]
-            if keep:
-                dinv = de.inv()
-            coef = {r: G[r][idx] * dinv for r in keep
-                    if not G[r][idx].is_exactly_zero()}
-            vecs = [linalg.combine(vecs[r], [(-coef[r], e)]) if r in coef
-                    else vecs[r] for r in keep]
-
-            def line_update(r, c):
-                return (G[r][c] - coef[r] * G[idx][c] - coef[c] * G[r][idx]
-                        + coef[r] * coef[c] * de)
-
-            G = _updated_parent(G, keep, coef, line_update)
-            continue
-        if not all(G[idx][idx].is_exactly_zero() for idx in range(m)):
-            break
-        pair = linalg.min_valuation(((i, j), G[i][j])
-                                    for i in range(m) for j in range(i + 1, m))
-        if pair is None:
-            break
-        i, j = pair
-        g = G[i][j]
-        ginv = g.inv()
-        e = vecs[i]
-        f = [c if c.is_exactly_zero() else c * ginv for c in vecs[j]]
-        blocks.append(("pair", e, f))
-        keep = [r for r in range(m) if r not in (i, j)]
-        lam = {r: G[r][j] if G[r][j].is_exactly_zero() else G[r][j] * ginv
-               for r in keep}
-        mu = {r: G[r][i] for r in keep}
-        vecs = [linalg.combine(vecs[r], [(-lam[r], e), (-mu[r], f)])
-                for r in keep]
-        live_lam = {r for r in keep if not lam[r].is_exactly_zero()}
-        live_mu = {r for r in keep if not mu[r].is_exactly_zero()}
-
-        def pair_update(r, c):
-            acc = G[r][c]
-            if c in live_lam and r in live_mu:
-                acc = acc - lam[c] * mu[r]
-            if c in live_mu and r in live_lam:
-                acc = acc - mu[c] * lam[r]
-            return acc
-
-        G = _updated_parent(G, keep, live_lam | live_mu, pair_update)
-        if F.char == 2:
-            for r in range(len(G)):
-                G[r][r] = F.zero
-    return blocks, G
-
-
-def _valued_pool(shorthand):
-    F = field_shorthand(shorthand, precision=16)
-    if F.char == 0:
-        texts = ("0", "0", "1", "3", "2", "6", "1 + O(2^3)", "2 + O(2^4)",
-                 "O(2^2)", "12", "5 + O(2^2)")
-    else:
-        texts = ("0", "0", "1", "1+t", "t", "t^-1", "t^-1+1", "t^2",
-                 "1 + O(t^2)", "t + O(t^3)", "O(t^1)", "t^-1 + O(t)")
-    return F, [parse_element(t, F) for t in texts]
-
-
-SPLIT_FIELDS = {**{name: (k, None) for name, k in RESIDUE.items()},
-                **{s: _valued_pool(s) for s in ("f2-laurent", "q2")}}
-
-
-def _exact(pool):
-    return [x for x in pool if x.abs_prec is None]
-
-
-@pytest.mark.parametrize("name", SPLIT_FIELDS)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_split_gram_matches_parent(name, seed):
-    F, pool = SPLIT_FIELDS[name]
-    rng = random.Random(seed)
-    if pool is not None and rng.random() < 0.5:
-        pool = _exact(pool)
-    n = rng.randrange(0, 8)
-    G = [[None] * n for _ in range(n)]
-    alternating = F.char == 2 and rng.random() < 0.7
-    for i in range(n):
-        for j in range(i, n):
-            x = _elem(F, rng) if pool is None else rng.choice(pool)
-            G[i][j] = G[j][i] = F.zero if i == j and alternating else x
-    assert _outcome(split_gram, G, F) == _outcome(split_gram_parent, G, F)
 
 
 # -- type-III planes ---------------------------------------------------------------
