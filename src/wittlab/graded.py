@@ -27,7 +27,14 @@ layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
 (`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s.
 The rank test of condition (c) in `norms.check_compatibility` runs on
 the same layouts (`rank`), and the Arf bit of `residue_witt` runs
-`_split_plane` too, from a first row that need not be isotropic.
+`_split_plane` too, from a first row that need not be isotropic, on
+Gram rows and q values alone (no vectors).
+
+Over the perfect residue field of Q_2 a type-III orbit needs no split:
+every unit is a square and <1, 1> is metabolic, so the W(k) class of a
+principal coset is its dimension mod 2 (`orbit_invariants`), and a
+coset that b pairs with itself holds whole planes only, so one of odd
+dimension stops `metabolic_planes` before its first round.
 """
 
 from __future__ import annotations
@@ -542,24 +549,34 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     w_c' = w_c + lam_c x + mu_c y.  The projected rows satisfy exactly two
     relations, sol and the unit vector at yi (w_yi' = 0), so the rows yi
     and max(supp(sol) minus yi) go: the rows a greedy echelon pass drops.
+    vecs may be None when only the Gram rows and q values are wanted;
+    then no vector is formed, and x, y and the vectors returned are None.
 
     A sol of two or more rows is isotropic.  A one-row x = a w_r need not
     be when b is alternating (types I and II): the plane is then not
     hyperbolic, and q(w_c') gains the term lam_c^2 q(x); the Arf bit of
     `residue_witt` splits so with x the first row.
 
-    Returns (x, yi, y, keep) and the kept rows' vectors, Gram rows and q
-    values; raises DegenerateForm when x lies in the radical of b."""
+    Returns (x, yi, y, keep, moved) and the kept rows' vectors, Gram rows
+    and q values; moved lists the kept positions whose vector changed (a
+    nonzero lam_c or mu_c).  Raises DegenerateForm when x lies in the
+    radical of b."""
     (base, a), *rest = sol
     qx = None if rest or qs[base].is_zero() else qs[base] * a * a
-    x, bx = vec.scale(a, vecs[base]), vec.scale(a, G[base])
-    for r, a in rest:
-        x, bx = vec.axpy(x, a, vecs[r]), vec.axpy(bx, a, G[r])
+    bx = vec.scale(a, G[base])
+    for r, c in rest:
+        bx = vec.axpy(bx, c, G[r])
     yi = vec.first(bx)
     if yi is None:
         raise DegenerateForm("isotropic vector in the radical")
     sc = vec.entry(bx, yi).inv()
-    y = vec.scale(sc, vecs[yi])
+    x = y = vecs2 = None
+    if vecs is not None:
+        x = vec.scale(a, vecs[base])
+        for r, c in rest:
+            x = vec.axpy(x, c, vecs[r])
+        y = vec.scale(sc, vecs[yi])
+        vecs2 = []
     # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
     # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
     # lam_c = b(w_c, y) + mu_c b(y, y)
@@ -570,20 +587,17 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     if qy.is_zero():
         qy = None
     drop = max(r for r, _ in sol if r != yi)
-    keep = [c for c in range(len(vecs)) if c != yi and c != drop]
+    keep = [c for c in range(len(G)) if c != yi and c != drop]
     hi, lo = max(yi, drop), min(yi, drop)
-    vecs2, G2, qs2 = [], [], []
-    for c in keep:
-        w, row, qc = vecs[c], G[c], qs[c]
+    G2, qs2, moved = [], [], []
+    for at, c in enumerate(keep):
+        row, qc = G[c], qs[c]
         lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
         # q(w_c') = q(w_c) + lam_c^2 q(x) + mu_c^2 q(y), and for type I
         # also lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
-        if lc is not None:
-            w = vec.axpy(w, lc, x)
-            if qx is not None:
-                qc = qc + lc * lc * qx
+        if lc is not None and qx is not None:
+            qc = qc + lc * lc * qx
         if mc is not None:
-            w = vec.axpy(w, mc, y)
             if qy is not None:
                 qc = qc + mc * mc * qy
             if polar and bc is not None:
@@ -592,10 +606,18 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
             row = vec.axpy(row, mc, lam)
         if bc is not None:
             row = vec.axpy(row, bc, bx)
-        vecs2.append(w)
+        if lc is not None or mc is not None:
+            moved.append(at)
+        if vecs is not None:
+            w = vecs[c]
+            if lc is not None:
+                w = vec.axpy(w, lc, x)
+            if mc is not None:
+                w = vec.axpy(w, mc, y)
+            vecs2.append(w)
         G2.append(vec.drop(vec.drop(row, hi), lo))
         qs2.append(qc)
-    return (x, yi, y, keep), vecs2, G2, qs2
+    return (x, yi, y, keep, moved), vecs2, G2, qs2
 
 
 def metabolic_planes(S: ShiftedQuadSpace):
@@ -616,6 +638,12 @@ def metabolic_planes(S: ShiftedQuadSpace):
     cls = [order.index(c) for c in cosets]
     off_grid = [vec.mask([i for i in range(n) if cls[i] != c])
                 for c in range(len(order))]
+    if S.type_tag == "III" and any(
+            cls.count(c) % 2 for c, g in enumerate(order)
+            if coset(-g - S.eps) == g):
+        # the plane of a vector in a class that b pairs with itself lies
+        # in that class, so a class of odd dimension keeps a line
+        return None
     polar = S.type_tag == "I"
     planes = []
     while vecs:
@@ -623,23 +651,35 @@ def metabolic_planes(S: ShiftedQuadSpace):
                                   lambda r, c: vec.entry(G[r], c) or k.zero)
         if sol is None:
             return None
-        (x, yi, y, keep), vecs, G, qs = _split_plane(vec, vecs, G, qs, sol, polar)
+        (x, yi, y, keep, moved), vecs, G, qs = _split_plane(
+            vec, vecs, G, qs, sol, polar)
         base = sol[0][0]
         assert vec.vanishes_on(x, off_grid[cls[base]]) and \
             vec.vanishes_on(y, off_grid[cls[yi]]), OFF_GRID
         planes.append(((degs[base], x), (degs[yi], y)))
         degs = [degs[c] for c in keep]
         cls = [cls[c] for c in keep]
-        assert all(vec.vanishes_on(w, off_grid[c]) for w, c in zip(vecs, cls)), \
+        # the rows that did not move passed this check in an earlier round
+        assert all(vec.vanishes_on(vecs[a], off_grid[cls[a]]) for a in moved), \
             OFF_GRID
     return [tuple(GradedVector.on_grid(S, d, vec.unpack(v, n))
                   for d, v in plane) for plane in planes]
 
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:
-    """Per-orbit Witt-group invariants of the descended residue objects."""
+    """Per-orbit Witt-group invariants of the descended residue objects;
+    with the default choice over a perfect k, a type-III orbit's is the
+    parity of its dimension, read without the descent."""
     out = {}
     if _is_int(S.eps):
+        if S.type_tag == "III" and choice is None and S.k.is_perfect:
+            # over a perfect k every unit is a square and <1, 1> is
+            # metabolic, so the W(k) class of a principal coset is its
+            # dimension mod 2: at integer eps each such coset pairs with
+            # itself, and condition (c) makes its block of b nondegenerate
+            cosets = coset_decomposition(S)
+            return {c: residue_witt.WClass(S.k, len(cosets.get(c, ())) % 2)
+                    for (c,) in orbit_partition(S.eps).principal}
         descended = descend_case1(S, choice)
         for c, obj in descended.items():
             if S.type_tag == "I":

@@ -48,13 +48,16 @@ a certificate differs from the one wildness_index finds for the same
 form; the depth and the residue symbol do not.
 
 Gram matrices are symmetric.  initial_norm takes its q values from the
-split's evaluations, and on an exact form and split basis its Gram too:
-b(e, e) on a line, 1 for b(e, f) on a pair, exact zeros across blocks;
-otherwise gram_of forms the Gram on the basis columns.  Over truncated
-data gram_of forms both triangles, whose sums can certify different
-precisions; check_compatibility reads the upper one, which (a)
-certifies, on its entries that are not exact zeros (an exact zero passes
-(a) and leads with zero), and mirrors the leading coefficients.
+split's evaluations, and on an exact form and split basis its Gram too,
+formed in one pass: b(e, e) on a line, 1 for b(e, f) on a pair, exact
+zeros across blocks; otherwise gram_of forms the Gram on the basis
+columns.  The split is the form's kept `symplectic_blocks`, which an
+exact orthogonal sum merges from its summands' splits, so a summand
+that enters many sums is split once.  Over truncated data gram_of forms
+both triangles, whose sums can certify different precisions;
+check_compatibility reads the upper one, which (a) certifies, on its
+entries that are not exact zeros (an exact zero passes (a) and leads
+with zero), and mirrors the leading coefficients.
 depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
 exact monomial, as a sparse column of (i, h_i) pairs; on exact qe and be
 it forms H^T be H with gram_of and the q values over the same pairs
@@ -357,21 +360,30 @@ def initial_norm(q: QuadraticForm) -> DepthCertificate:
         return require_certificate(q, VNorm(q.field, [], []), half(0))
     F = q.field
     blocks, M = symplectic_blocks(q)
-    built, qe, split = [], [], []  # split: the Gram the split formed
+    built, qe = [], []
     for blk in blocks:
         if blk[0] == "line":
             built.append(builder_unary(F, blk[1]))
             qe.append(blk[1])
-            split = linalg.block_diag(split, [[blk[2]]], F.zero)
         else:
             built.append(builder_binary(F, blk[1], blk[2]))
             qe.extend(blk[1:])
-            split = linalg.block_diag(
-                split, [[F.zero, F.one], [F.one, F.zero]], F.zero)
     eps = max(b[1] for b in built)
     values = [v for b in built for v in _values_at_depth(b, eps)]
-    be = split if is_exact(*q.U, *M) else \
-        gram_of(q.polar_matrix(), linalg.transpose(M), F.zero)
+    if is_exact(*q.U, *M):
+        # the Gram the split formed: b(e, e) on a line, b(e, f) = 1 on a
+        # pair, exact zeros across blocks
+        be = [[F.zero] * q.n for _ in range(q.n)]
+        at = 0
+        for blk in blocks:
+            if blk[0] == "line":
+                be[at][at] = blk[2]
+                at += 1
+            else:
+                be[at][at + 1] = be[at + 1][at] = F.one
+                at += 2
+    else:
+        be = gram_of(q.polar_matrix(), linalg.transpose(M), F.zero)
     res = check_compatibility(q, VNorm(F, M, values), eps, _gram=(qe, be))
     if isinstance(res, CompatibilityViolation):
         raise SingularForm(f"initial norm failed to certify: {res!r}")

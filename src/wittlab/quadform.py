@@ -13,13 +13,21 @@ a symmetric Gram matrix: split one-dimensional lines while the diagonal
 has a certified-nonzero entry (characteristic 0), then split binary
 blocks on pivot pairs, both picked by `linalg.min_valuation`, and hand
 back what is left when no certified pivot remains.  `symplectic_blocks`,
-the ungraded normalisation, runs it on the polar form.  The
-residue-field routines of `residue_witt` and `graded` run it too:
-residue elements (`GF2m`, `GF(2^m)(x)`) carry the same zero tests under
-the trivial valuation, 0 on every nonzero element, so each pivot there
-is the first nonzero entry, and forms over a residue field are
+the ungraded normalisation, runs it on the polar form once per form and
+keeps the split.  A form built by `ortho_sum` records its two summands,
+and the split of an exact sum is merged from theirs: a step of the
+kernel on diag(G1, G2) touches only its own summand's rows, so the loop
+on the sum takes each summand's steps in its own order and interleaves
+them by kind and pivot valuation (`_merge`); the blocks, the basis and
+the errors are those of a split of the whole polar matrix.  A sum with
+a truncated entry, or with a summand that raises, is split whole.  The
+residue-field routines of `residue_witt` and `graded` run the kernel
+too: residue elements (`GF2m`, `GF(2^m)(x)`) carry the same zero tests
+under the trivial valuation, 0 on every nonzero element, so each pivot
+there is the first nonzero entry, and forms over a residue field are
 `QuadraticForm`s as well; `QuadraticForm.from_gram` builds one from q
-values and a polar Gram.
+values and a polar Gram, which in characteristic 2 it keeps as the
+polar matrix.
 
 `WittExpr` is a formal orthogonal sum of binary [a,b] summands (plus
 diagonal <a> summands in characteristic 0) with the rewrite rules of
@@ -35,15 +43,17 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (NotApplicable, PrecisionExhausted, RuleNotApplicable,
-                     SingularForm, SingularMatrix)
+                     SingularForm, SingularMatrix, WittlabError)
 from .fields.common import INF, is_exact, lower_bound
 
 
 class QuadraticForm:
-    # Built once per form, on first use: _polar, the polar matrix, and
-    # _wild, the fields of the certificate norms.wildness_index found, as
-    # a dict, all but the form (the norms module docstring says why)
-    __slots__ = ("field", "n", "U", "_polar", "_wild")
+    # Built once per form, on first use: _polar, the polar matrix; _wild,
+    # the fields of the certificate norms.wildness_index found, as a dict,
+    # all but the form (the norms module docstring says why); and _split,
+    # the split symplectic_blocks made (see _kept_split).  _parts is the
+    # pair of summands ortho_sum built the form from, else None
+    __slots__ = ("field", "n", "U", "_polar", "_wild", "_parts", "_split")
 
     def __init__(self, field, coeffs):
         """coeffs: n x n upper-triangular rows; entries below the diagonal
@@ -53,7 +63,7 @@ class QuadraticForm:
         z = field.zero
         self.U = tuple((z,) * i + tuple(row[i:])
                        for i, row in enumerate(coeffs))
-        self._polar = self._wild = None
+        self._polar = self._wild = self._parts = self._split = None
 
     def __repr__(self):
         rows = ["[" + ", ".join(self.field.format_elem(c) for c in row) + "]"
@@ -68,9 +78,16 @@ class QuadraticForm:
     @classmethod
     def from_gram(cls, field, qvals, G):
         """The form with q(e_i) = qvals[i] and polar form G, read from the
-        upper triangle of G."""
-        return cls(field, [(*G[i][:i], q, *G[i][i + 1:])
+        upper triangle of G.  In characteristic 2 a symmetric G with an
+        exact-zero diagonal is the polar matrix itself, and is kept as it."""
+        form = cls(field, [(*G[i][:i], q, *G[i][i + 1:])
                            for i, q in enumerate(qvals)])
+        if field.char == 2:
+            rows = tuple(map(tuple, G))
+            if all(rows[i][i].is_exactly_zero() for i in range(form.n)) \
+                    and rows == tuple(zip(*rows)):
+                form._polar = rows
+        return form
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -119,8 +136,10 @@ class QuadraticForm:
     def ortho_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         if other.field != self.field:
             raise NotApplicable("an orthogonal sum needs one field")
-        return QuadraticForm(self.field,
-                             linalg.block_diag(self.U, other.U, self.field.zero))
+        out = QuadraticForm(self.field,
+                            linalg.block_diag(self.U, other.U, self.field.zero))
+        out._parts = (self, other)
+        return out
 
     def scale(self, c) -> "QuadraticForm":
         if not c.is_certified_nonzero():
@@ -232,10 +251,17 @@ def split_gram(G, F):
     rest is the Gram matrix of the complement left when no certified
     pivot remains, empty when G splits completely.
     """
+    blocks, rest, _ = _split_gram(G, F)
+    return blocks, rest
+
+
+def _split_gram(G, F):
+    """split_gram, and the valuation of each block's pivot: b(e, e) for a
+    line, the pairing the pair step divided by for a pair."""
     n = len(G)
     vecs = linalg.identity(n, F.zero, F.one)
     G = [list(row) for row in G]
-    blocks = []
+    blocks, pivots = [], []
     while vecs:
         m = len(vecs)
         idx = linalg.min_valuation((r, G[r][r]) for r in range(m))
@@ -243,6 +269,7 @@ def split_gram(G, F):
             e = vecs[idx]
             de = G[idx][idx]
             blocks.append(("line", e, de))
+            pivots.append(de.valuation())
             keep = [r for r in range(m) if r != idx]
             if keep:  # only then, as inv can raise PrecisionExhausted
                 dinv = de.inv()
@@ -270,6 +297,7 @@ def split_gram(G, F):
         # b(e, f) = 1; an exact zero times ginv is that exact zero
         f = [c if c.is_exactly_zero() else c * ginv for c in vecs[j]]
         blocks.append(("pair", e, f))
+        pivots.append(g.valuation())
         keep = [r for r in range(m) if r not in (i, j)]
         # with b(e,e) = b(f,f) = 0 and b(e,f) = 1: w' = w - b(w,f)e - b(w,e)f
         lam = {r: G[r][j] if G[r][j].is_exactly_zero() else G[r][j] * ginv
@@ -294,7 +322,7 @@ def split_gram(G, F):
             # zeros that limited-precision cancellation cannot certify
             for r in range(len(G)):
                 G[r][r] = F.zero
-    return blocks, G
+    return blocks, G, pivots
 
 
 def symplectic_blocks(q: QuadraticForm):
@@ -303,28 +331,97 @@ def symplectic_blocks(q: QuadraticForm):
     Returns (blocks, M): blocks are ("line", a, b(e, e)) or ("pair", a, b)
     tuples, a and b the q values of the basis vectors, M the basis-change
     matrix whose columns list the new basis grouped per block;
-    q.change_basis(M) is the block-diagonal form.
+    q.change_basis(M) is the block-diagonal form.  The split is made once
+    per form and kept; an orthogonal sum of exact forms merges it from
+    the kept splits of its summands (see _merge).
     """
-    blocks, rest = split_gram(q.polar_matrix(), q.field)
-    if rest:
-        m = len(rest)
-        if not all(rest[i][i].is_exactly_zero() for i in range(m)):
+    split = None
+    if q._split is None and q._parts is not None and is_exact(*q.U):
+        split = _summands_split(q)
+    if split is None:
+        split = _kept_split(q)
+    return ([blk for blk, _, _ in split],
+            linalg.transpose([e for _, vecs, _ in split for e in vecs]))
+
+
+def _kept_split(q: QuadraticForm):
+    """q's split by split_gram on its polar matrix, kept on q: per block,
+    the block symplectic_blocks reports, its basis vectors and the
+    valuation of its pivot.  Raises as symplectic_blocks does when a rest
+    is left, and keeps nothing then."""
+    if q._split is None:
+        blocks, rest, pivots = _split_gram(q.polar_matrix(), q.field)
+        if rest:
+            m = len(rest)
+            if not all(rest[i][i].is_exactly_zero() for i in range(m)):
+                raise PrecisionExhausted(
+                    "diagonal polar entries indistinguishable from zero")
+            if all(rest[i][j].is_exactly_zero() for i in range(m)
+                   for j in range(i + 1, m)):
+                raise SingularForm("form has a (certified) radical")
             raise PrecisionExhausted(
-                "diagonal polar entries indistinguishable from zero")
-        if all(rest[i][j].is_exactly_zero() for i in range(m)
-               for j in range(i + 1, m)):
-            raise SingularForm("form has a (certified) radical")
-        raise PrecisionExhausted(
-            "pairings indistinguishable from zero while splitting")
-    out, columns = [], []
-    for kind, e, x in blocks:
-        if kind == "line":
-            out.append(("line", q.evaluate(e), x))
-            columns.append(e)
+                "pairings indistinguishable from zero while splitting")
+        q._split = [
+            (("line", q.evaluate(e), x), (e,), v) if kind == "line" else
+            (("pair", q.evaluate(e), q.evaluate(x)), (e, x), v)
+            for (kind, e, x), v in zip(blocks, pivots)]
+    return q._split
+
+
+def _summands_split(q: QuadraticForm):
+    """The split of an exact orthogonal sum merged from its summands'
+    splits, down the tree of summands without recursion; None when some
+    summand with no summands of its own leaves a rest or raises, and then
+    the sum does too, so its own split_gram says how."""
+    stack = [q]
+    while stack:
+        form = stack[-1]
+        if form._split is None:
+            if form._parts is None:
+                try:
+                    _kept_split(form)
+                except WittlabError:
+                    return None
+            else:
+                todo = [p for p in form._parts if p._split is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                a, b = form._parts
+                form._split = _merge(a._split, b._split, a.n, b.n,
+                                     form.field.zero)
+        stack.pop()
+    return q._split
+
+
+def _merge(s1, s2, n1, n2, zero):
+    """The split of the orthogonal sum of two forms from their splits s1
+    and s2, for a sum whose split_gram would run on diag(G1, G2).
+
+    A step of split_gram touches only the rows of its pivot's summand: the
+    entries across the summands are exact zeros, so every coefficient of
+    a row of the other summand is one and adds nothing.  Each summand
+    thus takes the steps of its own split, and the loop interleaves them:
+    a line before a pair (a line is taken while any diagonal entry is
+    certified nonzero), then the smaller pivot valuation, a tie to s1,
+    whose rows come first.  The vectors are padded with exact zeros; the
+    q values are the summands', as evaluate on the sum forms the same
+    terms in the same order."""
+    def rank(entry):
+        return entry[0][0] == "pair", entry[2]
+
+    pad1, pad2 = [zero] * n2, [zero] * n1
+    out, i, j = [], 0, 0
+    while i < len(s1) or j < len(s2):
+        if j == len(s2) or i < len(s1) and rank(s1[i]) <= rank(s2[j]):
+            blk, vecs, v = s1[i]
+            out.append((blk, tuple([*e, *pad1] for e in vecs), v))
+            i += 1
         else:
-            out.append(("pair", q.evaluate(e), q.evaluate(x)))
-            columns.extend([e, x])
-    return out, linalg.transpose(columns)
+            blk, vecs, v = s2[j]
+            out.append((blk, tuple([*pad2, *e] for e in vecs), v))
+            j += 1
+    return out
 
 
 # -- Witt expressions and the relation engine --------------------------------

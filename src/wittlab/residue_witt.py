@@ -404,8 +404,7 @@ def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
         if found is None:
             break
         sol = [(r, a) for r, a in enumerate(found) if not a.is_zero()]
-        _, _, G, qs = graded._split_plane(vec, vec.units(current.n), G, qs,
-                                          sol, polar=True)
+        _, _, G, qs = graded._split_plane(vec, None, G, qs, sol, polar=True)
         current = QuadraticForm.from_gram(
             k, qs, [vec.unpack(row, len(qs)) for row in G])
     return current
@@ -431,8 +430,8 @@ def _arf_pairs(form: QuadraticForm) -> list:
                 "polar form over the residue field is degenerate")
         sc = vec.entry(G[0], yi).inv()
         pairs.append((qs[0], qs[yi] * sc * sc))
-        _, _, G, qs = graded._split_plane(vec, vec.units(len(G)), G, qs,
-                                          [(0, k.one)], polar=True)
+        _, _, G, qs = graded._split_plane(vec, None, G, qs, [(0, k.one)],
+                                          polar=True)
     return pairs
 
 

@@ -131,21 +131,46 @@ def test_the_arf_draws_reach_every_case(name):
     assert len(seen) == 3, seen
 
 
+@pytest.mark.parametrize("name", RESIDUE)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_from_gram_keeps_the_polar_matrix(name, seed):
+    """A symmetric Gram with a zero diagonal is kept as the polar matrix,
+    and any other is not: either way polar_matrix() is the matrix that a
+    fresh form with the same coefficients rebuilds."""
+    k = RESIDUE[name]
+    rng = random.Random(seed)
+    n = rng.randrange(0, 7)
+    G = [[k.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = _elem(k, rng)
+    if n and rng.random() < 0.3:  # not a polar matrix: not kept
+        i, j = rng.randrange(n), rng.randrange(n)
+        G[i][j] = k.one if G[i][j].is_zero() else k.zero
+    form = QuadraticForm.from_gram(k, [_elem(k, rng) for _ in range(n)], G)
+    kept = form._polar is not None
+    want = QuadraticForm(k, form.U).polar_matrix()
+    assert form.polar_matrix() == want
+    assert kept == (G == [list(row) for row in want])
+
+
 # -- type-III planes ---------------------------------------------------------------
 
 
-def _type_III_space(k, rng):
+def _type_III_space(k, rng, diagonal=False):
     """A valid type-III space (eps = v(2) = 1, q(e_i) = b(e_i, e_i)) whose
-    b has a nonzero entry off the diagonal, or None."""
+    b is diagonal, or else has a nonzero entry off the diagonal; or None."""
     degrees = [rng.choice((0, 1, -1, HALF, -HALF))
-               for _ in range(rng.randrange(2, 9))]
+               for _ in range(rng.randrange(1 if diagonal else 2, 9))]
     n = len(degrees)
     bmat = [[k.zero] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i, i + 1 if diagonal else n):
             if (degrees[i] + degrees[j]) % 1 == 0:
                 bmat[i][j] = bmat[j][i] = _elem(k, rng)
-    if all(bmat[i][j].is_zero() for i in range(n) for j in range(i + 1, n)):
+    if not diagonal and all(bmat[i][j].is_zero() for i in range(n)
+                            for j in range(i + 1, n)):
         return None
     S = graded.ShiftedQuadSpace(k, 1, 1, degrees,
                                 [bmat[i][i] for i in range(n)], bmat, "III")
@@ -185,3 +210,71 @@ def test_type_III_draws_split_planes(name):
         planes = None if S is None else graded.metabolic_planes(S)
         split += any(not bval(S, y, y).is_zero() for _, y in planes or ())
     assert split > 10
+
+
+# -- type-III invariants without a split -------------------------------------------
+
+
+def _planes_by_rounds(S):
+    """The number of planes the rounds of metabolic_planes split off
+    before no isotropic relation is left, None when a row is left: the
+    rounds without the exit on a class of odd dimension."""
+    vec = graded._vectors(S.k)
+    G, qs = [vec.pack(row) for row in S.bmat], list(S.qvals)
+    cls = [graded.coset(d) for d in S.degrees]
+    planes = 0
+    while G:
+        sol = graded._find_isotropic_rel(
+            S, cls, qs, lambda r, c: vec.entry(G[r], c) or S.k.zero)
+        if sol is None:
+            return None
+        (_, _, _, keep, _), _, G, qs = graded._split_plane(
+            vec, None, G, qs, sol, polar=False)
+        cls = [cls[c] for c in keep]
+        planes += 1
+    return planes
+
+
+def _odd_classes(S):
+    return {c for c, idx in graded.coset_decomposition(S).items()
+            if len(idx) % 2}
+
+
+@pytest.mark.parametrize("name", [*FINITE, "GF(2)(x)"])
+@given(seed=st.integers(0, 2 ** 32 - 1), diagonal=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_type_III_parities_match_the_descent(name, seed, diagonal):
+    """orbit_invariants by the dimension of each class mod 2 against the
+    descent of the default choice (descend_case1 and the diagonalisation
+    of b), and metabolic_planes, which stops at once on a class of odd
+    dimension, against its rounds run until no relation is left."""
+    k = RESIDUE[name]
+    S = _type_III_space(k, random.Random(seed), diagonal)
+    if S is None:
+        return
+    assert _outcome(graded.orbit_invariants, S) == \
+        _outcome(graded.orbit_invariants, S, graded.default_choice(S))
+    planes = _outcome(graded.metabolic_planes, S)
+    rounds = _outcome(_planes_by_rounds, S)
+    assert (planes is None) == (rounds is None)
+    if isinstance(rounds, int):
+        assert len(planes) == rounds
+    if _odd_classes(S):
+        assert planes is None
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_type_III_parity_draws_reach_every_case(name):
+    # diagonal and dense b, each with an odd class (a nonzero invariant)
+    # and with every class even, among fixed draws of the generator above
+    k = FINITE[name]
+    rng = random.Random(f"type III parity {name}")
+    seen = set()
+    for _ in range(300):
+        diagonal = rng.random() < 0.5
+        S = _type_III_space(k, rng, diagonal)
+        if S is not None:
+            seen.add((diagonal, bool(_odd_classes(S)),
+                      graded.metabolic_planes(S) is None))
+    assert {(d, odd) for d, odd, _ in seen} == \
+        {(d, odd) for d in (False, True) for odd in (False, True)}, seen
