@@ -28,6 +28,8 @@ class DyadicField:
     def __init__(self, precision: int = 64):
         self.residue_field = GF2m(1)
         self.precision = precision
+        # one shared zero and one: elements are immutable
+        self.zero, self.one = Dyadic(self, 0, 0, None), Dyadic(self, 1, 0, None)
 
     def __repr__(self):
         return "Q_2"
@@ -57,14 +59,6 @@ class DyadicField:
 
     def from_int(self, n: int) -> "Dyadic":
         return self.make(n, 0, None)
-
-    @property
-    def zero(self) -> "Dyadic":
-        return Dyadic(self, 0, 0, None)
-
-    @property
-    def one(self) -> "Dyadic":
-        return Dyadic(self, 1, 0, None)
 
     def uniformizer(self) -> "Dyadic":
         return Dyadic(self, 1, 1, None)

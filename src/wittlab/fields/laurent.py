@@ -54,7 +54,9 @@ class LaurentField:
         # packed digits over GF(2^m), a tuple of residue elements otherwise
         self._pk = residue.packing if isinstance(residue, GF2m) else None
         self._nil = () if self._pk is None else 0
-        self.one = self.make([(0, residue.one)])  # elements are immutable
+        # one shared zero and one: elements are immutable
+        self.zero = Laurent(self, 0, self._nil, None)
+        self.one = self.make([(0, residue.one)])
 
     def __repr__(self):
         return f"{self.residue_field!r}(({self.variable}))"
@@ -100,10 +102,6 @@ class LaurentField:
         z = self.residue_field.zero
         coeffs = tuple(by_exp.get(e, z) for e in range(v0, top + 1))
         return Laurent(self, v0, coeffs, abs_prec)
-
-    @property
-    def zero(self) -> "Laurent":
-        return Laurent(self, 0, self._nil, None)
 
     def uniformizer(self) -> "Laurent":
         return self.make([(1, self.residue_field.one)])

@@ -24,7 +24,10 @@ each projection makes dependent, so no elimination chooses the kept
 basis; the Gram rows and q values of the kept rows are updated in
 place.  Over GF(2^m) its vectors and Gram rows are ints in the slot
 layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
-(`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s.
+(`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s,
+whose construction is the one check of the degree grid.  The q values
+of a descent, totally singular over k, are those of
+`QuadraticForm.diagonal` (`evaluate`).
 The rank test of condition (c) in `norms.check_compatibility` runs on
 the same layouts (`rank`), and the Arf bit of `residue_witt` runs
 `_split_plane` too, from a first row that need not be isotropic, on
@@ -51,8 +54,6 @@ from .fields.gf2m import GF2m, _clmul
 from .quadform import QuadraticForm, split_gram
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                            kquad_isotropic_vector, sq_normalize)
-
-OFF_GRID = "coordinate in a slot off the degree grid"
 
 
 def _is_int(d: Fraction) -> bool:
@@ -104,17 +105,7 @@ class GradedVector:
     def __post_init__(self):
         for i, c in enumerate(self.coords):
             if not c.is_zero() and not _is_int(self.degree - self.space.degrees[i]):
-                raise GridViolation(OFF_GRID)
-
-    @classmethod
-    def on_grid(cls, space, degree, coords):
-        """The vector with coordinates the caller has already checked
-        against the degree grid, built without checking them again."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "space", space)
-        object.__setattr__(v, "degree", degree)
-        object.__setattr__(v, "coords", coords)
-        return v
+                raise GridViolation("coordinate in a slot off the degree grid")
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -340,15 +331,11 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
     qv_a = [ip * S.qvals[i] for i in idx_a]
     pr = h.coeff * choice.rho.coeff
     M = [[S.bmat[j][i] for i in idx_a] for j in idx_b]
-    Minv = linalg.invert_exact(M, k.zero, k.one)
-    qv_dual = []
-    for i in range(len(idx_a)):
-        acc = k.zero
-        for j, zj in enumerate(idx_b):
-            lam = Minv[i][j]
-            acc = acc + lam * lam * S.qvals[zj]
-        qv_dual.append(pr * acc)
-    return SeparatedSpace(k, tuple(zip(qv_a, qv_dual)))
+    # the q value of the dual basis vector sum_j Minv[i][j] f_j
+    q_b = QuadraticForm.diagonal(k, [S.qvals[j] for j in idx_b]).evaluate
+    return SeparatedSpace(k, tuple(
+        (a, pr * q_b(row))
+        for a, row in zip(qv_a, linalg.invert_exact(M, k.zero, k.one))))
 
 
 # -- metabolicity -----------------------------------------------------------------
@@ -461,12 +448,6 @@ class _Slots:
         lo = self.S * i
         return v >> (lo + self.S) << lo | v & ((1 << lo) - 1)
 
-    def mask(self, slots):
-        return sum(self.smask << (self.S * i) for i in slots)
-
-    def vanishes_on(self, v, mask):
-        return not v & mask
-
     def rank(self, rows):
         """The rank of the rows: one incremental echelon pass in row
         order, each kept row scaled to 1 at its first nonzero slot."""
@@ -521,12 +502,6 @@ class _Coords:
     def drop(self, v, i):
         return v[:i] + v[i + 1:]
 
-    def mask(self, slots):
-        return slots
-
-    def vanishes_on(self, v, mask):
-        return all(v[i].is_zero() for i in mask)
-
     def rank(self, rows):
         """The rank of the rows by `linalg.independent_rows`, whose
         products a degree cap trips on."""
@@ -557,10 +532,8 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     hyperbolic, and q(w_c') gains the term lam_c^2 q(x); the Arf bit of
     `residue_witt` splits so with x the first row.
 
-    Returns (x, yi, y, keep, moved) and the kept rows' vectors, Gram rows
-    and q values; moved lists the kept positions whose vector changed (a
-    nonzero lam_c or mu_c).  Raises DegenerateForm when x lies in the
-    radical of b."""
+    Returns (x, yi, y, keep) and the kept rows' vectors, Gram rows and q
+    values.  Raises DegenerateForm when x lies in the radical of b."""
     (base, a), *rest = sol
     qx = None if rest or qs[base].is_zero() else qs[base] * a * a
     bx = vec.scale(a, G[base])
@@ -589,8 +562,8 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     drop = max(r for r, _ in sol if r != yi)
     keep = [c for c in range(len(G)) if c != yi and c != drop]
     hi, lo = max(yi, drop), min(yi, drop)
-    G2, qs2, moved = [], [], []
-    for at, c in enumerate(keep):
+    G2, qs2 = [], []
+    for c in keep:
         row, qc = G[c], qs[c]
         lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
         # q(w_c') = q(w_c) + lam_c^2 q(x) + mu_c^2 q(y), and for type I
@@ -606,8 +579,6 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
             row = vec.axpy(row, mc, lam)
         if bc is not None:
             row = vec.axpy(row, bc, bx)
-        if lc is not None or mc is not None:
-            moved.append(at)
         if vecs is not None:
             w = vecs[c]
             if lc is not None:
@@ -617,13 +588,14 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
             vecs2.append(w)
         G2.append(vec.drop(vec.drop(row, hi), lo))
         qs2.append(qc)
-    return (x, yi, y, keep, moved), vecs2, G2, qs2
+    return (x, yi, y, keep), vecs2, G2, qs2
 
 
 def metabolic_planes(S: ShiftedQuadSpace):
     """Decomposition into pairwise-orthogonal metabolic planes, or None
     when an anisotropic kernel remains; each round splits off the plane
-    of an isotropic relation among the current rows with `_split_plane`."""
+    of an isotropic relation among the current rows with `_split_plane`.
+    Each plane vector is a `GradedVector`, which checks the degree grid."""
     k = S.k
     vec = _vectors(k)
     n = S.n
@@ -631,13 +603,10 @@ def metabolic_planes(S: ShiftedQuadSpace):
     G = [vec.pack(row) for row in S.bmat]
     qs = list(S.qvals)
     degs = list(S.degrees)
-    # degree classes by their rank in Q/Z, and the coordinates that a
-    # vector of each class must leave zero
+    # degree classes by their rank in Q/Z
     cosets = [coset(d) for d in degs]
     order = sorted(set(cosets))
     cls = [order.index(c) for c in cosets]
-    off_grid = [vec.mask([i for i in range(n) if cls[i] != c])
-                for c in range(len(order))]
     if S.type_tag == "III" and any(
             cls.count(c) % 2 for c, g in enumerate(order)
             if coset(-g - S.eps) == g):
@@ -651,19 +620,13 @@ def metabolic_planes(S: ShiftedQuadSpace):
                                   lambda r, c: vec.entry(G[r], c) or k.zero)
         if sol is None:
             return None
-        (x, yi, y, keep, moved), vecs, G, qs = _split_plane(
+        (x, yi, y, keep), vecs, G, qs = _split_plane(
             vec, vecs, G, qs, sol, polar)
-        base = sol[0][0]
-        assert vec.vanishes_on(x, off_grid[cls[base]]) and \
-            vec.vanishes_on(y, off_grid[cls[yi]]), OFF_GRID
-        planes.append(((degs[base], x), (degs[yi], y)))
+        planes.append(((degs[sol[0][0]], x), (degs[yi], y)))
         degs = [degs[c] for c in keep]
         cls = [cls[c] for c in keep]
-        # the rows that did not move passed this check in an earlier round
-        assert all(vec.vanishes_on(vecs[a], off_grid[cls[a]]) for a in moved), \
-            OFF_GRID
-    return [tuple(GradedVector.on_grid(S, d, vec.unpack(v, n))
-                  for d, v in plane) for plane in planes]
+    return [tuple(GradedVector(S, d, vec.unpack(v, n)) for d, v in plane)
+            for plane in planes]
 
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:

@@ -11,6 +11,10 @@ Two regimes:
   matrix of exact entries is *certified* singular instead of drowning in
   lost precision.
 
+`mat_mul` takes a row of its left factor dense or as its sparse (s, a_s)
+pairs, as `quadform.gram_of` takes a column; the lift of a depth step
+passes its monomial columns so.
+
 The steps the splitting routines share live here once: the pivot rule
 `min_valuation` (the first nonzero entry under the trivial valuation of
 a residue field), the echelon pass `independent_rows` (the rank test
@@ -27,11 +31,13 @@ from .errors import PrecisionExhausted, SingularMatrix
 def mat_mul(A, B, zero):
     """A B, skipping every product with an exact-zero operand: such a
     product is an exact zero, and adding one changes neither the value
-    nor the precision of a sum."""
+    nor the precision of a sum.  A row of A may be given as its sparse
+    (s, a_s) pairs in index order, as `quadform.gram_of` takes a column."""
     n, m = len(A), len(B[0])
     out = [[zero] * m for _ in range(n)]
     for i in range(n):
-        Ai = [(s, a) for s, a in enumerate(A[i]) if not a.is_exactly_zero()]
+        Ai = A[i] if A[i] and type(A[i][0]) is tuple else \
+            [(s, a) for s, a in enumerate(A[i]) if not a.is_exactly_zero()]
         for j in range(m):
             acc = None
             for s, a in Ai:

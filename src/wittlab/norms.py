@@ -63,11 +63,12 @@ exact monomial, as a sparse column of (i, h_i) pairs; on exact qe and be
 it forms H^T be H with gram_of and the q values over the same pairs
 (exact values are canonical, so the bytes are those of the ambient
 columns); otherwise, or when that trips the degree cap over GF(2^m)(x),
-it lifts the ambient columns and re-forms the Gram from the polar
-matrix.  A reduced norm, and norm_sum and norm_shift of one, lifts its
-ambient basis on the first read, from the bases of the norms it came
-from; a long descent chains many such norms, and the first read walks
-the chain in a loop.
+it lifts the ambient columns, H times the transposed basis by
+`linalg.mat_mul` on the sparse rows H, and re-forms the Gram from the
+polar matrix.  A reduced norm, and norm_sum and norm_shift of one,
+lifts its ambient basis on the first read, from the bases of the norms
+it came from; a long descent chains many such norms, and the first read
+walks the chain in a loop.
 """
 
 from __future__ import annotations
@@ -537,19 +538,6 @@ def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
                            head, slack)
 
 
-def _lift(basis, H, zero):
-    """The ambient columns sum_i h_i e_i, each h a sparse list of (i, h_i)
-    pairs and e_i the columns of basis."""
-    cols = [[None] * len(basis) for _ in H]
-    for col, h in zip(cols, H):
-        for r, row in enumerate(basis):
-            for i, hi in h:
-                if not row[i].is_exactly_zero():
-                    t = hi * row[i]
-                    col[r] = t if col[r] is None else col[r] + t
-    return [[zero if x is None else x for x in col] for col in cols]
-
-
 def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     """One constructive reduction step, or NotReducible with evidence."""
     gamma = cert.eps
@@ -594,6 +582,10 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
                 "metabolic witness slack not certified positive")
         return eps_prime
 
+    def ambient(basis):
+        # the columns sum_i h_i e_i, e_i the columns of basis
+        return linalg.mat_mul(H, linalg.transpose(basis), F.zero)
+
     gram = lifted = None
     if _is_exact(cert):
         try:
@@ -601,12 +593,12 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
         except DegreeCapExceeded:
             pass  # the ambient sums may stay under the cap
     if gram is None:
-        lifted = _lift(parent.basis, H, F.zero)
+        lifted = ambient(parent.basis)
         gram = _gram_by_reforming(q, lifted, head, certify_slack)
     eps_prime, qe, G = gram
     values = [v + eps_prime for v in e_vals] + f_vals
     new_norm = VNorm(F, None, values, lift=((parent,), lambda basis:
-        linalg.transpose(_lift(basis, H, F.zero) if lifted is None else lifted)))
+        linalg.transpose(ambient(basis) if lifted is None else lifted)))
     res = check_compatibility(q, new_norm, gamma - eps_prime, _gram=(qe, G))
     if isinstance(res, CompatibilityViolation):
         raise PrecisionExhausted(

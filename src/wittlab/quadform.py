@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import (NotApplicable, PrecisionExhausted, RuleNotApplicable,
-                     SingularForm, SingularMatrix, WittlabError)
+from .errors import (DegreeCapExceeded, NotApplicable, PrecisionExhausted,
+                     RuleNotApplicable, SingularForm, SingularMatrix,
+                     WittlabError)
 from .fields.common import INF, is_exact, lower_bound
 
 
@@ -348,10 +349,19 @@ def _kept_split(q: QuadraticForm):
     """q's split by split_gram on its polar matrix, kept on q: per block,
     the block symplectic_blocks reports, its basis vectors and the
     valuation of its pivot.  Raises as symplectic_blocks does when a rest
-    is left, and keeps nothing then."""
+    is left, and keeps nothing then: SingularForm when the form has a
+    radical, which on exact U the division-free elimination of
+    linalg.is_invertible_certified decides, PrecisionExhausted when more
+    precision may split it."""
     if q._split is None:
         blocks, rest, pivots = _split_gram(q.polar_matrix(), q.field)
         if rest:
+            if is_exact(*q.U):
+                try:
+                    if not linalg.is_invertible_certified(q.polar_matrix()):
+                        raise SingularForm("form has a (certified) radical")
+                except DegreeCapExceeded:
+                    pass  # undecided; the checks below say how
             m = len(rest)
             if not all(rest[i][i].is_exactly_zero() for i in range(m)):
                 raise PrecisionExhausted(

@@ -10,8 +10,9 @@ additive, so the square-root coordinates form the same group and stay
 in canonical normalized form.  Over a perfect field the wedge group is
 trivial and the tensor group is k itself.
 
-Quadratic forms over k are `QuadraticForm`s.  Residue elements carry
-the trivial valuation, so
+Quadratic forms over k are `QuadraticForm`s, the totally singular q of
+a symplectic space too (`QuadraticForm.diagonal`, read by `evaluate`).
+Residue elements carry the trivial valuation, so
 `k_symplectic_blocks`, `sq_normalize` and `w_class_of_gram` are short
 callers of the one splitting kernel `quadform.split_gram`.
 
@@ -248,16 +249,6 @@ class SeparatedSpace:
         return len(self.pairs)
 
 
-def _diagonal_q(coeffs, k):
-    """The totally singular form x -> sum c_i x_i^2 on k^n."""
-    def q(x):
-        acc = k.zero
-        for xi, c in zip(x, coeffs):
-            acc = acc + xi * xi * c
-        return acc
-    return q
-
-
 def sq_normalize(qvals, bmat, k):
     """Symplectic normalization of raw totally-singular data (q values on a
     basis, alternating Gram matrix); returns (space, basis columns)."""
@@ -266,7 +257,7 @@ def sq_normalize(qvals, bmat, k):
     blocks, rest = split_gram(bmat, k)
     if rest:
         raise DegenerateForm("alternating form is degenerate")
-    q = _diagonal_q(qvals, k)
+    q = QuadraticForm.diagonal(k, qvals).evaluate
     pairs = tuple((q(e), q(f)) for _, e, f in blocks)
     return SymplecticQuadSpace(k, pairs), _pair_columns(blocks)
 

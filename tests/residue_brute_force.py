@@ -14,8 +14,7 @@ from wittlab import graded, linalg
 from wittlab.errors import UnsupportedResidueField, WittlabError
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
-                                  _diagonal_q, _split_isotropic,
-                                  sq_normalize)
+                                  _split_isotropic, sq_normalize)
 
 ORACLE_ENUM_CAP = 1 << 21
 
@@ -54,8 +53,8 @@ def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
     pairs = list(S.pairs)
     while pairs:
         n = 2 * len(pairs)
-        q = _diagonal_q([c for pair in pairs for c in pair], k)
-        found = _first_isotropic(k, n, q)
+        q = QuadraticForm.diagonal(k, [c for pair in pairs for c in pair])
+        found = _first_isotropic(k, n, q.evaluate)
         if found is None:
             return SymplecticQuadSpace(k, tuple(pairs))
         vec = graded._vectors(k)
@@ -82,8 +81,9 @@ def separated_anisotropic_part(S: SeparatedSpace) -> SeparatedSpace:
         for primal in (True, False):
             # a q-isotropic vec spans a <0 | *> line of a diagonalizing
             # basis, which splits off as a metabolic line (dually for q')
-            q = _diagonal_q([p[0] if primal else p[1] for p in pairs], k)
-            vec = _first_isotropic(k, len(pairs), q)
+            q = QuadraticForm.diagonal(
+                k, [p[0] if primal else p[1] for p in pairs])
+            vec = _first_isotropic(k, len(pairs), q.evaluate)
             if vec is not None:
                 pairs = _separated_split(pairs, vec, k, primal)
                 changed = True
@@ -100,8 +100,8 @@ def _separated_split(pairs, vec, k, primal: bool):
     # basis of V (or V*): vec, then the chosen unit vectors
     M = [list(r) for r in zip(*rows)]  # columns are the new basis
     Minv = linalg.invert_exact(M, k.zero, k.one)
-    q = _diagonal_q([a for a, _ in pairs], k)
-    q_dual = _diagonal_q([b for _, b in pairs], k)
+    q = QuadraticForm.diagonal(k, [a for a, _ in pairs]).evaluate
+    q_dual = QuadraticForm.diagonal(k, [b for _, b in pairs]).evaluate
     out = []
     for idx in range(1, n):
         col = [M[r][idx] for r in range(n)]

@@ -213,6 +213,17 @@ def test_json_matrix_with_integer_entries():
     assert code == 1 and json.loads(out)["error"] == "SingularForm"
 
 
+def test_a_scrambled_singular_form_is_singular_not_precision_exhausted():
+    # a singular U over Q_2 under a basis change: its split leaves a rest
+    # that no precision certifies, and the exact entries decide the radical
+    code, out = run_cli(["depth", "--field", "q2", "[[10, 15, 4, 1], "
+                         "[0, 24, 29, 10], [0, 0, 15, 13], [0, 0, 0, 3]]"])
+    assert code == 1
+    assert json.loads(out) == {"error": "SingularForm",
+                               "message": "form has a (certified) radical",
+                               "schema": "wittlab/1"}
+
+
 @pytest.mark.parametrize("argv, option", [
     (["depth", "--precision", "-3", "[1/(1+t),t^-1]"], "--precision"),
     (["depth", "--precision", "0", "[1/(1+t),t^-1]"], "--precision"),

@@ -1174,6 +1174,3 @@ def test_packed_slot_vectors_match_ff_arithmetic(m, data):
                                   if not x.is_zero()), None)
     i = data.draw(st.integers(0, n - 1))
     assert vec.unpack(vec.drop(pu, i), n - 1) == tuple(u[:i] + u[i + 1:])
-    slots = data.draw(st.sets(st.integers(0, n - 1)))
-    assert vec.vanishes_on(pu, vec.mask(slots)) == \
-        all(u[s].is_zero() for s in slots)

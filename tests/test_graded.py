@@ -119,6 +119,26 @@ def test_split_offgrid_plane_is_metabolic():
     assert report.metabolic and len(report.planes) == 1
 
 
+def test_metabolic_planes_check_the_degree_grid(monkeypatch):
+    # a plane vector with a coordinate outside its degree class leaves
+    # metabolic_planes as GridViolation from GradedVector, under -O too
+    k = F2T.residue_field
+    third = Fraction(1, 3)
+    S = ShiftedQuadSpace(k, F2T.v2, 1, [third, -third - 1],
+                         [k.zero, k.zero],
+                         [[k.zero, k.one], [k.one, k.zero]], "II")
+    real = graded._split_plane
+
+    def off_grid(vec, *args, **kwargs):
+        (x, yi, *plane), *rest = real(vec, *args, **kwargs)
+        return (vec.axpy(x, k.one, vec.units(S.n)[yi]), yi, *plane), *rest
+
+    assert len(graded.metabolic_planes(S)) == 1
+    monkeypatch.setattr(graded, "_split_plane", off_grid)
+    with pytest.raises(GridViolation, match="off the degree grid"):
+        graded.metabolic_planes(S)
+
+
 def test_split_reassembles():
     S = induced("sum([1,1], [t, t^-1])", F2T)
     parts, psi, maps = split_principal_metabolic(S)

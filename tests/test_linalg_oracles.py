@@ -966,6 +966,22 @@ def test_evaluate_matches_parent(name, seed):
 
 @pytest.mark.parametrize("shorthand", VALUED)
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_takes_sparse_rows(shorthand, seed):
+    """Rows of A given as their sparse (s, a_s) pairs, as the lift of
+    norms.depth_reduce passes them, give the product of the same rows
+    dense: every entry's value and precision."""
+    F = GRAM_FIELDS[shorthand]
+    rng = random.Random(seed)
+    B, A, _ = _gram_data(F, rng)
+    sparse = [[(s, a) for s, a in enumerate(row) if not a.is_exactly_zero()]
+              for row in A]
+    assert _spelled(_outcome(linalg.mat_mul, sparse, B, F.zero)) == \
+        _spelled(_outcome(linalg.mat_mul, A, B, F.zero))
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+@given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_initial_norm_matches_parent(shorthand, seed):
     F = field_shorthand(shorthand, precision=32)
@@ -1017,11 +1033,11 @@ def test_reduced_norms_lift_their_basis_when_read(shorthand, monkeypatch):
     rng = random.Random(f"lazy basis {shorthand}")
     lifts = []
 
-    def spy(*args, _real=norms._lift):
+    def spy(*args, _real=linalg.mat_mul):
         lifts.append(True)
         return _real(*args)
 
-    monkeypatch.setattr(norms, "_lift", spy)
+    monkeypatch.setattr(linalg, "mat_mul", spy)
     for _ in range(300):
         q = _loop_form(F, rng)
         try:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wittlab import arason
-from wittlab.errors import RuleNotApplicable, SingularForm
+from wittlab import arason, linalg, norms
+from wittlab.errors import (DegreeCapExceeded, PrecisionExhausted,
+                            RuleNotApplicable, SingularForm)
 from wittlab.fields import make_field
 from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import (QuadraticForm, WittExpr, gram_of, rewrite,
@@ -195,6 +196,34 @@ def test_symplectic_blocks_diag_q2():
 def test_symplectic_blocks_singular():
     with pytest.raises(SingularForm):
         symplectic_blocks(QuadraticForm.diagonal(F2T, [F2T.one, F2T.one]))
+
+
+# U = [[1,2,0,0],[0,1,0,0],[0,0,1,1],[0,0,0,3]] over Q_2, whose polar block
+# [[2,2],[2,2]] is singular, changed by L = [[1,0,0,0],[2,1,0,0],
+# [1,4,1,0],[0,1,2,1]]: the split divides by non-units and leaves a rest
+# that is zero only to precision
+SCRAMBLED_SINGULAR = \
+    "[[10, 15, 4, 1], [0, 24, 29, 10], [0, 0, 15, 13], [0, 0, 0, {}]]"
+
+
+@pytest.mark.parametrize("precision", (16, 64, 1024))
+def test_scrambled_exact_singular_form_is_singular(precision):
+    F = make_field("dyadic", precision=precision)
+    q = parse_form(SCRAMBLED_SINGULAR.format(3), F)
+    with pytest.raises(SingularForm, match="radical"):
+        norms.wildness_index(q)
+    truncated = parse_form(SCRAMBLED_SINGULAR.format('"3 + O(2^40)"'), F)
+    with pytest.raises(PrecisionExhausted):
+        norms.wildness_index(truncated)
+
+
+def test_undecided_singularity_stays_precision_exhausted(monkeypatch):
+    def capped(A):
+        raise DegreeCapExceeded("capped")
+
+    monkeypatch.setattr(linalg, "is_invertible_certified", capped)
+    with pytest.raises(PrecisionExhausted):
+        symplectic_blocks(parse_form(SCRAMBLED_SINGULAR.format(3), Q2))
 
 
 # -- the rewrite engine ---------------------------------------------------------

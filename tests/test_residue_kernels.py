@@ -228,7 +228,7 @@ def _planes_by_rounds(S):
             S, cls, qs, lambda r, c: vec.entry(G[r], c) or S.k.zero)
         if sol is None:
             return None
-        (_, _, _, keep, _), _, G, qs = graded._split_plane(
+        (_, _, _, keep), _, G, qs = graded._split_plane(
             vec, None, G, qs, sol, polar=False)
         cls = [cls[c] for c in keep]
         planes += 1
