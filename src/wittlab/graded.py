@@ -31,7 +31,32 @@ of a descent, totally singular over k, are those of
 The rank test of condition (c) in `norms.check_compatibility` runs on
 the same layouts (`rank`), and the Arf bit of `residue_witt` runs
 `_split_plane` too, from a first row that need not be isotropic, on
-Gram rows and q values alone (no vectors).
+Gram rows and q values alone (no vectors).  That rank test keeps its
+packed rows on the certificate, and the induced space hands them to
+`metabolic_planes` (`ShiftedQuadSpace.rows`), so no row is packed twice;
+a space built without them packs bmat.
+
+Over GF(2^m) the rounds of `metabolic_planes` are a pure function,
+`_plane_rounds`, of (k, type, eps, degrees, q values, Gram rows), and
+the sums of W_q(Q_2) classes meet the same small spaces again and
+again, so they are looked up in `planes_memo`: one `functools.lru_cache`
+of `PLANES_MEMO_SIZE` = 1024 entries, which holds the whole working set
+of the bench's `q2-class-sums` (about 600 spaces).  Its key is k, the
+type tag, eps, the degrees, the q values packed into one int and the
+packed Gram rows; its value is the planes as (degree, packed vector)
+pairs, x then y of each plane in one flat tuple, or None: never a space
+or a `GradedVector`, and no tuple per plane.  An error is never
+kept, so it is raised again on the next call.  Each call, a hit too,
+builds new `GradedVector`s of the caller's space, so every plane refers
+to that space and the degree grid is checked on every call.
+`planes_memo.cache_info()` gives the hit and miss counts and
+`cache_clear()` empties it.  Over GF(2^m)(x) the rounds run without the
+memo: the key would hash and compare rational-function coordinates
+entry by entry, and the bench's `ratfunc-semidecision` meets few spaces
+twice.  `orbit_invariants` is not memoized either: it costs little next
+to the planes, and the traced pass of `bench/run.py --trace 1`, which
+replays the ops of its untraced pass, must still reach the layers it
+calls (`linalg.invert_exact` on `laurent-pipeline`).
 
 Over the perfect residue field of Q_2 a type-III orbit needs no split:
 every unit is a square and <1, 1> is metabolic, so the W(k) class of a
@@ -44,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import linalg, residue_witt
 from .errors import (DegenerateForm, GridViolation, NotApplicable,
@@ -79,7 +104,11 @@ class HomogeneousScalar:
 
 
 class ShiftedQuadSpace:
-    def __init__(self, k, v2, eps, degrees, qvals, bmat, type_tag):
+    """rows, when given, are the rows of bmat in the layout of
+    `_vectors(k)`, which `metabolic_planes` splits on instead of packing
+    bmat again."""
+
+    def __init__(self, k, v2, eps, degrees, qvals, bmat, type_tag, rows=None):
         self.k = k
         self.v2 = v2  # Fraction or INF; needed to tell types II and III apart
         self.eps = grid(eps)
@@ -88,6 +117,7 @@ class ShiftedQuadSpace:
         self.bmat = tuple(tuple(row) for row in bmat)
         self.type_tag = type_tag
         self.n = len(self.degrees)
+        self.rows = None if rows is None else tuple(rows)
 
     def __repr__(self):
         return (f"ShiftedQuadSpace(eps={self.eps}, type {self.type_tag}, "
@@ -348,15 +378,15 @@ class MetabolicityReport:
     evidence: dict = field(default_factory=dict)  # orbit -> invariant
 
 
-def _find_isotropic_rel(S: ShiftedQuadSpace, cls, qs, entry):
-    """Isotropic k-combination of the current rows, as the (row, nonzero
-    coefficient) pairs in row order; cls[r] is the degree class of row r,
-    qs[r] its q value and entry(r, c) an entry of their Gram matrix.
+def _find_isotropic_rel(k, type_tag, cls, qs, entry):
+    """Isotropic k-combination of the current rows of a space of type
+    type_tag over k, as the (row, nonzero coefficient) pairs in row
+    order; cls[r] is the degree class of row r, qs[r] its q value and
+    entry(r, c) an entry of their Gram matrix.
 
     None certifies anisotropy except for type I over an imperfect residue
     field, where Undecidable is raised.
     """
-    k = S.k
     classes: dict = {}
     for r, c in enumerate(cls):
         classes.setdefault(c, []).append(r)
@@ -366,7 +396,7 @@ def _find_isotropic_rel(S: ShiftedQuadSpace, cls, qs, entry):
         for r in idx:
             if qs[r].is_zero():
                 return [(r, k.one)]
-        if S.type_tag in ("II", "III"):
+        if type_tag in ("II", "III"):
             if k.is_perfect:
                 # the kernel of one row (s_r) = (sqrt q_r), no s_r zero:
                 # its first basis vector is (s_1 / s_0, 1, 0, ...)
@@ -591,42 +621,78 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     return (x, yi, y, keep), vecs2, G2, qs2
 
 
-def metabolic_planes(S: ShiftedQuadSpace):
-    """Decomposition into pairwise-orthogonal metabolic planes, or None
-    when an anisotropic kernel remains; each round splits off the plane
-    of an isotropic relation among the current rows with `_split_plane`.
-    Each plane vector is a `GradedVector`, which checks the degree grid."""
-    k = S.k
+def _plane_rounds(k, type_tag, eps, degrees, qs, rows):
+    """The rounds of `metabolic_planes` on a space given by its data: the
+    planes as one flat tuple of (degree, x, degree, y) runs, x and y in
+    the layout of `_vectors(k)`, or None when an anisotropic kernel
+    remains."""
     vec = _vectors(k)
-    n = S.n
-    vecs = vec.units(n)
-    G = [vec.pack(row) for row in S.bmat]
-    qs = list(S.qvals)
-    degs = list(S.degrees)
+    vecs = vec.units(len(degrees))
+    G, qs, degs = list(rows), list(qs), list(degrees)
     # degree classes by their rank in Q/Z
     cosets = [coset(d) for d in degs]
     order = sorted(set(cosets))
     cls = [order.index(c) for c in cosets]
-    if S.type_tag == "III" and any(
+    if type_tag == "III" and any(
             cls.count(c) % 2 for c, g in enumerate(order)
-            if coset(-g - S.eps) == g):
+            if coset(-g - eps) == g):
         # the plane of a vector in a class that b pairs with itself lies
         # in that class, so a class of odd dimension keeps a line
         return None
-    polar = S.type_tag == "I"
+    polar = type_tag == "I"
     planes = []
     while vecs:
-        sol = _find_isotropic_rel(S, cls, qs,
+        sol = _find_isotropic_rel(k, type_tag, cls, qs,
                                   lambda r, c: vec.entry(G[r], c) or k.zero)
         if sol is None:
             return None
         (x, yi, y, keep), vecs, G, qs = _split_plane(
             vec, vecs, G, qs, sol, polar)
-        planes.append(((degs[sol[0][0]], x), (degs[yi], y)))
+        planes += degs[sol[0][0]], x, degs[yi], y
         degs = [degs[c] for c in keep]
         cls = [cls[c] for c in keep]
-    return [tuple(GradedVector(S, d, vec.unpack(v, n)) for d, v in plane)
-            for plane in planes]
+    return tuple(planes)
+
+
+# the number of spaces the memo of metabolic_planes keeps; the sums of
+# W_q(Q_2) class representatives of the bench's q2-class-sums meet 613
+# distinct ones at seed 1
+PLANES_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=PLANES_MEMO_SIZE)
+def planes_memo(k, type_tag, eps, degrees, qbits, rows):
+    """`_plane_rounds` over GF(2^m), its q values packed into the one int
+    qbits: a pure function of its arguments, and all of them hash."""
+    return _plane_rounds(k, type_tag, eps, degrees,
+                         _vectors(k).unpack(qbits, len(degrees)), rows)
+
+
+def metabolic_planes(S: ShiftedQuadSpace):
+    """Decomposition into pairwise-orthogonal metabolic planes, or None
+    when an anisotropic kernel remains; each round splits off the plane
+    of an isotropic relation among the current rows with `_split_plane`.
+    Over GF(2^m) the rounds are looked up in `planes_memo`, keyed on the
+    space's data with its q values and Gram rows packed.  Each plane
+    vector is a new `GradedVector` of S, whose construction checks the
+    degree grid, on a hit too."""
+    k = S.k
+    vec = _vectors(k)
+    rows = S.rows
+    if rows is None:
+        rows = tuple(vec.pack(row) for row in S.bmat)
+    if isinstance(k, GF2m):
+        planes = planes_memo(k, S.type_tag, S.eps, S.degrees,
+                             vec.pack(S.qvals), rows)
+    else:
+        planes = _plane_rounds(k, S.type_tag, S.eps, S.degrees, S.qvals, rows)
+    if planes is None:
+        return None
+    n = S.n
+    runs = iter(planes)  # (degree, x, degree, y) four at a time
+    return [(GradedVector(S, dx, vec.unpack(x, n)),
+             GradedVector(S, dy, vec.unpack(y, n)))
+            for dx, x, dy, y in zip(runs, runs, runs, runs)]
 
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:

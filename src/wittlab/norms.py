@@ -20,7 +20,11 @@ GF(2^m), `linalg.independent_rows` on coordinate tuples over
 GF(2^m)(x), where a degree cap can trip.  A certificate carries the
 Gram data it was certified with (q(e_i), b(e_i, e_j) and their leading
 coefficients), so the induced space, the depth-reduction step and the
-residue symbol read it instead of recomputing it.
+residue symbol read it instead of recomputing it.  It keeps the packed
+rows of the rank test too: the induced space splits on them, and over
+GF(2^m) they key the memo of `graded.metabolic_planes` (with k, the
+type, eps, the degrees and the packed q values), so a depth step whose
+induced space an earlier step met looks its planes up.
 
 Depth reduction follows the constructive proof of the metabolicity
 criterion: decompose the induced space into metabolic planes, lift the
@@ -170,6 +174,9 @@ class DepthCertificate:
     qe: list = datafield(repr=False, compare=False)
     be: list = datafield(repr=False, compare=False)
     lead: list = datafield(repr=False, compare=False)
+    # the rows of lead in the layout of graded._vectors, which the rank
+    # test of (c) formed and the induced space splits on
+    rows: tuple = datafield(default=None, repr=False, compare=False)
     # orbit -> residue invariant of the induced space, kept by descend
     # from the NotReducible step that stopped it
     evidence: dict = datafield(default=None, repr=False, compare=False)
@@ -240,10 +247,11 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     for i, j, b, deg in at:
         lead[i][j] = lead[j][i] = b.coeff_at(deg)
     vec = graded._vectors(k)
-    if vec.rank([vec.pack(row) for row in lead]) < n:
+    rows = tuple(vec.pack(row) for row in lead)
+    if vec.rank(rows) < n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
-    return DepthCertificate(q, norm, eps, qe, be, lead)
+    return DepthCertificate(q, norm, eps, qe, be, lead, rows)
 
 
 def require_certificate(q, norm, eps, _gram=None) -> DepthCertificate:
@@ -274,7 +282,7 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
     else:
         tag = "II"
     return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead,
-                            tag)
+                            tag, cert.rows)
 
 
 # -- norm algebra ------------------------------------------------------------

@@ -135,8 +135,11 @@ def test_metabolic_planes_check_the_degree_grid(monkeypatch):
 
     assert len(graded.metabolic_planes(S)) == 1
     monkeypatch.setattr(graded, "_split_plane", off_grid)
+    # the first call left the planes of S in the memo: a hit runs no round
+    graded.planes_memo.cache_clear()
     with pytest.raises(GridViolation, match="off the degree grid"):
         graded.metabolic_planes(S)
+    graded.planes_memo.cache_clear()  # the off-grid planes go too
 
 
 def test_split_reassembles():

@@ -225,7 +225,8 @@ def _planes_by_rounds(S):
     planes = 0
     while G:
         sol = graded._find_isotropic_rel(
-            S, cls, qs, lambda r, c: vec.entry(G[r], c) or S.k.zero)
+            S.k, S.type_tag, cls, qs,
+            lambda r, c: vec.entry(G[r], c) or S.k.zero)
         if sol is None:
             return None
         (_, _, _, keep), _, G, qs = graded._split_plane(
