@@ -25,9 +25,12 @@ basis; the Gram rows and q values of the kept rows are updated in
 place.  Over GF(2^m) its vectors and Gram rows are ints in the slot
 layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
 (`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s,
-whose construction is the one check of the degree grid.  The q values
-of a descent, totally singular over k, are those of
-`QuadraticForm.diagonal` (`evaluate`).
+whose construction is the one check of the degree grid.  A
+`GradedVector` carries its support, the indices of its nonzero
+coordinates, which over GF(2^m) is read off the packed slots; the grid
+check and the monomial columns of `norms.depth_reduce` run over it, not
+over the whole coordinate tuple.  The q values of a descent, totally
+singular over k, are those of `QuadraticForm.diagonal` (`evaluate`).
 The rank test of condition (c) in `norms.check_compatibility` runs on
 the same layouts (`rank`), and the Arf bit of `residue_witt` runs
 `_split_plane` too, from a first row that need not be isotropic, on
@@ -126,19 +129,26 @@ class ShiftedQuadSpace:
 
 @dataclass(frozen=True)
 class GradedVector:
-    """Homogeneous vector: coords[i] multiplies T^(degree - gamma_i) e_i."""
+    """Homogeneous vector: coords[i] multiplies T^(degree - gamma_i) e_i.
+    support lists the i with coords[i] nonzero, ascending; read off the
+    coordinates when not given."""
 
     space: ShiftedQuadSpace
     degree: Fraction
     coords: tuple
+    support: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, c in enumerate(self.coords):
-            if not c.is_zero() and not _is_int(self.degree - self.space.degrees[i]):
+        if self.support is None:
+            object.__setattr__(self, "support", tuple(
+                i for i, c in enumerate(self.coords) if not c.is_zero()))
+        degrees = self.space.degrees
+        for i in self.support:
+            if not _is_int(self.degree - degrees[i]):
                 raise GridViolation("coordinate in a slot off the degree grid")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not self.support
 
 
 # -- validation ---------------------------------------------------------------
@@ -449,12 +459,31 @@ class _Slots:
                 v |= c.bits << (S * i)
         return v
 
-    def unpack(self, v, n):
-        out = [self.elem(0)] * n
+    def pack_symmetric(self, mat, entries):
+        """The rows of the symmetric matrix mat, packed from entries, the
+        (i, j, mat[i][j]) triples, i <= j, that hold every nonzero entry
+        of its upper triangle."""
+        S, rows = self.S, [0] * len(mat)
+        for i, j, c in entries:
+            rows[i] |= c.bits << (S * j)
+            rows[j] |= c.bits << (S * i)
+        return tuple(rows)
+
+    def support(self, v):
+        """The nonzero coordinates of v, ascending."""
+        S, smask, out = self.S, self.smask, []
         while v:
-            i = self.first(v)
-            out[i] = self.entry(v, i)
-            v &= ~(self.smask << (self.S * i))
+            i = ((v & -v).bit_length() - 1) // S
+            out.append(i)
+            v &= ~(smask << (S * i))
+        return tuple(out)
+
+    def unpack(self, v, n, support=None):
+        """The coordinates of v; support, if given, is support(v)."""
+        S, smask, elem = self.S, self.smask, self.elem
+        out = [elem(0)] * n
+        for i in self.support(v) if support is None else support:
+            out[i] = elem(v >> (S * i) & smask)
         return tuple(out)
 
     def entry(self, v, i):
@@ -510,7 +539,13 @@ class _Coords:
     def pack(self, coords):
         return tuple(coords)
 
-    def unpack(self, v, n):
+    def pack_symmetric(self, mat, entries):
+        return tuple(map(tuple, mat))
+
+    def support(self, v):
+        return tuple(i for i, c in enumerate(v) if not c.is_zero())
+
+    def unpack(self, v, n, support=None):
         return v
 
     def entry(self, v, i):
@@ -589,7 +624,12 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     qy = qs[yi] * sc * sc
     if qy.is_zero():
         qy = None
-    drop = max(r for r, _ in sol if r != yi)
+    drop = max((r for r, _ in sol if r != yi), default=None)
+    if drop is None:
+        # x = a w_yi has b(x, x) != 0, which no space of its type allows:
+        # b is alternating for types I and II, and b(x, x) = tau q(x) = 0
+        # for type III, as sol is isotropic there
+        raise DegenerateForm("a one-row relation pairs only with its own row")
     keep = [c for c in range(len(G)) if c != yi and c != drop]
     hi, lo = max(yi, drop), min(yi, drop)
     G2, qs2 = [], []
@@ -689,9 +729,13 @@ def metabolic_planes(S: ShiftedQuadSpace):
     if planes is None:
         return None
     n = S.n
+
+    def graded_vector(degree, v):
+        support = vec.support(v)
+        return GradedVector(S, degree, vec.unpack(v, n, support), support)
+
     runs = iter(planes)  # (degree, x, degree, y) four at a time
-    return [(GradedVector(S, dx, vec.unpack(x, n)),
-             GradedVector(S, dy, vec.unpack(y, n)))
+    return [(graded_vector(dx, x), graded_vector(dy, y))
             for dx, x, dy, y in zip(runs, runs, runs, runs)]
 
 

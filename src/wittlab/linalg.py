@@ -11,9 +11,11 @@ Two regimes:
   matrix of exact entries is *certified* singular instead of drowning in
   lost precision.
 
-`mat_mul` takes a row of its left factor dense or as its sparse (s, a_s)
-pairs, as `quadform.gram_of` takes a column; the lift of a depth step
-passes its monomial columns so.
+A sparse vector or row is the list of its (s, a_s) pairs, a_s not an
+exact zero, in index order (`sparse`; `dense` reads n such rows back
+as an n x n matrix).  `mat_mul` takes a row of its left factor dense or
+so, as `quadform.gram_of` takes a column and a row of its Gram; the
+lift of a depth step passes its monomial columns so.
 
 The steps the splitting routines share live here once: the pivot rule
 `min_valuation` (the first nonzero entry under the trivial valuation of
@@ -28,16 +30,32 @@ from __future__ import annotations
 from .errors import PrecisionExhausted, SingularMatrix
 
 
+def sparse(v):
+    """v as its (s, a_s) pairs, a_s not an exact zero, in index order: v
+    itself when it is given so, else read off the coordinate list v."""
+    if v and type(v[0]) is not tuple:
+        return [(s, a) for s, a in enumerate(v) if not a.is_exactly_zero()]
+    return v
+
+
+def dense(rows, zero):
+    """The n x n matrix of n sparse rows, exact zeros off their pairs."""
+    out = [[zero] * len(rows) for _ in rows]
+    for row, pairs in zip(out, rows):
+        for j, b in pairs:
+            row[j] = b
+    return out
+
+
 def mat_mul(A, B, zero):
     """A B, skipping every product with an exact-zero operand: such a
     product is an exact zero, and adding one changes neither the value
-    nor the precision of a sum.  A row of A may be given as its sparse
-    (s, a_s) pairs in index order, as `quadform.gram_of` takes a column."""
+    nor the precision of a sum.  A row of A may be given sparse, as
+    `quadform.gram_of` takes a column."""
     n, m = len(A), len(B[0])
     out = [[zero] * m for _ in range(n)]
     for i in range(n):
-        Ai = A[i] if A[i] and type(A[i][0]) is tuple else \
-            [(s, a) for s, a in enumerate(A[i]) if not a.is_exactly_zero()]
+        Ai = sparse(A[i])
         for j in range(m):
             acc = None
             for s, a in Ai:

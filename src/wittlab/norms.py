@@ -11,16 +11,22 @@ A depth certificate witnesses the three compatibility conditions at
 depth eps: (a) and (b) are valuation bounds on the splitting basis, (c)
 is invertibility over the residue field of the matrix of leading
 coefficients, which is exactly nondegeneracy of the induced graded
-form.  One pass over the nonzero upper triangle of the Gram checks (a),
-its bounds compared as ints in units of the common denominator of the
-values and eps, and collects the entries that lead at their threshold.
-(c) is then the rank of the rows of the mirrored leading coefficients
-in the layout of `graded._vectors`: elimination on packed ints over
+form.  A certificate carries the Gram data it was certified with
+(q(e_i), b(e_i, e_j) and their leading coefficients), so the induced
+space, the depth-reduction step and the residue symbol read it instead
+of recomputing it.  The Gram is kept as sparse rows (`linalg.sparse`):
+row i holds the (j, b(e_i, e_j)) pairs whose entry is not an exact
+zero, in j order.  On exact data the rows are mirrored; on truncated
+data they hold both triangles as `gram_of` formed them, whose sums can
+certify different precisions.  Only split_respecting_norm reads a dense
+view (`DepthCertificate.gram`).  One pass over the upper-triangle pairs
+of the rows checks (a), its bounds compared as ints in units of the
+common denominator of the values and eps, and collects the entries that
+lead at their threshold.  (c) is then the rank of the rows of the
+mirrored leading coefficients in the layout of `graded._vectors`:
+elimination on ints packed straight from the leading entries over
 GF(2^m), `linalg.independent_rows` on coordinate tuples over
-GF(2^m)(x), where a degree cap can trip.  A certificate carries the
-Gram data it was certified with (q(e_i), b(e_i, e_j) and their leading
-coefficients), so the induced space, the depth-reduction step and the
-residue symbol read it instead of recomputing it.  It keeps the packed
+GF(2^m)(x), where a degree cap can trip.  It keeps the packed
 rows of the rank test too: the induced space splits on them, and over
 GF(2^m) they key the memo of `graded.metabolic_planes` (with k, the
 type, eps, the degrees and the packed q values), so a depth step whose
@@ -53,26 +59,27 @@ form; the depth and the residue symbol do not.
 
 Gram matrices are symmetric.  initial_norm takes its q values from the
 split's evaluations, and on an exact form and split basis its Gram too,
-formed in one pass: b(e, e) on a line, 1 for b(e, f) on a pair, exact
-zeros across blocks; otherwise gram_of forms the Gram on the basis
-columns.  The split is the form's kept `symplectic_blocks`, which an
-exact orthogonal sum merges from its summands' splits, so a summand
-that enters many sums is split once.  Over truncated data gram_of forms
-both triangles, whose sums can certify different precisions;
-check_compatibility reads the upper one, which (a) certifies, on its
-entries that are not exact zeros (an exact zero passes (a) and leads
-with zero), and mirrors the leading coefficients.
+its rows emitted block by block: b(e, e) on a line, 1 for b(e, f) on a
+pair, nothing across blocks; otherwise gram_of forms the Gram rows on
+the basis columns.  extend_certificate appends the summand's polar rows,
+shifted past the old block, to the old rows.  The split is the form's
+kept `symplectic_blocks`, which an exact orthogonal sum merges from its
+summands' splits, so a summand that enters many sums is split once.
+check_compatibility reads the upper triangle, which (a) certifies (an
+exact zero passes (a) and leads with zero), and mirrors the leading
+coefficients.
 depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
-exact monomial, as a sparse column of (i, h_i) pairs; on exact qe and be
-it forms H^T be H with gram_of and the q values over the same pairs
-(exact values are canonical, so the bytes are those of the ambient
-columns); otherwise, or when that trips the degree cap over GF(2^m)(x),
-it lifts the ambient columns, H times the transposed basis by
-`linalg.mat_mul` on the sparse rows H, and re-forms the Gram from the
-polar matrix.  A reduced norm, and norm_sum and norm_shift of one,
-lifts its ambient basis on the first read, from the bases of the norms
-it came from; a long descent chains many such norms, and the first read
-walks the chain in a loop.
+exact monomial, as a sparse column of (i, h_i) pairs read off the
+plane vector's support (`graded.GradedVector.support`); on exact qe and
+be it forms H^T be H with gram_of on the rows of be and the q values
+over the same pairs (exact values are canonical, so the bytes are those
+of the ambient columns); otherwise, or when that trips the degree cap
+over GF(2^m)(x), it lifts the ambient columns, H times the transposed
+basis by `linalg.mat_mul` on the sparse rows H, and re-forms the Gram
+rows from the polar matrix.  A reduced norm, and norm_sum and
+norm_shift of one, lifts its ambient basis on the first read, from the
+bases of the norms it came from; a long descent chains many such norms,
+and the first read walks the chain in a loop.
 """
 
 from __future__ import annotations
@@ -164,9 +171,10 @@ class CompatibilityViolation:
 @dataclass
 class DepthCertificate:
     """The form, the norm and the depth it is compatible at, with the Gram
-    data on the norm's splitting basis that certified it: qe[i] = q(e_i),
-    be[i][j] = b(e_i, e_j) and lead[i][j], the residue coefficient of
-    be[i][j] at degree g_i + g_j + eps."""
+    data on the norm's splitting basis that certified it: qe[i] = q(e_i);
+    be, the Gram b(e_i, e_j) as sparse rows, be[i] the (j, b(e_i, e_j))
+    pairs that are not exact zeros, in j order; and lead[i][j], the
+    residue coefficient of b(e_i, e_j) at degree g_i + g_j + eps."""
 
     form: QuadraticForm
     norm: VNorm
@@ -187,11 +195,15 @@ class DepthCertificate:
         res = check_compatibility(self.form, self.norm, self.eps)
         return isinstance(res, DepthCertificate)
 
+    def gram(self):
+        """be as a dense n x n matrix."""
+        return linalg.dense(self.be, self.form.field.zero)
+
 
 def _gram_on_basis(q: QuadraticForm, norm: VNorm):
     cols = [norm.column(i) for i in range(norm.n)]
     qe = [q.evaluate(c) for c in cols]
-    be = gram_of(q.polar_matrix(), cols, q.field.zero)
+    be = gram_of(q.polar_matrix(), cols)
     return qe, be
 
 
@@ -200,8 +212,9 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     """Verify (a), (b) on the splitting basis and (c) as nondegeneracy of
     the induced graded form; returns a certificate or the first violation.
 
-    _gram, a (qe, be) pair already computed on the norm's basis, is used
-    instead of recomputing it."""
+    _gram, a (qe, be) pair already computed on the norm's basis, be as
+    the sparse rows of a DepthCertificate, is used instead of recomputing
+    it."""
     eps = grid(eps)
     if q.n != norm.n:
         return CompatibilityViolation("a", "dimension mismatch")
@@ -221,15 +234,15 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
                     "b", f"v(q(e_{i})) = {lb} < {2 * g[i]}")
             raise PrecisionExhausted(
                 f"cannot certify v(q(e_{i})) >= {2 * g[i]}")
-    # one pass over the upper triangle, thr = g_i + g_j + eps: (a), and
-    # the entries that lead at thr.  An exact zero passes (a) and leads
-    # with zero, and so does an entry certified above thr
+    # one pass over the upper triangle of the rows, thr = g_i + g_j + eps:
+    # (a), and the entries that lead at thr.  An exact zero, which the rows
+    # leave out, passes (a) and leads with zero, and so does an entry
+    # certified above thr
     at = []
-    for i in range(n):
-        row, ti = be[i], gD[i] + e
-        for j in range(i, n):
-            b = row[j]
-            if b.is_exactly_zero():
+    for i, row in enumerate(be):
+        ti = gD[i] + e
+        for j, b in row:
+            if j < i:
                 continue
             lb = b.low_bound()
             if lb * D < ti + gD[j]:
@@ -244,10 +257,11 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     # b is symmetric: read the upper triangle that (a) certified, mirror it
     k = q.field.residue_field
     lead = [[k.zero] * n for _ in range(n)]
-    for i, j, b, deg in at:
-        lead[i][j] = lead[j][i] = b.coeff_at(deg)
+    at = [(i, j, b.coeff_at(deg)) for i, j, b, deg in at]
+    for i, j, c in at:
+        lead[i][j] = lead[j][i] = c
     vec = graded._vectors(k)
-    rows = tuple(vec.pack(row) for row in lead)
+    rows = vec.pack_symmetric(lead, at)
     if vec.rank(rows) < n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
@@ -380,19 +394,17 @@ def initial_norm(q: QuadraticForm) -> DepthCertificate:
     eps = max(b[1] for b in built)
     values = [v for b in built for v in _values_at_depth(b, eps)]
     if is_exact(*q.U, *M):
-        # the Gram the split formed: b(e, e) on a line, b(e, f) = 1 on a
-        # pair, exact zeros across blocks
-        be = [[F.zero] * q.n for _ in range(q.n)]
-        at = 0
+        # the rows of the Gram the split formed: b(e, e) on a line,
+        # b(e, f) = 1 on a pair, nothing across blocks
+        be = []
         for blk in blocks:
+            at = len(be)
             if blk[0] == "line":
-                be[at][at] = blk[2]
-                at += 1
+                be.append([(at, blk[2])])
             else:
-                be[at][at + 1] = be[at + 1][at] = F.one
-                at += 2
+                be += [(at + 1, F.one)], [(at, F.one)]
     else:
-        be = gram_of(q.polar_matrix(), linalg.transpose(M), F.zero)
+        be = gram_of(q.polar_matrix(), linalg.transpose(M))
     res = check_compatibility(q, VNorm(F, M, values), eps, _gram=(qe, be))
     if isinstance(res, CompatibilityViolation):
         raise SingularForm(f"initial norm failed to certify: {res!r}")
@@ -425,12 +437,14 @@ def extend_certificate(cert: DepthCertificate,
             f"summand depth {built[1]} exceeds the certified depth {eps}")
     norm = VNorm(F, built[0].basis, _values_at_depth(built, eps))
     # on the builder's standard basis the q values are U's diagonal and
-    # the Gram is the polar matrix
+    # the Gram is the polar matrix, its rows shifted past the old block
     sq = [U[i][i] for i in range(summand.n)]
+    n = cert.norm.n
+    rows = [[(n + j, b) for j, b in linalg.sparse(row)]
+            for row in summand.polar_matrix()]
     return require_certificate(
         cert.form.ortho_sum(summand), norm_sum(cert.norm, norm), eps,
-        _gram=(list(cert.qe) + sq,
-               linalg.block_diag(cert.be, summand.polar_matrix(), F.zero)))
+        _gram=(list(cert.qe) + sq, cert.be + rows))
 
 
 def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
@@ -446,7 +460,7 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
     _require_certified_form(q, cert)
     vecs = [cert.norm.column(i) for i in range(cert.norm.n)]
     vals = list(cert.norm.values)
-    G = cert.be
+    G = cert.gram()
     blocks = []
     while vecs:
         m = len(vecs)
@@ -499,12 +513,13 @@ class NotReducible:
 
 
 def _is_exact(cert: DepthCertificate) -> bool:
-    """Whether every entry of the certificate's Gram data is exact."""
-    return is_exact(cert.qe, *cert.be)
+    """Whether every entry of the certificate's Gram data is exact; the
+    exact zeros the rows leave out are."""
+    return is_exact(cert.qe, [b for row in cert.be for _, b in row])
 
 
-def _gram_and_slack(B, cols, zero, qval, head, slack):
-    """(eps', q values, Gram) of the columns by gram_of over B and qval;
+def _gram_and_slack(B, cols, qval, head, slack):
+    """(eps', q values, Gram rows) of the columns by gram_of over B and qval;
     slack gets the Gram and q values of cols[:head] before any entry of a
     later column is formed."""
     qe, eps = [], []
@@ -514,7 +529,7 @@ def _gram_and_slack(B, cols, zero, qval, head, slack):
         eps.append(slack(Ge, qe))
         qe.extend(map(qval, cols[head:]))
 
-    G = gram_of(B, cols, zero, head=head, on_head=on_head)
+    G = gram_of(B, cols, head=head, on_head=on_head)
     return eps[0], qe, G
 
 
@@ -530,20 +545,25 @@ def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
     def qval(h):
         acc = None
         for a, (i, hi) in enumerate(h):
-            for j, hj in h[a:]:
-                u = qe[i] if j == i else be[i][j]
-                if not u.is_exactly_zero():
-                    t = u * (hi * hj)
-                    acc = t if acc is None else acc + t
+            u = qe[i]
+            if not u.is_exactly_zero():
+                t = u * (hi * hi)
+                acc = t if acc is None else acc + t
+            if a + 1 < len(h):
+                row = dict(be[i])
+                for j, hj in h[a + 1:]:
+                    u = row.get(j)
+                    if u is not None:
+                        t = u * (hi * hj)
+                        acc = t if acc is None else acc + t
         return zero if acc is None else acc
 
-    return _gram_and_slack(be, H, zero, qval, head, slack)
+    return _gram_and_slack(be, H, qval, head, slack)
 
 
 def _gram_by_reforming(q: QuadraticForm, cols, head, slack):
     """The same for the ambient columns, re-formed from q."""
-    return _gram_and_slack(q.polar_matrix(), cols, q.field.zero, q.evaluate,
-                           head, slack)
+    return _gram_and_slack(q.polar_matrix(), cols, q.evaluate, head, slack)
 
 
 def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
@@ -560,8 +580,8 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
 
     def sparse(gv):
         # the plane vector as sum h_i e_i, h_i = s(c) t^d an exact monomial
-        return [(i, F.lift_homog(c, gv.degree - S.degrees[i]))
-                for i, c in enumerate(gv.coords) if not c.is_zero()]
+        return [(i, F.lift_homog(gv.coords[i], gv.degree - S.degrees[i]))
+                for i in gv.support]
 
     # x_1, ..., x_k, y_1, ..., y_k
     H = [sparse(x) for x, _ in planes] + [sparse(y) for _, y in planes]
@@ -574,14 +594,14 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
         # f arithmetic may raise (DegreeCapExceeded over GF(2^m)(x)) and must
         # not pre-empt the PrecisionExhausted here
         terms = [gamma]
-        for l in range(head):
+        for l, row in enumerate(Ge):
             qv = qe[l].low_bound()
             if qv != INF:
                 terms.append(half(qv) - e_vals[l])
-            for m in range(head):
+            for m, b in row:
                 if m == l:
                     continue
-                bb = Ge[l][m].low_bound()
+                bb = b.low_bound()
                 if bb != INF:
                     terms.append(bb - e_vals[l] - e_vals[m] - gamma)
         eps_prime = min(terms)

@@ -29,6 +29,13 @@ there is the first nonzero entry, and forms over a residue field are
 values and a polar Gram, which in characteristic 2 it keeps as the
 polar matrix.
 
+`gram_of`, the Gram kernel of the certificates of `norms`, forms
+cols^T B cols as sparse rows (`linalg.sparse`): row r holds the
+(c, G_rc) pairs whose entry is not an exact zero, in c order; B is
+given as such rows (a certificate's Gram) or dense (a polar matrix).
+On exact data the rows are mirrored; on truncated data they hold both
+triangles, whose sums can certify different precisions.
+
 `WittExpr` is a formal orthogonal sum of binary [a,b] summands (plus
 diagonal <a> summands in characteristic 0) with the rewrite rules of
 the binary-form relation engine; `rewrite` preserves the Witt class,
@@ -160,56 +167,66 @@ class QuadraticForm:
                                            for j in range(n)] for i in range(n)])
 
 
-def gram_of(B, cols, zero, head=0, on_head=None):
-    """cols^T B cols over nonzero entries, each column given as its sparse
-    (i, x_i) pairs in index order or as a coordinate list, read through
-    its support.  B col is formed on the rows some column reaches, when
-    first needed, over the entries of B that are not exact zeros; each
-    sum runs in index order, seeded with its first term.  B is symmetric;
-    on exact input G[c][r] is copied from G[r][c], r < c, while truncated
-    input gets both triangles, whose sums can certify different
-    precisions.
+def gram_of(B, cols, head=0, on_head=None):
+    """cols^T B cols as sparse rows: row r holds the (c, G_rc) pairs whose
+    entry is not an exact zero, in c order (`linalg.sparse`).  B is
+    symmetric, each of its rows and of the columns given sparse or as a
+    coordinate list.  (B col_c)_i is formed when a pairing first reaches
+    row i, over the pairs of row i of B whose index is in the support of
+    col_c, so no entry is tested for zero; each sum runs in index order,
+    seeded with its first term, as does G_rc = sum_i x_i (B col_c)_i over
+    (i, x_i) in col_r.  On exact input G_cr is copied from G_rc, r < c,
+    while truncated input gets both triangles, whose sums can certify
+    different precisions.
 
-    on_head, if given, is called with the Gram of cols[:head] as soon as
-    that block is formed, before any pairing with a later column; it may
-    raise to abandon the rest.  Every entry is the same sum either way.
+    on_head, if given, is called with the rows of the Gram of cols[:head]
+    as soon as that block is formed, before any term of a later pairing;
+    it may raise to abandon the rest.  Every entry is the same sum either
+    way.
     """
-    cols = [col if col and type(col[0]) is tuple else
-            [(i, x) for i, x in enumerate(col) if not x.is_exactly_zero()]
-            for col in cols]
+    B = [linalg.sparse(row) for row in B]
+    cols = [linalg.sparse(col) for col in cols]
     m = len(cols)
+    coords = [dict(col) for col in cols]
     images = [{} for _ in cols]  # images[c][i]: (B col_c)_i, None if zero
-    G = [[zero] * m for _ in range(m)]
-    mirror = is_exact(*B, *([x for _, x in col] for col in cols))
+    G = [[] for _ in range(m)]
+    mirror = {x.abs_prec for v in (*B, *cols) for _, x in v} <= {None}
 
-    def form(pairs):
-        for r, c in pairs:
+    def form(r, cs):
+        # the pairings of col_r with the columns cs, in order
+        col, Gr = cols[r], G[r]
+        for c in cs:
             img = images[c]
             acc = None
-            for i, x in cols[r]:
-                if i not in img:
-                    Bi, b = B[i], None
-                    for j, y in cols[c]:
-                        if not Bi[j].is_exactly_zero():
-                            t = Bi[j] * y
+            for i, x in col:
+                if i in img:
+                    b = img[i]
+                else:
+                    ys, b = coords[c], None
+                    for j, bij in B[i]:
+                        if j in ys:
+                            t = bij * ys[j]
                             b = t if b is None else b + t
-                    img[i] = None if b is None or b.is_exactly_zero() else b
-                if img[i] is not None:
-                    t = x * img[i]
+                    if b is not None and b.is_exactly_zero():
+                        b = None
+                    img[i] = b
+                if b is not None:
+                    t = x * b
                     acc = t if acc is None else acc + t
-            if acc is not None:
-                G[r][c] = acc
-                if mirror:
-                    G[c][r] = acc
+            if acc is not None and not acc.is_exactly_zero():
+                Gr.append((c, acc))
+                if mirror and c != r:
+                    G[c].append((r, acc))
 
     if on_head is None:
         head = 0
     else:
-        form((r, c) for r in range(head)
-             for c in range(r if mirror else 0, head))
-        on_head([row[:head] for row in G[:head]])
-    form((r, c) for r in range(m) for c in range(r if mirror else 0, m)
-         if r >= head or c >= head)
+        for r in range(head):
+            form(r, range(r if mirror else 0, head))
+        on_head([list(row) for row in G[:head]])
+    for r in range(m):
+        low = r if mirror else 0
+        form(r, range(max(low, head) if r < head else low, m))
     return G
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wittlab import graded, norms
-from wittlab.errors import (GridViolation, NotApplicable, Undecidable,
-                            WrongCase)
+from wittlab.errors import (DegenerateForm, GridViolation, NotApplicable,
+                            Undecidable, WittlabError, WrongCase)
 from wittlab.fields import make_field
 from wittlab.graded import (HomogeneousScalar, ShiftedQuadSpace,
                             UniformizingChoice, coset_decomposition,
@@ -20,6 +20,7 @@ from form_helpers import bval, qval
 
 HALF = Fraction(1, 2)
 F2T = make_field("laurent", m=1)
+F4T = make_field("laurent", m=2)
 F2XT = make_field("laurent-ratfunc", m=1)
 Q2 = make_field("dyadic")
 
@@ -140,6 +141,57 @@ def test_metabolic_planes_check_the_degree_grid(monkeypatch):
     with pytest.raises(GridViolation, match="off the degree grid"):
         graded.metabolic_planes(S)
     graded.planes_memo.cache_clear()  # the off-grid planes go too
+
+
+def test_a_row_pairing_only_with_itself_is_degenerate():
+    # type III over GF(2) with q values off the diagonal of b: row 0 is
+    # isotropic, but b pairs it only with itself, so its plane split has no
+    # second row of the relation to drop.  DegenerateForm, not a bare
+    # ValueError from max(); and again on the next call, which the memo of
+    # the rounds does not answer, as it keeps no error
+    k = Q2.residue_field
+    S = ShiftedQuadSpace(k, Q2.v2, Q2.v2, [0, 0], [k.zero, k.one],
+                         [[k.one, k.zero], [k.zero, k.one]], "III")
+    assert validate(S) is not None
+    for _ in range(2):
+        with pytest.raises(DegenerateForm, match="only with its own row"):
+            graded.metabolic_planes(S)
+
+
+@pytest.mark.parametrize("field", [F2T, F4T, F2XT, Q2], ids=str)
+def test_plane_vectors_carry_their_support(field):
+    # the support of a plane vector, read off the packed slots over
+    # GF(2^m) and off the coordinates over GF(2^m)(x), is the index set of
+    # its nonzero coordinates; a vector built without one reads it so
+    rng = random.Random(f"support {field}")
+    u = "2" if field.char == 0 else "t"
+    units = {F2T: ("1",), F4T: ("1", "2", "3"), F2XT: ("1", "x", "(1+x)"),
+             Q2: ("1", "3", "5")}[field]
+    seen = 0
+    for _ in range(60):
+        parts = [f"[{rng.choice(units)}*{u}^{rng.randrange(-4, 2)}, "
+                 f"{u}^{rng.randrange(-5, 2)}]"
+                 for _ in range(rng.randrange(1, 4))]
+        q = parse_form(f"sum({', '.join(parts)})", field)
+        try:
+            cert = norms.initial_norm(q)
+            while cert.eps > 0:
+                S = norms.induced_space(q, cert)
+                for plane in graded.metabolic_planes(S) or ():
+                    for v in plane:
+                        nonzero = tuple(i for i, c in enumerate(v.coords)
+                                        if not c.is_zero())
+                        assert v.support == nonzero
+                        fresh = graded.GradedVector(S, v.degree, v.coords)
+                        assert fresh.support == nonzero and fresh == v
+                        seen += 1
+                step = norms.depth_reduce(q, cert)
+                if isinstance(step, norms.NotReducible):
+                    break
+                cert = step
+        except WittlabError:
+            continue
+    assert seen >= 10
 
 
 def test_split_reassembles():

@@ -50,6 +50,13 @@ in `linalg`, kept as test oracles.
   scrambled Grams, exact and truncated, truncated zeros included: every
   entry's value and precision, the first violation and its detail, and
   the class and message of a raised error.
+* `gram_schoolbook` is H^T (B H) formed densely over every term.  It is
+  compared with `gram_of` on B given as a certificate's sparse rows and
+  as a dense matrix, on exact and truncated data over F2((t)), F4((t)),
+  F2(x)((t)) and Q_2, with twinned rows of B whose images and pairings
+  cancel to exact zeros; and with the rows every certificate of a drawn
+  descent keeps.  Over F2(x)((t)) with a degree cap of 6 each step of a
+  descent is compared with the re-forming route, errors included.
 """
 
 import math
@@ -306,6 +313,7 @@ def depth_reduce(q, cert):
 
     def certify_slack(Ge):
         nonlocal eps_prime
+        Ge = linalg.dense(Ge, F.zero)
         qe.extend(q.evaluate(e) for e in es)
         terms = [gamma]
         for l in range(len(es)):
@@ -325,7 +333,7 @@ def depth_reduce(q, cert):
         qe.extend(q.evaluate(f) for f in fs)
 
     basis_cols = es + fs
-    G = gram_of(q.polar_matrix(), basis_cols, F.zero,
+    G = gram_of(q.polar_matrix(), basis_cols,
                 head=len(es), on_head=certify_slack)
     values = [v + eps_prime for v in e_vals] + f_vals
     new_norm = norms.VNorm(F, linalg.transpose(basis_cols), values)
@@ -335,6 +343,15 @@ def depth_reduce(q, cert):
         raise PrecisionExhausted(
             f"reduced norm failed to re-certify: {res!r}")
     return res
+
+
+def gram_of_read_dense(B, cols, zero, head=0, on_head=None):
+    """gram_of with its rows, and those of the head block, read back as
+    dense matrices, for the oracles that form dense ones."""
+    if on_head is not None:
+        on_head = (lambda Ge, _record=on_head:
+                   _record(linalg.dense(Ge, zero)))
+    return linalg.dense(gram_of(B, cols, head, on_head), zero)
 
 
 def gram_of_parent(B, cols, zero, head=0, on_head=None):
@@ -387,6 +404,11 @@ def evaluate_parent(q, x):
     return acc
 
 
+def _sparse_rows(M):
+    """The sparse rows of a dense matrix, both triangles as they are."""
+    return [linalg.sparse(row) for row in M]
+
+
 def initial_norm_parent(q):
     """The parent initial_norm: the blockwise norm on the split basis M,
     its Gram data re-formed on the columns of M with gram_of_parent and
@@ -400,8 +422,9 @@ def initial_norm_parent(q):
     full = norms.VNorm(F, M, values)
     cols = [full.column(i) for i in range(q.n)]
     res = norms.check_compatibility(
-        q, full, eps, _gram=([evaluate_parent(q, c) for c in cols],
-                             gram_of_parent(q.polar_matrix(), cols, F.zero)))
+        q, full, eps, _gram=(
+            [evaluate_parent(q, c) for c in cols],
+            _sparse_rows(gram_of_parent(q.polar_matrix(), cols, F.zero))))
     if isinstance(res, norms.CompatibilityViolation):
         raise SingularForm(f"initial norm failed to certify: {res!r}")
     return res
@@ -443,8 +466,13 @@ def _coeff(F, rng):
     k = F.residue_field
     if F.char == 0:
         return f"{rng.choice((1, 1, 3, 5, 7))}*2^{rng.randrange(-1, 3)}"
-    unit = rng.choice(("1", "x", "(1+x)", "(x/(1+x))")) if not k.is_perfect \
-        else str(rng.randrange(1, k.order))
+    if k.is_perfect:
+        unit = str(rng.randrange(1, k.order))
+    elif k.degree_cap == 6:
+        # units of degree up to 3, so that a few products pass the cap
+        unit = rng.choice(("1", "x", "(x^3+x+1)", "(x^2/(x^3+1))"))
+    else:
+        unit = rng.choice(("1", "x", "(1+x)", "(x/(1+x))"))
     terms = [f"{unit}*t^{e}" for e in rng.sample(range(-3, 3), rng.choice((1, 1, 2)))]
     return "+".join(terms)
 
@@ -758,7 +786,7 @@ def _certificate_bytes(res):
     return (res.eps, res.norm.values,
             [[spell(x) for x in row] for row in res.norm.basis],
             [spell(x) for x in res.qe],
-            [[spell(x) for x in row] for row in res.be],
+            [[spell(x) for x in row] for row in res.gram()],
             res.lead)
 
 
@@ -835,9 +863,9 @@ def test_one_truncated_entry_takes_the_gram_of_path(shorthand, entry,
     if entry == "qe":
         truncated = replace(cert, qe=[_truncated(cert.qe[0])] + cert.qe[1:])
     else:
-        be = [list(row) for row in cert.be]
+        be = cert.gram()
         be[0][1] = be[1][0] = _truncated(be[0][1])
-        truncated = replace(cert, be=be)
+        truncated = replace(cert, be=_sparse_rows(be))
     assert not norms._is_exact(truncated)
 
     def refuse(*args):
@@ -935,7 +963,7 @@ def test_gram_of_matches_parent(name, seed):
     rng = random.Random(seed)
     B, cols, head = _gram_data(F, rng)
     abandon = rng.random() < 0.2
-    assert _spelled(_outcome(gram_of, B, cols, F.zero)) == \
+    assert _spelled(_outcome(gram_of_read_dense, B, cols, F.zero)) == \
         _spelled(_outcome(gram_of_parent, B, cols, F.zero))
     heads = {}
 
@@ -946,7 +974,7 @@ def test_gram_of_matches_parent(name, seed):
                 raise PrecisionExhausted("abandoned after the head block")
         return record
 
-    got = _outcome(gram_of, B, cols, F.zero, head, on_head("got"))
+    got = _outcome(gram_of_read_dense, B, cols, F.zero, head, on_head("got"))
     want = _outcome(gram_of_parent, B, cols, F.zero, head, on_head("want"))
     assert _spelled(got) == _spelled(want)
     assert heads["got"] == heads["want"]
@@ -1332,8 +1360,8 @@ def test_gram_of_on_sparse_columns_matches_dense(name, seed):
     sparse = [[(i, x) for i, x in enumerate(col) if not x.is_exactly_zero()]
               for col in dense]
     want = _spelled(_outcome(gram_of_dense, B, dense, F.zero))
-    assert _spelled(_outcome(gram_of, B, sparse, F.zero)) == want
-    assert _spelled(_outcome(gram_of, B, dense, F.zero)) == want
+    assert _spelled(_outcome(gram_of_read_dense, B, sparse, F.zero)) == want
+    assert _spelled(_outcome(gram_of_read_dense, B, dense, F.zero)) == want
     head, abandon, heads = rng.randrange(0, m + 1), rng.random() < 0.2, {}
 
     def on_head(key):
@@ -1343,7 +1371,8 @@ def test_gram_of_on_sparse_columns_matches_dense(name, seed):
                 raise PrecisionExhausted("abandoned after the head block")
         return record
 
-    got = _outcome(gram_of, B, sparse, F.zero, head, on_head("got"))
+    got = _outcome(gram_of_read_dense, B, sparse, F.zero, head,
+                   on_head("got"))
     want = _outcome(gram_of_dense, B, dense, F.zero, head, on_head("want"))
     assert _spelled(got) == _spelled(want)
     assert heads.get("got") == heads.get("want")
@@ -1379,7 +1408,7 @@ def test_check_compatibility_matches_dense_loop(name, seed):
     norm = norms.VNorm(F, linalg.identity(n, F.zero, F.one), values)
     want = _kernel_outcome(compatibility_dense, q, norm, eps, (qe, be))
     assert _kernel_outcome(norms.check_compatibility, q, norm, eps,
-                           (qe, be)) == want
+                           (qe, _sparse_rows(be))) == want
 
 
 @pytest.mark.parametrize("name", {**KERNEL_FIELDS, **RESIDUE})
@@ -1395,3 +1424,152 @@ def test_split_gram_matches_dense_update(name, seed):
     G = _kernel_gram(F, rng, lambda i, j: _kernel_elem(F, rng, truncate))
     assert _kernel_outcome(split_gram, G, F) == \
         _kernel_outcome(split_gram_dense, G, F)
+
+
+# -- the certificate's Gram rows against a dense schoolbook ---------------------
+
+
+def gram_schoolbook(B, cols, zero):
+    """cols^T (B cols) as a dense matrix over every term, exact zeros
+    included, each sum seeded with zero and each entry of both triangles
+    formed on its own."""
+    n, m = len(B), len(cols)
+    BH = [[zero] * m for _ in range(n)]
+    for i in range(n):
+        for c in range(m):
+            for j in range(n):
+                BH[i][c] = BH[i][c] + B[i][j] * cols[c][j]
+    G = [[zero] * m for _ in range(m)]
+    for r in range(m):
+        for c in range(m):
+            for i in range(n):
+                G[r][c] = G[r][c] + cols[r][i] * BH[i][c]
+    return G
+
+
+def _assert_rows(rows, mirrored):
+    """Gram rows hold (j, entry) pairs in strictly increasing j, no entry
+    an exact zero; mirrored rows hold the same objects in both triangles."""
+    for i, row in enumerate(rows):
+        js = [j for j, _ in row]
+        assert js == sorted(set(js))
+        assert not any(b.is_exactly_zero() for _, b in row)
+        if mirrored:
+            for j, b in row:
+                assert dict(rows[j])[i] is b
+
+
+def _twinned(B, rng):
+    """B with row and column p2 made copies of p, for two random indices:
+    on exact data B then sends a column a e_p - a e_p2 to an exact zero,
+    and its pairing with any column cancels to an exact zero."""
+    n = len(B)
+    p, p2 = rng.sample(range(n), 2)
+    at = [p if i == p2 else i for i in range(n)]
+    return [[B[at[i]][at[j]] for j in range(n)] for i in range(n)], (p, p2)
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_of_on_sparse_rows_matches_schoolbook(shorthand, seed):
+    """gram_of on B given as sparse rows (a certificate's Gram) and as a
+    dense matrix against H^T B H formed densely, entry by entry, value and
+    precision, both triangles, the head block too.  B is exact or
+    truncated; half of the draws twin two of its rows, and then some
+    columns are a e_p - a e_p2, whose image and pairings cancel to exact
+    zeros on exact data, which the rows leave out."""
+    F = KERNEL_FIELDS[shorthand]
+    rng = random.Random(seed)
+    truncate = rng.random() < 0.5
+    B = _kernel_gram(F, rng, lambda i, j: _kernel_elem(F, rng, truncate))
+    n = len(B)
+    cols = []
+    for _ in range(rng.randrange(0, 5)):
+        support = rng.sample(range(n), rng.randrange(1, n + 1))
+        cols.append([_kernel_elem(F, rng, truncate, zero=0.2)
+                     if i in support else F.zero for i in range(n)])
+    if n >= 2 and rng.random() < 0.5:
+        B, (p, p2) = _twinned(B, rng)
+        for _ in range(rng.randrange(1, 3)):
+            a = _kernel_elem(F, rng, False, zero=0)
+            col = [F.zero] * n
+            col[p], col[p2] = a, -a
+            cols.insert(rng.randrange(len(cols) + 1), col)
+    rows = _sparse_rows(B)
+    want = gram_schoolbook(B, cols, F.zero)
+    got = gram_of(rows, [linalg.sparse(c) for c in cols])
+    exact = all(x.abs_prec is None for v in (*B, *cols) for x in v)
+    _assert_rows(got, exact)
+    assert _spelled(linalg.dense(got, F.zero)) == _spelled(want)
+    assert _spelled(gram_of_read_dense(B, cols, F.zero)) == _spelled(want)
+    head, heads = rng.randrange(0, len(cols) + 1), []
+    gram_of(rows, cols, head, heads.append)
+    assert [_spelled(linalg.dense(Ge, F.zero)) for Ge in heads] == \
+        [_spelled([row[:head] for row in want[:head]])]
+
+
+def test_gram_of_rows_leave_out_what_cancels():
+    # rows 1 and 2 of B are twins: B (e_1 + e_2) cancels in the image, and
+    # (e_1 + e_2)^T B e_0 cancels in the pairing, both to exact zeros
+    F = KERNEL_FIELDS["f2-laurent"]
+    o, z = F.one, F.zero
+    B = [[z, o, o], [o, z, z], [o, z, z]]
+    for cols in ([[o, z, z], [z, o, o]], [[z, o, o], [o, z, z]]):
+        assert gram_of(B, cols) == [[], []]
+        assert linalg.dense(gram_of(B, cols), z) == \
+            gram_schoolbook(B, cols, z)
+
+
+@pytest.mark.parametrize("shorthand", VALUED)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_certificate_rows_match_a_dense_recomputation(shorthand, seed):
+    """Along the descent of a drawn form, exact or truncated, every
+    certificate's Gram rows are in the row format and read back as the
+    Gram on the norm's basis formed densely from the polar matrix, and as
+    the dense view of _gram_on_basis: every entry, value and precision."""
+    F = field_shorthand(shorthand, precision=32)
+    q = _loop_form(F, random.Random(seed))
+    step = _outcome(norms.initial_norm, q)
+    while isinstance(step, norms.DepthCertificate):
+        cert = step
+        _assert_rows(cert.be, norms._is_exact(cert))
+        cols = [cert.norm.column(i) for i in range(q.n)]
+        want = _spelled(gram_schoolbook(q.polar_matrix(), cols, F.zero))
+        assert _spelled(cert.gram()) == want
+        assert _spelled(linalg.dense(norms._gram_on_basis(q, cert.norm)[1],
+                                     F.zero)) == want
+        if cert.eps <= 0:
+            break
+        step = _outcome(norms.depth_reduce, q, cert)
+
+
+CAPPED = field_shorthand("f2x-laurent", precision=16, degree_cap=6)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_capped_steps_match_the_reforming_route(seed):
+    """Over F2(x)((t)) with a degree cap of 6, each step of the descent
+    gives the certificate, or the error and its message, that the
+    re-forming route (ambient columns, gram_of on the polar matrix,
+    evaluate) gives."""
+    _compare_reductions(_loop_form(CAPPED, random.Random(seed)))
+
+
+def test_capped_descents_reach_the_cap_and_certify():
+    rng = random.Random("capped descents")
+    outcomes = set()
+    for _ in range(150):
+        cert = _outcome(norms.initial_norm, _loop_form(CAPPED, rng))
+        if isinstance(cert, tuple):
+            continue
+        q = cert.form
+        while cert.eps > 0:
+            step = _outcome(norms.depth_reduce, q, cert)
+            outcomes.add(step[0] if isinstance(step, tuple) else type(step))
+            if not isinstance(step, norms.DepthCertificate):
+                break
+            cert = step
+    assert {DegreeCapExceeded, norms.DepthCertificate} <= outcomes
