@@ -26,6 +26,7 @@ from .norms import (DepthCertificate, NotReducible, VNorm, builder_binary,
 from .quadform import QuadraticForm, WittExpr, rewrite, symplectic_blocks
 from .residue_witt import (SeparatedSpace, SymplecticQuadSpace, TensorElem,
                            WClass, WedgeElem, WqClass, arf_invariant, functor_U,
+                           k_symplectic_blocks, kquad_isotropic_vector,
                            sq_normalize, sq_witt_class, ssq_normalize,
                            ssq_witt_class, w_class)
 

@@ -15,29 +15,29 @@ Types: I (eps = 0, b is the polar of q), II (q totally singular, b
 alternating), III (q(v) = tau^-1 b(v,v) for tau = the image of 2, only
 over Q_2 at eps = v(2)).  Homogeneous isotropic-vector search reduces
 degree-class by degree-class to residue-field problems: semilinear
-kernels for types II/III, genuine quadratic forms over k (`QuadraticForm`s)
-for type I.  The descended residue objects are split by the kernel of the
-valued forms, `quadform.split_gram`.  `_split_plane`, the round of
-`metabolic_planes`, is the one plane split; the hyperbolicity witness of
-`residue_witt` runs it too.  The isotropic relation names the two rows
-each projection makes dependent, so no elimination chooses the kept
-basis; the Gram rows and q values of the kept rows are updated in
-place.  Over GF(2^m) its vectors and Gram rows are ints in the slot
-layout of `GF2m.packing` (`_Slots`), over GF(2^m)(x) coordinate tuples
-(`_Coords`); the planes leave `metabolic_planes` as `GradedVector`s,
-whose construction is the one check of the degree grid.  A
-`GradedVector` carries its support, the indices of its nonzero
+kernels for types II/III, and for type I the isotropic search of
+`residue_witt` on the polar rows of the class.  The plane split is
+`residue_witt._split_plane`, the one residue-field plane splitter: each
+round of `metabolic_planes` runs it on an isotropic relation, which
+names the two rows each projection makes dependent, so no elimination
+chooses the kept basis; the Gram rows and q values of the kept rows are
+updated in place.  The type-I and type-II descents are split by it too
+(`residue_witt.kquad_witt_class`, `sq_normalize`); a type-III descent is
+diagonalized by the kernel of the valued forms, `quadform.split_gram`.
+Its vectors and Gram rows are in the layout `residue_witt._vectors(k)`:
+ints in the slot layout of `GF2m.packing` over GF(2^m), coordinate
+tuples over GF(2^m)(x).  The planes leave `metabolic_planes` as
+`GradedVector`s, whose construction is the one check of the degree
+grid.  A `GradedVector` carries its support, the indices of its nonzero
 coordinates, which over GF(2^m) is read off the packed slots; the grid
 check and the monomial columns of `norms.depth_reduce` run over it, not
-over the whole coordinate tuple.  The q values of a descent, totally
-singular over k, are those of `QuadraticForm.diagonal` (`evaluate`).
-The rank test of condition (c) in `norms.check_compatibility` runs on
-the same layouts (`rank`), and the Arf bit of `residue_witt` runs
-`_split_plane` too, from a first row that need not be isotropic, on
-Gram rows and q values alone (no vectors).  That rank test keeps its
-packed rows on the certificate, and the induced space hands them to
-`metabolic_planes` (`ShiftedQuadSpace.rows`), so no row is packed twice;
-a space built without them packs bmat.
+over the whole coordinate tuple.  The dual q values of a half-integer
+descent, totally singular over k, are those of `QuadraticForm.diagonal`
+(`evaluate`).  The rank test of condition (c) in
+`norms.check_compatibility` runs on the same layouts (`rank`), and keeps
+its packed rows on the certificate; the induced space hands them to
+`metabolic_planes` (`ShiftedQuadSpace.rows`), so no row is packed twice,
+and a space built without them packs bmat.
 
 Over GF(2^m) the rounds of `metabolic_planes` are a pure function,
 `_plane_rounds`, of (k, type, eps, degrees, q values, Gram rows), and
@@ -72,16 +72,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import linalg, residue_witt
 from .errors import (DegenerateForm, GridViolation, NotApplicable,
                      SingularMatrix, Undecidable, WittlabError, WrongCase)
 from .fields.common import HALF, INF, grid, half
-from .fields.gf2m import GF2m, _clmul
+from .fields.gf2m import GF2m
 from .quadform import QuadraticForm, split_gram
-from .residue_witt import (SeparatedSpace, SymplecticQuadSpace,
-                           kquad_isotropic_vector, sq_normalize)
+from .residue_witt import SeparatedSpace, SymplecticQuadSpace, sq_normalize
 
 
 def _is_int(d: Fraction) -> bool:
@@ -108,8 +107,8 @@ class HomogeneousScalar:
 
 class ShiftedQuadSpace:
     """rows, when given, are the rows of bmat in the layout of
-    `_vectors(k)`, which `metabolic_planes` splits on instead of packing
-    bmat again."""
+    `residue_witt._vectors(k)`, which `metabolic_planes` splits on instead
+    of packing bmat again."""
 
     def __init__(self, k, v2, eps, degrees, qvals, bmat, type_tag, rows=None):
         self.k = k
@@ -388,11 +387,11 @@ class MetabolicityReport:
     evidence: dict = field(default_factory=dict)  # orbit -> invariant
 
 
-def _find_isotropic_rel(k, type_tag, cls, qs, entry):
+def _find_isotropic_rel(k, type_tag, cls, qs, G):
     """Isotropic k-combination of the current rows of a space of type
     type_tag over k, as the (row, nonzero coefficient) pairs in row
     order; cls[r] is the degree class of row r, qs[r] its q value and
-    entry(r, c) an entry of their Gram matrix.
+    G[r] its Gram row in the layout `residue_witt._vectors(k)`.
 
     None certifies anisotropy except for type I over an imperfect residue
     field, where Undecidable is raised.
@@ -417,16 +416,22 @@ def _find_isotropic_rel(k, type_tag, cls, qs, entry):
                 rows = [[s[0] for s in splits], [s[1] for s in splits]]
                 sol = (linalg.kernel_exact(rows, k.zero, k.one) or [None])[0]
         else:
-            form = QuadraticForm(k, [[qs[r] if r == s else entry(r, s)
-                                      if s > r else k.zero for s in idx]
-                                     for r in idx])
+            # the polar rows of the class: its rows without the columns
+            # of the other classes
+            vec = residue_witt._vectors(k)
+            rows = [G[r] for r in idx]
+            for col in reversed(range(len(cls))):
+                if cls[col] != c:
+                    rows = [vec.drop(v, col) for v in rows]
             try:
-                sol = kquad_isotropic_vector(form)
+                v = residue_witt._isotropic_vector(k, rows,
+                                                   [qs[r] for r in idx])
             except DegenerateForm:
-                sol = None  # class form degenerate: no conclusion here
+                v = None  # class form degenerate: no conclusion here
                 undecided = True
-            if sol is None and not k.is_perfect:
+            if v is None and not k.is_perfect:
                 undecided = True
+            sol = None if v is None else vec.unpack(v, len(idx))
         if sol is not None:
             return [(r, a) for r, a in zip(idx, sol) if not a.is_zero()]
     if undecided:
@@ -435,238 +440,12 @@ def _find_isotropic_rel(k, type_tag, cls, qs, entry):
     return None
 
 
-class _Slots:
-    """Vectors over GF(2^m) packed into one int each, in the slot layout
-    of `GF2m.packing`: coordinate i sits in bits S*i to S*i + S - 1.
-    Adding is xor, a scalar multiple one carryless product and one slot
-    reduction; over GF(2) a vector is a plain bitmask."""
-
-    def __init__(self, k):
-        # the interned elements of a field with tables, read without a call
-        self.elem = k.elem if k._pool is None else k._pool.__getitem__
-        self.S = k.packing.S
-        self.smask = k.packing.smask
-        self.reduce = k.packing.reduce
-        self.inv = k.inv
-
-    def units(self, n):
-        return [1 << (self.S * i) for i in range(n)]
-
-    def pack(self, coords):
-        S, v = self.S, 0
-        for i, c in enumerate(coords):
-            if c.bits:
-                v |= c.bits << (S * i)
-        return v
-
-    def pack_symmetric(self, mat, entries):
-        """The rows of the symmetric matrix mat, packed from entries, the
-        (i, j, mat[i][j]) triples, i <= j, that hold every nonzero entry
-        of its upper triangle."""
-        S, rows = self.S, [0] * len(mat)
-        for i, j, c in entries:
-            rows[i] |= c.bits << (S * j)
-            rows[j] |= c.bits << (S * i)
-        return tuple(rows)
-
-    def support(self, v):
-        """The nonzero coordinates of v, ascending."""
-        S, smask, out = self.S, self.smask, []
-        while v:
-            i = ((v & -v).bit_length() - 1) // S
-            out.append(i)
-            v &= ~(smask << (S * i))
-        return tuple(out)
-
-    def unpack(self, v, n, support=None):
-        """The coordinates of v; support, if given, is support(v)."""
-        S, smask, elem = self.S, self.smask, self.elem
-        out = [elem(0)] * n
-        for i in self.support(v) if support is None else support:
-            out[i] = elem(v >> (S * i) & smask)
-        return tuple(out)
-
-    def entry(self, v, i):
-        """Coordinate i of v, None when it is zero."""
-        bits = v >> (self.S * i) & self.smask
-        return self.elem(bits) if bits else None
-
-    def scale(self, a, v):
-        return v if a.bits == 1 else self.reduce(_clmul(a.bits, v))
-
-    def axpy(self, v, a, u):
-        """v + a u."""
-        return v ^ (u if a.bits == 1 else self.reduce(_clmul(a.bits, u)))
-
-    def first(self, v):
-        """The first nonzero coordinate, None for the zero vector."""
-        return ((v & -v).bit_length() - 1) // self.S if v else None
-
-    def drop(self, v, i):
-        """v without coordinate i; the ones above it move down."""
-        lo = self.S * i
-        return v >> (lo + self.S) << lo | v & ((1 << lo) - 1)
-
-    def rank(self, rows):
-        """The rank of the rows: one incremental echelon pass in row
-        order, each kept row scaled to 1 at its first nonzero slot."""
-        S, smask, reduce, inv = self.S, self.smask, self.reduce, self.inv
-        echelon = []  # (shift of the lead slot, kept row)
-        for v in rows:
-            for sh, base in echelon:
-                c = v >> sh & smask
-                if c:
-                    v ^= base if c == 1 else reduce(_clmul(c, base))
-            if v:
-                sh = ((v & -v).bit_length() - 1) // S * S
-                c = v >> sh & smask
-                echelon.append((sh, v if c == 1 else reduce(_clmul(inv(c), v))))
-        return len(echelon)
-
-
-class _Coords:
-    """The `_Slots` operations on coordinate tuples, for GF(2^m)(x); a
-    scalar 1 forms no products."""
-
-    def __init__(self, k):
-        self.k = k
-        self.one = k.one
-
-    def units(self, n):
-        k = self.k
-        return [tuple(row) for row in linalg.identity(n, k.zero, k.one)]
-
-    def pack(self, coords):
-        return tuple(coords)
-
-    def pack_symmetric(self, mat, entries):
-        return tuple(map(tuple, mat))
-
-    def support(self, v):
-        return tuple(i for i, c in enumerate(v) if not c.is_zero())
-
-    def unpack(self, v, n, support=None):
-        return v
-
-    def entry(self, v, i):
-        return None if v[i].is_zero() else v[i]
-
-    def scale(self, a, v):
-        if a == self.one:
-            return v
-        return tuple(c if c.is_zero() else a * c for c in v)
-
-    def axpy(self, v, a, u):
-        if a == self.one:
-            return tuple(x if y.is_zero() else x + y for x, y in zip(v, u))
-        return tuple(x if y.is_zero() else x + a * y for x, y in zip(v, u))
-
-    def first(self, v):
-        return next((i for i, c in enumerate(v) if not c.is_zero()), None)
-
-    def drop(self, v, i):
-        return v[:i] + v[i + 1:]
-
-    def rank(self, rows):
-        """The rank of the rows by `linalg.independent_rows`, whose
-        products a degree cap trips on."""
-        return len(linalg.independent_rows(rows, len(rows)))
-
-
-@cache
-def _vectors(k):
-    """The vector layout of `metabolic_planes` and `_split_plane` over k:
-    packed ints over GF(2^m), coordinate tuples over GF(2^m)(x)."""
-    return (_Slots if isinstance(k, GF2m) else _Coords)(k)
-
-
-def _split_plane(vec, vecs, G, qs, sol, polar):
-    """Split off the plane (x, y) of the relation sol, (row, nonzero
-    coefficient) pairs in row order, among the rows vecs with Gram rows G
-    and q values qs in the layout vec; polar says b is the polar form of
-    q (type I).  y is the first row pairing nonzero with x, scaled to
-    b(x, y) = 1; each other row goes to the complement of the plane,
-    w_c' = w_c + lam_c x + mu_c y.  The projected rows satisfy exactly two
-    relations, sol and the unit vector at yi (w_yi' = 0), so the rows yi
-    and max(supp(sol) minus yi) go: the rows a greedy echelon pass drops.
-    vecs may be None when only the Gram rows and q values are wanted;
-    then no vector is formed, and x, y and the vectors returned are None.
-
-    A sol of two or more rows is isotropic.  A one-row x = a w_r need not
-    be when b is alternating (types I and II): the plane is then not
-    hyperbolic, and q(w_c') gains the term lam_c^2 q(x); the Arf bit of
-    `residue_witt` splits so with x the first row.
-
-    Returns (x, yi, y, keep) and the kept rows' vectors, Gram rows and q
-    values.  Raises DegenerateForm when x lies in the radical of b."""
-    (base, a), *rest = sol
-    qx = None if rest or qs[base].is_zero() else qs[base] * a * a
-    bx = vec.scale(a, G[base])
-    for r, c in rest:
-        bx = vec.axpy(bx, c, G[r])
-    yi = vec.first(bx)
-    if yi is None:
-        raise DegenerateForm("isotropic vector in the radical")
-    sc = vec.entry(bx, yi).inv()
-    x = y = vecs2 = None
-    if vecs is not None:
-        x = vec.scale(a, vecs[base])
-        for r, c in rest:
-            x = vec.axpy(x, c, vecs[r])
-        y = vec.scale(sc, vecs[yi])
-        vecs2 = []
-    # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
-    # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
-    # lam_c = b(w_c, y) + mu_c b(y, y)
-    by = vec.scale(sc, G[yi])
-    gyy = vec.entry(G[yi], yi)
-    lam = by if gyy is None else vec.axpy(by, gyy * sc * sc, bx)
-    qy = qs[yi] * sc * sc
-    if qy.is_zero():
-        qy = None
-    drop = max((r for r, _ in sol if r != yi), default=None)
-    if drop is None:
-        # x = a w_yi has b(x, x) != 0, which no space of its type allows:
-        # b is alternating for types I and II, and b(x, x) = tau q(x) = 0
-        # for type III, as sol is isotropic there
-        raise DegenerateForm("a one-row relation pairs only with its own row")
-    keep = [c for c in range(len(G)) if c != yi and c != drop]
-    hi, lo = max(yi, drop), min(yi, drop)
-    G2, qs2 = [], []
-    for c in keep:
-        row, qc = G[c], qs[c]
-        lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
-        # q(w_c') = q(w_c) + lam_c^2 q(x) + mu_c^2 q(y), and for type I
-        # also lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
-        if lc is not None and qx is not None:
-            qc = qc + lc * lc * qx
-        if mc is not None:
-            if qy is not None:
-                qc = qc + mc * mc * qy
-            if polar and bc is not None:
-                qc = qc + mc * bc
-            # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b(w_c, y) mu_d
-            row = vec.axpy(row, mc, lam)
-        if bc is not None:
-            row = vec.axpy(row, bc, bx)
-        if vecs is not None:
-            w = vecs[c]
-            if lc is not None:
-                w = vec.axpy(w, lc, x)
-            if mc is not None:
-                w = vec.axpy(w, mc, y)
-            vecs2.append(w)
-        G2.append(vec.drop(vec.drop(row, hi), lo))
-        qs2.append(qc)
-    return (x, yi, y, keep), vecs2, G2, qs2
-
-
 def _plane_rounds(k, type_tag, eps, degrees, qs, rows):
     """The rounds of `metabolic_planes` on a space given by its data: the
     planes as one flat tuple of (degree, x, degree, y) runs, x and y in
-    the layout of `_vectors(k)`, or None when an anisotropic kernel
-    remains."""
-    vec = _vectors(k)
+    the layout of `residue_witt._vectors(k)`, or None when an anisotropic
+    kernel remains."""
+    vec = residue_witt._vectors(k)
     vecs = vec.units(len(degrees))
     G, qs, degs = list(rows), list(qs), list(degrees)
     # degree classes by their rank in Q/Z
@@ -682,11 +461,10 @@ def _plane_rounds(k, type_tag, eps, degrees, qs, rows):
     polar = type_tag == "I"
     planes = []
     while vecs:
-        sol = _find_isotropic_rel(k, type_tag, cls, qs,
-                                  lambda r, c: vec.entry(G[r], c) or k.zero)
+        sol = _find_isotropic_rel(k, type_tag, cls, qs, G)
         if sol is None:
             return None
-        (x, yi, y, keep), vecs, G, qs = _split_plane(
+        (x, yi, y, keep), vecs, G, qs = residue_witt._split_plane(
             vec, vecs, G, qs, sol, polar)
         planes += degs[sol[0][0]], x, degs[yi], y
         degs = [degs[c] for c in keep]
@@ -705,19 +483,21 @@ def planes_memo(k, type_tag, eps, degrees, qbits, rows):
     """`_plane_rounds` over GF(2^m), its q values packed into the one int
     qbits: a pure function of its arguments, and all of them hash."""
     return _plane_rounds(k, type_tag, eps, degrees,
-                         _vectors(k).unpack(qbits, len(degrees)), rows)
+                         residue_witt._vectors(k).unpack(qbits, len(degrees)),
+                         rows)
 
 
 def metabolic_planes(S: ShiftedQuadSpace):
     """Decomposition into pairwise-orthogonal metabolic planes, or None
     when an anisotropic kernel remains; each round splits off the plane
-    of an isotropic relation among the current rows with `_split_plane`.
+    of an isotropic relation among the current rows with
+    `residue_witt._split_plane`.
     Over GF(2^m) the rounds are looked up in `planes_memo`, keyed on the
     space's data with its q values and Gram rows packed.  Each plane
     vector is a new `GradedVector` of S, whose construction checks the
     degree grid, on a hit too."""
     k = S.k
-    vec = _vectors(k)
+    vec = residue_witt._vectors(k)
     rows = S.rows
     if rows is None:
         rows = tuple(vec.pack(row) for row in S.bmat)

@@ -21,8 +21,8 @@ The steps the splitting routines share live here once: the pivot rule
 `min_valuation` (the first nonzero entry under the trivial valuation of
 a residue field), the echelon pass `independent_rows` (the rank test
 of condition (c) over GF(2^m)(x); over GF(2^m) it runs on packed rows,
-`graded._Slots.rank`), the join `block_diag` and the linear combination
-`combine`.
+`residue_witt._Slots.rank`), the join `block_diag` and the linear
+combination `combine`.
 """
 
 from __future__ import annotations

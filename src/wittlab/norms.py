@@ -23,7 +23,8 @@ view (`DepthCertificate.gram`).  One pass over the upper-triangle pairs
 of the rows checks (a), its bounds compared as ints in units of the
 common denominator of the values and eps, and collects the entries that
 lead at their threshold.  (c) is then the rank of the rows of the
-mirrored leading coefficients in the layout of `graded._vectors`:
+mirrored leading coefficients in `residue_witt._vectors`, the layout of
+the residue-field plane splitter `residue_witt._split_plane`:
 elimination on ints packed straight from the leading entries over
 GF(2^m), `linalg.independent_rows` on coordinate tuples over
 GF(2^m)(x), where a degree cap can trip.  It keeps the packed
@@ -88,7 +89,7 @@ from dataclasses import dataclass, field as datafield, replace
 from fractions import Fraction
 from math import lcm
 
-from . import graded, linalg
+from . import graded, linalg, residue_witt
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
                      PrecisionExhausted, SingularForm)
 from .fields.common import INF, AtLeast, grid, half, is_exact
@@ -182,8 +183,8 @@ class DepthCertificate:
     qe: list = datafield(repr=False, compare=False)
     be: list = datafield(repr=False, compare=False)
     lead: list = datafield(repr=False, compare=False)
-    # the rows of lead in the layout of graded._vectors, which the rank
-    # test of (c) formed and the induced space splits on
+    # the rows of lead in the layout of residue_witt._vectors, which the
+    # rank test of (c) formed and the induced space splits on
     rows: tuple = datafield(default=None, repr=False, compare=False)
     # orbit -> residue invariant of the induced space, kept by descend
     # from the NotReducible step that stopped it
@@ -260,7 +261,7 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
     at = [(i, j, b.coeff_at(deg)) for i, j, b, deg in at]
     for i, j, c in at:
         lead[i][j] = lead[j][i] = c
-    vec = graded._vectors(k)
+    vec = residue_witt._vectors(k)
     rows = vec.pack_symmetric(lead, at)
     if vec.rank(rows) < n:
         return CompatibilityViolation(

@@ -10,105 +10,357 @@ additive, so the square-root coordinates form the same group and stay
 in canonical normalized form.  Over a perfect field the wedge group is
 trivial and the tensor group is k itself.
 
-Quadratic forms over k are `QuadraticForm`s, the totally singular q of
-a symplectic space too (`QuadraticForm.diagonal`, read by `evaluate`).
-Residue elements carry the trivial valuation, so
-`k_symplectic_blocks`, `sq_normalize` and `w_class_of_gram` are short
-callers of the one splitting kernel `quadform.split_gram`.
-
-Nonsingular quadratic forms over a finite residue field are classified
-by their Arf invariant (the absolute trace bit).  `kquad_witt_class`
-reads it without a symplectic basis: on the polar rows packed once, it
-splits off the plane of the first row x, isotropic or not, with
-`graded._split_plane`, and `arf_invariant` adds up the trace bits of
-q(x) q(y), b(x, y) = 1.  Over GF(2^m)(x) it keeps `k_symplectic_blocks`,
-whose raw pairs it reports.
-`kquad_is_hyperbolic_witnessed` splits off hyperbolic planes through
-isotropic vectors with `graded._split_plane`, the round of
-`graded.metabolic_planes`, on Gram rows and q values packed once; the
-brute-force enumeration oracles of the test suite split with it too.
+Quadratic forms over k are `QuadraticForm`s.  `_split_plane` is the one
+residue-field plane splitter, on vectors and Gram rows in the layout
+`_vectors(k)`: ints in the slot layout of `GF2m.packing` over GF(2^m)
+(`_Slots`), coordinate tuples over GF(2^m)(x) (`_Coords`).  Its one
+loop, `_plane_pairs`, splits off the plane of the first row, isotropic
+or not, until no row is left.  `k_symplectic_blocks` and `sq_normalize`
+read their symplectic bases off it, `kquad_witt_class` its (q(x), q(y))
+pairs: the Arf bit over finite k, raw data over GF(2^m)(x).  The
+isotropic search `_isotropic_vector` reads a vector off its planes, on
+the packed rows of a form (`kquad_isotropic_vector`, each round of
+`kquad_is_hyperbolic_witnessed`) or of a type-I degree class of
+`graded.metabolic_planes`, whose rounds run `_split_plane` too.
 `k.is_perfect` tells the finite residue fields GF(2^m) from GF(2^m)(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 from . import linalg
 from .errors import DegenerateForm, Undecidable, UnsupportedResidueField
+from .fields.gf2m import GF2m, _clmul
 from .fields.ratfunc import RatFuncField
-from .quadform import QuadraticForm, split_gram
+from .quadform import QuadraticForm
 
 # the degree bound of the Artin-Schreier search over GF(2^m)(x)
 AS_DEGREE_BOUND = 2
 
 
+# -- the plane splitter -------------------------------------------------------
+
+
+class _Slots:
+    """Vectors over GF(2^m) packed into one int each, in the slot layout
+    of `GF2m.packing`: coordinate i sits in bits S*i to S*i + S - 1.
+    Adding is xor, a scalar multiple one carryless product and one slot
+    reduction; over GF(2) a vector is a plain bitmask."""
+
+    def __init__(self, k):
+        # the interned elements of a field with tables, read without a call
+        self.elem = k.elem if k._pool is None else k._pool.__getitem__
+        self.S = k.packing.S
+        self.smask = k.packing.smask
+        self.reduce = k.packing.reduce
+        self.inv = k.inv
+
+    def units(self, n):
+        return [1 << (self.S * i) for i in range(n)]
+
+    def pack(self, coords):
+        S, v = self.S, 0
+        for i, c in enumerate(coords):
+            if c.bits:
+                v |= c.bits << (S * i)
+        return v
+
+    def pack_symmetric(self, mat, entries):
+        """The rows of the symmetric matrix mat, packed from entries, the
+        (i, j, mat[i][j]) triples, i <= j, that hold every nonzero entry
+        of its upper triangle."""
+        S, rows = self.S, [0] * len(mat)
+        for i, j, c in entries:
+            rows[i] |= c.bits << (S * j)
+            rows[j] |= c.bits << (S * i)
+        return tuple(rows)
+
+    def support(self, v):
+        """The nonzero coordinates of v, ascending."""
+        S, smask, out = self.S, self.smask, []
+        while v:
+            i = ((v & -v).bit_length() - 1) // S
+            out.append(i)
+            v &= ~(smask << (S * i))
+        return tuple(out)
+
+    def unpack(self, v, n, support=None):
+        """The coordinates of v; support, if given, is support(v)."""
+        S, smask, elem = self.S, self.smask, self.elem
+        out = [elem(0)] * n
+        for i in self.support(v) if support is None else support:
+            out[i] = elem(v >> (S * i) & smask)
+        return tuple(out)
+
+    def entry(self, v, i):
+        """Coordinate i of v, None when it is zero."""
+        bits = v >> (self.S * i) & self.smask
+        return self.elem(bits) if bits else None
+
+    def scale(self, a, v):
+        return v if a.bits == 1 else self.reduce(_clmul(a.bits, v))
+
+    def axpy(self, v, a, u):
+        """v + a u."""
+        return v ^ (u if a.bits == 1 else self.reduce(_clmul(a.bits, u)))
+
+    def first(self, v):
+        """The first nonzero coordinate, None for the zero vector."""
+        return ((v & -v).bit_length() - 1) // self.S if v else None
+
+    def drop(self, v, i):
+        """v without coordinate i; the ones above it move down."""
+        lo = self.S * i
+        return v >> (lo + self.S) << lo | v & ((1 << lo) - 1)
+
+    def rank(self, rows):
+        """The rank of the rows: one incremental echelon pass in row
+        order, each kept row scaled to 1 at its first nonzero slot."""
+        S, smask, reduce, inv = self.S, self.smask, self.reduce, self.inv
+        echelon = []  # (shift of the lead slot, kept row)
+        for v in rows:
+            for sh, base in echelon:
+                c = v >> sh & smask
+                if c:
+                    v ^= base if c == 1 else reduce(_clmul(c, base))
+            if v:
+                sh = ((v & -v).bit_length() - 1) // S * S
+                c = v >> sh & smask
+                echelon.append((sh, v if c == 1 else reduce(_clmul(inv(c), v))))
+        return len(echelon)
+
+
+class _Coords:
+    """The `_Slots` operations on coordinate tuples, for GF(2^m)(x); a
+    scalar 1 forms no products."""
+
+    def __init__(self, k):
+        self.k = k
+        self.one = k.one
+
+    def units(self, n):
+        k = self.k
+        return [tuple(row) for row in linalg.identity(n, k.zero, k.one)]
+
+    def pack(self, coords):
+        return tuple(coords)
+
+    def pack_symmetric(self, mat, entries):
+        return tuple(map(tuple, mat))
+
+    def support(self, v):
+        return tuple(i for i, c in enumerate(v) if not c.is_zero())
+
+    def unpack(self, v, n, support=None):
+        return v
+
+    def entry(self, v, i):
+        return None if v[i].is_zero() else v[i]
+
+    def scale(self, a, v):
+        if a == self.one:
+            return v
+        return tuple(c if c.is_zero() else a * c for c in v)
+
+    def axpy(self, v, a, u):
+        if a == self.one:
+            return tuple(x if y.is_zero() else x + y for x, y in zip(v, u))
+        return tuple(x if y.is_zero() else x + a * y for x, y in zip(v, u))
+
+    def first(self, v):
+        return next((i for i, c in enumerate(v) if not c.is_zero()), None)
+
+    def drop(self, v, i):
+        return v[:i] + v[i + 1:]
+
+    def rank(self, rows):
+        """The rank of the rows by `linalg.independent_rows`, whose
+        products a degree cap trips on."""
+        return len(linalg.independent_rows(rows, len(rows)))
+
+
+@cache
+def _vectors(k):
+    """The vector layout of `_split_plane` over k: packed ints over
+    GF(2^m), coordinate tuples over GF(2^m)(x)."""
+    return (_Slots if isinstance(k, GF2m) else _Coords)(k)
+
+
+def _split_plane(vec, vecs, G, qs, sol, polar):
+    """Split off the plane (x, y) of the relation sol, (row, nonzero
+    coefficient) pairs in row order, among the rows vecs with Gram rows G
+    and q values qs in the layout vec; polar says b is the polar form of
+    q (type I).  y is the first row pairing nonzero with x, scaled to
+    b(x, y) = 1; each other row goes to the complement of the plane,
+    w_c' = w_c + lam_c x + mu_c y.  The projected rows satisfy exactly two
+    relations, sol and the unit vector at yi (w_yi' = 0), so the rows yi
+    and max(supp(sol) minus yi) go: the rows a greedy echelon pass drops.
+    vecs may be None when only the Gram rows and q values are wanted;
+    then no vector is formed, and x, y and the vectors returned are None.
+
+    A sol of two or more rows is isotropic.  A one-row x = a w_r need not
+    be when b is alternating (types I and II): the plane is then not
+    hyperbolic, and q(w_c') gains the term lam_c^2 q(x); `_plane_pairs`
+    splits so, with x the first row.
+
+    Returns (x, yi, y, keep) and the kept rows' vectors, Gram rows and q
+    values.  Raises DegenerateForm when x lies in the radical of b."""
+    (base, a), *rest = sol
+    qx = None if rest or qs[base].is_zero() else qs[base] * a * a
+    bx = vec.scale(a, G[base])
+    for r, c in rest:
+        bx = vec.axpy(bx, c, G[r])
+    yi = vec.first(bx)
+    if yi is None:
+        raise DegenerateForm("isotropic vector in the radical")
+    sc = vec.entry(bx, yi).inv()
+    x = y = vecs2 = None
+    if vecs is not None:
+        x = vec.scale(a, vecs[base])
+        for r, c in rest:
+            x = vec.axpy(x, c, vecs[r])
+        y = vec.scale(sc, vecs[yi])
+        vecs2 = []
+    # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
+    # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
+    # lam_c = b(w_c, y) + mu_c b(y, y)
+    by = vec.scale(sc, G[yi])
+    gyy = vec.entry(G[yi], yi)
+    lam = by if gyy is None else vec.axpy(by, gyy * sc * sc, bx)
+    qy = qs[yi] * sc * sc
+    if qy.is_zero():
+        qy = None
+    drop = max((r for r, _ in sol if r != yi), default=None)
+    if drop is None:
+        # x = a w_yi has b(x, x) != 0, which no space of its type allows:
+        # b is alternating for types I and II, and b(x, x) = tau q(x) = 0
+        # for type III, as sol is isotropic there
+        raise DegenerateForm("a one-row relation pairs only with its own row")
+    keep = [c for c in range(len(G)) if c != yi and c != drop]
+    hi, lo = max(yi, drop), min(yi, drop)
+    G2, qs2 = [], []
+    for c in keep:
+        row, qc = G[c], qs[c]
+        lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
+        # q(w_c') = q(w_c) + lam_c^2 q(x) + mu_c^2 q(y), and for type I
+        # also lam_c b(w_c,x) + mu_c b(w_c,y) + lam_c mu_c = mu_c b(w_c,y)
+        if lc is not None and qx is not None:
+            qc = qc + lc * lc * qx
+        if mc is not None:
+            if qy is not None:
+                qc = qc + mc * mc * qy
+            if polar and bc is not None:
+                qc = qc + mc * bc
+            # b(w_c', w_d') = b(w_c, w_d) + mu_c lam_d + b(w_c, y) mu_d
+            row = vec.axpy(row, mc, lam)
+        if bc is not None:
+            row = vec.axpy(row, bc, bx)
+        if vecs is not None:
+            w = vecs[c]
+            if lc is not None:
+                w = vec.axpy(w, lc, x)
+            if mc is not None:
+                w = vec.axpy(w, mc, y)
+            vecs2.append(w)
+        G2.append(vec.drop(vec.drop(row, hi), lo))
+        qs2.append(qc)
+    return (x, yi, y, keep), vecs2, G2, qs2
+
+
+def _plane_pairs(k, G, qs, vectors=False, polar=True):
+    """Split the nonsingular space over k with Gram rows G and q values
+    qs, in the layout `_vectors(k)`, into planes (x, y), b(x, y) = 1: x is
+    the first row, isotropic or not, and `_split_plane` splits its plane
+    off until no row is left.  polar says b is the polar form of q, of
+    even dimension; else q is totally singular and b alternating.
+
+    Returns the (q(x), q(y)) pairs and, with vectors, x and y of each
+    plane in one flat list, in the layout."""
+    if polar and len(G) % 2:
+        raise DegenerateForm("odd-dimensional forms are singular in char 2")
+    vec = _vectors(k)
+    vecs = vec.units(len(G)) if vectors else None
+    pairs, basis = [], []
+    while G:
+        yi = vec.first(G[0])
+        if yi is None:
+            raise DegenerateForm(
+                "polar form over the residue field is degenerate" if polar
+                else "alternating form is degenerate")
+        sc = vec.entry(G[0], yi).inv()
+        pairs.append((qs[0], qs[yi] * sc * sc))
+        (x, _, y, _), vecs, G, qs = _split_plane(vec, vecs, G, qs,
+                                                 [(0, k.one)], polar)
+        basis += x, y
+    return pairs, basis
+
+
 # -- quadratic forms over k ----------------------------------------------------
 
 
-def _pair_columns(blocks):
-    """The basis vectors of the pair blocks of split_gram, in order."""
-    return [v for _, e, f in blocks for v in (e, f)]
+def _packed(form: QuadraticForm):
+    """The polar rows of form in the layout `_vectors(k)`, and its q
+    values."""
+    vec = _vectors(form.field)
+    return ([vec.pack(row) for row in form.polar_matrix()],
+            [form.U[i][i] for i in range(form.n)])
 
 
 def k_symplectic_blocks(form: QuadraticForm):
     """Binary blocks [a_i, b_i] of a nonsingular form over char-2 k, and
     the basis-change matrix whose columns are the symplectic basis."""
-    if form.n % 2:
-        raise DegenerateForm("odd-dimensional forms are singular in char 2")
-    blocks, rest = split_gram(form.polar_matrix(), form.field)
-    if rest:
-        raise DegenerateForm("polar form over the residue field is degenerate")
-    pairs = [(form.evaluate(e), form.evaluate(f)) for _, e, f in blocks]
-    return pairs, linalg.transpose(_pair_columns(blocks))
+    pairs, basis = _plane_pairs(form.field, *_packed(form), vectors=True)
+    vec = _vectors(form.field)
+    return pairs, linalg.transpose([vec.unpack(v, form.n) for v in basis])
 
 
-def _through(M, terms, k):
-    """The vector sum coeff * (column col of M) over (col, coeff) terms, M
-    the basis matrix of k_symplectic_blocks."""
-    return linalg.combine([k.zero] * len(M),
-                          [(coeff, [row[col] for row in M]) for col, coeff in terms])
+def _isotropic_vector(k, G, qs):
+    """A nonzero isotropic vector, in the layout `_vectors(k)`, of the
+    nonsingular form over k with polar rows G and q values qs in that
+    layout, or None.
 
-
-def kquad_isotropic_vector(form: QuadraticForm):
-    """A nonzero isotropic vector of a nonsingular form, or None.
-
-    A block [a, b] with a zero entry or an Artin-Schreier root u^2 + u =
-    ab yields one.  Over finite k that decides: two trace-1 blocks combine
-    through a square root, a single one is anisotropic.  Over GF(2^m)(x)
-    the root search is bounded and only equal blocks combine (the
-    diagonal of [a,b] perp [a,b]), so None means `none found'.
+    A plane (x, y) of `_plane_pairs` with (q(x), q(y)) = (a, b) yields one
+    when a or b is zero or an Artin-Schreier root u^2 + u = ab exists.
+    Over finite k that decides: two trace-1 planes combine through a
+    square root, a single one is anisotropic.  Over GF(2^m)(x) the root
+    search is bounded and only equal planes combine (the diagonal of
+    [a,b] perp [a,b]), so None means `none found'.
     """
-    k = form.field
-    if form.n == 0:
-        return None
-    pairs, M = k_symplectic_blocks(form)
-    for bi, (a, b) in enumerate(pairs):
-        e, f = 2 * bi, 2 * bi + 1
+    vec = _vectors(k)
+    pairs, basis = _plane_pairs(k, G, qs, vectors=True)
+    for (a, b), x, y in zip(pairs, basis[::2], basis[1::2]):
         if a.is_zero():
-            return _through(M, [(e, k.one)], k)
+            return x
         if b.is_zero():
-            return _through(M, [(f, k.one)], k)
+            return y
         if k.is_perfect:
             root = k.artin_schreier_root((a * b).bits)
             root = None if root is None else k.elem(root)
         else:
             root = _artin_schreier_small(k, a * b)
         if root is not None:
-            return _through(M, [(e, root / a), (f, k.one)], k)
+            return vec.axpy(y, root / a, x)
     if k.is_perfect:
         if len(pairs) < 2:
             return None
-        # both blocks anisotropic: q(0,1,x2,0) = b1 + a2 x2^2 = 0
+        # both planes anisotropic: q(y_1 + sqrt(b_1 / a_2) x_2) = 0
         (_, b1), (a2, _) = pairs[0], pairs[1]
-        return _through(M, [(1, k.one), (2, (b1 / a2).sqrt())], k)
-    # duplicated blocks cancel: the diagonal of [a,b] perp [a,b] is isotropic
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i] == pairs[j]:
-                return _through(M, [(2 * i, k.one), (2 * j, k.one)], k)
+        return vec.axpy(basis[1], (b1 / a2).sqrt(), basis[2])
+    # duplicated planes cancel: the diagonal of [a,b] perp [a,b] is isotropic
+    for i, j in combinations(range(len(pairs)), 2):
+        if pairs[i] == pairs[j]:
+            return vec.axpy(basis[2 * i], k.one, basis[2 * j])
     return None
+
+
+def kquad_isotropic_vector(form: QuadraticForm):
+    """A nonzero isotropic vector of a nonsingular form, or None; see
+    `_isotropic_vector` for what None means over GF(2^m)(x)."""
+    v = _isotropic_vector(form.field, *_packed(form))
+    return None if v is None else list(_vectors(form.field).unpack(v, form.n))
 
 
 def _artin_schreier_small(k: RatFuncField, c):
@@ -200,20 +452,6 @@ def w_class(entries, k) -> WClass:
     return WClass(k, len(entries) % 2)
 
 
-def w_class_of_gram(gram, k) -> WClass:
-    """Witt class of a symmetric bilinear Gram matrix over perfect k.
-
-    Diagonalizable lines count mod 2; the residual alternating part is
-    metabolic and contributes nothing.
-    """
-    if not k.is_perfect:
-        raise UnsupportedResidueField("W(k) classification needs perfect k")
-    blocks, rest = split_gram(gram, k)
-    if rest:
-        raise DegenerateForm("degenerate bilinear form over k")
-    return WClass(k, sum(kind == "line" for kind, _, _ in blocks) % 2)
-
-
 # -- symplectic quadratic spaces ------------------------------------------------
 
 
@@ -254,12 +492,11 @@ def sq_normalize(qvals, bmat, k):
     basis, alternating Gram matrix); returns (space, basis columns)."""
     if not all(bmat[i][i].is_zero() for i in range(len(qvals))):
         raise DegenerateForm("bilinear form is not alternating")
-    blocks, rest = split_gram(bmat, k)
-    if rest:
-        raise DegenerateForm("alternating form is degenerate")
-    q = QuadraticForm.diagonal(k, qvals).evaluate
-    pairs = tuple((q(e), q(f)) for _, e, f in blocks)
-    return SymplecticQuadSpace(k, pairs), _pair_columns(blocks)
+    vec = _vectors(k)
+    pairs, basis = _plane_pairs(k, [vec.pack(row) for row in bmat],
+                                list(qvals), vectors=True, polar=False)
+    return (SymplecticQuadSpace(k, tuple(pairs)),
+            [list(vec.unpack(v, len(qvals))) for v in basis])
 
 
 def ssq_normalize(qvals, dual_qvals, k):
@@ -380,58 +617,28 @@ def ssq_witt_class(S: SeparatedSpace) -> TensorElem:
 # -- hyperbolic planes ------------------------------------------------------------
 
 
-def _split_isotropic(form: QuadraticForm, find) -> QuadraticForm:
-    """Split off the hyperbolic plane through find(current) with the
-    round of `graded.metabolic_planes` until find returns None; the form
-    that is left."""
-    from . import graded  # graded imports this module
-    k = form.field
-    vec = graded._vectors(k)
-    G = [vec.pack(row) for row in form.polar_matrix()]
-    qs = [form.U[i][i] for i in range(form.n)]
-    current = form
-    while current.n:
-        found = find(current)
-        if found is None:
-            break
-        sol = [(r, a) for r, a in enumerate(found) if not a.is_zero()]
-        _, _, G, qs = graded._split_plane(vec, None, G, qs, sol, polar=True)
-        current = QuadraticForm.from_gram(
-            k, qs, [vec.unpack(row, len(qs)) for row in G])
-    return current
-
-
-def _arf_pairs(form: QuadraticForm) -> list:
-    """(q(x), q(y)) for planes (x, y), b(x, y) = 1, that split a
-    nonsingular form over finite k, on packed polar rows: x is the first
-    row, isotropic or not, and `graded._split_plane` splits it off until
-    no row is left."""
-    from . import graded  # graded imports this module
-    k = form.field
-    if form.n % 2:
-        raise DegenerateForm("odd-dimensional forms are singular in char 2")
-    vec = graded._vectors(k)
-    G = [vec.pack(row) for row in form.polar_matrix()]
-    qs = [form.U[i][i] for i in range(form.n)]
-    pairs = []
+def _split_isotropic(k, G, qs, find):
+    """Split off the hyperbolic plane through the isotropic vector
+    find(k, G, qs), in the layout `_vectors(k)`, with `_split_plane`, and
+    search what is left again, until find returns None; the Gram rows and
+    q values left."""
+    vec = _vectors(k)
     while G:
-        yi = vec.first(G[0])
-        if yi is None:
-            raise DegenerateForm(
-                "polar form over the residue field is degenerate")
-        sc = vec.entry(G[0], yi).inv()
-        pairs.append((qs[0], qs[yi] * sc * sc))
-        _, _, G, qs = graded._split_plane(vec, None, G, qs, [(0, k.one)],
-                                          polar=True)
-    return pairs
+        v = find(k, G, qs)
+        if v is None:
+            break
+        sol = [(r, vec.entry(v, r)) for r in vec.support(v)]
+        _, _, G, qs = _split_plane(vec, None, G, qs, sol, polar=True)
+    return G, qs
 
 
 def kquad_witt_class(form: QuadraticForm) -> WqClass:
-    """Witt class of a nonsingular form over k: Arf bit over finite k,
-    partial raw data over GF(2^m)(x), read off `k_symplectic_blocks`."""
-    if form.field.is_perfect:
-        return arf_invariant(_arf_pairs(form), form.field)
-    return wq_raw_class(k_symplectic_blocks(form)[0], form.field)
+    """Witt class of a nonsingular form over k, read off the pairs of
+    `_plane_pairs`: the Arf bit over finite k, partial raw data over
+    GF(2^m)(x)."""
+    k = form.field
+    pairs, _ = _plane_pairs(k, *_packed(form))
+    return (arf_invariant if k.is_perfect else wq_raw_class)(pairs, k)
 
 
 def kquad_is_hyperbolic_witnessed(form: QuadraticForm) -> bool:
@@ -440,4 +647,5 @@ def kquad_is_hyperbolic_witnessed(form: QuadraticForm) -> bool:
     Over finite k this decides; over GF(2^m)(x) only successful runs are
     meaningful (False means `no witness found').
     """
-    return _split_isotropic(form, kquad_isotropic_vector).n == 0
+    G, _ = _split_isotropic(form.field, *_packed(form), _isotropic_vector)
+    return not G

@@ -1,8 +1,8 @@
 """The brute-force residue-field oracles: anisotropic parts found by
 exhaustive isotropic-vector enumeration over a finite field.
 
-They split with `graded._split_plane`, the round of
-`graded.metabolic_planes` that `kquad_is_hyperbolic_witnessed` runs too,
+They split with `residue_witt._split_plane`, the residue-field plane
+splitter that `kquad_is_hyperbolic_witnessed` runs too,
 and serve as independent checks of the Arf invariant, the wedge and
 tensor invariants and the hyperbolicity witness.  No library answer or
 CLI path calls them.
@@ -10,11 +10,12 @@ CLI path calls them.
 
 from itertools import product
 
-from wittlab import graded, linalg
+from wittlab import linalg
 from wittlab.errors import UnsupportedResidueField, WittlabError
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
-                                  _split_isotropic, sq_normalize)
+                                  _packed, _split_isotropic, _split_plane,
+                                  _vectors, sq_normalize)
 
 ORACLE_ENUM_CAP = 1 << 21
 
@@ -57,11 +58,11 @@ def sq_anisotropic_part(S: SymplecticQuadSpace) -> SymplecticQuadSpace:
         found = _first_isotropic(k, n, q.evaluate)
         if found is None:
             return SymplecticQuadSpace(k, tuple(pairs))
-        vec = graded._vectors(k)
+        vec = _vectors(k)
         B = [vec.pack([k.one if i ^ j == 1 else k.zero for j in range(n)])
              for i in range(n)]
         sol = [(r, a) for r, a in enumerate(found) if not a.is_zero()]
-        _, _, G, qvals = graded._split_plane(
+        _, _, G, qvals = _split_plane(
             vec, vec.units(n), B, [c for pair in pairs for c in pair], sol,
             polar=False)
         bmat = [vec.unpack(row, n - 2) for row in G]
@@ -126,6 +127,16 @@ def witt_decompose_small(space):
 def kquad_anisotropic_part(form: QuadraticForm) -> QuadraticForm:
     """Anisotropic kernel of a nonsingular quadratic form over finite k,
     by exhaustive isotropic-vector search and splitting."""
-    _check_enum_size(form.field, form.n)
-    return _split_isotropic(
-        form, lambda f: _first_isotropic(f.field, f.n, f.evaluate))
+    k = form.field
+    _check_enum_size(k, form.n)
+    vec = _vectors(k)
+
+    def form_of(G, qs):
+        return QuadraticForm.from_gram(
+            k, qs, [vec.unpack(row, len(G)) for row in G])
+
+    def find(_, G, qs):
+        found = _first_isotropic(k, len(G), form_of(G, qs).evaluate)
+        return None if found is None else vec.pack(found)
+
+    return form_of(*_split_isotropic(k, *_packed(form), find))

@@ -11,7 +11,7 @@ from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
 from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
                             make_field, ratfunc)
 from wittlab.fields.common import power
-from wittlab.graded import _Coords, _Slots
+from wittlab.residue_witt import _Coords, _Slots
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
 

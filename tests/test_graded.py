@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittlab import graded, norms
+from wittlab import graded, norms, residue_witt
 from wittlab.errors import (DegenerateForm, GridViolation, NotApplicable,
                             Undecidable, WittlabError, WrongCase)
 from wittlab.fields import make_field
@@ -128,14 +128,14 @@ def test_metabolic_planes_check_the_degree_grid(monkeypatch):
     S = ShiftedQuadSpace(k, F2T.v2, 1, [third, -third - 1],
                          [k.zero, k.zero],
                          [[k.zero, k.one], [k.one, k.zero]], "II")
-    real = graded._split_plane
+    real = residue_witt._split_plane
 
     def off_grid(vec, *args, **kwargs):
         (x, yi, *plane), *rest = real(vec, *args, **kwargs)
         return (vec.axpy(x, k.one, vec.units(S.n)[yi]), yi, *plane), *rest
 
     assert len(graded.metabolic_planes(S)) == 1
-    monkeypatch.setattr(graded, "_split_plane", off_grid)
+    monkeypatch.setattr(residue_witt, "_split_plane", off_grid)
     # the first call left the planes of S in the memo: a hit runs no round
     graded.planes_memo.cache_clear()
     with pytest.raises(GridViolation, match="off the degree grid"):

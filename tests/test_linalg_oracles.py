@@ -16,7 +16,9 @@ in `linalg`, kept as test oracles.
   on the induced spaces met along the wildness loop over F2((t)),
   F4((t)), F2(x)((t)) and Q_2, and on random spaces over every residue
   field of `RESIDUE`: GF(8) packs at slot width 2m - 1 = 5 and GF(2^9)
-  lies above the m <= 8 multiplication and inverse tables.
+  lies above the m <= 8 multiplication and inverse tables.  Its type-I
+  relations come from the hand-written `kquad_isotropic_vector` of
+  `test_residue_oracles`, not from the library's plane splitter.
 * `pick_pivot`, `pick_line` and `pick_pair` are the pick loops of
   `linalg` and `quadform.split_gram`, compared with
   `linalg.min_valuation` on truncated entries with ties.
@@ -78,9 +80,9 @@ from wittlab.graded import GradedVector, coset
 from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import (QuadraticForm, gram_of, split_gram,
                               symplectic_blocks)
-from wittlab.residue_witt import kquad_isotropic_vector
 
 from form_helpers import qval, unit_vector
+from test_residue_oracles import KQuadForm, kquad_isotropic_vector
 
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
            "GF(8)": GF2m(3), "GF(2^9)": GF2m(9)}
@@ -180,7 +182,7 @@ def _find_isotropic_rel(S, vecs, qs, G):
                      (G[idx[i]][idx[j]] if j > i else k.zero)
                      for j in range(n)] for i in range(n)]
             try:
-                sol = kquad_isotropic_vector(QuadraticForm(k, rows))
+                sol = kquad_isotropic_vector(KQuadForm(k, rows))
             except DegenerateForm:
                 sol = None
                 undecided = True

@@ -145,7 +145,7 @@ def test_rank_test_errors_reach_the_caller(monkeypatch):
     def capped(self, rows):
         raise DegreeCapExceeded("rank test")
 
-    monkeypatch.setattr(norms.graded._Coords, "rank", capped)
+    monkeypatch.setattr(norms.residue_witt._Coords, "rank", capped)
     q = parse_form("[1, x*t^-2]", F2XT)
     with pytest.raises(DegreeCapExceeded):
         check_compatibility(q, std_norm(F2XT, [0, -1]), 1)

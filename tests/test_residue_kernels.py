@@ -2,15 +2,16 @@
 it replaced.
 
 * The rank test of condition (c) in `norms.check_compatibility` is the
-  `rank` of the row layout `graded._vectors(k)`: elimination on packed
+  `rank` of the row layout `residue_witt._vectors(k)`: elimination on packed
   ints over GF(2^m), `linalg.independent_rows` itself on coordinate
   tuples over GF(2^m)(x).  It is compared with `independent_rows` on the
   element rows; over GF(2)(x) under a degree cap of 6 too, where both
   must raise `DegreeCapExceeded` alike.
 * The Arf bit of `residue_witt.kquad_witt_class` over a finite field
-  splits off the plane of the first row with `graded._split_plane`,
+  splits off the plane of the first row with `residue_witt._split_plane`,
   whether that row is isotropic or not.  It is compared with
-  `arf_invariant` of `k_symplectic_blocks`, odd and degenerate forms
+  `arf_invariant` of the symplectic blocks of the hand-written oracle
+  `test_residue_oracles.k_symplectic_blocks`, odd and degenerate forms
   included (the same error, the same message).
 * Type-III spaces whose b is not diagonal, so that b(y, y) = q(y) and
   b(w_c, x) are both nonzero in some projection: the planes of
@@ -25,15 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlab import graded, linalg
+from wittlab import graded, linalg, residue_witt
 from wittlab.errors import DegreeCapExceeded, WittlabError
 from wittlab.fields import GF2m, RatFuncField
 from wittlab.fields.common import HALF
 from wittlab.quadform import QuadraticForm
-from wittlab.residue_witt import (arf_invariant, k_symplectic_blocks,
-                                  kquad_witt_class)
+from wittlab.residue_witt import arf_invariant, kquad_witt_class
 
 from form_helpers import bval, qval
+from test_residue_oracles import KQuadForm, k_symplectic_blocks
 
 FINITE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2^8)": GF2m(8)}
 RESIDUE = {**FINITE, "GF(2)(x)": RatFuncField(1),
@@ -61,7 +62,7 @@ def _outcome(fn, *args):
 
 
 def _packed_rank(rows):
-    vec = graded._vectors(rows[0][0].field)
+    vec = residue_witt._vectors(rows[0][0].field)
     return vec.rank([vec.pack(row) for row in rows])
 
 
@@ -91,7 +92,8 @@ def test_packed_rank_matches_independent_rows(name, seed):
 
 
 def _arf_by_blocks(form):
-    return arf_invariant(k_symplectic_blocks(form)[0], form.field).arf
+    pairs, _ = k_symplectic_blocks(KQuadForm(form.field, form.U))
+    return arf_invariant(pairs, form.field).arf
 
 
 @pytest.mark.parametrize("name", FINITE)
@@ -219,17 +221,15 @@ def _planes_by_rounds(S):
     """The number of planes the rounds of metabolic_planes split off
     before no isotropic relation is left, None when a row is left: the
     rounds without the exit on a class of odd dimension."""
-    vec = graded._vectors(S.k)
+    vec = residue_witt._vectors(S.k)
     G, qs = [vec.pack(row) for row in S.bmat], list(S.qvals)
     cls = [graded.coset(d) for d in S.degrees]
     planes = 0
     while G:
-        sol = graded._find_isotropic_rel(
-            S.k, S.type_tag, cls, qs,
-            lambda r, c: vec.entry(G[r], c) or S.k.zero)
+        sol = graded._find_isotropic_rel(S.k, S.type_tag, cls, qs, G)
         if sol is None:
             return None
-        (_, _, _, keep), _, G, qs = graded._split_plane(
+        (_, _, _, keep), _, G, qs = residue_witt._split_plane(
             vec, None, G, qs, sol, polar=False)
         cls = [cls[c] for c in keep]
         planes += 1

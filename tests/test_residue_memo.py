@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlab import graded
+from wittlab import graded, residue_witt
 from wittlab.errors import DegenerateForm, GridViolation, WittlabError
 from wittlab.fields import RatFuncField
 from wittlab.fields.common import HALF
@@ -170,13 +170,13 @@ def test_a_grid_violation_is_raised_on_a_hit_too(monkeypatch):
     S = graded.ShiftedQuadSpace(k, 1, 1, [third, -third - 1],
                                 [k.zero, k.zero],
                                 [[k.zero, k.one], [k.one, k.zero]], "II")
-    real = graded._split_plane
+    real = residue_witt._split_plane
 
     def off_grid(vec, *args, **kwargs):
         (x, yi, *plane), *rest = real(vec, *args, **kwargs)
         return (vec.axpy(x, k.one, vec.units(S.n)[yi]), yi, *plane), *rest
 
-    monkeypatch.setattr(graded, "_split_plane", off_grid)
+    monkeypatch.setattr(residue_witt, "_split_plane", off_grid)
     graded.planes_memo.cache_clear()
     try:
         for _ in range(2):

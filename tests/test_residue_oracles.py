@@ -4,11 +4,14 @@
 Each function below is the hand-written loop that `residue_witt` and
 `graded` carried before: `KQuadForm`, `k_symplectic_blocks` (with the
 isotropic-vector search that rides on it), `sq_normalize`,
-`w_class_of_gram`, `_diagonalize_bilinear`, `kquad_anisotropic_part` and
+`_diagonalize_bilinear`, `kquad_anisotropic_part` and
 `kquad_is_hyperbolic_witnessed`.  The tests draw seeded random forms and
 Grams over GF(2), GF(4), GF(8), GF(2)(x) and GF(4)(x) and require the
-library to give exactly the same pairs, basis, diagonal, rank, Witt bit,
-anisotropic part, hyperbolicity answer, or exception type.
+library to give exactly the same pairs, basis, diagonal, rank,
+anisotropic part, hyperbolicity answer, or exception type.  The Arf-bit
+comparison of `test_residue_kernels` and the type-I relations of the
+parent `metabolic_planes` in `test_linalg_oracles` run these oracles
+too, so they do not compare the library's plane splitter with itself.
 """
 
 import random
@@ -21,8 +24,7 @@ from wittlab.errors import DegenerateForm, UnsupportedResidueField
 from wittlab.fields import GF2m, RatFuncField
 from wittlab.graded import BilinearDiag
 from wittlab.quadform import QuadraticForm
-from wittlab.residue_witt import (SymplecticQuadSpace, WClass,
-                                  _artin_schreier_small)
+from wittlab.residue_witt import SymplecticQuadSpace, _artin_schreier_small
 
 import residue_brute_force
 from residue_brute_force import _check_enum_size, _is_finite
@@ -181,42 +183,6 @@ def _kquad_isotropic_best_effort(form: KQuadForm):
                 vj = through(j, (k.one, k.zero))
                 return [p + q for p, q in zip(vi, vj)]
     return None
-
-
-def w_class_of_gram(gram, k) -> WClass:
-    """Witt class of a symmetric bilinear Gram matrix over perfect k.
-
-    Diagonalizable lines count mod 2; the residual alternating part is
-    metabolic and contributes nothing.
-    """
-    if not getattr(k, "is_perfect", False):
-        raise UnsupportedResidueField("W(k) classification needs perfect k")
-    n = len(gram)
-    vecs = [[k.one if i == r else k.zero for i in range(n)] for r in range(n)]
-
-    def bval(u, w):
-        acc = k.zero
-        for i in range(n):
-            for j in range(n):
-                acc = acc + gram[i][j] * u[i] * w[j]
-        return acc
-
-    lines = 0
-    while vecs:
-        idx = next((i for i, v in enumerate(vecs) if not bval(v, v).is_zero()), None)
-        if idx is None:
-            # alternating remainder: nondegenerate => metabolic
-            rank = len(linalg.rref_exact(
-                [[bval(u, w) for w in vecs] for u in vecs])[1])
-            if rank != len(vecs):
-                raise DegenerateForm("degenerate bilinear form over k")
-            break
-        e = vecs[idx]
-        de = bval(e, e)
-        lines += 1
-        rest = [v for i, v in enumerate(vecs) if i != idx]
-        vecs = [[v[r] + (bval(v, e) / de) * e[r] for r in range(n)] for v in rest]
-    return WClass(k, lines % 2)
 
 
 def sq_normalize(qvals, bmat, k):
@@ -470,18 +436,6 @@ def test_sq_normalize_matches_oracle(name):
         bmat = _symmetric_gram(k, n, rng, alternating=rng.random() < 0.9)
         want = _outcome(sq_normalize, qvals, bmat, k)
         got = _outcome(residue_witt.sq_normalize, qvals, bmat, k)
-        assert got == want
-
-
-@pytest.mark.parametrize("name", FIELDS)
-def test_w_class_of_gram_matches_oracle(name):
-    k = FIELDS[name]
-    rng = random.Random(f"w_class_of_gram {name}")
-    for _ in range(60):
-        gram = _symmetric_gram(k, rng.randrange(6), rng,
-                               alternating=rng.random() < 0.2)
-        want = _outcome(w_class_of_gram, gram, k)
-        got = _outcome(residue_witt.w_class_of_gram, gram, k)
         assert got == want
 
 

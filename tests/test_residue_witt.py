@@ -11,7 +11,7 @@ from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                                   kquad_witt_class, sq_normalize,
                                   sq_witt_class, ssq_normalize,
                                   ssq_witt_class, tensor_of, w_class,
-                                  w_class_of_gram, wedge_of, wq_raw_class)
+                                  wedge_of, wq_raw_class)
 
 from residue_brute_force import (TooLarge, kquad_anisotropic_part,
                                  witt_decompose_small)
@@ -262,17 +262,6 @@ def test_w_class():
         w_class([RX.one], RX)
     with pytest.raises(DegenerateForm):
         w_class([K2.zero], K2)
-
-
-def test_w_class_of_gram():
-    # <1,1> has an isotropic diagonal but as a bilinear Gram it is the
-    # identity, class 0 via two lines
-    g = [[K2.one, K2.zero], [K2.zero, K2.one]]
-    assert w_class_of_gram(g, K2).bit == 0
-    g = [[K2.one]]
-    assert w_class_of_gram(g, K2).bit == 1
-    alt = [[K2.zero, K2.one], [K2.one, K2.zero]]
-    assert w_class_of_gram(alt, K2).bit == 0
 
 
 def test_k_symplectic_blocks_roundtrip():

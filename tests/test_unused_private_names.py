@@ -54,3 +54,27 @@ def test_every_private_definition_is_named_again():
                   if name not in named) == []
     assert sorted(f"{where} {name}" for name, where in methods.items()
                   if name not in attrs) == []
+
+
+def test_every_public_definition_is_named_elsewhere_or_exported():
+    # a top-level public function or class that no other place of
+    # src/wittlab names is dead code unless the package exports it:
+    # wittlab/__init__ and wittlab.fields import their exports, and an
+    # import names what it imports
+    defined, named = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined[node.name] = f"{path.relative_to(SRC)}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    assert defined  # the scan found the package
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in named) == []
