@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import graded, residue_witt
 from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
                      UnsupportedResidueField, WittlabError)
+from .fields import DyadicField
 from .fields.common import HALF, INF, grid, half
 from .graded import default_choice, orbit_invariants
 from .norms import (_require_certified_form, descend, extend_certificate,
@@ -318,7 +319,6 @@ def enumerate_wq_Q2(precision: int = 64):
     Returns (decomps, table): 32 pairwise-distinct parameter tuples and
     the 32 x 32 index table of re-canonicalized orthogonal sums.
     """
-    from .fields import DyadicField
     F = DyadicField(precision)
     k = F.residue_field
     decomps = []

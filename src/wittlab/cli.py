@@ -33,6 +33,7 @@ from .fields import DyadicField, LaurentField, field_shorthand
 from .fields.gf2m import GF2m
 from .fields.ratfunc import RatFuncField
 from .literals import parse_form
+from .residue_witt import TensorElem, WClass, WedgeElem, WqClass
 
 SCHEMA = "wittlab/1"
 
@@ -67,7 +68,6 @@ def _pinned(field):
 
 
 def _invariant_payload(inv, k):
-    from .residue_witt import TensorElem, WClass, WedgeElem, WqClass
     if isinstance(inv, WqClass):
         if inv.decides():
             return {"group": "Wq", "arf": inv.arf}

@@ -30,7 +30,7 @@ reduction is the identity.
 from __future__ import annotations
 
 from ..errors import DivisionByZero, UnsupportedResidueField
-from .common import INF, Exact
+from .common import Exact
 
 # Smallest irreducible polynomial of each degree over GF(2), as bit-patterns.
 IRREDUCIBLE = {
@@ -326,14 +326,9 @@ class FF(Exact):
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    # the zero tests of the valued fields, under the trivial valuation
+    # the exact-zero test of the valued fields, which residue forms and
+    # the shared steps of linalg read too
     is_exactly_zero = is_zero
-
-    def is_certified_nonzero(self) -> bool:
-        return self.bits != 0
-
-    def valuation(self):
-        return 0 if self.bits else INF
 
     def __add__(self, other: "FF") -> "FF":
         return self.field.elem(self.bits ^ other.bits)

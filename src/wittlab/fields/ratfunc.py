@@ -31,7 +31,7 @@ intermediate growth into DegreeCapExceeded instead of a silent hang.
 from __future__ import annotations
 
 from ..errors import DegreeCapExceeded, DivisionByZero
-from .common import INF, Exact
+from .common import Exact
 from .gf2m import GF2m, _clmul, _Packing
 
 
@@ -213,14 +213,9 @@ class RatFunc(Exact):
     def is_zero(self) -> bool:
         return not self.num
 
-    # the zero tests of the valued fields, under the trivial valuation
+    # the exact-zero test of the valued fields, which residue forms and
+    # the shared steps of linalg read too
     is_exactly_zero = is_zero
-
-    def is_certified_nonzero(self) -> bool:
-        return bool(self.num)
-
-    def valuation(self):
-        return 0 if self.num else INF
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         F = self.field

@@ -22,22 +22,22 @@ round of `metabolic_planes` runs it on an isotropic relation, which
 names the two rows each projection makes dependent, so no elimination
 chooses the kept basis; the Gram rows and q values of the kept rows are
 updated in place.  The type-I and type-II descents are split by it too
-(`residue_witt.kquad_witt_class`, `sq_normalize`); a type-III descent is
-diagonalized by the kernel of the valued forms, `quadform.split_gram`.
-Its vectors and Gram rows are in the layout `residue_witt._vectors(k)`:
-ints in the slot layout of `GF2m.packing` over GF(2^m), coordinate
-tuples over GF(2^m)(x).  The planes leave `metabolic_planes` as
-`GradedVector`s, whose construction is the one check of the degree
-grid.  A `GradedVector` carries its support, the indices of its nonzero
-coordinates, which over GF(2^m) is read off the packed slots; the grid
-check and the monomial columns of `norms.depth_reduce` run over it, not
-over the whole coordinate tuple.  The dual q values of a half-integer
-descent, totally singular over k, are those of `QuadraticForm.diagonal`
-(`evaluate`).  The rank test of condition (c) in
-`norms.check_compatibility` runs on the same layouts (`rank`), and keeps
-its packed rows on the certificate; the induced space hands them to
-`metabolic_planes` (`ShiftedQuadSpace.rows`), so no row is packed twice,
-and a space built without them packs bmat.
+(`residue_witt.kquad_witt_class`, `sq_normalize`); a type-III descent
+needs no split (below).  The splitter's vectors and Gram rows are in the
+layout `residue_witt._vectors(k)`: ints in the slot layout of
+`GF2m.packing` over GF(2^m), coordinate tuples over GF(2^m)(x).  The
+planes leave `metabolic_planes` as `GradedVector`s, whose construction
+is the one check of the degree grid.  A `GradedVector` carries its
+support, the indices of its nonzero coordinates, which over GF(2^m) is
+read off the packed slots; the grid check and the monomial columns of
+`norms.depth_reduce` run over it, not over the whole coordinate
+tuple.  The dual q values of a half-integer descent, totally singular
+over k, are those of `QuadraticForm.diagonal` (`evaluate`).  The rank
+test of condition (c) in `norms.check_compatibility` runs on the same
+layouts (`rank`), and keeps its packed rows on the certificate; the
+induced space hands them to `metabolic_planes`
+(`ShiftedQuadSpace.rows`), so no row is packed twice, and a space built
+without them packs bmat.
 
 Over GF(2^m) the rounds of `metabolic_planes` are a pure function,
 `_plane_rounds`, of (k, type, eps, degrees, q values, Gram rows), and
@@ -61,11 +61,14 @@ to the planes, and the traced pass of `bench/run.py --trace 1`, which
 replays the ops of its untraced pass, must still reach the layers it
 calls (`linalg.invert_exact` on `laurent-pipeline`).
 
-Over the perfect residue field of Q_2 a type-III orbit needs no split:
-every unit is a square and <1, 1> is metabolic, so the W(k) class of a
-principal coset is its dimension mod 2 (`orbit_invariants`), and a
-coset that b pairs with itself holds whole planes only, so one of odd
-dimension stops `metabolic_planes` before its first round.
+A type-III orbit needs no split either.  Its descent is a nondegenerate
+symmetric bilinear form over k, which Gram-Schmidt splits into lines
+and an alternating rest, metabolic and of even dimension, so its class
+is the dimension of its principal coset mod 2 (`orbit_invariants`); over
+the perfect residue field of Q_2, the one type III occurs over, every
+unit is a square and <1, 1> is metabolic, so that parity is its W(k)
+class.  A coset that b pairs with itself holds whole planes only, so
+one of odd dimension stops `metabolic_planes` before its first round.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from .errors import (DegenerateForm, GridViolation, NotApplicable,
                      SingularMatrix, Undecidable, WittlabError, WrongCase)
 from .fields.common import HALF, INF, grid, half
 from .fields.gf2m import GF2m
-from .quadform import QuadraticForm, split_gram
+from .quadform import QuadraticForm
 from .residue_witt import SeparatedSpace, SymplecticQuadSpace, sq_normalize
 
 
@@ -292,20 +295,11 @@ def default_choice(S: ShiftedQuadSpace) -> UniformizingChoice:
     return UniformizingChoice(rho, pi)
 
 
-@dataclass(frozen=True)
-class BilinearDiag:
-    """Descent of a type-III space: diagonal entries plus the rank of the
-    residual alternating (metabolic) part."""
-
-    diag: tuple
-    alternating_rank: int
-
-
 def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:
     """Per-orbit residue objects for integer eps.
 
     type I -> QuadraticForm over k, type II -> SymplecticQuadSpace,
-    type III -> BilinearDiag.
+    type III -> the Gram rows of the descended bilinear form over k.
     """
     if not _is_int(S.eps):
         raise WrongCase(f"case 1 needs integer eps, got {S.eps}")
@@ -334,14 +328,8 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
             out[c] = sq_normalize(qv, bm, k)[0] if idx else \
                 SymplecticQuadSpace(k, ())
         else:
-            out[c] = _diagonalize_bilinear(bm, k)
+            out[c] = bm
     return out
-
-
-def _diagonalize_bilinear(gram, k) -> BilinearDiag:
-    blocks, _ = split_gram(gram, k)
-    diag = tuple(d for kind, _, d in blocks if kind == "line")
-    return BilinearDiag(diag, len(gram) - len(diag))
 
 
 def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> SeparatedSpace:
@@ -464,7 +452,7 @@ def _plane_rounds(k, type_tag, eps, degrees, qs, rows):
         sol = _find_isotropic_rel(k, type_tag, cls, qs, G)
         if sol is None:
             return None
-        (x, yi, y, keep), vecs, G, qs = residue_witt._split_plane(
+        (x, yi, y, _, keep), vecs, G, qs = residue_witt._split_plane(
             vec, vecs, G, qs, sol, polar)
         planes += degs[sol[0][0]], x, degs[yi], y
         degs = [degs[c] for c in keep]
@@ -521,15 +509,14 @@ def metabolic_planes(S: ShiftedQuadSpace):
 
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:
     """Per-orbit Witt-group invariants of the descended residue objects;
-    with the default choice over a perfect k, a type-III orbit's is the
-    parity of its dimension, read without the descent."""
+    a type-III orbit's is the parity of its dimension, read without the
+    descent for the default choice."""
     out = {}
     if _is_int(S.eps):
-        if S.type_tag == "III" and choice is None and S.k.is_perfect:
-            # over a perfect k every unit is a square and <1, 1> is
-            # metabolic, so the W(k) class of a principal coset is its
-            # dimension mod 2: at integer eps each such coset pairs with
-            # itself, and condition (c) makes its block of b nondegenerate
+        if S.type_tag == "III" and choice is None:
+            # the class of a principal coset is its dimension mod 2: at
+            # integer eps each such coset pairs with itself, and condition
+            # (c) makes its block of b nondegenerate
             cosets = coset_decomposition(S)
             return {c: residue_witt.WClass(S.k, len(cosets.get(c, ())) % 2)
                     for (c,) in orbit_partition(S.eps).principal}
@@ -541,7 +528,7 @@ def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> 
             elif S.type_tag == "II":
                 out[c] = residue_witt.sq_witt_class(obj)
             else:
-                out[c] = residue_witt.WClass(S.k, len(obj.diag) % 2)
+                out[c] = residue_witt.WClass(S.k, len(obj) % 2)
     else:
         sep = descend_case2(S, choice)
         out[(half(0), HALF)] = residue_witt.ssq_witt_class(sep)

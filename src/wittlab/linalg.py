@@ -2,8 +2,8 @@
 
 Two regimes:
 
-* residue fields (GF(2^m), GF(2^m)(x)): arithmetic is exact, any nonzero
-  pivot works;
+* residue fields (GF(2^m), GF(2^m)(x)): arithmetic is exact, and the
+  elimination takes the first nonzero pivot;
 * valued base fields: entries carry certified precision, so pivots are
   chosen certified-nonzero with minimal valuation (maximal confidence),
   ties broken lexicographically for determinism.  Rank decisions use a
@@ -17,12 +17,11 @@ as an n x n matrix).  `mat_mul` takes a row of its left factor dense or
 so, as `quadform.gram_of` takes a column and a row of its Gram; the
 lift of a depth step passes its monomial columns so.
 
-The steps the splitting routines share live here once: the pivot rule
-`min_valuation` (the first nonzero entry under the trivial valuation of
-a residue field), the echelon pass `independent_rows` (the rank test
-of condition (c) over GF(2^m)(x); over GF(2^m) it runs on packed rows,
-`residue_witt._Slots.rank`), the join `block_diag` and the linear
-combination `combine`.
+The steps the splitting routines share live here once: the valued
+fields' pivot rule `min_valuation`, the echelon pass
+`independent_rows` (the rank test of condition (c) over GF(2^m)(x);
+over GF(2^m) it runs on packed rows, `residue_witt._Slots.rank`), the
+join `block_diag` and the linear combination `combine`.
 """
 
 from __future__ import annotations
@@ -98,7 +97,8 @@ def combine(vec, terms):
 
 def min_valuation(cands):
     """The key of the certified-nonzero entry of minimal valuation among
-    (key, entry) pairs, ties to the smaller key; None if there is none."""
+    (key, entry) pairs over a valued field, ties to the smaller key; None
+    if there is none.  Residue elements carry no valuation."""
     best = None
     for key, x in cands:
         if x.is_certified_nonzero():

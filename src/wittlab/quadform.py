@@ -20,14 +20,11 @@ kernel on diag(G1, G2) touches only its own summand's rows, so the loop
 on the sum takes each summand's steps in its own order and interleaves
 them by kind and pivot valuation (`_merge`); the blocks, the basis and
 the errors are those of a split of the whole polar matrix.  A sum with
-a truncated entry, or with a summand that raises, is split whole.  The
-residue-field routines of `residue_witt` and `graded` run the kernel
-too: residue elements (`GF2m`, `GF(2^m)(x)`) carry the same zero tests
-under the trivial valuation, 0 on every nonzero element, so each pivot
-there is the first nonzero entry, and forms over a residue field are
-`QuadraticForm`s as well; `QuadraticForm.from_gram` builds one from q
-values and a polar Gram, which in characteristic 2 it keeps as the
-polar matrix.
+a truncated entry, or with a summand that raises, is split whole.
+Forms over a residue field (`GF2m`, `GF(2^m)(x)`) are `QuadraticForm`s
+as well, split by the plane splitter of `residue_witt`, not by this
+kernel; `QuadraticForm.from_gram` builds one from q values and a polar
+Gram, which in characteristic 2 it keeps as the polar matrix.
 
 `gram_of`, the Gram kernel of the certificates of `norms`, forms
 cols^T B cols as sparse rows (`linalg.sparse`): row r holds the
@@ -255,27 +252,21 @@ def split_gram(G, F):
     While the diagonal has a certified-nonzero entry (characteristic 0),
     split off the line of the one of minimal valuation; once the diagonal
     is exactly zero, split off the plane of the certified-nonzero pairing
-    of minimal valuation, ties broken lexicographically.  Under the
-    trivial valuation of a residue field each pivot is the first nonzero
-    entry.  The Gram matrix of the working basis is maintained
-    incrementally, on the entries whose row and column both have a line
-    or pair coefficient that is not an exact zero, and a pair step forms
-    only the terms whose two coefficients are not exact zeros and scales
-    by b(e, f)^-1 only the entries that are not exact zeros, so the whole
-    split costs O(n^3) field operations.
+    of minimal valuation, ties broken lexicographically.  The Gram matrix
+    of the working basis is maintained incrementally, on the entries
+    whose row and column both have a line or pair coefficient that is not
+    an exact zero, and a pair step forms only the terms whose two
+    coefficients are not exact zeros and scales by b(e, f)^-1 only the
+    entries that are not exact zeros, so the whole split costs O(n^3)
+    field operations.
 
-    Returns (blocks, rest).  blocks lists ("line", e, b(e, e)) and
+    Returns (blocks, rest, pivots).  blocks lists ("line", e, b(e, e)) and
     ("pair", e, f) with b(e, f) = 1, the vectors in the coordinates of G;
     rest is the Gram matrix of the complement left when no certified
-    pivot remains, empty when G splits completely.
+    pivot remains, empty when G splits completely; pivots lists the
+    valuation of each block's pivot: b(e, e) for a line, the pairing the
+    pair step divided by for a pair.
     """
-    blocks, rest, _ = _split_gram(G, F)
-    return blocks, rest
-
-
-def _split_gram(G, F):
-    """split_gram, and the valuation of each block's pivot: b(e, e) for a
-    line, the pairing the pair step divided by for a pair."""
     n = len(G)
     vecs = linalg.identity(n, F.zero, F.one)
     G = [list(row) for row in G]
@@ -371,7 +362,7 @@ def _kept_split(q: QuadraticForm):
     linalg.is_invertible_certified decides, PrecisionExhausted when more
     precision may split it."""
     if q._split is None:
-        blocks, rest, pivots = _split_gram(q.polar_matrix(), q.field)
+        blocks, rest, pivots = split_gram(q.polar_matrix(), q.field)
         if rest:
             if is_exact(*q.U):
                 try:

@@ -206,8 +206,8 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     hyperbolic, and q(w_c') gains the term lam_c^2 q(x); `_plane_pairs`
     splits so, with x the first row.
 
-    Returns (x, yi, y, keep) and the kept rows' vectors, Gram rows and q
-    values.  Raises DegenerateForm when x lies in the radical of b."""
+    Returns (x, yi, y, q(y), keep) and the kept rows' vectors, Gram rows
+    and q values.  Raises DegenerateForm when x lies in the radical of b."""
     (base, a), *rest = sol
     qx = None if rest or qs[base].is_zero() else qs[base] * a * a
     bx = vec.scale(a, G[base])
@@ -230,9 +230,8 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     by = vec.scale(sc, G[yi])
     gyy = vec.entry(G[yi], yi)
     lam = by if gyy is None else vec.axpy(by, gyy * sc * sc, bx)
-    qy = qs[yi] * sc * sc
-    if qy.is_zero():
-        qy = None
+    q_y = qs[yi] * sc * sc
+    qy = None if q_y.is_zero() else q_y
     drop = max((r for r, _ in sol if r != yi), default=None)
     if drop is None:
         # x = a w_yi has b(x, x) != 0, which no space of its type allows:
@@ -267,7 +266,7 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
             vecs2.append(w)
         G2.append(vec.drop(vec.drop(row, hi), lo))
         qs2.append(qc)
-    return (x, yi, y, keep), vecs2, G2, qs2
+    return (x, yi, y, q_y, keep), vecs2, G2, qs2
 
 
 def _plane_pairs(k, G, qs, vectors=False, polar=True):
@@ -285,15 +284,14 @@ def _plane_pairs(k, G, qs, vectors=False, polar=True):
     vecs = vec.units(len(G)) if vectors else None
     pairs, basis = [], []
     while G:
-        yi = vec.first(G[0])
-        if yi is None:
+        if vec.first(G[0]) is None:
             raise DegenerateForm(
                 "polar form over the residue field is degenerate" if polar
                 else "alternating form is degenerate")
-        sc = vec.entry(G[0], yi).inv()
-        pairs.append((qs[0], qs[yi] * sc * sc))
-        (x, _, y, _), vecs, G, qs = _split_plane(vec, vecs, G, qs,
-                                                 [(0, k.one)], polar)
+        qx = qs[0]
+        (x, _, y, qy, _), vecs, G, qs = _split_plane(vec, vecs, G, qs,
+                                                     [(0, k.one)], polar)
+        pairs.append((qx, qy))
         basis += x, y
     return pairs, basis
 

@@ -10,7 +10,7 @@ from wittlab.fields import make_field
 from wittlab.graded import (HomogeneousScalar, ShiftedQuadSpace,
                             UniformizingChoice, coset_decomposition,
                             default_choice, descend_case1, descend_case2,
-                            is_metabolic, orbit_partition,
+                            is_metabolic, orbit_invariants, orbit_partition,
                             split_principal_metabolic, validate)
 from wittlab.literals import parse_form
 from wittlab.residue_witt import (SymplecticQuadSpace, sq_witt_class,
@@ -231,12 +231,12 @@ def test_descend_case1_type_III_q2():
     S = induced("<1>", Q2)
     assert S.type_tag == "III"
     out = descend_case1(S)
-    assert len(out[Fraction(0)].diag) == 1
-    assert len(out[HALF].diag) == 0
+    assert len(out[Fraction(0)]) == 1
+    assert len(out[HALF]) == 0
     S2 = induced("<2>", Q2)
     out2 = descend_case1(S2)
-    assert len(out2[Fraction(0)].diag) == 0
-    assert len(out2[HALF].diag) == 1
+    assert len(out2[Fraction(0)]) == 0
+    assert len(out2[HALF]) == 1
 
 
 def test_descend_case2_examples():
@@ -273,8 +273,9 @@ def test_descend_case1_off_grid_pi():
     one = S.k.one
     off = UniformizingChoice(choice.rho, {**choice.pi,
                                           HALF: HomogeneousScalar(2, one)})
-    with pytest.raises(WrongCase, match="off the orbit grid"):
-        descend_case1(S, off)
+    for fn in (descend_case1, orbit_invariants):
+        with pytest.raises(WrongCase, match="off the orbit grid"):
+            fn(S, off)
 
 
 def test_descend_case2_off_grid_pi():

@@ -169,13 +169,13 @@ def test_each_summand_is_split_once(monkeypatch):
     F = FIELDS["Q_2"]
     reps = [_representative(F, bits) for bits in (31, 22, 13, 8)]
     calls = []
-    split_gram = quadform._split_gram
+    split_gram = quadform.split_gram
 
     def counted(G, field):
         calls.append(len(G))
         return split_gram(G, field)
 
-    monkeypatch.setattr(quadform, "_split_gram", counted)
+    monkeypatch.setattr(quadform, "split_gram", counted)
     sums = [a.ortho_sum(b) for a in reps for b in reps]
     got = [symplectic_blocks(q) for q in sums]
     leaves = {id(f) for rep in reps for f in _leaves(rep)}

@@ -18,6 +18,10 @@ it replaced.
   `graded.metabolic_planes` must be isotropic, hyperbolic and pairwise
   orthogonal, which fails when the b(y, y) b(w_c, x) term of
   `_split_plane` is dropped.
+* The type-III invariants of `graded.orbit_invariants`, the dimension of
+  each principal coset mod 2, are compared with the number of lines the
+  hand-written Gram-Schmidt `test_residue_oracles._diagonalize_bilinear`
+  splits off the coset's block of b.
 """
 
 import random
@@ -33,8 +37,9 @@ from wittlab.fields.common import HALF
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import arf_invariant, kquad_witt_class
 
-from form_helpers import bval, qval
-from test_residue_oracles import KQuadForm, k_symplectic_blocks
+from form_helpers import bval, qval, random_choice
+from test_residue_oracles import (KQuadForm, _diagonalize_bilinear,
+                                  k_symplectic_blocks)
 
 FINITE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2^8)": GF2m(8)}
 RESIDUE = {**FINITE, "GF(2)(x)": RatFuncField(1),
@@ -229,7 +234,7 @@ def _planes_by_rounds(S):
         sol = graded._find_isotropic_rel(S.k, S.type_tag, cls, qs, G)
         if sol is None:
             return None
-        (_, _, _, keep), _, G, qs = residue_witt._split_plane(
+        (_, _, _, _, keep), _, G, qs = residue_witt._split_plane(
             vec, None, G, qs, sol, polar=False)
         cls = [cls[c] for c in keep]
         planes += 1
@@ -245,16 +250,30 @@ def _odd_classes(S):
 @given(seed=st.integers(0, 2 ** 32 - 1), diagonal=st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_type_III_parities_match_the_descent(name, seed, diagonal):
-    """orbit_invariants by the dimension of each class mod 2 against the
-    descent of the default choice (descend_case1 and the diagonalisation
-    of b), and metabolic_planes, which stops at once on a class of odd
-    dimension, against its rounds run until no relation is left."""
+    """orbit_invariants, the dimension of each principal coset mod 2, for
+    the default choice (given or not) and a random one, against the
+    number of lines the schoolbook Gram-Schmidt of `test_residue_oracles`
+    splits off the coset's block of b, scaled by the choice as the
+    descent scales it, mod 2; and metabolic_planes, which stops at once
+    on a class of odd dimension, against its rounds run until no relation
+    is left."""
     k = RESIDUE[name]
-    S = _type_III_space(k, random.Random(seed), diagonal)
+    rng = random.Random(seed)
+    S = _type_III_space(k, rng, diagonal)
     if S is None:
         return
-    assert _outcome(graded.orbit_invariants, S) == \
-        _outcome(graded.orbit_invariants, S, graded.default_choice(S))
+    cosets = graded.coset_decomposition(S)
+    for choice in (None, graded.default_choice(S), random_choice(S, rng)):
+        used = choice or graded.default_choice(S)
+        want = {}
+        for (c,) in graded.orbit_partition(S.eps).principal:
+            idx = cosets.get(c, [])
+            scale = (used.pi[c].coeff * used.rho.coeff).inv()
+            lines, _ = _diagonalize_bilinear(
+                [[scale * S.bmat[i][j] for j in idx] for i in idx], k)
+            want[c] = len(lines) % 2
+        got = graded.orbit_invariants(S, choice)
+        assert {c: inv.bit for c, inv in got.items()} == want
     planes = _outcome(graded.metabolic_planes, S)
     rounds = _outcome(_planes_by_rounds, S)
     assert (planes is None) == (rounds is None)

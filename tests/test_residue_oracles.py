@@ -1,17 +1,17 @@
-"""The residue-field splitting routines as they were before they shared
-`quadform.split_gram`, kept as test oracles.
+"""Hand-written residue-field splitting routines, kept as test oracles.
 
-Each function below is the hand-written loop that `residue_witt` and
-`graded` carried before: `KQuadForm`, `k_symplectic_blocks` (with the
-isotropic-vector search that rides on it), `sq_normalize`,
-`_diagonalize_bilinear`, `kquad_anisotropic_part` and
-`kquad_is_hyperbolic_witnessed`.  The tests draw seeded random forms and
-Grams over GF(2), GF(4), GF(8), GF(2)(x) and GF(4)(x) and require the
-library to give exactly the same pairs, basis, diagonal, rank,
-anisotropic part, hyperbolicity answer, or exception type.  The Arf-bit
-comparison of `test_residue_kernels` and the type-I relations of the
-parent `metabolic_planes` in `test_linalg_oracles` run these oracles
-too, so they do not compare the library's plane splitter with itself.
+Each function below is a loop that `residue_witt` and `graded` carried
+before they shared one plane splitter: `KQuadForm`,
+`k_symplectic_blocks` (with the isotropic-vector search that rides on
+it), `sq_normalize`, `_diagonalize_bilinear`, `kquad_anisotropic_part`
+and `kquad_is_hyperbolic_witnessed`.  The tests draw seeded random forms
+and Grams over GF(2), GF(4), GF(8), GF(2)(x) and GF(4)(x) and require
+the library to give exactly the same pairs, basis, anisotropic part,
+hyperbolicity answer, or exception type.  The Arf-bit comparison and
+the type-III parities of `test_residue_kernels` and the type-I
+relations of the parent `metabolic_planes` in `test_linalg_oracles` run
+these oracles too, so they do not compare the library's plane splitter
+or its parity read with itself.
 """
 
 import random
@@ -19,10 +19,9 @@ from itertools import product
 
 import pytest
 
-from wittlab import graded, linalg, residue_witt
+from wittlab import linalg, residue_witt
 from wittlab.errors import DegenerateForm, UnsupportedResidueField
 from wittlab.fields import GF2m, RatFuncField
-from wittlab.graded import BilinearDiag
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import SymplecticQuadSpace, _artin_schreier_small
 
@@ -331,7 +330,9 @@ def kquad_is_hyperbolic_witnessed(form: KQuadForm) -> bool:
     return True
 
 
-def _diagonalize_bilinear(gram, k) -> BilinearDiag:
+def _diagonalize_bilinear(gram, k):
+    """The diagonal entries Gram-Schmidt splits off a symmetric bilinear
+    form, and the dimension of the alternating rest."""
     G = [list(row) for row in gram]
     diag = []
     while G:
@@ -345,7 +346,7 @@ def _diagonalize_bilinear(gram, k) -> BilinearDiag:
         coef = {r: G[r][idx] / de for r in keep}
         G = [[G[r][c] + coef[c] * G[r][idx] + coef[r] * G[idx][c]
               + coef[r] * coef[c] * de for c in keep] for r in keep]
-    return BilinearDiag(tuple(diag), len(G))
+    return tuple(diag), len(G)
 
 
 # -- random draws -----------------------------------------------------------------
@@ -437,17 +438,6 @@ def test_sq_normalize_matches_oracle(name):
         want = _outcome(sq_normalize, qvals, bmat, k)
         got = _outcome(residue_witt.sq_normalize, qvals, bmat, k)
         assert got == want
-
-
-@pytest.mark.parametrize("name", FIELDS)
-def test_diagonalize_bilinear_matches_oracle(name):
-    k = FIELDS[name]
-    rng = random.Random(f"_diagonalize_bilinear {name}")
-    for _ in range(60):
-        gram = _symmetric_gram(k, rng.randrange(7), rng,
-                               alternating=rng.random() < 0.2)
-        assert graded._diagonalize_bilinear(gram, k) == \
-            _diagonalize_bilinear(gram, k)
 
 
 @pytest.mark.parametrize("name", FINITE)

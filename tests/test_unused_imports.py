@@ -1,7 +1,8 @@
-"""Every name a module of src/wittlab imports is read in that module.
+"""Every name a module of src/wittlab imports is read in that module,
+and every import of src/wittlab is made at module level.
 
-The two package `__init__.py` files are exempt: their imports are the
-public re-exports.
+The two package `__init__.py` files are exempt from the first check:
+their imports are the public re-exports.
 """
 
 import ast
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wittlab"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+FILES = sorted(SRC.rglob("*.py"))
+MODULES = [p for p in FILES if p.name != "__init__.py"]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _unused_imports(path):
@@ -31,3 +34,17 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _function_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for fn in ast.walk(tree)
+                  if isinstance(fn, FUNCTIONS) for node in ast.walk(fn)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_import_inside_a_function(path):
+    # an import in a function body hides a dependency of the module
+    # from its header and runs again on every call
+    assert _function_imports(path) == []
