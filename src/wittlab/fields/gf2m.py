@@ -4,15 +4,16 @@ Elements are represented as integer bit-patterns: the polynomial
 a_0 + a_1*g + ... + a_{m-1}*g^(m-1) in the residue class ring
 GF(2)[g]/(modulus) corresponds to the integer a_0 + 2*a_1 + ... .
 The modulus for each degree is a fixed irreducible polynomial (the
-lexicographically smallest one), shipped as constants so that square
-roots, sections and all derived canonical choices are reproducible
-across runs.  Irreducibility is re-verified at field construction.
+smallest one as an int), shipped as constants so that square roots,
+sections and all derived canonical choices are reproducible across
+runs; a test checks both properties, the field does not re-check them.
 
 Multiplication is carryless (shift/xor) followed by reduction; inversion
 uses the extended Euclidean algorithm on bit-polynomials.  Fields with
 m <= 8 read both from tables built once, next to an interned element
 pool.  Every field of characteristic 2 here is perfect: sqrt is the
-inverse of Frobenius, c^(2^(m-1)), computed by m - 1 squarings.
+inverse of Frobenius, c^(2^(m-1)), computed by m - 1 squarings;
+`artin_schreier_root` solves u^2 + u = c in closed form.
 
 This module also holds the one carryless kernel of the package, shared by
 the packed polynomials over GF(2^m): the coefficients of `Laurent` over
@@ -124,45 +125,6 @@ def cldivmod(a: int, f: int) -> tuple[int, int]:
     return q, a
 
 
-def _prime_divisors(n: int) -> list[int]:
-    ps, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        ps.append(n)
-    return ps
-
-
-def _clgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, clmod(a, b)
-    return a
-
-
-def is_irreducible(f: int) -> bool:
-    """Rabin irreducibility test for a bit-polynomial over GF(2)."""
-    m = f.bit_length() - 1
-    if m < 1:
-        return False
-
-    def x_pow_2e(e: int) -> int:
-        r = clmod(0b10, f)
-        for _ in range(e):
-            r = clmod(_clmul(r, r), f)
-        return r
-
-    if x_pow_2e(m) != clmod(0b10, f):
-        return False
-    for p in _prime_divisors(m):
-        if _clgcd(f, x_pow_2e(m // p) ^ clmod(0b10, f)) != 1:
-            return False
-    return True
-
-
 class GF2m:
     """The field GF(2^m) with the fixed modulus for its degree.
 
@@ -183,12 +145,9 @@ class GF2m:
         self = super().__new__(cls)
         self.m = m
         self.modulus = IRREDUCIBLE[m]
-        assert is_irreducible(self.modulus)
         self.order = 1 << m
         self.packing = _Packing(self)
-        self._table = None
-        self._inv = None
-        self._pool = None
+        self._table = self._inv = self._pool = None
         if m <= 8:
             self._table = [[clmod(_clmul(a, b), self.modulus)
                             for b in range(self.order)]
@@ -240,37 +199,21 @@ class GF2m:
         for _ in range(self.m):
             t ^= x
             x = self.mul(x, x)
-        assert t in (0, 1)
         return t
 
-    def artin_schreier_root(self, c: int) -> int | None:
-        """Some u with u^2 + u = c, or None if trace(c) = 1.
+    def artin_schreier_root(self, c: "FF") -> "FF | None":
+        """Some u with u^2 + u = c, or None when there is none, which is
+        when trace(c) = 1; the other root is u + 1.
 
-        Solved as GF(2)-linear algebra on the map u -> u^2 + u in the
-        power basis; the preimage bitmask is itself the field element.
+        The closed form through d = `canonical_trace_one()`,
+        u = sum_{i<j<m} d^(2^j) c^(2^i), has u^2 + u = c + trace(c) d.
         """
-        if self.trace(c) == 1:
-            return None
-        cols = [self.mul(1 << i, 1 << i) ^ (1 << i) for i in range(self.m)]
-        basis: list[tuple[int, int, int]] = []  # (leading bit, value, preimage)
-        for i, v in enumerate(cols):
-            combo = 1 << i
-            for lb, bv, bc in basis:
-                if v >> lb & 1:
-                    v ^= bv
-                    combo ^= bc
-            if v:
-                basis.append((v.bit_length() - 1, v, combo))
-                basis.sort(reverse=True)
-        v, u = c, 0
-        for lb, bv, bc in basis:
-            if v >> lb & 1:
-                v ^= bv
-                u ^= bc
-        if v != 0:
-            return None
-        assert self.mul(u, u) ^ u == c
-        return u
+        d, x, s, u = self.canonical_trace_one().bits, c.bits, 0, 0
+        for _ in range(1, self.m):  # step j: d^(2^j) (c + ... + c^(2^(j-1)))
+            s ^= x
+            x, d = self.mul(x, x), self.mul(d, d)
+            u ^= self.mul(d, s)
+        return self.elem(u) if self.mul(u, u) ^ u == c.bits else None
 
     # -- element construction --------------------------------------------
 
@@ -295,10 +238,7 @@ class GF2m:
 
     def canonical_trace_one(self) -> "FF":
         """Smallest bit-pattern with absolute trace 1 (deterministic)."""
-        for bits in range(1, self.order):
-            if self.trace(bits) == 1:
-                return FF(self, bits)
-        raise AssertionError("trace form is surjective")
+        return self.elem(next(b for b in range(1, self.order) if self.trace(b)))
 
     def format_elem(self, c: "FF") -> str:
         return str(c.bits)

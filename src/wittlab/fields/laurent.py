@@ -47,10 +47,9 @@ from .gf2m import GF2m, _clmul
 class LaurentField:
     """k((t)) with v(t) = 1 and a default working precision in slots."""
 
-    def __init__(self, residue, precision: int = 64, variable: str = "t"):
+    def __init__(self, residue, precision: int = 64):
         self.residue_field = residue
         self.precision = precision
-        self.variable = variable
         # packed digits over GF(2^m), a tuple of residue elements otherwise
         self._pk = residue.packing if isinstance(residue, GF2m) else None
         self._nil = () if self._pk is None else 0
@@ -71,6 +70,7 @@ class LaurentField:
 
     char = 2
     v2 = INF  # v(2) = infinity in characteristic 2
+    variable = "t"  # the only uniformizer the literal grammar reads
 
     # -- construction ------------------------------------------------------
 

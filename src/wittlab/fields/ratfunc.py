@@ -22,7 +22,9 @@ tuples; the arithmetic builds its results from packed ints through
 
 These fields satisfy [k : k^2] = 2 with 2-basis {1, x}: every c splits
 uniquely as c = c0^2 + x*c1^2 (`frobenius_coordinates`), computed by
-even/odd coefficient splitting after clearing the denominator.
+even/odd coefficient splitting after clearing the denominator.  The
+Artin-Schreier root u^2 + u = c is only searched for, among polynomials
+of degree at most AS_DEGREE_BOUND (`artin_schreier_root`).
 
 A degree cap (default 512 on num/den degrees) converts runaway
 intermediate growth into DegreeCapExceeded instead of a silent hang.
@@ -30,9 +32,14 @@ intermediate growth into DegreeCapExceeded instead of a silent hang.
 
 from __future__ import annotations
 
+from itertools import product
+
 from ..errors import DegreeCapExceeded, DivisionByZero
 from .common import Exact
 from .gf2m import GF2m, _clmul, _Packing
+
+# the degree bound of the Artin-Schreier search over GF(2^m)(x)
+AS_DEGREE_BOUND = 2
 
 
 def _pack(S: int, coeffs) -> int:
@@ -81,16 +88,15 @@ def pgcd(pk: _Packing, K: GF2m, a: int, b: int) -> int:
 class RatFuncField:
     """GF(2^m)(x) with canonical num/den representation."""
 
-    _cache: dict[tuple[int, str, int], "RatFuncField"] = {}
+    _cache: dict[tuple[int, int], "RatFuncField"] = {}
 
-    def __new__(cls, m: int = 1, variable: str = "x", degree_cap: int = 512):
-        key = (m, variable, degree_cap)
+    def __new__(cls, m: int = 1, degree_cap: int = 512):
+        key = (m, degree_cap)
         if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
         self.base = GF2m(m)
         self._pk = self.base.packing
-        self.variable = variable
         self.degree_cap = degree_cap
         # one shared zero and one: elements are immutable
         self.zero = RatFunc(self, 0, 1)
@@ -103,6 +109,7 @@ class RatFuncField:
 
     char = 2
     is_perfect = False
+    variable = "x"  # the only variable the literal grammar reads
 
     @property
     def x(self) -> "RatFunc":
@@ -157,6 +164,18 @@ class RatFuncField:
             pq >>= 2 * S
             shift += S
         return self._make(even, c.den), self._make(odd, c.den)
+
+    def artin_schreier_root(self, c: "RatFunc") -> "RatFunc | None":
+        """Bounded search for u with u^2 + u = c: the polynomials of
+        degree at most AS_DEGREE_BOUND, so None means `none found'."""
+        base = self.base
+        if base.order ** (AS_DEGREE_BOUND + 1) > 1 << 12:
+            return None
+        for coeffs in product(range(base.order), repeat=AS_DEGREE_BOUND + 1):
+            u = self.from_poly(coeffs)
+            if u * u + u == c:
+                return u
+        return None
 
     def random(self, rng, degree: int = 2) -> "RatFunc":
         num = [rng.randrange(self.base.order) for _ in range(degree + 1)]

@@ -147,12 +147,14 @@ class QuadraticForm:
         return out
 
     def scale(self, c) -> "QuadraticForm":
+        _need_valued(self, "scale")
         if not c.is_certified_nonzero():
             raise SingularForm("scaling by (certified) zero")
         return QuadraticForm(self.field, [[c * v for v in row] for row in self.U])
 
     def change_basis(self, M) -> "QuadraticForm":
         """The form x -> q(Mx), M given by columns in the old basis."""
+        _need_valued(self, "change_basis")
         if not linalg.is_invertible_certified(M):
             raise SingularMatrix("change of basis matrix not certified invertible")
         n = self.n
@@ -162,6 +164,14 @@ class QuadraticForm:
         # q(Mx) has the diagonal of G = M^T U M and the polar part G + G^T
         return QuadraticForm(self.field, [[G[i][j] + G[j][i] if j > i else G[i][j]
                                            for j in range(n)] for i in range(n)])
+
+
+def _need_valued(q: QuadraticForm, what: str):
+    """NotApplicable for a form over a residue field: residue_witt splits
+    and classifies those."""
+    if not hasattr(q.field, "residue_field"):
+        raise NotApplicable(f"{what} needs a valued field, not {q.field!r}; "
+                            "use residue_witt.k_symplectic_blocks")
 
 
 def gram_of(B, cols, head=0, on_head=None):
@@ -344,6 +354,7 @@ def symplectic_blocks(q: QuadraticForm):
     per form and kept; an orthogonal sum of exact forms merges it from
     the kept splits of its summands (see _merge).
     """
+    _need_valued(q, "symplectic_blocks")
     split = None
     if q._split is None and q._parts is not None and is_exact(*q.U):
         split = _summands_split(q)

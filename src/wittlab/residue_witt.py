@@ -21,24 +21,22 @@ pairs: the Arf bit over finite k, raw data over GF(2^m)(x).  The
 isotropic search `_isotropic_vector` reads a vector off its planes, on
 the packed rows of a form (`kquad_isotropic_vector`, each round of
 `kquad_is_hyperbolic_witnessed`) or of a type-I degree class of
-`graded.metabolic_planes`, whose rounds run `_split_plane` too.
-`k.is_perfect` tells the finite residue fields GF(2^m) from GF(2^m)(x).
+`graded.metabolic_planes`, whose rounds run `_split_plane` too.  Its
+root of u^2 + u = ab is the field's `k.artin_schreier_root`: closed form
+over GF(2^m), a bounded search over GF(2^m)(x).  `k.is_perfect` tells
+the finite residue fields GF(2^m) from GF(2^m)(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
 from .errors import DegenerateForm, Undecidable, UnsupportedResidueField
 from .fields.gf2m import GF2m, _clmul
-from .fields.ratfunc import RatFuncField
 from .quadform import QuadraticForm
-
-# the degree bound of the Artin-Schreier search over GF(2^m)(x)
-AS_DEGREE_BOUND = 2
 
 
 # -- the plane splitter -------------------------------------------------------
@@ -321,7 +319,7 @@ def _isotropic_vector(k, G, qs):
     layout, or None.
 
     A plane (x, y) of `_plane_pairs` with (q(x), q(y)) = (a, b) yields one
-    when a or b is zero or an Artin-Schreier root u^2 + u = ab exists.
+    when a or b is zero or `k.artin_schreier_root(ab)` finds a root.
     Over finite k that decides: two trace-1 planes combine through a
     square root, a single one is anisotropic.  Over GF(2^m)(x) the root
     search is bounded and only equal planes combine (the diagonal of
@@ -334,11 +332,7 @@ def _isotropic_vector(k, G, qs):
             return x
         if b.is_zero():
             return y
-        if k.is_perfect:
-            root = k.artin_schreier_root((a * b).bits)
-            root = None if root is None else k.elem(root)
-        else:
-            root = _artin_schreier_small(k, a * b)
+        root = k.artin_schreier_root(a * b)
         if root is not None:
             return vec.axpy(y, root / a, x)
     if k.is_perfect:
@@ -361,36 +355,18 @@ def kquad_isotropic_vector(form: QuadraticForm):
     return None if v is None else list(_vectors(form.field).unpack(v, form.n))
 
 
-def _artin_schreier_small(k: RatFuncField, c):
-    """Bounded search for u with u^2 + u = c over GF(2^m)(x): the
-    polynomials of degree at most AS_DEGREE_BOUND."""
-    base = k.base
-    if base.order ** (AS_DEGREE_BOUND + 1) > 1 << 12:
-        return None
-    for coeffs in product(range(base.order), repeat=AS_DEGREE_BOUND + 1):
-        u = k.from_poly(coeffs)
-        if u * u + u == c:
-            return u
-    return None
-
-
 def arf_invariant(pairs, k) -> "WqClass":
     """Sum of trace bits of a_i b_i; classifies W_q over finite k."""
     if not k.is_perfect:
         raise UnsupportedResidueField(
             "Arf classification needs a finite residue field; "
             "use wq_raw_class for the partial invariant")
-    bit = 0
-    for a, b in pairs:
-        bit ^= (a * b).trace()
-    return WqClass(k, arf=bit)
+    return WqClass(k, arf=sum((a * b).trace() for a, b in pairs) % 2)
 
 
 def wq_raw_class(pairs, k) -> "WqClass":
     """Partial, non-deciding W_q data over an imperfect residue field."""
-    rep = k.zero
-    for a, b in pairs:
-        rep = rep + a * b
+    rep = sum((a * b for a, b in pairs), k.zero)
     return WqClass(k, arf=None, raw=tuple(pairs), arf_representative=rep)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
 from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
                             make_field, ratfunc)
 from wittlab.fields.common import power
+from wittlab.fields.gf2m import IRREDUCIBLE
 from wittlab.residue_witt import _Coords, _Slots
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
@@ -35,14 +37,114 @@ def test_gf2m_sqrt_and_trace():
 
 
 def test_gf2m_artin_schreier():
-    K = GF2m(4)
-    for c in map(K.elem, range(K.order)):
-        root = K.artin_schreier_root(c.bits)
-        if K.trace(c.bits) == 0:
-            u = K.elem(root)
+    # a root exactly when trace(c) = 0, and every root is one
+    for m in range(1, 11):
+        K = GF2m(m)
+        for c in map(K.elem, range(K.order)):
+            u = K.artin_schreier_root(c)
+            assert c.trace() in (0, 1)
+            assert (u is not None) == (c.trace() == 0)
+            if u is not None:
+                assert u * u + u == c
+
+
+def _bounded_as_search(R, c, bound=2):
+    """The Artin-Schreier search over GF(2^m)(x) as the library states
+    it: the polynomials of degree at most bound, in the order of
+    itertools.product on their coefficients, none when there are over
+    4096."""
+    order = R.base.order
+    if order ** (bound + 1) > 1 << 12:
+        return None
+    for coeffs in product(range(order), repeat=bound + 1):
+        u = R.from_poly(coeffs)
+        if u * u + u == c:
+            return u
+    return None
+
+
+@pytest.mark.parametrize("m", (1, 2, 5))
+def test_ratfunc_artin_schreier_matches_bounded_search(m):
+    R = RatFuncField(m)
+    rng = random.Random(m)
+    cs = [R.zero, R.one]
+    for _ in range(40):
+        u = R.random(rng, rng.randrange(4))
+        cs += [u * u + u, R.random(rng, 2),
+               R.random(rng, 1) / (R.x + R.random(rng, 0))]
+    found = 0
+    for c in cs:
+        u = R.artin_schreier_root(c)
+        assert u == _bounded_as_search(R, c)
+        if u is not None:
             assert u * u + u == c
-        else:
-            assert root is None
+            found += 1
+    # order^3 > 4096 over GF(32)(x): the search is not run
+    assert (found == 0) == (m == 5)
+
+
+def _clmulmod(a, b, f):
+    """a * b modulo f, bit-polynomials over GF(2)."""
+    r, df = 0, f.bit_length() - 1
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> df & 1:
+            a ^= f
+    return r
+
+
+def _clmod(a, f):
+    while a.bit_length() >= f.bit_length():
+        a ^= f << (a.bit_length() - f.bit_length())
+    return a
+
+
+def _rabin_irreducible(f):
+    """Rabin's test: f of degree m is irreducible over GF(2) iff x^(2^m)
+    = x mod f and gcd(f, x^(2^(m/p)) - x) = 1 for every prime p | m."""
+    m = f.bit_length() - 1
+    x = _clmod(0b10, f)
+
+    def x_pow_2e(e):
+        r = x
+        for _ in range(e):
+            r = _clmulmod(r, r, f)
+        return r
+
+    if x_pow_2e(m) != x:
+        return False
+    for p in (p for p in range(2, m + 1) if m % p == 0
+              and all(p % d for d in range(2, p))):
+        a, b = f, x_pow_2e(m // p) ^ x
+        while b:
+            a, b = b, _clmod(a, b)
+        if a != 1:
+            return False
+    return True
+
+
+def _has_factor(f):
+    m = f.bit_length() - 1
+    return any(_clmod(f, g) == 0 for g in range(2, 1 << (m // 2 + 1))
+               if 1 <= g.bit_length() - 1 <= m // 2)
+
+
+def test_rabin_agrees_with_trial_division():
+    for m in range(1, 9):
+        for f in range(1 << m, 1 << (m + 1)):
+            assert _rabin_irreducible(f) == (not _has_factor(f)), bin(f)
+
+
+def test_moduli_are_the_smallest_irreducibles():
+    assert sorted(IRREDUCIBLE) == list(range(1, 17))
+    for m, f in IRREDUCIBLE.items():
+        assert f.bit_length() - 1 == m
+        assert _rabin_irreducible(f), (m, bin(f))
+        for g in range(1 << m, f):
+            assert not _rabin_irreducible(g), (m, bin(g), bin(f))
 
 
 def test_ratfunc_axioms_random():
@@ -848,9 +950,9 @@ def polys(m, max_size=6):
         lambda c: _ptrim(list(c)))
 
 
-# a small cap, on a variable of its own
+# a small cap, which is a field of its own
 def _capped(m):
-    return RatFuncField(m, variable="y", degree_cap=8)
+    return RatFuncField(m, degree_cap=8)
 
 
 @pytest.mark.parametrize("m", PACKED_M)
@@ -1088,18 +1190,18 @@ def test_tuple_laurent_degree_cap_examples():
 
 
 def test_tuple_laurent_inverse_cuts_before_the_degree_cap():
-    # 1/(y^3 + y^-2 t^3) = y^-3 (1 + y^-5 t^3 + y^-10 t^6 + ...): the t^6
+    # 1/(x^3 + x^-2 t^3) = x^-3 (1 + x^-5 t^3 + x^-10 t^6 + ...): the t^6
     # term would cross the cap of 8, but lies at the precision cut-off
     R = _capped(1)
     F = LaurentField(R, precision=6)
-    y = R.x
-    x = F.make([(0, y ** 3), (3, y.inv() ** 2)])
-    assert x.inv() == F.make([(0, (y ** 3).inv()), (3, (y ** 8).inv())], 6)
-    assert F.format_elem(x.inv()) == "(1/(y^3)) + (1/(y^8))*t^3 + O(t^6)"
+    x = R.x
+    u = F.make([(0, x ** 3), (3, x.inv() ** 2)])
+    assert u.inv() == F.make([(0, (x ** 3).inv()), (3, (x ** 8).inv())], 6)
+    assert F.format_elem(u.inv()) == "(1/(x^3)) + (1/(x^8))*t^3 + O(t^6)"
     # at precision 7 the t^6 term is below the cut-off, and trips the cap
     F7 = LaurentField(R, precision=7)
     with pytest.raises(DegreeCapExceeded, match="degree 10 exceeds cap 8"):
-        F7.make([(0, y ** 3), (3, y.inv() ** 2)]).inv()
+        F7.make([(0, x ** 3), (3, x.inv() ** 2)]).inv()
 
 
 def test_tuple_laurent_shares_zero_and_one():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from wittlab import arason, linalg, norms
-from wittlab.errors import (DegreeCapExceeded, PrecisionExhausted,
-                            RuleNotApplicable, SingularForm)
-from wittlab.fields import make_field
+from wittlab.errors import (DegreeCapExceeded, NotApplicable,
+                            PrecisionExhausted, RuleNotApplicable,
+                            SingularForm)
+from wittlab.fields import GF2m, RatFuncField, make_field
 from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import (QuadraticForm, WittExpr, gram_of, rewrite,
                               symplectic_blocks)
@@ -205,6 +206,17 @@ def test_symplectic_blocks_singular():
 # that is zero only to precision
 SCRAMBLED_SINGULAR = \
     "[[10, 15, 4, 1], [0, 24, 29, 10], [0, 0, 15, 13], [0, 0, 0, {}]]"
+
+
+@pytest.mark.parametrize("k", [GF2m(1), RatFuncField(1)], ids=repr)
+def test_valued_field_routines_refuse_residue_forms(k):
+    # a WittlabError naming residue_witt, not an AttributeError
+    q = QuadraticForm.binary(k, k.one, k.one)
+    for call in (lambda: q.scale(k.one),
+                 lambda: q.change_basis([[k.one, k.zero], [k.zero, k.one]]),
+                 lambda: symplectic_blocks(q)):
+        with pytest.raises(NotApplicable, match="residue_witt"):
+            call()
 
 
 @pytest.mark.parametrize("precision", (16, 64, 1024))

@@ -43,7 +43,7 @@ from test_residue_oracles import (KQuadForm, _diagonalize_bilinear,
 
 FINITE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2^8)": GF2m(8)}
 RESIDUE = {**FINITE, "GF(2)(x)": RatFuncField(1),
-           "GF(2)(x), cap 6": RatFuncField(1, "x", 6)}
+           "GF(2)(x), cap 6": RatFuncField(1, degree_cap=6)}
 
 
 def _elem(k, rng):

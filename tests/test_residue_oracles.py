@@ -23,7 +23,7 @@ from wittlab import linalg, residue_witt
 from wittlab.errors import DegenerateForm, UnsupportedResidueField
 from wittlab.fields import GF2m, RatFuncField
 from wittlab.quadform import QuadraticForm
-from wittlab.residue_witt import SymplecticQuadSpace, _artin_schreier_small
+from wittlab.residue_witt import SymplecticQuadSpace
 
 import residue_brute_force
 from residue_brute_force import _check_enum_size, _is_finite
@@ -138,11 +138,9 @@ def kquad_isotropic_vector(form: KQuadForm):
             return through(bi, (k.one, k.zero))
         if b.is_zero():
             return through(bi, (k.zero, k.one))
-        ab = a * b
-        root = k.artin_schreier_root(ab.bits)
+        root = k.artin_schreier_root(a * b)
         if root is not None:
-            u = k.elem(root)
-            return through(bi, (u / a, k.one))
+            return through(bi, (root / a, k.one))
     if len(pairs) >= 2:
         # both blocks anisotropic: q(0,1,x2,0) = b1 + a2 x2^2 = 0
         (a1, b1), (a2, b2) = pairs[0], pairs[1]
@@ -171,7 +169,7 @@ def _kquad_isotropic_best_effort(form: KQuadForm):
             return through(bi, (k.one, k.zero))
         if b.is_zero():
             return through(bi, (k.zero, k.one))
-        root = _artin_schreier_small(k, a * b)
+        root = k.artin_schreier_root(a * b)
         if root is not None:
             return through(bi, (root / a, k.one))
     # duplicated blocks cancel: the diagonal of [a,b] perp [a,b] is isotropic
