@@ -22,12 +22,9 @@ first-class answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import graded, residue_witt
 from .errors import (INDISTINGUISHABLE, NotApplicable, PrecisionExhausted,
-                     UnsupportedResidueField, WittlabError)
+                     Record, UnsupportedResidueField, WittlabError)
 from .fields import DyadicField
 from .fields.common import HALF, INF, grid, half
 from .graded import default_choice, orbit_invariants
@@ -36,13 +33,15 @@ from .norms import (_require_certified_form, descend, extend_certificate,
                     split_respecting_norm, wildness_index)
 from .quadform import QuadraticForm
 
-@dataclass(frozen=True)
-class ResidueSymbol:
+class ResidueSymbol(Record):
     """The value of the boundary map at the given depth."""
 
-    eps: Fraction
-    kind: str  # "wq_pair" | "tensor" | "wedge_pair" | "w_pair"
-    payload: tuple
+    __slots__ = _fields = ("eps", "kind", "payload")
+
+    def __init__(self, eps, kind, payload):
+        self.eps = eps
+        self.kind = kind  # "wq_pair" | "tensor" | "wedge_pair" | "w_pair"
+        self.payload = payload
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.payload)
@@ -87,27 +86,35 @@ def boundary_symbol(q: QuadraticForm):
 # -- generator expressions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorTerm:
+class GeneratorTerm(Record):
     """(pi^scaled)[alpha, pi^(-2 eps) beta] with v(alpha), v(beta) >= 0."""
 
-    scaled: bool
-    alpha: object
-    beta: object
+    __slots__ = _fields = ("scaled", "alpha", "beta")
+
+    def __init__(self, scaled, alpha, beta):
+        self.scaled = scaled
+        self.alpha = alpha
+        self.beta = beta
 
 
-@dataclass
-class GeneratorExpression:
-    eps: Fraction
-    terms: list
-    vanished: int  # summands dropped because their class is zero
+class GeneratorExpression(Record):
+    __slots__ = _fields = ("eps", "terms", "vanished")
+    __hash__ = None
+
+    def __init__(self, eps, terms, vanished):
+        self.eps = eps
+        self.terms = terms
+        self.vanished = vanished  # summands dropped because their class is zero
 
 
-@dataclass
-class NotInSubgroup:
-    requested: Fraction
-    actual: Fraction
-    symbol: ResidueSymbol
+class NotInSubgroup(Record):
+    __slots__ = _fields = ("requested", "actual", "symbol")
+    __hash__ = None
+
+    def __init__(self, requested, actual, symbol):
+        self.requested = requested
+        self.actual = actual
+        self.symbol = symbol
 
 
 def _monomials(x):
@@ -165,8 +172,7 @@ def generator_certificate(q: QuadraticForm, eps):
 # -- canonical decomposition -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(Record):
     """Residue parameters of the canonical expression of a Witt class.
 
     wild[j] is the residue of the coefficient at half-integer depth
@@ -176,11 +182,14 @@ class CanonicalDecomposition:
     0 only, zero otherwise).
     """
 
-    wild: tuple
-    a0: object
-    b0: object
-    unit_bit: int = 0
-    pi_bit: int = 0
+    __slots__ = _fields = ("wild", "a0", "b0", "unit_bit", "pi_bit")
+
+    def __init__(self, wild, a0, b0, unit_bit=0, pi_bit=0):
+        self.wild = wild
+        self.a0 = a0
+        self.b0 = b0
+        self.unit_bit = unit_bit
+        self.pi_bit = pi_bit
 
     @property
     def n(self):

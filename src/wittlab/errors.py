@@ -1,4 +1,29 @@
-"""Exception taxonomy and tri-state results shared across the library."""
+"""Exception taxonomy, tri-state results and the value-record base."""
+
+
+class Record:
+    """Base of the value records, plain `__slots__` classes.  A subclass
+    names the attributes that make up its value in `_fields` and gets
+    `==`, hash and repr over them: a record equals only a record of its
+    own class, never a tuple; it hashes as the tuple of its fields, and a
+    mutable one sets `__hash__ = None`; other slots are left out."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 class WittlabError(Exception):

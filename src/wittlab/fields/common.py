@@ -44,17 +44,18 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import NegativeValuation, PrecisionExhausted
+from ..errors import NegativeValuation, PrecisionExhausted, Record
 
 
-@dataclass(frozen=True)
-class AtLeast:
+class AtLeast(Record):
     """v(x) >= bound is certified; the exact value is unknown."""
 
-    bound: int
+    __slots__ = _fields = ("bound",)
+
+    def __init__(self, bound: int):
+        self.bound = bound
 
     def __repr__(self):
         return f"v>={self.bound}"

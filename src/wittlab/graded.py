@@ -73,12 +73,11 @@ one of odd dimension stops `metabolic_planes` before its first round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, residue_witt
-from .errors import (DegenerateForm, GridViolation, NotApplicable,
+from .errors import (DegenerateForm, GridViolation, NotApplicable, Record,
                      SingularMatrix, Undecidable, WittlabError, WrongCase)
 from .fields.common import HALF, INF, grid, half
 from .fields.gf2m import GF2m
@@ -94,18 +93,18 @@ def coset(d: Fraction) -> Fraction:
     return d % 1
 
 
-@dataclass(frozen=True)
-class HomogeneousScalar:
+class HomogeneousScalar(Record):
     """A nonzero homogeneous element coeff * T^degree of the graded field."""
 
-    degree: Fraction
-    coeff: object
+    __slots__ = _fields = ("degree", "coeff")
 
-    def __post_init__(self):
-        if not _is_int(self.degree):
+    def __init__(self, degree, coeff):
+        if not _is_int(degree):
             raise GridViolation("graded field is supported in integer degrees")
-        if self.coeff.is_zero():
+        if coeff.is_zero():
             raise NotApplicable("a homogeneous scalar needs a nonzero coefficient")
+        self.degree = degree
+        self.coeff = coeff
 
 
 class ShiftedQuadSpace:
@@ -129,24 +128,24 @@ class ShiftedQuadSpace:
                 f"degrees={[str(d) for d in self.degrees]})")
 
 
-@dataclass(frozen=True)
-class GradedVector:
+class GradedVector(Record):
     """Homogeneous vector: coords[i] multiplies T^(degree - gamma_i) e_i.
     support lists the i with coords[i] nonzero, ascending; read off the
     coordinates when not given."""
 
-    space: ShiftedQuadSpace
-    degree: Fraction
-    coords: tuple
-    support: tuple = field(default=None, repr=False, compare=False)
+    __slots__ = ("space", "degree", "coords", "support")
+    _fields = ("space", "degree", "coords")
 
-    def __post_init__(self):
-        if self.support is None:
-            object.__setattr__(self, "support", tuple(
-                i for i, c in enumerate(self.coords) if not c.is_zero()))
-        degrees = self.space.degrees
-        for i in self.support:
-            if not _is_int(self.degree - degrees[i]):
+    def __init__(self, space, degree, coords, support=None):
+        self.space = space
+        self.degree = degree
+        self.coords = coords
+        if support is None:
+            support = tuple(i for i, c in enumerate(coords) if not c.is_zero())
+        self.support = support
+        degrees = space.degrees
+        for i in support:
+            if not _is_int(degree - degrees[i]):
                 raise GridViolation("coordinate in a slot off the degree grid")
 
     def is_zero(self) -> bool:
@@ -219,12 +218,14 @@ def coset_decomposition(S: ShiftedQuadSpace) -> dict:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Record):
     """Orbits of the involution [gamma] -> [-gamma-eps] on (1/2)Z/Z."""
 
-    eps: Fraction
-    principal: tuple  # tuples of coset representatives in {0, 1/2}
+    __slots__ = _fields = ("eps", "principal")
+
+    def __init__(self, eps, principal):
+        self.eps = eps
+        self.principal = principal  # tuples of coset representatives in {0, 1/2}
 
 
 def orbit_partition(eps) -> OrbitPartition:
@@ -263,8 +264,7 @@ def split_principal_metabolic(S: ShiftedQuadSpace):
 # -- uniformizing choices ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformizingChoice:
+class UniformizingChoice(Record):
     """rho and the per-orbit pi, as homogeneous scalars.
 
     pi is keyed by the coset of the descent slice: for integer eps the
@@ -272,8 +272,11 @@ class UniformizingChoice:
     which side of the two-coset orbit becomes the primal slice.
     """
 
-    rho: HomogeneousScalar
-    pi: dict
+    __slots__ = _fields = ("rho", "pi")
+
+    def __init__(self, rho, pi):
+        self.rho = rho
+        self.pi = pi
 
 
 def default_choice(S: ShiftedQuadSpace) -> UniformizingChoice:
@@ -368,11 +371,14 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
 # -- metabolicity -----------------------------------------------------------------
 
 
-@dataclass
-class MetabolicityReport:
-    metabolic: bool
-    planes: list = None  # [(x, y)] with q(x)=0, b(x,y)=1, planes orthogonal
-    evidence: dict = field(default_factory=dict)  # orbit -> invariant
+class MetabolicityReport(Record):
+    __slots__ = _fields = ("metabolic", "planes", "evidence")
+    __hash__ = None
+
+    def __init__(self, metabolic, planes=None, evidence=None):
+        self.metabolic = metabolic
+        self.planes = planes  # [(x, y)] with q(x)=0, b(x,y)=1, planes orthogonal
+        self.evidence = {} if evidence is None else evidence  # orbit -> invariant
 
 
 def _find_isotropic_rel(k, type_tag, cls, qs, G):

@@ -85,13 +85,13 @@ and the first read walks the chain in a loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as datafield, replace
+from copy import copy
 from fractions import Fraction
 from math import lcm
 
 from . import graded, linalg, residue_witt
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
-                     PrecisionExhausted, SingularForm)
+                     PrecisionExhausted, Record, SingularForm)
 from .fields.common import INF, AtLeast, grid, half, is_exact
 from .graded import ShiftedQuadSpace
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
@@ -160,36 +160,43 @@ class VNorm:
         return best
 
 
-@dataclass(frozen=True)
-class CompatibilityViolation:
-    condition: str  # "a", "b" or "c"
-    detail: str
+class CompatibilityViolation(Record):
+    __slots__ = _fields = ("condition", "detail")
+
+    def __init__(self, condition, detail):
+        self.condition = condition  # "a", "b" or "c"
+        self.detail = detail
 
     def __repr__(self):
         return f"violation of ({self.condition}): {self.detail}"
 
 
-@dataclass
-class DepthCertificate:
+class DepthCertificate(Record):
     """The form, the norm and the depth it is compatible at, with the Gram
     data on the norm's splitting basis that certified it: qe[i] = q(e_i);
     be, the Gram b(e_i, e_j) as sparse rows, be[i] the (j, b(e_i, e_j))
     pairs that are not exact zeros, in j order; and lead[i][j], the
-    residue coefficient of b(e_i, e_j) at degree g_i + g_j + eps."""
+    residue coefficient of b(e_i, e_j) at degree g_i + g_j + eps.  The
+    Gram data takes no part in ==."""
 
-    form: QuadraticForm
-    norm: VNorm
-    eps: Fraction
-    qe: list = datafield(repr=False, compare=False)
-    be: list = datafield(repr=False, compare=False)
-    lead: list = datafield(repr=False, compare=False)
-    # the rows of lead in the layout of residue_witt._vectors, which the
-    # rank test of (c) formed and the induced space splits on
-    rows: tuple = datafield(default=None, repr=False, compare=False)
-    # orbit -> residue invariant of the induced space, kept by descend
-    # from the NotReducible step that stopped it
-    evidence: dict = datafield(default=None, repr=False, compare=False)
+    __slots__ = ("form", "norm", "eps", "qe", "be", "lead", "rows", "evidence")
+    _fields = ("form", "norm", "eps")
+    __hash__ = None
     checked = ("a", "b", "c")
+
+    def __init__(self, form, norm, eps, qe, be, lead, rows=None, evidence=None):
+        self.form = form
+        self.norm = norm
+        self.eps = eps
+        self.qe = qe
+        self.be = be
+        self.lead = lead
+        # the rows of lead in the layout of residue_witt._vectors, which the
+        # rank test of (c) formed and the induced space splits on
+        self.rows = rows
+        # orbit -> residue invariant of the induced space, kept by descend
+        # from the NotReducible step that stopped it
+        self.evidence = evidence
 
     def revalidate(self):
         """Recheck from form, norm and eps alone, ignoring the Gram data."""
@@ -502,12 +509,15 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
     return blocks
 
 
-@dataclass
-class NotReducible:
+class NotReducible(Record):
     """Evidence that the induced space at this depth is not metabolic."""
 
-    depth: Fraction
-    evidence: dict  # orbit -> nonzero residue invariant
+    __slots__ = _fields = ("depth", "evidence")
+    __hash__ = None
+
+    def __init__(self, depth, evidence):
+        self.depth = depth
+        self.evidence = evidence  # orbit -> nonzero residue invariant
 
     def __repr__(self):
         return f"NotReducible(depth={self.depth})"
@@ -643,7 +653,9 @@ def descend(cert: DepthCertificate) -> DepthCertificate:
     while cert.eps > 0:
         step = depth_reduce(cert.form, cert)
         if isinstance(step, NotReducible):
-            return replace(cert, evidence=step.evidence)
+            cert = copy(cert)
+            cert.evidence = step.evidence
+            return cert
         cert = step
     return cert
 
@@ -653,8 +665,9 @@ def wildness_index(q: QuadraticForm):
     initial_norm on the first call for q, and later calls wrap the kept
     parts in a new certificate."""
     if q._wild is None:
-        parts = vars(descend(initial_norm(q))).copy()
-        del parts["form"]  # kept, it would tie q and its parts in a cycle
-        q._wild = parts
+        c = descend(initial_norm(q))
+        # all but the form: kept, it would tie q and its parts in a cycle
+        q._wild = dict(norm=c.norm, eps=c.eps, qe=c.qe, be=c.be, lead=c.lead,
+                       rows=c.rows, evidence=c.evidence)
     cert = DepthCertificate(q, **q._wild)
     return cert.eps, cert

@@ -42,12 +42,11 @@ their guaranteed filtration bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import (DegreeCapExceeded, NotApplicable, PrecisionExhausted,
-                     RuleNotApplicable, SingularForm, SingularMatrix,
+                     Record, RuleNotApplicable, SingularForm, SingularMatrix,
                      WittlabError)
 from .fields.common import INF, is_exact, lower_bound
 
@@ -456,12 +455,14 @@ def _merge(s1, s2, n1, n2, zero):
 # -- Witt expressions and the relation engine --------------------------------
 
 
-@dataclass(frozen=True)
-class Summand:
-    kind: str  # "bin" or "diag"
-    a: object
-    b: object = None
-    depth_bound: Fraction = None  # guaranteed filtration bound, if tagged
+class Summand(Record):
+    __slots__ = _fields = ("kind", "a", "b", "depth_bound")
+
+    def __init__(self, kind, a, b=None, depth_bound=None):
+        self.kind = kind  # "bin" or "diag"
+        self.a = a
+        self.b = b
+        self.depth_bound = depth_bound  # guaranteed filtration bound, if tagged
 
     def pretty(self, field):
         if self.kind == "bin":

@@ -29,12 +29,12 @@ the finite residue fields GF(2^m) from GF(2^m)(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 from . import linalg
-from .errors import DegenerateForm, Undecidable, UnsupportedResidueField
+from .errors import (DegenerateForm, Record, Undecidable,
+                     UnsupportedResidueField)
 from .fields.gf2m import GF2m, _clmul
 from .quadform import QuadraticForm
 
@@ -370,15 +370,17 @@ def wq_raw_class(pairs, k) -> "WqClass":
     return WqClass(k, arf=None, raw=tuple(pairs), arf_representative=rep)
 
 
-@dataclass(frozen=True)
-class WqClass:
+class WqClass(Record):
     """W_q(k) data: the Arf bit over finite k; raw forms plus the Arf
     representative (defined mod c^2 + c) over GF(2^m)(x)."""
 
-    k: object
-    arf: int = None
-    raw: tuple = ()
-    arf_representative: object = None
+    __slots__ = _fields = ("k", "arf", "raw", "arf_representative")
+
+    def __init__(self, k, arf=None, raw=(), arf_representative=None):
+        self.k = k
+        self.arf = arf
+        self.raw = raw
+        self.arf_representative = arf_representative
 
     def decides(self) -> bool:
         return self.arf is not None
@@ -402,12 +404,14 @@ class WqClass:
                        arf_representative=rep)
 
 
-@dataclass(frozen=True)
-class WClass:
+class WClass(Record):
     """W(k) for perfect char-2 k: dimension mod 2."""
 
-    k: object
-    bit: int
+    __slots__ = _fields = ("k", "bit")
+
+    def __init__(self, k, bit):
+        self.k = k
+        self.bit = bit
 
     def is_zero(self) -> bool:
         return self.bit == 0
@@ -429,12 +433,14 @@ def w_class(entries, k) -> WClass:
 # -- symplectic quadratic spaces ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticQuadSpace:
+class SymplecticQuadSpace(Record):
     """<a1, a1'> perp ... perp <ar, ar'> in a symplectic basis."""
 
-    k: object
-    pairs: tuple
+    __slots__ = _fields = ("k", "pairs")
+
+    def __init__(self, k, pairs):
+        self.k = k
+        self.pairs = pairs
 
     def __repr__(self):
         inner = " perp ".join(f"<{self.k.format_elem(a)}, {self.k.format_elem(b)}>"
@@ -445,12 +451,14 @@ class SymplecticQuadSpace:
         return 2 * len(self.pairs)
 
 
-@dataclass(frozen=True)
-class SeparatedSpace:
+class SeparatedSpace(Record):
     """<a1 | a1'> perp ... perp <ar | ar'>: q on V and q' on the dual."""
 
-    k: object
-    pairs: tuple
+    __slots__ = _fields = ("k", "pairs")
+
+    def __init__(self, k, pairs):
+        self.k = k
+        self.pairs = pairs
 
     def __repr__(self):
         inner = " perp ".join(f"<{self.k.format_elem(a)} | {self.k.format_elem(b)}>"
@@ -488,13 +496,15 @@ def functor_U(S: SeparatedSpace) -> SymplecticQuadSpace:
 # -- wedge and tensor coordinates ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WedgeElem:
+class WedgeElem(Record):
     """Element of k wedge_{k^2} k, stored as the square root of its
     coordinate on the basis 1 wedge x (k.zero over perfect k)."""
 
-    k: object
-    sqrt_coord: object
+    __slots__ = _fields = ("k", "sqrt_coord")
+
+    def __init__(self, k, sqrt_coord):
+        self.k = k
+        self.sqrt_coord = sqrt_coord
 
     def is_zero(self) -> bool:
         return self.sqrt_coord.is_zero()
@@ -512,8 +522,7 @@ class WedgeElem:
         return f"({self.k.format_elem(self.coordinate())})*(1^x)"
 
 
-@dataclass(frozen=True)
-class TensorElem:
+class TensorElem(Record):
     """Element of k tensor_{k^2} k.
 
     Perfect k: the coordinate of 1 tensor 1 (an element of k).
@@ -521,8 +530,11 @@ class TensorElem:
     (1 tensor 1, 1 tensor x, x tensor 1, x tensor x).
     """
 
-    k: object
-    coords: tuple
+    __slots__ = _fields = ("k", "coords")
+
+    def __init__(self, k, coords):
+        self.k = k
+        self.coords = coords
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)

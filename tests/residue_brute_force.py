@@ -4,8 +4,12 @@ exhaustive isotropic-vector enumeration over a finite field.
 They split with `residue_witt._split_plane`, the residue-field plane
 splitter that `kquad_is_hyperbolic_witnessed` runs too,
 and serve as independent checks of the Arf invariant, the wedge and
-tensor invariants and the hyperbolicity witness.  No library answer or
-CLI path calls them.
+tensor invariants and the hyperbolicity witness.  The Artin-Schreier
+roots u^2 + u = c are found here too, for the oracles that check
+`artin_schreier_root` and its callers: over GF(2^m) the enumeration of
+the field decides whether one exists, and over GF(2^m)(x) the bounded
+search the library states does.  No library answer or CLI path calls
+them.
 """
 
 from itertools import product
@@ -43,6 +47,47 @@ def _first_isotropic(k, n, q):
     for vec in product(list(map(k.elem, range(k.order))), repeat=n):
         if not all(c.is_zero() for c in vec) and q(list(vec)).is_zero():
             return list(vec)
+    return None
+
+
+def _finite_as_root(k, c):
+    """A u of GF(2^m) with u^2 + u = c, or None when the enumeration of k
+    finds none.  Of the two roots u and u + 1 it is the one the library's
+    root method names too, so that the oracles' vectors can be compared
+    with the library's: the closed form through d, the first element of
+    trace 1, u = sum_{i<j<m} d^(2^j) c^(2^i), formed here on elements."""
+    elems = list(map(k.elem, range(k.order)))
+    if not any(u * u + u == c for u in elems):
+        return None
+    d = next(x for x in elems if _trace(k, x) == k.one)
+    u, s, x = k.zero, k.zero, c
+    for _ in range(1, k.m):  # step j: d^(2^j) (c + ... + c^(2^(j-1)))
+        s, x, d = s + x, x * x, d * d
+        u = u + d * s
+    assert u * u + u == c
+    return u
+
+
+def _trace(k, x):
+    """x + x^2 + ... + x^(2^(m-1)), an element of GF(2)."""
+    t = k.zero
+    for _ in range(k.m):
+        t, x = t + x, x * x
+    return t
+
+
+def _bounded_as_search(R, c, bound=2):
+    """The Artin-Schreier search over GF(2^m)(x) as the library states
+    it: the polynomials of degree at most bound, in the order of
+    itertools.product on their coefficients, none when there are over
+    4096."""
+    order = R.base.order
+    if order ** (bound + 1) > 1 << 12:
+        return None
+    for coeffs in product(range(order), repeat=bound + 1):
+        u = R.from_poly(coeffs)
+        if u * u + u == c:
+            return u
     return None
 
 

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,8 @@ from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
 from wittlab.fields.common import power
 from wittlab.fields.gf2m import IRREDUCIBLE
 from wittlab.residue_witt import _Coords, _Slots
+
+from residue_brute_force import _bounded_as_search
 
 ffelem = st.integers(min_value=0, max_value=15).map(lambda b: GF2m(4).elem(b))
 
@@ -46,21 +47,6 @@ def test_gf2m_artin_schreier():
             assert (u is not None) == (c.trace() == 0)
             if u is not None:
                 assert u * u + u == c
-
-
-def _bounded_as_search(R, c, bound=2):
-    """The Artin-Schreier search over GF(2^m)(x) as the library states
-    it: the polynomials of degree at most bound, in the order of
-    itertools.product on their coefficients, none when there are over
-    4096."""
-    order = R.base.order
-    if order ** (bound + 1) > 1 << 12:
-        return None
-    for coeffs in product(range(order), repeat=bound + 1):
-        u = R.from_poly(coeffs)
-        if u * u + u == c:
-            return u
-    return None
 
 
 @pytest.mark.parametrize("m", (1, 2, 5))

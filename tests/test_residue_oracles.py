@@ -11,7 +11,10 @@ hyperbolicity answer, or exception type.  The Arf-bit comparison and
 the type-III parities of `test_residue_kernels` and the type-I
 relations of the parent `metabolic_planes` in `test_linalg_oracles` run
 these oracles too, so they do not compare the library's plane splitter
-or its parity read with itself.
+or its parity read with itself.  The isotropic-vector oracles take their
+Artin-Schreier roots from `residue_brute_force` (an enumeration of
+GF(2^m), the bounded search over GF(2^m)(x)), not from the field's own
+`artin_schreier_root`, whose callers they check.
 """
 
 import random
@@ -26,7 +29,8 @@ from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import SymplecticQuadSpace
 
 import residue_brute_force
-from residue_brute_force import _check_enum_size, _is_finite
+from residue_brute_force import (_bounded_as_search, _check_enum_size,
+                                 _finite_as_root, _is_finite)
 
 FIELDS = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(8)": GF2m(3),
           "GF(2)(x)": RatFuncField(1), "GF(4)(x)": RatFuncField(2)}
@@ -138,7 +142,7 @@ def kquad_isotropic_vector(form: KQuadForm):
             return through(bi, (k.one, k.zero))
         if b.is_zero():
             return through(bi, (k.zero, k.one))
-        root = k.artin_schreier_root(a * b)
+        root = _finite_as_root(k, a * b)
         if root is not None:
             return through(bi, (root / a, k.one))
     if len(pairs) >= 2:
@@ -169,7 +173,7 @@ def _kquad_isotropic_best_effort(form: KQuadForm):
             return through(bi, (k.one, k.zero))
         if b.is_zero():
             return through(bi, (k.zero, k.one))
-        root = k.artin_schreier_root(a * b)
+        root = _bounded_as_search(k, a * b)
         if root is not None:
             return through(bi, (root / a, k.one))
     # duplicated blocks cancel: the diagonal of [a,b] perp [a,b] is isotropic

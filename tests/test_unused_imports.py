@@ -1,11 +1,14 @@
 """Every name a module of src/wittlab imports is read in that module,
-and every import of src/wittlab is made at module level.
+every import of src/wittlab is made at module level, and importing the
+package and its CLI loads neither `dataclasses` nor `inspect`.
 
 The two package `__init__.py` files are exempt from the first check:
 their imports are the public re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,13 @@ def test_no_import_inside_a_function(path):
     # an import in a function body hides a dependency of the module
     # from its header and runs again on every call
     assert _function_imports(path) == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a CLI call is mostly start-up; -S keeps site's own imports out
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wittlab, wittlab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
