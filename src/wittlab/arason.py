@@ -274,8 +274,7 @@ def canonical_decomposition(q: QuadraticForm) -> CanonicalDecomposition:
             continue
         assert sym.kind == "tensor", \
             "integer-depth symbols vanish over perfect residue fields"
-        coord = sym.payload[0].coords[0]
-        alpha = coord.sqrt()
+        alpha = sym.payload[0].coords[0]
         wild[eps] = alpha
         lift = F.section(alpha)
         gen = QuadraticForm.binary(F, F.one, lift * lift / pi ** int(2 * eps))

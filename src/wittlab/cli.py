@@ -3,8 +3,9 @@ canonical decomposition, equality and the Q_2 enumeration, plus built-in
 reproducible example fixtures.
 
 Exit codes: 0 success, 2 literal syntax error or bad command line (an
-unknown option, a missing argument or an invalid option value prints
-{"error": "usage"}; --help still exits 0),
+unknown option, a missing command or argument, an invalid option value
+or a --json-out path that cannot be written prints {"error": "usage"};
+--help still exits 0),
 3 Indistinguishable, 4 unsupported field/operation, 5 precision exhausted,
 141 stdout closed by its reader before the answer was written (nothing
 more is printed; a process ended by SIGPIPE reports the same status),
@@ -33,7 +34,7 @@ from .fields import DyadicField, LaurentField, field_shorthand
 from .fields.gf2m import GF2m
 from .fields.ratfunc import RatFuncField
 from .literals import parse_form
-from .residue_witt import TensorElem, WClass, WedgeElem, WqClass
+from .residue_witt import TENSOR_BASIS, TensorElem, WClass, WedgeElem, WqClass
 
 SCHEMA = "wittlab/1"
 
@@ -78,13 +79,10 @@ def _invariant_payload(inv, k):
         return {"group": "wedge",
                 "coordinate_on_1^x": k.format_elem(inv.coordinate())}
     if isinstance(inv, TensorElem):
+        coords = [k.format_elem(c * c) for c in inv.coords]
         if k.is_perfect:
-            return {"group": "tensor",
-                    "coordinate_on_1@1": k.format_elem(inv.coords[0])}
-        names = ("1@1", "1@x", "x@1", "x@x")
-        return {"group": "tensor",
-                "coordinates": {n: k.format_elem(c * c)
-                                for n, c in zip(names, inv.coords)}}
+            return {"group": "tensor", "coordinate_on_1@1": coords[0]}
+        return {"group": "tensor", "coordinates": dict(zip(TENSOR_BASIS, coords))}
     if isinstance(inv, WClass):
         return {"group": "W", "dim_mod_2": inv.bit}
     raise TypeError(f"unknown invariant {type(inv).__name__}")
@@ -346,13 +344,14 @@ def _run_once(args, precision):
         return field, _cmd_equal(field, args.form1, args.form2)
     if args.command == "enumerate-q2":
         return field, _cmd_enumerate_q2(field)
-    if args.command == "example":
-        return field, _cmd_example(args.name, precision, args.degree_cap)
-    raise UnsupportedResidueField("no command given (see --help)")
+    return field, _cmd_example(args.name, precision, args.degree_cap)
 
 
 def run(argv):
-    args = build_parser().parse_args(argv, argparse.Namespace(**DEFAULTS))
+    parser = build_parser()
+    args = parser.parse_args(argv, argparse.Namespace(**DEFAULTS))
+    if args.command is None and not args.fixture:
+        parser.error("no command given (see --help)")
     if args.precision < 1:
         raise UsageError(f"--precision must be at least 1, got {args.precision}")
     if args.degree_cap < 0:
@@ -385,8 +384,11 @@ def run(argv):
         indistinguishable = True
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"--json-out {args.json_out}: {e.strerror}") from None
     print(text)
     if indistinguishable:
         return EXIT_INDISTINGUISHABLE

@@ -10,7 +10,7 @@ anywhere.
 from __future__ import annotations
 
 from ..errors import NotApplicable, UnsupportedResidueField
-from .common import INF, AtLeast, lower_bound
+from .common import INF, AtLeast
 from .dyadic import Dyadic, DyadicField
 from .gf2m import FF, GF2m
 from .laurent import Laurent, LaurentField
@@ -18,8 +18,7 @@ from .ratfunc import RatFunc, RatFuncField
 
 __all__ = [
     "GF2m", "FF", "RatFuncField", "RatFunc", "LaurentField", "Laurent",
-    "DyadicField", "Dyadic", "AtLeast", "INF", "lower_bound", "make_field",
-    "field_shorthand",
+    "DyadicField", "Dyadic", "AtLeast", "INF", "make_field", "field_shorthand",
 ]
 
 

@@ -64,11 +64,6 @@ class AtLeast(Record):
 INF = math.inf
 
 
-def lower_bound(v) -> "int | float":
-    """A certified lower bound for the valuation answer v."""
-    return v.bound if isinstance(v, AtLeast) else v
-
-
 def is_exact(*rows) -> bool:
     """Whether every element of the rows has abs_prec None (is exact)."""
     return {x.abs_prec for row in rows for x in row} <= {None}

@@ -234,7 +234,7 @@ class GF2m:
 
     def frobenius_coordinates(self, c: "FF") -> tuple["FF", "FF"]:
         """c = c0^2 + x*c1^2; perfect fields have c1 = 0 and c0 = sqrt(c)."""
-        return FF(self, self.sqrt(c.bits)), self.zero
+        return self.elem(self.sqrt(c.bits)), self.zero
 
     def canonical_trace_one(self) -> "FF":
         """Smallest bit-pattern with absolute trace 1 (deterministic)."""

@@ -118,9 +118,6 @@ class RatFuncField:
     def from_poly(self, coeffs) -> "RatFunc":
         return self._make(_pack(self._pk.S, coeffs), 1)
 
-    def from_base(self, bits: int) -> "RatFunc":
-        return self._make(bits, 1)
-
     def make(self, num, den) -> "RatFunc":
         """num/den from low-first coefficient tuples of GF(2^m) bit-patterns."""
         S = self._pk.S

@@ -199,7 +199,7 @@ class ElementParser:
             raise FormSyntaxError(
                 f"residue constant {n} out of range for the coefficient field",
                 line, col)
-        return F.section(k.from_base(n))
+        return F.section(k.from_poly((n,)))
 
 
 def parse_element(text: str, field):

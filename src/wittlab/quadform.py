@@ -48,7 +48,7 @@ from . import linalg
 from .errors import (DegreeCapExceeded, NotApplicable, PrecisionExhausted,
                      Record, RuleNotApplicable, SingularForm, SingularMatrix,
                      WittlabError)
-from .fields.common import INF, is_exact, lower_bound
+from .fields.common import INF, is_exact
 
 
 class QuadraticForm:
@@ -547,7 +547,7 @@ def rewrite(expr: WittExpr, rule: str, at, c=None) -> WittExpr:
         _need(s.kind == "bin", "rule (c) applies to binary summands")
         pi = F.uniformizer()
         alpha = pi * s.a
-        _need(lower_bound(alpha.valuation()) >= 0,
+        _need(alpha.low_bound() >= 0,
               "rule (c) needs v(a) >= -1 so that pi*a is integral")
         vb = s.b.low_bound()
         k = 0

@@ -3,12 +3,14 @@
 Symplectic quadratic spaces (totally singular q, alternating
 nondegenerate b) are classified by their image in k wedge_{k^2} k;
 separated spaces (q on V, q' on V*) by their image in k tensor_{k^2} k.
-Both invariants are stored through their square roots: with respect to
-the 2-basis {1, x}, an element splits as c = c0^2 + x c1^2, all k^2
-coordinates of wedge/tensor values are squares, and Frobenius is
-additive, so the square-root coordinates form the same group and stay
-in canonical normalized form.  Over a perfect field the wedge group is
-trivial and the tensor group is k itself.
+Over every residue field both invariants are stored the same way: as the
+square roots of their k^2 coordinates on the basis built from the
+2-basis {1, x}, one coordinate on 1 wedge x and four on `TENSOR_BASIS`.
+An element splits as c = c0^2 + x c1^2 (`k.frobenius_coordinates`), so
+every coordinate of a wedge or tensor value is a square; as Frobenius is
+additive, the square roots form the same group, in canonical form.
+Over GF(2^m), where c = sqrt(c)^2, every x-part is zero: the wedge group
+is trivial and the tensor group is k on 1@1.
 
 Quadratic forms over k are `QuadraticForm`s.  `_split_plane` is the one
 residue-field plane splitter, on vectors and Gram rows in the layout
@@ -496,9 +498,13 @@ def functor_U(S: SeparatedSpace) -> SymplecticQuadSpace:
 # -- wedge and tensor coordinates ------------------------------------------------
 
 
+# the basis of k tensor_{k^2} k that `TensorElem.coords` are read on
+TENSOR_BASIS = ("1@1", "1@x", "x@1", "x@x")
+
+
 class WedgeElem(Record):
     """Element of k wedge_{k^2} k, stored as the square root of its
-    coordinate on the basis 1 wedge x (k.zero over perfect k)."""
+    coordinate on the basis 1 wedge x."""
 
     __slots__ = _fields = ("k", "sqrt_coord")
 
@@ -523,12 +529,8 @@ class WedgeElem(Record):
 
 
 class TensorElem(Record):
-    """Element of k tensor_{k^2} k.
-
-    Perfect k: the coordinate of 1 tensor 1 (an element of k).
-    GF(2^m)(x): square roots of the four k^2 coordinates on
-    (1 tensor 1, 1 tensor x, x tensor 1, x tensor x).
-    """
+    """Element of k tensor_{k^2} k, stored as the square roots of its
+    four k^2 coordinates on `TENSOR_BASIS`."""
 
     __slots__ = _fields = ("k", "coords")
 
@@ -544,17 +546,12 @@ class TensorElem(Record):
                                         zip(self.coords, other.coords)))
 
     def __repr__(self):
-        if self.k.is_perfect:
-            return f"({self.k.format_elem(self.coords[0])})*(1@1)"
-        names = ("1@1", "1@x", "x@1", "x@x")
         parts = [f"({self.k.format_elem(c * c)})*({n})"
-                 for c, n in zip(self.coords, names) if not c.is_zero()]
+                 for c, n in zip(self.coords, TENSOR_BASIS) if not c.is_zero()]
         return " + ".join(parts) if parts else "0"
 
     def to_wedge(self) -> WedgeElem:
         """The quotient map tensor -> wedge."""
-        if self.k.is_perfect:
-            return wedge_zero(self.k)
         return WedgeElem(self.k, self.coords[1] + self.coords[2])
 
 
@@ -563,22 +560,16 @@ def wedge_zero(k) -> WedgeElem:
 
 
 def tensor_zero(k) -> TensorElem:
-    if k.is_perfect:
-        return TensorElem(k, (k.zero,))
     return TensorElem(k, (k.zero,) * 4)
 
 
 def wedge_of(a, b, k) -> WedgeElem:
-    if k.is_perfect:
-        return wedge_zero(k)
     a0, a1 = k.frobenius_coordinates(a)
     b0, b1 = k.frobenius_coordinates(b)
     return WedgeElem(k, a0 * b1 + a1 * b0)
 
 
 def tensor_of(a, b, k) -> TensorElem:
-    if k.is_perfect:
-        return TensorElem(k, (a * b,))
     a0, a1 = k.frobenius_coordinates(a)
     b0, b1 = k.frobenius_coordinates(b)
     return TensorElem(k, (a0 * b0, a0 * b1, a1 * b0, a1 * b1))

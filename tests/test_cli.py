@@ -129,6 +129,19 @@ def test_json_out_file(tmp_path):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("where", ["missing/dir/out.json", "."])
+def test_json_out_that_cannot_be_written_is_usage_error(where, tmp_path, capsys):
+    # the answer is computed first; the failed write then prints only the
+    # usage error, with no traceback
+    path = tmp_path / where
+    code, out = run_cli(["depth", "--json-out", str(path), "[1, t]"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage" and str(path) in payload["message"]
+    assert out.count("\n") == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_precision_retry_protocol(monkeypatch):
     from wittlab.errors import PrecisionExhausted
     calls = []
@@ -256,6 +269,8 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     (["depth", "--no-such-option", "[1,t]"], "--no-such-option"),
     (["equal", "[1,t]"], "form2"),
     (["depth"], "forms"),
+    ([], "no command given"),
+    (["--field", "q2"], "no command given"),
 ])
 def test_bad_command_line_is_usage_error(argv, needle, capsys):
     code, out = run_cli(argv)

@@ -1,14 +1,16 @@
 """Checks of caller input and answer guards raise wittlab errors, so they
 hold under `python -O` as well, which drops `assert` statements."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from wittlab import arason, graded, norms
+from wittlab import arason, graded, norms, quadform
 from wittlab.errors import (DegenerateForm, GridViolation, NotApplicable,
-                            WittlabError)
-from wittlab.fields import make_field
+                            RuleNotApplicable, SingularMatrix, WittlabError,
+                            WrongCase)
+from wittlab.fields import INF, field_shorthand, make_field
 from wittlab.graded import GradedVector, ShiftedQuadSpace
 from wittlab.literals import parse_form
 from wittlab.quadform import WittExpr
@@ -105,3 +107,105 @@ def test_is_metabolic_reports_a_witness_that_disagrees(monkeypatch):
     monkeypatch.setattr(graded, "metabolic_planes", lambda S: None)
     with pytest.raises(WittlabError, match="disagree"):
         graded.is_metabolic(S)
+
+
+# -- safety raises of the library, each with its type and message -----------------
+
+
+def _k2_space(eps, degrees, qvals, bmat, tag, v2=INF):
+    """A hand-built space over GF(2), entries given as bits."""
+    k = F2T.residue_field
+    return ShiftedQuadSpace(k, v2, eps, degrees, [k.elem(b) for b in qvals],
+                            [[k.elem(b) for b in row] for row in bmat], tag)
+
+
+QUARTER = Fraction(1, 4)
+
+
+@pytest.mark.parametrize("space, message", [
+    (_k2_space(-1, [0], [0], [[0]], "II"), "shift eps = -1 is negative"),
+    (_k2_space(0, [QUARTER], [1], [[0]], "II"),
+     "q(e_0) must vanish: degree 1/2 is off-grid"),
+    (_k2_space(0, [0, QUARTER], [0, 0], [[0, 1], [1, 0]], "II"),
+     "b(e_0,e_1) must vanish: degree 1/4 is off-grid"),
+    (_k2_space(0, [0, 0], [0, 0], [[0, 1], [0, 0]], "I"),
+     "b is not symmetric at (0,1)"),
+    (_k2_space(Fraction(1, 2), [0], [0], [[0]], "II"),
+     "dim V_[0] = 1 != dim V_[1/2] = 0; b is degenerate"),
+    (_k2_space(1, [0, -1], [1, 1], [[0, 0], [0, 0]], "II"),
+     "b is degenerate on the coset pair [0], [0]"),
+    (_k2_space(1, [0, 0], [0, 0], [[0, 1], [1, 0]], "I"),
+     "type I requires eps = 0, got 1"),
+    (_k2_space(0, [0, 0], [0, 0], [[1, 1], [1, 0]], "I"),
+     "the polar of a quadratic form is alternating in characteristic 2; "
+     "b(e_0,e_0) != 0"),
+    (_k2_space(1, [0, -1], [1, 1], [[1, 1], [1, 0]], "II"),
+     "type II requires alternating b; b(e_0,e_0) != 0"),
+    (_k2_space(0, [0], [1], [[1]], "III", v2=Q2.v2),
+     "type III requires eps = v(2) < infinity"),
+    (_k2_space(1, [0], [0], [[1]], "III", v2=Q2.v2),
+     "type III requires q(e_0) = tau^-1 b(e_0,e_0)"),
+    (_k2_space(0, [0, 0], [0, 0], [[0, 1], [1, 0]], "IV"),
+     "unknown type tag 'IV'"),
+])
+def test_is_metabolic_names_the_first_violation(space, message):
+    with pytest.raises(DegenerateForm, match=f"^{re.escape(message)}$"):
+        graded.is_metabolic(space)
+
+
+def _certificate(lit, field):
+    return norms.wildness_index(parse_form(lit, field))[1]
+
+
+def _singular_norm_value():
+    one = F2T.one
+    norm = norms.VNorm(F2T, [[one, one], [one, one]], [0, 0])
+    return norm.value([one, F2T.zero])
+
+
+def _change_basis_singular():
+    one = F2T.one
+    return parse_form("[1, t]", F2T).change_basis([[one, one], [one, one]])
+
+
+def _rewrite_unknown_rule():
+    return quadform.rewrite(WittExpr.binary(F2T, F2T.one, F2T.one), "z", at=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: graded.orbit_partition(Fraction(1, 3)), DegenerateForm,
+     "depth 1/3 is not on the half-integer grid"),
+    (lambda: graded.descend_case2(
+        _k2_space(Fraction(1, 2), [0, Fraction(-1, 2)], [0, 0],
+                  [[0, 1], [1, 0]], "III", v2=Q2.v2)),
+     WrongCase, "case 2 applies to symplectic quadratic spaces"),
+    (_singular_norm_value, SingularMatrix, "valued matrix is singular"),
+    (lambda: norms.norm_shift(_certificate("[1, t^-1]", F2T).norm, 0,
+                              Fraction(1, 3)),
+     GridViolation, "depth step 1/3 is off the half-integer grid"),
+    (lambda: norms.builder_binary(Q2, Q2.one, Q2.one / Q2.from_int(4)),
+     NotApplicable, "depth 1 >= v(2); no compatible norm from this builder"),
+    (lambda: norms.split_respecting_norm(parse_form("<1>", Q2),
+                                         _certificate("<1>", Q2)),
+     NotApplicable, "binary splitting requires eps < v(2)"),
+    (lambda: arason.generator_certificate(parse_form("<1>", Q2), 1),
+     NotApplicable, "generators are defined for eps < v(2)"),
+    (lambda: norms.depth_reduce(parse_form("[1, 1]", F2T),
+                                _certificate("[1, 1]", F2T)),
+     NotApplicable, "depth_reduce needs a positive depth"),
+    (_change_basis_singular, SingularMatrix,
+     "change of basis matrix not certified invertible"),
+    (lambda: WittExpr.diagonal(F2T, [F2T.one]), RuleNotApplicable,
+     "diagonal summands need characteristic 0"),
+    (_rewrite_unknown_rule, RuleNotApplicable, "unknown rule 'z'"),
+    (lambda: arason.witt_equal(parse_form("[1, t]", F2T),
+                               parse_form("[1, t]", F4T)),
+     NotApplicable, "forms over different fields"),
+    (lambda: field_shorthand("f2m-laurent:n=2"), NotApplicable,
+     "unknown field option 'n'"),
+    (lambda: field_shorthand("f3-laurent"), NotApplicable,
+     "unknown field shorthand 'f3-laurent'"),
+])
+def test_safety_raises(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

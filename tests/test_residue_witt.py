@@ -6,7 +6,7 @@ from wittlab.errors import DegenerateForm, UnsupportedResidueField
 from wittlab.fields import GF2m, RatFuncField
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
-                                  arf_invariant, functor_U,
+                                  WqClass, arf_invariant, functor_U,
                                   k_symplectic_blocks, kquad_isotropic_vector,
                                   kquad_witt_class, sq_normalize,
                                   sq_witt_class, ssq_normalize,
@@ -128,6 +128,36 @@ def test_ssq_class_examples():
     assert not s.is_zero()
     # coordinates on 1@x and x@1 both nonzero
     assert not s.coords[1].is_zero() and not s.coords[2].is_zero()
+
+
+def test_tensor_and_wedge_reprs_over_ratfunc():
+    x = RX.x
+    assert repr(tensor_of(RX.one + x, x, RX)) == "(1)*(1@x) + (1)*(x@x)"
+    assert repr(tensor_of(RX.one, x * x, RX)) == "(x^2)*(1@1)"
+    assert repr(tensor_of(RX.zero, x, RX)) == "0"
+    assert repr(wedge_of(RX.one, x, RX)) == "(1)*(1^x)"
+    assert repr(wedge_of(x, x, RX)) == "0"
+
+
+def test_values_over_a_perfect_field_on_the_two_basis():
+    # every x-part is zero over GF(4): a tensor is sqrt(ab) on 1@1 and
+    # every wedge, the image of a tensor too, is zero
+    elems = [K4.elem(b) for b in range(4)]
+    for a in elems:
+        for b in elems:
+            t = tensor_of(a, b, K4)
+            assert t.coords[0] ** 2 == a * b
+            assert all(c.is_zero() for c in t.coords[1:])
+            assert wedge_of(a, b, K4).is_zero()
+            assert t.to_wedge().is_zero() and repr(t.to_wedge()) == "0"
+    assert repr(tensor_of(K4.elem(2), K4.one, K4)) == "(2)*(1@1)"
+
+
+def test_space_reprs():
+    assert repr(sq(RX, (RX.one, RX.x), (RX.x, RX.one))) == "<1, x> perp <x, 1>"
+    assert repr(sep(K4, (K4.elem(2), K4.elem(3)), (K4.one, K4.zero))) == \
+        "<2 | 3> perp <1 | 0>"
+    assert repr(sq(K2)) == repr(sep(K2)) == "0"
 
 
 def test_ssq_moves_preserve_class():
@@ -298,3 +328,17 @@ def test_wq_class_sum_keeps_the_arf_representative():
     assert total.payload == (s1.payload[0], s2.payload[1])
     zero, one = WqClass(K2, arf=0), WqClass(K2, arf=1)
     assert zero + one == one + zero == one and one + one == zero
+
+
+def test_partial_wq_classes_add_their_raw_data():
+    one, x = RX.one, RX.x
+    a = wq_raw_class([(one, x)], RX)
+    b = wq_raw_class([(x, x), (one, one)], RX)
+    total = a + b
+    assert total.arf is None and not total.decides()
+    assert total.raw == ((one, x), (x, x), (one, one))
+    assert total.arf_representative == x + x * x + one
+    bare = WqClass(RX, raw=((x, one),))  # raw data, no representative
+    assert (a + bare).raw == ((one, x), (x, one))
+    assert (a + bare).arf_representative is None
+    assert (bare + a).arf_representative is None
