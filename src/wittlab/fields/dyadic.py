@@ -10,15 +10,13 @@ The leading residue coefficient of a nonzero element is 1.
 
 A sum shifts both digit strings to the smaller exponent, a product
 multiplies them, and an inverse is the inverse of the unit modulo 2^rel;
-`fields.common` gives the precisions.  Hensel roots of u^2 + u + c
-(v(c) > 0) come from Newton iteration, which converges since 2u + 1 is
-a unit.
+`fields.common` gives the precisions.
 """
 
 from __future__ import annotations
 
 from ..errors import DivisionByZero, NotApplicable
-from .common import INF, Certified, half
+from .common import Certified, half
 from .gf2m import GF2m
 
 
@@ -77,29 +75,6 @@ class DyadicField:
 
     def zero_to_precision(self, bound: int) -> "Dyadic":
         return Dyadic(self, 0, 0, bound)
-
-    # -- Hensel ---------------------------------------------------------------
-
-    def artin_schreier_lift(self, c: "Dyadic") -> "Dyadic":
-        """Newton iteration for the v > 0 root of u^2 + u + c = 0."""
-        if c.low_bound() < 1:
-            raise NotApplicable(
-                f"artin_schreier_lift needs v(c) > 0, got v = {c.valuation()}")
-        if c.is_exactly_zero():
-            return self.zero
-        if c.is_zero_to_precision():
-            return self.zero_to_precision(c.abs_prec)
-        bound = c.v0 + self.precision
-        if c.abs_prec is not None:
-            bound = min(bound, c.abs_prec)
-        u = self.make(0, 0, bound)
-        while True:
-            fu = u * u + u + c
-            fv = fu.low_bound()
-            if fv >= bound or fv == INF:
-                return u.truncated(bound)
-            deriv = self.from_int(2) * u + self.one
-            u = (u - fu / deriv).truncated(bound)
 
     def format_elem(self, x: "Dyadic") -> str:
         if x.digits == 0:

@@ -16,11 +16,12 @@ Storage depends on the residue field, chosen once by `LaurentField`:
   then reduced modulo the field modulus at once with masked shifts.  The
   kernel (`gf2m._clmul`, `gf2m._Packing`) is the one `RatFunc` uses.
 * GF(2^m)(x): `digits` is a tuple of residue elements c_0, c_1, ...
-  The kernels work on one slot list.  A sum overlays the two shifted
-  operands and adds only where both slots are nonzero.  A product fills
-  min(len(a) + len(b) - 1, prec - v0) slots, stopping at the precision
-  cut-off: a monomial factor (one slot) makes it one scalar multiple of
-  the other factor's slots, a product of two monomials is one slot, and
+  The kernels work on one slot list of `RatFunc`s, and read a slot as
+  zero when its numerator is, without a call.  A sum overlays the two
+  shifted operands and adds only where both slots are nonzero.  A
+  product fills min(len(a) + len(b) - 1, prec - v0) slots, stopping at
+  the precision cut-off: a monomial factor (one slot) makes it one
+  scalar multiple of the other factor's slots, a product of two monomials is one slot, and
   otherwise it convolves, seeding each slot with its first product
   instead of adding it to zero.  The residue products are the same, in
   the same order, on every path, so the degree cap of GF(2^m)(x) trips
@@ -40,7 +41,7 @@ tuple view of c_0, c_1, ..., built on demand for packed elements.
 from __future__ import annotations
 
 from ..errors import DivisionByZero, NotApplicable
-from .common import INF, AtLeast, Certified
+from .common import INF, Certified
 from .gf2m import GF2m, _clmul
 
 
@@ -121,28 +122,6 @@ class LaurentField:
     def zero_to_precision(self, bound: int) -> "Laurent":
         return Laurent(self, 0, self._nil, bound)
 
-    # -- Hensel ------------------------------------------------------------
-
-    def artin_schreier_lift(self, c: "Laurent") -> "Laurent":
-        """The root of u^2 + u + c = 0 with v(u) > 0: u = sum c^(2^i)."""
-        v = c.valuation()
-        if not (isinstance(v, AtLeast) and v.bound > 0 or v == INF
-                or (isinstance(v, int) and v > 0)):
-            raise NotApplicable(f"artin_schreier_lift needs v(c) > 0, got v = {v}")
-        bound = c.abs_prec
-        if bound is None:
-            bound = (v if isinstance(v, int) else 1) + self.precision
-        u = self.zero
-        term = c
-        while True:
-            tv = term.valuation()
-            if tv == INF or (isinstance(tv, AtLeast) and tv.bound >= bound) \
-                    or (isinstance(tv, int) and tv >= bound):
-                break
-            u = u + term
-            term = term * term
-        return u.truncated(bound)
-
     def format_elem(self, x: "Laurent") -> str:
         k = self.residue_field
         parts = []
@@ -188,10 +167,10 @@ def _trimmed(F: LaurentField, v0: int, c, abs_prec):
     t^(v0 + i): drop the slots at or above abs_prec, then the zero slots
     at both ends."""
     hi = len(c) if abs_prec is None else min(len(c), abs_prec - v0)
-    while hi > 0 and c[hi - 1].is_zero():
+    while hi > 0 and not c[hi - 1].num:
         hi -= 1
     lo = 0
-    while lo < hi and c[lo].is_zero():
+    while lo < hi and not c[lo].num:
         lo += 1
     if lo >= hi:
         return Laurent(F, 0, (), abs_prec)
@@ -216,7 +195,7 @@ def _add_slots(x: Laurent, y: Laurent) -> Laurent:
     else:
         c = list(a[:s])
         for p, q in zip(a[s:], b):
-            c.append(q if p.is_zero() else p if q.is_zero() else p + q)
+            c.append(q if not p.num else p if not q.num else p + q)
         c += a[s + len(b):]  # the longer tail; the other slice is empty
         c += b[len(a) - s:]
     return _trimmed(x.field, x.v0, c, prec)
@@ -239,12 +218,12 @@ def _mul_slots(F: LaurentField, v0: int, a, b, prec) -> Laurent:
         a, b = b, a  # residue products commute
     if len(b) == 1:
         y = b[0]
-        return _trimmed(F, v0, [z if x.is_zero() else x * y for x in a[:n]],
+        return _trimmed(F, v0, [z if not x.num else x * y for x in a[:n]],
                         prec)
-    nb = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    nb = [(j, y) for j, y in enumerate(b) if y.num]
     c = [z] * n
     for i, x in enumerate(a[:n]):
-        if x.is_zero():
+        if not x.num:
             continue
         for j, y in nb:
             k = i + j

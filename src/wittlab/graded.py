@@ -44,22 +44,36 @@ Over GF(2^m) the rounds of `metabolic_planes` are a pure function,
 the sums of W_q(Q_2) classes meet the same small spaces again and
 again, so they are looked up in `planes_memo`: one `functools.lru_cache`
 of `PLANES_MEMO_SIZE` = 1024 entries, which holds the whole working set
-of the bench's `q2-class-sums` (about 600 spaces).  Its key is k, the
-type tag, eps, the degrees, the q values packed into one int and the
-packed Gram rows; its value is the planes as (degree, packed vector)
-pairs, x then y of each plane in one flat tuple, or None: never a space
-or a `GradedVector`, and no tuple per plane.  An error is never
-kept, so it is raised again on the next call.  Each call, a hit too,
-builds new `GradedVector`s of the caller's space, so every plane refers
-to that space and the degree grid is checked on every call.
+of the bench's `q2-class-sums` (about 600 spaces).  Its key,
+`_space_key`, is k, the type tag, eps, the degrees, the q values packed
+into one int and the packed Gram rows; its value is the planes as
+(degree, packed vector) pairs, x then y of each plane in one flat
+tuple, or None: never a space or a `GradedVector`, and no tuple per
+plane.  An error is never kept, so it is raised again on the next
+call.  Each call, a hit too, builds new `GradedVector`s of the caller's
+space, so every plane refers to that space and the degree grid is
+checked on every call.
 `planes_memo.cache_info()` gives the hit and miss counts and
 `cache_clear()` empties it.  Over GF(2^m)(x) the rounds run without the
 memo: the key would hash and compare rational-function coordinates
 entry by entry, and the bench's `ratfunc-semidecision` meets few spaces
-twice.  `orbit_invariants` is not memoized either: it costs little next
-to the planes, and the traced pass of `bench/run.py --trace 1`, which
-replays the ops of its untraced pass, must still reach the layers it
-calls (`linalg.invert_exact` on `laurent-pipeline`).
+twice.
+
+The depth-0 symbol of a round is read off `orbit_invariants`, which
+took 17.8 % of the `q2-class-sums` loop before it had a memo (seed 1,
+640 ops, timed around each call).  Its integer-eps calls over GF(2^m) for the default choice,
+types I and II, took 12.4 %, and 57 % of them met a space already seen
+(273 distinct ones).  Those are looked up in `invariants_memo`, under
+the same `_space_key` and with the same bound: the descent reads no
+field of the space outside the key.  Its value is the (orbit, invariant)
+pairs, and every call builds a new dict of them; an error is never
+kept.  A type-III orbit is a parity read without a descent (below), a
+given choice descends anew, and GF(2^m)(x) spaces skip it as they skip
+`planes_memo`.  The half-integer branch (`descend_case2`) is not
+memoized: the traced pass of `bench/run.py --trace 1` replays the ops
+of its untraced pass in the same process, and must still reach the
+layers that branch calls (`linalg.invert_exact` on `laurent-pipeline`),
+which a warm memo would skip.
 
 A type-III orbit needs no split either.  Its descent is a nondegenerate
 symmetric bilinear form over k, which Gram-Schmidt splits into lines
@@ -466,10 +480,21 @@ def _plane_rounds(k, type_tag, eps, degrees, qs, rows):
     return tuple(planes)
 
 
-# the number of spaces the memo of metabolic_planes keeps; the sums of
-# W_q(Q_2) class representatives of the bench's q2-class-sums meet 613
-# distinct ones at seed 1
+# the number of spaces each memo keeps; the sums of W_q(Q_2) class
+# representatives of the bench's q2-class-sums meet 613 distinct ones at
+# seed 1
 PLANES_MEMO_SIZE = 1024
+
+
+def _space_key(S: ShiftedQuadSpace) -> tuple:
+    """(k, type tag, eps, degrees, q values, Gram rows) of S, the q values
+    and rows packed in the layout `residue_witt._vectors(k)`: over GF(2^m)
+    the q values are one int, and the tuple is the key of both memos."""
+    vec = residue_witt._vectors(S.k)
+    rows = S.rows
+    if rows is None:
+        rows = tuple(vec.pack(row) for row in S.bmat)
+    return S.k, S.type_tag, S.eps, S.degrees, vec.pack(S.qvals), rows
 
 
 @lru_cache(maxsize=PLANES_MEMO_SIZE)
@@ -486,20 +511,13 @@ def metabolic_planes(S: ShiftedQuadSpace):
     when an anisotropic kernel remains; each round splits off the plane
     of an isotropic relation among the current rows with
     `residue_witt._split_plane`.
-    Over GF(2^m) the rounds are looked up in `planes_memo`, keyed on the
-    space's data with its q values and Gram rows packed.  Each plane
-    vector is a new `GradedVector` of S, whose construction checks the
-    degree grid, on a hit too."""
+    Over GF(2^m) the rounds are looked up in `planes_memo`, keyed on
+    `_space_key(S)`.  Each plane vector is a new `GradedVector` of S,
+    whose construction checks the degree grid, on a hit too."""
     k = S.k
     vec = residue_witt._vectors(k)
-    rows = S.rows
-    if rows is None:
-        rows = tuple(vec.pack(row) for row in S.bmat)
-    if isinstance(k, GF2m):
-        planes = planes_memo(k, S.type_tag, S.eps, S.degrees,
-                             vec.pack(S.qvals), rows)
-    else:
-        planes = _plane_rounds(k, S.type_tag, S.eps, S.degrees, S.qvals, rows)
+    key = _space_key(S)
+    planes = (planes_memo if isinstance(k, GF2m) else _plane_rounds)(*key)
     if planes is None:
         return None
     n = S.n
@@ -513,32 +531,54 @@ def metabolic_planes(S: ShiftedQuadSpace):
             for dx, x, dy, y in zip(runs, runs, runs, runs)]
 
 
+def _case1_invariants(S: ShiftedQuadSpace, choice) -> dict:
+    """The invariants of the orbits `descend_case1` descends."""
+    out = {}
+    for c, obj in descend_case1(S, choice).items():
+        if S.type_tag == "I":
+            out[c] = residue_witt.kquad_witt_class(obj) if obj.n else \
+                residue_witt.WqClass(S.k, arf=0)
+        elif S.type_tag == "II":
+            out[c] = residue_witt.sq_witt_class(obj)
+        else:
+            out[c] = residue_witt.WClass(S.k, len(obj) % 2)
+    return out
+
+
+@lru_cache(maxsize=PLANES_MEMO_SIZE)
+def invariants_memo(k, type_tag, eps, degrees, qbits, rows):
+    """The orbit invariants of a type-I or type-II space over GF(2^m) at
+    integer eps for the default choice, as (orbit, invariant) pairs: a
+    pure function of the `_space_key` it is called with, since that
+    branch reads no other field of the space (v2 tells type III from
+    type II only, so the space it descends is rebuilt without it)."""
+    vec = residue_witt._vectors(k)
+    n = len(degrees)
+    S = ShiftedQuadSpace(k, None, eps, degrees, vec.unpack(qbits, n),
+                         [vec.unpack(row, n) for row in rows], type_tag, rows)
+    return tuple(_case1_invariants(S, None).items())
+
+
 def orbit_invariants(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dict:
     """Per-orbit Witt-group invariants of the descended residue objects;
     a type-III orbit's is the parity of its dimension, read without the
-    descent for the default choice."""
-    out = {}
-    if _is_int(S.eps):
-        if S.type_tag == "III" and choice is None:
+    descent for the default choice.  For the default choice over GF(2^m)
+    at integer eps, types I and II are looked up in `invariants_memo`;
+    every call returns a new dict."""
+    if not _is_int(S.eps):
+        sep = descend_case2(S, choice)
+        return {(half(0), HALF): residue_witt.ssq_witt_class(sep)}
+    if choice is None:
+        if S.type_tag == "III":
             # the class of a principal coset is its dimension mod 2: at
             # integer eps each such coset pairs with itself, and condition
             # (c) makes its block of b nondegenerate
             cosets = coset_decomposition(S)
             return {c: residue_witt.WClass(S.k, len(cosets.get(c, ())) % 2)
                     for (c,) in orbit_partition(S.eps).principal}
-        descended = descend_case1(S, choice)
-        for c, obj in descended.items():
-            if S.type_tag == "I":
-                out[c] = residue_witt.kquad_witt_class(obj) if obj.n else \
-                    residue_witt.WqClass(S.k, arf=0)
-            elif S.type_tag == "II":
-                out[c] = residue_witt.sq_witt_class(obj)
-            else:
-                out[c] = residue_witt.WClass(S.k, len(obj) % 2)
-    else:
-        sep = descend_case2(S, choice)
-        out[(half(0), HALF)] = residue_witt.ssq_witt_class(sep)
-    return out
+        if isinstance(S.k, GF2m):
+            return dict(invariants_memo(*_space_key(S)))
+    return _case1_invariants(S, choice)
 
 
 def is_metabolic(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> MetabolicityReport:

@@ -29,9 +29,11 @@ elimination on ints packed straight from the leading entries over
 GF(2^m), `linalg.independent_rows` on coordinate tuples over
 GF(2^m)(x), where a degree cap can trip.  It keeps the packed
 rows of the rank test too: the induced space splits on them, and over
-GF(2^m) they key the memo of `graded.metabolic_planes` (with k, the
-type, eps, the degrees and the packed q values), so a depth step whose
-induced space an earlier step met looks its planes up.
+GF(2^m) they key the memos of `graded.metabolic_planes` and, at
+integer depth, `graded.orbit_invariants` (with k, the type, eps, the
+degrees and the packed q values: `graded._space_key`), so a depth step
+whose induced space an earlier step met looks its planes and its
+residue invariants up.
 
 Depth reduction follows the constructive proof of the metabolicity
 criterion: decompose the induced space into metabolic planes, lift the

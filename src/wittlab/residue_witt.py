@@ -135,7 +135,8 @@ class _Slots:
 
 class _Coords:
     """The `_Slots` operations on coordinate tuples, for GF(2^m)(x); a
-    scalar 1 forms no products."""
+    scalar 1 forms no products.  Every coordinate is a `RatFunc`, zero
+    when its numerator is, which is read without a call."""
 
     def __init__(self, k):
         self.k = k
@@ -152,26 +153,26 @@ class _Coords:
         return tuple(map(tuple, mat))
 
     def support(self, v):
-        return tuple(i for i, c in enumerate(v) if not c.is_zero())
+        return tuple(i for i, c in enumerate(v) if c.num)
 
     def unpack(self, v, n, support=None):
         return v
 
     def entry(self, v, i):
-        return None if v[i].is_zero() else v[i]
+        return v[i] if v[i].num else None
 
     def scale(self, a, v):
         if a == self.one:
             return v
-        return tuple(c if c.is_zero() else a * c for c in v)
+        return tuple(a * c if c.num else c for c in v)
 
     def axpy(self, v, a, u):
         if a == self.one:
-            return tuple(x if y.is_zero() else x + y for x, y in zip(v, u))
-        return tuple(x if y.is_zero() else x + a * y for x, y in zip(v, u))
+            return tuple(x + y if y.num else x for x, y in zip(v, u))
+        return tuple(x + a * y if y.num else x for x, y in zip(v, u))
 
     def first(self, v):
-        return next((i for i, c in enumerate(v) if not c.is_zero()), None)
+        return next((i for i, c in enumerate(v) if c.num), None)
 
     def drop(self, v, i):
         return v[:i] + v[i + 1:]

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittlab.errors import (DegreeCapExceeded, DivisionByZero,
-                            NegativeValuation, NotApplicable,
-                            PrecisionExhausted)
+                            NegativeValuation, PrecisionExhausted)
 from wittlab.fields import (INF, AtLeast, GF2m, LaurentField, RatFuncField,
                             make_field, ratfunc)
 from wittlab.fields.common import power
@@ -279,30 +278,6 @@ def test_precision_propagation():
     assert isinstance((shallow + t * t * t).valuation(), AtLeast)
 
 
-def test_hensel_laurent():
-    F = make_field("laurent", m=1)
-    t = F.uniformizer()
-    u = F.artin_schreier_lift(t)
-    # u = t + t^2 + t^4 + t^8 + ... mod t^N
-    exps = {u.v0 + i for i, c in enumerate(u.coeffs) if not c.is_zero()}
-    assert {1, 2, 4, 8, 16, 32} <= exps
-    assert (u * u + u + t).is_zero_to_precision()
-    with pytest.raises(NotApplicable):
-        F.artin_schreier_lift(F.one)
-
-
-def test_hensel_laurent_random():
-    F = make_field("laurent", m=2)
-    k = F.residue_field
-    rng = random.Random(5)
-    for _ in range(25):
-        c = F.make([(rng.randrange(1, 4), k.random(rng)) for _ in range(2)])
-        u = F.artin_schreier_lift(c)
-        r = u * u + u + c
-        assert r.is_zero_to_precision()
-        assert r.abs_prec >= F.precision
-
-
 # -- 2-adics -------------------------------------------------------------------
 
 
@@ -318,25 +293,6 @@ def test_dyadic_basics():
     assert (third * Q.from_int(3) - Q.one).is_zero_to_precision()
     with pytest.raises(DivisionByZero):
         Q.zero.inv()
-
-
-def test_hensel_dyadic():
-    Q = make_field("dyadic")
-    c = Q.from_int(2)
-    u = Q.artin_schreier_lift(c)
-    assert u.v0 == 1 and u.digits % 2 == 1  # u = 2 mod 4
-    assert (u * u + u + c).is_zero_to_precision()
-    with pytest.raises(NotApplicable):
-        Q.artin_schreier_lift(Q.one)
-
-
-def test_hensel_dyadic_random():
-    Q = make_field("dyadic")
-    rng = random.Random(6)
-    for _ in range(25):
-        c = Q.from_int(2 * rng.randrange(1, 1000))
-        u = Q.artin_schreier_lift(c)
-        assert (u * u + u + c).is_zero_to_precision()
 
 
 # -- packed GF(2^m)((t)) against the boxed schoolbook oracle -----------------

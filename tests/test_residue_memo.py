@@ -1,4 +1,5 @@
-"""The memo of `graded.metabolic_planes` over a finite residue field.
+"""The memos of `graded.metabolic_planes` and `graded.orbit_invariants`
+over a finite residue field.
 
 Over GF(2^m) the rounds of `metabolic_planes` are looked up in
 `graded.planes_memo`, keyed on (k, type, eps, degrees, packed q values,
@@ -8,6 +9,12 @@ degree grid again; an error is never kept, so it is raised again on the
 next call; spaces that differ only in their q values or their degrees
 get their own planes; spaces over GF(2^m)(x) never reach the memo; and
 the memo never holds more than its maxsize.
+
+Under the same key, `graded.invariants_memo` holds the orbit invariants
+of the type-I and type-II spaces at integer eps for the default choice.
+A hit answers as a miss does, every call returns a new dict, an error is
+never kept, the memo never holds more than its maxsize, and half-integer
+eps, type III, a given choice and spaces over GF(2^m)(x) never reach it.
 """
 
 import random
@@ -212,3 +219,123 @@ def test_the_memo_keeps_at_most_its_maxsize():
         assert len(graded.metabolic_planes(S)) == 1
         assert graded.planes_memo.cache_info().currsize == min(d + 1, size)
     graded.planes_memo.cache_clear()
+
+
+# -- the memo of orbit_invariants ---------------------------------------------
+
+
+def _invariants(S, choice=None):
+    try:
+        return graded.orbit_invariants(S, choice)
+    except WittlabError as e:
+        return type(e), str(e)
+
+
+def _memoized(S):
+    """Whether orbit_invariants looks S up in its memo."""
+    return (S.type_tag in ("I", "II") and S.eps.denominator == 1
+            and S.k.is_perfect)
+
+
+@pytest.mark.parametrize("type_tag", ("I", "II"))
+@pytest.mark.parametrize("name", FINITE)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_an_invariants_hit_answers_as_a_miss(name, type_tag, seed):
+    S = _space(FINITE[name], random.Random(seed), type_tag)
+    if S is None or not _memoized(S):
+        return
+    info = graded.invariants_memo.cache_info
+    first = _invariants(S)
+    hits = info().hits
+    again = _invariants(S)
+    hit = _invariants(_copy(S))
+    assert info().hits == hits + 2
+    graded.invariants_memo.cache_clear()
+    fresh = _invariants(_copy(S))
+    assert info()[:2] == (0, 1)
+    # a given choice equal to the default one descends without the memo
+    given_choice = _invariants(S, graded.default_choice(S))
+    assert first == again == hit == fresh == given_choice
+    assert info().currsize <= info().maxsize
+
+
+@pytest.mark.parametrize("type_tag", ("I", "II"))
+@pytest.mark.parametrize("name", FINITE)
+def test_every_invariants_call_returns_a_new_dict(name, type_tag):
+    k = FINITE[name]
+    rng = random.Random(f"new dict {name} {type_tag}")
+    spaces = [S for S in (_space(k, rng, type_tag) for _ in range(40))
+              if S is not None and _memoized(S)]
+    assert spaces
+    for S in spaces:
+        first = graded.orbit_invariants(S)
+        expected = dict(first)
+        second = graded.orbit_invariants(S)
+        assert second is not first and second == expected
+        # a caller that changes its dict changes no later answer
+        first.clear()
+        second[HALF] = None
+        assert graded.orbit_invariants(S) == expected
+
+
+@pytest.mark.parametrize("type_tag, eps", (("I", 0), ("II", 1)))
+@pytest.mark.parametrize("name", FINITE)
+def test_degenerate_invariants_raise_on_every_call(name, type_tag, eps):
+    # b = 0: the descended form is degenerate
+    k = FINITE[name]
+    S = graded.ShiftedQuadSpace(k, 1, eps, [0, 0], [k.zero, k.one],
+                                [[k.zero] * 2] * 2, type_tag)
+    graded.invariants_memo.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(DegenerateForm, match="degenerate"):
+            graded.orbit_invariants(S)
+        assert graded.invariants_memo.cache_info()[:2] == (0, calls)
+    assert graded.invariants_memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", [*FINITE, "GF(2)(x)"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_other_invariants_skip_the_memo(name, seed):
+    # half-integer eps, type III, a given choice and GF(2^m)(x) spaces
+    k = FINITE.get(name) or RatFuncField(1)
+    rng = random.Random(seed)
+    S = _space(k, rng, rng.choice(TYPES))
+    if S is None:
+        return
+    before = graded.invariants_memo.cache_info()
+    if not _memoized(S):
+        _invariants(S)
+        _invariants(S)
+    if S.eps.denominator == 1:
+        _invariants(S, graded.default_choice(S))
+    assert graded.invariants_memo.cache_info() == before
+
+
+def test_the_draws_reach_every_skipped_kind():
+    rng = random.Random("skipped kinds")
+    seen = set()
+    for _ in range(300):
+        name = rng.choice([*FINITE, "GF(2)(x)"])
+        k = FINITE.get(name) or RatFuncField(1)
+        S = _space(k, rng, rng.choice(TYPES))
+        if S is not None and not _memoized(S):
+            seen.add("III" if S.type_tag == "III"
+                     else "half" if S.eps.denominator == 2 else "GF(2)(x)")
+    assert seen == {"III", "half", "GF(2)(x)"}, seen
+
+
+def test_the_invariants_memo_keeps_at_most_its_maxsize():
+    k = FINITE["GF(2)"]
+    size = graded.PLANES_MEMO_SIZE
+    assert graded.invariants_memo.cache_info().maxsize == size
+    graded.invariants_memo.cache_clear()
+    for d in range(size + 8):
+        # a hyperbolic plane on the degrees d and -d - 1
+        S = graded.ShiftedQuadSpace(k, 1, 1, [d, -d - 1], [k.zero, k.zero],
+                                    [[k.zero, k.one], [k.one, k.zero]], "II")
+        assert all(inv.is_zero()
+                   for inv in graded.orbit_invariants(S).values())
+        assert graded.invariants_memo.cache_info().currsize == min(d + 1, size)
+    graded.invariants_memo.cache_clear()
