@@ -47,7 +47,7 @@ def field_shorthand(text: str, *, precision: int = 64, degree_cap: int = 512):
         for part in opts.split(","):
             key, _, val = part.partition("=")
             if key.strip() != "m":
-                raise NotApplicable(f"unknown field option {key!r}")
+                raise UnsupportedResidueField(f"unknown field option {key!r}")
             try:
                 m = int(val)
             except ValueError:
@@ -60,4 +60,4 @@ def field_shorthand(text: str, *, precision: int = 64, degree_cap: int = 512):
     if name in ("f2x-laurent", "f2mx-laurent"):
         return make_field("laurent-ratfunc", m=m, precision=precision,
                           degree_cap=degree_cap)
-    raise NotApplicable(f"unknown field shorthand {text!r}")
+    raise UnsupportedResidueField(f"unknown field shorthand {text!r}")

@@ -14,8 +14,11 @@ off it (a degree such as 1/3, which pairs freely with its involute).
 Types: I (eps = 0, b is the polar of q), II (q totally singular, b
 alternating), III (q(v) = tau^-1 b(v,v) for tau = the image of 2, only
 over Q_2 at eps = v(2)).  Homogeneous isotropic-vector search reduces
-degree-class by degree-class to residue-field problems: semilinear
-kernels for types II/III, and for type I the isotropic search of
+degree-class by degree-class to residue-field problems.  For types
+II/III, q(sum a_r e_r) = sum a_r^2 q_r, and with q_r = u_r^2 + x v_r^2
+(`k.frobenius_coordinates`) a relation is a linear one among the points
+(u_r, v_r) of k^2; any three have one, so it is read off the first three
+rows of the class at most.  For type I it is the isotropic search of
 `residue_witt` on the polar rows of the class.  The plane split is
 `residue_witt._split_plane`, the one residue-field plane splitter: each
 round of `metabolic_planes` runs it on an isotropic relation, which
@@ -59,11 +62,10 @@ memo: the key would hash and compare rational-function coordinates
 entry by entry, and the bench's `ratfunc-semidecision` meets few spaces
 twice.
 
-The depth-0 symbol of a round is read off `orbit_invariants`, which
-took 17.8 % of the `q2-class-sums` loop before it had a memo (seed 1,
-640 ops, timed around each call).  Its integer-eps calls over GF(2^m) for the default choice,
-types I and II, took 12.4 %, and 57 % of them met a space already seen
-(273 distinct ones).  Those are looked up in `invariants_memo`, under
+The depth-0 symbol of a round is read off `orbit_invariants`, a large
+share of the `q2-class-sums` loop.  Its integer-eps calls over GF(2^m)
+for the default choice, types I and II, meet the same spaces again and
+again.  Those are looked up in `invariants_memo`, under
 the same `_space_key` and with the same bound: the descent reads no
 field of the space outside the key.  Its value is the (orbit, invariant)
 pairs, and every call builds a new dict of them; an error is never
@@ -92,11 +94,11 @@ from functools import lru_cache
 
 from . import linalg, residue_witt
 from .errors import (DegenerateForm, GridViolation, NotApplicable, Record,
-                     SingularMatrix, Undecidable, WittlabError, WrongCase)
+                     Undecidable, WittlabError, WrongCase)
 from .fields.common import HALF, INF, grid, half
 from .fields.gf2m import GF2m
 from .quadform import QuadraticForm
-from .residue_witt import SeparatedSpace, SymplecticQuadSpace, sq_normalize
+from .residue_witt import SeparatedSpace, sq_normalize
 
 
 def _is_int(d: Fraction) -> bool:
@@ -171,7 +173,6 @@ class GradedVector(Record):
 
 def validate(S: ShiftedQuadSpace):
     """None when all type invariants hold, else the first violation."""
-    k = S.k
     n = S.n
     if S.eps < 0:
         return f"shift eps = {S.eps} is negative"
@@ -194,11 +195,8 @@ def validate(S: ShiftedQuadSpace):
             return (f"dim V_[{c}] = {len(idx)} != dim V_[{partner}] "
                     f"= {len(jdx)}; b is degenerate")
         block = [[S.bmat[i][j] for j in jdx] for i in idx]
-        if idx:
-            try:
-                linalg.invert_exact(block, k.zero, k.one)
-            except SingularMatrix:
-                return f"b is degenerate on the coset pair [{c}], [{partner}]"
+        if len(linalg.independent_rows(block, len(idx))) < len(idx):
+            return f"b is degenerate on the coset pair [{c}], [{partner}]"
     if S.type_tag == "I":
         if S.eps != 0:
             return f"type I requires eps = 0, got {S.eps}"
@@ -342,8 +340,7 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
         if S.type_tag == "I":
             out[c] = QuadraticForm.from_gram(k, qv, bm)
         elif S.type_tag == "II":
-            out[c] = sq_normalize(qv, bm, k)[0] if idx else \
-                SymplecticQuadSpace(k, ())
+            out[c] = sq_normalize(qv, bm, k)[0]
         else:
             out[c] = bm
     return out
@@ -414,15 +411,20 @@ def _find_isotropic_rel(k, type_tag, cls, qs, G):
             if qs[r].is_zero():
                 return [(r, k.one)]
         if type_tag in ("II", "III"):
-            if k.is_perfect:
-                # the kernel of one row (s_r) = (sqrt q_r), no s_r zero:
-                # its first basis vector is (s_1 / s_0, 1, 0, ...)
-                sol = None if len(idx) < 2 else \
-                    [qs[idx[0]].sqrt().inv() * qs[idx[1]].sqrt(), k.one]
-            else:
-                splits = [k.frobenius_coordinates(qs[r]) for r in idx]
-                rows = [[s[0] for s in splits], [s[1] for s in splits]]
-                sol = (linalg.kernel_exact(rows, k.zero, k.one) or [None])[0]
+            # q(sum a_r e_r) = sum a_r^2 q_r, and q_r = u_r^2 + x v_r^2,
+            # so a relation is one among the points (u_r, v_r) of k^2:
+            # that of the first row dependent on the rows before it
+            sol = None
+            if len(idx) > 1:
+                (u0, v0), (u1, v1) = map(k.frobenius_coordinates,
+                                         (qs[idx[0]], qs[idx[1]]))
+                det = u0 * v1 + u1 * v0
+                if det.is_zero():  # no q_r is zero, so (u0, v0) is not
+                    sol = [u1 / u0 if not u0.is_zero() else v1 / v0, k.one]
+                elif len(idx) > 2:  # Cramer's rule
+                    u2, v2 = k.frobenius_coordinates(qs[idx[2]])
+                    sol = [(u2 * v1 + u1 * v2) / det,
+                           (u0 * v2 + u2 * v0) / det, k.one]
         else:
             # the polar rows of the class: its rows without the columns
             # of the other classes

@@ -3,7 +3,7 @@
 Two regimes:
 
 * residue fields (GF(2^m), GF(2^m)(x)): arithmetic is exact, and the
-  elimination takes the first nonzero pivot;
+  row reduction and inverse take the first nonzero pivot;
 * valued base fields: entries carry certified precision, so pivots are
   chosen certified-nonzero with minimal valuation (maximal confidence),
   ties broken lexicographically for determinism.  Rank decisions use a
@@ -19,8 +19,9 @@ lift of a depth step passes its monomial columns so.
 
 The steps the splitting routines share live here once: the valued
 fields' pivot rule `min_valuation`, the echelon pass
-`independent_rows` (the rank test of condition (c) over GF(2^m)(x);
-over GF(2^m) it runs on packed rows, `residue_witt._Slots.rank`), the
+`independent_rows` (the rank test of condition (c) over GF(2^m)(x),
+where over GF(2^m) it runs on packed rows, `residue_witt._Slots.rank`;
+and that of each coset block in `graded.validate`), the
 join `block_diag` and the linear combination `combine`.
 """
 
@@ -156,23 +157,6 @@ def independent_rows(rows, want):
         echelon.append((lead, row[lead].inv(), row))
         chosen.append(idx)
     return chosen
-
-
-def kernel_exact(A, zero, one):
-    """Basis of the right kernel of A over an exact field."""
-    if not A:
-        return []
-    R, pivots = rref_exact(A)
-    cols = len(A[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = zero - R[r][fc]
-        basis.append(v)
-    return basis
 
 
 def invert_exact(A, zero, one):

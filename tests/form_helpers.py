@@ -1,6 +1,7 @@
 """Helpers that only the tests use: evaluation of graded vectors, a random
 uniformizing choice, the polar form at two vectors, nonsingularity of a
-form and the form of a Witt expression."""
+form, the form of a Witt expression, a random invertible matrix and the
+first kernel vector of a row reduction."""
 
 from wittlab import linalg
 from wittlab.graded import (GradedVector, HomogeneousScalar, UniformizingChoice,
@@ -92,3 +93,34 @@ def expr_form(expr) -> QuadraticForm:
         else:
             form = form.ortho_sum(QuadraticForm.diagonal(expr.field, [s.a]))
     return form
+
+
+def random_invertible(F, n, rng, entry):
+    """An invertible n x n matrix over F: 2n draws of a column pair i, j,
+    each with i != j adding entry() times column j to column i."""
+    M = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = entry()
+        for r in range(n):
+            M[r][i] = M[r][i] + c * M[r][j]
+    return M
+
+
+def first_kernel_vector(A, zero, one):
+    """The first basis vector of the right kernel of A over an exact field,
+    read off `linalg.rref_exact`: one at the first free column, minus that
+    column of the reduced rows at the pivot columns; None if there is no
+    free column."""
+    R, pivots = linalg.rref_exact(A)
+    cols = len(A[0])
+    fc = next((c for c in range(cols) if c not in pivots), None)
+    if fc is None:
+        return None
+    v = [zero] * cols
+    v[fc] = one
+    for r, pc in enumerate(pivots):
+        v[pc] = zero - R[r][fc]
+    return v

@@ -20,7 +20,7 @@ from wittlab.quadform import QuadraticForm, WittExpr, rewrite
 from wittlab.residue_witt import (SeparatedSpace, SymplecticQuadSpace,
                                   sq_witt_class, ssq_witt_class)
 
-from form_helpers import expr_form, random_choice
+from form_helpers import expr_form, random_choice, random_invertible
 from residue_brute_force import witt_decompose_small
 
 HALF = Fraction(1, 2)
@@ -212,18 +212,6 @@ def test_criterion_5_relation_engine_soundness():
            f"instances in < 60 s", t0)
 
 
-def _random_invertible(F, n, rng, coeff_degree=0):
-    M = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = _rand_laurent(F, rng, 0, 2, 1, coeff_degree)
-        for r in range(n):
-            M[r][i] = M[r][i] + c * M[r][j]
-    return M
-
-
 def test_criterion_6_depth_reduction_soundness():
     t0 = time.time()
     rng = random.Random(6)
@@ -244,7 +232,9 @@ def test_criterion_6_depth_reduction_soundness():
                 d = _rand_laurent(field, rng, -2, 2, 1, coeff_degree)
                 q = QuadraticForm.binary(field, a, b).ortho_sum(
                     QuadraticForm.binary(field, c, d))
-                q = q.change_basis(_random_invertible(field, 4, rng, coeff_degree))
+                q = q.change_basis(random_invertible(
+                    field, 4, rng,
+                    lambda: _rand_laurent(field, rng, 0, 2, 1, coeff_degree)))
             cert = initial_norm(q)
             while cert.eps > 0:
                 step = depth_reduce(q, cert)
@@ -316,8 +306,10 @@ def test_criterion_7_symbol_additivity_and_norm_independence():
         eps, cert = wildness_index(q)
         sym = arason._symbol_from_cert(q, cert)
         for _ in range(5):
-            M = _random_invertible(field, q.n, rng) if field is not Q2 else \
-                _random_invertible_q2(q.n, rng)
+            M = random_invertible(
+                field, q.n, rng,
+                (lambda: Q2.from_int(rng.randrange(-2, 3))) if field is Q2
+                else (lambda: _rand_laurent(field, rng, 0, 2, 1)))
             qM = q.change_basis(M)
             epsM, certM = wildness_index(qM)
             independence_ok &= epsM == eps
@@ -331,15 +323,3 @@ def test_criterion_7_symbol_additivity_and_norm_independence():
     report(7, additivity_ok and independence_ok and elapsed_ok,
            f"symbols additive on {done} guarded pairs and independent of "
            f"the certifying norm in < 60 s", t0)
-
-
-def _random_invertible_q2(n, rng):
-    M = [[Q2.one if i == j else Q2.zero for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = Q2.from_int(rng.randrange(-2, 3))
-        for r in range(n):
-            M[r][i] = M[r][i] + c * M[r][j]
-    return M

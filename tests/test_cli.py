@@ -177,7 +177,8 @@ def test_batch_stdin_survives_precision_retry():
 
 
 def test_field_option_out_of_range_is_unsupported():
-    for field in ("f2m-laurent:m=17", "f2mx-laurent:m=0", "f2m-laurent:m=two"):
+    for field in ("f2m-laurent:m=17", "f2mx-laurent:m=0", "f2m-laurent:m=two",
+                  "bogus", "f2m-laurent:k=2"):
         code, out = run_cli(["depth", "--field", field, "[1, t]"])
         assert code == 4
         payload = json.loads(out)

@@ -8,8 +8,8 @@ import pytest
 
 from wittlab import arason, graded, norms, quadform
 from wittlab.errors import (DegenerateForm, GridViolation, NotApplicable,
-                            RuleNotApplicable, SingularMatrix, WittlabError,
-                            WrongCase)
+                            RuleNotApplicable, SingularMatrix,
+                            UnsupportedResidueField, WittlabError, WrongCase)
 from wittlab.fields import INF, field_shorthand, make_field
 from wittlab.graded import GradedVector, ShiftedQuadSpace
 from wittlab.literals import parse_form
@@ -201,9 +201,9 @@ def _rewrite_unknown_rule():
     (lambda: arason.witt_equal(parse_form("[1, t]", F2T),
                                parse_form("[1, t]", F4T)),
      NotApplicable, "forms over different fields"),
-    (lambda: field_shorthand("f2m-laurent:n=2"), NotApplicable,
+    (lambda: field_shorthand("f2m-laurent:n=2"), UnsupportedResidueField,
      "unknown field option 'n'"),
-    (lambda: field_shorthand("f3-laurent"), NotApplicable,
+    (lambda: field_shorthand("f3-laurent"), UnsupportedResidueField,
      "unknown field shorthand 'f3-laurent'"),
 ])
 def test_safety_raises(call, error, message):

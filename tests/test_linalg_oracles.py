@@ -80,7 +80,7 @@ from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import (QuadraticForm, gram_of, split_gram,
                               symplectic_blocks)
 
-from form_helpers import qval, unit_vector
+from form_helpers import first_kernel_vector, qval, unit_vector
 from test_residue_oracles import KQuadForm, kquad_isotropic_vector
 
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
@@ -169,10 +169,10 @@ def _find_isotropic_rel(S, vecs, qs, G):
             else:
                 splits = [k.frobenius_coordinates(qs[r]) for r in idx]
                 rows = [[s[0] for s in splits], [s[1] for s in splits]]
-            kernel = linalg.kernel_exact(rows, k.zero, k.one)
-            if kernel:
+            kernel = first_kernel_vector(rows, k.zero, k.one)
+            if kernel is not None:
                 out = [k.zero] * len(vecs)
-                for r, a in zip(idx, kernel[0]):
+                for r, a in zip(idx, kernel):
                     out[r] = a
                 return out
         else:

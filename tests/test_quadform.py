@@ -12,7 +12,7 @@ from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import (QuadraticForm, WittExpr, gram_of, rewrite,
                               symplectic_blocks)
 
-from form_helpers import expr_form, is_nonsingular, polar
+from form_helpers import expr_form, is_nonsingular, polar, random_invertible
 
 F2T = make_field("laurent", m=1)
 F4T = make_field("laurent", m=2)
@@ -152,7 +152,8 @@ def test_change_basis_example():
 def test_change_basis_preserves_evaluation():
     rng = random.Random(2)
     q = parse_form("sum([1, t^-1], [t, t^-1])", F2T)
-    M = random_invertible(F2T, 4, rng)
+    M = random_invertible(F2T, 4, rng,
+                          lambda: rand_laurent(F2T, rng, -1, 2, 1))
     qM = q.change_basis(M)
     for _ in range(10):
         x = [rand_laurent(F2T, rng) for _ in range(4)]
@@ -161,22 +162,11 @@ def test_change_basis_preserves_evaluation():
         assert (qM.evaluate(x) + q.evaluate(Mx)).is_zero_to_precision()
 
 
-def random_invertible(F, n, rng):
-    M = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rand_laurent(F, rng, -1, 2, 1)
-        for r in range(n):
-            M[r][i] = M[r][i] + c * M[r][j]
-    return M
-
-
 def test_symplectic_blocks_scrambled():
     rng = random.Random(3)
     q = parse_form("sum([1, 1], [t, t^-1])", F2T)
-    M = random_invertible(F2T, 4, rng)
+    M = random_invertible(F2T, 4, rng,
+                          lambda: rand_laurent(F2T, rng, -1, 2, 1))
     q2 = q.change_basis(M)
     blocks, Mb = symplectic_blocks(q2)
     assert [b[0] for b in blocks] == ["pair", "pair"]

@@ -22,9 +22,16 @@ it replaced.
   each principal coset mod 2, are compared with the number of lines the
   hand-written Gram-Schmidt `test_residue_oracles._diagonalize_bilinear`
   splits off the coset's block of b.
+* The isotropic relation of a totally singular class, which
+  `graded._find_isotropic_rel` reads off its first three rows at most,
+  is compared with the first kernel vector that `linalg.rref_exact`
+  gives the 2 x n matrix of the Frobenius coordinates of its q values,
+  over GF(2), GF(4), GF(2)(x) and GF(4)(x).  A type-II descent of an
+  empty principal coset is the zero space.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +40,11 @@ from hypothesis import strategies as st
 from wittlab import graded, linalg, residue_witt
 from wittlab.errors import DegreeCapExceeded, WittlabError
 from wittlab.fields import GF2m, RatFuncField
-from wittlab.fields.common import HALF
+from wittlab.fields.common import HALF, INF, half
 from wittlab.quadform import QuadraticForm
 from wittlab.residue_witt import arf_invariant, kquad_witt_class
 
-from form_helpers import bval, qval, random_choice
+from form_helpers import bval, first_kernel_vector, qval, random_choice
 from test_residue_oracles import (KQuadForm, _diagonalize_bilinear,
                                   k_symplectic_blocks)
 
@@ -298,3 +305,100 @@ def test_type_III_parity_draws_reach_every_case(name):
                       graded.metabolic_planes(S) is None))
     assert {(d, odd) for d, odd, _ in seen} == \
         {(d, odd) for d in (False, True) for odd in (False, True)}, seen
+
+
+# -- the isotropic relation of a totally singular class --------------------------
+
+SINGULAR = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
+            "GF(4)(x)": RatFuncField(2)}
+CASES = ("u0 = 0", "proportional first pair", "two independent rows",
+         "three-row relation", "four or more rows")
+
+
+def _unit(k, rng):
+    while True:
+        c = _elem(k, rng)
+        if not c.is_zero():
+            return c
+
+
+def _singular_class(k, rng):
+    """The nonzero q values of one type-II class: over GF(2^m)(x) squares,
+    x times squares and sums of both; now and then a square multiple of
+    the first, so that the first pair is proportional."""
+    qs = []
+    for _ in range(rng.choice((1, 2, 2, 3, 3, 3, 4, 5))):
+        a, b = _unit(k, rng), _unit(k, rng)
+        if qs and rng.random() < 0.2:
+            qs.append(a * a * qs[0])
+        elif k.is_perfect:
+            qs.append(a * a)
+        else:
+            x = k.x
+            qs.append(rng.choice((a * a, x * b * b, a * a + x * b * b)))
+    return qs
+
+
+def _relation_by_rref(k, qs):
+    """The first kernel vector of the rows (u_r) and (v_r), where
+    q_r = u_r^2 + x v_r^2, as (row, nonzero coefficient) pairs."""
+    splits = [k.frobenius_coordinates(q) for q in qs]
+    v = first_kernel_vector([[u for u, _ in splits], [w for _, w in splits]],
+                            k.zero, k.one)
+    return None if v is None else \
+        [(r, a) for r, a in enumerate(v) if not a.is_zero()]
+
+
+def _relation_cases(k, qs):
+    (u0, v0), *rest = [k.frobenius_coordinates(q) for q in qs[:2]]
+    cases = {CASES[0]} if u0.is_zero() else set()
+    if rest:
+        (u1, v1), = rest
+        cases.add(CASES[1] if (u0 * v1 + u1 * v0).is_zero() else
+                  CASES[2] if len(qs) == 2 else CASES[3])
+    if len(qs) > 3:
+        cases.add(CASES[4])
+    return cases
+
+
+def _check_relation(k, qs):
+    got = graded._find_isotropic_rel(k, "II", [0] * len(qs), qs, None)
+    assert got == _relation_by_rref(k, qs)
+    if got is not None:
+        acc = k.zero
+        for r, a in got:
+            acc = acc + a * a * qs[r]
+        assert acc.is_zero()
+
+
+@pytest.mark.parametrize("name", SINGULAR)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_singular_relation_is_the_first_kernel_vector(name, seed):
+    k = SINGULAR[name]
+    _check_relation(k, _singular_class(k, random.Random(seed)))
+
+
+@pytest.mark.parametrize("name", SINGULAR)
+def test_singular_relation_draws_reach_every_case(name):
+    # over GF(2^m) every v_r is zero, so the first pair is proportional
+    k = SINGULAR[name]
+    rng = random.Random(f"singular relation {name}")
+    seen = Counter()
+    for _ in range(300):
+        qs = _singular_class(k, rng)
+        _check_relation(k, qs)
+        seen.update(_relation_cases(k, qs))
+    want = {CASES[1], CASES[4]} if k.is_perfect else set(CASES)
+    assert set(seen) == want and min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("name", ["GF(4)", "GF(2)(x)"])
+def test_type_II_descent_of_an_empty_principal_coset(name):
+    # at eps = 1 the coset 1/2 pairs with itself, and the coset 0 is empty
+    k = RESIDUE[name]
+    S = graded.ShiftedQuadSpace(k, INF, 1, [HALF, HALF], [k.one, k.one],
+                                [[k.zero, k.one], [k.one, k.zero]], "II")
+    assert graded.validate(S) is None
+    assert graded.descend_case1(S)[half(0)] == \
+        residue_witt.SymplecticQuadSpace(k, ())
