@@ -10,6 +10,7 @@ anywhere.
 from __future__ import annotations
 
 from ..errors import NotApplicable, UnsupportedResidueField
+from . import dyadic, laurent
 from .common import INF, AtLeast
 from .dyadic import Dyadic, DyadicField
 from .gf2m import FF, GF2m
@@ -19,7 +20,28 @@ from .ratfunc import RatFunc, RatFuncField
 __all__ = [
     "GF2m", "FF", "RatFuncField", "RatFunc", "LaurentField", "Laurent",
     "DyadicField", "Dyadic", "AtLeast", "INF", "make_field", "field_shorthand",
+    "raw_digits",
 ]
+
+
+def raw_digits(F):
+    """The exact elements of F on their bare ints, for the kernels that sum
+    many exact products at once; built once per residue field, as
+    `residue_witt._vectors(k)` is.  None unless the digits of F are one
+    int: Q_2 and GF(2^m)((t)).
+
+    The element (v0, digits) is digits * (uniformizer)^v0, and the layout
+    is (S, add, mul, reduce, make): values at exponents v, w >= base add
+    as add(a << S*(v - base), b << S*(w - base)) at base, so a sum of any
+    number of terms is one int at or below the least exponent among them;
+    mul multiplies the digits of two elements, and reduce, unless None,
+    brings a sum of such products back to digits; make(F, digits, v0) is
+    the element, the exact zero for digits 0."""
+    if isinstance(F, DyadicField):
+        return dyadic.RAW
+    if isinstance(F, LaurentField) and F._pk is not None:
+        return laurent._raw(F._pk)
+    return None
 
 
 def make_field(kind: str, *, m: int = 1, precision: int = 64,

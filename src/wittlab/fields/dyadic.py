@@ -10,10 +10,13 @@ The leading residue coefficient of a nonzero element is 1.
 
 A sum shifts both digit strings to the smaller exponent, a product
 multiplies them, and an inverse is the inverse of the unit modulo 2^rel;
-`fields.common` gives the precisions.
+`fields.common` gives the precisions.  `RAW` does the same on the bare
+ints of exact elements (`fields.raw_digits`).
 """
 
 from __future__ import annotations
+
+import operator
 
 from ..errors import DivisionByZero, NotApplicable
 from .common import Certified, half
@@ -155,3 +158,9 @@ class Dyadic(Certified):
         rel = self._inv_prec(self.v0)
         iu = pow(self.digits, -1, 1 << rel)
         return self.field.make(iu, -self.v0, rel - self.v0)
+
+
+# exact elements on their bare ints (`fields.raw_digits`): a sum adds the
+# shifted digits, a product multiplies them, and make strips the factors
+# of 2
+RAW = (1, operator.add, operator.mul, None, DyadicField.make)

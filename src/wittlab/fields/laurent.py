@@ -15,6 +15,9 @@ Storage depends on the residue field, chosen once by `LaurentField`:
   most 2m - 2 < S, so no slot overflows into the next, and every slot is
   then reduced modulo the field modulus at once with masked shifts.  The
   kernel (`gf2m._clmul`, `gf2m._Packing`) is the one `RatFunc` uses.
+  `_raw` does the same on the bare ints of exact elements
+  (`fields.raw_digits`); reduction is linear, so a sum of unreduced
+  products is reduced once.
 * GF(2^m)(x): `digits` is a tuple of residue elements c_0, c_1, ...
   The kernels work on one slot list of `RatFunc`s, and read a slot as
   zero when its numerator is, without a call.  A sum overlays the two
@@ -39,6 +42,9 @@ tuple view of c_0, c_1, ..., built on demand for packed elements.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import cache
 
 from ..errors import DivisionByZero, NotApplicable
 from .common import INF, Certified
@@ -112,12 +118,14 @@ class LaurentField:
         return self.make([(0, c)])
 
     def lift_homog(self, c, degree) -> "Laurent":
-        """s(c) * t^degree for an integer degree (an int or a Fraction)."""
+        """s(c) * t^degree for an integer degree (an int or a Fraction): the
+        exact monomial, built as it is stored."""
+        if c.is_zero():
+            return self.zero
         if degree.denominator != 1:
-            if c.is_zero():
-                return self.zero
             raise ValueError(f"no element of fractional valuation {degree}")
-        return self.make([(degree.numerator, c)])
+        return Laurent(self, degree.numerator,
+                       (c,) if self._pk is None else c.bits, None)
 
     def zero_to_precision(self, bound: int) -> "Laurent":
         return Laurent(self, 0, self._nil, bound)
@@ -145,6 +153,19 @@ class LaurentField:
             tail = f"O({self.variable}^{x.abs_prec})"
             body = tail if not parts else f"{body} + {tail}"
         return body
+
+
+@cache
+def _raw(pk):
+    """The raw digits (`fields.raw_digits`) of the packed layout pk: a sum
+    is an xor, a product a carryless product, whose slots pk.reduce
+    reduces (GF(2) needs no reduction)."""
+    S = pk.S
+
+    def make(F, digits, v0):
+        return _normalized(F, S, v0, digits, None)
+
+    return S, operator.xor, _clmul, pk.reduce if pk.m > 1 else None, make
 
 
 def _normalized(F: LaurentField, S: int, v0: int, digits: int, abs_prec):

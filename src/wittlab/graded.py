@@ -40,7 +40,10 @@ test of condition (c) in `norms.check_compatibility` runs on the same
 layouts (`rank`), and keeps its packed rows on the certificate; the
 induced space hands them to `metabolic_planes`
 (`ShiftedQuadSpace.rows`), so no row is packed twice, and a space built
-without them packs bmat.
+without them packs bmat.  A space built from such rows alone (the
+induced space of a certificate, a space `invariants_memo` rebuilds from
+its key) unpacks bmat from them on its first read, and each reader of
+bmat reads it once.
 
 Over GF(2^m) the rounds of `metabolic_planes` are a pure function,
 `_plane_rounds`, of (k, type, eps, degrees, q values, Gram rows), and
@@ -126,7 +129,8 @@ class HomogeneousScalar(Record):
 class ShiftedQuadSpace:
     """rows, when given, are the rows of bmat in the layout of
     `residue_witt._vectors(k)`, which `metabolic_planes` splits on instead
-    of packing bmat again."""
+    of packing bmat again; bmat may then be None, and is unpacked from
+    them on the first read."""
 
     def __init__(self, k, v2, eps, degrees, qvals, bmat, type_tag, rows=None):
         self.k = k
@@ -134,10 +138,17 @@ class ShiftedQuadSpace:
         self.eps = grid(eps)
         self.degrees = tuple(map(grid, degrees))
         self.qvals = tuple(qvals)
-        self.bmat = tuple(tuple(row) for row in bmat)
+        self._bmat = None if bmat is None else tuple(map(tuple, bmat))
         self.type_tag = type_tag
         self.n = len(self.degrees)
         self.rows = None if rows is None else tuple(rows)
+
+    @property
+    def bmat(self):
+        if self._bmat is None:
+            vec = residue_witt._vectors(self.k)
+            self._bmat = tuple(vec.unpack(row, self.n) for row in self.rows)
+        return self._bmat
 
     def __repr__(self):
         return (f"ShiftedQuadSpace(eps={self.eps}, type {self.type_tag}, "
@@ -173,7 +184,7 @@ class GradedVector(Record):
 
 def validate(S: ShiftedQuadSpace):
     """None when all type invariants hold, else the first violation."""
-    n = S.n
+    n, bmat = S.n, S.bmat
     if S.eps < 0:
         return f"shift eps = {S.eps} is negative"
     for i in range(n):
@@ -181,9 +192,9 @@ def validate(S: ShiftedQuadSpace):
             return f"q(e_{i}) must vanish: degree {2 * S.degrees[i]} is off-grid"
         for j in range(n):
             d = S.degrees[i] + S.degrees[j] + S.eps
-            if not _is_int(d) and not S.bmat[i][j].is_zero():
+            if not _is_int(d) and not bmat[i][j].is_zero():
                 return f"b(e_{i},e_{j}) must vanish: degree {d} is off-grid"
-            if S.bmat[i][j] != S.bmat[j][i]:
+            if bmat[i][j] != bmat[j][i]:
                 return f"b is not symmetric at ({i},{j})"
     # nondegeneracy: b pairs coset [gamma] with [-gamma-eps]; each block of
     # the coset-graded matrix must be invertible over k
@@ -194,25 +205,25 @@ def validate(S: ShiftedQuadSpace):
         if len(idx) != len(jdx):
             return (f"dim V_[{c}] = {len(idx)} != dim V_[{partner}] "
                     f"= {len(jdx)}; b is degenerate")
-        block = [[S.bmat[i][j] for j in jdx] for i in idx]
+        block = [[bmat[i][j] for j in jdx] for i in idx]
         if len(linalg.independent_rows(block, len(idx))) < len(idx):
             return f"b is degenerate on the coset pair [{c}], [{partner}]"
     if S.type_tag == "I":
         if S.eps != 0:
             return f"type I requires eps = 0, got {S.eps}"
         for i in range(n):
-            if not S.bmat[i][i].is_zero():
+            if not bmat[i][i].is_zero():
                 return (f"the polar of a quadratic form is alternating in "
                         f"characteristic 2; b(e_{i},e_{i}) != 0")
     elif S.type_tag == "II":
         for i in range(n):
-            if not S.bmat[i][i].is_zero():
+            if not bmat[i][i].is_zero():
                 return f"type II requires alternating b; b(e_{i},e_{i}) != 0"
     elif S.type_tag == "III":
         if S.v2 == INF or S.eps != S.v2:
             return "type III requires eps = v(2) < infinity"
         for i in range(n):
-            if S.qvals[i] != S.bmat[i][i]:
+            if S.qvals[i] != bmat[i][i]:
                 return (f"type III requires q(e_{i}) = tau^-1 b(e_{i},e_{i})")
     else:
         return f"unknown type tag {S.type_tag!r}"
@@ -250,11 +261,12 @@ def orbit_partition(eps) -> OrbitPartition:
 
 
 def _subspace(S: ShiftedQuadSpace, idx) -> ShiftedQuadSpace:
+    bmat = S.bmat
     return ShiftedQuadSpace(
         S.k, S.v2, S.eps,
         [S.degrees[i] for i in idx],
         [S.qvals[i] for i in idx],
-        [[S.bmat[i][j] for j in idx] for i in idx],
+        [[bmat[i][j] for j in idx] for i in idx],
         S.type_tag)
 
 
@@ -320,7 +332,7 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
         raise WrongCase(f"case 1 needs integer eps, got {S.eps}")
     if choice is None:
         choice = default_choice(S)
-    k = S.k
+    k, bmat = S.k, S.bmat
     cosets = coset_decomposition(S)
     out = {}
     for (c,) in orbit_partition(S.eps).principal:
@@ -331,7 +343,7 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
         ip = h.coeff.inv()
         ipr = (h.coeff * choice.rho.coeff).inv()
         qv = [S.qvals[i] for i in idx]
-        bm = [[S.bmat[i][j] for j in idx] for i in idx]
+        bm = [[bmat[i][j] for j in idx] for i in idx]
         # the unit coefficients of the default choice scale by nothing
         if ip != k.one:
             qv = [ip * v for v in qv]
@@ -371,7 +383,8 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
     ip = h.coeff.inv()
     qv_a = [ip * S.qvals[i] for i in idx_a]
     pr = h.coeff * choice.rho.coeff
-    M = [[S.bmat[j][i] for i in idx_a] for j in idx_b]
+    bmat = S.bmat
+    M = [[bmat[j][i] for i in idx_a] for j in idx_b]
     # the q value of the dual basis vector sum_j Minv[i][j] f_j
     q_b = QuadraticForm.diagonal(k, [S.qvals[j] for j in idx_b]).evaluate
     return SeparatedSpace(k, tuple(
@@ -556,8 +569,8 @@ def invariants_memo(k, type_tag, eps, degrees, qbits, rows):
     type II only, so the space it descends is rebuilt without it)."""
     vec = residue_witt._vectors(k)
     n = len(degrees)
-    S = ShiftedQuadSpace(k, None, eps, degrees, vec.unpack(qbits, n),
-                         [vec.unpack(row, n) for row in rows], type_tag, rows)
+    S = ShiftedQuadSpace(k, None, eps, degrees, vec.unpack(qbits, n), None,
+                         type_tag, rows)
     return tuple(_case1_invariants(S, None).items())
 
 

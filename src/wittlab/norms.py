@@ -27,8 +27,11 @@ mirrored leading coefficients in `residue_witt._vectors`, the layout of
 the residue-field plane splitter `residue_witt._split_plane`:
 elimination on ints packed straight from the leading entries over
 GF(2^m), `linalg.independent_rows` on coordinate tuples over
-GF(2^m)(x), where a degree cap can trip.  It keeps the packed
-rows of the rank test too: the induced space splits on them, and over
+GF(2^m)(x), where a degree cap can trip.  Those rows are all the
+certificate keeps of the leading coefficients: `DepthCertificate.lead`,
+and the `bmat` of the induced space, are unpacked from them on the
+first read, which no depth step makes.  The induced space splits on
+the rows, and over
 GF(2^m) they key the memos of `graded.metabolic_planes` and, at
 integer depth, `graded.orbit_invariants` (with k, the type, eps, the
 degrees and the packed q values: `graded._space_key`), so a depth step
@@ -75,8 +78,9 @@ depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
 exact monomial, as a sparse column of (i, h_i) pairs read off the
 plane vector's support (`graded.GradedVector.support`); on exact qe and
 be it forms H^T be H with gram_of on the rows of be and the q values
-over the same pairs (exact values are canonical, so the bytes are those
-of the ambient columns); otherwise, or when that trips the degree cap
+over the same pairs, on raw digit ints as gram_of sums over Q_2 and
+GF(2^m)((t)) (exact values are canonical, so the bytes are those of the
+ambient columns); otherwise, or when that trips the degree cap
 over GF(2^m)(x), it lifts the ambient columns, H times the transposed
 basis by `linalg.mat_mul` on the sparse rows H, and re-forms the Gram
 rows from the polar matrix.  A reduced norm, and norm_sum and
@@ -94,6 +98,7 @@ from math import lcm
 from . import graded, linalg, residue_witt
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
                      PrecisionExhausted, Record, SingularForm)
+from .fields import raw_digits
 from .fields.common import INF, AtLeast, grid, half, is_exact
 from .graded import ShiftedQuadSpace
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
@@ -181,24 +186,40 @@ class DepthCertificate(Record):
     residue coefficient of b(e_i, e_j) at degree g_i + g_j + eps.  The
     Gram data takes no part in ==."""
 
-    __slots__ = ("form", "norm", "eps", "qe", "be", "lead", "rows", "evidence")
+    __slots__ = ("form", "norm", "eps", "qe", "be", "_lead", "rows",
+                 "evidence")
     _fields = ("form", "norm", "eps")
     __hash__ = None
     checked = ("a", "b", "c")
 
-    def __init__(self, form, norm, eps, qe, be, lead, rows=None, evidence=None):
+    def __init__(self, form, norm, eps, qe, be, lead=None, rows=None,
+                 evidence=None):
         self.form = form
         self.norm = norm
         self.eps = eps
         self.qe = qe
         self.be = be
-        self.lead = lead
+        self._lead = lead
         # the rows of lead in the layout of residue_witt._vectors, which the
         # rank test of (c) formed and the induced space splits on
         self.rows = rows
         # orbit -> residue invariant of the induced space, kept by descend
         # from the NotReducible step that stopped it
         self.evidence = evidence
+
+    @property
+    def lead(self):
+        """The leading coefficients as n x n lists, unpacked from rows on
+        the first read when none were given."""
+        if self._lead is None and self.rows is not None:
+            vec = residue_witt._vectors(self.form.field.residue_field)
+            n = len(self.rows)
+            self._lead = [list(vec.unpack(row, n)) for row in self.rows]
+        return self._lead
+
+    @lead.setter
+    def lead(self, lead):
+        self._lead = lead
 
     def revalidate(self):
         """Recheck from form, norm and eps alone, ignoring the Gram data."""
@@ -264,18 +285,15 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
                     f"cannot certify v(b(e_{i},e_{j})) >= {thr}")
             if lb * D == ti + gD[j]:
                 at.append((i, j, b, lb))
-    # b is symmetric: read the upper triangle that (a) certified, mirror it
-    k = q.field.residue_field
-    lead = [[k.zero] * n for _ in range(n)]
-    at = [(i, j, b.coeff_at(deg)) for i, j, b, deg in at]
-    for i, j, c in at:
-        lead[i][j] = lead[j][i] = c
-    vec = residue_witt._vectors(k)
-    rows = vec.pack_symmetric(lead, at)
+    # b is symmetric: read the upper triangle that (a) certified, mirrored
+    # in the packed rows, from which the certificate unpacks lead if read
+    vec = residue_witt._vectors(q.field.residue_field)
+    rows = vec.pack_symmetric(
+        n, [(i, j, b.coeff_at(deg)) for i, j, b, deg in at])
     if vec.rank(rows) < n:
         return CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
-    return DepthCertificate(q, norm, eps, qe, be, lead, rows)
+    return DepthCertificate(q, norm, eps, qe, be, rows=rows)
 
 
 def require_certificate(q, norm, eps, _gram=None) -> DepthCertificate:
@@ -305,7 +323,7 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
         tag = "III"
     else:
         tag = "II"
-    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert.lead,
+    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert._lead,
                             tag, cert.rows)
 
 
@@ -549,27 +567,56 @@ def _gram_and_slack(B, cols, qval, head, slack):
 def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
     """The same for the vectors sum_i h_i e_i on the certificate's basis,
     H their sparse columns of (i, h_i) pairs: the Gram H^T be H, and the q
-    values sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij, term by term as
-    QuadraticForm.evaluate forms them.  Exact entries are canonical, so on
-    exact Gram data the bytes are those the ambient columns give."""
+    values sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij.  Exact entries are
+    canonical, so on exact Gram data the bytes are those the ambient
+    columns give.  Over a field with raw digits each q value is one int
+    sum, shifted to a lower bound of the exponents of its terms, as
+    gram_of sums its entries; over GF(2^m)(x) it is summed term by term
+    as QuadraticForm.evaluate sums it, so a degree cap trips at the same
+    product."""
     qe, be = cert.qe, cert.be
-    zero = cert.form.field.zero
-
-    def qval(h):
-        acc = None
-        for a, (i, hi) in enumerate(h):
-            u = qe[i]
-            if not u.is_exactly_zero():
-                t = u * (hi * hi)
-                acc = t if acc is None else acc + t
-            if a + 1 < len(h):
-                row = dict(be[i])
-                for j, hj in h[a + 1:]:
-                    u = row.get(j)
-                    if u is not None:
-                        t = u * (hi * hj)
+    F = cert.form.field
+    rows = {}  # i -> be[i] as a dict, built on the first cross term of row i
+    R = raw_digits(F)
+    if R is None:
+        def qval(h):
+            acc = None
+            for a, (i, x) in enumerate(h):
+                if a + 1 < len(h) and i not in rows:
+                    rows[i] = dict(be[i])
+                for j, y in h[a:]:
+                    u = qe[i] if j == i else rows[i].get(j)
+                    if u is not None and not u.is_exactly_zero():
+                        t = u * (x * y)
                         acc = t if acc is None else acc + t
-        return zero if acc is None else acc
+            return F.zero if acc is None else acc
+    else:
+        S, add, mul, reduce, make = R
+        # every term u h_i h_j lies at or above low + 2 min v(h_i)
+        low = min([u.v0 for u in qe if u.digits]
+                  + [b.v0 for row in be for _, b in row], default=0)
+
+        def qval(h):
+            base = low + 2 * min([x.v0 for _, x in h], default=0)
+            acc = 0
+            for a, (i, x) in enumerate(h):
+                if a + 1 < len(h) and i not in rows:
+                    rows[i] = dict(be[i])
+                for j, y in h[a:]:
+                    u = qe[i] if j == i else rows[i].get(j)
+                    if u is not None and u.digits:
+                        # h_i h_j, then u h_i h_j; a factor 1 costs nothing
+                        d = x.digits
+                        if y.digits != 1:
+                            d = mul(d, y.digits)
+                        if d == 1:
+                            d = u.digits
+                        else:
+                            if reduce is not None:
+                                d = reduce(d)
+                            d = mul(u.digits, d)
+                        acc = add(acc, d << S * (u.v0 + x.v0 + y.v0 - base))
+            return make(F, acc if reduce is None else reduce(acc), base)
 
     return _gram_and_slack(be, H, qval, head, slack)
 
@@ -669,7 +716,7 @@ def wildness_index(q: QuadraticForm):
     if q._wild is None:
         c = descend(initial_norm(q))
         # all but the form: kept, it would tie q and its parts in a cycle
-        q._wild = dict(norm=c.norm, eps=c.eps, qe=c.qe, be=c.be, lead=c.lead,
-                       rows=c.rows, evidence=c.evidence)
+        q._wild = dict(norm=c.norm, eps=c.eps, qe=c.qe, be=c.be,
+                       lead=c._lead, rows=c.rows, evidence=c.evidence)
     cert = DepthCertificate(q, **q._wild)
     return cert.eps, cert

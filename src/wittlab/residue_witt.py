@@ -68,11 +68,11 @@ class _Slots:
                 v |= c.bits << (S * i)
         return v
 
-    def pack_symmetric(self, mat, entries):
-        """The rows of the symmetric matrix mat, packed from entries, the
-        (i, j, mat[i][j]) triples, i <= j, that hold every nonzero entry
-        of its upper triangle."""
-        S, rows = self.S, [0] * len(mat)
+    def pack_symmetric(self, n, entries):
+        """The packed rows of the symmetric n x n matrix whose upper
+        triangle holds the (i, j, entry) triples, i <= j, and zeros
+        elsewhere."""
+        S, rows = self.S, [0] * n
         for i, j, c in entries:
             rows[i] |= c.bits << (S * j)
             rows[j] |= c.bits << (S * i)
@@ -90,8 +90,10 @@ class _Slots:
     def unpack(self, v, n, support=None):
         """The coordinates of v; support, if given, is support(v)."""
         S, smask, elem = self.S, self.smask, self.elem
+        if support is None:
+            return tuple([elem(v >> (S * i) & smask) for i in range(n)])
         out = [elem(0)] * n
-        for i in self.support(v) if support is None else support:
+        for i in support:
             out[i] = elem(v >> (S * i) & smask)
         return tuple(out)
 
@@ -149,8 +151,11 @@ class _Coords:
     def pack(self, coords):
         return tuple(coords)
 
-    def pack_symmetric(self, mat, entries):
-        return tuple(map(tuple, mat))
+    def pack_symmetric(self, n, entries):
+        rows = [[self.k.zero] * n for _ in range(n)]
+        for i, j, c in entries:
+            rows[i][j] = rows[j][i] = c
+        return tuple(map(tuple, rows))
 
     def support(self, v):
         return tuple(i for i, c in enumerate(v) if c.num)
