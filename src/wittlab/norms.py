@@ -18,8 +18,7 @@ of recomputing it.  The Gram is kept as sparse rows (`linalg.sparse`):
 row i holds the (j, b(e_i, e_j)) pairs whose entry is not an exact
 zero, in j order.  On exact data the rows are mirrored; on truncated
 data they hold both triangles as `gram_of` formed them, whose sums can
-certify different precisions.  Only split_respecting_norm reads a dense
-view (`DepthCertificate.gram`).  One pass over the upper-triangle pairs
+certify different precisions.  One pass over the upper-triangle pairs
 of the rows checks (a), its bounds compared as ints in units of the
 common denominator of the values and eps, and collects the entries that
 lead at their threshold.  (c) is then the rank of the rows of the
@@ -28,11 +27,10 @@ the residue-field plane splitter `residue_witt._split_plane`:
 elimination on ints packed straight from the leading entries over
 GF(2^m), `linalg.independent_rows` on coordinate tuples over
 GF(2^m)(x), where a degree cap can trip.  Those rows are all the
-certificate keeps of the leading coefficients: `DepthCertificate.lead`,
-and the `bmat` of the induced space, are unpacked from them on the
-first read, which no depth step makes.  The induced space splits on
-the rows, and over
-GF(2^m) they key the memos of `graded.metabolic_planes` and, at
+certificate keeps of the leading coefficients: the `bmat` of the
+induced space is unpacked from them on its first read, which no depth
+step makes.  The induced space splits on the rows, and over GF(2^m)
+they key the memos of `graded.metabolic_planes` and, at
 integer depth, `graded.orbit_invariants` (with k, the type, eps, the
 degrees and the packed q values: `graded._space_key`), so a depth step
 whose induced space an earlier step met looks its planes and its
@@ -182,53 +180,32 @@ class DepthCertificate(Record):
     """The form, the norm and the depth it is compatible at, with the Gram
     data on the norm's splitting basis that certified it: qe[i] = q(e_i);
     be, the Gram b(e_i, e_j) as sparse rows, be[i] the (j, b(e_i, e_j))
-    pairs that are not exact zeros, in j order; and lead[i][j], the
-    residue coefficient of b(e_i, e_j) at degree g_i + g_j + eps.  The
-    Gram data takes no part in ==."""
+    pairs that are not exact zeros, in j order; and rows, the residue
+    coefficients of b(e_i, e_j) at degree g_i + g_j + eps packed row by
+    row in the layout of residue_witt._vectors, which the rank test of (c)
+    formed and the induced space splits on.  The Gram data takes no part
+    in ==."""
 
-    __slots__ = ("form", "norm", "eps", "qe", "be", "_lead", "rows",
-                 "evidence")
+    __slots__ = ("form", "norm", "eps", "qe", "be", "rows", "evidence")
     _fields = ("form", "norm", "eps")
     __hash__ = None
     checked = ("a", "b", "c")
 
-    def __init__(self, form, norm, eps, qe, be, lead=None, rows=None,
-                 evidence=None):
+    def __init__(self, form, norm, eps, qe, be, rows=None, evidence=None):
         self.form = form
         self.norm = norm
         self.eps = eps
         self.qe = qe
         self.be = be
-        self._lead = lead
-        # the rows of lead in the layout of residue_witt._vectors, which the
-        # rank test of (c) formed and the induced space splits on
         self.rows = rows
         # orbit -> residue invariant of the induced space, kept by descend
         # from the NotReducible step that stopped it
         self.evidence = evidence
 
-    @property
-    def lead(self):
-        """The leading coefficients as n x n lists, unpacked from rows on
-        the first read when none were given."""
-        if self._lead is None and self.rows is not None:
-            vec = residue_witt._vectors(self.form.field.residue_field)
-            n = len(self.rows)
-            self._lead = [list(vec.unpack(row, n)) for row in self.rows]
-        return self._lead
-
-    @lead.setter
-    def lead(self, lead):
-        self._lead = lead
-
     def revalidate(self):
         """Recheck from form, norm and eps alone, ignoring the Gram data."""
         res = check_compatibility(self.form, self.norm, self.eps)
         return isinstance(res, DepthCertificate)
-
-    def gram(self):
-        """be as a dense n x n matrix."""
-        return linalg.dense(self.be, self.form.field.zero)
 
 
 def _gram_on_basis(q: QuadraticForm, norm: VNorm):
@@ -286,7 +263,7 @@ def check_compatibility(q: QuadraticForm, norm: VNorm, eps,
             if lb * D == ti + gD[j]:
                 at.append((i, j, b, lb))
     # b is symmetric: read the upper triangle that (a) certified, mirrored
-    # in the packed rows, from which the certificate unpacks lead if read
+    # in the packed rows
     vec = residue_witt._vectors(q.field.residue_field)
     rows = vec.pack_symmetric(
         n, [(i, j, b.coeff_at(deg)) for i, j, b, deg in at])
@@ -323,8 +300,8 @@ def induced_space(q: QuadraticForm, cert: DepthCertificate) -> ShiftedQuadSpace:
         tag = "III"
     else:
         tag = "II"
-    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, cert._lead,
-                            tag, cert.rows)
+    return ShiftedQuadSpace(F.residue_field, v2, eps, list(g), qv, None, tag,
+                            cert.rows)
 
 
 # -- norm algebra ------------------------------------------------------------
@@ -488,7 +465,7 @@ def split_respecting_norm(q: QuadraticForm, cert: DepthCertificate):
     _require_certified_form(q, cert)
     vecs = [cert.norm.column(i) for i in range(cert.norm.n)]
     vals = list(cert.norm.values)
-    G = cert.gram()
+    G = linalg.dense(cert.be, F.zero)
     blocks = []
     while vecs:
         m = len(vecs)
@@ -717,6 +694,6 @@ def wildness_index(q: QuadraticForm):
         c = descend(initial_norm(q))
         # all but the form: kept, it would tie q and its parts in a cycle
         q._wild = dict(norm=c.norm, eps=c.eps, qe=c.qe, be=c.be,
-                       lead=c._lead, rows=c.rows, evidence=c.evidence)
+                       rows=c.rows, evidence=c.evidence)
     cert = DepthCertificate(q, **q._wild)
     return cert.eps, cert

@@ -1,9 +1,10 @@
 """Helpers that only the tests use: evaluation of graded vectors, a random
 uniformizing choice, the polar form at two vectors, nonsingularity of a
-form, the form of a Witt expression, a random invertible matrix and the
-first kernel vector of a row reduction."""
+form, the form of a Witt expression, a random invertible matrix, the
+first kernel vector of a row reduction, a random residue element and the
+leading coefficients of a depth certificate."""
 
-from wittlab import linalg
+from wittlab import linalg, residue_witt
 from wittlab.graded import (GradedVector, HomogeneousScalar, UniformizingChoice,
                             default_choice)
 from wittlab.quadform import QuadraticForm
@@ -124,3 +125,24 @@ def first_kernel_vector(A, zero, one):
     for r, pc in enumerate(pivots):
         v[pc] = zero - R[r][fc]
     return v
+
+
+def random_residue(k, rng):
+    """A random element of the residue field k, zero about a third of the
+    time: uniform over GF(2^m), over GF(2^m)(x) a numerator of degree at
+    most 1 over a denominator of degree at most 1."""
+    if rng.random() < 0.3:
+        return k.zero
+    if k.is_perfect:
+        return k.random(rng)
+    num = k.random(rng, rng.randrange(2))
+    den = k.random(rng, 1)
+    return num if den.is_zero() else num / den
+
+
+def lead_of(cert):
+    """The leading coefficients of a depth certificate as n x n lists:
+    b(e_i, e_j) at degree g_i + g_j + eps, unpacked from its packed rows."""
+    vec = residue_witt._vectors(cert.form.field.residue_field)
+    n = len(cert.rows)
+    return [list(vec.unpack(row, n)) for row in cert.rows]

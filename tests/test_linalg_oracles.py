@@ -80,7 +80,8 @@ from wittlab.literals import parse_element, parse_form
 from wittlab.quadform import (QuadraticForm, gram_of, split_gram,
                               symplectic_blocks)
 
-from form_helpers import first_kernel_vector, qval, unit_vector
+from form_helpers import (first_kernel_vector, lead_of, qval, random_residue,
+                          unit_vector)
 from test_residue_oracles import KQuadForm, kquad_isotropic_vector
 
 RESIDUE = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(2)(x)": RatFuncField(1),
@@ -434,16 +435,6 @@ def initial_norm_parent(q):
 # -- random draws -----------------------------------------------------------------
 
 
-def _elem(k, rng):
-    if rng.random() < 0.3:
-        return k.zero
-    if k.is_perfect:
-        return k.random(rng)
-    num = k.random(rng, rng.randrange(2))
-    den = k.random(rng, 1)
-    return num if den.is_zero() else num / den
-
-
 def _rows(k, rng):
     """Rows with zero rows, repeated rows and sums of earlier rows."""
     n, cols = rng.randrange(1, 7), rng.randrange(1, 6)
@@ -456,10 +447,10 @@ def _rows(k, rng):
             rows.append(list(rng.choice(rows)))
         elif len(rows) > 1 and roll < 0.5:
             a, b = rng.sample(rows, 2)
-            c = _elem(k, rng)
+            c = random_residue(k, rng)
             rows.append([p + c * q for p, q in zip(a, b)])
         else:
-            rows.append([_elem(k, rng) for _ in range(cols)])
+            rows.append([random_residue(k, rng) for _ in range(cols)])
     return rows
 
 
@@ -558,7 +549,8 @@ def _graded_rows(k, rng):
             continue
         d = rng.choice((0, HALF))
         vecs.append(GradedVector(S, d, tuple(
-            _elem(k, rng) if (d - g) % 1 == 0 else k.zero for g in degrees)))
+            random_residue(k, rng) if (d - g) % 1 == 0 else k.zero
+            for g in degrees)))
     return vecs
 
 
@@ -615,8 +607,8 @@ def _random_space(k, rng):
     for i in range(n):
         for j in range(i + 1, n):
             if (degrees[i] + degrees[j] + eps) % 1 == 0:
-                bmat[i][j] = bmat[j][i] = _elem(k, rng)
-    qvals = [_elem(k, rng) for _ in range(n)]
+                bmat[i][j] = bmat[j][i] = random_residue(k, rng)
+    qvals = [random_residue(k, rng) for _ in range(n)]
     S = graded.ShiftedQuadSpace(k, 1, eps, degrees, qvals, bmat,
                                 "I" if eps == 0 else "II")
     return S if graded.validate(S) is None else None
@@ -651,7 +643,7 @@ def _random_type_III_space(k, rng):
     for i in range(n):
         for j in range(i, n):
             if (degrees[i] + degrees[j]) % 1 == 0:
-                bmat[i][j] = bmat[j][i] = _elem(k, rng)
+                bmat[i][j] = bmat[j][i] = random_residue(k, rng)
     S = graded.ShiftedQuadSpace(k, 1, 1, degrees,
                                 [bmat[i][i] for i in range(n)], bmat, "III")
     return S if graded.validate(S) is None else None
@@ -727,10 +719,10 @@ def _square(k, rng):
             rows.append(list(rng.choice(rows)))
         elif len(rows) > 1 and roll < 0.4:
             a, b = rng.sample(rows, 2)
-            c = _elem(k, rng)
+            c = random_residue(k, rng)
             rows.append([p + c * q for p, q in zip(a, b)])
         else:
-            rows.append([_elem(k, rng) for _ in range(n)])
+            rows.append([random_residue(k, rng) for _ in range(n)])
     if rng.random() < 0.5:
         for i in range(n):
             for j in range(i):
@@ -787,8 +779,9 @@ def _certificate_bytes(res):
     return (res.eps, res.norm.values,
             [[spell(x) for x in row] for row in res.norm.basis],
             [spell(x) for x in res.qe],
-            [[spell(x) for x in row] for row in res.gram()],
-            res.lead)
+            [[spell(x) for x in row]
+             for row in linalg.dense(res.be, res.form.field.zero)],
+            lead_of(res))
 
 
 def _compare_reductions(q):
@@ -865,7 +858,7 @@ def test_one_truncated_entry_takes_the_gram_of_path(shorthand, entry,
     if entry == "qe":
         truncated.qe = [_truncated(cert.qe[0])] + cert.qe[1:]
     else:
-        be = cert.gram()
+        be = linalg.dense(cert.be, cert.form.field.zero)
         be[0][1] = be[1][0] = _truncated(be[0][1])
         truncated.be = _sparse_rows(be)
     assert not norms._is_exact(truncated)
@@ -922,7 +915,7 @@ def _gram_elem(F, rng, truncate):
     """A random element of F: zero often; over a valued field a sum of
     monomials, with an O() term in some entries of truncated data."""
     if F in RESIDUE.values():
-        return _elem(F, rng)
+        return random_residue(F, rng)
     u = "2" if F.char == 0 else "t"
     if rng.random() < 0.3:
         if truncate and rng.random() < 0.3:
@@ -1142,7 +1135,8 @@ def gram_of_dense(B, cols, zero, head=0, on_head=None):
 
 def compatibility_dense(q, norm, eps, gram):
     """check_compatibility with (a) and the leading coefficients run on
-    every upper-triangle entry of be, exact zeros included."""
+    every upper-triangle entry of be, exact zeros included; a certificate
+    comes with its dense lead matrix beside it, (cert, lead)."""
     eps = grid(eps)
     qe, be = gram
     g = norm.values
@@ -1172,7 +1166,7 @@ def compatibility_dense(q, norm, eps, gram):
     if len(linalg.independent_rows(lead, norm.n)) < norm.n:
         return norms.CompatibilityViolation(
             "c", "induced graded bilinear form is degenerate")
-    return norms.DepthCertificate(q, norm, eps, qe, be, lead)
+    return norms.DepthCertificate(q, norm, eps, qe, be), lead
 
 
 def _symmetric(keep, entry):
@@ -1311,7 +1305,9 @@ def _kernel_outcome(fn, *args):
     if isinstance(res, norms.CompatibilityViolation):
         return ("violation", res.condition, res.detail)
     if isinstance(res, norms.DepthCertificate):
-        return ("certificate", res.eps, res.lead)
+        return ("certificate", res.eps, lead_of(res))
+    if isinstance(res[0], norms.DepthCertificate):  # compatibility_dense
+        return ("certificate", res[0].eps, res[1])
     blocks, rest, *_ = res  # split_gram's pivot valuations are not compared
     return ([(kind, _spelled(list(e)), _spelled(x if kind == "pair" else [x]))
              for kind, e, x in blocks], _spelled(rest))
@@ -1537,7 +1533,7 @@ def test_certificate_rows_match_a_dense_recomputation(shorthand, seed):
         _assert_rows(cert.be, norms._is_exact(cert))
         cols = [cert.norm.column(i) for i in range(q.n)]
         want = _spelled(gram_schoolbook(q.polar_matrix(), cols, F.zero))
-        assert _spelled(cert.gram()) == want
+        assert _spelled(linalg.dense(cert.be, F.zero)) == want
         assert _spelled(linalg.dense(norms._gram_on_basis(q, cert.norm)[1],
                                      F.zero)) == want
         if cert.eps <= 0:

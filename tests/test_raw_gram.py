@@ -15,9 +15,9 @@ certificate keeps packed.
   parent's, over the same fields and over F2(x)((t)), whose q values
   keep the element path.
 * A certificate keeps the leading coefficients only as the packed rows of
-  its rank test; `DepthCertificate.lead` and `ShiftedQuadSpace.bmat` are
-  unpacked on the first read and must equal the dense construction, and
-  no step of a descent reads them.
+  its rank test; unpacked, and as the `ShiftedQuadSpace.bmat` the induced
+  space unpacks on its first read, they must equal the dense
+  construction.
 
 These tests fail on each of the mutants: the 2-adic raw sum without the
 shift to its base, xor in place of + for 2-adic digits, a GF(4) product
@@ -37,6 +37,7 @@ from wittlab.literals import parse_form
 from wittlab.norms import (DepthCertificate, NotReducible, depth_reduce,
                            induced_space, initial_norm, wildness_index)
 from wittlab.quadform import QuadraticForm, gram_of
+from form_helpers import lead_of
 from test_linalg_oracles import gram_of_parent
 from test_norms import SHORTHAND_FORMS, scrambled
 
@@ -202,7 +203,7 @@ def _lead_parent(cert):
     b_ij at g_i + g_j + eps off the upper triangle, mirrored."""
     k = cert.form.field.residue_field
     g, eps, n = cert.norm.values, cert.eps, cert.norm.n
-    G = cert.gram()
+    G = linalg.dense(cert.be, cert.form.field.zero)
     lead = [[k.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -229,12 +230,11 @@ def test_lead_and_bmat_unpack_to_the_dense_construction(shorthand):
     certs = _descent(q)
     assert len(certs) >= 2
     for cert in certs:
-        # no step of the descent read the leading coefficients
-        assert cert._lead is None
+        # the induced space holds the certificate's packed rows alone
         S = induced_space(q, cert)
-        assert S._bmat is None
+        assert S._bmat is None and S.rows == tuple(cert.rows)
         want = _lead_parent(cert)
-        assert cert.lead == want
+        assert lead_of(cert) == want
         assert S.bmat == tuple(map(tuple, want))
         rebuilt = ShiftedQuadSpace(S.k, S.v2, S.eps, S.degrees, S.qvals,
                                    want, S.type_tag)
@@ -259,22 +259,8 @@ def test_lead_stays_packed_along_a_gf2m_descent(shorthand):
     finally:
         norms.check_compatibility = real
     assert eps > 0 and len(seen) >= 2
-    assert all(c._lead is None for c in seen)
-    assert q._wild["lead"] is None and cert._lead is None
-    assert all(isinstance(row, int) for row in cert.rows)
-    lead = cert.lead
-    assert lead == _lead_parent(cert) and cert._lead is lead
-    # the kept parts stay packed; a new certificate unpacks its own
-    assert q._wild["lead"] is None
-    assert wildness_index(q)[1].lead == lead
-
-
-def test_lead_setter_replaces_the_unpacked_matrix():
-    F = field_shorthand("f2m-laurent:m=2")
-    _, cert = wildness_index(parse_form(SHORTHAND_FORMS["f2m-laurent:m=2"], F))
-    k = F.residue_field
-    other = [[k.one] * cert.norm.n for _ in range(cert.norm.n)]
-    cert.lead = other
-    assert cert.lead is other
-    cert.lead = None
-    assert cert.lead == _lead_parent(cert)
+    assert all(isinstance(row, int) for c in seen for row in c.rows)
+    assert lead_of(cert) == _lead_parent(cert)
+    # the form keeps the packed rows, which a new certificate shares
+    assert "lead" not in q._wild and q._wild["rows"] is cert.rows
+    assert wildness_index(q)[1].rows is cert.rows

@@ -70,7 +70,7 @@ def test_graded_vector_equality_ignores_support():
 def test_certificate_equality_ignores_its_gram_and_is_unhashable():
     _, cert = wildness_index(parse_form("[t^-1, 1]", F2T))
     other = copy.copy(cert)
-    other.qe = other.be = other.lead = other.rows = None
+    other.qe = other.be = other.rows = None
     other.evidence = {}
     assert other == cert
     for rec in (cert, NotReducible(half(1), {}), MetabolicityReport(True),

@@ -6,8 +6,11 @@ agree with it below k.  So every depth, symbol and canonical answer the
 library gives for it, when it gives one rather than an error, must equal
 the answer for any exact refinement: the same form with the unknown
 digits at and above k filled in at random.  The forms are small sums of
-binary forms [a, b] over F2((t)), F4((t)) and Q_2, plus diagonal entries
-<c> over Q_2.
+binary forms [a, b] over F2((t)), F4((t)), F2(x)((t)) and Q_2, plus
+diagonal entries <c> over Q_2.  Over every field the draws must reach
+truncated forms that get a depth answer and a symbol payload, so that
+over F2(x)((t)) too the imperfect residue field is exercised past its
+errors.
 """
 
 import pytest
@@ -23,17 +26,21 @@ from wittlab.quadform import QuadraticForm
 FIELDS = {
     "F2((t))": make_field("laurent", m=1, precision=32),
     "F4((t))": make_field("laurent", m=2, precision=32),
+    "F2(x)((t))": make_field("laurent-ratfunc", m=1, precision=32),
     "Q_2": make_field("dyadic", precision=32),
 }
 
 # an entry: (terms, abs_prec), terms a list of (exponent, coefficient)
-# with the coefficient a residue bit-pattern over k((t)) and an odd int
-# over Q_2; abs_prec None for an exact entry
+# with the coefficient a residue bit-pattern over k((t)), over F2(x)((t))
+# that of a polynomial in x, and an odd int over Q_2; abs_prec None for
+# an exact entry
 TERMS = {
     "F2((t))": st.lists(st.tuples(st.integers(-4, 3), st.just(1)),
                         min_size=1, max_size=3),
     "F4((t))": st.lists(st.tuples(st.integers(-4, 3), st.integers(1, 3)),
                         min_size=1, max_size=3),
+    "F2(x)((t))": st.lists(st.tuples(st.integers(-4, 3), st.integers(1, 7)),
+                           min_size=1, max_size=3),
     "Q_2": st.lists(st.tuples(st.integers(-3, 3),
                               st.sampled_from([1, 3, 5, 7])),
                     min_size=1, max_size=2),
@@ -65,9 +72,17 @@ def element(F, terms, prec, fill=()):
         for e, u in list(terms) + list(fill):
             x = x + F.make(u, e)
         return x if prec is None or fill else x.truncated(prec)
-    k = F.residue_field
-    pairs = [(e, k.elem(c)) for e, c in list(terms) + list(fill)]
+    pairs = [(e, residue(F.residue_field, c))
+             for e, c in list(terms) + list(fill)]
     return F.make(pairs, None if fill else prec)
+
+
+def residue(k, c):
+    """The residue element with bit-pattern c: over GF(2^m)(x) the
+    polynomial in x whose coefficient of x^i is bit i of c."""
+    if k.is_perfect:
+        return k.elem(c)
+    return k.from_poly([(c >> i) & 1 for i in range(c.bit_length())])
 
 
 def build(F, drawn, refine=None):
@@ -102,19 +117,39 @@ def answers(q):
     return out
 
 
+def _is_truncated(drawn):
+    blocks, diagonal = drawn
+    entries = [e for pair in blocks for e in pair] + list(diagonal)
+    return any(prec is not None for _, prec in entries)
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_answers_hold_on_exact_refinements(name, data):
+def test_answers_hold_on_exact_refinements(name):
     F = FIELDS[name]
-    drawn = data.draw(drawn_forms(name))
-    certified = answers(build(F, drawn))
+    k = F.residue_field
     # random digits at exponents prec, prec + 1, prec + 2
-    digit = st.integers(0, 7 if F.char == 0 else F.residue_field.order - 1)
+    digit = st.integers(0, 7 if F.char == 0 or not k.is_perfect
+                        else k.order - 1)
     digits = st.lists(digit, min_size=3, max_size=3)
-    for _ in range(2):
-        refined = answers(build(F, drawn, lambda prec: [
-            (prec + i, c) for i, c in enumerate(data.draw(digits)) if c]))
-        for got, want in zip(refined, certified):
-            if not (isinstance(want, type) and issubclass(want, WittlabError)):
-                assert got == want
+    # the truncated forms that got a depth answer and a symbol payload
+    reached = []
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(data):
+        drawn = data.draw(drawn_forms(name))
+        certified = answers(build(F, drawn))
+        depth, symbol = certified[:2]
+        if _is_truncated(drawn) and isinstance(depth, str) \
+                and isinstance(symbol, dict) and symbol["payload"]:
+            reached.append(drawn)
+        for _ in range(2):
+            refined = answers(build(F, drawn, lambda prec: [
+                (prec + i, c) for i, c in enumerate(data.draw(digits)) if c]))
+            for got, want in zip(refined, certified):
+                if not (isinstance(want, type)
+                        and issubclass(want, WittlabError)):
+                    assert got == want
+
+    check()
+    assert reached

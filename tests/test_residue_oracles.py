@@ -31,6 +31,7 @@ from wittlab.residue_witt import SymplecticQuadSpace
 import residue_brute_force
 from residue_brute_force import (_bounded_as_search, _check_enum_size,
                                  _finite_as_root, _is_finite)
+from form_helpers import random_residue
 
 FIELDS = {"GF(2)": GF2m(1), "GF(4)": GF2m(2), "GF(8)": GF2m(3),
           "GF(2)(x)": RatFuncField(1), "GF(4)(x)": RatFuncField(2)}
@@ -354,19 +355,8 @@ def _diagonalize_bilinear(gram, k):
 # -- random draws -----------------------------------------------------------------
 
 
-def _elem(k, rng):
-    """A random element, zero about a third of the time."""
-    if rng.random() < 0.3:
-        return k.zero
-    if _is_finite(k):
-        return k.random(rng)
-    num = k.random(rng, rng.randrange(2))
-    den = k.random(rng, 1)
-    return num if den.is_zero() else num / den
-
-
 def _upper(k, n, rng):
-    return [[_elem(k, rng) if j >= i else k.zero for j in range(n)]
+    return [[random_residue(k, rng) if j >= i else k.zero for j in range(n)]
             for i in range(n)]
 
 
@@ -383,7 +373,7 @@ def _scrambled_blocks(k, pairs, rng):
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            c = _elem(k, rng)
+            c = random_residue(k, rng)
             for r in range(n):
                 M[r][i] = M[r][i] + c * M[r][j]
     G = [[k.zero] * n for _ in range(n)]  # M^T U M
@@ -401,9 +391,9 @@ def _scrambled_blocks(k, pairs, rng):
 def _symmetric_gram(k, n, rng, alternating):
     G = [[k.zero] * n for _ in range(n)]
     for i in range(n):
-        G[i][i] = k.zero if alternating else _elem(k, rng)
+        G[i][i] = k.zero if alternating else random_residue(k, rng)
         for j in range(i + 1, n):
-            G[i][j] = G[j][i] = _elem(k, rng)
+            G[i][j] = G[j][i] = random_residue(k, rng)
     return G
 
 
@@ -435,7 +425,7 @@ def test_sq_normalize_matches_oracle(name):
     rng = random.Random(f"sq_normalize {name}")
     for _ in range(60):
         n = rng.choice((0, 1, 2, 3, 4, 4, 6))
-        qvals = [_elem(k, rng) for _ in range(n)]
+        qvals = [random_residue(k, rng) for _ in range(n)]
         bmat = _symmetric_gram(k, n, rng, alternating=rng.random() < 0.9)
         want = _outcome(sq_normalize, qvals, bmat, k)
         got = _outcome(residue_witt.sq_normalize, qvals, bmat, k)
@@ -451,7 +441,8 @@ def test_kquad_anisotropic_part_matches_oracle(name):
         if rng.random() < 0.5:
             rows = _upper(k, dim, rng)
         else:
-            pairs = [(_elem(k, rng), _elem(k, rng)) for _ in range(dim // 2)]
+            pairs = [(random_residue(k, rng), random_residue(k, rng))
+                     for _ in range(dim // 2)]
             rows = _scrambled_blocks(k, pairs, rng)
         want = _outcome(kquad_anisotropic_part, KQuadForm(k, rows))
         got = _outcome(residue_brute_force.kquad_anisotropic_part,
@@ -468,7 +459,8 @@ def test_kquad_is_hyperbolic_witnessed_matches_oracle(name):
     rng = random.Random(f"kquad_is_hyperbolic_witnessed {name}")
     answers = set()
     for _ in range(40):
-        pairs = [(_elem(k, rng), _elem(k, rng)) for _ in range(rng.choice((1, 2)))]
+        pairs = [(random_residue(k, rng), random_residue(k, rng))
+                 for _ in range(rng.choice((1, 2)))]
         if rng.random() < 0.5:
             pairs = pairs + pairs  # hyperbolic: [a,b] perp [a,b]
         rows = _scrambled_blocks(k, pairs, rng)

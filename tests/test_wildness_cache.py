@@ -152,11 +152,11 @@ def test_rebinding_a_returned_certificate_leaves_the_kept_parts():
     q = parse_form("[1+t, t^-1+t]", FIELDS["F2((t))"])
     eps, cert = norms.wildness_index(q)
     want = _symbol(q)
-    cert.qe = cert.be = cert.lead = cert.evidence = None
+    cert.qe = cert.be = cert.rows = cert.evidence = None
     eps2, cert2 = norms.wildness_index(q)
     assert cert2 is not cert and eps2 == eps
     assert cert2.qe is not None and cert2.be is not None
-    assert cert2.lead is not None
+    assert cert2.rows is not None
     assert _symbol(q) == want
 
 
