@@ -2,15 +2,16 @@
 canonical decomposition, equality and the Q_2 enumeration, plus built-in
 reproducible example fixtures.
 
-Exit codes: 0 success, 2 literal syntax error or bad command line (an
+Exit codes: 0 success, 2 literal syntax error (also a negative power of,
+or a division by, a non-invertible element) or bad command line (an
 unknown option, a missing command or argument, an invalid option value
 or a --json-out path that cannot be written prints {"error": "usage"};
---help still exits 0),
-3 Indistinguishable, 4 unsupported field/operation, 5 precision exhausted,
-141 stdout closed by its reader before the answer was written (nothing
-more is printed; a process ended by SIGPIPE reports the same status),
-1 anything else (an unexpected exception prints {"error": "internal"} on
-stdout and its traceback on stderr).
+--help still exits 0), 3 Indistinguishable, 4 unsupported
+field/operation, 5 precision exhausted, 141 stdout closed by its reader
+before the answer was written (nothing more is printed; a process ended
+by SIGPIPE reports the same status), 1 anything else (an unexpected
+exception prints {"error": "internal"} on stdout and its traceback on
+stderr).
 
 The options --field, --precision, --degree-cap and --json-out may stand
 before or after the command; given in both places, the later one wins.

@@ -24,10 +24,13 @@ Form grammar:
               | "sum" , "(" , form , { "," , form } , ")"
               | "scale" , "(" , element , "," , form , ")" ;
 
-The elements of a form are parsed in place, on the form's own tokens:
-the element grammar cannot consume ",", "]", ">" or an unmatched ")",
-so it stops at the token that ends each element, and a syntax error
-carries the line and column of the offending token.
+Each literal is read once into (kind, lexeme, offset) tokens, the last
+"eof".  A form's elements are parsed in place, on the form's tokens: the
+element grammar cannot consume ",", "]", ">" or an unmatched ")", so it
+stops at the token that ends each element.  A syntax error, among them a
+negative power of or a division by a non-invertible element, carries the
+1-based line and column of its token, computed from the offset only when
+the error is raised, by the rule that places JSON matrix errors too.
 
 A JSON array of arrays (detected by a leading "[[") is accepted as a
 raw upper-triangular coefficient matrix: it must be square, its entries
@@ -40,6 +43,7 @@ text (at the entry's opening quote when the string has escapes).
 from __future__ import annotations
 
 import json
+import operator
 import re
 
 from .errors import DivisionByZero, FormSyntaxError
@@ -53,157 +57,177 @@ from .quadform import QuadraticForm
 # one token per match; the empty match at the end of the text is "eof"
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\S)|\Z")
 _KINDS = ("eof", "int", "name", "op")
+_SUM = {"+": operator.add, "-": operator.sub}
+_PRODUCT = {"*": operator.mul, "/": operator.truediv}
 
 
-class _Scanner:
-    """The tokens of a text as (kind, lexeme, line, column), 1-based, the
-    last one "eof" at the end of the text."""
+class _Parser:
+    """Recursive descent over the (kind, lexeme, offset) tokens of text,
+    the last one "eof"; a method per rule of the grammars."""
 
-    def __init__(self, text: str):
-        self.tokens = []
-        line, start, last = 1, 0, 0  # start: the offset where the line begins
-        for m in _TOKEN.finditer(text):
-            i = m.start()
-            breaks = text.count("\n", last, i)
-            if breaks:
-                line += breaks
-                start = text.rindex("\n", last, i) + 1
-            self.tokens.append((_KINDS[m.lastindex or 0], m.group(), line,
-                                i - start + 1))
-            last = m.end()
+    def __init__(self, text: str, field):
+        self.text, self.field = text, field
+        self.tokens = [(_KINDS[m.lastindex or 0], m.group(), m.start())
+                       for m in _TOKEN.finditer(text)]
         self.pos = 0
 
     def peek(self):
-        return self.tokens[min(self.pos, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self):
-        tok = self.peek()
-        self.pos += 1
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
         return tok
 
+    def error(self, message, tok=None):
+        """Raise a syntax error at tok, by default the next token."""
+        raise FormSyntaxError(message, *_position(self.text,
+                                                  (tok or self.peek())[2]))
+
     def expect(self, lexeme):
-        kind, lex, line, col = self.next()
-        if lex != lexeme:
-            raise FormSyntaxError(f"expected {lexeme!r}, found {lex or 'end of input'!r}",
-                                  line, col)
+        tok = self.next()
+        if tok[1] != lexeme:
+            self.error(f"expected {lexeme!r}, found {tok[1] or 'end of input'!r}",
+                       tok)
 
-    def error(self, message):
-        _, lex, line, col = self.peek()
-        raise FormSyntaxError(message, line, col)
+    def end(self, value):
+        """value, once the whole text is read."""
+        if self.peek()[0] != "eof":
+            self.error(f"unexpected trailing {self.peek()[1]!r}")
+        return value
 
-
-class ElementParser:
-    def __init__(self, field):
-        self.field = field
-
-    def parse(self, text: str):
-        sc = _Scanner(text)
-        val = self._element(sc)
-        if sc.peek()[0] != "eof":
-            sc.error(f"unexpected trailing {sc.peek()[1]!r}")
+    def fold(self, operand, ops):
+        """The left fold of operands joined by the operators of ops."""
+        val = operand()
+        while self.peek()[1] in ops:
+            tok = self.next()
+            rhs = operand()
+            try:
+                val = ops[tok[1]](val, rhs)
+            except DivisionByZero:
+                self.error("division by a non-invertible element", tok)
         return val
 
-    def _element(self, sc):
-        val = self._term(sc)
-        while sc.peek()[1] in ("+", "-"):
-            op = sc.next()[1]
-            rhs = self._term(sc)
-            val = val + rhs if op == "+" else val - rhs
-        return val
+    def element(self):
+        return self.fold(self.term, _SUM)
 
-    def _term(self, sc):
-        val = self._factor(sc)
-        while sc.peek()[1] in ("*", "/"):
-            op = sc.next()[1]
-            rhs = self._factor(sc)
-            val = val * rhs if op == "*" else val / rhs
-        return val
+    def term(self):
+        return self.fold(self.factor, _PRODUCT)
 
-    def _factor(self, sc):
-        if sc.peek()[1] == "-":
-            sc.next()
-            return -self._power(sc)
-        return self._power(sc)
+    def factor(self):
+        if self.peek()[1] == "-":
+            self.next()
+            return -self.power()
+        return self.power()
 
-    def _power(self, sc):
-        base = self._atom(sc)
-        if sc.peek()[1] != "^":
+    def power(self):
+        base = self.atom()
+        if self.peek()[1] != "^":
             return base
-        sc.next()
-        e = self._signed(sc)
+        self.next()
+        e = self.signed()
         try:
             return power(base, e, self.field.one)
         except DivisionByZero:
-            sc.error("negative power of a non-invertible element")
+            self.error("negative power of a non-invertible element")
 
-    def _signed(self, sc) -> int:
-        neg = False
-        if sc.peek()[1] == "-":
-            sc.next()
-            neg = True
-        kind, lex, line, col = sc.next()
-        if kind != "int":
-            raise FormSyntaxError(
-                f"expected an integer exponent, found {lex or 'end of input'!r}",
-                line, col)
-        return -int(lex) if neg else int(lex)
+    def signed(self) -> int:
+        neg = self.peek()[1] == "-"
+        if neg:
+            self.next()
+        tok = self.next()
+        if tok[0] != "int":
+            self.error(f"expected an integer exponent, found "
+                       f"{tok[1] or 'end of input'!r}", tok)
+        return -int(tok[1]) if neg else int(tok[1])
 
-    def _atom(self, sc):
+    def atom(self):
         F = self.field
-        kind, lex, line, col = sc.next()
+        kind, lex, _ = tok = self.next()
         if kind == "int":
-            return self._int_atom(int(lex), line, col)
+            return self.int_atom(int(lex), tok)
         if lex == "(":
-            val = self._element(sc)
-            sc.expect(")")
+            val = self.element()
+            self.expect(")")
             return val
         if lex == "O":
-            sc.expect("(")
-            kind2, lex2, line2, col2 = sc.next()
+            self.expect("(")
             uni = "t" if isinstance(F, LaurentField) else "2"
-            if lex2 != uni:
-                raise FormSyntaxError(
-                    f"O() takes the uniformizer {uni!r} here, found {lex2!r}",
-                    line2, col2)
+            tok = self.next()
+            if tok[1] != uni:
+                self.error(f"O() takes the uniformizer {uni!r} here, found "
+                           f"{tok[1]!r}", tok)
             bound = 1
-            if sc.peek()[1] == "^":
-                sc.next()
-                bound = self._signed(sc)
-            sc.expect(")")
+            if self.peek()[1] == "^":
+                self.next()
+                bound = self.signed()
+            self.expect(")")
             return F.zero_to_precision(bound)
         if lex == "t":
             if not isinstance(F, LaurentField):
-                raise FormSyntaxError("t is only defined over Laurent fields",
-                                      line, col)
+                self.error("t is only defined over Laurent fields", tok)
             return F.uniformizer()
         if lex == "x":
             if isinstance(F, LaurentField) and isinstance(F.residue_field,
                                                           RatFuncField):
                 return F.section(F.residue_field.x)
-            raise FormSyntaxError(
-                "x needs a rational-function residue field", line, col)
-        raise FormSyntaxError(f"unexpected {lex or 'end of input'!r}", line, col)
+            self.error("x needs a rational-function residue field", tok)
+        self.error(f"unexpected {lex or 'end of input'!r}", tok)
 
-    def _int_atom(self, n, line, col):
+    def int_atom(self, n, tok):
         F = self.field
         if isinstance(F, DyadicField):
             return F.from_int(n)
         k = F.residue_field
         if isinstance(k, GF2m):
             if n >= k.order:
-                raise FormSyntaxError(
-                    f"residue constant {n} out of range for GF(2^{k.m}) "
-                    f"(bit-pattern atoms)", line, col)
+                self.error(f"residue constant {n} out of range for "
+                           f"GF(2^{k.m}) (bit-pattern atoms)", tok)
             return F.section(k.elem(n))
         if n >= k.base.order:
-            raise FormSyntaxError(
-                f"residue constant {n} out of range for the coefficient field",
-                line, col)
+            self.error(f"residue constant {n} out of range for the "
+                       f"coefficient field", tok)
         return F.section(k.from_poly((n,)))
+
+    def form(self) -> QuadraticForm:
+        F = self.field
+        _, lex, _ = tok = self.next()
+        if lex == "[":
+            a = self.element()
+            self.expect(",")
+            b = self.element()
+            self.expect("]")
+            return QuadraticForm.binary(F, a, b)
+        if lex == "<":
+            entries = [self.element()]
+            while self.peek()[1] == ",":
+                self.next()
+                entries.append(self.element())
+            self.expect(">")
+            return QuadraticForm.diagonal(F, entries)
+        if lex == "sum":
+            self.expect("(")
+            form = self.form()
+            while self.peek()[1] == ",":
+                self.next()
+                form = form.ortho_sum(self.form())
+            self.expect(")")
+            return form
+        if lex == "scale":
+            self.expect("(")
+            c = self.element()
+            self.expect(",")
+            form = self.form()
+            self.expect(")")
+            return form.scale(c)
+        self.error(f"expected a form literal, found {lex or 'end of input'!r}",
+                   tok)
 
 
 def parse_element(text: str, field):
-    return ElementParser(field).parse(text)
+    p = _Parser(text, field)
+    return p.end(p.element())
 
 
 def parse_form(text: str, field) -> QuadraticForm:
@@ -213,12 +237,9 @@ def parse_form(text: str, field) -> QuadraticForm:
             rows = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormSyntaxError(f"bad JSON matrix: {e.msg}", e.lineno, e.colno)
-        return QuadraticForm(field, _matrix(text, rows, ElementParser(field)))
-    sc = _Scanner(text)
-    form = _form(sc, ElementParser(field))
-    if sc.peek()[0] != "eof":
-        sc.error(f"unexpected trailing {sc.peek()[1]!r}")
-    return form
+        return QuadraticForm(field, _matrix(text, rows, field))
+    p = _Parser(text, field)
+    return p.end(p.form())
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
@@ -243,7 +264,7 @@ def _position(text, pos):
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _matrix(text, rows, parser):
+def _matrix(text, rows, field):
     """Entries of a square JSON matrix literal, rows its value in text.
     Entries are element literals or JSON integers; every entry below the
     diagonal must be the exact zero, because the form reads only the
@@ -267,7 +288,7 @@ def _matrix(text, rows, parser):
                     f"matrix entry ({i}, {j}) is neither a string nor an "
                     f"integer", *_position(text, at))
             try:
-                val = parser.parse(entry)
+                val = parse_element(entry, field)
             except FormSyntaxError as e:
                 # the entry's column in the text, where its source is the
                 # literal itself: no quotes around an integer, no escapes
@@ -283,42 +304,3 @@ def _matrix(text, rows, parser):
             vals.append(val)
         out.append(vals)
     return out
-
-
-def _form(sc, parser) -> QuadraticForm:
-    field = parser.field
-    kind, lex, line, col = sc.peek()
-    if lex == "[":
-        sc.next()
-        a = parser._element(sc)
-        sc.expect(",")
-        b = parser._element(sc)
-        sc.expect("]")
-        return QuadraticForm.binary(field, a, b)
-    if lex == "<":
-        sc.next()
-        entries = [parser._element(sc)]
-        while sc.peek()[1] == ",":
-            sc.next()
-            entries.append(parser._element(sc))
-        sc.expect(">")
-        return QuadraticForm.diagonal(field, entries)
-    if lex == "sum":
-        sc.next()
-        sc.expect("(")
-        form = _form(sc, parser)
-        while sc.peek()[1] == ",":
-            sc.next()
-            form = form.ortho_sum(_form(sc, parser))
-        sc.expect(")")
-        return form
-    if lex == "scale":
-        sc.next()
-        sc.expect("(")
-        c = parser._element(sc)
-        sc.expect(",")
-        form = _form(sc, parser)
-        sc.expect(")")
-        return form.scale(c)
-    raise FormSyntaxError(f"expected a form literal, found {lex or 'end of input'!r}",
-                          line, col)

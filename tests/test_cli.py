@@ -61,6 +61,22 @@ def test_syntax_error_exit_code_and_position():
     assert payload["column"] == 4
 
 
+@pytest.mark.parametrize("field, lit, column", [
+    ("f2-laurent", "[1/0, 1]", 3),
+    ("f2-laurent", "[1/O(t^3), 1]", 3),
+    ("f2x-laurent", "[1, t/(t-t)]", 6),
+])
+def test_division_by_a_non_invertible_element_is_a_syntax_error(field, lit,
+                                                                column):
+    # as a negative power of such an element is: exit 2 at the "/"
+    code, out = run_cli(["depth", "--field", field, lit])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "syntax"
+    assert payload["message"].startswith("division by a non-invertible element")
+    assert (payload["line"], payload["column"]) == (1, column)
+
+
 def test_degree_cap_inside_a_negative_power_is_not_a_syntax_error():
     # the cap trips while the literal inverts its base; written as a
     # power or as a quotient, the value ends in the same DegreeCapExceeded

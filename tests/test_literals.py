@@ -95,6 +95,11 @@ def test_syntax_error_positions():
      "matrix entry (2, 1) below the diagonal is not 0; the matrix is "
      "upper-triangular", 1, 15),
     (F2T, '[["1", "\\u0074 +"], [0, "1"]]', "unexpected 'end of input'", 1, 8),
+    (F2T, "[1/0, 1]", "division by a non-invertible element", 1, 3),
+    (F2XT, "[1, t/(t-t)]", "division by a non-invertible element", 1, 6),
+    (Q2, "<1/O(2^3)>", "division by a non-invertible element", 1, 3),
+    (F2T, '[["1/0","0"],["0","1"]]', "division by a non-invertible element",
+     1, 5),
 ])
 def test_error_points_at_the_offending_token(field, text, message, line,
                                              column):
