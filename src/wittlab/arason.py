@@ -153,19 +153,13 @@ def generator_certificate(q: QuadraticForm, eps):
             if am.low_bound() + bm.low_bound() > 0:
                 vanished += 1  # hyperbolic by completeness (or a zero slot)
                 continue
-            va = am.valuation()
-            s = int(va) // 2 if int(va) % 2 == 0 else (int(va) - 1) // 2
-            shift = pi ** abs(2 * s)
-            if s >= 0:
-                am2, bm2 = am / shift, bm * shift
-            else:
-                am2, bm2 = am * shift, bm / shift
-            pin = pi ** n2
+            # am pi^(-2s) has valuation 0 or 1; the factors are exact monomials
+            s = int(am.valuation()) // 2
+            am2, bm2 = am * pi ** (-2 * s), bm * pi ** (2 * s + n2)
             if int(am2.valuation()) == 0:
-                terms.append(GeneratorTerm(False, am2, bm2 * pin))
+                terms.append(GeneratorTerm(False, am2, bm2))
             else:
-                pin1 = pin * pi
-                terms.append(GeneratorTerm(True, am2 / pi, bm2 * pin1))
+                terms.append(GeneratorTerm(True, am2 / pi, bm2 * pi))
     return GeneratorExpression(eps, terms, vanished)
 
 

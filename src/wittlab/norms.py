@@ -76,15 +76,19 @@ depth_reduce keeps each new basis vector sum h_i e_i, h_i = s(c) t^d an
 exact monomial, as a sparse column of (i, h_i) pairs read off the
 plane vector's support (`graded.GradedVector.support`); on exact qe and
 be it forms H^T be H with gram_of on the rows of be and the q values
-over the same pairs, on raw digit ints as gram_of sums over Q_2 and
-GF(2^m)((t)) (exact values are canonical, so the bytes are those of the
-ambient columns); otherwise, or when that trips the degree cap
-over GF(2^m)(x), it lifts the ambient columns, H times the transposed
-basis by `linalg.mat_mul` on the sparse rows H, and re-forms the Gram
-rows from the polar matrix.  A reduced norm, and norm_sum and
-norm_shift of one, lifts its ambient basis on the first read, from the
-bases of the norms it came from; a long descent chains many such norms,
-and the first read walks the chain in a loop.
+over the same pairs, summed as QuadraticForm.evaluate sums them (exact
+values are canonical, so the bytes are those of the ambient columns);
+otherwise, or when that trips the degree cap over GF(2^m)(x), it lifts
+the ambient columns, H times the transposed basis by `linalg.mat_mul` on
+the sparse rows H, and re-forms the Gram rows from the polar matrix.
+Either way every q value and the whole Gram are formed in one pass, and
+eps' is read off the rows of the e block; when a column trips the degree
+cap, the e block's slack is certified first, so a slack that cannot be
+certified raises PrecisionExhausted whatever a later column does.  A
+reduced norm, and norm_sum and norm_shift of one, lifts its ambient
+basis on the first read, from the bases of the norms it came from; a
+long descent chains many such norms, and the first read walks the chain
+in a loop.
 """
 
 from __future__ import annotations
@@ -96,7 +100,6 @@ from math import lcm
 from . import graded, linalg, residue_witt
 from .errors import (DegreeCapExceeded, GridViolation, NotApplicable,
                      PrecisionExhausted, Record, SingularForm)
-from .fields import raw_digits
 from .fields.common import INF, AtLeast, grid, half, is_exact
 from .graded import ShiftedQuadSpace
 from .quadform import QuadraticForm, gram_of, symplectic_blocks
@@ -527,73 +530,45 @@ def _is_exact(cert: DepthCertificate) -> bool:
 
 
 def _gram_and_slack(B, cols, qval, head, slack):
-    """(eps', q values, Gram rows) of the columns by gram_of over B and qval;
-    slack gets the Gram and q values of cols[:head] before any entry of a
-    later column is formed."""
-    qe, eps = [], []
-
-    def on_head(Ge):
-        qe.extend(map(qval, cols[:head]))
-        eps.append(slack(Ge, qe))
-        qe.extend(map(qval, cols[head:]))
-
-    G = gram_of(B, cols, head=head, on_head=on_head)
-    return eps[0], qe, G
+    """(eps', q values, Gram rows) of the columns by gram_of over B and qval,
+    eps' = slack(Gram, q values), which reads the rows and q values of
+    cols[:head] alone.  When a column trips the degree cap, the slack of
+    cols[:head] is certified on their own Gram before the cap is raised,
+    so a slack that cannot be certified raises PrecisionExhausted, which
+    a retry at doubled precision can mend, and not the cap."""
+    try:
+        qe = list(map(qval, cols))
+        G = gram_of(B, cols)
+    except DegreeCapExceeded:
+        head_cols = cols[:head]
+        slack(gram_of(B, head_cols), list(map(qval, head_cols)))
+        raise
+    return slack(G, qe), qe, G
 
 
 def _gram_by_congruence(cert: DepthCertificate, H, head, slack):
     """The same for the vectors sum_i h_i e_i on the certificate's basis,
     H their sparse columns of (i, h_i) pairs: the Gram H^T be H, and the q
-    values sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij.  Exact entries are
+    values sum h_i^2 qe_i + sum_{i<j} h_i h_j be_ij, summed term by term
+    as QuadraticForm.evaluate sums them, on every field, so a degree cap
+    over GF(2^m)(x) trips at the same product.  Exact entries are
     canonical, so on exact Gram data the bytes are those the ambient
-    columns give.  Over a field with raw digits each q value is one int
-    sum, shifted to a lower bound of the exponents of its terms, as
-    gram_of sums its entries; over GF(2^m)(x) it is summed term by term
-    as QuadraticForm.evaluate sums it, so a degree cap trips at the same
-    product."""
+    columns give."""
     qe, be = cert.qe, cert.be
     F = cert.form.field
     rows = {}  # i -> be[i] as a dict, built on the first cross term of row i
-    R = raw_digits(F)
-    if R is None:
-        def qval(h):
-            acc = None
-            for a, (i, x) in enumerate(h):
-                if a + 1 < len(h) and i not in rows:
-                    rows[i] = dict(be[i])
-                for j, y in h[a:]:
-                    u = qe[i] if j == i else rows[i].get(j)
-                    if u is not None and not u.is_exactly_zero():
-                        t = u * (x * y)
-                        acc = t if acc is None else acc + t
-            return F.zero if acc is None else acc
-    else:
-        S, add, mul, reduce, make = R
-        # every term u h_i h_j lies at or above low + 2 min v(h_i)
-        low = min([u.v0 for u in qe if u.digits]
-                  + [b.v0 for row in be for _, b in row], default=0)
 
-        def qval(h):
-            base = low + 2 * min([x.v0 for _, x in h], default=0)
-            acc = 0
-            for a, (i, x) in enumerate(h):
-                if a + 1 < len(h) and i not in rows:
-                    rows[i] = dict(be[i])
-                for j, y in h[a:]:
-                    u = qe[i] if j == i else rows[i].get(j)
-                    if u is not None and u.digits:
-                        # h_i h_j, then u h_i h_j; a factor 1 costs nothing
-                        d = x.digits
-                        if y.digits != 1:
-                            d = mul(d, y.digits)
-                        if d == 1:
-                            d = u.digits
-                        else:
-                            if reduce is not None:
-                                d = reduce(d)
-                            d = mul(u.digits, d)
-                        acc = add(acc, d << S * (u.v0 + x.v0 + y.v0 - base))
-            return make(F, acc if reduce is None else reduce(acc), base)
+    def qval(h):
+        acc = None
+        for a, (i, x) in enumerate(h):
+            if a + 1 < len(h) and i not in rows:
+                rows[i] = dict(be[i])
+            for j, y in h[a:]:
+                u = qe[i] if j == i else rows[i].get(j)
+                if u is not None and not u.is_exactly_zero():
+                    t = u * (x * y)
+                    acc = t if acc is None else acc + t
+        return F.zero if acc is None else acc
 
     return _gram_and_slack(be, H, qval, head, slack)
 
@@ -626,17 +601,16 @@ def depth_reduce(q: QuadraticForm, cert: DepthCertificate):
     e_vals = [x.degree for x, _ in planes]
     f_vals = [y.degree for _, y in planes]
 
-    def certify_slack(Ge, qe):
-        # eps' from the e block, before any entry of an f column is formed:
-        # f arithmetic may raise (DegreeCapExceeded over GF(2^m)(x)) and must
-        # not pre-empt the PrecisionExhausted here
+    def certify_slack(G, qe):
+        # eps' from the e block: its q values, and its rows read in its
+        # own columns
         terms = [gamma]
-        for l, row in enumerate(Ge):
+        for l in range(head):
             qv = qe[l].low_bound()
             if qv != INF:
                 terms.append(half(qv) - e_vals[l])
-            for m, b in row:
-                if m == l:
+            for m, b in G[l]:
+                if m == l or m >= head:
                     continue
                 bb = b.low_bound()
                 if bb != INF:

@@ -27,17 +27,17 @@ kernel; `QuadraticForm.from_gram` builds one from q values and a polar
 Gram, which in characteristic 2 it keeps as the polar matrix.
 
 `gram_of`, the Gram kernel of the certificates of `norms`, forms
-cols^T B cols as sparse rows (`linalg.sparse`): row r holds the
-(c, G_rc) pairs whose entry is not an exact zero, in c order; B is
+cols^T B cols in one pass as sparse rows (`linalg.sparse`): row r holds
+the (c, G_rc) pairs whose entry is not an exact zero, in c order; B is
 given as such rows (a certificate's Gram) or dense (a polar matrix).
 It has two paths.  Exact data over Q_2 and GF(2^m)((t)) is summed on
-the bare digit ints of `fields.raw_digits` (`_gram_raw`), one element
-built per nonzero entry: an exact sum is canonical whatever its
-grouping.  Truncated data and GF(2^m)(x)((t)) keep the element sums in
-index order, as the summation order carries the precision there or
-trips the degree cap at a set product.  On exact data the rows are
-mirrored; on truncated data they hold both triangles, whose sums can
-certify different precisions.
+the bare digit ints of `fields.raw_digits` (`_gram_raw`, the one kernel
+outside `fields` that reads that layout), one element built per nonzero
+entry: an exact sum is canonical whatever its grouping.  Truncated data
+and GF(2^m)(x)((t)) keep the element sums in index order, as the
+summation order carries the precision there or trips the degree cap at
+a set product.  On exact data the rows are mirrored; on truncated data
+they hold both triangles, whose sums can certify different precisions.
 
 `WittExpr` is a formal orthogonal sum of binary [a,b] summands (plus
 diagonal <a> summands in characteristic 0) with the rewrite rules of
@@ -180,7 +180,7 @@ def _need_valued(q: QuadraticForm, what: str):
                             "use residue_witt.k_symplectic_blocks")
 
 
-def gram_of(B, cols, head=0, on_head=None):
+def gram_of(B, cols):
     """cols^T B cols as sparse rows: row r holds the (c, G_rc) pairs whose
     entry is not an exact zero, in c order (`linalg.sparse`).  B is
     symmetric, each of its rows and of the columns given sparse or as a
@@ -193,37 +193,28 @@ def gram_of(B, cols, head=0, on_head=None):
     reaches row i, over the pairs of row i of B whose index is in the
     support of col_c, so no entry is tested for zero; each sum runs in
     index order, seeded with its first term, as does
-    G_rc = sum_i x_i (B col_c)_i over (i, x_i) in col_r.  That order is
-    kept where it shows: on truncated data it is where each sum's
-    precision comes from, and over GF(2^m)(x) it decides at which product
-    the degree cap trips.  On exact input G_cr is copied from G_rc, r < c,
-    while truncated input gets both triangles, whose sums can certify
-    different precisions.
-
-    on_head, if given, is called with the rows of the Gram of cols[:head]
-    as soon as that block is formed, before any term of a later pairing;
-    it may raise to abandon the rest.  Every entry is the same sum either
-    way.
+    G_rc = sum_i x_i (B col_c)_i over (i, x_i) in col_r, and the entries
+    are formed row by row, in c order.  That order is kept where it
+    shows: on truncated data it is where each sum's precision comes from,
+    and over GF(2^m)(x) it decides at which product the degree cap trips.
+    On exact input G_cr is copied from G_rc, r < c, while truncated input
+    gets both triangles, whose sums can certify different precisions.
     """
     B = [linalg.sparse(row) for row in B]
     cols = [linalg.sparse(col) for col in cols]
-    if on_head is None:
-        head = 0
     mirror = {x.abs_prec for v in (*B, *cols) for _, x in v} <= {None}
     if mirror:
         F = next((col[0][1].field for col in cols if col), None)
         raw = F is not None and raw_digits(F)
         if raw:
-            return _gram_raw(raw, F, B, cols, head, on_head)
+            return _gram_raw(raw, F, B, cols)
     m = len(cols)
     coords = [dict(col) for col in cols]
     images = [{} for _ in cols]  # images[c][i]: (B col_c)_i, None if zero
     G = [[] for _ in range(m)]
-
-    def form(r, cs):
-        # the pairings of col_r with the columns cs, in order
-        col, Gr = cols[r], G[r]
-        for c in cs:
+    for r, col in enumerate(cols):
+        Gr = G[r]
+        for c in range(r if mirror else 0, m):
             img = images[c]
             acc = None
             for i, x in col:
@@ -245,28 +236,20 @@ def gram_of(B, cols, head=0, on_head=None):
                 Gr.append((c, acc))
                 if mirror and c != r:
                     G[c].append((r, acc))
-
-    if on_head is not None:
-        for r in range(head):
-            form(r, range(r if mirror else 0, head))
-        on_head([list(row) for row in G[:head]])
-    for r in range(m):
-        low = r if mirror else 0
-        form(r, range(max(low, head) if r < head else low, m))
     return G
 
 
-def _gram_raw(R, F, B, cols, head, on_head):
+def _gram_raw(R, F, B, cols):
     """gram_of on exact entries over F, in its raw digits R
     (`fields.raw_digits`).  Every term of (B col_c)_i lies at or
     above vb + vc, vb and vc the least exponents in B and in the columns,
     and every term of a pairing at or above vb + 2 vc, so each sum is one
-    int shifted to that base.  The head block, then the rest, is formed
-    column by column: the image B col_c is scattered over the rows of B
-    in the support of col_c (B is symmetric) and reduced once, and each
-    of its nonzero entries (B col_c)_i meets the entries x_i of the
-    columns col_r, r <= c, that reach row i, each pairing one int; the
-    entries are built in row-major order, one element each."""
+    int shifted to that base.  The Gram is formed column by column: the
+    image B col_c is scattered over the rows of B in the support of col_c
+    (B is symmetric) and reduced once, and each of its nonzero entries
+    (B col_c)_i meets the entries x_i of the columns col_r, r <= c, that
+    reach row i, each pairing one int; the entries are built in
+    row-major order, one element each."""
     S, add, mul, reduce, make = R
     m = len(cols)
     vb = min([x.v0 for row in B for _, x in row], default=0)
@@ -281,42 +264,34 @@ def _gram_raw(R, F, B, cols, head, on_head):
                 at[i].append(t)
             else:
                 at[i] = [t]
-
-    def block(cs):
-        # the entries (r, c), r <= c, of the columns c in cs
-        acc = {}  # r * m + c -> the pairing of col_r and col_c
-        for c in cs:
-            img = {}
-            for j, y in cols[c]:
-                yd, sy = y.digits, y.v0 - vc - vb
-                for i, b in B[j]:
-                    t = ((b.digits if yd == 1 else mul(b.digits, yd))
-                         << S * (b.v0 + sy))
-                    img[i] = add(img[i], t) if i in img else t
-            for i, d in img.items():
-                if reduce is not None:
-                    d = reduce(d)
-                if d:
-                    for r, x, sx in at.get(i, ()):
-                        if r <= c:
-                            t = (d if x == 1 else mul(x, d)) << sx
-                            k = r * m + c
-                            acc[k] = add(acc[k], t) if k in acc else t
-        for k in sorted(acc):
-            d = acc[k]
+    acc = {}  # r * m + c -> the pairing of col_r and col_c, r <= c
+    for c, col in enumerate(cols):
+        img = {}
+        for j, y in col:
+            yd, sy = y.digits, y.v0 - vc - vb
+            for i, b in B[j]:
+                t = ((b.digits if yd == 1 else mul(b.digits, yd))
+                     << S * (b.v0 + sy))
+                img[i] = add(img[i], t) if i in img else t
+        for i, d in img.items():
             if reduce is not None:
                 d = reduce(d)
             if d:
-                r, c = divmod(k, m)
-                g = make(F, d, base)
-                G[r].append((c, g))
-                if c != r:
-                    G[c].append((r, g))
-
-    if on_head is not None:
-        block(range(head))
-        on_head([list(row) for row in G[:head]])
-    block(range(head, m))
+                for r, x, sx in at.get(i, ()):
+                    if r <= c:
+                        t = (d if x == 1 else mul(x, d)) << sx
+                        k = r * m + c
+                        acc[k] = add(acc[k], t) if k in acc else t
+    for k in sorted(acc):
+        d = acc[k]
+        if reduce is not None:
+            d = reduce(d)
+        if d:
+            r, c = divmod(k, m)
+            g = make(F, d, base)
+            G[r].append((c, g))
+            if c != r:
+                G[c].append((r, g))
     return G
 
 

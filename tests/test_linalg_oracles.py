@@ -310,33 +310,29 @@ def depth_reduce(q, cert):
         e_vals.append(x.degree)
         fs.append(lift_vec(y))
         f_vals.append(y.degree)
-    qe = []
-    eps_prime = None
-
-    def certify_slack(Ge):
-        nonlocal eps_prime
-        Ge = linalg.dense(Ge, F.zero)
-        qe.extend(q.evaluate(e) for e in es)
-        terms = [gamma]
-        for l in range(len(es)):
-            qv = qe[l].low_bound()
-            if qv != INF:
-                terms.append(half(qv) - e_vals[l])
-            for m in range(len(es)):
-                if m == l:
-                    continue
-                bb = Ge[l][m].low_bound()
-                if bb != INF:
-                    terms.append(bb - e_vals[l] - e_vals[m] - gamma)
-        eps_prime = min(terms)
-        if eps_prime <= 0:
-            raise PrecisionExhausted(
-                "metabolic witness slack not certified positive")
-        qe.extend(q.evaluate(f) for f in fs)
-
+    # the slack of the e block, formed on its own first, so that it raises
+    # before an f column can trip the degree cap
+    B = q.polar_matrix()
+    Ge = linalg.dense(gram_of(B, es), F.zero)
+    qe = [q.evaluate(e) for e in es]
+    terms = [gamma]
+    for l in range(len(es)):
+        qv = qe[l].low_bound()
+        if qv != INF:
+            terms.append(half(qv) - e_vals[l])
+        for m in range(len(es)):
+            if m == l:
+                continue
+            bb = Ge[l][m].low_bound()
+            if bb != INF:
+                terms.append(bb - e_vals[l] - e_vals[m] - gamma)
+    eps_prime = min(terms)
+    if eps_prime <= 0:
+        raise PrecisionExhausted(
+            "metabolic witness slack not certified positive")
+    qe += [q.evaluate(f) for f in fs]
     basis_cols = es + fs
-    G = gram_of(q.polar_matrix(), basis_cols,
-                head=len(es), on_head=certify_slack)
+    G = gram_of(B, basis_cols)
     values = [v + eps_prime for v in e_vals] + f_vals
     new_norm = norms.VNorm(F, linalg.transpose(basis_cols), values)
     res = norms.check_compatibility(q, new_norm, gamma - eps_prime,
@@ -347,16 +343,13 @@ def depth_reduce(q, cert):
     return res
 
 
-def gram_of_read_dense(B, cols, zero, head=0, on_head=None):
-    """gram_of with its rows, and those of the head block, read back as
-    dense matrices, for the oracles that form dense ones."""
-    if on_head is not None:
-        on_head = (lambda Ge, _record=on_head:
-                   _record(linalg.dense(Ge, zero)))
-    return linalg.dense(gram_of(B, cols, head, on_head), zero)
+def gram_of_read_dense(B, cols, zero):
+    """gram_of with its rows read back as a dense matrix, for the oracles
+    that form dense ones."""
+    return linalg.dense(gram_of(B, cols), zero)
 
 
-def gram_of_parent(B, cols, zero, head=0, on_head=None):
+def gram_of_parent(B, cols, zero):
     """The parent gram_of: B col on every row, both triangles, every sum
     seeded with zero and every zero test repeated per term."""
     n = len(B)
@@ -364,31 +357,23 @@ def gram_of_parent(B, cols, zero, head=0, on_head=None):
     Bc = [[zero] * m for _ in range(n)]
     G = [[zero] * m for _ in range(m)]
 
-    def form(images, pairs):
-        for i in range(n):
-            Bi = B[i]
-            for c in images:
-                acc = zero
-                for j in range(n):
-                    if Bi[j].is_exactly_zero() or cols[c][j].is_exactly_zero():
-                        continue
-                    acc = acc + Bi[j] * cols[c][j]
-                Bc[i][c] = acc
-        for r, c in pairs:
+    for i in range(n):
+        Bi = B[i]
+        for c in range(m):
+            acc = zero
+            for j in range(n):
+                if Bi[j].is_exactly_zero() or cols[c][j].is_exactly_zero():
+                    continue
+                acc = acc + Bi[j] * cols[c][j]
+            Bc[i][c] = acc
+    for r in range(m):
+        for c in range(m):
             acc = zero
             for i in range(n):
                 if cols[r][i].is_exactly_zero() or Bc[i][c].is_exactly_zero():
                     continue
                 acc = acc + cols[r][i] * Bc[i][c]
             G[r][c] = acc
-
-    if on_head is None:
-        head = 0
-    else:
-        form(range(head), [(r, c) for r in range(head) for c in range(head)])
-        on_head([row[:head] for row in G[:head]])
-    form(range(head, m), [(r, c) for r in range(m) for c in range(m)
-                          if r >= head or c >= head])
     return G
 
 
@@ -947,7 +932,7 @@ def _gram_data(F, rng):
     for _ in range(m):
         support = set(rng.sample(range(n), min(n, rng.choice((1, 1, 2)))))
         cols.append([elem(not plain or i in support) for i in range(n)])
-    return B, cols, rng.randrange(0, m + 1)
+    return B, cols
 
 
 @pytest.mark.parametrize("name", GRAM_FIELDS)
@@ -956,23 +941,9 @@ def _gram_data(F, rng):
 def test_gram_of_matches_parent(name, seed):
     F = GRAM_FIELDS[name]
     rng = random.Random(seed)
-    B, cols, head = _gram_data(F, rng)
-    abandon = rng.random() < 0.2
+    B, cols = _gram_data(F, rng)
     assert _spelled(_outcome(gram_of_read_dense, B, cols, F.zero)) == \
         _spelled(_outcome(gram_of_parent, B, cols, F.zero))
-    heads = {}
-
-    def on_head(key):
-        def record(Ge):
-            heads[key] = _spelled(Ge)
-            if abandon:
-                raise PrecisionExhausted("abandoned after the head block")
-        return record
-
-    got = _outcome(gram_of_read_dense, B, cols, F.zero, head, on_head("got"))
-    want = _outcome(gram_of_parent, B, cols, F.zero, head, on_head("want"))
-    assert _spelled(got) == _spelled(want)
-    assert heads["got"] == heads["want"]
 
 
 @pytest.mark.parametrize("name", GRAM_FIELDS)
@@ -981,7 +952,7 @@ def test_gram_of_matches_parent(name, seed):
 def test_evaluate_matches_parent(name, seed):
     F = GRAM_FIELDS[name]
     rng = random.Random(seed)
-    B, cols, _ = _gram_data(F, rng)
+    B, cols = _gram_data(F, rng)
     q = QuadraticForm(F, B)  # the upper triangle of B as coefficients
     for x in cols:
         assert _spelled(q.evaluate(x)) == _spelled(evaluate_parent(q, x))
@@ -996,7 +967,7 @@ def test_mat_mul_takes_sparse_rows(shorthand, seed):
     dense: every entry's value and precision."""
     F = GRAM_FIELDS[shorthand]
     rng = random.Random(seed)
-    B, A, _ = _gram_data(F, rng)
+    B, A = _gram_data(F, rng)
     sparse = [[(s, a) for s, a in enumerate(row) if not a.is_exactly_zero()]
               for row in A]
     assert _spelled(_outcome(linalg.mat_mul, sparse, B, F.zero)) == \
@@ -1090,7 +1061,7 @@ def test_reduced_norms_lift_their_basis_when_read(shorthand, monkeypatch):
 # -- the certificate kernels against their dense parents --------------------------
 
 
-def gram_of_dense(B, cols, zero, head=0, on_head=None):
+def gram_of_dense(B, cols, zero):
     """The dense gram_of: coordinate columns, the support of each and the
     nonzero set of every row of B that a column reaches, scanned per call."""
     m = len(cols)
@@ -1102,8 +1073,8 @@ def gram_of_dense(B, cols, zero, head=0, on_head=None):
     G = [[zero] * m for _ in range(m)]
     mirror = all(x.abs_prec is None for row in [*B, *cols] for x in row)
 
-    def form(pairs):
-        for r, c in pairs:
+    for r in range(m):
+        for c in range(r if mirror else 0, m):
             img, col = images[c], cols[c]
             acc = None
             for i in supp[r]:
@@ -1121,15 +1092,6 @@ def gram_of_dense(B, cols, zero, head=0, on_head=None):
                 G[r][c] = acc
                 if mirror:
                     G[c][r] = acc
-
-    if on_head is None:
-        head = 0
-    else:
-        form((r, c) for r in range(head)
-             for c in range(r if mirror else 0, head))
-        on_head([row[:head] for row in G[:head]])
-    form((r, c) for r in range(m) for c in range(r if mirror else 0, m)
-         if r >= head or c >= head)
     return G
 
 
@@ -1329,8 +1291,8 @@ def _low_precision(F, rng):
 @settings(max_examples=60, deadline=None)
 def test_gram_of_on_sparse_columns_matches_dense(name, seed):
     """gram_of on the sparse (i, x_i) columns and on coordinate lists
-    against the dense parent: entries, precisions, the head block and the
-    error a product raises over the capped field.  Data is exact,
+    against the dense parent: entries, precisions and the error a product
+    raises over the capped field.  Data is exact,
     truncated (truncated zeros included), or an exact B against
     low-precision columns."""
     F = KERNEL_FIELDS[name]
@@ -1358,20 +1320,6 @@ def test_gram_of_on_sparse_columns_matches_dense(name, seed):
     want = _spelled(_outcome(gram_of_dense, B, dense, F.zero))
     assert _spelled(_outcome(gram_of_read_dense, B, sparse, F.zero)) == want
     assert _spelled(_outcome(gram_of_read_dense, B, dense, F.zero)) == want
-    head, abandon, heads = rng.randrange(0, m + 1), rng.random() < 0.2, {}
-
-    def on_head(key):
-        def record(Ge):
-            heads[key] = _spelled(Ge)
-            if abandon:
-                raise PrecisionExhausted("abandoned after the head block")
-        return record
-
-    got = _outcome(gram_of_read_dense, B, sparse, F.zero, head,
-                   on_head("got"))
-    want = _outcome(gram_of_dense, B, dense, F.zero, head, on_head("want"))
-    assert _spelled(got) == _spelled(want)
-    assert heads.get("got") == heads.get("want")
 
 
 @pytest.mark.parametrize("name", KERNEL_FIELDS)
@@ -1471,7 +1419,7 @@ def _twinned(B, rng):
 def test_gram_of_on_sparse_rows_matches_schoolbook(shorthand, seed):
     """gram_of on B given as sparse rows (a certificate's Gram) and as a
     dense matrix against H^T B H formed densely, entry by entry, value and
-    precision, both triangles, the head block too.  B is exact or
+    precision, both triangles.  B is exact or
     truncated; half of the draws twin two of its rows, and then some
     columns are a e_p - a e_p2, whose image and pairings cancel to exact
     zeros on exact data, which the rows leave out."""
@@ -1499,10 +1447,6 @@ def test_gram_of_on_sparse_rows_matches_schoolbook(shorthand, seed):
     _assert_rows(got, exact)
     assert _spelled(linalg.dense(got, F.zero)) == _spelled(want)
     assert _spelled(gram_of_read_dense(B, cols, F.zero)) == _spelled(want)
-    head, heads = rng.randrange(0, len(cols) + 1), []
-    gram_of(rows, cols, head, heads.append)
-    assert [_spelled(linalg.dense(Ge, F.zero)) for Ge in heads] == \
-        [_spelled([row[:head] for row in want[:head]])]
 
 
 def test_gram_of_rows_leave_out_what_cancels():
@@ -1569,3 +1513,30 @@ def test_capped_descents_reach_the_cap_and_certify():
                 break
             cert = step
     assert {DegreeCapExceeded, norms.DepthCertificate} <= outcomes
+
+
+def test_an_uncertified_slack_raises_before_a_later_degree_cap():
+    """A re-forming step whose e block cannot certify its slack raises
+    PrecisionExhausted, which doubles the precision, even when an f column
+    trips the degree cap.  The certificate is that of [t^-1, t^-1], whose
+    one plane is e = e_1 + e_2 and f = e_1, with a truncated q value to
+    take the re-forming route, on the basis [[1 + p, p], [p, 1 + p]]
+    (determinant 1), p = x^4, for the form [O(t^-1), t^-1]: e lifts to
+    (1, 1), whose q value is known only above t^-1, and f to (1 + p, p),
+    whose q value multiplies (1 + p) p, of degree 8."""
+    q = parse_form("[t^-1, t^-1]", CAPPED)
+    cert = norms.initial_norm(q)
+    p = parse_element("x^4", CAPPED)
+    one = CAPPED.one
+    step = copy.copy(cert)
+    step.form = parse_form("[O(t^-1), t^-1]", CAPPED)
+    step.norm = norms.VNorm(CAPPED, [[one + p, p], [p, one + p]],
+                            cert.norm.values)
+    step.qe = [_truncated(cert.qe[0])] + cert.qe[1:]
+    assert step.form.evaluate([one, one]).low_bound() == -1
+    with pytest.raises(DegreeCapExceeded):
+        step.form.evaluate([one + p, p])
+    with pytest.raises(PrecisionExhausted, match="slack not certified"):
+        norms.depth_reduce(step.form, step)
+    assert _outcome(depth_reduce, step.form, step) == \
+        (PrecisionExhausted, "metabolic witness slack not certified positive")

@@ -60,24 +60,6 @@ def test_polar_matrix_built_once_with_exact_char2_diagonal():
     assert qq.polar_matrix()[1][1] == Q2.from_int(6)
 
 
-def test_gram_of_head_block_first():
-    rng = random.Random(4)
-    q = parse_form("sum([1, t^-1], [t, 1+t])", F2T)
-    cols = [[rand_laurent(F2T, rng) for _ in range(4)] for _ in range(3)]
-    B = q.polar_matrix()
-    full = gram_of(B, cols)
-    seen = []
-    assert gram_of(B, cols, head=2, on_head=seen.append) == full
-    assert [linalg.dense(Ge, F2T.zero) for Ge in seen] == \
-        [[row[:2] for row in linalg.dense(full, F2T.zero)[:2]]]
-
-    def stop(head):
-        raise SingularForm("stop")
-
-    with pytest.raises(SingularForm):
-        gram_of(B, cols, head=2, on_head=stop)
-
-
 def rand_truncated(F, rng):
     if F.char == 0:
         x = F.make(rng.randrange(-40, 40), rng.randrange(-3, 4))

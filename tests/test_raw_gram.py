@@ -6,14 +6,12 @@ certificate keeps packed.
   loop of `test_linalg_oracles`, over Q_2, F2((t)), F4((t)) and
   F16((t)): random exact symmetric B, sparse or dense, with empty rows,
   twinned rows whose images cancel, negative odd 2-adic digits and
-  entries of many exponents, and monomial and general columns, at every
-  head.  Every entry must be the parent's element, value and exponent
-  both, and on_head must be called once, with the head block of the
-  result.
-* The q values of `norms._gram_by_congruence` are compared with
-  `QuadraticForm.evaluate` on the ambient columns, and its Gram with the
-  parent's, over the same fields and over F2(x)((t)), whose q values
-  keep the element path.
+  entries of many exponents, and monomial and general columns.  Every
+  entry must be the parent's element, value and exponent both.
+* The q values of `norms._gram_by_congruence`, summed as `evaluate` sums
+  them, are compared with `QuadraticForm.evaluate` on the ambient
+  columns, and its Gram with the parent's, over the same fields and over
+  F2(x)((t)); its slack is read once, off the whole Gram.
 * A certificate keeps the leading coefficients only as the packed rows of
   its rank test; unpacked, and as the `ShiftedQuadSpace.bmat` the induced
   space unpacks on its first read, they must equal the dense
@@ -126,16 +124,12 @@ def test_raw_gram_matches_parent(name, seed):
     B, twins = _symmetric(F, rng, n)
     cols = _columns(F, rng, n, twins)
     want = gram_of_parent(B, cols, F.zero)
-    for head in range(len(cols) + 1):
-        heads = []
-        G = gram_of(_sparse(B, rng), _sparse(cols, rng), head, heads.append)
-        assert linalg.dense(G, F.zero) == want
-        # sparse rows in column order, exact zeros left out
-        for row in G:
-            assert [c for c, _ in row] == sorted(c for c, _ in row)
-            assert all(not g.is_exactly_zero() for _, g in row)
-        assert heads == [[[(c, g) for c, g in row if c < head]
-                          for row in G[:head]]]
+    G = gram_of(_sparse(B, rng), _sparse(cols, rng))
+    assert linalg.dense(G, F.zero) == want
+    # sparse rows in column order, exact zeros left out
+    for row in G:
+        assert [c for c, _ in row] == sorted(c for c, _ in row)
+        assert all(not g.is_exactly_zero() for _, g in row)
     assert linalg.dense(gram_of(B, cols), F.zero) == want
 
 
@@ -185,12 +179,12 @@ def test_congruence_q_values_match_evaluate(name, seed):
     head = rng.randrange(0, len(H) + 1)
     slacks = []
 
-    def slack(Ge, qe):
-        slacks.append((len(Ge), len(qe)))
+    def slack(G, qe):
+        slacks.append((G, qe))
         return 1
 
     eps, qe, G = norms._gram_by_congruence(cert, H, head, slack)
-    assert eps == 1 and slacks == [(head, head)]
+    assert eps == 1 and slacks == [(G, qe)]
     ambient = [[sum((h * basis[i][r] for i, h in col), F.zero)
                 for r in range(n)] for col in H]
     assert qe == [q.evaluate(col) for col in ambient]
