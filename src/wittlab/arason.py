@@ -61,20 +61,11 @@ def _symbol_from_cert(q, cert) -> ResidueSymbol:
         _require_certified_form(q, cert)
         inv = cert.evidence
     eps = cert.eps
-    zero = half(0)
-    if eps == 0:
-        kind = "wq_pair"
-        payload = (inv[zero], inv[HALF])
-    elif eps.denominator == 2:
-        kind = "tensor"
-        payload = (inv[(zero, HALF)],)
-    elif q.field.v2 != INF and eps == q.field.v2:
-        kind = "w_pair"
-        payload = (inv[zero], inv[HALF])
-    else:
-        kind = "wedge_pair"
-        payload = (inv[zero], inv[HALF])
-    return ResidueSymbol(eps, kind, payload)
+    if eps.denominator == 2:
+        return ResidueSymbol(eps, "tensor", (inv[(half(0), HALF)],))
+    kind = ("wq_pair" if eps == 0 else "w_pair" if eps == q.field.v2
+            else "wedge_pair")
+    return ResidueSymbol(eps, kind, (inv[half(0)], inv[HALF]))
 
 
 def boundary_symbol(q: QuadraticForm):
@@ -143,7 +134,7 @@ def generator_certificate(q: QuadraticForm, eps):
     n2 = int(2 * eps)
     terms = []
     vanished = 0
-    for ((a, b), _vals, _basis) in blocks:
+    for i, ((a, b), _vals, _basis) in enumerate(blocks):
         factors = [(a, b)]
         if F.char == 2 and a.is_certified_nonzero() and b.is_certified_nonzero() \
                 and a.abs_prec is None and b.abs_prec is None \
@@ -153,6 +144,10 @@ def generator_certificate(q: QuadraticForm, eps):
             if am.low_bound() + bm.low_bound() > 0:
                 vanished += 1  # hyperbolic by completeness (or a zero slot)
                 continue
+            if not am.is_certified_nonzero():
+                raise PrecisionExhausted(
+                    f"block {i} entry a = {F.format_elem(am)} is zero only "
+                    "to precision")
             # am pi^(-2s) has valuation 0 or 1; the factors are exact monomials
             s = int(am.valuation()) // 2
             am2, bm2 = am * pi ** (-2 * s), bm * pi ** (2 * s + n2)

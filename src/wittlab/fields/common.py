@@ -90,8 +90,8 @@ class Half(Fraction):
 
     A Half is a Fraction: str, repr, ==, hash and isinstance answer as for
     the equal Fraction, so it can key a dict that is looked up with
-    Fractions.  Sums and differences with a Half or an int, products with
-    an int, negation and `% m` for an int m run on n2 alone and give a
+    Fractions.  Sums and differences with a Half or an int, int multiples
+    n * h, negation and `% m` for an int m run on n2 alone and give a
     Half; comparisons with a Half or an int run on n2 alone, and those
     with an infinite float or a nan answer without it, as Fraction's do.
     Every other operand or operation falls through to Fraction's own
@@ -151,11 +151,6 @@ class Half(Fraction):
         if type(b) is int:
             return half(2 * b - a.n2)
         return Fraction.__rsub__(a, b)
-
-    def __mul__(a, b):
-        if type(b) is int:
-            return half(a.n2 * b)
-        return Fraction.__mul__(a, b)
 
     def __rmul__(a, b):
         if type(b) is int:

@@ -39,11 +39,12 @@ over k, are those of `QuadraticForm.diagonal` (`evaluate`).  The rank
 test of condition (c) in `norms.check_compatibility` runs on the same
 layouts (`rank`), and keeps its packed rows on the certificate; the
 induced space hands them to `metabolic_planes`
-(`ShiftedQuadSpace.rows`), so no row is packed twice, and a space built
-without them packs bmat.  A space built from such rows alone (the
-induced space of a certificate, a space `invariants_memo` rebuilds from
-its key) unpacks bmat from them on its first read, and each reader of
-bmat reads it once.
+(`ShiftedQuadSpace.rows`), so no row is packed twice.  Every space
+holds packed rows: one built from bmat alone packs them in its
+constructor, and one built from such rows alone (the induced space of
+a certificate, a space `invariants_memo` rebuilds from its key) unpacks
+bmat from them on its first read, and each reader of bmat reads it
+once.
 
 Over GF(2^m) the rounds of `metabolic_planes` are a pure function,
 `_plane_rounds`, of (k, type, eps, degrees, q values, Gram rows), and
@@ -127,10 +128,11 @@ class HomogeneousScalar(Record):
 
 
 class ShiftedQuadSpace:
-    """rows, when given, are the rows of bmat in the layout of
-    `residue_witt._vectors(k)`, which `metabolic_planes` splits on instead
-    of packing bmat again; bmat may then be None, and is unpacked from
-    them on the first read."""
+    """rows are the rows of bmat in the layout of
+    `residue_witt._vectors(k)`, which `metabolic_planes` splits on and
+    `_space_key` reads; when none are given the constructor packs them
+    from bmat.  bmat may be None when rows are given, and is then
+    unpacked from them on the first read."""
 
     def __init__(self, k, v2, eps, degrees, qvals, bmat, type_tag, rows=None):
         self.k = k
@@ -141,7 +143,9 @@ class ShiftedQuadSpace:
         self._bmat = None if bmat is None else tuple(map(tuple, bmat))
         self.type_tag = type_tag
         self.n = len(self.degrees)
-        self.rows = None if rows is None else tuple(rows)
+        if rows is None:
+            rows = map(residue_witt._vectors(k).pack, self._bmat)
+        self.rows = tuple(rows)
 
     @property
     def bmat(self):
@@ -342,13 +346,8 @@ def descend_case1(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> dic
             raise WrongCase(f"pi degree {h.degree} is off the orbit grid of {c}")
         ip = h.coeff.inv()
         ipr = (h.coeff * choice.rho.coeff).inv()
-        qv = [S.qvals[i] for i in idx]
-        bm = [[bmat[i][j] for j in idx] for i in idx]
-        # the unit coefficients of the default choice scale by nothing
-        if ip != k.one:
-            qv = [ip * v for v in qv]
-        if ipr != k.one:
-            bm = [[ipr * v for v in row] for row in bm]
+        qv = [ip * S.qvals[i] for i in idx]
+        bm = [[ipr * bmat[i][j] for j in idx] for i in idx]
         if S.type_tag == "I":
             out[c] = QuadraticForm.from_gram(k, qv, bm)
         elif S.type_tag == "II":
@@ -505,11 +504,8 @@ def _space_key(S: ShiftedQuadSpace) -> tuple:
     """(k, type tag, eps, degrees, q values, Gram rows) of S, the q values
     and rows packed in the layout `residue_witt._vectors(k)`: over GF(2^m)
     the q values are one int, and the tuple is the key of both memos."""
-    vec = residue_witt._vectors(S.k)
-    rows = S.rows
-    if rows is None:
-        rows = tuple(vec.pack(row) for row in S.bmat)
-    return S.k, S.type_tag, S.eps, S.degrees, vec.pack(S.qvals), rows
+    return (S.k, S.type_tag, S.eps, S.degrees,
+            residue_witt._vectors(S.k).pack(S.qvals), S.rows)
 
 
 @lru_cache(maxsize=PLANES_MEMO_SIZE)

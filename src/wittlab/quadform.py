@@ -23,8 +23,8 @@ the errors are those of a split of the whole polar matrix.  A sum with
 a truncated entry, or with a summand that raises, is split whole.
 Forms over a residue field (`GF2m`, `GF(2^m)(x)`) are `QuadraticForm`s
 as well, split by the plane splitter of `residue_witt`, not by this
-kernel; `QuadraticForm.from_gram` builds one from q values and a polar
-Gram, which in characteristic 2 it keeps as the polar matrix.
+kernel; `QuadraticForm.from_gram` builds one from q values and the
+upper triangle of a polar Gram.
 
 `gram_of`, the Gram kernel of the certificates of `norms`, forms
 cols^T B cols in one pass as sparse rows (`linalg.sparse`): row r holds
@@ -89,16 +89,10 @@ class QuadraticForm:
     @classmethod
     def from_gram(cls, field, qvals, G):
         """The form with q(e_i) = qvals[i] and polar form G, read from the
-        upper triangle of G.  In characteristic 2 a symmetric G with an
-        exact-zero diagonal is the polar matrix itself, and is kept as it."""
-        form = cls(field, [(*G[i][:i], q, *G[i][i + 1:])
+        upper triangle of G alone; `polar_matrix()` rebuilds the polar
+        matrix from the coefficients on first use."""
+        return cls(field, [(*G[i][:i], q, *G[i][i + 1:])
                            for i, q in enumerate(qvals)])
-        if field.char == 2:
-            rows = tuple(map(tuple, G))
-            if all(rows[i][i].is_exactly_zero() for i in range(form.n)) \
-                    and rows == tuple(zip(*rows)):
-                form._polar = rows
-        return form
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -312,10 +306,10 @@ def _updated(G, keep, live, entry):
 
 
 def split_gram(G, F):
-    """Symplectic Gram-Schmidt on a symmetric Gram matrix G over F; every
-    caller passes one (a polar matrix, the mirrored leading coefficients
-    of a certificate, or a Gram of them), and the working copy is read
-    off its upper triangle at every step.
+    """Symplectic Gram-Schmidt on a symmetric Gram matrix G over F; its
+    one caller in the package, `_kept_split`, passes a form's polar
+    matrix, and the working copy is read off its upper triangle at every
+    step.
 
     While the diagonal has a certified-nonzero entry (characteristic 0),
     split off the line of the one of minimal valuation; once the diagonal

@@ -15,13 +15,15 @@ is trivial and the tensor group is k on 1@1.
 Quadratic forms over k are `QuadraticForm`s.  `_split_plane` is the one
 residue-field plane splitter, on vectors and Gram rows in the layout
 `_vectors(k)`: ints in the slot layout of `GF2m.packing` over GF(2^m)
-(`_Slots`), coordinate tuples over GF(2^m)(x) (`_Coords`).  Its one
-loop, `_plane_pairs`, splits off the plane of the first row, isotropic
-or not, until no row is left.  `k_symplectic_blocks` and `sq_normalize`
-read their symplectic bases off it, `kquad_witt_class` its (q(x), q(y))
-pairs: the Arf bit over finite k, raw data over GF(2^m)(x).  The
-isotropic search `_isotropic_vector` reads a vector off its planes, on
-the packed rows of a form (`kquad_isotropic_vector`, each round of
+(`_Slots`), coordinate tuples over GF(2^m)(x) (`_Coords`).  It always
+forms x, y and the kept vectors, and every caller starts it from the
+unit vectors.  Its one loop, `_plane_pairs`, splits off the plane of
+the first row, isotropic or not, until no row is left.
+`k_symplectic_blocks` and `sq_normalize` read their symplectic bases
+off it, `kquad_witt_class` its (q(x), q(y)) pairs: the Arf bit over
+finite k, raw data over GF(2^m)(x).  The isotropic search
+`_isotropic_vector` reads a vector off its planes, on the packed rows
+of a form (`kquad_isotropic_vector`, each round of
 `kquad_is_hyperbolic_witnessed`) or of a type-I degree class of
 `graded.metabolic_planes`, whose rounds run `_split_plane` too.  Its
 root of u^2 + u = ab is the field's `k.artin_schreier_root`: closed form
@@ -204,8 +206,7 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     w_c' = w_c + lam_c x + mu_c y.  The projected rows satisfy exactly two
     relations, sol and the unit vector at yi (w_yi' = 0), so the rows yi
     and max(supp(sol) minus yi) go: the rows a greedy echelon pass drops.
-    vecs may be None when only the Gram rows and q values are wanted;
-    then no vector is formed, and x, y and the vectors returned are None.
+    x, y and the kept rows' vectors are always formed from vecs.
 
     A sol of two or more rows is isotropic.  A one-row x = a w_r need not
     be when b is alternating (types I and II): the plane is then not
@@ -223,13 +224,10 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
     if yi is None:
         raise DegenerateForm("isotropic vector in the radical")
     sc = vec.entry(bx, yi).inv()
-    x = y = vecs2 = None
-    if vecs is not None:
-        x = vec.scale(a, vecs[base])
-        for r, c in rest:
-            x = vec.axpy(x, c, vecs[r])
-        y = vec.scale(sc, vecs[yi])
-        vecs2 = []
+    x = vec.scale(a, vecs[base])
+    for r, c in rest:
+        x = vec.axpy(x, c, vecs[r])
+    y = vec.scale(sc, vecs[yi])
     # b(x, y) = 1 and b(x, x) = 0: b is alternating for types I and
     # II, and b(x, x) = tau q(x) for type III, so mu_c = b(w_c, x) and
     # lam_c = b(w_c, y) + mu_c b(y, y)
@@ -246,7 +244,7 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
         raise DegenerateForm("a one-row relation pairs only with its own row")
     keep = [c for c in range(len(G)) if c != yi and c != drop]
     hi, lo = max(yi, drop), min(yi, drop)
-    G2, qs2 = [], []
+    vecs2, G2, qs2 = [], [], []
     for c in keep:
         row, qc = G[c], qs[c]
         lc, mc, bc = vec.entry(lam, c), vec.entry(bx, c), vec.entry(by, c)
@@ -263,31 +261,31 @@ def _split_plane(vec, vecs, G, qs, sol, polar):
             row = vec.axpy(row, mc, lam)
         if bc is not None:
             row = vec.axpy(row, bc, bx)
-        if vecs is not None:
-            w = vecs[c]
-            if lc is not None:
-                w = vec.axpy(w, lc, x)
-            if mc is not None:
-                w = vec.axpy(w, mc, y)
-            vecs2.append(w)
+        w = vecs[c]
+        if lc is not None:
+            w = vec.axpy(w, lc, x)
+        if mc is not None:
+            w = vec.axpy(w, mc, y)
+        vecs2.append(w)
         G2.append(vec.drop(vec.drop(row, hi), lo))
         qs2.append(qc)
     return (x, yi, y, q_y, keep), vecs2, G2, qs2
 
 
-def _plane_pairs(k, G, qs, vectors=False, polar=True):
+def _plane_pairs(k, G, qs, polar=True):
     """Split the nonsingular space over k with Gram rows G and q values
     qs, in the layout `_vectors(k)`, into planes (x, y), b(x, y) = 1: x is
     the first row, isotropic or not, and `_split_plane` splits its plane
-    off until no row is left.  polar says b is the polar form of q, of
-    even dimension; else q is totally singular and b alternating.
+    off, starting from the unit vectors, until no row is left.  polar says
+    b is the polar form of q, of even dimension; else q is totally
+    singular and b alternating.
 
-    Returns the (q(x), q(y)) pairs and, with vectors, x and y of each
-    plane in one flat list, in the layout."""
+    Returns the (q(x), q(y)) pairs and x and y of each plane in one flat
+    list, in the layout."""
     if polar and len(G) % 2:
         raise DegenerateForm("odd-dimensional forms are singular in char 2")
     vec = _vectors(k)
-    vecs = vec.units(len(G)) if vectors else None
+    vecs = vec.units(len(G))
     pairs, basis = [], []
     while G:
         if vec.first(G[0]) is None:
@@ -316,7 +314,7 @@ def _packed(form: QuadraticForm):
 def k_symplectic_blocks(form: QuadraticForm):
     """Binary blocks [a_i, b_i] of a nonsingular form over char-2 k, and
     the basis-change matrix whose columns are the symplectic basis."""
-    pairs, basis = _plane_pairs(form.field, *_packed(form), vectors=True)
+    pairs, basis = _plane_pairs(form.field, *_packed(form))
     vec = _vectors(form.field)
     return pairs, linalg.transpose([vec.unpack(v, form.n) for v in basis])
 
@@ -334,7 +332,7 @@ def _isotropic_vector(k, G, qs):
     [a,b] perp [a,b]), so None means `none found'.
     """
     vec = _vectors(k)
-    pairs, basis = _plane_pairs(k, G, qs, vectors=True)
+    pairs, basis = _plane_pairs(k, G, qs)
     for (a, b), x, y in zip(pairs, basis[::2], basis[1::2]):
         if a.is_zero():
             return x
@@ -484,7 +482,7 @@ def sq_normalize(qvals, bmat, k):
         raise DegenerateForm("bilinear form is not alternating")
     vec = _vectors(k)
     pairs, basis = _plane_pairs(k, [vec.pack(row) for row in bmat],
-                                list(qvals), vectors=True, polar=False)
+                                list(qvals), polar=False)
     return (SymplecticQuadSpace(k, tuple(pairs)),
             [list(vec.unpack(v, len(qvals))) for v in basis])
 
@@ -604,14 +602,16 @@ def _split_isotropic(k, G, qs, find):
     """Split off the hyperbolic plane through the isotropic vector
     find(k, G, qs), in the layout `_vectors(k)`, with `_split_plane`, and
     search what is left again, until find returns None; the Gram rows and
-    q values left."""
+    q values left.  The vectors start as the unit vectors and each round
+    passes its kept vectors to the next."""
     vec = _vectors(k)
+    vecs = vec.units(len(G))
     while G:
         v = find(k, G, qs)
         if v is None:
             break
         sol = [(r, vec.entry(v, r)) for r in vec.support(v)]
-        _, _, G, qs = _split_plane(vec, None, G, qs, sol, polar=True)
+        _, vecs, G, qs = _split_plane(vec, vecs, G, qs, sol, polar=True)
     return G, qs
 
 

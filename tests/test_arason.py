@@ -9,8 +9,9 @@ from wittlab.arason import (CanonicalDecomposition, GeneratorExpression,
                             canonical_decomposition, class_is_zero_tame_oracle,
                             decomposition_form, generator_certificate,
                             witt_equal)
-from wittlab.errors import INDISTINGUISHABLE, UnsupportedResidueField
-from wittlab.fields import make_field
+from wittlab.errors import (INDISTINGUISHABLE, PrecisionExhausted,
+                            UnsupportedResidueField)
+from wittlab.fields import field_shorthand, make_field
 from wittlab.literals import parse_form
 from wittlab.quadform import QuadraticForm
 
@@ -135,6 +136,22 @@ def test_generator_certificate_not_in_subgroup():
 def test_generator_certificate_hyperbolic_empty():
     expr = generator_certificate(parse_form("sum([0,0],[0,0])", F2T), 0)
     assert expr.terms == [] and expr.vanished == 2
+
+
+@pytest.mark.parametrize("shorthand, text, depths", [
+    ("f2m-laurent:m=2", "[2*t^-2 + 2*t, t^-2 + O(t^2)]",
+     (0, HALF, 1, 3 * HALF)),
+    ("f2-laurent", "sum([t^-3, t^-2], [t^-3+t^2, t^-2+O(t^3)], "
+                   "[t^2+O(t^5), t^-3])", (HALF, 1, 3 * HALF)),
+])
+def test_generator_certificate_on_a_truncated_block_entry(shorthand, text,
+                                                          depths):
+    # a block entry known only to a bound has no valuation to scale by
+    F = field_shorthand(shorthand, precision=32)
+    q = parse_form(text, F)
+    for eps in depths:
+        with pytest.raises(PrecisionExhausted, match="zero only to precision"):
+            generator_certificate(q, eps)
 
 
 def test_generator_terms_reassemble():
