@@ -377,8 +377,6 @@ def descend_case2(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Sep
     if len(idx_a) != len(idx_b):
         raise DegenerateForm(
             f"cosets of {len(idx_a)} and {len(idx_b)} basis vectors do not pair")
-    if not idx_a:
-        return SeparatedSpace(k, ())
     ip = h.coeff.inv()
     qv_a = [ip * S.qvals[i] for i in idx_a]
     pr = h.coeff * choice.rho.coeff
@@ -411,7 +409,8 @@ def _find_isotropic_rel(k, type_tag, cls, qs, G):
     G[r] its Gram row in the layout `residue_witt._vectors(k)`.
 
     None certifies anisotropy except for type I over an imperfect residue
-    field, where Undecidable is raised.
+    field, where Undecidable is raised; a type-I class whose polar form
+    is degenerate raises the DegenerateForm of the plane splitter.
     """
     classes: dict = {}
     for r, c in enumerate(cls):
@@ -445,12 +444,7 @@ def _find_isotropic_rel(k, type_tag, cls, qs, G):
             for col in reversed(range(len(cls))):
                 if cls[col] != c:
                     rows = [vec.drop(v, col) for v in rows]
-            try:
-                v = residue_witt._isotropic_vector(k, rows,
-                                                   [qs[r] for r in idx])
-            except DegenerateForm:
-                v = None  # class form degenerate: no conclusion here
-                undecided = True
+            v = residue_witt._isotropic_vector(k, rows, [qs[r] for r in idx])
             if v is None and not k.is_perfect:
                 undecided = True
             sol = None if v is None else vec.unpack(v, len(idx))
@@ -602,14 +596,9 @@ def is_metabolic(S: ShiftedQuadSpace, choice: UniformizingChoice = None) -> Meta
     vio = validate(S)
     if vio is not None:
         raise DegenerateForm(vio)
-    evidence = {}
-    exact_classes = True
-    try:
-        evidence = orbit_invariants(S, choice)
-    except Undecidable:
-        exact_classes = False
+    evidence = orbit_invariants(S, choice)
     planes = metabolic_planes(S)
-    if exact_classes and not (S.type_tag == "I" and not S.k.is_perfect):
+    if not (S.type_tag == "I" and not S.k.is_perfect):
         classes_zero = all(inv.is_zero() for inv in evidence.values())
         if classes_zero != (planes is not None):
             raise WittlabError("descent invariants disagree with the witness search")

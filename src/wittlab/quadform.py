@@ -43,7 +43,10 @@ they hold both triangles, whose sums can certify different precisions.
 diagonal <a> summands in characteristic 0) with the rewrite rules of
 the binary-form relation engine; `rewrite` preserves the Witt class,
 and remainder terms created at positive depth are kept and tagged with
-their guaranteed filtration bound.
+their guaranteed filtration bound.  It checks its operands once, before
+a rule runs, against the table of the summand kinds each rule reads:
+anything else raises RuleNotApplicable.  The merge `d_merge` is rule
+(d) on two summands with one second entry.
 """
 
 from __future__ import annotations
@@ -558,16 +561,15 @@ class WittExpr:
         return WittExpr(self.field, items + list(new_summands))
 
 
-def _vsum_positive(a, b) -> bool:
-    la, lb = a.low_bound(), b.low_bound()
-    if la == INF or lb == INF:
-        return True
-    return la + lb > 0
-
-
 def _need(cond, message):
     if not cond:
         raise RuleNotApplicable(message)
+
+
+# the summand kinds each rule reads, one per index of `at`
+_OPERANDS = {"a": ("bin",), "b": ("bin",), "c": ("bin",), "e": ("bin",),
+             "d": ("bin", "bin"), "d_merge": ("bin", "bin"),
+             "f": ("diag", "diag"), "g": ("diag", "diag")}
 
 
 def rewrite(expr: WittExpr, rule: str, at, c=None) -> WittExpr:
@@ -575,29 +577,44 @@ def rewrite(expr: WittExpr, rule: str, at, c=None) -> WittExpr:
 
     Rules: "a" swap; "b" transfer of a square factor c^2 (needs c);
     "c" uniformizer shuffle; "d" the two-summand isometry; "d_merge"
-    first-slot merge of summands sharing their second entry; "e"
-    deletion when v(ab) > 0; "f" diagonal pair to binary; "g" diagonal
-    pair rewrite (characteristic 0 only for f, g).
+    rule (d) on summands sharing their second entry, which keeps the
+    merged first slot and, in characteristic 0, the remainder tagged
+    with its depth bound; "e" deletion when v(ab) > 0; "f" diagonal
+    pair to binary; "g" diagonal pair rewrite (characteristic 0 only
+    for f, g).
+
+    `at` is one index (a bare int for a one-summand rule) or a tuple of
+    distinct indices of `expr.summands`, one per summand the rule reads;
+    any other `at`, an unknown rule or a summand of the wrong kind
+    raises RuleNotApplicable before a rule runs.
     """
     F = expr.field
-    idxs = [at] if isinstance(at, int) else list(at)
+    kinds = _OPERANDS.get(rule)
+    _need(kinds is not None, f"unknown rule {rule!r}")
+    name = f"rule ({rule[0]})"
+    n = len(expr.summands)
+    idxs = (at,) if isinstance(at, int) else \
+        tuple(at) if isinstance(at, (tuple, list)) else ()
+    _need(all(isinstance(i, int) and 0 <= i < n for i in idxs)
+          and len(set(idxs)) == len(idxs) == len(kinds),
+          f"{name} needs {('one index', 'two distinct indices')[len(kinds) - 1]}"
+          f" in range({n})")
+    _need(F.char == 0 or kinds[0] == "bin", f"{name} needs characteristic 0")
     terms = [expr.summands[i] for i in idxs]
+    _need(all(x.kind == k for x, k in zip(terms, kinds)),
+          f"{name} applies to " + ("binary summands" if kinds[0] == "bin"
+                                   else "a diagonal pair"))
+    s, t = terms[0], terms[-1]  # t is s for a one-summand rule
 
     if rule == "a":
-        (s,) = terms
-        _need(s.kind == "bin", "rule (a) applies to binary summands")
         return expr.replaced(idxs, [Summand("bin", s.b, s.a)])
 
     if rule == "b":
-        (s,) = terms
-        _need(s.kind == "bin", "rule (b) applies to binary summands")
         _need(c is not None and c.is_certified_nonzero(), "rule (b) needs c != 0")
         c2 = c * c
         return expr.replaced(idxs, [Summand("bin", s.a / c2, s.b * c2)])
 
     if rule == "c":
-        (s,) = terms
-        _need(s.kind == "bin", "rule (c) applies to binary summands")
         pi = F.uniformizer()
         alpha = pi * s.a
         _need(alpha.low_bound() >= 0,
@@ -609,79 +626,49 @@ def rewrite(expr: WittExpr, rule: str, at, c=None) -> WittExpr:
         return expr.replaced(idxs, [Summand("bin", s.b * pi ** (2 * k),
                                             alpha / pi ** (2 * k + 1))])
 
-    if rule == "d":
+    if rule in ("d", "d_merge"):
         # [a,b] perp [c,d] is isometric to [a+c, b] perp
         # [-c/(1-4cd), d - b/(1-4ab)] via e1' = e1+e2, f1' = f1,
         # e2' = (e2-2cf2)/(1-4cd), f2' = (2be1-f1+(1-4ab)f2)/(1-4ab);
         # the second entry is d - b/(1-4ab), not (d-b)/(1-4ab): only the
         # former reproduces the Gram of that basis change.
-        s1, s2 = terms
-        _need(s1.kind == "bin" and s2.kind == "bin",
-              "rule (d) applies to binary summands")
-        a, b = s1.a, s1.b
-        cc, d = s2.a, s2.b
-        one = F.one
+        merge = rule == "d_merge"
+        a, b, cc, d = s.a, s.b, t.a, t.b
+        _need(not merge or (b - d).is_exactly_zero(),
+              "merge needs summands with equal second entries")
+        first = Summand("bin", a + cc, b)
         if F.char == 2:
-            den1 = den2 = one
+            if merge:  # the remainder [-c, 0] is hyperbolic
+                return expr.replaced(idxs, [first])
+            den1 = den2 = F.one
         else:
             four = F.from_int(4)
-            den2 = one - four * cc * d
-            den1 = one - four * a * b
+            den2 = F.one - four * cc * d
+            den1 = F.one - four * a * b
             _need(den1.is_certified_nonzero() and den2.is_certified_nonzero(),
-                  "rule (d) needs both summands nonsingular")
-        first = Summand("bin", a + cc, b)
-        second = Summand("bin", (-cc) / den2, d - b / den1)
-        return expr.replaced(idxs, [first, second])
-
-    if rule == "d_merge":
-        s1, s2 = terms
-        _need(s1.kind == "bin" and s2.kind == "bin",
-              "rule (d) applies to binary summands")
-        _need((s1.b - s2.b).is_exactly_zero(),
-              "merge needs summands with equal second entries")
-        a, b_, g = s1.a, s2.a, s1.b
-        one = F.one
-        merged = Summand("bin", a + b_, g)
-        if F.char == 2:
-            return expr.replaced(idxs, [merged])
-        four = F.from_int(4)
-        den2 = one - four * b_ * g
-        den1 = one - four * a * g
-        _need(den1.is_certified_nonzero() and den2.is_certified_nonzero(),
-              "merge needs both summands nonsingular")
-        ra = (-b_) / den2
-        rb = g - g / den1
-        bound = Fraction(0)
-        la, lb = ra.low_bound(), rb.low_bound()
-        if la != INF and lb != INF:
-            bound = max(Fraction(0), -Fraction(la + lb) / 2)
-        return expr.replaced(idxs, [merged, Summand("bin", ra, rb, bound)])
+                  f"{'merge' if merge else name} needs both summands nonsingular")
+        ra, rb = (-cc) / den2, d - b / den1
+        bound = None
+        if merge:
+            bound = Fraction(0)
+            la, lb = ra.low_bound(), rb.low_bound()
+            if la != INF and lb != INF:
+                bound = max(Fraction(0), -Fraction(la + lb) / 2)
+        return expr.replaced(idxs, [first, Summand("bin", ra, rb, bound)])
 
     if rule == "e":
-        (s,) = terms
-        _need(s.kind == "bin", "rule (e) applies to binary summands")
-        _need(_vsum_positive(s.a, s.b), "rule (e) needs certified v(ab) > 0")
+        la, lb = s.a.low_bound(), s.b.low_bound()
+        _need(la == INF or lb == INF or la + lb > 0,
+              "rule (e) needs certified v(ab) > 0")
         return expr.replaced(idxs, [])
 
+    a, b = s.a, t.a
     if rule == "f":
-        s1, s2 = terms
-        _need(F.char == 0, "rule (f) needs characteristic 0")
-        _need(s1.kind == "diag" and s2.kind == "diag",
-              "rule (f) applies to a diagonal pair")
-        a, b = s1.a, s2.a
         _need(a.is_certified_nonzero(), "rule (f) needs a != 0")
         four_a2 = F.from_int(4) * a * a
         return expr.replaced(idxs, [Summand("bin", a, (a + b) / four_a2)])
 
-    if rule == "g":
-        s1, s2 = terms
-        _need(F.char == 0, "rule (g) needs characteristic 0")
-        _need(s1.kind == "diag" and s2.kind == "diag",
-              "rule (g) applies to a diagonal pair")
-        a, b = s1.a, s2.a
-        s = a + b
-        _need(a.is_certified_nonzero() and b.is_certified_nonzero()
-              and s.is_certified_nonzero(), "rule (g) needs a, b, a+b != 0")
-        return expr.replaced(idxs, [Summand("diag", s), Summand("diag", a * b * s)])
-
-    raise RuleNotApplicable(f"unknown rule {rule!r}")
+    sab = a + b
+    _need(a.is_certified_nonzero() and b.is_certified_nonzero()
+          and sab.is_certified_nonzero(), "rule (g) needs a, b, a+b != 0")
+    return expr.replaced(idxs, [Summand("diag", sab), Summand("diag", a * b * sab)])

@@ -559,14 +559,6 @@ class TensorElem(Record):
         return WedgeElem(self.k, self.coords[1] + self.coords[2])
 
 
-def wedge_zero(k) -> WedgeElem:
-    return WedgeElem(k, k.zero)
-
-
-def tensor_zero(k) -> TensorElem:
-    return TensorElem(k, (k.zero,) * 4)
-
-
 def wedge_of(a, b, k) -> WedgeElem:
     a0, a1 = k.frobenius_coordinates(a)
     b0, b1 = k.frobenius_coordinates(b)
@@ -581,7 +573,7 @@ def tensor_of(a, b, k) -> TensorElem:
 
 def sq_witt_class(S: SymplecticQuadSpace) -> WedgeElem:
     """Sum of a_i wedge a_i'; zero iff S is metabolic."""
-    acc = wedge_zero(S.k)
+    acc = WedgeElem(S.k, S.k.zero)
     for a, b in S.pairs:
         acc = acc + wedge_of(a, b, S.k)
     return acc
@@ -589,7 +581,7 @@ def sq_witt_class(S: SymplecticQuadSpace) -> WedgeElem:
 
 def ssq_witt_class(S: SeparatedSpace) -> TensorElem:
     """Sum of a_i tensor a_i'; zero iff S is metabolic."""
-    acc = tensor_zero(S.k)
+    acc = TensorElem(S.k, (S.k.zero,) * 4)
     for a, b in S.pairs:
         acc = acc + tensor_of(a, b, S.k)
     return acc

@@ -46,6 +46,17 @@ def test_symbol_w_pair_known_values():
     assert (sym.payload[0].bit, sym.payload[1].bit) == (0, 1)
 
 
+def test_w_pair_symbols_add():
+    # <1, 2> keeps depth 1, so its symbol is the sum of those of <1> and
+    # <2>; <1, 1> is the sum's zero
+    def symbol(lit):
+        return boundary_symbol(parse_form(lit, Q2))[1]
+
+    assert symbol("<1, 2>") == symbol("<1>") + symbol("<2>")
+    assert (symbol("<1>") + symbol("<1>")).is_zero()
+    assert not (symbol("<1>") + symbol("<2>")).is_zero()
+
+
 def test_symbol_tame_pair():
     eps, sym = boundary_symbol(parse_form("[1, 1]", F2T))
     assert eps == 0 and sym.kind == "wq_pair"

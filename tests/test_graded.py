@@ -6,7 +6,8 @@ import pytest
 from wittlab import graded, norms, residue_witt
 from wittlab.errors import (DegenerateForm, GridViolation, NotApplicable,
                             Undecidable, WittlabError, WrongCase)
-from wittlab.fields import make_field
+from wittlab.fields import GF2m, make_field
+from wittlab.fields.common import INF
 from wittlab.graded import (HomogeneousScalar, ShiftedQuadSpace,
                             UniformizingChoice, coset_decomposition,
                             default_choice, descend_case1, descend_case2,
@@ -143,6 +144,19 @@ def test_metabolic_planes_check_the_degree_grid(monkeypatch):
     graded.planes_memo.cache_clear()  # the off-grid planes go too
 
 
+def test_a_degenerate_type_I_class_is_degenerate_not_undecided():
+    # a type-I space over the perfect GF(2) whose polar form is zero: the
+    # isotropic search of its one degree class raises the plane
+    # splitter's DegenerateForm; no class over a perfect field is
+    # undecided
+    k = GF2m(1)
+    zero = [[k.zero] * 4 for _ in range(4)]
+    S = ShiftedQuadSpace(k, INF, 0, [0] * 4, [k.one] * 4, zero, "I")
+    with pytest.raises(DegenerateForm, match="polar form over the residue "
+                                             "field is degenerate"):
+        graded.metabolic_planes(S)
+
+
 def test_a_row_pairing_only_with_itself_is_degenerate():
     # type III over GF(2) with q values off the diagonal of b: row 0 is
     # isotropic, but b pairs it only with itself, so its plane split has no
@@ -237,6 +251,12 @@ def test_descend_case1_type_III_q2():
     out2 = descend_case1(S2)
     assert len(out2[Fraction(0)]) == 0
     assert len(out2[HALF]) == 1
+
+
+def test_descend_case2_of_an_empty_space_is_empty():
+    k = F2T.residue_field
+    S = ShiftedQuadSpace(k, F2T.v2, HALF, [], [], [], "II")
+    assert descend_case2(S).pairs == ()
 
 
 def test_descend_case2_examples():

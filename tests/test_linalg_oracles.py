@@ -1540,3 +1540,21 @@ def test_an_uncertified_slack_raises_before_a_later_degree_cap():
         norms.depth_reduce(step.form, step)
     assert _outcome(depth_reduce, step.form, step) == \
         (PrecisionExhausted, "metabolic witness slack not certified positive")
+
+
+def test_a_certified_slack_lets_a_later_degree_cap_through():
+    """The same step on the exact form [t^-1, t^-1], with the truncated
+    q value that takes the re-forming route: the q value of e = (1, 1)
+    is 1, exact, so the e block certifies its slack, and the cap that
+    the f column (1 + p, p) trips is raised as it is."""
+    q = parse_form("[t^-1, t^-1]", CAPPED)
+    cert = norms.initial_norm(q)
+    p = parse_element("x^4", CAPPED)
+    one = CAPPED.one
+    step = copy.copy(cert)
+    step.norm = norms.VNorm(CAPPED, [[one + p, p], [p, one + p]],
+                            cert.norm.values)
+    step.qe = [_truncated(cert.qe[0])] + cert.qe[1:]
+    assert q.evaluate([one, one]) == one
+    with pytest.raises(DegreeCapExceeded, match="degree 8 exceeds cap 6"):
+        norms.depth_reduce(q, step)

@@ -224,6 +224,29 @@ def exprs_equal(e1, e2):
     return arason.class_is_zero_tame_oracle(diff)
 
 
+@pytest.mark.parametrize("rule, at", [
+    ("d", (0, 0)),  # one summand twice: [0, 1] + [1, 0], another class
+    ("a", (0, 1)),  # two indices for a one-summand rule
+    ("d", 0),  # one index for a two-summand rule
+    ("a", 5),  # past the end
+    ("e", -1),  # a negative index would take the last summand
+])
+def test_a_bad_at_is_rejected_before_a_rule_runs(rule, at):
+    t = F2T.uniformizer()
+    e = WittExpr.binary(F2T, F2T.one, F2T.one) + WittExpr.binary(F2T, F2T.one, t)
+    with pytest.raises(RuleNotApplicable, match=r"needs (one index|two "
+                                                r"distinct indices) in range\(2\)"):
+        rewrite(e, rule, at=at)
+
+
+def test_witt_expressions_print_their_summands():
+    t = F2T.uniformizer()
+    e = WittExpr.binary(F2T, F2T.one, t) + WittExpr.binary(F2T, F2T.one, F2T.one)
+    assert repr(e) == "[1, t] + [1, 1]_W"
+    assert repr(WittExpr.diagonal(Q2, [Q2.one, Q2.from_int(2)])) == "<1> + <2>_W"
+    assert repr(WittExpr(Q2)) == "0_W"
+
+
 def test_rule_e_known_kills():
     t = F2T.uniformizer()
     for a, b in ((F2T.one, t), (t, t)):
